@@ -16,13 +16,9 @@ import numpy as np
 from .errors import (BadSplitError, DegenerateFitError, EmptyBallError,
                      LambdaTooSmallError, NegativeInputError)
 from .fields import DampingFieldSpec, GrowthSplit, VelocityFieldSpec
-from .numerics import trapz
+from .numerics import ball_volume, log_linear_fit, trapz
 from .representation import DensityRepresentation
 from .weakform import GammaTrace, SpaceTimeQuadrature, gamma_trace
-
-
-def ball_volume(d, r):
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * r ** d
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +133,8 @@ def jn_decay_check(profile: BMOProfile, eta_grid) -> JNFit:
         raise DegenerateFitError(
             f"only {len(nonzero)} nonempty superlevels; need at least 3 for the fit"
         )
-    xs = np.array([e for e, _ in nonzero])
-    ys = np.log([m for _, m in nonzero])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * xs + intercept
-    ss_res = float(np.sum((ys - fitted) ** 2))
-    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+    slope, intercept, r2 = log_linear_fit([e for e, _ in nonzero],
+                                          [m for _, m in nonzero])
     sigma = profile.norm_star
     return JNFit(C_fit=float(np.exp(intercept)) / ball_volume(profile.d, profile.M),
                  c_fit=float(-slope * sigma), etas=tuple(etas),
@@ -195,13 +186,8 @@ def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
     positive = [(l, t) for l, t in zip(lambdas, tails) if t > 0.0]
     slope = r2 = None
     if len(positive) >= 2:
-        xs = np.array([l for l, _ in positive])
-        ys = np.log([t for _, t in positive])
-        slope, intercept = np.polyfit(xs, ys, 1)
-        fitted = slope * xs + intercept
-        ss_res = float(np.sum((ys - fitted) ** 2))
-        ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+        slope, _, r2 = log_linear_fit([l for l, _ in positive],
+                                      [t for _, t in positive])
         slope = float(slope)
 
     return SuperlevelReport(average=average, average_bound=bound,

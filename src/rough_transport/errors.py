@@ -11,10 +11,6 @@ class RoughTransportError(Exception):
 
 # --- field library -----------------------------------------------------------
 
-class SingularPointError(RoughTransportError):
-    """A damping field was evaluated exactly on its singular set."""
-
-
 class BadKernelError(RoughTransportError):
     """A mollifier kernel does not integrate to one under its own quadrature."""
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadKernelError, SingularPointError, SplitViolationError
+from .errors import BadKernelError, SplitViolationError
 from .numerics import gauss_legendre
 
 KERNEL_INTEGRAL_TOL = 1e-8
@@ -264,27 +264,6 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def evaluate_field(spec: VelocityFieldSpec, damping: DampingFieldSpec, t, x):
-    """Single evaluation gateway: returns (b, div b, c) at one point.
-
-    Raises SingularPointError when x lies exactly on the damping singular
-    set; truncation near the set is the caller's policy.
-    """
-    if not 0.0 <= t <= spec.horizon:
-        raise ValueError(f"t={t} outside [0, {spec.horizon}]")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape[-1] != spec.dimension:
-        raise ValueError(f"point has dimension {x.shape[-1]}, field has {spec.dimension}")
-    if damping.singular_set:
-        dist = float(np.min(damping.singular_distance(x)))
-        if dist == 0.0:
-            raise SingularPointError(f"x={x.tolist()} lies on the damping singular set")
-    b = np.asarray(spec.eval_b(t, x), dtype=float)
-    divb = float(np.asarray(spec.eval_div_b(t, x), dtype=float))
-    c = float(np.asarray(damping.eval_c(t, x), dtype=float))
-    return b, divb, c
-
 
 def growth_split(spec: VelocityFieldSpec, rng=None, n_samples=10_000,
                  sample_radius=10.0, tol=1e-12) -> GrowthSplit:

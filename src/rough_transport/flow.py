@@ -189,6 +189,16 @@ def integrate_flow(field: VelocityFieldSpec, seeds: SeedGrid, steps, direction,
 # Jacobian along characteristics
 # ---------------------------------------------------------------------------
 
+def _div_samples(field: VelocityFieldSpec, flow: FlowMap):
+    """div b at every node of every path, shape (paths, time nodes)."""
+    times = flow.time_grid
+    divs = np.empty((flow.trajectories.shape[0], times.shape[0]))
+    for k, t in enumerate(times):
+        divs[:, k] = np.asarray(field.eval_div_b(float(t), flow.trajectories[:, k, :]),
+                                dtype=float)
+    return divs
+
+
 def jacobian(field: VelocityFieldSpec, flow: FlowMap) -> JacobianTrack:
     """JX(t) = exp of the trapezoid path integral of div b along each path.
 
@@ -198,11 +208,7 @@ def jacobian(field: VelocityFieldSpec, flow: FlowMap) -> JacobianTrack:
     bound exp(-L) <= JX <= exp(L) from the divergence sup profile.
     """
     times = flow.time_grid
-    divs = np.empty((flow.trajectories.shape[0], times.shape[0]))
-    for k, t in enumerate(times):
-        divs[:, k] = np.asarray(field.eval_div_b(float(t), flow.trajectories[:, k, :]),
-                                dtype=float)
-    dpi = cumtrapz(divs, times)
+    dpi = cumtrapz(_div_samples(field, flow), times)
 
     sup_profile = np.array([field.div_sup(float(t)) for t in times], dtype=float)
     L = trapz(sup_profile, times) if np.all(np.isfinite(sup_profile)) else float("inf")
@@ -240,12 +246,8 @@ def jacobian_ode_residual(field: VelocityFieldSpec, flow: FlowMap,
     average of JX * div b over the step (and likewise for 1/JX); the max
     over seeds and steps is returned for both. Pure diagnostic.
     """
-    times = flow.time_grid
-    dt = np.diff(times)
-    divs = np.empty_like(track.jx)
-    for k, t in enumerate(times):
-        divs[:, k] = np.asarray(field.eval_div_b(float(t), flow.trajectories[:, k, :]),
-                                dtype=float)
+    dt = np.diff(flow.time_grid)
+    divs = _div_samples(field, flow)
     jx = track.jx
     rate = jx * divs
     dq = (jx[:, 1:] - jx[:, :-1]) / dt

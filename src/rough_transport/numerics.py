@@ -1,4 +1,4 @@
-"""Small shared numerical utilities: quadrature, stable sums, order fits."""
+"""Small shared numerical utilities: quadrature, stable sums, fits, ball measures."""
 
 import math
 import os
@@ -71,6 +71,31 @@ def order_estimate(scales, errors):
         return float("nan")
     slope = np.polyfit(np.log(scales[keep]), np.log(errors[keep]), 1)[0]
     return float(slope)
+
+
+def log_linear_fit(xs, ys):
+    """Least-squares line log(ys) = slope * xs + intercept, with its R^2.
+
+    Returns (slope, intercept, r_squared); a constant log(ys) has R^2 = 1.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.log(ys)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    fitted = slope * xs + intercept
+    ss_res = float(np.sum((ys - fitted) ** 2))
+    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+    return slope, intercept, r2
+
+
+def sphere_area(d):
+    """Surface measure of the unit sphere in R^d."""
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+
+
+def ball_volume(d, r):
+    """Lebesgue measure of the ball of radius r in R^d."""
+    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * r ** d
 
 
 def worker_count():

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .numerics import gl_nodes
+from .numerics import gl_nodes, sphere_area
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +210,7 @@ class TestFunctionPhiR:
         val, _ = quad(lambda s: s ** (self.d - 1)
                       * self.R ** (self.d + 1) / (self.R + s) ** (self.d + 1),
                       radius, np.inf)
-        return _sphere_area(self.d) * val
-
-
-def _sphere_area(d):
-    """Surface measure of the unit sphere in R^d."""
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+        return sphere_area(self.d) * val
 
 
 def make_phi_R(R, d) -> TestFunctionPhiR:
@@ -228,10 +223,10 @@ def make_phi_R(R, d) -> TestFunctionPhiR:
     elif d == 2:
         l1 = 7.0 * math.pi * R * R / 8.0
     else:
-        inner = _sphere_area(d) * (0.5 ** (d + 1)) * R ** d / d
+        inner = sphere_area(d) * (0.5 ** (d + 1)) * R ** d / d
         outer, _ = quad(lambda s: s ** (d - 1) * R ** (d + 1) / (R + s) ** (d + 1),
                         R, np.inf)
-        l1 = inner + _sphere_area(d) * outer
+        l1 = inner + sphere_area(d) * outer
     return TestFunctionPhiR(R=R, d=d, l1_norm=l1)
 
 
@@ -249,4 +244,4 @@ def phi_R_radial_integral(phi: TestFunctionPhiR, outer_radius_factor=1e3, n_pane
         pts[:, 0] = xs
         vals = phi(pts) * xs ** (d - 1)
         total += float(np.dot(ws, vals))
-    return _sphere_area(d) * total + phi.tail_mass(hi)
+    return sphere_area(d) * total + phi.tail_mass(hi)

@@ -25,10 +25,11 @@ from .flow import (change_of_variables_residual, compressibility_estimate,
                    flow_convergence_study, forward_backward_mismatch, integrate_flow,
                    jacobian, jacobian_ode_residual, make_seed_grid,
                    seeds_from_points, superlevel_escape)
+from .numerics import ball_volume
 from .renormalization import make_beta_arctan, make_phi_R
 from .report import Artifact, DiagnosticResult, RunReport
-from .representation import (damping_integral, integrability_probe,
-                             pointwise_solution)
+from .representation import (DensityRepresentation, damping_integral,
+                             integrability_probe, pointwise_solution)
 from .testfunctions import bump, compact_space_time, gaussian
 from .weakform import (gronwall_constants, gronwall_log_diagnostic,
                        l2_energy_diagnostic, make_quadrature, uniqueness_probe,
@@ -184,7 +185,7 @@ def _damping_constant(d):
 
 
 def _damping_box(d):
-    vol = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)   # Leb(B_1)
+    vol = ball_volume(d, 1.0)
 
     def eval_c(t, x):
         r = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
@@ -243,9 +244,17 @@ U0_CATALOG = {
 # run context
 # ---------------------------------------------------------------------------
 
+_BMO_GRID_CELLS = 1 << 22     # resolves exp(-lambda sigma) superlevels at lambda = 16
+
+
 @dataclass
 class RunContext:
-    """Resolved configuration plus lazily shared pipeline objects."""
+    """Resolved configuration plus lazily shared pipeline objects.
+
+    Each shared object is built on first use and memoised in ``_cache``, so
+    the diagnostics of one scenario that read the same flow, density or
+    profile build it once.
+    """
 
     cfg: "object"                      # config.ScenarioConfig
     field: VelocityFieldSpec
@@ -261,34 +270,77 @@ class RunContext:
     def d(self):
         return self.field.dimension
 
+    def _memo(self, key, build):
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     def seed_grid(self):
-        if "seeds" not in self._cache:
-            self._cache["seeds"] = make_seed_grid(self.cfg.box_radius,
-                                                  self.cfg.seeds_per_axis, self.d)
-        return self._cache["seeds"]
+        return self._memo("seeds", lambda: make_seed_grid(
+            self.cfg.box_radius, self.cfg.seeds_per_axis, self.d))
 
     def forward_flow(self, allow_nonsmooth=False):
-        if "flow" not in self._cache:
-            self._cache["flow"] = integrate_flow(self.field, self.seed_grid(),
-                                                 self.cfg.steps, "forward",
-                                                 allow_nonsmooth=allow_nonsmooth)
-        return self._cache["flow"]
+        return self._memo("flow", lambda: integrate_flow(
+            self.field, self.seed_grid(), self.cfg.steps, "forward",
+            allow_nonsmooth=allow_nonsmooth))
 
     def jacobian_track(self):
-        if "track" not in self._cache:
-            self._cache["track"] = jacobian(self.field, self.forward_flow())
-        return self._cache["track"]
+        return self._memo("track", lambda: jacobian(self.field, self.forward_flow()))
+
+    def density(self, n_space, n_time, radius=None, steps=None, allow_nonsmooth=False):
+        """(quadrature, pointwise representation sampled on its nodes).
+
+        ``radius`` defaults to the box radius and ``steps`` to the configured
+        ODE step count.
+        """
+        radius = self.cfg.box_radius if radius is None else radius
+        steps = self.cfg.steps if steps is None else steps
+
+        def build():
+            quad = make_quadrature(self.d, radius, n_space, self.field.horizon, n_time)
+            grid = seeds_from_points(quad.points, quad.cell_volume)
+            return quad, pointwise_solution(self.field, self.damping, self.u0, grid,
+                                            quad.times, steps, eta=self.cfg.eta,
+                                            allow_nonsmooth=allow_nonsmooth)
+        return self._memo(("density", n_space, n_time, radius, steps, allow_nonsmooth),
+                          build)
+
+    def twin_difference(self, quad_shape, radius, allow_nonsmooth=False):
+        """(quadrature, zero-datum density): the scenario at steps minus 2 steps."""
+        def build():
+            quad, coarse = self.density(*quad_shape, radius,
+                                        allow_nonsmooth=allow_nonsmooth)
+            _, fine = self.density(*quad_shape, radius, steps=2 * self.cfg.steps,
+                                   allow_nonsmooth=allow_nonsmooth)
+            return quad, DensityRepresentation(
+                mode="pointwise", times=quad.times.copy(), points=quad.points,
+                values=coarse.values - fine.values, cell_volume=quad.cell_volume,
+                u0=lambda x: np.zeros(np.asarray(x).shape[:-1]))
+        return self._memo(("twin", quad_shape, radius, allow_nonsmooth), build)
+
+    def bmo_profile(self):
+        """Sampled log(1/|x|) on B_1 over a fine grid covering B_2."""
+        def build():
+            M = 1.0
+            n = _BMO_GRID_CELLS
+            h = 4.0 * M / n
+            xs = -2.0 * M + h * (np.arange(n) + 0.5)
+            r = np.abs(xs)
+            with np.errstate(divide="ignore"):
+                vals = np.where(r < M, np.log(np.where(r > 0.0, 1.0 / r, 1.0)), 0.0)
+            return bmo_norm(vals, M, default_ball_family(M, 1), xs[:, None], h)
+        return self._memo("bmo_profile", build)
+
+    def jn_fit(self):
+        """John-Nirenberg decay fit of the BMO profile at eta = 1, 1.5, ..., 4."""
+        return self._memo("jn_fit", lambda: jn_decay_check(
+            self.bmo_profile(), [1.0 + 0.5 * k for k in range(7)]))
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
-
-
-def _result(name, passed, values, thresholds, seconds, note="", artifacts=()):
-    return DiagnosticResult(name=name, passed=bool(passed), values=values,
-                            thresholds=thresholds, seconds=seconds, note=note,
+def _result(passed, values, thresholds, note="", artifacts=()):
+    """A runner's verdict; run_scenario adds the name, seconds and budget."""
+    return DiagnosticResult(name="", passed=bool(passed), values=values,
+                            thresholds=thresholds, note=note,
                             artifacts=tuple(artifacts))
 
 
@@ -297,108 +349,72 @@ def _result(name, passed, values, thresholds, seconds, note="", artifacts=()):
 # ---------------------------------------------------------------------------
 
 def _run_flow_identity(ctx):
-    def work():
-        fl = ctx.forward_flow()
-        return float(np.max(np.abs(fl.trajectories - fl.seed_grid.points[:, None, :])))
-    dev, secs = _timed(work)
-    return _result("flow_identity", dev <= 1e-12, {"max_deviation": dev},
-                   {"max_deviation": 1e-12}, secs)
+    fl = ctx.forward_flow()
+    dev = float(np.max(np.abs(fl.trajectories - fl.seed_grid.points[:, None, :])))
+    return _result(dev <= 1e-12, {"max_deviation": dev}, {"max_deviation": 1e-12})
 
 
 def _run_jacobian_unit(ctx):
-    def work():
-        track = ctx.jacobian_track()
-        res = jacobian_ode_residual(ctx.field, ctx.forward_flow(), track)
-        return float(np.max(np.abs(track.jx - 1.0))), res.worst
-    (dev, res), secs = _timed(work)
-    return _result("jacobian_unit", dev <= 1e-13 and res <= 1e-12,
+    track = ctx.jacobian_track()
+    res = jacobian_ode_residual(ctx.field, ctx.forward_flow(), track).worst
+    dev = float(np.max(np.abs(track.jx - 1.0)))
+    return _result(dev <= 1e-13 and res <= 1e-12,
                    {"max_jx_deviation": dev, "ode_residual": res},
-                   {"max_jx_deviation": 1e-13, "ode_residual": 1e-12}, secs)
+                   {"max_jx_deviation": 1e-13, "ode_residual": 1e-12})
 
 
 def _run_superlevel(ctx, r, R, tol=0.0):
-    def work():
-        fl = ctx.forward_flow()
-        esc = superlevel_escape(fl, r, R)
-        ladder = [(float(rr), superlevel_escape(fl, r, rr))
-                  for rr in np.linspace(R, 2.0 * R, 5)]
-        return esc, ladder
-    (esc, ladder), secs = _timed(work)
+    fl = ctx.forward_flow()
+    esc = superlevel_escape(fl, r, R)
+    ladder = [(float(rr), superlevel_escape(fl, r, rr))
+              for rr in np.linspace(R, 2.0 * R, 5)]
     mono = all(b[1] <= a[1] for a, b in zip(ladder, ladder[1:]))
     art = Artifact("superlevel_escape.csv", ("R", "escaped_measure"),
                    tuple(ladder))
-    return _result("superlevel", esc <= tol and mono,
+    return _result(esc <= tol and mono,
                    {"escaped_measure": esc, "monotone_in_R": mono},
-                   {"escaped_measure": tol, "monotone_in_R": True},
-                   secs, artifacts=(art,))
+                   {"escaped_measure": tol, "monotone_in_R": True}, artifacts=(art,))
 
 
 def _run_compressibility(ctx, expected, rel_tol=0.1):
-    def work():
-        fl = ctx.forward_flow()
-        track = ctx.jacobian_track()
-        c_emp = compressibility_estimate(fl)
-        ceiling = math.exp(track.L) * 1.1
-        return c_emp, ceiling
-    (c_emp, ceiling), secs = _timed(work)
+    fl = ctx.forward_flow()
+    ceiling = math.exp(ctx.jacobian_track().L) * 1.1
+    c_emp = compressibility_estimate(fl)
     rel = abs(c_emp - expected) / expected
-    return _result("compressibility", rel <= rel_tol and c_emp <= ceiling,
+    return _result(rel <= rel_tol and c_emp <= ceiling,
                    {"C_empirical": c_emp, "relative_error": rel,
                     "admissible_ceiling": ceiling},
-                   {"relative_error": rel_tol, "admissible_ceiling": ceiling},
-                   secs)
+                   {"relative_error": rel_tol, "admissible_ceiling": ceiling})
 
 
 def _run_change_of_variables(ctx, phi, tol, domain_radius=None):
-    def work():
-        fl = ctx.forward_flow()
-        track = ctx.jacobian_track()
-        radius = domain_radius if domain_radius is not None else ctx.cfg.box_radius
-        return change_of_variables_residual(fl, track, phi, radius)
-    res, secs = _timed(work)
-    return _result("change_of_variables", res <= tol, {"residual": res},
-                   {"residual": tol}, secs)
+    radius = domain_radius if domain_radius is not None else ctx.cfg.box_radius
+    res = change_of_variables_residual(ctx.forward_flow(), ctx.jacobian_track(),
+                                       phi, radius)
+    return _result(res <= tol, {"residual": res}, {"residual": tol})
 
 
-def _quad_for(ctx, n_space, n_time, radius=None):
-    return make_quadrature(ctx.d, radius if radius is not None else ctx.cfg.box_radius,
-                           n_space, ctx.field.horizon, n_time)
+def _weak_test_function(ctx, phi_radius):
+    return compact_space_time(ctx.d, ctx.field.horizon,
+                              space_radius=phi_radius or 0.75 * ctx.cfg.box_radius)
 
 
-def _run_weak_residual(ctx, n_space, n_time, tol, beta_M=1.0,
-                       phi_radius=None, allow_nonsmooth=False):
-    def work():
-        quad = _quad_for(ctx, n_space, n_time)
-        grid = seeds_from_points(quad.points, quad.cell_volume)
-        u = pointwise_solution(ctx.field, ctx.damping, ctx.u0, grid, quad.times,
-                               ctx.cfg.steps, eta=ctx.cfg.eta,
-                               allow_nonsmooth=allow_nonsmooth)
-        phi = compact_space_time(ctx.d, ctx.field.horizon,
-                                 space_radius=phi_radius or 0.75 * ctx.cfg.box_radius)
-        rep = weak_residual(u, make_beta_arctan(beta_M), phi, ctx.field,
-                            ctx.damping, ctx.u0, quad, eta=ctx.cfg.eta)
-        return rep
-    rep, secs = _timed(work)
+def _run_weak_residual(ctx, n_space, n_time, tol, phi_radius=None):
+    quad, u = ctx.density(n_space, n_time)
+    rep = weak_residual(u, make_beta_arctan(1.0), _weak_test_function(ctx, phi_radius),
+                        ctx.field, ctx.damping, ctx.u0, quad, eta=ctx.cfg.eta)
     art = Artifact("weak_residual.csv", ("h", "tau", "residual"), rep.history)
-    return _result("weak_residual", rep.residual <= tol,
-                   {"residual": rep.residual}, {"residual": tol}, secs,
-                   artifacts=(art,))
+    return _result(rep.residual <= tol, {"residual": rep.residual},
+                   {"residual": tol}, artifacts=(art,))
 
 
-def _run_l2_energy(ctx, n_space, n_time, allow_nonsmooth=False):
-    def work():
-        quad = _quad_for(ctx, n_space, n_time)
-        grid = seeds_from_points(quad.points, quad.cell_volume)
-        u = pointwise_solution(ctx.field, ctx.damping, ctx.u0, grid, quad.times,
-                               ctx.cfg.steps, eta=ctx.cfg.eta,
-                               allow_nonsmooth=allow_nonsmooth)
-        return l2_energy_diagnostic(u, ctx.field, ctx.damping, quad)
-    (times, curve, envelope, ok), secs = _timed(work)
+def _run_l2_energy(ctx, n_space, n_time):
+    quad, u = ctx.density(n_space, n_time)
+    times, curve, envelope, ok = l2_energy_diagnostic(u, ctx.field, ctx.damping, quad)
     worst = float(np.max(curve / np.maximum(envelope, 1e-300)))
     art = Artifact("l2_energy.csv", ("t", "energy", "envelope"),
                    tuple(zip(times, curve, envelope)))
-    return _result("l2_energy", ok, {"worst_ratio": worst},
-                   {"worst_ratio": 1.05}, secs, artifacts=(art,))
+    return _result(ok, {"worst_ratio": worst}, {"worst_ratio": 1.05}, artifacts=(art,))
 
 
 # ---------------------------------------------------------------------------
@@ -406,177 +422,130 @@ def _run_l2_energy(ctx, n_space, n_time, allow_nonsmooth=False):
 # ---------------------------------------------------------------------------
 
 def _run_flow_endpoint(ctx, seed, t_eval, expected, tol=1e-8):
-    def work():
-        grid = seeds_from_points([seed])
-        fl = integrate_flow(ctx.field, grid, ctx.cfg.steps, "forward",
-                            anchor_time=t_eval)
-        return float(np.linalg.norm(fl.positions_at(-1)[0] - np.asarray(expected)))
-    err, secs = _timed(work)
-    return _result("flow_endpoint", err <= tol and secs < 1.0,
-                   {"position_error": err}, {"position_error": tol}, secs,
-                   note="runtime budget 1 s")
+    fl = integrate_flow(ctx.field, seeds_from_points([seed]), ctx.cfg.steps, "forward",
+                        anchor_time=t_eval)
+    err = float(np.linalg.norm(fl.positions_at(-1)[0] - np.asarray(expected)))
+    return _result(err <= tol, {"position_error": err}, {"position_error": tol})
 
 
 def _run_jacobian_profile(ctx, rate, tol=1e-10):
     """max_t |JX(t) - exp(rate * t)| over the seed grid."""
-    def work():
-        track = ctx.jacobian_track()
-        expected = np.exp(rate * ctx.forward_flow().time_grid)
-        return float(np.max(np.abs(track.jx - expected[None, :])))
-    dev, secs = _timed(work)
-    return _result("jacobian_profile", dev <= tol, {"max_deviation": dev},
-                   {"max_deviation": tol}, secs)
+    track = ctx.jacobian_track()
+    expected = np.exp(rate * ctx.forward_flow().time_grid)
+    dev = float(np.max(np.abs(track.jx - expected[None, :])))
+    return _result(dev <= tol, {"max_deviation": dev}, {"max_deviation": tol})
 
 
 def _run_jacobian_ode(ctx, tol=1e-3, halving=0.55):
-    def work():
-        fl1 = ctx.forward_flow()
-        r1 = jacobian_ode_residual(ctx.field, fl1, jacobian(ctx.field, fl1)).worst
-        fl2 = integrate_flow(ctx.field, ctx.seed_grid(), 2 * ctx.cfg.steps, "forward")
-        r2 = jacobian_ode_residual(ctx.field, fl2, jacobian(ctx.field, fl2)).worst
-        return r1, r2
-    (r1, r2), secs = _timed(work)
+    fl1 = ctx.forward_flow()
+    r1 = jacobian_ode_residual(ctx.field, fl1, jacobian(ctx.field, fl1)).worst
+    fl2 = integrate_flow(ctx.field, ctx.seed_grid(), 2 * ctx.cfg.steps, "forward")
+    r2 = jacobian_ode_residual(ctx.field, fl2, jacobian(ctx.field, fl2)).worst
     halved = r2 <= max(halving * r1, 1e-12)
-    return _result("jacobian_ode", r1 <= tol and halved,
+    return _result(r1 <= tol and halved,
                    {"residual": r1, "residual_refined": r2},
-                   {"residual": tol, "residual_refined": halving * r1 + 1e-12}, secs)
+                   {"residual": tol, "residual_refined": halving * r1 + 1e-12})
 
 
-def _run_forward_backward(ctx, tol=1e-10, allow_nonsmooth=False):
-    def work():
-        return forward_backward_mismatch(ctx.field, ctx.forward_flow(),
-                                         allow_nonsmooth=allow_nonsmooth)
-    dev, secs = _timed(work)
-    return _result("forward_backward", dev <= tol, {"max_mismatch": dev},
-                   {"max_mismatch": tol}, secs)
+def _run_forward_backward(ctx, tol=1e-10):
+    dev = forward_backward_mismatch(ctx.field, ctx.forward_flow())
+    return _result(dev <= tol, {"max_mismatch": dev}, {"max_mismatch": tol})
 
 
 def _run_growth_split(ctx):
-    def work():
-        growth_split(ctx.field, rng=ctx.rng)   # raises on violation
-        fd = check_divergence_consistency(ctx.field, rng=ctx.rng,
-                                          sample_radius=ctx.cfg.box_radius)
-        return fd
-    fd, secs = _timed(work)
-    return _result("growth_split", fd <= 1e-5,
-                   {"fd_divergence_error": fd}, {"fd_divergence_error": 1e-5}, secs)
+    growth_split(ctx.field, rng=ctx.rng)   # raises on violation
+    fd = check_divergence_consistency(ctx.field, rng=ctx.rng,
+                                      sample_radius=ctx.cfg.box_radius)
+    return _result(fd <= 1e-5, {"fd_divergence_error": fd}, {"fd_divergence_error": 1e-5})
 
 
 def _run_mollify_checks(ctx):
-    def work():
-        moll = make_mollifier(ctx.cfg.eps_list[0], ctx.d)
-        ti, si = moll.kernel_integrals()
-        smooth = mollify(ctx.field, moll)
-        origin = np.zeros((1, ctx.d))
-        b0 = float(np.max(np.abs(smooth.eval_b(0.0, origin))))
-        div0 = float(np.max(np.abs(smooth.eval_div_b(0.5, ctx.seed_grid().points))))
-        return abs(ti - 1.0), abs(si - 1.0), b0, div0
-    (ti, si, b0, div0), secs = _timed(work)
+    moll = make_mollifier(ctx.cfg.eps_list[0], ctx.d)
+    ti, si = moll.kernel_integrals()
+    ti, si = abs(ti - 1.0), abs(si - 1.0)
+    smooth = mollify(ctx.field, moll)
+    b0 = float(np.max(np.abs(smooth.eval_b(0.0, np.zeros((1, ctx.d))))))
+    div0 = float(np.max(np.abs(smooth.eval_div_b(0.5, ctx.seed_grid().points))))
     ok = ti <= 1e-10 and si <= 1e-10 and b0 <= 1e-12 and div0 <= 1e-12
-    return _result("mollify_checks", ok,
+    return _result(ok,
                    {"time_kernel_defect": ti, "space_kernel_defect": si,
                     "field_at_interface": b0, "divergence_sup": div0},
                    {"time_kernel_defect": 1e-10, "space_kernel_defect": 1e-10,
-                    "field_at_interface": 1e-12, "divergence_sup": 1e-12}, secs)
+                    "field_at_interface": 1e-12, "divergence_sup": 1e-12})
 
 
 def _run_flow_convergence(ctx, jac_tol=1e-10):
-    def work():
-        return flow_convergence_study(ctx.field, ctx.cfg.eps_list,
-                                      ctx.seed_grid(), ctx.cfg.steps)
-    rows, secs = _timed(work)
+    rows = flow_convergence_study(ctx.field, ctx.cfg.eps_list, ctx.seed_grid(),
+                                  ctx.cfg.steps)
     flow_discs = [r[1] for r in rows]
     jac_discs = [r[2] for r in rows]
     decreasing = all(b < a for a, b in zip(flow_discs, flow_discs[1:]))
     jac_ok = max(jac_discs) <= jac_tol
     art = Artifact("flow_convergence.csv", ("eps", "flow_discrepancy",
                                             "jacobian_discrepancy"), tuple(rows))
-    return _result("flow_convergence", decreasing and jac_ok and secs < 30.0,
+    return _result(decreasing and jac_ok,
                    {"strictly_decreasing": decreasing,
                     "max_jacobian_discrepancy": max(jac_discs)},
                    {"strictly_decreasing": True,
-                    "max_jacobian_discrepancy": jac_tol},
-                   secs, note="runtime budget 30 s", artifacts=(art,))
+                    "max_jacobian_discrepancy": jac_tol}, artifacts=(art,))
 
 
 def _run_representation_exact(ctx, n_space=256, n_time=64, tol=1e-12):
     """b = 0 scenarios: pointwise representation equals u0 e^{t c} on seeds."""
-    def work():
-        quad = _quad_for(ctx, n_space, n_time)
-        grid = seeds_from_points(quad.points, quad.cell_volume)
-        u = pointwise_solution(ctx.field, ctx.damping, ctx.u0, grid, quad.times,
-                               ctx.cfg.steps, eta=ctx.cfg.eta)
-        cvals = np.asarray(ctx.damping.eval_c(0.0, quad.points), dtype=float)
-        exact = (np.asarray(ctx.u0(quad.points), dtype=float)[None, :]
-                 * np.exp(quad.times[:, None] * cvals[None, :]))
-        dev = float(np.max(np.abs(u.values - exact)))
-        rows = [(float(quad.times[-1]),) + tuple(p) + (float(v),)
-                for p, v in zip(quad.points[::16], u.values[-1, ::16])]
-        return dev, rows
-    (dev, rows), secs = _timed(work)
+    quad, u = ctx.density(n_space, n_time)
+    cvals = np.asarray(ctx.damping.eval_c(0.0, quad.points), dtype=float)
+    exact = (np.asarray(ctx.u0(quad.points), dtype=float)[None, :]
+             * np.exp(quad.times[:, None] * cvals[None, :]))
+    dev = float(np.max(np.abs(u.values - exact)))
+    rows = [(float(quad.times[-1]),) + tuple(p) + (float(v),)
+            for p, v in zip(quad.points[::16], u.values[-1, ::16])]
     art = Artifact("density_final.csv",
                    ("t",) + tuple(f"x{i+1}" for i in range(ctx.d)) + ("u",),
                    tuple(rows))
-    return _result("representation_exact", dev <= tol, {"max_deviation": dev},
-                   {"max_deviation": tol}, secs, artifacts=(art,))
+    return _result(dev <= tol, {"max_deviation": dev}, {"max_deviation": tol},
+                   artifacts=(art,))
 
 
-def _run_weak_refinement(ctx, ladder, order_min=2.0, order_slack=0.1,
-                         beta_M=1.0, phi_radius=None):
-    def work():
-        quads = [_quad_for(ctx, ns, nt) for ns, nt in ladder]
-        phi = compact_space_time(ctx.d, ctx.field.horizon,
-                                 space_radius=phi_radius or 0.75 * ctx.cfg.box_radius)
-
-        def u_builder(quad):
-            grid = seeds_from_points(quad.points, quad.cell_volume)
-            return pointwise_solution(ctx.field, ctx.damping, ctx.u0, grid,
-                                      quad.times, ctx.cfg.steps, eta=ctx.cfg.eta)
-
-        return weak_residual_study(u_builder, make_beta_arctan(beta_M), phi,
-                                   ctx.field, ctx.damping, ctx.u0, quads,
-                                   eta=ctx.cfg.eta)
-    rep, secs = _timed(work)
+def _run_weak_refinement(ctx, ladder, order_min=2.0, order_slack=0.1, phi_radius=None):
+    built = [ctx.density(ns, nt) for ns, nt in ladder]
+    u_on = {id(quad): u for quad, u in built}
+    rep = weak_residual_study(lambda quad: u_on[id(quad)], make_beta_arctan(1.0),
+                              _weak_test_function(ctx, phi_radius), ctx.field,
+                              ctx.damping, ctx.u0, [quad for quad, _ in built],
+                              eta=ctx.cfg.eta)
     ok = rep.order is not None and rep.order >= order_min - order_slack
     art = Artifact("weak_residual_refinement.csv", ("h", "tau", "residual"),
                    rep.history)
-    return _result("weak_residual_refinement", ok,
+    return _result(ok,
                    {"estimated_order": rep.order or float("nan"),
                     "final_residual": rep.residual},
                    {"estimated_order": order_min - order_slack,
-                    "final_residual": float("inf")}, secs, artifacts=(art,))
+                    "final_residual": float("inf")}, artifacts=(art,))
 
 
 def _run_integrability(ctx, etas, expected_verdict, min_growth=None):
-    def work():
-        return integrability_probe(ctx.u0, ctx.damping, ctx.field.horizon, etas)
-    rep, secs = _timed(work)
-    ok = rep.verdict == expected_verdict and secs < 1.0
+    rep = integrability_probe(ctx.u0, ctx.damping, ctx.field.horizon, etas)
+    ok = rep.verdict == expected_verdict
     if min_growth is not None and rep.verdict == "divergent":
         ok = ok and all(r >= min_growth or not np.isfinite(r)
                         for r in rep.growth_ratios)
     art = Artifact("integrability_probe.csv", ("eta", "truncated_integral"),
                    tuple(zip(rep.etas, rep.integrals)))
-    return _result("integrability_probe", ok,
+    return _result(ok,
                    {"verdict_is_" + expected_verdict: rep.verdict == expected_verdict},
                    {"verdict_is_" + expected_verdict: True},
-                   secs, note=f"verdict: {rep.verdict}; runtime budget 1 s",
-                   artifacts=(art,))
+                   note=f"verdict: {rep.verdict}", artifacts=(art,))
 
 
 def _run_damping_l1(ctx, tol_rel=0.02):
-    def work():
-        grid = make_seed_grid(1.0, 1024, 1)
-        fl = integrate_flow(ctx.field, grid, 16, "forward")
-        acc = damping_integral(ctx.damping, fl, eta=0.0)
-        bound = 1.0 * ctx.damping.l1_norm_hint * 1.2   # C(X) = 1 for b = 0
-        return acc.total_l1, bound
-    (total, bound), secs = _timed(work)
+    fl = integrate_flow(ctx.field, make_seed_grid(1.0, 1024, 1), 16, "forward")
+    total = damping_integral(ctx.damping, fl, eta=0.0).total_l1
+    bound = 1.0 * ctx.damping.l1_norm_hint * 1.2   # C(X) = 1 for b = 0
     rel = abs(total - ctx.damping.l1_norm_hint) / ctx.damping.l1_norm_hint
-    return _result("damping_l1", rel <= tol_rel and total <= bound,
+    return _result(rel <= tol_rel and total <= bound,
                    {"discrete_l1": total, "relative_error": rel,
                     "compressibility_bound": bound},
-                   {"relative_error": tol_rel, "compressibility_bound": bound}, secs)
+                   {"relative_error": tol_rel, "compressibility_bound": bound})
 
 
 def _skip_weak_form(ctx):
@@ -584,52 +553,31 @@ def _skip_weak_form(ctx):
             "damping the pointwise product u(t,.) need not be locally integrable, "
             "so the representation is not a distributional solution and the "
             "quadrature of the weak form has no limit to verify")
-    return _result("weak_form", True, {}, {}, 0.0, note=note)
+    return _result(True, {}, {}, note=note)
 
 
-# --- twin-difference helpers -------------------------------------------------
-
-def _twin_difference(ctx, quad, steps_coarse, steps_fine, allow_nonsmooth=False):
-    """Zero-datum density: same scenario at two integrator resolutions."""
-    grid = seeds_from_points(quad.points, quad.cell_volume)
-    coarse = pointwise_solution(ctx.field, ctx.damping, ctx.u0, grid, quad.times,
-                                steps_coarse, eta=ctx.cfg.eta,
-                                allow_nonsmooth=allow_nonsmooth)
-    fine = pointwise_solution(ctx.field, ctx.damping, ctx.u0, grid, quad.times,
-                              steps_fine, eta=ctx.cfg.eta,
-                              allow_nonsmooth=allow_nonsmooth)
-    from .representation import DensityRepresentation
-    return DensityRepresentation(mode="pointwise", times=quad.times.copy(),
-                                 points=quad.points, values=coarse.values - fine.values,
-                                 cell_volume=quad.cell_volume,
-                                 u0=lambda x: np.zeros(np.asarray(x).shape[:-1]))
-
+# --- twin-difference runners -------------------------------------------------
 
 def _run_gronwall_matrix(ctx, quad_shape, quad_radius, slack=0.1,
                          check_delta_independent=False):
-    def work():
-        quad = make_quadrature(ctx.d, quad_radius, quad_shape[0],
-                               ctx.field.horizon, quad_shape[1])
-        u = _twin_difference(ctx, quad, ctx.cfg.steps, 2 * ctx.cfg.steps)
-        growth = growth_split(ctx.field, rng=ctx.rng)
-        rows = []
-        trace_rows = []
-        all_ok = True
-        bounds_by_R = {}
-        for delta in ctx.cfg.delta_list:
-            for R in ctx.cfg.r_list:
-                trace = gronwall_log_diagnostic(u, delta, R, ctx.field,
-                                                ctx.damping, growth, quad,
-                                                eta=ctx.cfg.eta, slack=slack)
-                rows.append((delta, R, float(np.max(trace.values)), trace.bound))
-                all_ok = all_ok and trace.passed
-                bounds_by_R.setdefault(R, []).append(trace.bound)
-                if not trace_rows:
-                    trace_rows = [(float(t), float(g), float(r), trace.bound)
-                                  for t, g, r in zip(trace.times, trace.values,
-                                                     trace.rhs)]
-        return rows, trace_rows, all_ok, bounds_by_R
-    (rows, trace_rows, all_ok, bounds_by_R), secs = _timed(work)
+    quad, u = ctx.twin_difference(quad_shape, quad_radius)
+    growth = growth_split(ctx.field, rng=ctx.rng)
+    rows = []
+    trace_rows = []
+    all_ok = True
+    bounds_by_R = {}
+    for delta in ctx.cfg.delta_list:
+        for R in ctx.cfg.r_list:
+            trace = gronwall_log_diagnostic(u, delta, R, ctx.field,
+                                            ctx.damping, growth, quad,
+                                            eta=ctx.cfg.eta, slack=slack)
+            rows.append((delta, R, float(np.max(trace.values)), trace.bound))
+            all_ok = all_ok and trace.passed
+            bounds_by_R.setdefault(R, []).append(trace.bound)
+            if not trace_rows:
+                trace_rows = [(float(t), float(g), float(r), trace.bound)
+                              for t, g, r in zip(trace.times, trace.values,
+                                                 trace.rhs)]
     delta_indep = True
     if check_delta_independent:
         for R, bounds in bounds_by_R.items():
@@ -645,91 +593,58 @@ def _run_gronwall_matrix(ctx, quad_shape, quad_radius, slack=0.1,
     if check_delta_independent:
         values["bound_delta_independent"] = delta_indep
         thresholds["bound_delta_independent"] = True
-    ok = all_ok and secs < 60.0 and (delta_indep if check_delta_independent else True)
-    return _result("gronwall_log", ok, values, thresholds, secs,
-                   note="runtime budget 60 s", artifacts=(art, art_trace))
+    return _result(all_ok and delta_indep, values, thresholds,
+                   artifacts=(art, art_trace))
 
 
 def _run_uniqueness_probe(ctx, quad_shape, quad_radius, gamma_level=1e-8,
                           probe_R0=None):
-    def work():
-        quad = make_quadrature(ctx.d, quad_radius, quad_shape[0],
-                               ctx.field.horizon, quad_shape[1])
-        u = _twin_difference(ctx, quad, ctx.cfg.steps, 2 * ctx.cfg.steps)
-        growth = growth_split(ctx.field, rng=ctx.rng)
-        phi_R = make_phi_R(max(ctx.cfg.r_list), ctx.d)
-        data = gronwall_constants(ctx.field, ctx.damping, growth, phi_R, quad.times)
-        deltas = [10.0 ** (-k) for k in range(2, 13, 2)]
-        R0 = probe_R0 if probe_R0 is not None else 0.9 * quad_radius
-        return uniqueness_probe(u, gamma_level, R0, deltas, data, quad)
-    rep, secs = _timed(work)
+    quad, u = ctx.twin_difference(quad_shape, quad_radius)
+    growth = growth_split(ctx.field, rng=ctx.rng)
+    phi_R = make_phi_R(max(ctx.cfg.r_list), ctx.d)
+    data = gronwall_constants(ctx.field, ctx.damping, growth, phi_R, quad.times)
+    deltas = [10.0 ** (-k) for k in range(2, 13, 2)]
+    R0 = probe_R0 if probe_R0 is not None else 0.9 * quad_radius
+    rep = uniqueness_probe(u, gamma_level, R0, deltas, data, quad)
     ok = rep.verdict == "forces u=0" and all(h for _, _, h in rep.delta_table)
     art = Artifact("uniqueness_probe.csv", ("delta", "rhs_bound", "holds"),
                    rep.delta_table)
-    return _result("uniqueness_probe", ok,
+    return _result(ok,
                    {"m": rep.m, "limit_bound": rep.limit_bound,
                     "verdict_forces_zero": rep.verdict == "forces u=0"},
                    {"m": float("inf"), "limit_bound": rep.m,
                     "verdict_forces_zero": True},
-                   secs, note=f"verdict: {rep.verdict}", artifacts=(art,))
+                   note=f"verdict: {rep.verdict}", artifacts=(art,))
 
 
-# --- BMO scenario helpers ----------------------------------------------------
-
-_BMO_GRID_CELLS = 1 << 22     # resolves exp(-lambda sigma) superlevels at lambda = 16
-
-
-def _bmo_profile(ctx):
-    """Sampled log(1/|x|) on B_1 over a fine grid covering B_2 (cached)."""
-    if "bmo_profile" not in ctx._cache:
-        M = 1.0
-        n = _BMO_GRID_CELLS
-        h = 4.0 * M / n
-        xs = -2.0 * M + h * (np.arange(n) + 0.5)
-        r = np.abs(xs)
-        with np.errstate(divide="ignore"):
-            vals = np.where(r < M, np.log(np.where(r > 0.0, 1.0 / r, 1.0)), 0.0)
-        ctx._cache["bmo_profile"] = bmo_norm(vals, M, default_ball_family(M, 1),
-                                             xs[:, None], h)
-    return ctx._cache["bmo_profile"]
-
+# --- BMO scenario runners ----------------------------------------------------
 
 def _run_bmo_norm(ctx):
-    def work():
-        profile = _bmo_profile(ctx)
-        avg = profile.ball_average(np.zeros(1), profile.M)
-        return profile, avg
-    (profile, avg), secs = _timed(work)
+    profile = ctx.bmo_profile()
+    avg = profile.ball_average(np.zeros(1), profile.M)
     avg_bound = 2.0 ** (profile.d + 1) * profile.norm_star
     avg_err = abs(avg - 1.0)
-    return _result("bmo_norm", avg_err <= 0.02 and avg <= avg_bound,
+    return _result(avg_err <= 0.02 and avg <= avg_bound,
                    {"average_B1": avg, "average_abs_error": avg_err,
                     "norm_star": profile.norm_star, "average_bound": avg_bound},
-                   {"average_abs_error": 0.02, "average_bound": avg_bound}, secs)
+                   {"average_abs_error": 0.02, "average_bound": avg_bound})
 
 
 def _run_jn_decay(ctx):
-    def work():
-        profile = _bmo_profile(ctx)
-        etas = [1.0 + 0.5 * k for k in range(7)]
-        return jn_decay_check(profile, etas)
-    fit, secs = _timed(work)
+    fit = ctx.jn_fit()
     ok = fit.c_fit > 0.0 and (fit.r_squared or 0.0) >= 0.95
     art = Artifact("jn_decay.csv", ("eta", "superlevel_measure"),
                    tuple(zip(fit.etas, fit.measures)))
-    return _result("jn_decay", ok,
+    return _result(ok,
                    {"c_fit": fit.c_fit, "C_fit": fit.C_fit,
                     "r_squared": fit.r_squared or float("nan")},
-                   {"c_fit": 0.0, "r_squared": 0.95}, secs, artifacts=(art,))
+                   {"c_fit": 0.0, "r_squared": 0.95}, artifacts=(art,))
 
 
 def _run_superlevel_tails(ctx):
-    def work():
-        profile = _bmo_profile(ctx)
-        etas = [1.0 + 0.5 * k for k in range(7)]
-        fit = jn_decay_check(profile, etas)
-        return lemma52_checks(profile, ctx.cfg.lambda_list), profile, fit
-    (rep, profile, fit), secs = _timed(work)
+    profile = ctx.bmo_profile()
+    fit = ctx.jn_fit()
+    rep = lemma52_checks(profile, ctx.cfg.lambda_list)
     strict = all(b < a for a, b in zip(rep.tails, rep.tails[1:]))
     # decay-lemma bound with the fitted constants standing in for C, c
     sigma = profile.norm_star
@@ -742,51 +657,43 @@ def _run_superlevel_tails(ctx):
           and (rep.log_slope or 0.0) < 0.0 and (rep.r_squared or 0.0) >= 0.95)
     art = Artifact("superlevel_tails.csv", ("lambda", "tail_integral", "bound"),
                    tuple(zip(rep.lambdas, rep.tails, bounds)))
-    return _result("superlevel_tails", ok,
+    return _result(ok,
                    {"average": rep.average, "average_bound": rep.average_bound,
                     "log_slope": rep.log_slope or float("nan"),
                     "r_squared": rep.r_squared or float("nan")},
                    {"average": rep.average_bound, "log_slope": 0.0,
-                    "r_squared": 0.95}, secs, artifacts=(art,))
+                    "r_squared": 0.95}, artifacts=(art,))
 
 
 def _run_bmo_gronwall(ctx, quad_shape=(96, 32), quad_radius=2.0, slack=0.1):
-    def work():
-        profile = _bmo_profile(ctx)
-        etas = [1.0 + 0.5 * k for k in range(7)]
-        fit = jn_decay_check(profile, etas)
-        split = BMODivergenceSplit(d1_sup=lambda t: 0.0, d2_profile=profile,
-                                   d2_norm_star=lambda t: profile.norm_star,
-                                   jn=fit)
-        quad = make_quadrature(ctx.d, quad_radius, quad_shape[0],
-                               ctx.field.horizon, quad_shape[1])
-        u = _twin_difference(ctx, quad, ctx.cfg.steps, 2 * ctx.cfg.steps,
-                             allow_nonsmooth=True)
-        growth = growth_split(ctx.field, rng=ctx.rng)
-        rows = []
-        all_ok = True
-        expA_D = {}
-        for lam in ctx.cfg.lambda_list:
-            for delta in ctx.cfg.delta_list:
-                trace = bmo_gronwall_diagnostic(u, delta, ctx.cfg.r_list[0], lam,
-                                                Tau0Policy(), ctx.field, split,
-                                                growth, ctx.damping, quad,
-                                                slack=slack)
-                rows.append((lam, delta, float(np.max(trace.values)), trace.bound,
-                             trace.extras["expA_D"], trace.extras["tau0"]))
-                all_ok = all_ok and trace.passed
-                expA_D[lam] = trace.extras["expA_D"]
-        lams = sorted(expA_D)
-        decay = all(expA_D[b] < expA_D[a] for a, b in zip(lams, lams[1:]))
-        return rows, all_ok, decay
-    (rows, all_ok, decay), secs = _timed(work)
+    profile = ctx.bmo_profile()
+    split = BMODivergenceSplit(d1_sup=lambda t: 0.0, d2_profile=profile,
+                               d2_norm_star=lambda t: profile.norm_star,
+                               jn=ctx.jn_fit())
+    quad, u = ctx.twin_difference(quad_shape, quad_radius, allow_nonsmooth=True)
+    growth = growth_split(ctx.field, rng=ctx.rng)
+    rows = []
+    all_ok = True
+    expA_D = {}
+    for lam in ctx.cfg.lambda_list:
+        for delta in ctx.cfg.delta_list:
+            trace = bmo_gronwall_diagnostic(u, delta, ctx.cfg.r_list[0], lam,
+                                            Tau0Policy(), ctx.field, split,
+                                            growth, ctx.damping, quad,
+                                            slack=slack)
+            rows.append((lam, delta, float(np.max(trace.values)), trace.bound,
+                         trace.extras["expA_D"], trace.extras["tau0"]))
+            all_ok = all_ok and trace.passed
+            expA_D[lam] = trace.extras["expA_D"]
+    lams = sorted(expA_D)
+    decay = all(expA_D[b] < expA_D[a] for a, b in zip(lams, lams[1:]))
     art = Artifact("bmo_gronwall.csv",
                    ("lambda", "delta", "gamma_max", "bound", "expA_D", "tau0"),
                    tuple(rows))
-    return _result("bmo_gronwall", all_ok and decay and secs < 60.0,
+    return _result(all_ok and decay,
                    {"all_bounds_hold": all_ok, "expA_D_decreasing": decay},
                    {"all_bounds_hold": True, "expA_D_decreasing": True},
-                   secs, note="runtime budget 60 s", artifacts=(art,))
+                   artifacts=(art,))
 
 
 # ---------------------------------------------------------------------------
@@ -803,18 +710,18 @@ class Scenario:
     damping_id: str
     u0_id: Optional[str]
     defaults: dict
-    diagnostics: tuple
-    runners: dict
+    runners: dict              # diagnostic name -> runner(ctx), in run order
+
+    @property
+    def diagnostics(self):
+        return tuple(self.runners)
 
 
-def _scenario_identity():
-    return Scenario(
+REGISTRY = {s.scenario_id: s for s in (
+    Scenario(
         scenario_id="identity", description="b = 0, c = 0: nothing moves",
         dimension=1, T=1.0, field_id="zero", damping_id="zero", u0_id="bump",
         defaults={"box_radius": 2.0},
-        diagnostics=("flow_identity", "jacobian_unit", "change_of_variables",
-                     "compressibility", "superlevel", "weak_residual",
-                     "l2_energy"),
         runners={
             "flow_identity": _run_flow_identity,
             "jacobian_unit": _run_jacobian_unit,
@@ -825,18 +732,12 @@ def _scenario_identity():
             "weak_residual": lambda ctx: _run_weak_residual(
                 ctx, n_space=256, n_time=256, tol=1e-6, phi_radius=1.5),
             "l2_energy": lambda ctx: _run_l2_energy(ctx, 128, 64),
-        })
-
-
-def _scenario_linear_expand():
-    return Scenario(
+        }),
+    Scenario(
         scenario_id="linear_expand", description="b(x) = x: exponential dilation",
         dimension=1, T=1.0, field_id="linear_expand", damping_id="zero",
         u0_id="bump",
         defaults={"box_radius": 1.0, "seeds_per_axis": 512, "steps": 1000},
-        diagnostics=("flow_endpoint", "jacobian_profile", "jacobian_ode",
-                     "change_of_variables", "superlevel", "forward_backward",
-                     "l2_energy"),
         runners={
             "flow_endpoint": lambda ctx: _run_flow_endpoint(
                 ctx, [1.0], 1.0, [math.e]),
@@ -848,30 +749,21 @@ def _scenario_linear_expand():
                 ctx, 0.5, 0.5 * math.e + 0.01),
             "forward_backward": _run_forward_backward,
             "l2_energy": lambda ctx: _run_l2_energy(ctx, 128, 48),
-        })
-
-
-def _scenario_linear_contract():
-    return Scenario(
+        }),
+    Scenario(
         scenario_id="linear_contract", description="b(x) = -x: contraction onto 0",
         dimension=1, T=1.0, field_id="linear_contract", damping_id="zero",
         u0_id="bump",
         defaults={"box_radius": 1.0, "seeds_per_axis": 10_000, "steps": 500},
-        diagnostics=("compressibility", "jacobian_profile"),
         runners={
             "compressibility": lambda ctx: _run_compressibility(ctx, math.e),
             "jacobian_profile": lambda ctx: _run_jacobian_profile(ctx, -1.0),
-        })
-
-
-def _scenario_rotation():
-    return Scenario(
+        }),
+    Scenario(
         scenario_id="rotation", description="b = (-y, x): rigid rotation",
         dimension=2, T=math.pi / 2.0, field_id="rotation", damping_id="zero",
         u0_id="bump",
         defaults={"box_radius": 1.0, "seeds_per_axis": 100, "steps": 500},
-        diagnostics=("flow_endpoint", "compressibility", "change_of_variables",
-                     "superlevel"),
         runners={
             "flow_endpoint": lambda ctx: _run_flow_endpoint(
                 ctx, [1.0, 0.0], math.pi / 2.0, [0.0, 1.0]),
@@ -879,47 +771,34 @@ def _scenario_rotation():
             "change_of_variables": lambda ctx: _run_change_of_variables(
                 ctx, bump(2, 0.8), 1e-6, domain_radius=1.0),
             "superlevel": lambda ctx: _run_superlevel(ctx, 0.9, 1.45),
-        })
-
-
-def _scenario_shear_bv():
-    return Scenario(
+        }),
+    Scenario(
         scenario_id="shear_bv", description="b = (sign(y), 0): BV shear layer",
         dimension=2, T=1.0, field_id="shear", damping_id="zero", u0_id="bump",
         defaults={"box_radius": 1.0, "seeds_per_axis": (2, 1024), "steps": 16,
                   "eps_list": [0.2, 0.1, 0.05, 0.025]},
-        diagnostics=("mollify_checks", "flow_convergence"),
         runners={
             "mollify_checks": _run_mollify_checks,
             "flow_convergence": _run_flow_convergence,
-        })
-
-
-def _scenario_compact_support():
-    return Scenario(
+        }),
+    Scenario(
         scenario_id="compact_support_b",
         description="compactly supported smooth b: C_R vanishes for R past the support",
         dimension=1, T=1.0, field_id="compact_bump", damping_id="zero",
         u0_id="bump",
         defaults={"box_radius": 2.0, "steps": 96,
                   "delta_list": [1e-2, 1e-4, 1e-6], "r_list": [8.0]},
-        diagnostics=("growth_split", "gronwall_log"),
         runners={
             "growth_split": _run_growth_split,
             "gronwall_log": lambda ctx: _run_gronwall_matrix(
                 ctx, (96, 32), 2.0, check_delta_independent=True),
-        })
-
-
-def _scenario_damping_bounded():
-    return Scenario(
+        }),
+    Scenario(
         scenario_id="damping_bounded",
         description="b = 0, c = indicator of B_1: bounded DiPerna-Lions regime",
         dimension=1, T=1.0, field_id="zero", damping_id="box_indicator",
         u0_id="bump",
         defaults={"box_radius": 2.0, "steps": 128},
-        diagnostics=("representation_exact", "weak_residual_refinement",
-                     "l2_energy", "integrability_probe"),
         runners={
             "representation_exact": _run_representation_exact,
             "weak_residual_refinement": lambda ctx: _run_weak_refinement(
@@ -927,65 +806,44 @@ def _scenario_damping_bounded():
             "l2_energy": lambda ctx: _run_l2_energy(ctx, 128, 64),
             "integrability_probe": lambda ctx: _run_integrability(
                 ctx, [10.0 ** (-k) for k in range(2, 11)], "convergent"),
-        })
-
-
-def _scenario_counterexample():
-    return Scenario(
+        }),
+    Scenario(
         scenario_id="counterexample_L1_damping",
         description="b = 0, c = |x|^(-1/2): integrable damping breaks local integrability",
         dimension=1, T=1.0, field_id="zero", damping_id="inv_sqrt",
         u0_id="indicator_unit",
         defaults={"box_radius": 1.0},
-        diagnostics=("integrability_probe", "damping_l1", "weak_form"),
         runners={
             "integrability_probe": lambda ctx: _run_integrability(
                 ctx, [1e-2, 1e-3, 1e-4], "divergent", min_growth=10.0),
             "damping_l1": _run_damping_l1,
             "weak_form": _skip_weak_form,
-        })
-
-
-def _scenario_twin_difference():
-    return Scenario(
+        }),
+    Scenario(
         scenario_id="twin_difference_gronwall",
         description="zero-datum twin difference under b = x with box damping",
         dimension=1, T=1.0, field_id="linear_expand", damping_id="box_indicator",
         u0_id="bump",
         defaults={"box_radius": 3.0, "steps": 96,
                   "delta_list": [1e-2, 1e-4, 1e-6], "r_list": [2.0, 4.0, 8.0]},
-        diagnostics=("gronwall_log", "uniqueness_probe"),
         runners={
             "gronwall_log": lambda ctx: _run_gronwall_matrix(ctx, (96, 48), 3.0),
             "uniqueness_probe": lambda ctx: _run_uniqueness_probe(ctx, (96, 48), 3.0),
-        })
-
-
-def _scenario_bmo():
-    return Scenario(
+        }),
+    Scenario(
         scenario_id="bmo_divergence_log",
         description="div b = log(1/|x|) on B_1: BMO divergence uniqueness bound",
         dimension=1, T=1.0, field_id="log_drift", damping_id="zero", u0_id="bump",
         defaults={"box_radius": 2.0, "steps": 64,
                   "delta_list": [1e-2, 1e-4], "lambda_list": [9.0, 12.0, 16.0],
                   "r_list": [2.0]},
-        diagnostics=("bmo_norm", "jn_decay", "superlevel_tails", "bmo_gronwall"),
         runners={
             "bmo_norm": _run_bmo_norm,
             "jn_decay": _run_jn_decay,
             "superlevel_tails": _run_superlevel_tails,
             "bmo_gronwall": _run_bmo_gronwall,
-        })
-
-
-REGISTRY = {
-    s.scenario_id: s for s in (
-        _scenario_identity(), _scenario_linear_expand(), _scenario_linear_contract(),
-        _scenario_rotation(), _scenario_shear_bv(), _scenario_compact_support(),
-        _scenario_damping_bounded(), _scenario_counterexample(),
-        _scenario_twin_difference(), _scenario_bmo(),
-    )
-}
+        }),
+)}
 
 
 def list_scenarios(filter_text=None):
@@ -1003,6 +861,16 @@ def list_scenarios(filter_text=None):
 # execution
 # ---------------------------------------------------------------------------
 
+# seconds; a diagnostic listed here fails unless its runner finishes sooner
+RUNTIME_BUDGET_S = {
+    "flow_endpoint": 1,
+    "integrability_probe": 1,
+    "flow_convergence": 30,
+    "gronwall_log": 60,
+    "bmo_gronwall": 60,
+}
+
+
 def build_context(cfg) -> RunContext:
     scenario = REGISTRY[cfg.scenario_id]
     field = FIELD_CATALOG[cfg.field_id](scenario.dimension, cfg.T)
@@ -1015,17 +883,30 @@ def build_context(cfg) -> RunContext:
 def run_scenario(cfg) -> RunReport:
     """Execute the selected diagnostics of a resolved configuration.
 
-    Module errors are re-raised as PipelineError tagged with the diagnostic
-    stage. The report is returned; writing CSVs is the caller's move.
+    Each runner computes and judges; this loop names its result by the
+    registry key and times the call. Runtime budgets live only in
+    ``RUNTIME_BUDGET_S``: a budgeted diagnostic passes only if its runner
+    passed and took strictly less than the budget, and its note names the
+    budget. Module errors are re-raised as PipelineError tagged with the
+    diagnostic stage. The report is returned; writing CSVs is the caller's
+    move.
     """
     scenario = REGISTRY[cfg.scenario_id]
     ctx = build_context(cfg)
     report = RunReport(scenario_id=cfg.scenario_id, config=cfg.echo(),
                        version=__version__)
     for name in cfg.diagnostics:
-        runner = scenario.runners[name]
+        t0 = time.perf_counter()
         try:
-            report.results.append(runner(ctx))
+            result = scenario.runners[name](ctx)
         except (RoughTransportError, ValueError) as exc:
             raise PipelineError(name, exc) from exc
+        result.name = name
+        result.seconds = time.perf_counter() - t0
+        budget = RUNTIME_BUDGET_S.get(name)
+        if budget is not None:
+            result.passed = result.passed and result.seconds < budget
+            result.note = "; ".join(filter(None, (result.note,
+                                                  f"runtime budget {budget:g} s")))
+        report.results.append(result)
     return report

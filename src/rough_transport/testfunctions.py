@@ -16,14 +16,12 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc
 
-
-def _sphere_area(d):
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+from .numerics import sphere_area
 
 
 def _radial_integral(profile, d, upper):
     val, _ = quad(lambda s: profile(s) * s ** (d - 1), 0.0, upper, limit=200)
-    return _sphere_area(d) * val
+    return sphere_area(d) * val
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +85,7 @@ def bump(d, radius=1.0, amplitude=1.0):
             return 0.0
         val, _ = quad(lambda s: float(profile(np.array([s]))[0]) * s ** (d - 1),
                       radius_, a, limit=200)
-        return _sphere_area(d) * val
+        return sphere_area(d) * val
 
     return RadialTestFunction(d=d, support_radius=a, reference_integral=ref,
                               _profile=profile, _dprofile=dprofile_over_r,
@@ -114,7 +112,7 @@ def gaussian(d, sigma=0.3, amplitude=1.0):
             return amp * sig * math.sqrt(2.0 * math.pi) * erfc(radius_ / (sig * math.sqrt(2.0)))
         val, _ = quad(lambda s: float(profile(np.array([s]))[0]) * s ** (d - 1),
                       radius_, np.inf, limit=200)
-        return _sphere_area(d) * val
+        return sphere_area(d) * val
 
     return RadialTestFunction(d=d, support_radius=float("inf"),
                               reference_integral=ref, _profile=profile,

@@ -1,46 +1,39 @@
-"""Field library: evaluation gateway, mollification, growth splits."""
+"""Field library: catalog field values, mollification, growth splits."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from rough_transport.errors import (BadKernelError, SingularPointError,
-                                    SplitViolationError)
+from rough_transport.errors import BadKernelError, SplitViolationError
 from rough_transport.fields import (VelocityFieldSpec, check_divergence_consistency,
-                                    evaluate_field, growth_split, make_mollifier,
-                                    mollify)
+                                    growth_split, make_mollifier, mollify)
 
 from conftest import damping, field
 
 
-def test_evaluate_field_zero():
-    b, divb, c = evaluate_field(field("zero"), damping("zero"), 0.3, [0.7])
-    assert np.all(b == 0.0) and divb == 0.0 and c == 0.0
+def test_zero_field_values():
+    x = np.array([[0.7], [-2.0]])
+    assert np.all(field("zero").eval_b(0.3, x) == 0.0)
+    assert np.all(field("zero").eval_div_b(0.3, x) == 0.0)
+    assert np.all(damping("zero").eval_c(0.3, x) == 0.0)
 
 
-def test_evaluate_field_linear():
-    # analytic derivative of b(x) = x
-    b, divb, _ = evaluate_field(field("linear_expand"), damping("zero"), 0.0, [2.0])
-    assert b[0] == 2.0
-    assert divb == 1.0
+@pytest.mark.parametrize("d", [1, 2])
+def test_linear_field_values(d):
+    # b(x) = x with its analytic divergence d
+    spec = field("linear_expand", d=d)
+    x = np.array([[2.0] * d, [-0.5] * d])
+    assert np.array_equal(spec.eval_b(0.0, x), x)
+    assert np.all(spec.eval_div_b(0.0, x) == float(d))
 
 
-def test_evaluate_field_shear():
-    b, divb, _ = evaluate_field(field("shear", d=2), damping("zero", d=2),
-                                0.0, [0.0, -0.5])
-    assert tuple(b) == (-1.0, 0.0)
-    assert divb == 0.0
-
-
-def test_evaluate_field_rejects_bad_time():
-    with pytest.raises(ValueError):
-        evaluate_field(field("zero"), damping("zero"), 2.0, [0.0])
-
-
-def test_evaluate_field_singular_point():
-    with pytest.raises(SingularPointError):
-        evaluate_field(field("zero"), damping("inv_sqrt"), 0.5, [0.0])
+def test_shear_field_values():
+    # b = (sign(y), 0), with sign(0) = 0 on the jump line
+    spec = field("shear", d=2)
+    x = np.array([[0.0, -0.5], [0.3, 0.5], [0.3, 0.0]])
+    assert spec.eval_b(0.0, x).tolist() == [[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    assert np.all(spec.eval_div_b(0.0, x) == 0.0)
 
 
 @pytest.mark.parametrize("field_id,d", [("linear_expand", 1), ("linear_contract", 1),

@@ -1,0 +1,42 @@
+"""Scenario runner loop: golden artifacts and runtime budgets."""
+
+import os
+from pathlib import Path
+
+import pytest
+
+from rough_transport import scenarios
+from rough_transport.config import resolve
+from rough_transport.scenarios import REGISTRY, run_scenario
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+@pytest.mark.parametrize("scenario_id", list(REGISTRY))
+def test_default_run_matches_golden_artifacts(scenario_id, tmp_path):
+    # the golden files were written with output_dir ".bench_out/<id>", which
+    # provenance.csv echoes; the report itself goes to tmp_path
+    cfg = resolve({"scenario_id": scenario_id,
+                   "output_dir": f".bench_out/{scenario_id}"})
+    run_scenario(cfg).write(str(tmp_path))
+    golden = GOLDEN_DIR / scenario_id
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(golden))
+    for name in sorted(os.listdir(golden)):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), \
+            f"{scenario_id}/{name} differs from the golden copy"
+
+
+def test_runtime_budget_folds_into_verdict(tmp_path, monkeypatch):
+    cfg = resolve({"scenario_id": "counterexample_L1_damping",
+                   "diagnostics": ["integrability_probe"],
+                   "output_dir": str(tmp_path)})
+    within = run_scenario(cfg).results[0]
+    assert within.passed
+    assert within.note == "verdict: divergent; runtime budget 1 s"
+
+    monkeypatch.setitem(scenarios.RUNTIME_BUDGET_S, "integrability_probe", 0.0)
+    over = run_scenario(cfg).results[0]
+    assert not over.passed
+    assert over.values == within.values
+    assert over.thresholds == within.thresholds
+    assert over.note == "verdict: divergent; runtime budget 0 s"
