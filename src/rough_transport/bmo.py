@@ -9,6 +9,7 @@ superlevel decay.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,15 +43,13 @@ class BMOProfile:
     def d(self):
         return self.points.shape[-1]
 
-    def ball_mask(self, center, radius):
-        c = np.asarray(center, dtype=float)
-        return np.linalg.norm(self.points - c, axis=-1) < radius
-
-    def ball_average(self, center, radius):
-        mask = self.ball_mask(center, radius)
+    @cached_property
+    def core_values(self):
+        """Samples in B_M, the ball every decay check reads; built once."""
+        mask = np.linalg.norm(self.points, axis=-1) < self.M
         if not np.any(mask):
-            raise EmptyBallError(f"ball at {center} radius {radius:g} holds no cell")
-        return float(np.mean(self.values[mask]))
+            raise EmptyBallError(f"B_M (M={self.M:g}) holds no cell")
+        return self.values[mask]
 
 
 def default_ball_family(M, d, n_centers_per_axis=5, n_radii=7):
@@ -119,9 +118,9 @@ def jn_decay_check(profile: BMOProfile, eta_grid) -> JNFit:
     """
     if profile.norm_star <= 0.0:
         raise ValueError("decay fit needs a nonconstant profile")
-    mask = profile.ball_mask(np.zeros(profile.d), profile.M)
-    avg = float(np.mean(profile.values[mask]))
-    dev = np.abs(profile.values[mask] - avg)
+    core = profile.core_values
+    avg = float(np.mean(core))
+    dev = np.abs(core - avg)
 
     etas = [float(e) for e in eta_grid]
     measures = [float(np.sum(dev > e)) * profile.cell_volume for e in etas]
@@ -165,8 +164,7 @@ def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
     lambdas = [float(l) for l in lambda_list]
     sigma = profile.norm_star
 
-    mask = profile.ball_mask(np.zeros(profile.d), profile.M)
-    average = float(np.mean(profile.values[mask]))
+    average = float(np.mean(profile.core_values))
     bound = 2.0 ** (profile.d + 1) * sigma
 
     tails = []

@@ -5,7 +5,6 @@
     rough-transport emit-defaults <id>    print a scenario's default config
 
 Exit codes: 0 all contracts pass, 1 contract failure, 2 usage or IO error.
-ROUGH_TRANSPORT_THREADS caps the worker count of parallel maps.
 """
 
 import argparse

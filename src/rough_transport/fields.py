@@ -80,7 +80,8 @@ class DampingFieldSpec:
     ``sup_c`` and ``l1_spatial`` are optional analytic profiles
     t -> ||c(t,.)||_inf and t -> ||c(t,.)||_L1 used by the bounded-damping
     and Gronwall diagnostics; ``l1_norm_hint`` is the full space-time L1
-    mass when available in closed form.
+    mass when available in closed form. Dampings declared ``autonomous``
+    must not depend on t.
     """
 
     eval_c: Callable
@@ -88,6 +89,7 @@ class DampingFieldSpec:
     l1_norm_hint: Optional[float] = None
     sup_c: Optional[Callable] = None
     l1_spatial: Optional[Callable] = None
+    autonomous: bool = True
     label: str = ""
 
     def singular_distance(self, x):

@@ -118,37 +118,58 @@ class JacobianTrack:
     L: float                        # trapezoid of div_sup over the time grid
 
 
-def _rk4_path(rhs, y0, t0, t1, steps, escape_radius):
-    """Fixed-step RK4 from t0 to t1, recording every node.
+ESCAPE_FACTOR = 1e3    # escape radius in units of max(seed radius, 1)
 
-    Returns array of shape (steps+1,) + y0.shape. Raises StepBlowupError as
-    soon as any trajectory norm exceeds ``escape_radius``.
+
+def _rk4_path(rhs, y0, h, steps, escape_radius):
+    """Fixed-step RK4 from time 0, recording every node.
+
+    ``h`` and ``steps`` are either shared by every row or given per row. Per
+    row step counts must not increase down the rows, so the rows still
+    moving at step k form a prefix of the block. ``rhs(t, y)`` receives the
+    stage time of those rows: a float when ``h`` is one, an (n, 1) column
+    otherwise.
+
+    Returns an array of shape (max steps + 1,) + y0.shape, in which a row
+    keeps its final position past its last step. Raises StepBlowupError as
+    soon as any trajectory norm exceeds ``escape_radius`` or is not finite.
     """
     y = np.array(y0, dtype=float)
-    out = np.empty((steps + 1,) + y.shape)
+    per_row = np.ndim(h) > 0
+    h = np.asarray(h, dtype=float)[:, None] if per_row else float(h)
+    total = int(np.max(steps))
+    counts = np.broadcast_to(np.asarray(steps, dtype=int), y.shape[:1])
+    # rows moving at step k: those whose count exceeds k
+    moving = np.searchsorted(-counts, -np.arange(total), side="left")
+    out = np.empty((total + 1,) + y.shape)
     out[0] = y
-    h = (t1 - t0) / steps
-    for k in range(steps):
-        t = t0 + k * h
+    for k in range(total):
+        rows = moving[k]
+        if rows < y.shape[0]:
+            out[k + 1:, rows:y.shape[0]] = y[rows:]
+            y = y[:rows]
+        hk = h[:rows] if per_row else h
+        t = k * hk
         k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = rhs(t + 0.5 * hk, y + 0.5 * hk * k1)
+        k3 = rhs(t + 0.5 * hk, y + 0.5 * hk * k2)
+        k4 = rhs(t + hk, y + hk * k3)
+        y = y + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         norms = np.linalg.norm(y, axis=-1)
-        if np.any(norms > escape_radius):
+        if not np.all(norms <= escape_radius):
+            # argmax picks the first NaN, else the largest norm
             i = int(np.argmax(norms))
-            raise StepBlowupError(
-                f"trajectory {i} escaped (|X|={norms[i]:.3g} > {escape_radius:.3g}) "
-                f"at t={t0 + (k + 1) * h:.6g}",
-                seed_index=i,
-            )
-        out[k + 1] = y
+            at = (k + 1) * (hk[i, 0] if per_row else hk)
+            what = (f"escaped (|X|={norms[i]:.3g} > {escape_radius:.3g})"
+                    if np.isfinite(norms[i]) else "became non-finite")
+            raise StepBlowupError(f"trajectory {i} {what} at t={at:.6g}",
+                                  seed_index=i)
+        out[k + 1, :rows] = y
     return out
 
 
 def integrate_flow(field: VelocityFieldSpec, seeds: SeedGrid, steps, direction,
-                   anchor_time=None, escape_factor=1e3,
+                   anchor_time=None, escape_factor=ESCAPE_FACTOR,
                    allow_nonsmooth=False) -> FlowMap:
     """Integrate the characteristic ODE over the seed grid.
 
@@ -174,11 +195,11 @@ def integrate_flow(field: VelocityFieldSpec, seeds: SeedGrid, steps, direction,
 
     if direction == "forward":
         rhs = lambda t, y: np.asarray(field.eval_b(t, y), dtype=float)  # noqa: E731
-        path = _rk4_path(rhs, seeds.points, 0.0, anchor, steps, escape)
+        path = _rk4_path(rhs, seeds.points, anchor / steps, steps, escape)
         traj = np.moveaxis(path, 0, 1)
     else:
         rhs = lambda s, y: -np.asarray(field.eval_b(anchor - s, y), dtype=float)  # noqa: E731
-        path = _rk4_path(rhs, seeds.points, 0.0, anchor, steps, escape)
+        path = _rk4_path(rhs, seeds.points, anchor / steps, steps, escape)
         traj = np.moveaxis(path[::-1], 0, 1)
 
     return FlowMap(seed_grid=seeds, time_grid=time_grid, trajectories=traj,
@@ -199,6 +220,30 @@ def _div_samples(field: VelocityFieldSpec, flow: FlowMap):
     return divs
 
 
+def _accumulate_divergence(field: VelocityFieldSpec, divs, times):
+    """Trapezoid path integral of div samples (paths, nodes) and its exp.
+
+    Returns (path integral, JX, L) and enforces the two-sided bound
+    exp(-L) <= JX <= exp(L) from the divergence sup profile.
+    """
+    dpi = cumtrapz(divs, times)
+
+    sup_profile = np.array([field.div_sup(float(t)) for t in times], dtype=float)
+    L = trapz(sup_profile, times) if np.all(np.isfinite(sup_profile)) else float("inf")
+
+    if np.isfinite(L):
+        # |trapz of div along X| <= trapz of div_sup = L holds node by node when
+        # the field metadata is consistent; only rounding slack is allowed, and
+        # a NaN path integral fails the comparison too
+        worst = float(np.max(np.abs(dpi)))
+        if not worst <= L * (1.0 + 1e-12) + 1e-12:
+            raise DivergenceUnboundedError(
+                f"divergence path integral {worst:.6g} exceeds its bound L={L:.6g}; "
+                "field metadata (eval_div_b vs div_sup) is inconsistent"
+            )
+    return dpi, np.exp(dpi), L
+
+
 def jacobian(field: VelocityFieldSpec, flow: FlowMap) -> JacobianTrack:
     """JX(t) = exp of the trapezoid path integral of div b along each path.
 
@@ -207,22 +252,8 @@ def jacobian(field: VelocityFieldSpec, flow: FlowMap) -> JacobianTrack:
     combination the representation formula needs). Enforces the two-sided
     bound exp(-L) <= JX <= exp(L) from the divergence sup profile.
     """
-    times = flow.time_grid
-    dpi = cumtrapz(_div_samples(field, flow), times)
-
-    sup_profile = np.array([field.div_sup(float(t)) for t in times], dtype=float)
-    L = trapz(sup_profile, times) if np.all(np.isfinite(sup_profile)) else float("inf")
-
-    if np.isfinite(L):
-        # |trapz of div along X| <= trapz of div_sup = L holds node by node when
-        # the field metadata is consistent; only rounding slack is allowed
-        worst = float(np.max(np.abs(dpi)))
-        if worst > L * (1.0 + 1e-12) + 1e-12:
-            raise DivergenceUnboundedError(
-                f"divergence path integral {worst:.6g} exceeds its bound L={L:.6g}; "
-                "field metadata (eval_div_b vs div_sup) is inconsistent"
-            )
-    jx = np.exp(dpi)
+    dpi, jx, L = _accumulate_divergence(field, _div_samples(field, flow),
+                                        flow.time_grid)
     return JacobianTrack(flow=flow, div_path_integral=dpi, jx=jx, L=L)
 
 

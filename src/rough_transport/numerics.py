@@ -99,7 +99,12 @@ def ball_volume(d, r):
 
 
 def worker_count():
-    """Worker cap for parallel maps; ROUGH_TRANSPORT_THREADS overrides."""
+    """Worker cap, 1 to 4 by CPU count; ROUGH_TRANSPORT_THREADS overrides.
+
+    The package itself runs no parallel map any more. This stays because
+    the benchmark (``perfbench/one_pass.py``) imports it to report the
+    worker count of each pass.
+    """
     env = os.environ.get("ROUGH_TRANSPORT_THREADS")
     if env:
         try:

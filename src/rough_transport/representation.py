@@ -7,16 +7,18 @@ deposits them on a target grid. A truncation radius eta around the damping
 singular set implements the almost-everywhere reading of the path integral.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import AllTruncatedError, JacobianVanishedError
+from .errors import AllTruncatedError, JacobianVanishedError, StepBlowupError
 from .fields import DampingFieldSpec, VelocityFieldSpec
-from .flow import FlowMap, JacobianTrack, SeedGrid, integrate_flow, jacobian
-from .numerics import cumtrapz, gl_nodes, stable_sum, worker_count
+from .flow import (ESCAPE_FACTOR, FlowMap, JacobianTrack, SeedGrid,
+                   _accumulate_divergence, _rk4_path)
+from .numerics import cumtrapz, gl_nodes, stable_sum
+
+_CHUNK_NODES = 1 << 18     # stored path nodes per batched backward sweep
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +36,41 @@ class DampingAccumulator:
     total_l1: float             # discrete integral of |c along X| dx dt
 
 
+def _damping_nodes(damping: DampingFieldSpec, t, pos, eta):
+    """c(t, .) at positions (..., d), zeroed within eta of the singular set.
+
+    Returns (values, mask), where mask marks the zeroed nodes.
+    """
+    if eta < 0.0:
+        raise ValueError("eta must be nonnegative")
+    if damping.singular_set:
+        mask = damping.singular_distance(pos) <= eta
+    else:
+        mask = np.zeros(pos.shape[:-1], dtype=bool)
+    if not np.any(mask):
+        return np.asarray(damping.eval_c(t, pos), dtype=float), mask
+    vals = np.zeros(mask.shape)
+    free = ~mask
+    if np.any(free):
+        vals[free] = np.asarray(damping.eval_c(t, pos[free]), dtype=float)
+    return vals, mask
+
+
+def _accumulate_damping(cvals, masked, times, eta):
+    """Trapezoid path integral of damping samples (paths, nodes).
+
+    Returns (integral, truncated node count per path) and raises
+    AllTruncatedError if some path had every node excluded.
+    """
+    truncated = masked.sum(axis=1)
+    if np.any(truncated == times.shape[0]):
+        i = int(np.argmax(truncated == times.shape[0]))
+        raise AllTruncatedError(
+            f"every node of trajectory {i} lies within eta={eta:g} of the singular set"
+        )
+    return cumtrapz(cvals, times), truncated
+
+
 def damping_integral(damping: DampingFieldSpec, flow: FlowMap, eta) -> DampingAccumulator:
     """Trapezoid-in-time damping integral along every stored characteristic.
 
@@ -41,32 +78,14 @@ def damping_integral(damping: DampingFieldSpec, flow: FlowMap, eta) -> DampingAc
     the singular set. Raises AllTruncatedError if some trajectory had every
     node excluded (seed effectively on the singular set).
     """
-    if eta < 0.0:
-        raise ValueError("eta must be nonnegative")
     times = flow.time_grid
     n, kk = flow.trajectories.shape[0], times.shape[0]
     cvals = np.empty((n, kk))
-    masked = np.zeros((n, kk), dtype=bool)
+    masked = np.empty((n, kk), dtype=bool)
     for k, t in enumerate(times):
-        pos = flow.trajectories[:, k, :]
-        if damping.singular_set:
-            dist = damping.singular_distance(pos)
-            mask = dist <= eta
-        else:
-            mask = np.zeros(n, dtype=bool)
-        vals = np.zeros(n)
-        free = ~mask
-        if np.any(free):
-            vals[free] = np.asarray(damping.eval_c(float(t), pos[free]), dtype=float)
-        cvals[:, k] = vals
-        masked[:, k] = mask
-    truncated = masked.sum(axis=1)
-    if np.any(truncated == kk):
-        i = int(np.argmax(truncated == kk))
-        raise AllTruncatedError(
-            f"every node of trajectory {i} lies within eta={eta:g} of the singular set"
-        )
-    values = cumtrapz(cvals, times)
+        cvals[:, k], masked[:, k] = _damping_nodes(damping, float(t),
+                                                   flow.trajectories[:, k, :], eta)
+    values, truncated = _accumulate_damping(cvals, masked, times, eta)
     abs_path = cumtrapz(np.abs(cvals), times)[:, -1]
     total_l1 = float(np.sum(abs_path)) * flow.seed_grid.cell_volume
     return DampingAccumulator(flow=flow, values=values, eta=eta,
@@ -93,6 +112,14 @@ class DensityRepresentation:
         return self.values[k]
 
 
+def _pointwise_values(u0, feet, jx_end, damping_end):
+    """u0(X^{-1}) / JX * exp(D) from the samples at the feet of the paths."""
+    if np.any(jx_end <= 0.0) or not np.all(np.isfinite(jx_end)):
+        raise JacobianVanishedError("nonpositive Jacobian sample; inconsistent inputs")
+    u0_vals = np.asarray(u0(feet), dtype=float)
+    return u0_vals / jx_end * np.exp(damping_end)
+
+
 def represent_pointwise(u0, flow_backward: FlowMap, track: JacobianTrack,
                         acc: DampingAccumulator) -> DensityRepresentation:
     """u(anchor, x) = u0(X^{-1}) / JX(.,X^{-1}) * exp(D(.,X^{-1})) on seeds.
@@ -105,12 +132,8 @@ def represent_pointwise(u0, flow_backward: FlowMap, track: JacobianTrack,
         raise ValueError("represent_pointwise needs a backward flow map")
     if track.flow is not flow_backward or acc.flow is not flow_backward:
         raise ValueError("track and accumulator must come from the given flow")
-    jx_end = track.jx[:, -1]
-    if np.any(jx_end <= 0.0) or not np.all(np.isfinite(jx_end)):
-        raise JacobianVanishedError("nonpositive Jacobian sample; inconsistent inputs")
-    feet = flow_backward.inverse_samples
-    u0_vals = np.asarray(u0(feet), dtype=float)
-    vals = u0_vals / jx_end * np.exp(acc.values[:, -1])
+    vals = _pointwise_values(u0, flow_backward.inverse_samples, track.jx[:, -1],
+                             acc.values[:, -1])
     pts = flow_backward.seed_grid.points
     return DensityRepresentation(
         mode="pointwise",
@@ -122,41 +145,100 @@ def represent_pointwise(u0, flow_backward: FlowMap, track: JacobianTrack,
     )
 
 
+def _backward_sweep(field: VelocityFieldSpec, damping: DampingFieldSpec, u0, x,
+                    anchors, counts, eta, escape, batch):
+    """u at each anchor time on the points x, from one RK4 sweep over all slices.
+
+    Slice s takes counts[s] steps of size anchors[s] / counts[s], and its
+    copy of the points fills rows s*N to (s+1)*N of one block; counts must
+    not increase, so the moving rows form a prefix. ``batch`` marks b and c
+    as time-independent: then the path is traced and sampled with t = 0, and
+    div b and c are evaluated on the whole stored path in one call each.
+    Otherwise the sweep holds a single slice, sampled node by node at its
+    physical times. Each slice then goes through the accumulate-and-check
+    steps of ``jacobian``, ``damping_integral`` and ``represent_pointwise``.
+    """
+    n = x.shape[0]
+    if batch:
+        h = np.repeat(np.divide(anchors, counts), n)
+        steps = np.repeat(counts, n)
+        rhs = lambda s, y: -np.asarray(field.eval_b(0.0, y), dtype=float)  # noqa: E731
+    else:
+        (anchor,), (steps,) = anchors, counts
+        h = anchor / steps
+        rhs = lambda s, y: -np.asarray(field.eval_b(anchor - s, y), dtype=float)  # noqa: E731
+    try:
+        path = _rk4_path(rhs, np.tile(x, (len(anchors), 1)), h, steps, escape)
+    except StepBlowupError as exc:     # row i integrates seed i mod N
+        raise StepBlowupError(str(exc), seed_index=exc.seed_index % n) from exc
+
+    divs = np.empty(path.shape[:2])
+    cvals = np.empty(path.shape[:2])
+    masked = np.empty(path.shape[:2], dtype=bool)
+    if batch:
+        nodes = [(0.0, ...)]
+    else:
+        times = np.linspace(0.0, anchor, steps + 1)
+        nodes = [(float(times[steps - j]), j) for j in range(steps + 1)]
+    for t, at in nodes:
+        pos = path[at]
+        divs[at] = np.asarray(field.eval_div_b(t, pos), dtype=float)
+        cvals[at], masked[at] = _damping_nodes(damping, t, pos, eta)
+
+    out = np.empty((len(anchors), n))
+    for s, (anchor, m) in enumerate(zip(anchors, counts)):
+        # sweep node j sits at time anchor - j h; reversed, columns run 0 -> anchor
+        rows = slice(s * n, (s + 1) * n)
+        times = np.linspace(0.0, anchor, m + 1)
+        _, jx, _ = _accumulate_divergence(field, divs[m::-1, rows].T, times)
+        damp, _ = _accumulate_damping(cvals[m::-1, rows].T, masked[m::-1, rows].T,
+                                      times, eta)
+        out[s] = _pointwise_values(u0, path[m, rows], jx[:, -1], damp[:, -1])
+    return out
+
+
 def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
                        points: SeedGrid, time_grid, steps, eta=0.0,
                        allow_nonsmooth=False) -> DensityRepresentation:
     """Assemble u(t_k, x_i) on a fixed grid from per-time backward flows.
 
-    One backward integration per evaluation time (the characteristics
-    through (t_k, x_i) differ for each t_k); the step size is kept near
+    The characteristics through (t_k, x_i) differ for each t_k, so each
+    slice has its own backward integration; the step size is kept near
     horizon/steps by scaling the step count with t_k. The t = 0 slice is
-    u0 on the nose.
+    u0 on the nose. Slices run together in chunked sweeps, longest first,
+    and each is bitwise the composition ``integrate_flow`` (backward) ->
+    ``jacobian`` -> ``damping_integral`` -> ``represent_pointwise``. When b
+    or c depends on time, every chunk holds one slice.
     """
+    if field.regularity_tag == "bv_nonsmooth" and not allow_nonsmooth:
+        raise ValueError("bv_nonsmooth field: mollify first or pass allow_nonsmooth=True")
     time_grid = np.asarray(time_grid, dtype=float)
     if time_grid[0] != 0.0:
         raise ValueError("evaluation time grid must start at t = 0")
     horizon = field.horizon
-    vals = np.empty((time_grid.shape[0], points.points.shape[0]))
-    vals[0] = np.asarray(u0(points.points), dtype=float)
+    anchors = [float(t) for t in time_grid[1:]]
+    if not all(0.0 < t <= horizon for t in anchors):
+        raise ValueError("evaluation times must lie in (0, horizon]")
+    x = points.points
+    n = x.shape[0]
+    vals = np.empty((time_grid.shape[0], n))
+    vals[0] = np.asarray(u0(x), dtype=float)
 
-    def slice_for(k):
-        t = float(time_grid[k])
-        sub_steps = max(1, int(round(steps * t / horizon)))
-        back = integrate_flow(field, points, sub_steps, "backward", anchor_time=t,
-                              allow_nonsmooth=allow_nonsmooth)
-        track = jacobian(field, back)
-        acc = damping_integral(damping, back, eta)
-        return represent_pointwise(u0, back, track, acc).values[0]
-
-    idx = range(1, time_grid.shape[0])
-    workers = worker_count()
-    if workers > 1 and time_grid.shape[0] > 2:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for k, row in zip(idx, pool.map(slice_for, idx)):
-                vals[k] = row
-    else:
-        for k in idx:
-            vals[k] = slice_for(k)
+    counts = [max(1, int(round(steps * t / horizon))) for t in anchors]
+    batch = field.autonomous and damping.autonomous
+    chunks = []
+    for s in sorted(range(len(anchors)), key=lambda s: -counts[s]):
+        # a chunk's first slice is its longest and sets the path length
+        if (batch and chunks and
+                (counts[chunks[-1][0]] + 1) * n * (len(chunks[-1]) + 1) <= _CHUNK_NODES):
+            chunks[-1].append(s)
+        else:
+            chunks.append([s])
+    escape = ESCAPE_FACTOR * max(points.bounding_radius, 1.0)
+    for chunk in chunks:
+        vals[[1 + s for s in chunk]] = _backward_sweep(
+            field, damping, u0, x, [anchors[s] for s in chunk],
+            [counts[s] for s in chunk], eta, escape, batch)
 
     return DensityRepresentation(mode="pointwise", times=time_grid.copy(),
                                  points=points.points, values=vals,

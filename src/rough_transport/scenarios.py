@@ -621,7 +621,7 @@ def _run_uniqueness_probe(ctx, quad_shape, quad_radius, gamma_level=1e-8,
 
 def _run_bmo_norm(ctx):
     profile = ctx.bmo_profile()
-    avg = profile.ball_average(np.zeros(1), profile.M)
+    avg = float(np.mean(profile.core_values))
     avg_bound = 2.0 ** (profile.d + 1) * profile.norm_star
     avg_err = abs(avg - 1.0)
     return _result(avg_err <= 0.02 and avg <= avg_bound,

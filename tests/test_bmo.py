@@ -75,6 +75,14 @@ def test_empty_ball_raises():
         bmo_norm(vals, 1.0, (((0.0,), 1e-6),), xs[:, None], h)
 
 
+def test_core_values_built_once():
+    # the B_M samples every decay check reads come from one cached mask
+    prof = _log_profile(n=1 << 12)
+    inside = np.linalg.norm(prof.points, axis=-1) < prof.M
+    assert prof.core_values is prof.core_values
+    assert np.array_equal(prof.core_values, prof.values[inside])
+
+
 # --- John-Nirenberg decay ----------------------------------------------------------
 
 def test_jn_log_exemplar():

@@ -17,9 +17,10 @@ from rough_transport.flow import (change_of_variables_residual,
                                   jacobian, jacobian_ode_residual, make_seed_grid,
                                   seeds_from_points, superlevel_escape)
 from rough_transport.numerics import order_estimate
+from rough_transport.representation import pointwise_solution
 from rough_transport.testfunctions import bump, gaussian
 
-from conftest import field
+from conftest import damping, field, u0_fn
 
 
 def test_identity_flow(zero_field):
@@ -75,6 +76,23 @@ def test_step_blowup_reports_seed():
     assert err.value.seed_index == 1
 
 
+def test_step_blowup_on_nan_field():
+    # NaN never compares greater than the escape radius; it must still raise
+    spec = VelocityFieldSpec(
+        dimension=1, eval_b=lambda t, x: np.where(x > 0.5, np.nan, x),
+        eval_div_b=lambda t, x: np.ones(np.asarray(x).shape[:-1]),
+        regularity_tag="smooth", div_sup=lambda t: 1.0, horizon=1.0)
+    with pytest.raises(StepBlowupError) as err:
+        integrate_flow(spec, seeds_from_points([[-0.2], [0.45]]), 64, "forward")
+    assert err.value.seed_index == 1
+    assert "non-finite" in str(err.value)
+    with pytest.raises(StepBlowupError) as err:
+        pointwise_solution(spec, damping("zero"), u0_fn("bump"),
+                           seeds_from_points([[0.2], [0.7]]),
+                           np.linspace(0.0, 1.0, 5), steps=16)
+    assert err.value.seed_index == 1
+
+
 # --- Jacobians ---------------------------------------------------------------
 
 def test_jacobian_divergence_free(rotation_field):
@@ -104,6 +122,18 @@ def test_jacobian_rejects_inconsistent_metadata(linear_field):
     grid = make_seed_grid(1.0, 8, 1)
     with pytest.raises(DivergenceUnboundedError):
         jacobian(lying, integrate_flow(lying, grid, 50, "forward"))
+
+
+def test_jacobian_rejects_nan_divergence(zero_field):
+    # a NaN path integral never compares greater than L; it must still raise
+    spec = dataclasses.replace(
+        zero_field, eval_div_b=lambda t, x: np.where(x[..., 0] > 0.5, np.nan, 0.0))
+    seeds = seeds_from_points([[0.2], [0.7]])
+    with pytest.raises(DivergenceUnboundedError):
+        jacobian(spec, integrate_flow(spec, seeds, 8, "forward"))
+    with pytest.raises(DivergenceUnboundedError):
+        pointwise_solution(spec, damping("zero"), u0_fn("bump"), seeds,
+                           np.linspace(0.0, 1.0, 5), steps=8)
 
 
 def test_jacobian_ode_residual_zero_field(zero_field):

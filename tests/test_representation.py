@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from rough_transport.errors import AllTruncatedError, JacobianVanishedError
+from rough_transport.fields import DampingFieldSpec, VelocityFieldSpec
 from rough_transport.flow import integrate_flow, jacobian, make_seed_grid, seeds_from_points
-from rough_transport.representation import (TargetGrid, damping_integral,
+from rough_transport.representation import (_CHUNK_NODES, TargetGrid, damping_integral,
                                             integrability_probe, pointwise_solution,
                                             pushforward_total_mass,
                                             represent_pointwise, represent_pushforward)
@@ -105,7 +106,7 @@ def test_represent_pointwise_linear_flow():
 
 
 def test_pointwise_solution_thread_count_invariant(monkeypatch):
-    # per-time-node tasks write disjoint rows: worker count cannot change bits
+    # the package runs no thread pool: the worker setting cannot change bits
     spec = field("linear_expand")
     u0 = u0_fn("bump")
     grid = make_seed_grid(1.0, 64, 1)
@@ -116,6 +117,70 @@ def test_pointwise_solution_thread_count_invariant(monkeypatch):
         results.append(pointwise_solution(spec, damping("zero"), u0, grid,
                                           times, steps=64).values)
     assert np.array_equal(results[0], results[1])
+
+
+def _per_slice_reference(spec, dmp, u0, grid, times, steps, eta):
+    """pointwise_solution composed slice by slice from the public steps.
+
+    Returns the values and the number of truncated damping nodes.
+    """
+    vals = [np.asarray(u0(grid.points), dtype=float)]
+    truncated = 0
+    for t in times[1:]:
+        sub_steps = max(1, int(round(steps * t / spec.horizon)))
+        back = integrate_flow(spec, grid, sub_steps, "backward", anchor_time=t)
+        acc = damping_integral(dmp, back, eta)
+        truncated += int(np.sum(acc.truncated_nodes))
+        vals.append(represent_pointwise(u0, back, jacobian(spec, back), acc).values[0])
+    return np.array(vals), truncated
+
+
+def test_pointwise_solution_matches_per_slice_composition():
+    # slice k takes round(1000 k / 48) steps, so step counts grow unevenly by
+    # 20 or 21; the slices fill several chunks of several slices each
+    spec = field("linear_expand")
+    dmp = damping("box_indicator")
+    u0 = u0_fn("bump")
+    grid = make_seed_grid(1.0, 64, 1)
+    times = np.linspace(0.0, 1.0, 49)
+    assert 1001 * 64 * 48 > 4 * _CHUNK_NODES
+    u = pointwise_solution(spec, dmp, u0, grid, times, steps=1000)
+    ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 1000, 0.0)
+    assert np.array_equal(u.values, ref)
+
+
+def test_pointwise_solution_matches_per_slice_truncated():
+    # b = x pulls the backward paths into the eta-ball around the singularity
+    spec = field("linear_expand")
+    dmp = damping("inv_sqrt")
+    u0 = u0_fn("bump")
+    grid = make_seed_grid(1.0, 16, 1)
+    times = np.linspace(0.0, 1.0, 9)
+    u = pointwise_solution(spec, dmp, u0, grid, times, steps=64, eta=0.05)
+    ref, truncated = _per_slice_reference(spec, dmp, u0, grid, times, 64, 0.05)
+    assert truncated > 0
+    assert np.array_equal(u.values, ref)
+
+
+def test_pointwise_solution_time_dependent():
+    # b = t x and c = t: X^{-1}(t, x) = x e^{-t^2/2}, JX = e^{t^2/2} cancels
+    # exp(int c), so u(t, x) = u0(x e^{-t^2/2})
+    spec = VelocityFieldSpec(
+        dimension=1, eval_b=lambda t, x: t * np.asarray(x, dtype=float),
+        eval_div_b=lambda t, x: np.full(np.asarray(x).shape[:-1], float(t)),
+        regularity_tag="smooth", div_sup=lambda t: abs(t), horizon=1.0,
+        autonomous=False)
+    dmp = DampingFieldSpec(
+        eval_c=lambda t, x: np.full(np.asarray(x).shape[:-1], float(t)),
+        autonomous=False)
+    u0 = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=-1))  # noqa: E731
+    grid = make_seed_grid(1.0, 32, 1)
+    times = np.linspace(0.0, 1.0, 9)
+    u = pointwise_solution(spec, dmp, u0, grid, times, steps=200)
+    exact = np.array([u0(grid.points * math.exp(-t * t / 2.0)) for t in times])
+    assert u.values == pytest.approx(exact, rel=1e-8)
+    ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 200, 0.0)
+    assert np.array_equal(u.values, ref)
 
 
 def test_pointwise_solution_initial_slice_exact():
