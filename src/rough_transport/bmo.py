@@ -17,7 +17,8 @@ import numpy as np
 from .errors import (BadSplitError, DegenerateFitError, EmptyBallError,
                      LambdaTooSmallError, NegativeInputError)
 from .fields import DampingFieldSpec, GrowthSplit, VelocityFieldSpec
-from .numerics import ball_volume, log_linear_fit, trapz
+from .numerics import ball_volume, log_linear_fit, profile, trapz
+from .renormalization import make_beta_log, make_phi_R
 from .representation import DensityRepresentation
 from .weakform import GammaTrace, SpaceTimeQuadrature, gamma_trace
 
@@ -231,10 +232,9 @@ class Tau0Policy:
         return 0.5 * (lo_t + hi_t)
 
 
-def _integral_to(profile, t, n=256):
+def _integral_to(fn, t, n=256):
     ts = np.linspace(0.0, t, n + 1)
-    vals = np.array([float(profile(float(s))) for s in ts])
-    return trapz(vals, ts)
+    return trapz(profile(fn, ts), ts)
 
 
 def bmo_gronwall_diagnostic(u: DensityRepresentation, delta, R, lam,
@@ -250,8 +250,6 @@ def bmo_gronwall_diagnostic(u: DensityRepresentation, delta, R, lam,
     makes exp(A_lambda) D_lambda decay in lambda. With d2 = 0 the bound
     reduces to the plain logarithmic Gronwall bound.
     """
-    from .renormalization import make_beta_log, make_phi_R
-
     d = quad.d
     if lam <= 2.0 ** (d + 2):
         raise LambdaTooSmallError(f"lambda={lam:g} must exceed 2^(d+2)={2.0**(d+2):g}")
@@ -280,18 +278,18 @@ def bmo_gronwall_diagnostic(u: DensityRepresentation, delta, R, lam,
     trace = gamma_trace(u, beta, phi_R, field, damping, quad)
     gamma_vals = trace.values[keep]
 
-    d1 = np.array([float(split.d1_sup(float(t))) for t in times])
-    sig = np.array([float(split.d2_norm_star(float(t))) for t in times])
-    b2 = np.array([float(growth.b2(float(t))) for t in times])
+    d1 = profile(split.d1_sup, times)
+    sig = profile(split.d2_norm_star, times)
+    b2 = profile(growth.b2, times)
     if damping.l1_spatial is not None:
-        cl1 = np.array([float(damping.l1_spatial(float(t))) for t in times])
+        cl1 = profile(damping.l1_spatial, times)
     else:
         cl1 = np.zeros_like(times)
     decay = C_fit * math.exp(-c_fit * lam) if np.isfinite(c_fit) else 0.0
 
     a_lam = d1 + lam * sig + (d + 1) * b2
     b_lam = cl1 + (d1 + lam * sig) * phi_R.l1_norm + decay * sig
-    c_R = (d + 1) * np.array([float(growth.b1_tail_l1(float(t), R)) for t in times])
+    c_R = (d + 1) * profile(growth.b1_tail_l1, times, R)
     d_lam = decay * sig
 
     A = trapz(a_lam, times)

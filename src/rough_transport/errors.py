@@ -26,6 +26,10 @@ class SplitViolationError(RoughTransportError):
         self.rhs = rhs
 
 
+class NonFiniteDampingError(RoughTransportError):
+    """The damping c is NaN or infinite at a node outside the eta cut-off."""
+
+
 # --- flow --------------------------------------------------------------------
 
 class StepBlowupError(RoughTransportError):

@@ -4,7 +4,8 @@ This module is the single source of truth for the transport data: the
 velocity field b(t, x), its divergence, the damping coefficient c(t, x),
 the sub-linear growth decomposition |b|/(1+|x|) <= b1(t, x) + b2(t), and
 compactly supported mollifiers used to smooth nonsmooth fields before any
-trajectory integration.
+trajectory integration. ``sample_nodes`` and ``sample_damping`` are the
+one place where b, div b and c are evaluated over space-time node sets.
 
 Field callables are numpy-vectorized: ``eval_b(t, x)`` accepts ``x`` of
 shape (..., d) and returns the same shape; ``eval_div_b`` and damping
@@ -17,8 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadKernelError, SplitViolationError
-from .numerics import gauss_legendre
+from .errors import BadKernelError, NonFiniteDampingError, SplitViolationError
+from .numerics import gauss_legendre, profile
 
 KERNEL_INTEGRAL_TOL = 1e-8
 
@@ -189,9 +190,9 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
 
     Space convolution uses the stored tensor quadrature. Time convolution
     acts on the field clamped to its time interval [0, T]; for autonomous
-    fields it is the identity and is skipped. The mollified ``div_sup`` is
-    the time-mollified sup bound, which dominates the divergence of the
-    smoothed field.
+    fields it is the identity, one node of weight one. The mollified
+    ``div_sup`` is the time-mollified sup bound, which dominates the
+    divergence of the smoothed field.
     """
     if moll.dimension != spec.dimension:
         raise ValueError("mollifier dimension does not match the field")
@@ -205,8 +206,11 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
     horizon = spec.horizon
     offsets = moll.space_offsets
     sweights = moll.space_weights
-    tnodes = moll.time_nodes
-    tweights = moll.time_weights
+    if spec.autonomous:
+        # one node of weight 1.0 at lag 0: the time convolution is exact
+        tnodes, tweights = np.zeros(1), np.ones(1)
+    else:
+        tnodes, tweights = moll.time_nodes, moll.time_weights
     base_b = spec.eval_b
     base_div = spec.eval_div_b
     base_sup = spec.div_sup
@@ -221,39 +225,21 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
             acc = contrib if acc is None else acc + contrib
         return acc
 
-    if spec.autonomous:
-        def eval_b(t, x):
-            return _space_conv(base_b, t, x)
+    def _conv(fun, t, x):
+        acc = None
+        for s, w in zip(tnodes, tweights):
+            contrib = w * _space_conv(fun, min(max(t - eps * s, 0.0), horizon), x)
+            acc = contrib if acc is None else acc + contrib
+        return acc
 
-        def eval_div_b(t, x):
-            return _space_conv(base_div, t, x)
-
-        div_sup = base_sup
-    else:
-        def eval_b(t, x):
-            acc = None
-            for j in range(tnodes.shape[0]):
-                tj = min(max(t - eps * tnodes[j], 0.0), horizon)
-                contrib = tweights[j] * _space_conv(base_b, tj, x)
-                acc = contrib if acc is None else acc + contrib
-            return acc
-
-        def eval_div_b(t, x):
-            acc = None
-            for j in range(tnodes.shape[0]):
-                tj = min(max(t - eps * tnodes[j], 0.0), horizon)
-                contrib = tweights[j] * _space_conv(base_div, tj, x)
-                acc = contrib if acc is None else acc + contrib
-            return acc
-
-        def div_sup(t):
-            vals = [base_sup(min(max(t - eps * s, 0.0), horizon)) for s in tnodes]
-            return float(np.dot(tweights, vals))
+    def div_sup(t):
+        vals = [base_sup(min(max(t - eps * s, 0.0), horizon)) for s in tnodes]
+        return float(np.dot(tweights, vals))
 
     return replace(
         spec,
-        eval_b=eval_b,
-        eval_div_b=eval_div_b,
+        eval_b=lambda t, x: _conv(base_b, t, x),
+        eval_div_b=lambda t, x: _conv(base_div, t, x),
         regularity_tag="smooth",
         div_sup=div_sup,
         growth_b1=None,
@@ -261,6 +247,53 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
         growth_b1_tail=None,
         label=f"{spec.label or 'field'}~mollified(eps={eps:g})",
     )
+
+
+# ---------------------------------------------------------------------------
+# space-time sampling
+# ---------------------------------------------------------------------------
+
+def sample_nodes(fn, autonomous, times, nodes):
+    """fn(t_k, nodes[k]) for every time node, stacked along the first axis.
+
+    ``nodes`` has shape (K+1, ..., d), row k sitting at ``times[k]``. An
+    autonomous field is evaluated once, on all nodes at t = times[0].
+    """
+    if autonomous:
+        return np.asarray(fn(float(times[0]), nodes), dtype=float)
+    return np.stack([np.asarray(fn(float(t), nodes[k]), dtype=float)
+                     for k, t in enumerate(times)])
+
+
+def sample_damping(damping: DampingFieldSpec, times, nodes, eta):
+    """c on the space-time nodes (K+1, ..., d), zeroed within eta of the singular set.
+
+    The cut-off is the almost-everywhere reading of the damping path
+    integral. Returns (values, mask), where mask marks the zeroed nodes.
+    Raises NonFiniteDampingError if c is NaN or infinite at a kept node.
+    """
+    if eta < 0.0:
+        raise ValueError("eta must be nonnegative")
+    mask = (damping.singular_distance(nodes) <= eta if damping.singular_set
+            else np.zeros(nodes.shape[:-1], dtype=bool))
+    if not np.any(mask):
+        vals = sample_nodes(damping.eval_c, damping.autonomous, times, nodes)
+    else:
+        # gather the kept nodes only: c may be undefined on the singular set
+        vals = np.zeros(mask.shape)
+        rows = [(..., times[0])] if damping.autonomous else enumerate(times)
+        for k, t in rows:
+            free = ~mask[k]
+            if np.any(free):
+                vals[k][free] = damping.eval_c(float(t), nodes[k][free])
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        at = tuple(np.argwhere(bad)[0])
+        raise NonFiniteDampingError(
+            f"damping c = {vals[at]} at t={float(times[at[0]]):.6g}, "
+            f"x={nodes[at].tolist()}, outside eta={eta:g} of the singular set"
+        )
+    return vals, mask
 
 
 # ---------------------------------------------------------------------------
@@ -281,22 +314,11 @@ def growth_split(spec: VelocityFieldSpec, rng=None, n_samples=10_000,
     ts = rng.uniform(0.0, spec.horizon, size=n_samples)
     xs = rng.uniform(-sample_radius, sample_radius, size=(n_samples, spec.dimension))
 
-    # batch per distinct t would defeat vectorization; fields here are cheap
-    # and autonomous fields ignore t, so evaluate at a single representative
-    # t per chunk of identical times only when autonomous.
-    if spec.autonomous:
-        bvals = np.asarray(spec.eval_b(0.0, xs), dtype=float)
-        lhs = np.linalg.norm(bvals, axis=-1) / (1.0 + np.linalg.norm(xs, axis=-1))
-        rhs = np.asarray(spec.growth_b1(0.0, xs), dtype=float) + np.asarray(
-            [spec.growth_b2(t) for t in ts]
-        )
-    else:
-        lhs = np.empty(n_samples)
-        rhs = np.empty(n_samples)
-        for i, (t, x) in enumerate(zip(ts, xs)):
-            b = np.asarray(spec.eval_b(t, x), dtype=float)
-            lhs[i] = np.linalg.norm(b) / (1.0 + np.linalg.norm(x))
-            rhs[i] = float(spec.growth_b1(t, x)) + float(spec.growth_b2(t))
+    nodes = xs[:, None, :]     # sample i is time node i
+    bvals = sample_nodes(spec.eval_b, spec.autonomous, ts, nodes)[:, 0]
+    lhs = np.linalg.norm(bvals, axis=-1) / (1.0 + np.linalg.norm(xs, axis=-1))
+    rhs = (sample_nodes(spec.growth_b1, spec.autonomous, ts, nodes)[:, 0]
+           + profile(spec.growth_b2, ts))
 
     bad = lhs > rhs + tol
     if np.any(bad):

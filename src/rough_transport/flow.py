@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import (DivergenceUnboundedError, DomainTooSmallError,
                      StepBlowupError)
-from .fields import VelocityFieldSpec, make_mollifier, mollify
-from .numerics import cumtrapz, stable_sum, trapz
+from .fields import VelocityFieldSpec, make_mollifier, mollify, sample_nodes
+from .numerics import cumtrapz, profile, stable_sum, trapz
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,6 @@ class FlowMap:
     trajectories: np.ndarray     # (N, K+1, d)
     direction: str               # "forward" | "backward"
     steps: int
-    method: str = "rk4"
 
     @property
     def anchor_time(self):
@@ -169,8 +168,7 @@ def _rk4_path(rhs, y0, h, steps, escape_radius):
 
 
 def integrate_flow(field: VelocityFieldSpec, seeds: SeedGrid, steps, direction,
-                   anchor_time=None, escape_factor=ESCAPE_FACTOR,
-                   allow_nonsmooth=False) -> FlowMap:
+                   anchor_time=None, allow_nonsmooth=False) -> FlowMap:
     """Integrate the characteristic ODE over the seed grid.
 
     Forward: dX/dt = b(t, X), X(0) = seed, on [0, T]. Backward: the
@@ -190,7 +188,7 @@ def integrate_flow(field: VelocityFieldSpec, seeds: SeedGrid, steps, direction,
     anchor = field.horizon if anchor_time is None else float(anchor_time)
     if not 0.0 < anchor <= field.horizon:
         raise ValueError("anchor_time must lie in (0, horizon]")
-    escape = escape_factor * max(seeds.bounding_radius, 1.0)
+    escape = ESCAPE_FACTOR * max(seeds.bounding_radius, 1.0)
     time_grid = np.linspace(0.0, anchor, steps + 1)
 
     if direction == "forward":
@@ -212,23 +210,22 @@ def integrate_flow(field: VelocityFieldSpec, seeds: SeedGrid, steps, direction,
 
 def _div_samples(field: VelocityFieldSpec, flow: FlowMap):
     """div b at every node of every path, shape (paths, time nodes)."""
-    times = flow.time_grid
-    divs = np.empty((flow.trajectories.shape[0], times.shape[0]))
-    for k, t in enumerate(times):
-        divs[:, k] = np.asarray(field.eval_div_b(float(t), flow.trajectories[:, k, :]),
-                                dtype=float)
-    return divs
+    return sample_nodes(field.eval_div_b, field.autonomous, flow.time_grid,
+                        np.moveaxis(flow.trajectories, 1, 0)).T
 
 
-def _accumulate_divergence(field: VelocityFieldSpec, divs, times):
-    """Trapezoid path integral of div samples (paths, nodes) and its exp.
+def jacobian(field: VelocityFieldSpec, flow: FlowMap) -> JacobianTrack:
+    """JX(t) = exp of the trapezoid path integral of div b along each path.
 
-    Returns (path integral, JX, L) and enforces the two-sided bound
-    exp(-L) <= JX <= exp(L) from the divergence sup profile.
+    Works for forward maps (Jacobian at the seeds) and for backward maps
+    (Jacobian composed with the inverse-flow samples, which is exactly the
+    combination the representation formula needs). Enforces the two-sided
+    bound exp(-L) <= JX <= exp(L) from the divergence sup profile.
     """
-    dpi = cumtrapz(divs, times)
+    times = flow.time_grid
+    dpi = cumtrapz(_div_samples(field, flow), times)
 
-    sup_profile = np.array([field.div_sup(float(t)) for t in times], dtype=float)
+    sup_profile = profile(field.div_sup, times)
     L = trapz(sup_profile, times) if np.all(np.isfinite(sup_profile)) else float("inf")
 
     if np.isfinite(L):
@@ -241,20 +238,7 @@ def _accumulate_divergence(field: VelocityFieldSpec, divs, times):
                 f"divergence path integral {worst:.6g} exceeds its bound L={L:.6g}; "
                 "field metadata (eval_div_b vs div_sup) is inconsistent"
             )
-    return dpi, np.exp(dpi), L
-
-
-def jacobian(field: VelocityFieldSpec, flow: FlowMap) -> JacobianTrack:
-    """JX(t) = exp of the trapezoid path integral of div b along each path.
-
-    Works for forward maps (Jacobian at the seeds) and for backward maps
-    (Jacobian composed with the inverse-flow samples, which is exactly the
-    combination the representation formula needs). Enforces the two-sided
-    bound exp(-L) <= JX <= exp(L) from the divergence sup profile.
-    """
-    dpi, jx, L = _accumulate_divergence(field, _div_samples(field, flow),
-                                        flow.time_grid)
-    return JacobianTrack(flow=flow, div_path_integral=dpi, jx=jx, L=L)
+    return JacobianTrack(flow=flow, div_path_integral=dpi, jx=np.exp(dpi), L=L)
 
 
 @dataclass(frozen=True)

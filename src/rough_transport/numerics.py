@@ -41,6 +41,11 @@ def cumtrapz(values, times):
     return out
 
 
+def profile(fn, times, *args):
+    """The scalar time profile [fn(t, *args) for t in times] as an array."""
+    return np.array([float(fn(float(t), *args)) for t in times])
+
+
 def trapz(values, times):
     values = np.asarray(values, dtype=float)
     times = np.asarray(times, dtype=float)

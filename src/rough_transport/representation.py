@@ -13,9 +13,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AllTruncatedError, JacobianVanishedError, StepBlowupError
-from .fields import DampingFieldSpec, VelocityFieldSpec
-from .flow import (ESCAPE_FACTOR, FlowMap, JacobianTrack, SeedGrid,
-                   _accumulate_divergence, _rk4_path)
+from .fields import DampingFieldSpec, VelocityFieldSpec, sample_damping
+from .flow import (ESCAPE_FACTOR, FlowMap, JacobianTrack, SeedGrid, _rk4_path,
+                   integrate_flow, jacobian)
 from .numerics import cumtrapz, gl_nodes, stable_sum
 
 _CHUNK_NODES = 1 << 18     # stored path nodes per batched backward sweep
@@ -33,42 +33,13 @@ class DampingAccumulator:
     values: np.ndarray          # (N, K+1), trapezoid in time
     eta: float                  # exclusion radius around the singular set
     truncated_nodes: np.ndarray  # (N,), count of zeroed integrand nodes
-    total_l1: float             # discrete integral of |c along X| dx dt
+    integrand: np.ndarray       # (N, K+1), c along X after the cut-off
 
-
-def _damping_nodes(damping: DampingFieldSpec, t, pos, eta):
-    """c(t, .) at positions (..., d), zeroed within eta of the singular set.
-
-    Returns (values, mask), where mask marks the zeroed nodes.
-    """
-    if eta < 0.0:
-        raise ValueError("eta must be nonnegative")
-    if damping.singular_set:
-        mask = damping.singular_distance(pos) <= eta
-    else:
-        mask = np.zeros(pos.shape[:-1], dtype=bool)
-    if not np.any(mask):
-        return np.asarray(damping.eval_c(t, pos), dtype=float), mask
-    vals = np.zeros(mask.shape)
-    free = ~mask
-    if np.any(free):
-        vals[free] = np.asarray(damping.eval_c(t, pos[free]), dtype=float)
-    return vals, mask
-
-
-def _accumulate_damping(cvals, masked, times, eta):
-    """Trapezoid path integral of damping samples (paths, nodes).
-
-    Returns (integral, truncated node count per path) and raises
-    AllTruncatedError if some path had every node excluded.
-    """
-    truncated = masked.sum(axis=1)
-    if np.any(truncated == times.shape[0]):
-        i = int(np.argmax(truncated == times.shape[0]))
-        raise AllTruncatedError(
-            f"every node of trajectory {i} lies within eta={eta:g} of the singular set"
-        )
-    return cumtrapz(cvals, times), truncated
+    @property
+    def total_l1(self):
+        """Discrete integral of |c along X| dx dt, computed when read."""
+        abs_path = cumtrapz(np.abs(self.integrand), self.flow.time_grid)[:, -1]
+        return float(np.sum(abs_path)) * self.flow.seed_grid.cell_volume
 
 
 def damping_integral(damping: DampingFieldSpec, flow: FlowMap, eta) -> DampingAccumulator:
@@ -79,17 +50,17 @@ def damping_integral(damping: DampingFieldSpec, flow: FlowMap, eta) -> DampingAc
     node excluded (seed effectively on the singular set).
     """
     times = flow.time_grid
-    n, kk = flow.trajectories.shape[0], times.shape[0]
-    cvals = np.empty((n, kk))
-    masked = np.empty((n, kk), dtype=bool)
-    for k, t in enumerate(times):
-        cvals[:, k], masked[:, k] = _damping_nodes(damping, float(t),
-                                                   flow.trajectories[:, k, :], eta)
-    values, truncated = _accumulate_damping(cvals, masked, times, eta)
-    abs_path = cumtrapz(np.abs(cvals), times)[:, -1]
-    total_l1 = float(np.sum(abs_path)) * flow.seed_grid.cell_volume
-    return DampingAccumulator(flow=flow, values=values, eta=eta,
-                              truncated_nodes=truncated, total_l1=total_l1)
+    cvals, masked = sample_damping(damping, times,
+                                   np.moveaxis(flow.trajectories, 1, 0), eta)
+    cvals = cvals.T
+    truncated = masked.sum(axis=0)
+    if np.any(truncated == times.shape[0]):
+        i = int(np.argmax(truncated == times.shape[0]))
+        raise AllTruncatedError(
+            f"every node of trajectory {i} lies within eta={eta:g} of the singular set"
+        )
+    return DampingAccumulator(flow=flow, values=cumtrapz(cvals, times), eta=eta,
+                              truncated_nodes=truncated, integrand=cvals)
 
 
 # ---------------------------------------------------------------------------
@@ -108,17 +79,6 @@ class DensityRepresentation:
     u0: Optional[Callable] = None
     out_of_domain_fraction: float = 0.0
 
-    def slice_at(self, k):
-        return self.values[k]
-
-
-def _pointwise_values(u0, feet, jx_end, damping_end):
-    """u0(X^{-1}) / JX * exp(D) from the samples at the feet of the paths."""
-    if np.any(jx_end <= 0.0) or not np.all(np.isfinite(jx_end)):
-        raise JacobianVanishedError("nonpositive Jacobian sample; inconsistent inputs")
-    u0_vals = np.asarray(u0(feet), dtype=float)
-    return u0_vals / jx_end * np.exp(damping_end)
-
 
 def represent_pointwise(u0, flow_backward: FlowMap, track: JacobianTrack,
                         acc: DampingAccumulator) -> DensityRepresentation:
@@ -132,8 +92,11 @@ def represent_pointwise(u0, flow_backward: FlowMap, track: JacobianTrack,
         raise ValueError("represent_pointwise needs a backward flow map")
     if track.flow is not flow_backward or acc.flow is not flow_backward:
         raise ValueError("track and accumulator must come from the given flow")
-    vals = _pointwise_values(u0, flow_backward.inverse_samples, track.jx[:, -1],
-                             acc.values[:, -1])
+    jx_end = track.jx[:, -1]
+    if np.any(jx_end <= 0.0) or not np.all(np.isfinite(jx_end)):
+        raise JacobianVanishedError("nonpositive Jacobian sample; inconsistent inputs")
+    u0_vals = np.asarray(u0(flow_backward.inverse_samples), dtype=float)
+    vals = u0_vals / jx_end * np.exp(acc.values[:, -1])
     pts = flow_backward.seed_grid.points
     return DensityRepresentation(
         mode="pointwise",
@@ -145,56 +108,36 @@ def represent_pointwise(u0, flow_backward: FlowMap, track: JacobianTrack,
     )
 
 
-def _backward_sweep(field: VelocityFieldSpec, damping: DampingFieldSpec, u0, x,
-                    anchors, counts, eta, escape, batch):
-    """u at each anchor time on the points x, from one RK4 sweep over all slices.
+def _backward_flows(field: VelocityFieldSpec, points: SeedGrid, anchors, counts,
+                    batch):
+    """Backward flow maps through (anchors[s], points) with counts[s] steps.
 
-    Slice s takes counts[s] steps of size anchors[s] / counts[s], and its
-    copy of the points fills rows s*N to (s+1)*N of one block; counts must
-    not increase, so the moving rows form a prefix. ``batch`` marks b and c
-    as time-independent: then the path is traced and sampled with t = 0, and
-    div b and c are evaluated on the whole stored path in one call each.
-    Otherwise the sweep holds a single slice, sampled node by node at its
-    physical times. Each slice then goes through the accumulate-and-check
-    steps of ``jacobian``, ``damping_integral`` and ``represent_pointwise``.
+    With ``batch`` (b and c independent of time) the slices share one RK4
+    sweep, traced with t = 0: slice s takes counts[s] steps of size
+    anchors[s] / counts[s], and its copy of the points fills rows s*N to
+    (s+1)*N. Counts must not increase, so the moving rows form a prefix.
+    Each map is a view of the sweep reversed onto its physical time grid,
+    bitwise ``integrate_flow(..., "backward", anchor_time=anchors[s])``,
+    which is what a time-dependent slice calls instead.
     """
-    n = x.shape[0]
-    if batch:
-        h = np.repeat(np.divide(anchors, counts), n)
-        steps = np.repeat(counts, n)
-        rhs = lambda s, y: -np.asarray(field.eval_b(0.0, y), dtype=float)  # noqa: E731
-    else:
-        (anchor,), (steps,) = anchors, counts
-        h = anchor / steps
-        rhs = lambda s, y: -np.asarray(field.eval_b(anchor - s, y), dtype=float)  # noqa: E731
+    if not batch:
+        # pointwise_solution has already applied the nonsmooth-field check
+        return [integrate_flow(field, points, m, "backward", anchor_time=a,
+                               allow_nonsmooth=True)
+                for a, m in zip(anchors, counts)]
+    n = points.points.shape[0]
+    rhs = lambda s, y: -np.asarray(field.eval_b(0.0, y), dtype=float)  # noqa: E731
     try:
-        path = _rk4_path(rhs, np.tile(x, (len(anchors), 1)), h, steps, escape)
+        path = _rk4_path(rhs, np.tile(points.points, (len(anchors), 1)),
+                         np.repeat(np.divide(anchors, counts), n), np.repeat(counts, n),
+                         ESCAPE_FACTOR * max(points.bounding_radius, 1.0))
     except StepBlowupError as exc:     # row i integrates seed i mod N
         raise StepBlowupError(str(exc), seed_index=exc.seed_index % n) from exc
-
-    divs = np.empty(path.shape[:2])
-    cvals = np.empty(path.shape[:2])
-    masked = np.empty(path.shape[:2], dtype=bool)
-    if batch:
-        nodes = [(0.0, ...)]
-    else:
-        times = np.linspace(0.0, anchor, steps + 1)
-        nodes = [(float(times[steps - j]), j) for j in range(steps + 1)]
-    for t, at in nodes:
-        pos = path[at]
-        divs[at] = np.asarray(field.eval_div_b(t, pos), dtype=float)
-        cvals[at], masked[at] = _damping_nodes(damping, t, pos, eta)
-
-    out = np.empty((len(anchors), n))
-    for s, (anchor, m) in enumerate(zip(anchors, counts)):
-        # sweep node j sits at time anchor - j h; reversed, columns run 0 -> anchor
-        rows = slice(s * n, (s + 1) * n)
-        times = np.linspace(0.0, anchor, m + 1)
-        _, jx, _ = _accumulate_divergence(field, divs[m::-1, rows].T, times)
-        damp, _ = _accumulate_damping(cvals[m::-1, rows].T, masked[m::-1, rows].T,
-                                      times, eta)
-        out[s] = _pointwise_values(u0, path[m, rows], jx[:, -1], damp[:, -1])
-    return out
+    # sweep node j sits at time anchor - j h; reversed, columns run 0 -> anchor
+    return [FlowMap(seed_grid=points, time_grid=np.linspace(0.0, a, m + 1),
+                    trajectories=np.moveaxis(path[m::-1, s * n:(s + 1) * n], 0, 1),
+                    direction="backward", steps=m)
+            for s, (a, m) in enumerate(zip(anchors, counts))]
 
 
 def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
@@ -205,10 +148,10 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     The characteristics through (t_k, x_i) differ for each t_k, so each
     slice has its own backward integration; the step size is kept near
     horizon/steps by scaling the step count with t_k. The t = 0 slice is
-    u0 on the nose. Slices run together in chunked sweeps, longest first,
-    and each is bitwise the composition ``integrate_flow`` (backward) ->
-    ``jacobian`` -> ``damping_integral`` -> ``represent_pointwise``. When b
-    or c depends on time, every chunk holds one slice.
+    u0 on the nose. Each slice is the composition ``jacobian`` ->
+    ``damping_integral`` -> ``represent_pointwise`` on its backward map;
+    the maps come from chunked sweeps, longest first. When b or c depends
+    on time, every chunk holds one slice.
     """
     if field.regularity_tag == "bv_nonsmooth" and not allow_nonsmooth:
         raise ValueError("bv_nonsmooth field: mollify first or pass allow_nonsmooth=True")
@@ -234,11 +177,13 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
             chunks[-1].append(s)
         else:
             chunks.append([s])
-    escape = ESCAPE_FACTOR * max(points.bounding_radius, 1.0)
     for chunk in chunks:
-        vals[[1 + s for s in chunk]] = _backward_sweep(
-            field, damping, u0, x, [anchors[s] for s in chunk],
-            [counts[s] for s in chunk], eta, escape, batch)
+        flows = _backward_flows(field, points, [anchors[s] for s in chunk],
+                                [counts[s] for s in chunk], batch)
+        for s, back in zip(chunk, flows):
+            rep = represent_pointwise(u0, back, jacobian(field, back),
+                                      damping_integral(damping, back, eta))
+            vals[1 + s] = rep.values[0]
 
     return DensityRepresentation(mode="pointwise", times=time_grid.copy(),
                                  points=points.points, values=vals,

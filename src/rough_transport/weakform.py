@@ -19,9 +19,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import SupportOverflowError, UnboundedDampingError
-from .fields import DampingFieldSpec, GrowthSplit, VelocityFieldSpec
-from .numerics import order_estimate, stable_sum, trapezoid_weights, trapz
-from .renormalization import Renormalizer, TestFunctionPhiR
+from .fields import (DampingFieldSpec, GrowthSplit, VelocityFieldSpec, sample_damping,
+                     sample_nodes)
+from .numerics import (cumtrapz, order_estimate, profile, stable_sum,
+                       trapezoid_weights, trapz)
+from .renormalization import Renormalizer, TestFunctionPhiR, make_beta_log, make_phi_R
 from .representation import DensityRepresentation
 
 
@@ -76,22 +78,11 @@ def _check_alignment(u: DensityRepresentation, quad: SpaceTimeQuadrature):
 
 
 def _field_tables(field, damping, quad, eta=0.0):
-    """b, div b, c evaluated on the full space-time node set."""
-    kk, n = quad.times.shape[0], quad.points.shape[0]
-    bvals = np.empty((kk, n, quad.d))
-    divvals = np.empty((kk, n))
-    cvals = np.zeros((kk, n))
-    if damping is not None and damping.singular_set:
-        dist = damping.singular_distance(quad.points)
-        free = dist > eta
-    else:
-        free = np.ones(n, dtype=bool)
-    for k, t in enumerate(quad.times):
-        t = float(t)
-        bvals[k] = np.asarray(field.eval_b(t, quad.points), dtype=float)
-        divvals[k] = np.asarray(field.eval_div_b(t, quad.points), dtype=float)
-        if damping is not None and np.any(free):
-            cvals[k, free] = np.asarray(damping.eval_c(t, quad.points[free]), dtype=float)
+    """b, div b and the cut-off c on the full space-time node set."""
+    nodes = np.broadcast_to(quad.points, quad.times.shape + quad.points.shape)
+    bvals = sample_nodes(field.eval_b, field.autonomous, quad.times, nodes)
+    divvals = sample_nodes(field.eval_div_b, field.autonomous, quad.times, nodes)
+    cvals, _ = sample_damping(damping, quad.times, nodes, eta)
     return bvals, divvals, cvals
 
 
@@ -243,10 +234,8 @@ def l2_energy_diagnostic(u: DensityRepresentation, field: VelocityFieldSpec,
     if damping.sup_c is None:
         raise ValueError("damping needs a sup_c profile for the L2 envelope")
     curve = np.sum(u.values**2, axis=1) * quad.cell_volume
-    rate = np.array([2.0 * float(damping.sup_c(float(t))) + float(field.div_sup(float(t)))
-                     for t in quad.times])
-    from .numerics import cumtrapz as _ct
-    envelope = curve[0] * np.exp(_ct(rate[None, :], quad.times)[0])
+    rate = 2.0 * profile(damping.sup_c, quad.times) + profile(field.div_sup, quad.times)
+    envelope = curve[0] * np.exp(cumtrapz(rate[None, :], quad.times)[0])
     passed = bool(np.all(curve <= envelope * (1.0 + slack) + 1e-300))
     return quad.times.copy(), curve, envelope, passed
 
@@ -277,16 +266,16 @@ def gronwall_constants(field: VelocityFieldSpec, damping: DampingFieldSpec,
     """A, B_R, C_R from the scenario's analytic profiles by time quadrature."""
     times = np.asarray(times, dtype=float)
     d = phi_R.d
-    sup = np.array([float(field.div_sup(float(t))) for t in times])
-    b2 = np.array([float(growth.b2(float(t))) for t in times])
+    sup = profile(field.div_sup, times)
+    b2 = profile(growth.b2, times)
     if damping.l1_spatial is not None:
-        cl1 = np.array([float(damping.l1_spatial(float(t))) for t in times])
+        cl1 = profile(damping.l1_spatial, times)
     else:
         cl1 = np.zeros_like(times)
     a = sup + (d + 1) * b2
     b_R = cl1 + sup * phi_R.l1_norm
-    c_R = (d + 1) * np.array([float(growth.b1_tail_l1(float(t), phi_R.R)) for t in times])
-    c_limit = (d + 1) * np.array([float(growth.b1_tail_l1(float(t), 1e18)) for t in times])
+    c_R = (d + 1) * profile(growth.b1_tail_l1, times, phi_R.R)
+    c_limit = (d + 1) * profile(growth.b1_tail_l1, times, 1e18)
     return GronwallBoundData(A=trapz(a, times), B_R=trapz(b_R, times),
                              C_R=trapz(c_R, times), C_R_limit=trapz(c_limit, times),
                              R=phi_R.R, d=d)
@@ -301,8 +290,6 @@ def gronwall_log_diagnostic(u: DensityRepresentation, delta, R,
     Contract: Gamma(t) <= exp(A)(B_R + log(1 + pi^2/(4 delta)) C_R) at all
     time nodes, up to the discretization slack factor.
     """
-    from .renormalization import make_beta_log, make_phi_R
-
     beta = make_beta_log(delta)
     phi_R = make_phi_R(R, quad.d)
     trace = gamma_trace(u, beta, phi_R, field, damping, quad, eta)

@@ -8,6 +8,11 @@ import pytest
 from rough_transport.errors import BadKernelError, SplitViolationError
 from rough_transport.fields import (VelocityFieldSpec, check_divergence_consistency,
                                     growth_split, make_mollifier, mollify)
+from rough_transport.flow import integrate_flow, jacobian, make_seed_grid
+from rough_transport.renormalization import make_beta_arctan
+from rough_transport.representation import DensityRepresentation
+from rough_transport.testfunctions import compact_space_time
+from rough_transport.weakform import make_quadrature, weak_residual
 
 from conftest import damping, field
 
@@ -165,3 +170,40 @@ def test_growth_split_violation_has_witness():
         growth_split(bad, rng=np.random.default_rng(4))
     assert err.value.x is not None
     assert err.value.lhs > err.value.rhs
+
+
+# --- space-time sampling ------------------------------------------------------
+
+def _counting(fn, calls, key):
+    def counted(t, x):
+        calls[key] += 1
+        return fn(t, x)
+    return counted
+
+
+@pytest.mark.parametrize("autonomous", [True, False])
+def test_sampler_calls_autonomous_fields_once(autonomous):
+    # one call over every node of an autonomous field, one per time node else
+    calls = {"b": 0, "div": 0, "c": 0}
+    base, dmp = field("linear_expand"), damping("constant_one")
+    spec = dataclasses.replace(
+        base, autonomous=autonomous,
+        eval_b=_counting(base.eval_b, calls, "b"),
+        eval_div_b=_counting(base.eval_div_b, calls, "div"))
+    dmp = dataclasses.replace(dmp, autonomous=autonomous,
+                              eval_c=_counting(dmp.eval_c, calls, "c"))
+
+    fl = integrate_flow(spec, make_seed_grid(1.0, 16, 1), 20, "forward")
+    calls["div"] = 0
+    jacobian(spec, fl)
+    assert calls["div"] == (1 if autonomous else 21)
+
+    quad = make_quadrature(1, 2.0, 32, 1.0, 12)
+    u = DensityRepresentation(
+        mode="pointwise", times=quad.times.copy(), points=quad.points,
+        values=np.zeros((13, 32)), cell_volume=quad.cell_volume)
+    phi = compact_space_time(1, 1.0)
+    calls.update(b=0, div=0, c=0)
+    weak_residual(u, make_beta_arctan(1.0), phi, spec, dmp,
+                  lambda x: np.zeros(np.asarray(x).shape[:-1]), quad)
+    assert calls == dict.fromkeys(calls, 1 if autonomous else 13)

@@ -282,6 +282,25 @@ def test_forward_backward_composition(linear_field):
     assert forward_backward_mismatch(linear_field, fl) <= 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=2).flatmap(
+    lambda d: st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                       min_size=d * d, max_size=d * d)))
+def test_linear_field_jacobian_and_inverse(entries):
+    # b = A x: div b = tr A, so JX(1) = exp(tr A) exactly up to the trapezoid's
+    # rounding; forward then backward RK4 returns to the seeds to O(h^4)
+    d = int(round(math.sqrt(len(entries))))
+    A = np.array(entries).reshape(d, d)
+    tr = float(np.trace(A))
+    spec = VelocityFieldSpec(
+        dimension=d, eval_b=lambda t, x: np.asarray(x) @ A.T,
+        eval_div_b=lambda t, x: np.full(np.asarray(x).shape[:-1], tr),
+        regularity_tag="smooth", div_sup=lambda t: abs(tr), horizon=1.0)
+    fl = integrate_flow(spec, make_seed_grid(1.0, 4, d), 256, "forward")
+    assert jacobian(spec, fl).jx[:, -1] == pytest.approx(math.exp(tr), rel=1e-12)
+    assert forward_backward_mismatch(spec, fl) <= 1e-8
+
+
 # --- mollified flow convergence ----------------------------------------------
 
 def test_convergence_study_smooth_field(linear_field):

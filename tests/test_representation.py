@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from rough_transport.errors import AllTruncatedError, JacobianVanishedError
-from rough_transport.fields import DampingFieldSpec, VelocityFieldSpec
+from rough_transport.errors import (AllTruncatedError, JacobianVanishedError,
+                                    NonFiniteDampingError)
+from rough_transport.fields import DampingFieldSpec, PointSingularity, VelocityFieldSpec
 from rough_transport.flow import integrate_flow, jacobian, make_seed_grid, seeds_from_points
 from rough_transport.representation import (_CHUNK_NODES, TargetGrid, damping_integral,
                                             integrability_probe, pointwise_solution,
@@ -103,6 +104,33 @@ def test_represent_pointwise_linear_flow():
                               damping_integral(damping("zero"), back, 0.0))
     assert rep.values[0, 0] == pytest.approx(u0(np.array([[1.0]]))[0] / math.e,
                                              rel=1e-10)
+
+
+def _nan_damping(singular_set=()):
+    # c = 1, but NaN for x > 0.5
+    return DampingFieldSpec(
+        eval_c=lambda t, x: np.where(np.asarray(x)[..., 0] > 0.5, np.nan, 1.0),
+        singular_set=singular_set)
+
+
+def test_damping_integral_rejects_nan_damping():
+    _, fl = _identity_flow(steps=8, cells=8)
+    with pytest.raises(NonFiniteDampingError):
+        damping_integral(_nan_damping(), fl, eta=0.0)
+    # NaN inside the cut-off is never read: eta = 0.25 around 0.75 covers the
+    # NaN region (0.5, 1], which x = 0.6 e^{-t} leaves at t = log 1.2
+    fl = integrate_flow(field("linear_contract"), seeds_from_points([[0.6], [0.2]]),
+                        32, "forward")
+    acc = damping_integral(_nan_damping((PointSingularity((0.75,)),)), fl, eta=0.25)
+    assert np.all(np.isfinite(acc.values))
+    assert 0 < acc.truncated_nodes[0] < 32 and acc.truncated_nodes[1] == 0
+
+
+def test_pointwise_solution_rejects_nan_damping():
+    with pytest.raises(NonFiniteDampingError):
+        pointwise_solution(field("linear_expand"), _nan_damping(), u0_fn("bump"),
+                           make_seed_grid(1.0, 8, 1), np.linspace(0.0, 1.0, 5),
+                           steps=16)
 
 
 def test_pointwise_solution_thread_count_invariant(monkeypatch):

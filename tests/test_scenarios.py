@@ -40,3 +40,15 @@ def test_runtime_budget_folds_into_verdict(tmp_path, monkeypatch):
     assert over.values == within.values
     assert over.thresholds == within.thresholds
     assert over.note == "verdict: divergent; runtime budget 0 s"
+
+
+def test_nondefault_run_is_reproducible(tmp_path):
+    # steps and seed count away from the defaults, run twice in one process
+    cfg = resolve({"scenario_id": "linear_expand", "steps": 400,
+                   "seeds_per_axis": 128, "output_dir": str(tmp_path)})
+    for name in ("a", "b"):
+        run_scenario(cfg).write(str(tmp_path / name))
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names and names == sorted(os.listdir(tmp_path / "b"))
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

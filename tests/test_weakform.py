@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from rough_transport.errors import SupportOverflowError, UnboundedDampingError
-from rough_transport.fields import growth_split
+from rough_transport.errors import (NonFiniteDampingError, SupportOverflowError,
+                                    UnboundedDampingError)
+from rough_transport.fields import DampingFieldSpec, growth_split
 from rough_transport.flow import seeds_from_points
 from rough_transport.renormalization import make_beta_arctan, make_beta_log, make_phi_R
 from rough_transport.representation import DensityRepresentation, pointwise_solution
@@ -162,6 +163,16 @@ def test_gamma_trace_zero_density():
     trace = gamma_trace(u, make_beta_arctan(1.0), make_phi_R(2.0, 1), spec, dmp, quad)
     assert np.all(trace.values == 0.0)
     assert np.all(trace.rhs == 0.0)
+
+
+def test_gamma_trace_rejects_nan_damping():
+    spec = field("zero", T=1.0)
+    dmp = DampingFieldSpec(
+        eval_c=lambda t, x: np.where(np.asarray(x)[..., 0] > 0.5, np.nan, 0.0))
+    quad = make_quadrature(1, 2.0, 16, 1.0, 8)
+    u = _density(quad, np.zeros((quad.times.size, quad.points.shape[0])))
+    with pytest.raises(NonFiniteDampingError):
+        gamma_trace(u, make_beta_arctan(1.0), make_phi_R(2.0, 1), spec, dmp, quad)
 
 
 def test_gamma_trace_constant_solution():
