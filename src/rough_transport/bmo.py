@@ -15,7 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (BadSplitError, DegenerateFitError, EmptyBallError,
-                     LambdaTooSmallError, NegativeInputError)
+                     LambdaTooSmallError, NegativeInputError,
+                     NonFiniteProfileError)
 from .fields import DampingFieldSpec, GrowthSplit, VelocityFieldSpec
 from .numerics import ball_volume, log_linear_fit, profile, trapz
 from .renormalization import make_beta_log, make_phi_R
@@ -45,6 +46,12 @@ class BMOProfile:
         return self.points.shape[-1]
 
     @cached_property
+    def vanishes_outside(self):
+        """True when every sample outside B_M is zero; checked once."""
+        outside = np.linalg.norm(self.points, axis=-1) > self.M
+        return not np.any(self.values[outside] != 0.0)
+
+    @cached_property
     def core_values(self):
         """Samples in B_M, the ball every decay check reads; built once."""
         mask = np.linalg.norm(self.points, axis=-1) < self.M
@@ -66,8 +73,14 @@ def bmo_norm(values, M, ball_family, points, cell_volume) -> BMOProfile:
     """Per-ball averages and mean oscillations; norm_star is the family max.
 
     ``values`` may be a callable on points or a sample array. The samples
-    must vanish outside B_M (compact support hypothesis of the decay
-    lemma).
+    must be finite and vanish outside B_M (compact support hypothesis of
+    the decay lemma).
+
+    Each ball reads only the slab of cells whose first coordinate lies
+    within its radius, found by binary search on the points sorted by
+    that coordinate; the ball test then runs on the slab alone, and the
+    selected samples keep their original order, so every average sums
+    the same numbers in the same order as a full-grid mask would.
     """
     points = np.asarray(points, dtype=float)
     if callable(values):
@@ -76,25 +89,41 @@ def bmo_norm(values, M, ball_family, points, cell_volume) -> BMOProfile:
         values = np.asarray(values, dtype=float)
     if not ball_family:
         raise ValueError("ball_family must be nonempty")
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NonFiniteProfileError(
+            f"profile sample {values[i]} at x={points[i].tolist()} is not finite")
 
-    outside = np.linalg.norm(points, axis=-1) > M
-    if np.any(values[outside] != 0.0):
-        raise ValueError("profile must vanish outside B_M")
+    keys = points[:, 0]
+    if np.all(keys[:-1] <= keys[1:]):
+        order = None          # already sorted: every slab is a slice
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
 
     averages = np.empty(len(ball_family))
     oscillations = np.empty(len(ball_family))
     for i, (center, radius) in enumerate(ball_family):
-        mask = np.linalg.norm(points - np.asarray(center), axis=-1) < radius
-        if not np.any(mask):
+        c = np.asarray(center, dtype=float)
+        # the margin covers the rounding of |x - c| against |x_0 - c_0|
+        pad = 1e-12 * (abs(c[0]) + radius)
+        lo, hi = np.searchsorted(keys, (c[0] - radius - pad, c[0] + radius + pad))
+        rows = slice(lo, hi) if order is None else np.sort(order[lo:hi])
+        inside = np.linalg.norm(points[rows] - c, axis=-1) < radius
+        if not np.any(inside):
             raise EmptyBallError(f"ball at {center} radius {radius:g} holds no cell")
-        sel = values[mask]
+        sel = values[rows][inside]
         avg = float(np.mean(sel))
         averages[i] = avg
         oscillations[i] = float(np.mean(np.abs(sel - avg)))
-    return BMOProfile(points=points, values=values, cell_volume=float(cell_volume),
-                      M=float(M), ball_family=tuple(ball_family),
-                      averages=averages, oscillations=oscillations,
-                      norm_star=float(np.max(oscillations)))
+    profile = BMOProfile(points=points, values=values, cell_volume=float(cell_volume),
+                         M=float(M), ball_family=tuple(ball_family),
+                         averages=averages, oscillations=oscillations,
+                         norm_star=float(np.max(oscillations)))
+    if not profile.vanishes_outside:
+        raise ValueError("profile must vanish outside B_M")
+    return profile
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +282,8 @@ def bmo_gronwall_diagnostic(u: DensityRepresentation, delta, R, lam,
     d = quad.d
     if lam <= 2.0 ** (d + 2):
         raise LambdaTooSmallError(f"lambda={lam:g} must exceed 2^(d+2)={2.0**(d+2):g}")
-    if split.d2_profile is not None:
-        prof = split.d2_profile
-        outside = np.linalg.norm(prof.points, axis=-1) > prof.M
-        if np.any(prof.values[outside] != 0.0):
-            raise BadSplitError("d2 is not compactly supported in B_M")
+    if split.d2_profile is not None and not split.d2_profile.vanishes_outside:
+        raise BadSplitError("d2 is not compactly supported in B_M")
 
     if split.d2_profile is None:
         c_fit = float("inf")

@@ -74,6 +74,10 @@ class EmptyBallError(RoughTransportError):
     """A ball in the family contains no grid cell."""
 
 
+class NonFiniteProfileError(RoughTransportError):
+    """A BMO profile sample is NaN or infinite."""
+
+
 class DegenerateFitError(RoughTransportError):
     """Fewer than three nonempty superlevels; no decay fit possible."""
 

@@ -139,7 +139,8 @@ class MollifierSpec:
     The kernel is the polynomial bump (1 - |z|^2)^4, normalized separately
     in time (rho1, one axis) and space (rho2, radial in d dimensions). The
     stored Gauss-Legendre tensor rule integrates both kernels exactly, so
-    the folded weights sum to one up to rounding.
+    the folded weights sum to one up to rounding. Only the tensor nodes
+    inside the unit ball, where the space kernel is positive, are stored.
     """
 
     eps: float
@@ -147,7 +148,7 @@ class MollifierSpec:
     nodes_per_axis: int
     time_nodes: np.ndarray       # (Q1,) on [-1, 1]
     time_weights: np.ndarray     # (Q1,), kernel folded in, sums to 1
-    space_offsets: np.ndarray    # (Q, d) on [-1, 1]^d
+    space_offsets: np.ndarray    # (Q, d) inside the unit ball
     space_weights: np.ndarray    # (Q,), kernel folded in, sums to 1
 
     def kernel_integrals(self):
@@ -170,18 +171,22 @@ def make_mollifier(eps, dimension, nodes_per_axis=16):
     for g in wgrids:
         wprod = wprod * g.ravel()
     radii2 = np.sum(offsets**2, axis=-1)
-    kern = np.where(radii2 < 1.0, (1.0 - radii2) ** 4, 0.0)
+    inside = radii2 < 1.0
+    kern = np.where(inside, (1.0 - radii2) ** 4, 0.0)
     svals = wprod * kern
     space_weights = svals / np.sum(svals)
 
+    # nodes outside the unit ball have weight exactly 0 and would cost a field
+    # evaluation each in every convolution; they are dropped after the
+    # normalisation, so the kept weights are bit for bit those of the full rule
     return MollifierSpec(
         eps=float(eps),
         dimension=dimension,
         nodes_per_axis=nodes_per_axis,
         time_nodes=x.copy(),
         time_weights=time_weights,
-        space_offsets=offsets,
-        space_weights=space_weights,
+        space_offsets=offsets[inside],
+        space_weights=space_weights[inside],
     )
 
 

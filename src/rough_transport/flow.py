@@ -335,17 +335,21 @@ def compressibility_estimate(flow: FlowMap, probe_block=16, time_index=-1):
 
 
 def superlevel_escape(flow: FlowMap, r, R):
-    """cell_volume * #{i : |x_i| < r, |X(t, x_i)| > R}, maximized over t."""
+    """cell_volume * #{i : |x_i| < r, |X(t, x_i)| > R}, maximized over t.
+
+    ``R`` may be an array of radii, all read from one pass of trajectory
+    norms; the result then has its shape. A scalar ``R`` gives a float.
+    """
     seeds = flow.seed_grid
     if seeds.bounding_radius < r:
         raise ValueError(f"seed grid (radius {seeds.bounding_radius:g}) does not cover B_{r:g}")
     start = flow.positions_at(0) if flow.direction == "forward" else flow.positions_at(-1)
     inside = np.linalg.norm(start, axis=-1) < r
-    if not np.any(inside):
-        return 0.0
+    radii = np.asarray(R, dtype=float)
     norms = np.linalg.norm(flow.trajectories[inside], axis=-1)   # (n, K+1)
-    escaped = np.sum(norms > R, axis=0)
-    return float(np.max(escaped)) * seeds.cell_volume
+    escaped = np.sum(norms[..., None] > radii.ravel(), axis=0)   # (K+1, radii)
+    measures = np.max(escaped, axis=0) * seeds.cell_volume
+    return float(measures[0]) if radii.ndim == 0 else measures.reshape(radii.shape)
 
 
 def forward_backward_mismatch(field: VelocityFieldSpec, flow_forward: FlowMap,

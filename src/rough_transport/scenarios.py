@@ -364,10 +364,10 @@ def _run_jacobian_unit(ctx):
 
 
 def _run_superlevel(ctx, r, R, tol=0.0):
-    fl = ctx.forward_flow()
-    esc = superlevel_escape(fl, r, R)
-    ladder = [(float(rr), superlevel_escape(fl, r, rr))
-              for rr in np.linspace(R, 2.0 * R, 5)]
+    radii = np.linspace(R, 2.0 * R, 5)      # radii[0] == R exactly
+    measures = superlevel_escape(ctx.forward_flow(), r, radii)
+    esc = float(measures[0])
+    ladder = [(float(rr), float(m)) for rr, m in zip(radii, measures)]
     mono = all(b[1] <= a[1] for a, b in zip(ladder, ladder[1:]))
     art = Artifact("superlevel_escape.csv", ("R", "escaped_measure"),
                    tuple(ladder))

@@ -1,5 +1,6 @@
 """Mean oscillation norms, John-Nirenberg decay, the BMO Gronwall bound."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from rough_transport.bmo import (BMODivergenceSplit, Tau0Policy,
                                  bmo_gronwall_diagnostic, bmo_norm,
                                  default_ball_family, jn_decay_check,
                                  lemma52_checks)
-from rough_transport.errors import (DegenerateFitError, EmptyBallError,
-                                    LambdaTooSmallError, NegativeInputError)
+from rough_transport.errors import (BadSplitError, DegenerateFitError,
+                                    EmptyBallError, LambdaTooSmallError,
+                                    NegativeInputError, NonFiniteProfileError)
 from rough_transport.fields import growth_split
 from rough_transport.representation import DensityRepresentation
 from rough_transport.weakform import gronwall_log_diagnostic, make_quadrature
@@ -24,12 +26,16 @@ def _grid_1d(M=1.0, n=1 << 18):
     return xs, h
 
 
+def _log_samples(points, M=1.0):
+    r = np.linalg.norm(points, axis=-1)
+    with np.errstate(divide="ignore"):
+        return np.where(r < M, np.log(np.where(r > 0.0, 1.0 / r, 1.0)), 0.0)
+
+
 def _log_profile(M=1.0, n=1 << 18):
     xs, h = _grid_1d(M, n)
-    r = np.abs(xs)
-    with np.errstate(divide="ignore"):
-        vals = np.where(r < M, np.log(np.where(r > 0.0, 1.0 / r, 1.0)), 0.0)
-    return bmo_norm(vals, M, default_ball_family(M, 1), xs[:, None], h)
+    return bmo_norm(_log_samples(xs[:, None], M), M, default_ball_family(M, 1),
+                    xs[:, None], h)
 
 
 def test_norm_constant_on_support_is_handled():
@@ -73,6 +79,64 @@ def test_empty_ball_raises():
     vals = np.where(np.abs(xs) < 1.0, 1.0, 0.0)
     with pytest.raises(EmptyBallError):
         bmo_norm(vals, 1.0, (((0.0,), 1e-6),), xs[:, None], h)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_norm_rejects_nonfinite_sample(bad):
+    # one bad sample inside B_M would turn norm_star and every fit into NaN
+    xs, h = _grid_1d(n=1 << 12)
+    vals = _log_samples(xs[:, None])
+    vals[1 << 10] = bad
+    with pytest.raises(NonFiniteProfileError):
+        bmo_norm(vals, 1.0, default_ball_family(1.0, 1), xs[:, None], h)
+
+
+def _brute_force_statistics(values, ball_family, points):
+    # reference: one full-grid mask per ball
+    averages, oscillations = [], []
+    for center, radius in ball_family:
+        sel = values[np.linalg.norm(points - np.asarray(center), axis=-1) < radius]
+        avg = float(np.mean(sel))
+        averages.append(avg)
+        oscillations.append(float(np.mean(np.abs(sel - avg))))
+    return np.array(averages), np.array(oscillations)
+
+
+@pytest.mark.parametrize("d,shuffled", [(1, False), (1, True), (2, False), (2, True)])
+def test_slab_statistics_match_full_grid_masks(d, shuffled):
+    # slabs of the x_0-sorted points give the per-ball masks bit for bit; the
+    # 2-D grid puts cells exactly on ball boundaries and repeats every x_0
+    if d == 1:
+        xs, h = _grid_1d(n=1 << 16)
+        points, cell = xs[:, None], h
+    else:
+        axis = np.linspace(-2.0, 2.0, 161)
+        mesh = np.meshgrid(axis, axis, indexing="ij")
+        points, cell = np.stack([m.ravel() for m in mesh], axis=-1), 0.025 ** 2
+    if shuffled:
+        points = points[np.random.default_rng(7).permutation(points.shape[0])]
+    values = _log_samples(points)
+    family = default_ball_family(1.0, d)
+    prof = bmo_norm(values, 1.0, family, points, cell)
+    averages, oscillations = _brute_force_statistics(values, family, points)
+    assert np.array_equal(prof.averages, averages)
+    assert np.array_equal(prof.oscillations, oscillations)
+
+
+def test_support_checked_once_per_profile():
+    # bmo_norm's own support check fills the flag that BadSplitError reads
+    prof = _log_profile(n=1 << 12)
+    assert prof.__dict__["vanishes_outside"] is True
+    leaky = dataclasses.replace(prof, values=prof.values + 1.0)
+    assert not leaky.vanishes_outside
+    spec = field("log_drift")
+    split = BMODivergenceSplit(d1_sup=lambda t: 0.0, d2_profile=leaky,
+                               d2_norm_star=lambda t: prof.norm_star,
+                               jn=jn_decay_check(prof, [1.0 + 0.5 * k for k in range(7)]))
+    quad = make_quadrature(1, 2.0, 16, 1.0, 8)
+    with pytest.raises(BadSplitError):
+        bmo_gronwall_diagnostic(_zero_density(quad), 1e-2, 2.0, 9.0, Tau0Policy(),
+                                spec, split, growth_split(spec), damping("zero"), quad)
 
 
 def test_core_values_built_once():

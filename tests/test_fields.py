@@ -9,6 +9,7 @@ from rough_transport.errors import BadKernelError, SplitViolationError
 from rough_transport.fields import (VelocityFieldSpec, check_divergence_consistency,
                                     growth_split, make_mollifier, mollify)
 from rough_transport.flow import integrate_flow, jacobian, make_seed_grid
+from rough_transport.numerics import gauss_legendre
 from rough_transport.renormalization import make_beta_arctan
 from rough_transport.representation import DensityRepresentation
 from rough_transport.testfunctions import compact_space_time
@@ -134,6 +135,45 @@ def test_mollified_divergence_bound_time_dependent():
     for t in np.linspace(0.0, 1.0, 9):
         vals = np.abs(np.asarray(smooth.eval_div_b(float(t), pts)))
         assert np.max(vals) <= smooth.div_sup(float(t)) + 1e-8
+
+
+def _full_tensor_rule(d, n=16):
+    # reference: the tensor Gauss-Legendre rule with every node, zero-weight
+    # corners outside the unit ball included
+    x, w = gauss_legendre(n)
+    offsets = np.stack([g.ravel() for g in np.meshgrid(*([x] * d), indexing="ij")],
+                       axis=-1)
+    wprod = np.ones(offsets.shape[0])
+    for g in np.meshgrid(*([w] * d), indexing="ij"):
+        wprod = wprod * g.ravel()
+    radii2 = np.sum(offsets**2, axis=-1)
+    svals = wprod * np.where(radii2 < 1.0, (1.0 - radii2) ** 4, 0.0)
+    return offsets, svals / np.sum(svals)
+
+
+@pytest.mark.parametrize("d,kept", [(1, 16), (2, 144)])
+def test_mollifier_skips_zero_weight_nodes(d, kept):
+    # dropping the nodes of weight exactly 0 leaves every sum unchanged
+    calls = {"b": 0, "div": 0}
+    spec = VelocityFieldSpec(
+        dimension=d,
+        eval_b=_counting(lambda t, x: np.sin(x) + np.cos(x[..., ::-1]), calls, "b"),
+        eval_div_b=_counting(lambda t, x: np.sum(np.cos(x), axis=-1), calls, "div"),
+        regularity_tag="smooth", div_sup=lambda t: float(d), horizon=1.0)
+    eps = 0.1
+    moll = make_mollifier(eps, d)
+    smooth = mollify(spec, moll)
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(40, d))
+    b, div = smooth.eval_b(0.5, pts), smooth.eval_div_b(0.5, pts)
+    assert calls == {"b": kept, "div": kept}
+
+    offsets, weights = _full_tensor_rule(d)
+    assert offsets.shape[0] == 16 ** d
+    for fn, got in ((spec.eval_b, b), (spec.eval_div_b, div)):
+        acc = weights[0] * fn(0.5, pts - eps * offsets[0])
+        for q in range(1, offsets.shape[0]):
+            acc = acc + weights[q] * fn(0.5, pts - eps * offsets[q])
+        assert np.array_equal(got, acc)
 
 
 def test_mollified_field_is_tagged_smooth(shear_field):

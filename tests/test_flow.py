@@ -275,6 +275,19 @@ def test_superlevel_nonincreasing_in_R(r_low, bump_R):
     assert b <= a
 
 
+def test_superlevel_radii_in_one_pass(linear_field):
+    # an array of radii reads one pass of norms and matches the scalar calls
+    fl = integrate_flow(linear_field, make_seed_grid(1.0, 64, 1), 32, "forward")
+    radii = np.linspace(0.3, 3.0, 12)
+    for r in (0.9, 0.01):            # no seed lies inside B_0.01
+        ladder = superlevel_escape(fl, r, radii)
+        assert np.array_equal(ladder, [superlevel_escape(fl, r, R) for R in radii])
+        assert np.array_equal(superlevel_escape(fl, r, radii.reshape(3, 4)),
+                              ladder.reshape(3, 4))
+        assert type(superlevel_escape(fl, r, 1.5)) is float
+    assert np.any(superlevel_escape(fl, 0.9, radii) > 0.0)
+
+
 def test_forward_backward_composition(linear_field):
     grid = make_seed_grid(1.0, 64, 1)
     fl = integrate_flow(linear_field, grid, 1000, "forward")
