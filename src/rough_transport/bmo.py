@@ -46,18 +46,23 @@ class BMOProfile:
         return self.points.shape[-1]
 
     @cached_property
+    def _support(self):
+        """(no nonzero sample outside B_M, samples in B_M), one norm pass."""
+        radii = np.linalg.norm(self.points, axis=-1)
+        return (not np.any(self.values[radii > self.M] != 0.0),
+                self.values[radii < self.M])
+
+    @cached_property
     def vanishes_outside(self):
         """True when every sample outside B_M is zero; checked once."""
-        outside = np.linalg.norm(self.points, axis=-1) > self.M
-        return not np.any(self.values[outside] != 0.0)
+        return self._support[0]
 
     @cached_property
     def core_values(self):
         """Samples in B_M, the ball every decay check reads; built once."""
-        mask = np.linalg.norm(self.points, axis=-1) < self.M
-        if not np.any(mask):
+        if self._support[1].size == 0:
             raise EmptyBallError(f"B_M (M={self.M:g}) holds no cell")
-        return self.values[mask]
+        return self._support[1]
 
 
 def default_ball_family(M, d, n_centers_per_axis=5, n_radii=7):

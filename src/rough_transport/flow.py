@@ -7,6 +7,7 @@ so its first column holds the inverse-flow samples. Jacobians come from the
 exponential of the divergence path integral, never from spatial gradients.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,32 +131,57 @@ def _rk4_path(rhs, y0, h, steps, escape_radius):
     otherwise.
 
     Returns an array of shape (max steps + 1,) + y0.shape, in which a row
-    keeps its final position past its last step. Raises StepBlowupError as
-    soon as any trajectory norm exceeds ``escape_radius`` or is not finite.
+    keeps its final position past its last step; it is the only large
+    allocation, (max steps + 1) * rows * d * 8 bytes. Raises StepBlowupError
+    as soon as any trajectory norm exceeds ``escape_radius`` or is not
+    finite.
+
+    Each step performs the textbook operations in the textbook order,
+    y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4) with stage points y + (h/2) k,
+    building the sums in three scratch buffers. An array that ``rhs``
+    returns is only ever read: a field may return its input or a cached
+    array. The escape test reads sqrt(max |y|^2), which passes exactly when
+    every norm passes, since sqrt is monotone and correctly rounded and a
+    NaN fails both; the norms themselves are computed for the error only.
     """
-    y = np.array(y0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    n = y0.shape[0]
     per_row = np.ndim(h) > 0
     h = np.asarray(h, dtype=float)[:, None] if per_row else float(h)
+    half, sixth = 0.5 * h, h / 6.0
     total = int(np.max(steps))
-    counts = np.broadcast_to(np.asarray(steps, dtype=int), y.shape[:1])
+    counts = np.broadcast_to(np.asarray(steps, dtype=int), (n,))
     # rows moving at step k: those whose count exceeds k
     moving = np.searchsorted(-counts, -np.arange(total), side="left")
-    out = np.empty((total + 1,) + y.shape)
-    out[0] = y
+    out = np.empty((total + 1,) + y0.shape)
+    out[0] = y0
+    stage, acc, scratch = (np.empty_like(y0) for _ in range(3))
+    hk, halfk, sixthk = h, half, sixth
+    rows = n
     for k in range(total):
-        rows = moving[k]
-        if rows < y.shape[0]:
-            out[k + 1:, rows:y.shape[0]] = y[rows:]
-            y = y[:rows]
-        hk = h[:rows] if per_row else h
+        if moving[k] < rows:
+            # finished rows keep their last position at every later node
+            out[k + 1:, moving[k]:rows] = out[k, moving[k]:rows]
+            rows = moving[k]
+            stage, acc, scratch = stage[:rows], acc[:rows], scratch[:rows]
+            if per_row:
+                hk, halfk, sixthk = h[:rows], half[:rows], sixth[:rows]
+        y, y_next = out[k, :rows], out[k + 1, :rows]
         t = k * hk
         k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * hk, y + 0.5 * hk * k1)
-        k3 = rhs(t + 0.5 * hk, y + 0.5 * hk * k2)
-        k4 = rhs(t + hk, y + hk * k3)
-        y = y + (hk / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        norms = np.linalg.norm(y, axis=-1)
-        if not np.all(norms <= escape_radius):
+        np.add(y, np.multiply(halfk, k1, out=stage), out=stage)
+        k2 = rhs(t + halfk, stage)
+        np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
+        np.add(y, np.multiply(halfk, k2, out=stage), out=stage)
+        k3 = rhs(t + halfk, stage)
+        np.add(acc, np.multiply(2.0, k3, out=scratch), out=acc)
+        np.add(y, np.multiply(hk, k3, out=stage), out=stage)
+        k4 = rhs(t + hk, stage)
+        np.add(acc, k4, out=acc)
+        np.add(y, np.multiply(sixthk, acc, out=acc), out=y_next)
+        worst = np.max(np.multiply(y_next, y_next, out=scratch).sum(axis=-1))
+        if not math.sqrt(worst) <= escape_radius:
+            norms = np.linalg.norm(y_next, axis=-1)
             # argmax picks the first NaN, else the largest norm
             i = int(np.argmax(norms))
             at = (k + 1) * (hk[i, 0] if per_row else hk)
@@ -163,7 +189,6 @@ def _rk4_path(rhs, y0, h, steps, escape_radius):
                     if np.isfinite(norms[i]) else "became non-finite")
             raise StepBlowupError(f"trajectory {i} {what} at t={at:.6g}",
                                   seed_index=i)
-        out[k + 1, :rows] = y
     return out
 
 
@@ -220,12 +245,14 @@ def jacobian(field: VelocityFieldSpec, flow: FlowMap) -> JacobianTrack:
     Works for forward maps (Jacobian at the seeds) and for backward maps
     (Jacobian composed with the inverse-flow samples, which is exactly the
     combination the representation formula needs). Enforces the two-sided
-    bound exp(-L) <= JX <= exp(L) from the divergence sup profile.
+    bound exp(-L) <= JX <= exp(L) from the divergence sup profile, which
+    for an autonomous field is its one value div_sup(0) on every node.
     """
     times = flow.time_grid
     dpi = cumtrapz(_div_samples(field, flow), times)
 
-    sup_profile = profile(field.div_sup, times)
+    sup_profile = (np.full(times.shape, float(field.div_sup(float(times[0]))))
+                   if field.autonomous else profile(field.div_sup, times))
     L = trapz(sup_profile, times) if np.all(np.isfinite(sup_profile)) else float("inf")
 
     if np.isfinite(L):

@@ -18,7 +18,7 @@ from .flow import (ESCAPE_FACTOR, FlowMap, JacobianTrack, SeedGrid, _rk4_path,
                    integrate_flow, jacobian)
 from .numerics import cumtrapz, gl_nodes, stable_sum
 
-_CHUNK_NODES = 1 << 18     # stored path nodes per batched backward sweep
+_CHUNK_BYTES = 8 << 20     # stored path bytes per batched backward sweep
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +150,12 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     horizon/steps by scaling the step count with t_k. The t = 0 slice is
     u0 on the nose. Each slice is the composition ``jacobian`` ->
     ``damping_integral`` -> ``represent_pointwise`` on its backward map;
-    the maps come from chunked sweeps, longest first. When b or c depends
-    on time, every chunk holds one slice.
+    the maps come from chunked sweeps, longest first. A chunk stacks slices
+    while its RK4 path, rows * (longest step count + 1) * d * 8 bytes, stays
+    within ``_CHUNK_BYTES`` (8 MiB); a slice longer than that forms a chunk
+    alone. Each chunk's path is released before the next one is built, so
+    one path is alive at a time. When b or c depends on time, every chunk
+    holds one slice.
     """
     if field.regularity_tag == "bv_nonsmooth" and not allow_nonsmooth:
         raise ValueError("bv_nonsmooth field: mollify first or pass allow_nonsmooth=True")
@@ -169,11 +173,12 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
 
     counts = [max(1, int(round(steps * t / horizon))) for t in anchors]
     batch = field.autonomous and damping.autonomous
+    slice_bytes = n * x.shape[1] * 8    # one float64 path node of every point
     chunks = []
     for s in sorted(range(len(anchors)), key=lambda s: -counts[s]):
         # a chunk's first slice is its longest and sets the path length
-        if (batch and chunks and
-                (counts[chunks[-1][0]] + 1) * n * (len(chunks[-1]) + 1) <= _CHUNK_NODES):
+        if (batch and chunks and (counts[chunks[-1][0]] + 1) * slice_bytes
+                * (len(chunks[-1]) + 1) <= _CHUNK_BYTES):
             chunks[-1].append(s)
         else:
             chunks.append([s])
@@ -184,6 +189,9 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
             rep = represent_pointwise(u0, back, jacobian(field, back),
                                       damping_integral(damping, back, eta))
             vals[1 + s] = rep.values[0]
+        # the maps are views of the chunk's path: drop them so the path is
+        # freed before the next sweep allocates its own
+        del flows, back
 
     return DensityRepresentation(mode="pointwise", times=time_grid.copy(),
                                  points=points.points, values=vals,

@@ -78,12 +78,22 @@ def _check_alignment(u: DensityRepresentation, quad: SpaceTimeQuadrature):
 
 
 def _field_tables(field, damping, quad, eta=0.0):
-    """b, div b and the cut-off c on the full space-time node set."""
-    nodes = np.broadcast_to(quad.points, quad.times.shape + quad.points.shape)
-    bvals = sample_nodes(field.eval_b, field.autonomous, quad.times, nodes)
-    divvals = sample_nodes(field.eval_div_b, field.autonomous, quad.times, nodes)
-    cvals, _ = sample_damping(damping, quad.times, nodes, eta)
-    return bvals, divvals, cvals
+    """b, div b and the cut-off c on the full space-time node set.
+
+    What does not depend on time is sampled on one row of points and
+    broadcast over the time nodes; the tables are read-only views.
+    """
+    def nodes(autonomous):
+        if autonomous:
+            return quad.times[:1], quad.points[None]
+        return quad.times, np.broadcast_to(quad.points,
+                                           quad.times.shape + quad.points.shape)
+
+    at_b, at_c = nodes(field.autonomous), nodes(damping.autonomous)
+    tables = (sample_nodes(field.eval_b, field.autonomous, *at_b),
+              sample_nodes(field.eval_div_b, field.autonomous, *at_b),
+              sample_damping(damping, *at_c, eta)[0])
+    return tuple(np.broadcast_to(v, quad.times.shape + v.shape[1:]) for v in tables)
 
 
 # ---------------------------------------------------------------------------

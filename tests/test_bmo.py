@@ -123,10 +123,23 @@ def test_slab_statistics_match_full_grid_masks(d, shuffled):
     assert np.array_equal(prof.oscillations, oscillations)
 
 
-def test_support_checked_once_per_profile():
+def test_support_checked_once_per_profile(monkeypatch):
     # bmo_norm's own support check fills the flag that BadSplitError reads
     prof = _log_profile(n=1 << 12)
     assert prof.__dict__["vanishes_outside"] is True
+    # the support flag and the B_M samples share one full-grid norm pass
+    passes = []
+    norm = np.linalg.norm
+
+    def counted(x, *args, **kwargs):
+        if np.shape(x)[0] == prof.points.shape[0]:
+            passes.append(np.shape(x))
+        return norm(x, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    fresh = dataclasses.replace(prof)
+    assert fresh.vanishes_outside and fresh.core_values.size > 0
+    assert len(passes) == 1
+    monkeypatch.undo()
     leaky = dataclasses.replace(prof, values=prof.values + 1.0)
     assert not leaky.vanishes_outside
     spec = field("log_drift")

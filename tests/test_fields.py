@@ -214,24 +214,28 @@ def test_growth_split_violation_has_witness():
 
 # --- space-time sampling ------------------------------------------------------
 
-def _counting(fn, calls, key):
+def _counting(fn, calls, key, points=None):
     def counted(t, x):
         calls[key] += 1
+        if points is not None:
+            points[key] += int(np.prod(np.shape(x)[:-1]))
         return fn(t, x)
     return counted
 
 
 @pytest.mark.parametrize("autonomous", [True, False])
 def test_sampler_calls_autonomous_fields_once(autonomous):
-    # one call over every node of an autonomous field, one per time node else
+    # one call over every node of an autonomous field, one per time node
+    # else; the weak form samples an autonomous field on one row of points
     calls = {"b": 0, "div": 0, "c": 0}
+    points = dict(calls)
     base, dmp = field("linear_expand"), damping("constant_one")
     spec = dataclasses.replace(
         base, autonomous=autonomous,
-        eval_b=_counting(base.eval_b, calls, "b"),
-        eval_div_b=_counting(base.eval_div_b, calls, "div"))
+        eval_b=_counting(base.eval_b, calls, "b", points),
+        eval_div_b=_counting(base.eval_div_b, calls, "div", points))
     dmp = dataclasses.replace(dmp, autonomous=autonomous,
-                              eval_c=_counting(dmp.eval_c, calls, "c"))
+                              eval_c=_counting(dmp.eval_c, calls, "c", points))
 
     fl = integrate_flow(spec, make_seed_grid(1.0, 16, 1), 20, "forward")
     calls["div"] = 0
@@ -244,6 +248,8 @@ def test_sampler_calls_autonomous_fields_once(autonomous):
         values=np.zeros((13, 32)), cell_volume=quad.cell_volume)
     phi = compact_space_time(1, 1.0)
     calls.update(b=0, div=0, c=0)
+    points.update(b=0, div=0, c=0)
     weak_residual(u, make_beta_arctan(1.0), phi, spec, dmp,
                   lambda x: np.zeros(np.asarray(x).shape[:-1]), quad)
     assert calls == dict.fromkeys(calls, 1 if autonomous else 13)
+    assert points == dict.fromkeys(points, 32 if autonomous else 13 * 32)

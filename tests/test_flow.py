@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rough_transport.errors import (DivergenceUnboundedError, DomainTooSmallError,
                                     StepBlowupError)
 from rough_transport.fields import VelocityFieldSpec
-from rough_transport.flow import (change_of_variables_residual,
+from rough_transport.flow import (_rk4_path, change_of_variables_residual,
                                   compressibility_estimate, flow_convergence_study,
                                   forward_backward_mismatch, integrate_flow,
                                   jacobian, jacobian_ode_residual, make_seed_grid,
@@ -93,7 +93,110 @@ def test_step_blowup_on_nan_field():
     assert err.value.seed_index == 1
 
 
+# --- the RK4 kernel -----------------------------------------------------------
+
+def _textbook_rk4(rhs, y0, h, steps):
+    """Classical RK4 one row at a time, with the kernel's output layout."""
+    y0 = np.asarray(y0, dtype=float)
+    n = y0.shape[0]
+    hs = np.broadcast_to(np.asarray(h, dtype=float), (n,))
+    counts = np.broadcast_to(np.asarray(steps), (n,))
+    out = np.empty((int(np.max(counts)) + 1,) + y0.shape)
+    for i in range(n):
+        y, hi = y0[i:i + 1].copy(), hs[i]
+        out[0, i] = y[0]
+        for k in range(counts[i]):
+            t = k * hi
+            k1 = rhs(t, y)
+            k2 = rhs(t + 0.5 * hi, y + 0.5 * hi * k1)
+            k3 = rhs(t + 0.5 * hi, y + 0.5 * hi * k2)
+            k4 = rhs(t + hi, y + hi * k3)
+            y = y + (hi / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out[k + 1, i] = y[0]
+        out[counts[i] + 1:, i] = y[0]
+    return out
+
+
+def _swirl(t, y):
+    # time-dependent, couples the axes in 2-D; plain arithmetic only, so a
+    # row's values cannot depend on how many rows are evaluated together
+    return (1.0 + t) * y[..., ::-1] * np.array([-1.0, 1.0])[-y.shape[-1]:] - 0.3 * y * y
+
+
+_STEP_PLANS = {
+    "shared": (0.01, 40),
+    "per_row_h": (np.linspace(0.03, 0.01, 7), 40),
+    "mixed_counts": (np.linspace(0.03, 0.01, 7), np.array([40, 40, 33, 20, 20, 5, 1])),
+}
+
+
+@pytest.mark.parametrize("plan", sorted(_STEP_PLANS))
+@pytest.mark.parametrize("d", [1, 2])
+def test_rk4_kernel_matches_textbook(d, plan):
+    h, steps = _STEP_PLANS[plan]
+    y0 = np.random.default_rng(d).normal(size=(7, d))
+    assert np.array_equal(_rk4_path(_swirl, y0, h, steps, 1e3),
+                          _textbook_rk4(_swirl, y0, h, steps))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_rk4_kernel_never_writes_returned_arrays(d):
+    # a field may hand back its input, a view of it, or an array it keeps
+    y0 = np.random.default_rng(3).normal(size=(7, d))
+    kept = np.full((7, d), 0.25)
+    fields = [lambda t, y: y, lambda t, y: np.asarray(y)[..., ::-1],
+              lambda t, y: kept[:y.shape[0]]]
+    h, steps = _STEP_PLANS["mixed_counts"]
+    for rhs in fields:
+        assert np.array_equal(_rk4_path(rhs, y0, h, steps, 1e3),
+                              _textbook_rk4(rhs, y0, h, steps))
+    assert np.all(kept == 0.25)
+
+
+@pytest.mark.parametrize("h, steps, message", [
+    (0.05, 400, "trajectory 1 escaped (|X|=4.88e+03 > 1e+03) at t=0.15"),
+    (np.array([0.05, 0.05, 0.04]), np.array([400, 400, 300]),
+     "trajectory 1 escaped (|X|=4.88e+03 > 1e+03) at t=0.15"),
+])
+def test_rk4_kernel_escape_message(h, steps, message):
+    cubic = lambda t, y: y ** 3  # noqa: E731
+    with pytest.raises(StepBlowupError) as err:
+        _rk4_path(cubic, np.array([[0.1], [2.0], [0.7]]), h, steps, 1e3)
+    assert str(err.value) == message
+    assert err.value.seed_index == 1
+
+
+def test_rk4_kernel_nan_message():
+    nan_right = lambda t, y: np.where(y > 0.5, np.nan, y)  # noqa: E731
+    with pytest.raises(StepBlowupError) as err:
+        _rk4_path(nan_right, np.array([[0.1], [2.0], [0.7]]),
+                  np.array([0.05, 0.05, 0.04]), np.array([400, 400, 300]), 1e3)
+    assert str(err.value) == "trajectory 1 became non-finite at t=0.05"
+    assert err.value.seed_index == 1
+
+
 # --- Jacobians ---------------------------------------------------------------
+
+def test_jacobian_reads_autonomous_div_sup_once(linear_field):
+    # an autonomous field's sup profile is one value: one call, same bits
+    grid = make_seed_grid(1.0, 16, 1)
+    fl = integrate_flow(linear_field, grid, 20, "forward")
+    tracks, calls = [], []
+    for autonomous in (True, False):
+        count = [0]
+
+        def div_sup(t, count=count):
+            count[0] += 1
+            return linear_field.div_sup(t)
+        spec = dataclasses.replace(linear_field, autonomous=autonomous,
+                                   div_sup=div_sup)
+        tracks.append(jacobian(spec, fl))
+        calls.append(count[0])
+    assert calls == [1, 21]
+    assert tracks[0].L == tracks[1].L
+    assert np.array_equal(tracks[0].jx, tracks[1].jx)
+    assert np.array_equal(tracks[0].div_path_integral, tracks[1].div_path_integral)
+
 
 def test_jacobian_divergence_free(rotation_field):
     grid = make_seed_grid(1.0, 8, 2)

@@ -1,6 +1,7 @@
 """Solution representations: damping integrals, both formulas, the probe."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from rough_transport.errors import (AllTruncatedError, JacobianVanishedError,
                                     NonFiniteDampingError)
 from rough_transport.fields import DampingFieldSpec, PointSingularity, VelocityFieldSpec
 from rough_transport.flow import integrate_flow, jacobian, make_seed_grid, seeds_from_points
-from rough_transport.representation import (_CHUNK_NODES, TargetGrid, damping_integral,
+from rough_transport import representation
+from rough_transport.representation import (_CHUNK_BYTES, TargetGrid, damping_integral,
                                             integrability_probe, pointwise_solution,
                                             pushforward_total_mass,
                                             represent_pointwise, represent_pushforward)
@@ -163,18 +165,46 @@ def _per_slice_reference(spec, dmp, u0, grid, times, steps, eta):
     return np.array(vals), truncated
 
 
-def test_pointwise_solution_matches_per_slice_composition():
+def test_pointwise_solution_matches_per_slice_composition(monkeypatch):
     # slice k takes round(1000 k / 48) steps, so step counts grow unevenly by
-    # 20 or 21; the slices fill several chunks of several slices each
+    # 20 or 21; at a 2 MiB budget the slices fill several chunks of several
+    # slices each (the 8 MiB default would need a 4x larger problem)
+    monkeypatch.setattr(representation, "_CHUNK_BYTES", 1 << 21)
     spec = field("linear_expand")
     dmp = damping("box_indicator")
     u0 = u0_fn("bump")
     grid = make_seed_grid(1.0, 64, 1)
     times = np.linspace(0.0, 1.0, 49)
-    assert 1001 * 64 * 48 > 4 * _CHUNK_NODES
+    assert 1001 * 64 * 48 * 8 > 4 * representation._CHUNK_BYTES
     u = pointwise_solution(spec, dmp, u0, grid, times, steps=1000)
     ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 1000, 0.0)
     assert np.array_equal(u.values, ref)
+
+
+@pytest.mark.parametrize("field_id, radius, n_space, n_time, steps", [
+    ("zero", 2.0, 256, 256, 256),             # identity/weak_residual
+    ("linear_expand", 1.0, 128, 48, 1000),    # linear_expand/l2_energy
+])
+def test_pointwise_solution_holds_one_chunk_at_a_time(field_id, radius, n_space,
+                                                      n_time, steps):
+    # the build spans several chunks; a chunk's path is freed before the next
+    # sweep allocates, so the traced peak stays under two chunk budgets plus
+    # the result
+    spec = field(field_id)
+    grid = make_seed_grid(radius, n_space, 1)
+    times = np.linspace(0.0, 1.0, n_time + 1)
+    result_bytes = times.size * n_space * 8
+    path_bytes = sum((max(1, round(steps * t)) + 1) * n_space * 8 for t in times[1:])
+    assert path_bytes > 2 * _CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        u = pointwise_solution(spec, damping("zero"), u0_fn("bump"), grid, times,
+                               steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert u.values.nbytes == result_bytes
+    assert peak <= 2 * _CHUNK_BYTES + result_bytes
 
 
 def test_pointwise_solution_matches_per_slice_truncated():
