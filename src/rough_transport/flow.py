@@ -132,7 +132,9 @@ def _rk4_path(rhs, y0, h, steps, escape_radius):
 
     Returns an array of shape (max steps + 1,) + y0.shape, in which a row
     keeps its final position past its last step; it is the only large
-    allocation, (max steps + 1) * rows * d * 8 bytes. Raises StepBlowupError
+    allocation, (max steps + 1) * rows * d * 8 bytes. ``pointwise_solution``
+    sizes its batched sweeps so that this array stays within 8 MiB and
+    releases each one before the next is built. Raises StepBlowupError
     as soon as any trajectory norm exceeds ``escape_radius`` or is not
     finite.
 
