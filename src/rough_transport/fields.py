@@ -209,7 +209,7 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
 
     eps = moll.eps
     horizon = spec.horizon
-    offsets = moll.space_offsets
+    eoffsets = eps * moll.space_offsets
     sweights = moll.space_weights
     if spec.autonomous:
         # one node of weight 1.0 at lag 0: the time convolution is exact
@@ -222,12 +222,20 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
 
     def _space_conv(fun, t, x):
         # accumulate per kernel node; beats one giant batched call because the
-        # (N, Q, d) intermediates are memory-bound for the cheap fields here
+        # (N, Q, d) intermediates are memory-bound for the cheap fields here.
+        # The shifted points share one buffer and the sum is taken in place,
+        # in the same left-to-right order; what fun returns is only read,
+        # so a field that returns its input or a cached array is safe
         x = np.asarray(x, dtype=float)
-        acc = None
-        for q in range(offsets.shape[0]):
-            contrib = sweights[q] * np.asarray(fun(t, x - eps * offsets[q]), dtype=float)
-            acc = contrib if acc is None else acc + contrib
+        shifted = np.empty(x.shape)
+        acc = tmp = None
+        for q in range(eoffsets.shape[0]):
+            val = np.asarray(fun(t, np.subtract(x, eoffsets[q], out=shifted)), dtype=float)
+            if acc is None:
+                acc = sweights[q] * val
+                tmp = np.empty(acc.shape)
+            else:
+                np.add(acc, np.multiply(sweights[q], val, out=tmp), out=acc)
         return acc
 
     def _conv(fun, t, x):

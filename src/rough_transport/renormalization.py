@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
-from .numerics import gl_nodes, sphere_area
+from .numerics import adaptive_quad, gl_nodes, sphere_area
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +206,9 @@ class TestFunctionPhiR:
             raise ValueError("tail only available outside the plateau")
         if self.d == 1:
             return 2.0 * self.R ** 2 / (self.R + radius)
-        val, _ = quad(lambda s: s ** (self.d - 1)
-                      * self.R ** (self.d + 1) / (self.R + s) ** (self.d + 1),
-                      radius, np.inf)
+        val = adaptive_quad(lambda s: s ** (self.d - 1)
+                            * self.R ** (self.d + 1) / (self.R + s) ** (self.d + 1),
+                            radius, np.inf)
         return sphere_area(self.d) * val
 
 
@@ -224,8 +223,8 @@ def make_phi_R(R, d) -> TestFunctionPhiR:
         l1 = 7.0 * math.pi * R * R / 8.0
     else:
         inner = sphere_area(d) * (0.5 ** (d + 1)) * R ** d / d
-        outer, _ = quad(lambda s: s ** (d - 1) * R ** (d + 1) / (R + s) ** (d + 1),
-                        R, np.inf)
+        outer = adaptive_quad(lambda s: s ** (d - 1) * R ** (d + 1) / (R + s) ** (d + 1),
+                              R, np.inf)
         l1 = inner + sphere_area(d) * outer
     return TestFunctionPhiR(R=R, d=d, l1_norm=l1)
 

@@ -176,6 +176,31 @@ def test_mollifier_skips_zero_weight_nodes(d, kept):
         assert np.array_equal(got, acc)
 
 
+@pytest.mark.parametrize("kind", ["returns_input", "returns_cached"])
+def test_mollifier_sum_survives_aliased_field_values(kind):
+    # the convolution reuses one buffer for the shifted points and sums in
+    # place; a field that hands back that buffer or one array of its own
+    # must still give the plain per-node sum, and its array stays untouched
+    d, eps = 2, 0.1
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(40, d))
+    cached = np.random.default_rng(6).normal(size=pts.shape)
+    kept = cached.copy()
+    base = (lambda t, x: x) if kind == "returns_input" else (lambda t, x: cached)
+    spec = VelocityFieldSpec(dimension=d, eval_b=base,
+                             eval_div_b=lambda t, x: np.zeros(x.shape[:-1]),
+                             regularity_tag="smooth", div_sup=lambda t: 0.0,
+                             horizon=1.0)
+    moll = make_mollifier(eps, d)
+    got = mollify(spec, moll).eval_b(0.5, pts)
+
+    offsets, weights = moll.space_offsets, moll.space_weights
+    acc = weights[0] * np.array(base(0.5, pts - eps * offsets[0]))
+    for q in range(1, offsets.shape[0]):
+        acc = acc + weights[q] * np.array(base(0.5, pts - eps * offsets[q]))
+    assert np.array_equal(got, acc)
+    assert np.array_equal(cached, kept)
+
+
 def test_mollified_field_is_tagged_smooth(shear_field):
     assert mollify(shear_field, make_mollifier(0.1, 2)).regularity_tag == "smooth"
 

@@ -1,6 +1,9 @@
 """Scenario runner loop: golden artifacts and runtime budgets."""
 
 import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from rough_transport.config import resolve
 from rough_transport.scenarios import REGISTRY, run_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+SRC_DIR = Path(scenarios.__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("scenario_id", list(REGISTRY))
@@ -52,3 +56,23 @@ def test_nondefault_run_is_reproducible(tmp_path):
     assert names and names == sorted(os.listdir(tmp_path / "b"))
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_default_change_of_variables_runs_import_no_scipy(tmp_path):
+    # linear_expand and rotation are the default scenarios that read bump
+    # integrals; a fresh process keeps modules other tests imported out
+    code = textwrap.dedent(f"""
+        import sys
+        from rough_transport import cli, config, scenarios
+        for sid in ("linear_expand", "rotation"):
+            cfg = config.resolve({{"scenario_id": sid,
+                                  "output_dir": {str(tmp_path)!r} + "/" + sid}})
+            scenarios.run_scenario(cfg).write(cfg.output_dir)
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert sorted(os.listdir(tmp_path)) == ["linear_expand", "rotation"]
