@@ -18,10 +18,12 @@ from .errors import (BadSplitError, DegenerateFitError, EmptyBallError,
                      LambdaTooSmallError, NegativeInputError,
                      NonFiniteProfileError)
 from .fields import DampingFieldSpec, GrowthSplit, VelocityFieldSpec
-from .numerics import ball_volume, log_linear_fit, profile, trapz
+from .numerics import (ball_volume, holds_below, log_linear_fit, profile,
+                       tensor_points, trapz)
 from .renormalization import make_beta_log, make_phi_R
 from .representation import DensityRepresentation
-from .weakform import GammaTrace, SpaceTimeQuadrature, gamma_trace
+from .weakform import (GRONWALL_SLACK, GammaTrace, SpaceTimeQuadrature, gamma_trace,
+                       log_gronwall_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +67,10 @@ class BMOProfile:
         return self._support[1]
 
 
-def default_ball_family(M, d, n_centers_per_axis=5, n_radii=7):
-    """Dyadic radii M 2^-k on a coarse center grid inside B_M."""
-    axis = np.linspace(-0.5 * M, 0.5 * M, n_centers_per_axis)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=-1)
-    radii = [M * 2.0 ** (-k) for k in range(n_radii)]
+def default_ball_family(M, d):
+    """Dyadic radii M 2^-k, k < 7, on a grid of 5^d centers inside B_M."""
+    centers = tensor_points([np.linspace(-0.5 * M, 0.5 * M, 5)] * d)
+    radii = [M * 2.0 ** (-k) for k in range(7)]
     return tuple((tuple(c), r) for c in centers for r in radii)
 
 
@@ -244,45 +244,42 @@ class BMODivergenceSplit:
     jn: Optional["JNFit"] = None          # fitted decay constants for d2
 
 
-@dataclass(frozen=True)
-class Tau0Policy:
-    """Pick tau0 with int_0^tau0 ||d2||_* inside [lo, hi] * c_fit."""
+def choose_tau0(norm_star_of_t, c_fit, horizon):
+    """tau0 with int_0^tau0 ||d2||_* inside [0.4, 0.5] * c_fit, or the horizon.
 
-    lo: float = 0.4
-    hi: float = 0.5
-
-    def choose(self, norm_star_of_t, c_fit, horizon, tol=1e-10):
-        total = _integral_to(norm_star_of_t, horizon)
-        if total <= self.hi * c_fit:
-            return horizon
-        lo_t, hi_t = 0.0, horizon
-        target = 0.5 * (self.lo + self.hi) * c_fit
-        while hi_t - lo_t > tol * horizon:
-            mid = 0.5 * (lo_t + hi_t)
-            if _integral_to(norm_star_of_t, mid) < target:
-                lo_t = mid
-            else:
-                hi_t = mid
-        return 0.5 * (lo_t + hi_t)
+    Bisects to 1e-10 of the horizon for the window's midpoint.
+    """
+    total = _integral_to(norm_star_of_t, horizon)
+    if total <= 0.5 * c_fit:
+        return horizon
+    lo_t, hi_t = 0.0, horizon
+    target = 0.5 * (0.4 + 0.5) * c_fit
+    while hi_t - lo_t > 1e-10 * horizon:
+        mid = 0.5 * (lo_t + hi_t)
+        if _integral_to(norm_star_of_t, mid) < target:
+            lo_t = mid
+        else:
+            hi_t = mid
+    return 0.5 * (lo_t + hi_t)
 
 
-def _integral_to(fn, t, n=256):
-    ts = np.linspace(0.0, t, n + 1)
+def _integral_to(fn, t):
+    """Trapezoid integral of the scalar fn over [0, t] on 257 nodes."""
+    ts = np.linspace(0.0, t, 257)
     return trapz(profile(fn, ts), ts)
 
 
 def bmo_gronwall_diagnostic(u: DensityRepresentation, delta, R, lam,
-                            tau0_policy: Tau0Policy, field: VelocityFieldSpec,
-                            split: BMODivergenceSplit, growth: GrowthSplit,
-                            damping: DampingFieldSpec, quad: SpaceTimeQuadrature,
-                            slack=0.1) -> GammaTrace:
+                            field: VelocityFieldSpec, split: BMODivergenceSplit,
+                            growth: GrowthSplit, damping: DampingFieldSpec,
+                            quad: SpaceTimeQuadrature) -> GammaTrace:
     """Gamma_{delta,R} on [0, tau0] against the lambda-family Gronwall bound.
 
     The abstract decay constants are replaced by the fitted (C, c) of the
     oscillating divergence part; tau0 is chosen so the accumulated
     oscillation norm stays below half the fitted decay rate, which is what
     makes exp(A_lambda) D_lambda decay in lambda. With d2 = 0 the bound
-    reduces to the plain logarithmic Gronwall bound.
+    reduces to the plain logarithmic Gronwall bound, slack included.
     """
     d = quad.d
     if lam <= 2.0 ** (d + 2):
@@ -299,7 +296,7 @@ def bmo_gronwall_diagnostic(u: DensityRepresentation, delta, R, lam,
             raise ValueError("split needs the fitted decay constants (jn)")
         c_fit = split.jn.c_fit
         C_fit = split.jn.C_fit
-        tau0 = tau0_policy.choose(split.d2_norm_star, c_fit, float(quad.times[-1]))
+        tau0 = choose_tau0(split.d2_norm_star, c_fit, float(quad.times[-1]))
 
     keep = quad.times <= tau0 + 1e-12
     times = quad.times[keep]
@@ -312,10 +309,7 @@ def bmo_gronwall_diagnostic(u: DensityRepresentation, delta, R, lam,
     d1 = profile(split.d1_sup, times)
     sig = profile(split.d2_norm_star, times)
     b2 = profile(growth.b2, times)
-    if damping.l1_spatial is not None:
-        cl1 = profile(damping.l1_spatial, times)
-    else:
-        cl1 = np.zeros_like(times)
+    cl1 = damping.l1_profile(times)
     decay = C_fit * math.exp(-c_fit * lam) if np.isfinite(c_fit) else 0.0
 
     a_lam = d1 + lam * sig + (d + 1) * b2
@@ -327,8 +321,8 @@ def bmo_gronwall_diagnostic(u: DensityRepresentation, delta, R, lam,
     B = trapz(b_lam, times)
     CR = trapz(c_R, times)
     DL = trapz(d_lam, times)
-    bound = math.exp(A) * (B + math.log1p(math.pi ** 2 / (4.0 * delta)) * (CR + DL))
-    passed = bool(np.all(gamma_vals <= bound * (1.0 + slack) + 1e-300))
+    bound = log_gronwall_bound(A, B, CR + DL, delta)
+    passed = holds_below(gamma_vals, bound, GRONWALL_SLACK)
 
     return GammaTrace(times=times.copy(), values=gamma_vals, rhs=None,
                       bound=bound, passed=passed,

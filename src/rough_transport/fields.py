@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadKernelError, NonFiniteDampingError, SplitViolationError
-from .numerics import gauss_legendre, profile
+from .numerics import gauss_legendre, profile, tensor_points
 
 KERNEL_INTEGRAL_TOL = 1e-8
 
@@ -101,6 +101,12 @@ class DampingFieldSpec:
         dists = [s.distance(x) for s in self.singular_set]
         return np.minimum.reduce(dists)
 
+    def l1_profile(self, times):
+        """||c(t, .)||_L1 on the time nodes; zero when no profile is declared."""
+        if self.l1_spatial is None:
+            return np.zeros_like(times)
+        return profile(self.l1_spatial, times)
+
 
 @dataclass(frozen=True)
 class GrowthSplit:
@@ -138,14 +144,13 @@ class MollifierSpec:
 
     The kernel is the polynomial bump (1 - |z|^2)^4, normalized separately
     in time (rho1, one axis) and space (rho2, radial in d dimensions). The
-    stored Gauss-Legendre tensor rule integrates both kernels exactly, so
+    stored 16-node Gauss-Legendre tensor rule integrates both kernels exactly, so
     the folded weights sum to one up to rounding. Only the tensor nodes
     inside the unit ball, where the space kernel is positive, are stored.
     """
 
     eps: float
     dimension: int
-    nodes_per_axis: int
     time_nodes: np.ndarray       # (Q1,) on [-1, 1]
     time_weights: np.ndarray     # (Q1,), kernel folded in, sums to 1
     space_offsets: np.ndarray    # (Q, d) inside the unit ball
@@ -155,21 +160,17 @@ class MollifierSpec:
         return float(np.sum(self.time_weights)), float(np.sum(self.space_weights))
 
 
-def make_mollifier(eps, dimension, nodes_per_axis=16):
+def make_mollifier(eps, dimension):
     """Build the standard mollifier at scale eps for the given dimension."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    x, w = gauss_legendre(nodes_per_axis)
+    x, w = gauss_legendre(16)
 
     tvals = w * _bump_kernel_1d(x)
     time_weights = tvals / np.sum(tvals)
 
-    grids = np.meshgrid(*([x] * dimension), indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w] * dimension), indexing="ij")
-    wprod = np.ones(offsets.shape[0])
-    for g in wgrids:
-        wprod = wprod * g.ravel()
+    offsets = tensor_points([x] * dimension)
+    wprod = np.prod(tensor_points([w] * dimension), axis=-1)
     radii2 = np.sum(offsets**2, axis=-1)
     inside = radii2 < 1.0
     kern = np.where(inside, (1.0 - radii2) ** 4, 0.0)
@@ -182,7 +183,6 @@ def make_mollifier(eps, dimension, nodes_per_axis=16):
     return MollifierSpec(
         eps=float(eps),
         dimension=dimension,
-        nodes_per_axis=nodes_per_axis,
         time_nodes=x.copy(),
         time_weights=time_weights,
         space_offsets=offsets[inside],
@@ -313,19 +313,20 @@ def sample_damping(damping: DampingFieldSpec, times, nodes, eta):
 # operations
 # ---------------------------------------------------------------------------
 
-def growth_split(spec: VelocityFieldSpec, rng=None, n_samples=10_000,
-                 sample_radius=10.0, tol=1e-12) -> GrowthSplit:
+def growth_split(spec: VelocityFieldSpec, rng=None) -> GrowthSplit:
     """Return the field's declared growth split, verified on random samples.
 
     The scenario author supplies b1, b2 with the field; this operation
-    checks |b(t,x)|/(1+|x|) <= b1(t,x) + b2(t) on ``n_samples`` uniform
-    points and raises SplitViolationError with a witness otherwise.
+    checks |b(t,x)|/(1+|x|) <= b1(t,x) + b2(t) + 1e-12 on 10 000 uniform
+    points of [0, T] x [-10, 10]^d and raises SplitViolationError with a
+    witness otherwise.
     """
     if spec.growth_b1 is None or spec.growth_b2 is None:
         raise ValueError(f"field {spec.label!r} declares no growth split")
     rng = rng or np.random.default_rng(0)
+    n_samples = 10_000
     ts = rng.uniform(0.0, spec.horizon, size=n_samples)
-    xs = rng.uniform(-sample_radius, sample_radius, size=(n_samples, spec.dimension))
+    xs = rng.uniform(-10.0, 10.0, size=(n_samples, spec.dimension))
 
     nodes = xs[:, None, :]     # sample i is time node i
     bvals = sample_nodes(spec.eval_b, spec.autonomous, ts, nodes)[:, 0]
@@ -333,7 +334,7 @@ def growth_split(spec: VelocityFieldSpec, rng=None, n_samples=10_000,
     rhs = (sample_nodes(spec.growth_b1, spec.autonomous, ts, nodes)[:, 0]
            + profile(spec.growth_b2, ts))
 
-    bad = lhs > rhs + tol
+    bad = lhs > rhs + 1e-12
     if np.any(bad):
         i = int(np.argmax(lhs - rhs))
         raise SplitViolationError(
@@ -345,19 +346,19 @@ def growth_split(spec: VelocityFieldSpec, rng=None, n_samples=10_000,
     return GrowthSplit(b1=spec.growth_b1, b2=spec.growth_b2, b1_tail_l1=tail)
 
 
-def check_divergence_consistency(spec: VelocityFieldSpec, rng=None, n_samples=1000,
-                                 sample_radius=2.0, t=None, h_scale=1e-6):
+def check_divergence_consistency(spec: VelocityFieldSpec, rng=None, sample_radius=2.0):
     """Max of |analytic - central FD divergence| / (1 + |analytic|) on samples.
 
-    Only meaningful for smooth fields away from discontinuities.
+    1000 uniform points of the cube of half-width ``sample_radius`` at
+    t = T/2, central steps 1e-6 (1 + |x|). Only meaningful for smooth fields
+    away from discontinuities.
     """
     rng = rng or np.random.default_rng(1)
-    if t is None:
-        t = 0.5 * spec.horizon
-    xs = rng.uniform(-sample_radius, sample_radius, size=(n_samples, spec.dimension))
+    t = 0.5 * spec.horizon
+    xs = rng.uniform(-sample_radius, sample_radius, size=(1000, spec.dimension))
     analytic = np.asarray(spec.eval_div_b(t, xs), dtype=float)
-    fd = np.zeros(n_samples)
-    scale = h_scale * (1.0 + np.linalg.norm(xs, axis=-1))
+    fd = np.zeros(xs.shape[0])
+    scale = 1e-6 * (1.0 + np.linalg.norm(xs, axis=-1))
     for axis in range(spec.dimension):
         e = np.zeros(spec.dimension)
         e[axis] = 1.0

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (DivergenceUnboundedError, DomainTooSmallError,
                      StepBlowupError)
 from .fields import VelocityFieldSpec, make_mollifier, mollify, sample_nodes
-from .numerics import cumtrapz, profile, stable_sum, trapz
+from .numerics import cell_centers, cumtrapz, profile, stable_sum, tensor_points, trapz
 
 
 # ---------------------------------------------------------------------------
@@ -50,16 +50,10 @@ def make_seed_grid(radius, cells_per_axis, dimension):
         cells = tuple(cells_per_axis)
         if len(cells) != dimension:
             raise ValueError("cells_per_axis length must match dimension")
-    axes = []
-    vol = 1.0
-    for n in cells:
-        if n < 1:
-            raise ValueError("cells_per_axis entries must be positive")
-        h = 2.0 * radius / n
-        axes.append(-radius + h * (np.arange(n) + 0.5))
-        vol *= h
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    if min(cells) < 1:
+        raise ValueError("cells_per_axis entries must be positive")
+    vol = math.prod(2.0 * radius / n for n in cells)
+    points = tensor_points([cell_centers(radius, n) for n in cells])
     # the seed cells tile the whole box, so the covered radius is the box
     # half-width even though every center sits half a cell inside
     return SeedGrid(points=points, cell_volume=vol, bounding_radius=float(radius))
@@ -311,8 +305,8 @@ def jacobian_ode_residual(field: VelocityFieldSpec, flow: FlowMap,
 # ---------------------------------------------------------------------------
 
 def change_of_variables_residual(flow: FlowMap, track: JacobianTrack, phi,
-                                 quad_domain_radius, time_index=-1):
-    """| sum_i phi(X(t, x_i)) JX(t, x_i) cell_vol  -  integral of phi |.
+                                 quad_domain_radius):
+    """| sum_i phi(X(T, x_i)) JX(T, x_i) cell_vol  -  integral of phi |.
 
     ``phi`` must expose ``__call__``, ``reference_integral`` (analytic or
     high-precision) and ``mass_outside(radius)``; the scenario supplies
@@ -325,31 +319,31 @@ def change_of_variables_residual(flow: FlowMap, track: JacobianTrack, phi,
             f"test function mass outside radius {quad_domain_radius:g} exceeds "
             "1e-8 of its integral"
         )
-    pos = flow.trajectories[:, time_index, :]
-    vals = np.asarray(phi(pos), dtype=float) * track.jx[:, time_index]
+    pos = flow.trajectories[:, -1, :]
+    vals = np.asarray(phi(pos), dtype=float) * track.jx[:, -1]
     lhs = stable_sum(vals) * flow.seed_grid.cell_volume
     return abs(lhs - phi.reference_integral)
 
 
-def compressibility_estimate(flow: FlowMap, probe_block=16, time_index=-1):
-    """Empirical compressibility constant from arrival counts.
+def compressibility_estimate(flow: FlowMap):
+    """Empirical compressibility constant from arrival counts at the end time.
 
-    Arrivals X(t, x_i) are binned into probe cells made of ``probe_block``
-    seed cells per axis (single cells quantize the count to integers, which
+    Arrivals X(T, x_i) are binned into probe cells made of 16 seed cells
+    per axis (single cells quantize the count to integers, which
     is too coarse to resolve constants like e); the estimate is the max
     over probe cells of (seed count * cell_volume) / cell volume.
     """
     seeds = flow.seed_grid
     pts = seeds.points
     d = pts.shape[-1]
-    arrivals = flow.trajectories[:, time_index, :]
+    arrivals = flow.trajectories[:, -1, :]
 
     edges = []
     for axis in range(d):
         centers = np.unique(pts[:, axis])
         h = centers[1] - centers[0] if centers.size > 1 else 2.0 * seeds.bounding_radius
         lo, hi = centers[0] - 0.5 * h, centers[-1] + 0.5 * h
-        block = min(probe_block, centers.size)
+        block = min(16, centers.size)
         cuts = np.arange(lo, hi - 0.5 * h * block, block * h)
         edges.append(np.append(cuts, hi))
     counts, _ = np.histogramdd(arrivals, bins=edges)
@@ -381,15 +375,12 @@ def superlevel_escape(flow: FlowMap, r, R):
     return float(measures[0]) if radii.ndim == 0 else measures.reshape(radii.shape)
 
 
-def forward_backward_mismatch(field: VelocityFieldSpec, flow_forward: FlowMap,
-                              steps=None, allow_nonsmooth=False):
-    """max_i |X^{-1}(T, X(T, x_i)) - x_i| via backward reintegration."""
-    steps = steps or flow_forward.steps
+def forward_backward_mismatch(field: VelocityFieldSpec, flow_forward: FlowMap):
+    """max_i |X^{-1}(T, X(T, x_i)) - x_i|, reintegrated back in as many steps."""
     arrivals = seeds_from_points(flow_forward.positions_at(-1),
                                  flow_forward.seed_grid.cell_volume)
-    back = integrate_flow(field, arrivals, steps, "backward",
-                          anchor_time=flow_forward.anchor_time,
-                          allow_nonsmooth=allow_nonsmooth)
+    back = integrate_flow(field, arrivals, flow_forward.steps, "backward",
+                          anchor_time=flow_forward.anchor_time)
     diff = back.inverse_samples - flow_forward.positions_at(0)
     return float(np.max(np.linalg.norm(diff, axis=-1)))
 
@@ -398,8 +389,7 @@ def forward_backward_mismatch(field: VelocityFieldSpec, flow_forward: FlowMap,
 # mollification convergence
 # ---------------------------------------------------------------------------
 
-def flow_convergence_study(field: VelocityFieldSpec, eps_list, seeds: SeedGrid,
-                           steps, nodes_per_axis=16):
+def flow_convergence_study(field: VelocityFieldSpec, eps_list, seeds: SeedGrid, steps):
     """Cauchy-style discrepancies of mollified flows along decreasing eps.
 
     For each eps, integrates the flows of the eps- and eps/2-mollified
@@ -414,7 +404,7 @@ def flow_convergence_study(field: VelocityFieldSpec, eps_list, seeds: SeedGrid,
 
     def run(eps):
         if eps not in cache:
-            moll = make_mollifier(eps, field.dimension, nodes_per_axis)
+            moll = make_mollifier(eps, field.dimension)
             smooth = mollify(field, moll)
             fl = integrate_flow(smooth, seeds, steps, "forward")
             tr = jacobian(smooth, fl)

@@ -1,10 +1,27 @@
-"""Small shared numerical utilities: quadrature, stable sums, fits, ball measures."""
+"""Small shared numerical utilities: grids, quadrature, stable sums, fits,
+bound tests and ball measures."""
 
 import math
 import os
 from functools import lru_cache
 
 import numpy as np
+
+
+def cell_centers(radius, n):
+    """Centres of the n equal cells of [-radius, radius], ascending."""
+    return -radius + 2.0 * radius / n * (np.arange(n) + 0.5)
+
+
+def tensor_points(axes):
+    """Every point of the tensor grid on ``axes``, shape (N, d), "ij" order."""
+    mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def holds_below(values, bound, slack):
+    """True when every value is at most bound * (1 + slack); NaN fails."""
+    return bool(np.all(values <= bound * (1.0 + slack) + 1e-300))
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from .errors import AllTruncatedError, JacobianVanishedError, StepBlowupError
 from .fields import DampingFieldSpec, VelocityFieldSpec, sample_damping
 from .flow import (ESCAPE_FACTOR, FlowMap, JacobianTrack, SeedGrid, _rk4_path,
                    integrate_flow, jacobian)
-from .numerics import cumtrapz, gl_nodes, stable_sum
+from .numerics import cell_centers, cumtrapz, gl_nodes, stable_sum, tensor_points
 
 _CHUNK_BYTES = 8 << 20     # stored path bytes per batched backward sweep
 
@@ -219,9 +219,8 @@ class TargetGrid:
         return self.h ** self.dimension
 
     def centers(self):
-        ax = -self.radius + self.h * (np.arange(self.cells_per_axis) + 0.5)
-        mesh = np.meshgrid(*([ax] * self.dimension), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return tensor_points([cell_centers(self.radius, self.cells_per_axis)]
+                             * self.dimension)
 
 
 def _cic_deposit(positions, weights, grid: TargetGrid):
@@ -294,11 +293,11 @@ class IntegrabilityReport:
     growth_ratios: tuple
 
 
-def integrability_probe(u0, damping: DampingFieldSpec, t, refinement_list,
-                        nodes_per_interval=32) -> IntegrabilityReport:
+def integrability_probe(u0, damping: DampingFieldSpec, t,
+                        refinement_list) -> IntegrabilityReport:
     """Truncated integrals I_eta of u0 * exp(t c) over eta <= |x| <= 1.
 
-    Pure-damping probe (b = 0). Each annulus is integrated with
+    Pure-damping probe (b = 0). Each annulus is integrated with 32-node
     Gauss-Legendre panels on a geometric subdivision so the boundary layer
     near the singularity is resolved. Verdict: "divergent" when I_eta grows
     by a factor >= 10 across consecutive refinements, "convergent" when the
@@ -324,7 +323,7 @@ def integrability_probe(u0, damping: DampingFieldSpec, t, refinement_list,
             while cuts[-1] < hi:
                 cuts.append(min(hi, cuts[-1] * 2.0))
             for a, b in zip(cuts[:-1], cuts[1:]):
-                xs, ws = gl_nodes(a, b, nodes_per_interval)
+                xs, ws = gl_nodes(a, b, 32)
                 total += float(np.dot(ws, integrand(sign * xs)))
         return total
 

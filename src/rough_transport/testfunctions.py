@@ -113,24 +113,23 @@ def bump(d, radius=1.0, amplitude=1.0):
                               _tail=tail, label=f"bump(a={a:g})")
 
 
-def gaussian(d, sigma=0.3, amplitude=1.0):
-    """amplitude * exp(-|x|^2 / (2 sigma^2)); analytic integral and tails."""
+def gaussian(d, sigma=0.3):
+    """exp(-|x|^2 / (2 sigma^2)); analytic integral and tails."""
     sig = float(sigma)
-    amp = float(amplitude)
 
     def profile(r):
         r = np.asarray(r, dtype=float)
-        return amp * np.exp(-0.5 * (r / sig) ** 2)
+        return np.exp(-0.5 * (r / sig) ** 2)
 
     def dprofile_over_r(r):
         r = np.asarray(r, dtype=float)
         return profile(r) * (-1.0 / (sig * sig))
 
-    ref = amp * (sig * math.sqrt(2.0 * math.pi)) ** d
+    ref = (sig * math.sqrt(2.0 * math.pi)) ** d
 
     def tail(radius_):
         if d == 1:
-            return (amp * sig * math.sqrt(2.0 * math.pi)
+            return (sig * math.sqrt(2.0 * math.pi)
                     * math.erfc(radius_ / (sig * math.sqrt(2.0))))
         return _radial_integral(lambda s: float(profile(np.array([s]))[0]), d,
                                 radius_, np.inf)
@@ -222,8 +221,10 @@ class SpaceTimeTestFunction:
         return self.window.integral(T) * self.space.reference_integral
 
 
-def compact_space_time(d, T, space_radius=1.0, amplitude=1.0,
-                       on_fraction=0.55, off_fraction=0.95):
-    """Standard separable test function, supported in [0, off*T) x B_a."""
-    window = TimeWindow(t_on=on_fraction * T, t_off=off_fraction * T)
-    return SpaceTimeTestFunction(window=window, space=bump(d, space_radius, amplitude))
+def compact_space_time(d, T, space_radius=1.0):
+    """Standard separable test function, supported in [0, 0.95 T) x B_a.
+
+    The unit bump on B_a times a time window equal to 1 up to 0.55 T.
+    """
+    window = TimeWindow(t_on=0.55 * T, t_off=0.95 * T)
+    return SpaceTimeTestFunction(window=window, space=bump(d, space_radius))

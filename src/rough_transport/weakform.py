@@ -21,8 +21,8 @@ import numpy as np
 from .errors import SupportOverflowError, UnboundedDampingError
 from .fields import (DampingFieldSpec, GrowthSplit, VelocityFieldSpec, sample_damping,
                      sample_nodes)
-from .numerics import (cumtrapz, order_estimate, profile, stable_sum,
-                       trapezoid_weights, trapz)
+from .numerics import (cell_centers, cumtrapz, holds_below, order_estimate, profile,
+                       stable_sum, tensor_points, trapezoid_weights, trapz)
 from .renormalization import Renormalizer, TestFunctionPhiR, make_beta_log, make_phi_R
 from .representation import DensityRepresentation
 
@@ -60,9 +60,7 @@ class SpaceTimeQuadrature:
 def make_quadrature(dimension, radius, n_space, T, n_time,
                     tail_bound=None) -> SpaceTimeQuadrature:
     h = 2.0 * radius / n_space
-    axis = -radius + h * (np.arange(n_space) + 0.5)
-    mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    points = tensor_points([cell_centers(radius, n_space)] * dimension)
     times = np.linspace(0.0, T, n_time + 1)
     return SpaceTimeQuadrature(times=times, points=points, h=h,
                                tau=times[1] - times[0],
@@ -231,12 +229,12 @@ def gamma_trace(u: DensityRepresentation, beta: Renormalizer, phi_space,
 # ---------------------------------------------------------------------------
 
 def l2_energy_diagnostic(u: DensityRepresentation, field: VelocityFieldSpec,
-                         damping: DampingFieldSpec, quad: SpaceTimeQuadrature,
-                         slack=0.05):
+                         damping: DampingFieldSpec, quad: SpaceTimeQuadrature):
     """t -> integral of u^2 against its Gronwall envelope (bounded damping).
 
     Envelope: E(0) exp( int_0^t 2||c||_inf + ||div b||_inf ). Returns
-    (times, curve, envelope, passed).
+    (times, curve, envelope, passed); it passes when the curve stays within
+    5 % of the envelope.
     """
     _check_alignment(u, quad)
     if damping.singular_set:
@@ -246,13 +244,20 @@ def l2_energy_diagnostic(u: DensityRepresentation, field: VelocityFieldSpec,
     curve = np.sum(u.values**2, axis=1) * quad.cell_volume
     rate = 2.0 * profile(damping.sup_c, quad.times) + profile(field.div_sup, quad.times)
     envelope = curve[0] * np.exp(cumtrapz(rate[None, :], quad.times)[0])
-    passed = bool(np.all(curve <= envelope * (1.0 + slack) + 1e-300))
-    return quad.times.copy(), curve, envelope, passed
+    return quad.times.copy(), curve, envelope, holds_below(curve, envelope, 0.05)
 
 
 # ---------------------------------------------------------------------------
 # logarithmic Gronwall bound and uniqueness probe
 # ---------------------------------------------------------------------------
+
+GRONWALL_SLACK = 0.1     # relative discretization slack of every Gronwall bound
+
+
+def log_gronwall_bound(A, B, C, delta):
+    """exp(A) (B + log(1 + pi^2/(4 delta)) C), the logarithmic Gronwall bound."""
+    return math.exp(A) * (B + math.log1p(math.pi ** 2 / (4.0 * delta)) * C)
+
 
 @dataclass(frozen=True)
 class GronwallBoundData:
@@ -266,8 +271,7 @@ class GronwallBoundData:
     d: int
 
     def bound(self, delta):
-        return math.exp(self.A) * (self.B_R
-                                   + math.log1p(math.pi ** 2 / (4.0 * delta)) * self.C_R)
+        return log_gronwall_bound(self.A, self.B_R, self.C_R, delta)
 
 
 def gronwall_constants(field: VelocityFieldSpec, damping: DampingFieldSpec,
@@ -278,10 +282,7 @@ def gronwall_constants(field: VelocityFieldSpec, damping: DampingFieldSpec,
     d = phi_R.d
     sup = profile(field.div_sup, times)
     b2 = profile(growth.b2, times)
-    if damping.l1_spatial is not None:
-        cl1 = profile(damping.l1_spatial, times)
-    else:
-        cl1 = np.zeros_like(times)
+    cl1 = damping.l1_profile(times)
     a = sup + (d + 1) * b2
     b_R = cl1 + sup * phi_R.l1_norm
     c_R = (d + 1) * profile(growth.b1_tail_l1, times, phi_R.R)
@@ -294,18 +295,18 @@ def gronwall_constants(field: VelocityFieldSpec, damping: DampingFieldSpec,
 def gronwall_log_diagnostic(u: DensityRepresentation, delta, R,
                             field: VelocityFieldSpec, damping: DampingFieldSpec,
                             growth: GrowthSplit, quad: SpaceTimeQuadrature,
-                            eta=0.0, slack=0.1) -> GammaTrace:
+                            eta=0.0) -> GammaTrace:
     """Gamma_{delta,R}(t) with the log renormalizer against its Gronwall bound.
 
     Contract: Gamma(t) <= exp(A)(B_R + log(1 + pi^2/(4 delta)) C_R) at all
-    time nodes, up to the discretization slack factor.
+    time nodes, up to the factor 1 + GRONWALL_SLACK.
     """
     beta = make_beta_log(delta)
     phi_R = make_phi_R(R, quad.d)
     trace = gamma_trace(u, beta, phi_R, field, damping, quad, eta)
     data = gronwall_constants(field, damping, growth, phi_R, quad.times)
     bound = data.bound(delta)
-    passed = bool(np.all(trace.values <= bound * (1.0 + slack) + 1e-300))
+    passed = holds_below(trace.values, bound, GRONWALL_SLACK)
     return GammaTrace(times=trace.times, values=trace.values, rhs=trace.rhs,
                       bound=bound, consistency=trace.consistency, passed=passed,
                       extras={"data": data, "delta": float(delta)})

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from rough_transport.bmo import (BMODivergenceSplit, Tau0Policy,
-                                 bmo_gronwall_diagnostic, bmo_norm,
+from rough_transport.bmo import (BMODivergenceSplit, bmo_gronwall_diagnostic,
+                                 bmo_norm, choose_tau0,
                                  default_ball_family, jn_decay_check,
                                  lemma52_checks)
 from rough_transport.errors import (BadSplitError, DegenerateFitError,
@@ -148,7 +148,7 @@ def test_support_checked_once_per_profile(monkeypatch):
                                jn=jn_decay_check(prof, [1.0 + 0.5 * k for k in range(7)]))
     quad = make_quadrature(1, 2.0, 16, 1.0, 8)
     with pytest.raises(BadSplitError):
-        bmo_gronwall_diagnostic(_zero_density(quad), 1e-2, 2.0, 9.0, Tau0Policy(),
+        bmo_gronwall_diagnostic(_zero_density(quad), 1e-2, 2.0, 9.0,
                                 spec, split, growth_split(spec), damping("zero"), quad)
 
 
@@ -263,7 +263,7 @@ def test_bmo_gronwall_zero_solution():
     quad = make_quadrature(1, 2.0, 48, 1.0, 16)
     growth = growth_split(spec, rng=np.random.default_rng(0))
     trace = bmo_gronwall_diagnostic(_zero_density(quad), 1e-2, 2.0, 9.0,
-                                    Tau0Policy(), spec, split, growth,
+                                    spec, split, growth,
                                     damping("zero"), quad)
     assert trace.passed
     assert np.all(trace.values == 0.0)
@@ -290,7 +290,7 @@ def test_bmo_gronwall_lambda_too_small():
     growth = growth_split(spec, rng=np.random.default_rng(0))
     with pytest.raises(LambdaTooSmallError):
         bmo_gronwall_diagnostic(_zero_density(quad), 1e-2, 2.0, 8.0,
-                                Tau0Policy(), spec, split, growth,
+                                spec, split, growth,
                                 damping("zero"), quad)
 
 
@@ -304,7 +304,7 @@ def test_bmo_gronwall_reduces_without_oscillating_part():
     growth = growth_split(spec, rng=np.random.default_rng(1))
     u = _zero_density(quad)
     for delta, R in ((1e-2, 2.0), (1e-4, 4.0)):
-        bmo_trace = bmo_gronwall_diagnostic(u, delta, R, 9.0, Tau0Policy(),
+        bmo_trace = bmo_gronwall_diagnostic(u, delta, R, 9.0,
                                             spec, split, growth, dmp, quad)
         log_trace = gronwall_log_diagnostic(u, delta, R, spec, dmp, growth, quad)
         assert bmo_trace.extras["tau0"] == quad.times[-1]
@@ -315,5 +315,5 @@ def test_tau0_policy_window():
     # constant norm profile sigma: tau0 sigma must land in [0.4, 0.5] c_fit
     sigma = 0.7
     c_fit = 0.7
-    tau0 = Tau0Policy().choose(lambda t: sigma, c_fit, 1.0)
+    tau0 = choose_tau0(lambda t: sigma, c_fit, 1.0)
     assert 0.4 * c_fit - 1e-8 <= tau0 * sigma <= 0.5 * c_fit + 1e-8

@@ -123,8 +123,23 @@ def test_admissible_arctan():
 
 
 def test_admissible_log():
-    for delta in (1.0, 1e-4):
-        assert check_admissible(make_beta_log(delta)).passed
+    # down to the delta of the uniqueness probe, where beta_delta bends on a
+    # sqrt(delta) scale far below the old fixed finite-difference step
+    for delta in (1.0, 1e-4, 1e-6, 1e-12):
+        report = check_admissible(make_beta_log(delta))
+        assert report.passed, (delta, report.witnesses)
+
+
+def test_admissible_rejects_wrong_derivative():
+    # beta_prime off by 1e-5 relative: the C^1 proxy must still catch it
+    ren = make_beta_log(1e-6)
+    wrong = Renormalizer(beta=ren.beta,
+                         beta_prime=lambda r: ren.beta_prime(r) * (1.0 + 1e-5),
+                         sup_beta=ren.sup_beta, sup_rbeta_prime=2.0, label="wrong")
+    report = check_admissible(wrong)
+    assert not report.passed
+    assert not report.derivative_ok
+    assert "derivative" in report.witnesses
 
 
 def test_admissible_rejects_unbounded():

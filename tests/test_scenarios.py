@@ -10,7 +10,7 @@ import pytest
 
 from rough_transport import scenarios
 from rough_transport.config import resolve
-from rough_transport.scenarios import REGISTRY, run_scenario
+from rough_transport.scenarios import REGISTRY, _check, run_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 SRC_DIR = Path(scenarios.__file__).resolve().parents[1]
@@ -76,3 +76,27 @@ def test_default_change_of_variables_runs_import_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
     assert sorted(os.listdir(tmp_path)) == ["linear_expand", "rotation"]
+
+
+def test_check_flag_must_be_true():
+    assert _check({"monotone": (True, True)}).passed
+    assert not _check({"monotone": (False, True)}).passed
+
+
+def test_check_nan_fails():
+    assert not _check({"residual": (float("nan"), 1.0)}).passed
+    assert not _check({"residual": (0.5, 1.0), "other": (float("nan"), 1.0)}).passed
+
+
+def test_check_value_at_threshold_passes():
+    assert _check({"residual": (1e-6, 1e-6), "escaped": (0.0, 0.0)}).passed
+    assert not _check({"residual": (1.5e-6, 1e-6)}).passed
+
+
+def test_check_records_values_and_thresholds():
+    art = scenarios.Artifact("x.csv", ("a",), ((1.0,),))
+    result = _check({"residual": (0.25, 1.0), "flag": (True, True)}, artifacts=[art])
+    assert result.values == {"residual": 0.25, "flag": True}
+    assert result.thresholds == {"residual": 1.0, "flag": True}
+    assert result.artifacts == (art,)
+    assert result.note == ""
