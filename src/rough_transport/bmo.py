@@ -23,7 +23,7 @@ from .numerics import (ball_volume, holds_below, log_linear_fit, profile,
 from .renormalization import make_beta_log, make_phi_R
 from .representation import DensityRepresentation
 from .weakform import (GRONWALL_SLACK, GammaTrace, SpaceTimeQuadrature, gamma_trace,
-                       log_gronwall_bound)
+                       gronwall_constants)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +38,6 @@ class BMOProfile:
     values: np.ndarray        # (N,)
     cell_volume: float
     M: float
-    ball_family: tuple        # ((center tuple, radius), ...)
     averages: np.ndarray      # per ball
     oscillations: np.ndarray  # per ball
     norm_star: float
@@ -49,10 +48,19 @@ class BMOProfile:
 
     @cached_property
     def _support(self):
-        """(no nonzero sample outside B_M, samples in B_M), one norm pass."""
-        radii = np.linalg.norm(self.points, axis=-1)
-        return (not np.any(self.values[radii > self.M] != 0.0),
-                self.values[radii < self.M])
+        """(no nonzero sample outside B_M, samples in B_M), one slab pass.
+
+        |x| >= |x_0|, so the norm runs on the slab |x_0| <= M alone, and
+        every sample outside the slab must be zero.
+        """
+        keys, order = _by_first_coordinate(self.points)
+        rows = _slab_rows(order, np.searchsorted(keys, -self.M, "left"),
+                          np.searchsorted(keys, self.M, "right"))
+        values = self.values[rows]
+        radii = np.linalg.norm(self.points[rows], axis=-1)
+        return (np.count_nonzero(self.values) == np.count_nonzero(values)
+                and not np.any(values[radii > self.M] != 0.0),
+                values[radii < self.M])
 
     @cached_property
     def vanishes_outside(self):
@@ -65,6 +73,20 @@ class BMOProfile:
         if self._support[1].size == 0:
             raise EmptyBallError(f"B_M (M={self.M:g}) holds no cell")
         return self._support[1]
+
+
+def _by_first_coordinate(points):
+    """(x_0 sorted, its stable argsort or None when already sorted)."""
+    keys = points[:, 0]
+    if np.all(keys[:-1] <= keys[1:]):
+        return keys, None          # already sorted: every slab is a slice
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
+
+def _slab_rows(order, lo, hi):
+    """Rows lo:hi of the sorted keys, indexed in their original order."""
+    return slice(lo, hi) if order is None else np.sort(order[lo:hi])
 
 
 def default_ball_family(M, d):
@@ -100,13 +122,7 @@ def bmo_norm(values, M, ball_family, points, cell_volume) -> BMOProfile:
         raise NonFiniteProfileError(
             f"profile sample {values[i]} at x={points[i].tolist()} is not finite")
 
-    keys = points[:, 0]
-    if np.all(keys[:-1] <= keys[1:]):
-        order = None          # already sorted: every slab is a slice
-    else:
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-
+    keys, order = _by_first_coordinate(points)
     averages = np.empty(len(ball_family))
     oscillations = np.empty(len(ball_family))
     for i, (center, radius) in enumerate(ball_family):
@@ -114,7 +130,7 @@ def bmo_norm(values, M, ball_family, points, cell_volume) -> BMOProfile:
         # the margin covers the rounding of |x - c| against |x_0 - c_0|
         pad = 1e-12 * (abs(c[0]) + radius)
         lo, hi = np.searchsorted(keys, (c[0] - radius - pad, c[0] + radius + pad))
-        rows = slice(lo, hi) if order is None else np.sort(order[lo:hi])
+        rows = _slab_rows(order, lo, hi)
         inside = np.linalg.norm(points[rows] - c, axis=-1) < radius
         if not np.any(inside):
             raise EmptyBallError(f"ball at {center} radius {radius:g} holds no cell")
@@ -123,8 +139,7 @@ def bmo_norm(values, M, ball_family, points, cell_volume) -> BMOProfile:
         averages[i] = avg
         oscillations[i] = float(np.mean(np.abs(sel - avg)))
     profile = BMOProfile(points=points, values=values, cell_volume=float(cell_volume),
-                         M=float(M), ball_family=tuple(ball_family),
-                         averages=averages, oscillations=oscillations,
+                         M=float(M), averages=averages, oscillations=oscillations,
                          norm_star=float(np.max(oscillations)))
     if not profile.vanishes_outside:
         raise ValueError("profile must vanish outside B_M")
@@ -306,27 +321,16 @@ def bmo_gronwall_diagnostic(u: DensityRepresentation, delta, R, lam,
     trace = gamma_trace(u, beta, phi_R, field, damping, quad)
     gamma_vals = trace.values[keep]
 
-    d1 = profile(split.d1_sup, times)
     sig = profile(split.d2_norm_star, times)
-    b2 = profile(growth.b2, times)
-    cl1 = damping.l1_profile(times)
     decay = C_fit * math.exp(-c_fit * lam) if np.isfinite(c_fit) else 0.0
-
-    a_lam = d1 + lam * sig + (d + 1) * b2
-    b_lam = cl1 + (d1 + lam * sig) * phi_R.l1_norm + decay * sig
-    c_R = (d + 1) * profile(growth.b1_tail_l1, times, R)
-    d_lam = decay * sig
-
-    A = trapz(a_lam, times)
-    B = trapz(b_lam, times)
-    CR = trapz(c_R, times)
-    DL = trapz(d_lam, times)
-    bound = log_gronwall_bound(A, B, CR + DL, delta)
+    data = gronwall_constants(profile(split.d1_sup, times) + lam * sig, damping,
+                              growth, phi_R, times, decay * sig)
+    bound = data.bound(delta)
     passed = holds_below(gamma_vals, bound, GRONWALL_SLACK)
 
     return GammaTrace(times=times.copy(), values=gamma_vals, rhs=None,
                       bound=bound, passed=passed,
-                      extras={"A_lambda": A, "B_lambda_R": B, "C_R": CR,
-                              "D_lambda": DL, "tau0": tau0, "lambda": float(lam),
-                              "delta": float(delta),
-                              "expA_D": math.exp(A) * DL})
+                      extras={"A_lambda": data.A, "B_lambda_R": data.B_R,
+                              "C_R": data.C_R, "D_lambda": data.D, "tau0": tau0,
+                              "lambda": float(lam), "delta": float(delta),
+                              "expA_D": math.exp(data.A) * data.D})

@@ -6,16 +6,10 @@ are collected and reported together in a single ValidationError.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from .errors import ParseError, ValidationError
-
-KNOWN_KEYS = (
-    "scenario_id", "dimension", "T", "field_id", "damping_id", "u0_id",
-    "seeds_per_axis", "steps", "box_radius", "delta_list", "r_list",
-    "lambda_list", "eps_list", "eta", "rng_seed", "output_dir", "diagnostics",
-)
 
 GLOBAL_DEFAULTS = {
     "seeds_per_axis": 64,
@@ -32,6 +26,8 @@ GLOBAL_DEFAULTS = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """The configuration schema: its fields, in order, are the known keys."""
+
     scenario_id: str
     dimension: int
     T: float
@@ -57,6 +53,9 @@ class ScenarioConfig:
                 return ";".join(str(x) for x in v)
             return v
         return {k: flat(getattr(self, k)) for k in KNOWN_KEYS}
+
+
+KNOWN_KEYS = tuple(f.name for f in fields(ScenarioConfig))
 
 
 def _edit_distance(a, b):
@@ -181,25 +180,11 @@ def resolve(raw: dict) -> ScenarioConfig:
         raise ValidationError(
             "invalid configuration:\n  " + "\n  ".join(violations), violations)
 
-    return ScenarioConfig(
-        scenario_id=scenario_id,
-        dimension=scenario.dimension,
-        T=float(merged["T"]),
-        field_id=merged["field_id"],
-        damping_id=merged["damping_id"],
-        u0_id=merged["u0_id"],
-        seeds_per_axis=merged["seeds_per_axis"],
-        steps=merged["steps"],
-        box_radius=float(merged["box_radius"]),
-        delta_list=tuple(merged["delta_list"]),
-        r_list=tuple(merged["r_list"]),
-        lambda_list=tuple(merged["lambda_list"]),
-        eps_list=tuple(merged["eps_list"]),
-        eta=float(merged["eta"]),
-        rng_seed=merged["rng_seed"],
-        output_dir=merged["output_dir"],
-        diagnostics=tuple(merged["diagnostics"]),
-    )
+    merged.update(scenario_id=scenario_id, dimension=scenario.dimension,
+                  diagnostics=tuple(merged["diagnostics"]))
+    for name in ("T", "box_radius", "eta"):
+        merged[name] = float(merged[name])
+    return ScenarioConfig(**{k: merged[k] for k in KNOWN_KEYS})
 
 
 def load_config(path) -> ScenarioConfig:
@@ -222,10 +207,4 @@ def load_config(path) -> ScenarioConfig:
 def default_config(scenario_id) -> dict:
     """The fully resolved defaults of a scenario, as a plain JSON-able dict."""
     cfg = resolve({"scenario_id": scenario_id})
-    out = {}
-    for key in KNOWN_KEYS:
-        v = getattr(cfg, key)
-        if isinstance(v, tuple):
-            v = list(v)
-        out[key] = v
-    return out
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(cfg).items()}

@@ -173,18 +173,6 @@ class TestFunctionPhiR:
     d: int
     l1_norm: float
 
-    @property
-    def support_radius(self):
-        # unbounded support: weak-form truncation goes through the tail policy
-        return float("inf")
-
-    @property
-    def reference_integral(self):
-        return self.l1_norm
-
-    def mass_outside(self, radius):
-        return self.tail_mass(radius)
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)

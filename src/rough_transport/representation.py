@@ -71,7 +71,6 @@ def damping_integral(damping: DampingFieldSpec, flow: FlowMap, eta) -> DampingAc
 class DensityRepresentation:
     """Sampled density u(t_k, x_i), either pointwise or deposited."""
 
-    mode: str                   # "pointwise" | "pushforward"
     times: np.ndarray           # (K+1,)
     points: np.ndarray          # (N, d)
     values: np.ndarray          # (K+1, N)
@@ -99,7 +98,6 @@ def represent_pointwise(u0, flow_backward: FlowMap, track: JacobianTrack,
     vals = u0_vals / jx_end * np.exp(acc.values[:, -1])
     pts = flow_backward.seed_grid.points
     return DensityRepresentation(
-        mode="pointwise",
         times=np.array([flow_backward.anchor_time]),
         points=pts,
         values=vals[None, :],
@@ -112,7 +110,7 @@ def _backward_flows(field: VelocityFieldSpec, points: SeedGrid, anchors, counts,
                     batch):
     """Backward flow maps through (anchors[s], points) with counts[s] steps.
 
-    With ``batch`` (b and c independent of time) the slices share one RK4
+    With ``batch`` (b independent of time) the slices share one RK4
     sweep, traced with t = 0: slice s takes counts[s] steps of size
     anchors[s] / counts[s], and its copy of the points fills rows s*N to
     (s+1)*N. Counts must not increase, so the moving rows form a prefix.
@@ -154,8 +152,9 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     while its RK4 path, rows * (longest step count + 1) * d * 8 bytes, stays
     within ``_CHUNK_BYTES`` (8 MiB); a slice longer than that forms a chunk
     alone. Each chunk's path is released before the next one is built, so
-    one path is alive at a time. When b or c depends on time, every chunk
-    holds one slice.
+    one path is alive at a time. When b depends on time, every chunk holds
+    one slice; c is sampled per slice on that slice's own time grid, so it
+    may depend on time either way.
     """
     if field.regularity_tag == "bv_nonsmooth" and not allow_nonsmooth:
         raise ValueError("bv_nonsmooth field: mollify first or pass allow_nonsmooth=True")
@@ -172,7 +171,7 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     vals[0] = np.asarray(u0(x), dtype=float)
 
     counts = [max(1, int(round(steps * t / horizon))) for t in anchors]
-    batch = field.autonomous and damping.autonomous
+    batch = field.autonomous
     slice_bytes = n * x.shape[1] * 8    # one float64 path node of every point
     chunks = []
     for s in sorted(range(len(anchors)), key=lambda s: -counts[s]):
@@ -193,9 +192,8 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
         # freed before the next sweep allocates its own
         del flows, back
 
-    return DensityRepresentation(mode="pointwise", times=time_grid.copy(),
-                                 points=points.points, values=vals,
-                                 cell_volume=points.cell_volume, u0=u0)
+    return DensityRepresentation(times=time_grid.copy(), points=points.points,
+                                 values=vals, cell_volume=points.cell_volume, u0=u0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +262,6 @@ def represent_pushforward(u0, flow_forward: FlowMap, acc: DampingAccumulator,
     density = deposit.ravel() / target_grid.cell_volume
     t = float(flow_forward.time_grid[time_index])
     return DensityRepresentation(
-        mode="pushforward",
         times=np.array([t]),
         points=target_grid.centers(),
         values=density[None, :],

@@ -25,7 +25,7 @@ from .flow import (change_of_variables_residual, compressibility_estimate,
                    flow_convergence_study, forward_backward_mismatch, integrate_flow,
                    jacobian, jacobian_ode_residual, make_seed_grid,
                    seeds_from_points, superlevel_escape)
-from .numerics import ball_volume, cell_centers
+from .numerics import ball_volume, cell_centers, profile
 from .renormalization import make_beta_arctan, make_phi_R
 from .report import Artifact, DiagnosticResult, RunReport
 from .representation import (DensityRepresentation, damping_integral,
@@ -286,6 +286,10 @@ class RunContext:
     def jacobian_track(self):
         return self._memo("track", lambda: jacobian(self.field, self.forward_flow()))
 
+    def growth(self):
+        """The field's growth split, verified once per run on the run's rng."""
+        return self._memo("growth", lambda: growth_split(self.field, rng=self.rng))
+
     def density(self, n_space, n_time, radius=None, steps=None, allow_nonsmooth=False):
         """(quadrature, pointwise representation sampled on its nodes).
 
@@ -312,7 +316,7 @@ class RunContext:
             _, fine = self.density(*quad_shape, radius, steps=2 * self.cfg.steps,
                                    allow_nonsmooth=allow_nonsmooth)
             return quad, DensityRepresentation(
-                mode="pointwise", times=quad.times.copy(), points=quad.points,
+                times=quad.times.copy(), points=quad.points,
                 values=coarse.values - fine.values, cell_volume=quad.cell_volume,
                 u0=lambda x: np.zeros(np.asarray(x).shape[:-1]))
         return self._memo(("twin", quad_shape, radius, allow_nonsmooth), build)
@@ -456,7 +460,7 @@ def _run_forward_backward(ctx):
 
 
 def _run_growth_split(ctx):
-    growth_split(ctx.field, rng=ctx.rng)   # raises on violation
+    ctx.growth()   # raises on violation
     fd = check_divergence_consistency(ctx.field, rng=ctx.rng,
                                       sample_radius=ctx.cfg.box_radius)
     return _check({"fd_divergence_error": (fd, 1e-5)})
@@ -504,12 +508,10 @@ def _run_representation_exact(ctx):
 
 def _run_weak_refinement(ctx, ladder, phi_radius):
     """Weak residuals over the ladder fall at order 2, less 0.1 of slack."""
-    built = [ctx.density(ns, nt) for ns, nt in ladder]
-    u_on = {id(quad): u for quad, u in built}
-    rep = weak_residual_study(lambda quad: u_on[id(quad)], make_beta_arctan(1.0),
+    rep = weak_residual_study([ctx.density(ns, nt) for ns, nt in ladder],
+                              make_beta_arctan(1.0),
                               compact_space_time(ctx.d, ctx.field.horizon, phi_radius),
-                              ctx.field, ctx.damping, ctx.u0, [quad for quad, _ in built],
-                              eta=ctx.cfg.eta)
+                              ctx.field, ctx.damping, ctx.u0, eta=ctx.cfg.eta)
     ok = rep.order is not None and rep.order >= 1.9
     art = Artifact("weak_residual_refinement.csv", ("h", "tau", "residual"),
                    rep.history)
@@ -557,7 +559,6 @@ def _skip_weak_form(ctx):
 
 def _run_gronwall_matrix(ctx, quad_shape, quad_radius, check_delta_independent=False):
     quad, u = ctx.twin_difference(quad_shape, quad_radius)
-    growth = growth_split(ctx.field, rng=ctx.rng)
     rows = []
     trace_rows = []
     all_ok = True
@@ -565,7 +566,7 @@ def _run_gronwall_matrix(ctx, quad_shape, quad_radius, check_delta_independent=F
     for delta in ctx.cfg.delta_list:
         for R in ctx.cfg.r_list:
             trace = gronwall_log_diagnostic(u, delta, R, ctx.field,
-                                            ctx.damping, growth, quad,
+                                            ctx.damping, ctx.growth(), quad,
                                             eta=ctx.cfg.eta)
             rows.append((delta, R, float(np.max(trace.values)), trace.bound))
             all_ok = all_ok and trace.passed
@@ -597,9 +598,9 @@ def _run_gronwall_matrix(ctx, quad_shape, quad_radius, check_delta_independent=F
 def _run_uniqueness_probe(ctx, quad_shape, quad_radius):
     """Superlevel {arctan(u)^2 > 1e-8} on B_R0, R0 = 0.9 quad_radius."""
     quad, u = ctx.twin_difference(quad_shape, quad_radius)
-    growth = growth_split(ctx.field, rng=ctx.rng)
-    phi_R = make_phi_R(max(ctx.cfg.r_list), ctx.d)
-    data = gronwall_constants(ctx.field, ctx.damping, growth, phi_R, quad.times)
+    data = gronwall_constants(profile(ctx.field.div_sup, quad.times), ctx.damping,
+                              ctx.growth(), make_phi_R(max(ctx.cfg.r_list), ctx.d),
+                              quad.times)
     deltas = [10.0 ** (-k) for k in range(2, 13, 2)]
     rep = uniqueness_probe(u, 1e-8, 0.9 * quad_radius, deltas, data, quad)
     ok = rep.verdict == "forces u=0" and all(h for _, _, h in rep.delta_table)
@@ -667,15 +668,14 @@ def _run_bmo_gronwall(ctx):
                                d2_norm_star=lambda t: profile.norm_star,
                                jn=ctx.jn_fit())
     quad, u = ctx.twin_difference((96, 32), 2.0, allow_nonsmooth=True)
-    growth = growth_split(ctx.field, rng=ctx.rng)
     rows = []
     all_ok = True
     expA_D = {}
     for lam in ctx.cfg.lambda_list:
         for delta in ctx.cfg.delta_list:
             trace = bmo_gronwall_diagnostic(u, delta, ctx.cfg.r_list[0], lam,
-                                            ctx.field, split, growth, ctx.damping,
-                                            quad)
+                                            ctx.field, split, ctx.growth(),
+                                            ctx.damping, quad)
             rows.append((lam, delta, float(np.max(trace.values)), trace.bound,
                          trace.extras["expA_D"], trace.extras["tau0"]))
             all_ok = all_ok and trace.passed

@@ -14,7 +14,7 @@ divergence sup profile, growth split and damping L1 profile.
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,9 +35,7 @@ from .representation import DensityRepresentation
 class SpaceTimeQuadrature:
     """Tensor quadrature: trapezoid in time, midpoint cells in space.
 
-    The combined weights sum to (box volume) x T. ``tail_bound`` optionally
-    carries an analytic bound on the mass a phi_R-type integrand keeps
-    outside the truncated box.
+    The combined weights sum to (box volume) x T.
     """
 
     times: np.ndarray          # (K+1,), includes 0 and T
@@ -46,7 +44,6 @@ class SpaceTimeQuadrature:
     tau: float
     cell_volume: float
     radius: float
-    tail_bound: Optional[Callable] = None
 
     @property
     def d(self):
@@ -57,15 +54,13 @@ class SpaceTimeQuadrature:
         return trapezoid_weights(self.times)
 
 
-def make_quadrature(dimension, radius, n_space, T, n_time,
-                    tail_bound=None) -> SpaceTimeQuadrature:
+def make_quadrature(dimension, radius, n_space, T, n_time) -> SpaceTimeQuadrature:
     h = 2.0 * radius / n_space
     points = tensor_points([cell_centers(radius, n_space)] * dimension)
     times = np.linspace(0.0, T, n_time + 1)
     return SpaceTimeQuadrature(times=times, points=points, h=h,
                                tau=times[1] - times[0],
-                               cell_volume=h ** dimension, radius=radius,
-                               tail_bound=tail_bound)
+                               cell_volume=h ** dimension, radius=radius)
 
 
 def _check_alignment(u: DensityRepresentation, quad: SpaceTimeQuadrature):
@@ -103,7 +98,6 @@ class WeakResidualReport:
     residual: float
     history: tuple = ()            # (h, tau, residual) triples, strictly refining
     order: Optional[float] = None
-    tail_bound: float = 0.0
 
 
 def weak_residual(u: DensityRepresentation, beta: Renormalizer, phi,
@@ -112,12 +106,12 @@ def weak_residual(u: DensityRepresentation, beta: Renormalizer, phi,
     """Quadrature value of the renormalized weak form (zero for solutions).
 
     ``phi`` is a space-time test function with analytic dt/grad, compactly
-    supported in [0, T) x R^d or of phi_R type with the quadrature's tail
-    policy. Singular damping values are truncated within eta, matching the
-    solution-side policy.
+    supported in [0, T) x B_rho with rho at most the box radius (infinite
+    support raises SupportOverflowError). Singular damping values are
+    truncated within eta, matching the solution-side policy.
     """
     _check_alignment(u, quad)
-    if np.isfinite(phi.support_radius) and phi.support_radius > quad.radius:
+    if not phi.support_radius <= quad.radius:
         raise SupportOverflowError(
             f"phi support radius {phi.support_radius:g} exceeds the quadrature box "
             f"radius {quad.radius:g}"
@@ -146,27 +140,22 @@ def weak_residual(u: DensityRepresentation, beta: Renormalizer, phi,
         pieces.append(tw[k] * np.sum(transport + reaction) * quad.cell_volume)
 
     residual = abs(stable_sum(pieces))
-    tail = 0.0
-    if quad.tail_bound is not None:
-        tail = float(quad.tail_bound(quad.radius))
     return WeakResidualReport(residual=residual,
-                              history=((quad.h, quad.tau, residual),),
-                              tail_bound=tail)
+                              history=((quad.h, quad.tau, residual),))
 
 
-def weak_residual_study(u_builder, beta, phi, field, damping, u0, quads,
+def weak_residual_study(pairs, beta, phi, field, damping, u0,
                         eta=0.0) -> WeakResidualReport:
     """Residuals over a strictly refining ladder with an order estimate.
 
-    ``u_builder(quad)`` must produce the density representation sampled on
-    that quadrature's nodes.
+    ``pairs`` holds (quadrature, density sampled on its nodes) rungs.
     """
-    hs = [q.h for q in quads]
+    hs = [q.h for q, _ in pairs]
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("quadrature ladder must be strictly refining")
     history = []
-    for q in quads:
-        rep = weak_residual(u_builder(q), beta, phi, field, damping, u0, q, eta)
+    for q, u in pairs:
+        rep = weak_residual(u, beta, phi, field, damping, u0, q, eta)
         history.append((q.h, q.tau, rep.residual))
     # the ladder is indexed by the spatial spacing (tau may refine more slowly
     # or stay fixed when the time error is already at its floor)
@@ -267,29 +256,33 @@ class GronwallBoundData:
     B_R: float
     C_R: float
     C_R_limit: float
-    R: float
-    d: int
+    D: float                   # BMO lambda-family decay term; 0 for the plain bound
 
     def bound(self, delta):
-        return log_gronwall_bound(self.A, self.B_R, self.C_R, delta)
+        return log_gronwall_bound(self.A, self.B_R, self.C_R + self.D, delta)
 
 
-def gronwall_constants(field: VelocityFieldSpec, damping: DampingFieldSpec,
-                       growth: GrowthSplit, phi_R: TestFunctionPhiR,
-                       times) -> GronwallBoundData:
-    """A, B_R, C_R from the scenario's analytic profiles by time quadrature."""
+def gronwall_constants(rate, damping: DampingFieldSpec, growth: GrowthSplit,
+                       phi_R: TestFunctionPhiR, times, decay=None) -> GronwallBoundData:
+    """A = int rate + (d+1) b2, B_R = int ||c||_1 + rate ||phi_R||_1 + decay,
+    C_R = (d+1) int ||b1||_{L1(B_R^c)} and D = int decay, by trapezoids.
+
+    ``rate`` samples ||div b||_inf on ``times`` for the plain bound, or
+    d1 + lambda ||d2||_* for the BMO family, whose ``decay`` samples
+    C e^{-c lambda} ||d2||_*.
+    """
     times = np.asarray(times, dtype=float)
     d = phi_R.d
-    sup = profile(field.div_sup, times)
     b2 = profile(growth.b2, times)
-    cl1 = damping.l1_profile(times)
-    a = sup + (d + 1) * b2
-    b_R = cl1 + sup * phi_R.l1_norm
+    a = rate + (d + 1) * b2
+    b_R = damping.l1_profile(times) + rate * phi_R.l1_norm
+    if decay is not None:
+        b_R = b_R + decay
     c_R = (d + 1) * profile(growth.b1_tail_l1, times, phi_R.R)
     c_limit = (d + 1) * profile(growth.b1_tail_l1, times, 1e18)
     return GronwallBoundData(A=trapz(a, times), B_R=trapz(b_R, times),
                              C_R=trapz(c_R, times), C_R_limit=trapz(c_limit, times),
-                             R=phi_R.R, d=d)
+                             D=0.0 if decay is None else trapz(decay, times))
 
 
 def gronwall_log_diagnostic(u: DensityRepresentation, delta, R,
@@ -304,7 +297,8 @@ def gronwall_log_diagnostic(u: DensityRepresentation, delta, R,
     beta = make_beta_log(delta)
     phi_R = make_phi_R(R, quad.d)
     trace = gamma_trace(u, beta, phi_R, field, damping, quad, eta)
-    data = gronwall_constants(field, damping, growth, phi_R, quad.times)
+    data = gronwall_constants(profile(field.div_sup, quad.times), damping, growth,
+                              phi_R, quad.times)
     bound = data.bound(delta)
     passed = holds_below(trace.values, bound, GRONWALL_SLACK)
     return GammaTrace(times=trace.times, values=trace.values, rhs=trace.rhs,
@@ -316,7 +310,6 @@ def gronwall_log_diagnostic(u: DensityRepresentation, delta, R,
 class UniquenessProbeReport:
     verdict: str               # "forces u=0" | "consistent" | "inconclusive"
     m: float                   # worst superlevel measure over time nodes
-    gamma_level: float
     limit_bound: float         # exp(A) C_R(limit) 2^(d+1)
     delta_table: tuple         # (delta, rhs, holds) rows
 
@@ -352,5 +345,4 @@ def uniqueness_probe(u: DensityRepresentation, gamma_level, R0, delta_list,
         verdict = "forces u=0"
     else:
         verdict = "inconclusive"
-    return UniquenessProbeReport(verdict=verdict, m=m, gamma_level=float(gamma_level),
-                                 limit_bound=limit_bound, delta_table=tuple(rows))
+    return UniquenessProbeReport(verdict=verdict, m=m, limit_bound=limit_bound, delta_table=tuple(rows))

@@ -196,7 +196,7 @@ def test_criterion_09_uniqueness_probe_and_tamper():
     vals = np.zeros((quad.times.size, quad.points.shape[0]))
     vals[quad.times > 0.5] = 2.0 * bump(1, 0.9)(quad.points)[None, :]
     u_bad = DensityRepresentation(
-        mode="pointwise", times=quad.times.copy(), points=quad.points,
+        times=quad.times.copy(), points=quad.points,
         values=vals, cell_volume=quad.cell_volume,
         u0=lambda x: np.zeros(np.asarray(x).shape[:-1]))
     phi = compact_space_time(1, 1.0, space_radius=1.5)

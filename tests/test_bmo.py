@@ -121,13 +121,22 @@ def test_slab_statistics_match_full_grid_masks(d, shuffled):
     averages, oscillations = _brute_force_statistics(values, family, points)
     assert np.array_equal(prof.averages, averages)
     assert np.array_equal(prof.oscillations, oscillations)
+    # the support check reads the slab |x_0| <= M alone, against full-grid masks
+    radii = np.linalg.norm(points, axis=-1)
+    assert prof.vanishes_outside
+    assert np.array_equal(prof.core_values, values[radii < 1.0])
+    # the sample outside B_1 nearest the slab: inside it in 2-D, just past it in 1-D
+    leaky = values.copy()
+    leaky[np.argmin(np.where(radii > 1.0, np.abs(points[:, 0]), np.inf))] = 1.0
+    assert not dataclasses.replace(prof, values=leaky).vanishes_outside
 
 
 def test_support_checked_once_per_profile(monkeypatch):
     # bmo_norm's own support check fills the flag that BadSplitError reads
     prof = _log_profile(n=1 << 12)
     assert prof.__dict__["vanishes_outside"] is True
-    # the support flag and the B_M samples share one full-grid norm pass
+    # the support flag and the B_M samples share one norm pass over the slab
+    # |x_0| <= M; no norm runs over the full grid
     passes = []
     norm = np.linalg.norm
 
@@ -138,7 +147,7 @@ def test_support_checked_once_per_profile(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counted)
     fresh = dataclasses.replace(prof)
     assert fresh.vanishes_outside and fresh.core_values.size > 0
-    assert len(passes) == 1
+    assert passes == []
     monkeypatch.undo()
     leaky = dataclasses.replace(prof, values=prof.values + 1.0)
     assert not leaky.vanishes_outside
@@ -248,7 +257,7 @@ def test_tails_reject_negative_input():
 
 def _zero_density(quad):
     return DensityRepresentation(
-        mode="pointwise", times=quad.times.copy(), points=quad.points,
+        times=quad.times.copy(), points=quad.points,
         values=np.zeros((quad.times.size, quad.points.shape[0])),
         cell_volume=quad.cell_volume,
         u0=lambda x: np.zeros(np.asarray(x).shape[:-1]))
@@ -308,7 +317,7 @@ def test_bmo_gronwall_reduces_without_oscillating_part():
                                             spec, split, growth, dmp, quad)
         log_trace = gronwall_log_diagnostic(u, delta, R, spec, dmp, growth, quad)
         assert bmo_trace.extras["tau0"] == quad.times[-1]
-        assert bmo_trace.bound == pytest.approx(log_trace.bound, rel=1e-12)
+        assert bmo_trace.bound == log_trace.bound
 
 
 def test_tau0_policy_window():

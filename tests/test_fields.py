@@ -269,7 +269,7 @@ def test_sampler_calls_autonomous_fields_once(autonomous):
 
     quad = make_quadrature(1, 2.0, 32, 1.0, 12)
     u = DensityRepresentation(
-        mode="pointwise", times=quad.times.copy(), points=quad.points,
+        times=quad.times.copy(), points=quad.points,
         values=np.zeros((13, 32)), cell_volume=quad.cell_volume)
     phi = compact_space_time(1, 1.0)
     calls.update(b=0, div=0, c=0)

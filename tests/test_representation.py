@@ -241,6 +241,25 @@ def test_pointwise_solution_time_dependent():
     assert np.array_equal(u.values, ref)
 
 
+def test_pointwise_solution_batches_autonomous_b_with_time_dependent_c(monkeypatch):
+    # the shared sweep integrates only b; c = 1 + t is sampled per slice on
+    # that slice's own time grid, so the batched build stays bitwise exact
+    spec = field("linear_expand")
+    dmp = DampingFieldSpec(
+        eval_c=lambda t, x: np.full(np.asarray(x).shape[:-1], 1.0 + t),
+        autonomous=False)
+    u0 = u0_fn("bump")
+    grid = make_seed_grid(1.0, 32, 1)
+    times = np.linspace(0.0, 1.0, 9)
+    ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 200, 0.0)
+
+    def per_slice(*args, **kwargs):
+        raise AssertionError("an autonomous b must take the batched sweep")
+    monkeypatch.setattr(representation, "integrate_flow", per_slice)
+    u = pointwise_solution(spec, dmp, u0, grid, times, steps=200)
+    assert np.array_equal(u.values, ref)
+
+
 def test_pointwise_solution_initial_slice_exact():
     spec = field("linear_expand")
     u0 = u0_fn("bump")

@@ -30,6 +30,23 @@ def test_default_run_matches_golden_artifacts(scenario_id, tmp_path):
             f"{scenario_id}/{name} differs from the golden copy"
 
 
+@pytest.mark.parametrize("scenario_id", ["compact_support_b", "twin_difference_gronwall",
+                                         "bmo_divergence_log"])
+def test_default_run_verifies_growth_split_once(scenario_id, tmp_path, monkeypatch):
+    # every runner that reads the growth split shares the run's one check
+    calls = []
+    verify = scenarios.growth_split
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return verify(*args, **kwargs)
+    monkeypatch.setattr(scenarios, "growth_split", counted)
+    report = run_scenario(resolve({"scenario_id": scenario_id,
+                                   "output_dir": str(tmp_path)}))
+    assert all(r.passed for r in report.results)
+    assert len(calls) == 1
+
+
 def test_runtime_budget_folds_into_verdict(tmp_path, monkeypatch):
     cfg = resolve({"scenario_id": "counterexample_L1_damping",
                    "diagnostics": ["integrability_probe"],

@@ -7,9 +7,11 @@ from rough_transport.errors import (NonFiniteDampingError, SupportOverflowError,
                                     UnboundedDampingError)
 from rough_transport.fields import DampingFieldSpec, growth_split
 from rough_transport.flow import seeds_from_points
+from rough_transport.numerics import profile
 from rough_transport.renormalization import make_beta_arctan, make_beta_log, make_phi_R
 from rough_transport.representation import DensityRepresentation, pointwise_solution
-from rough_transport.testfunctions import bump, compact_space_time
+from rough_transport.testfunctions import (SpaceTimeTestFunction, TimeWindow, bump,
+                                           compact_space_time, gaussian)
 from rough_transport.weakform import (gamma_trace, gronwall_constants,
                                       gronwall_log_diagnostic, l2_energy_diagnostic,
                                       make_quadrature, uniqueness_probe,
@@ -25,7 +27,7 @@ def _solution_on(quad, spec, dmp, u0, steps=64):
 
 def _density(quad, values, u0=None):
     return DensityRepresentation(
-        mode="pointwise", times=quad.times.copy(), points=quad.points,
+        times=quad.times.copy(), points=quad.points,
         values=values, cell_volume=quad.cell_volume,
         u0=u0 or (lambda x: np.zeros(np.asarray(x).shape[:-1])))
 
@@ -52,9 +54,9 @@ def test_weak_residual_exponential_solution_order():
     spec, dmp, u0 = field("zero", T=1.0), damping("box_indicator"), u0_fn("bump")
     quads = [make_quadrature(1, 2.0, n, 1.0, n // 2) for n in (64, 128, 256)]
     rep = weak_residual_study(
-        lambda q: _solution_on(q, spec, dmp, u0, steps=16),
+        [(q, _solution_on(q, spec, dmp, u0, steps=16)) for q in quads],
         make_beta_arctan(1.0), compact_space_time(1, 1.0, space_radius=1.5),
-        spec, dmp, u0, quads)
+        spec, dmp, u0)
     assert rep.order is not None and rep.order >= 1.9
     hs = [row[0] for row in rep.history]
     res = [row[2] for row in rep.history]
@@ -80,9 +82,9 @@ def test_weak_residual_mollified_nonsmooth_field_first_order():
     dmp, u0 = damping("zero"), u0_fn("bump")
     quads = [make_quadrature(1, 3.0, n, 1.0, 64) for n in (96, 192, 384)]
     rep = weak_residual_study(
-        lambda q: _solution_on(q, smooth, dmp, u0, steps=64),
+        [(q, _solution_on(q, smooth, dmp, u0, steps=64)) for q in quads],
         make_beta_arctan(1.0), compact_space_time(1, 1.0, space_radius=2.5),
-        smooth, dmp, u0, quads)
+        smooth, dmp, u0)
     res = [row[2] for row in rep.history]
     assert all(b < a for a, b in zip(res, res[1:]))
     assert rep.order >= 1.0 - 0.1
@@ -103,28 +105,23 @@ def test_weak_residual_detects_tampering():
     assert rep.residual >= 0.1 * phi.total_integral(1.0)
 
 
-def test_weak_residual_phi_R_tail_policy():
-    # decaying test function: tail outside the box is reported, not summed
-    spec, dmp, u0 = field("zero", T=1.0), damping("zero"), u0_fn("bump")
-    phi_space = make_phi_R(1.0, 1)
-    quad = make_quadrature(1, 2.0, 128, 1.0, 128,
-                           tail_bound=phi_space.tail_mass)
-    u = _solution_on(quad, spec, dmp, u0, steps=8)
-    from rough_transport.testfunctions import SpaceTimeTestFunction, TimeWindow
-    phi = SpaceTimeTestFunction(window=TimeWindow(0.55, 0.95), space=phi_space)
-    rep = weak_residual(u, make_beta_arctan(1.0), phi, spec, dmp, u0, quad)
-    # u is supported inside the box, so the truncated residual is still tiny
-    assert rep.residual <= 1e-6
-    assert rep.tail_bound == pytest.approx(phi_space.tail_mass(2.0))
-    assert rep.tail_bound > 0.0
-
-
 def test_weak_residual_support_overflow():
     spec, dmp, u0 = field("zero", T=1.0), damping("zero"), u0_fn("bump")
     quad = make_quadrature(1, 1.0, 32, 1.0, 16)
     u = _solution_on(quad, spec, dmp, u0, steps=4)
     phi = compact_space_time(1, 1.0, space_radius=1.5)
     with pytest.raises(SupportOverflowError):
+        weak_residual(u, make_beta_arctan(1.0), phi, spec, dmp, u0, quad)
+
+
+def test_weak_residual_rejects_infinite_support():
+    # a Gaussian space factor is never compactly supported: it is refused,
+    # not cut off at the box
+    spec, dmp, u0 = field("zero", T=1.0), damping("zero"), u0_fn("bump")
+    quad = make_quadrature(1, 2.0, 32, 1.0, 16)
+    u = _solution_on(quad, spec, dmp, u0, steps=4)
+    phi = SpaceTimeTestFunction(window=TimeWindow(0.55, 0.95), space=gaussian(1, 0.3))
+    with pytest.raises(SupportOverflowError, match="inf"):
         weak_residual(u, make_beta_arctan(1.0), phi, spec, dmp, u0, quad)
 
 
@@ -268,7 +265,8 @@ def test_gronwall_constants_hand_computed():
     growth = growth_split(spec, rng=np.random.default_rng(3))
     times = np.linspace(0.0, 1.0, 33)
     for R in (2.0, 8.0):
-        data = gronwall_constants(spec, dmp, growth, make_phi_R(R, 1), times)
+        data = gronwall_constants(profile(spec.div_sup, times), dmp, growth,
+                                  make_phi_R(R, 1), times)
         assert data.A == pytest.approx(3.0, rel=1e-14)
         assert data.B_R == pytest.approx(2.0 + 1.5 * R, rel=1e-14)
         assert data.C_R == 0.0 and data.C_R_limit == 0.0
@@ -310,7 +308,8 @@ def test_gronwall_compact_field_delta_independent():
 
 def _probe_data(spec, dmp, quad, R=8.0):
     growth = growth_split(spec, rng=np.random.default_rng(2))
-    return gronwall_constants(spec, dmp, growth, make_phi_R(R, 1), quad.times)
+    return gronwall_constants(profile(spec.div_sup, quad.times), dmp, growth,
+                              make_phi_R(R, 1), quad.times)
 
 
 def test_uniqueness_probe_zero_solution_consistent():
