@@ -17,13 +17,10 @@ import numpy as np
 from .errors import (BadSplitError, DegenerateFitError, EmptyBallError,
                      LambdaTooSmallError, NegativeInputError,
                      NonFiniteProfileError)
-from .fields import DampingFieldSpec, GrowthSplit, VelocityFieldSpec
-from .numerics import (ball_volume, holds_below, log_linear_fit, profile,
-                       tensor_points, trapz)
-from .renormalization import make_beta_log, make_phi_R
-from .representation import DensityRepresentation
-from .weakform import (GRONWALL_SLACK, GammaTrace, SpaceTimeQuadrature, gamma_trace,
-                       gronwall_constants)
+from .fields import DampingFieldSpec, GrowthSplit
+from .numerics import ball_volume, log_linear_fit, profile, tensor_points, trapz
+from .renormalization import TestFunctionPhiR
+from .weakform import GronwallBoundData, gronwall_constants
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
 
 
 # ---------------------------------------------------------------------------
-# BMO-divergence Gronwall diagnostic
+# BMO-divergence Gronwall constants
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -284,53 +281,31 @@ def _integral_to(fn, t):
     return trapz(profile(fn, ts), ts)
 
 
-def bmo_gronwall_diagnostic(u: DensityRepresentation, delta, R, lam,
-                            field: VelocityFieldSpec, split: BMODivergenceSplit,
-                            growth: GrowthSplit, damping: DampingFieldSpec,
-                            quad: SpaceTimeQuadrature) -> GammaTrace:
-    """Gamma_{delta,R} on [0, tau0] against the lambda-family Gronwall bound.
+def bmo_gronwall_constants(lam, split: BMODivergenceSplit, growth: GrowthSplit,
+                           damping: DampingFieldSpec, phi_R: TestFunctionPhiR,
+                           times) -> GronwallBoundData:
+    """Constants of the lambda-family Gronwall bound on [0, tau0].
 
     The abstract decay constants are replaced by the fitted (C, c) of the
     oscillating divergence part; tau0 is chosen so the accumulated
     oscillation norm stays below half the fitted decay rate, which is what
-    makes exp(A_lambda) D_lambda decay in lambda. With d2 = 0 the bound
-    reduces to the plain logarithmic Gronwall bound, slack included.
+    makes exp(A_lambda) D_lambda decay in lambda. With d2 = 0 the constants
+    reduce to those of the plain logarithmic Gronwall bound.
     """
-    d = quad.d
+    d = phi_R.d
     if lam <= 2.0 ** (d + 2):
         raise LambdaTooSmallError(f"lambda={lam:g} must exceed 2^(d+2)={2.0**(d+2):g}")
     if split.d2_profile is not None and not split.d2_profile.vanishes_outside:
         raise BadSplitError("d2 is not compactly supported in B_M")
 
-    if split.d2_profile is None:
-        c_fit = float("inf")
-        C_fit = 0.0
-        tau0 = float(quad.times[-1])
-    else:
+    tau0, decay = float(times[-1]), 0.0
+    if split.d2_profile is not None:
         if split.jn is None:
             raise ValueError("split needs the fitted decay constants (jn)")
-        c_fit = split.jn.c_fit
-        C_fit = split.jn.C_fit
-        tau0 = choose_tau0(split.d2_norm_star, c_fit, float(quad.times[-1]))
+        tau0 = choose_tau0(split.d2_norm_star, split.jn.c_fit, tau0)
+        decay = split.jn.C_fit * math.exp(-split.jn.c_fit * lam)
 
-    keep = quad.times <= tau0 + 1e-12
-    times = quad.times[keep]
-
-    beta = make_beta_log(delta)
-    phi_R = make_phi_R(R, d)
-    trace = gamma_trace(u, beta, phi_R, field, damping, quad)
-    gamma_vals = trace.values[keep]
-
+    times = times[times <= tau0 + 1e-12]
     sig = profile(split.d2_norm_star, times)
-    decay = C_fit * math.exp(-c_fit * lam) if np.isfinite(c_fit) else 0.0
-    data = gronwall_constants(profile(split.d1_sup, times) + lam * sig, damping,
-                              growth, phi_R, times, decay * sig)
-    bound = data.bound(delta)
-    passed = holds_below(gamma_vals, bound, GRONWALL_SLACK)
-
-    return GammaTrace(times=times.copy(), values=gamma_vals, rhs=None,
-                      bound=bound, passed=passed,
-                      extras={"A_lambda": data.A, "B_lambda_R": data.B_R,
-                              "C_R": data.C_R, "D_lambda": data.D, "tau0": tau0,
-                              "lambda": float(lam), "delta": float(delta),
-                              "expA_D": math.exp(data.A) * data.D})
+    return gronwall_constants(profile(split.d1_sup, times) + lam * sig, damping,
+                              growth, phi_R, times, decay * sig, tau0)

@@ -7,7 +7,6 @@ are collected and reported together in a single ValidationError.
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Optional
 
 from .errors import ParseError, ValidationError
 
@@ -33,7 +32,7 @@ class ScenarioConfig:
     T: float
     field_id: str
     damping_id: str
-    u0_id: Optional[str]
+    u0_id: str
     seeds_per_axis: object          # int or per-axis tuple
     steps: int
     box_radius: float
@@ -159,7 +158,7 @@ def resolve(raw: dict) -> ScenarioConfig:
         violations.append(f"field_id: {merged.get('field_id')!r} not in the catalog")
     if merged.get("damping_id") not in DAMPING_CATALOG:
         violations.append(f"damping_id: {merged.get('damping_id')!r} not in the catalog")
-    if merged.get("u0_id") is not None and merged.get("u0_id") not in U0_CATALOG:
+    if merged.get("u0_id") not in U0_CATALOG:
         violations.append(f"u0_id: {merged.get('u0_id')!r} not in the catalog")
 
     diags = merged.get("diagnostics")

@@ -60,6 +60,10 @@ class JacobianVanishedError(RoughTransportError):
 
 # --- weak form ---------------------------------------------------------------
 
+class InadmissibleRenormalizerError(RoughTransportError):
+    """A built renormalizer fails an admissibility condition on the sweep."""
+
+
 class SupportOverflowError(RoughTransportError):
     """A compactly supported test function exceeds the quadrature box."""
 

@@ -10,7 +10,7 @@ whose derivative satisfies the sharp weighted bound |r beta'(r)| <= 1 for
 every delta (the half in front of the log is what makes the bound hold with
 constant one; the plain log version only satisfies the bound with constant
 two). Both families vanish at zero, are bounded, and have bounded r b'(r),
-so they are admissible renormalizations.
+so they are admissible; each factory certifies its result by check_admissible.
 
 phi_R is the Lipschitz radial test function equal to 2^-(d+1) inside the
 ball of radius R and decaying like (R + |x|)^-(d+1) outside.
@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import InadmissibleRenormalizerError
 from .numerics import adaptive_quad, gl_nodes, holds_below, sphere_area
 
 
@@ -54,9 +55,9 @@ def make_beta_arctan(M) -> Renormalizer:
         return M * M / (M * M + r * r)
 
     # |r beta'| = M^2 |r| / (M^2 + r^2) peaks at M/2; M is the loose bound kept
-    return Renormalizer(beta=beta, beta_prime=beta_prime,
-                        sup_beta=M * math.pi / 2.0, sup_rbeta_prime=M,
-                        label=f"arctan(M={M:g})")
+    return _certified(Renormalizer(beta=beta, beta_prime=beta_prime,
+                                   sup_beta=M * math.pi / 2.0, sup_rbeta_prime=M,
+                                   label=f"arctan(M={M:g})"))
 
 
 def make_beta_log(delta) -> Renormalizer:
@@ -75,9 +76,9 @@ def make_beta_log(delta) -> Renormalizer:
         return a / ((1.0 + r * r) * (delta + a * a))
 
     sup_beta = 0.5 * math.log1p(math.pi ** 2 / (4.0 * delta))
-    return Renormalizer(beta=beta, beta_prime=beta_prime,
-                        sup_beta=sup_beta, sup_rbeta_prime=1.0,
-                        label=f"log(delta={delta:g})")
+    return _certified(Renormalizer(beta=beta, beta_prime=beta_prime,
+                                   sup_beta=sup_beta, sup_rbeta_prime=1.0,
+                                   label=f"log(delta={delta:g})"))
 
 
 def arctan_contraction_gap(r1, r2, M):
@@ -139,6 +140,8 @@ def check_admissible(ren: Renormalizer) -> AdmissibilityReport:
         witnesses["rbeta_prime"] = (float(sweep[i]), float(rb[i]))
 
     zero_ok = abs(float(ren.beta(0.0))) <= 1e-15
+    if not zero_ok:
+        witnesses["zero"] = (0.0, float(ren.beta(0.0)))
 
     near = np.abs(sweep) <= 1e3
     sub = sweep[near][:: max(1, near.sum() // 2000)]
@@ -154,6 +157,15 @@ def check_admissible(ren: Renormalizer) -> AdmissibilityReport:
     return AdmissibilityReport(bounded_ok=bounded_ok, rbeta_prime_ok=rbeta_ok,
                                zero_ok=zero_ok, derivative_ok=derivative_ok,
                                witnesses=witnesses)
+
+
+def _certified(ren: Renormalizer) -> Renormalizer:
+    """ren once check_admissible passes; else the failed conditions and witnesses."""
+    report = check_admissible(ren)
+    if not report.passed:
+        raise InadmissibleRenormalizerError(f"{ren.label} is not admissible; failed "
+                                            f"condition: (r, value) {report.witnesses}")
+    return ren
 
 
 # ---------------------------------------------------------------------------

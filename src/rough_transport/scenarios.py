@@ -10,12 +10,12 @@ all mirrored into CSV artifacts.
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .bmo import (BMODivergenceSplit, bmo_gronwall_diagnostic, bmo_norm,
+from .bmo import (BMODivergenceSplit, bmo_gronwall_constants, bmo_norm,
                   default_ball_family, jn_decay_check, lemma52_checks)
 from .errors import PipelineError, RoughTransportError
 from .fields import (DampingFieldSpec, PointSingularity, VelocityFieldSpec,
@@ -26,12 +26,12 @@ from .flow import (change_of_variables_residual, compressibility_estimate,
                    jacobian, jacobian_ode_residual, make_seed_grid,
                    seeds_from_points, superlevel_escape)
 from .numerics import ball_volume, cell_centers, profile
-from .renormalization import make_beta_arctan, make_phi_R
+from .renormalization import make_beta_arctan, make_beta_log, make_phi_R
 from .report import Artifact, DiagnosticResult, RunReport
 from .representation import (DensityRepresentation, damping_integral,
                              integrability_probe, pointwise_solution)
 from .testfunctions import bump, compact_space_time, gaussian
-from .weakform import (GRONWALL_SLACK, gronwall_constants, gronwall_log_diagnostic,
+from .weakform import (GRONWALL_SLACK, gamma_trace, gronwall_constants,
                        l2_energy_diagnostic, make_quadrature, uniqueness_probe,
                        weak_residual, weak_residual_study)
 
@@ -259,7 +259,7 @@ class RunContext:
     cfg: "object"                      # config.ScenarioConfig
     field: VelocityFieldSpec
     damping: DampingFieldSpec
-    u0: Optional[Callable]
+    u0: Callable
     rng: np.random.Generator
     _cache: dict = None
 
@@ -559,40 +559,35 @@ def _skip_weak_form(ctx):
 
 def _run_gronwall_matrix(ctx, quad_shape, quad_radius, check_delta_independent=False):
     quad, u = ctx.twin_difference(quad_shape, quad_radius)
+    rate = profile(ctx.field.div_sup, quad.times)
+    phis = {R: make_phi_R(R, ctx.d) for R in ctx.cfg.r_list}
+    data = {R: gronwall_constants(rate, ctx.damping, ctx.growth(), phi, quad.times)
+            for R, phi in phis.items()}
     rows = []
     trace_rows = []
     all_ok = True
-    bounds_by_R = {}
     for delta in ctx.cfg.delta_list:
+        beta = make_beta_log(delta)
         for R in ctx.cfg.r_list:
-            trace = gronwall_log_diagnostic(u, delta, R, ctx.field,
-                                            ctx.damping, ctx.growth(), quad,
-                                            eta=ctx.cfg.eta)
-            rows.append((delta, R, float(np.max(trace.values)), trace.bound))
-            all_ok = all_ok and trace.passed
-            bounds_by_R.setdefault(R, []).append(trace.bound)
-            if not trace_rows:
-                trace_rows = [(float(t), float(g), float(r), trace.bound)
-                              for t, g, r in zip(trace.times, trace.values,
-                                                 trace.rhs)]
-    delta_indep = True
+            trace = gamma_trace(u, beta, phis[R], ctx.field, ctx.damping, quad,
+                                ctx.cfg.eta)
+            bound = data[R].bound(delta)
+            rows.append((delta, R, float(np.max(trace.values)), bound))
+            all_ok = all_ok and data[R].holds(trace, delta)
+            trace_rows = trace_rows or [(float(t), float(g), float(r), bound) for t, g, r
+                                        in zip(trace.times, trace.values, trace.rhs)]
+    worst = max(g / max(b, 1e-300) for _, _, g, b in rows)
+    metrics = {"worst_gamma_over_bound": (worst, 1.0 + GRONWALL_SLACK),
+               "all_bounds_hold": (all_ok, True)}
     if check_delta_independent:
-        for R, bounds in bounds_by_R.items():
-            span = max(bounds) - min(bounds)
-            delta_indep = delta_indep and span <= 1e-9 * max(bounds)
-    worst = max(g / b for _, _, g, b in rows) if rows else 0.0
+        bounds = [[d.bound(delta) for delta in ctx.cfg.delta_list] for d in data.values()]
+        metrics["bound_delta_independent"] = (
+            all(max(b) - min(b) <= 1e-9 * max(b) for b in bounds), True)
     art = Artifact("gronwall_log.csv", ("delta", "R", "gamma_max", "bound"),
                    tuple(rows))
     art_trace = Artifact("gamma_trace.csv", ("t", "gamma", "rhs", "bound"),
                          tuple(trace_rows))
-    values = {"worst_gamma_over_bound": worst, "all_bounds_hold": all_ok}
-    thresholds = {"worst_gamma_over_bound": 1.0 + GRONWALL_SLACK,
-                  "all_bounds_hold": True}
-    if check_delta_independent:
-        values["bound_delta_independent"] = delta_indep
-        thresholds["bound_delta_independent"] = True
-    return _result(all_ok and delta_indep, values, thresholds,
-                   artifacts=(art, art_trace))
+    return _check(metrics, artifacts=(art, art_trace))
 
 
 def _run_uniqueness_probe(ctx, quad_shape, quad_radius):
@@ -668,18 +663,22 @@ def _run_bmo_gronwall(ctx):
                                d2_norm_star=lambda t: profile.norm_star,
                                jn=ctx.jn_fit())
     quad, u = ctx.twin_difference((96, 32), 2.0, allow_nonsmooth=True)
+    phi_R = make_phi_R(ctx.cfg.r_list[0], ctx.d)
+    # Gamma depends on (delta, R) alone: one trace per delta serves every lambda
+    traces = {delta: gamma_trace(u, make_beta_log(delta), phi_R, ctx.field,
+                                 ctx.damping, quad)
+              for delta in ctx.cfg.delta_list}
     rows = []
     all_ok = True
     expA_D = {}
     for lam in ctx.cfg.lambda_list:
+        data = bmo_gronwall_constants(lam, split, ctx.growth(), ctx.damping, phi_R,
+                                      quad.times)
+        expA_D[lam] = math.exp(data.A) * data.D
         for delta in ctx.cfg.delta_list:
-            trace = bmo_gronwall_diagnostic(u, delta, ctx.cfg.r_list[0], lam,
-                                            ctx.field, split, ctx.growth(),
-                                            ctx.damping, quad)
-            rows.append((lam, delta, float(np.max(trace.values)), trace.bound,
-                         trace.extras["expA_D"], trace.extras["tau0"]))
-            all_ok = all_ok and trace.passed
-            expA_D[lam] = trace.extras["expA_D"]
+            rows.append((lam, delta, float(np.max(data.window(traces[delta]))),
+                         data.bound(delta), expA_D[lam], data.tau0))
+            all_ok = all_ok and data.holds(traces[delta], delta)
     lams = sorted(expA_D)
     decay = all(expA_D[b] < expA_D[a] for a, b in zip(lams, lams[1:]))
     art = Artifact("bmo_gronwall.csv",
@@ -701,7 +700,7 @@ class Scenario:
     T: float
     field_id: str
     damping_id: str
-    u0_id: Optional[str]
+    u0_id: str
     defaults: dict
     runners: dict              # diagnostic name -> runner(ctx), in run order
 
@@ -868,7 +867,7 @@ def build_context(cfg) -> RunContext:
     scenario = REGISTRY[cfg.scenario_id]
     field = FIELD_CATALOG[cfg.field_id](scenario.dimension, cfg.T)
     damping = DAMPING_CATALOG[cfg.damping_id](scenario.dimension)
-    u0 = U0_CATALOG[cfg.u0_id](scenario.dimension) if cfg.u0_id else None
+    u0 = U0_CATALOG[cfg.u0_id](scenario.dimension)
     rng = np.random.default_rng(cfg.rng_seed)
     return RunContext(cfg=cfg, field=field, damping=damping, u0=u0, rng=rng)
 

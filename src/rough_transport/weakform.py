@@ -6,14 +6,14 @@ function derivatives,
     phi(0)beta(u0) + [dt phi + grad phi . b] beta(u)
                   + phi [div b (beta(u) - u beta'(u)) + c u beta'(u)]
 
-which vanishes for renormalized solutions. The Gronwall diagnostics trace
-Gamma(t) = integral of phi beta(u) and compare against the bound
-exp(A)(B_R + log(1 + pi^2/(4 delta)) C_R) assembled from the scenario's
-divergence sup profile, growth split and damping L1 profile.
+which vanishes for renormalized solutions. gamma_trace traces Gamma(t) =
+integral of phi beta(u); GronwallBoundData.holds judges it against
+exp(A)(B_R + log(1 + pi^2/(4 delta)) C_R), whose constants gronwall_constants
+assembles from the divergence sup profile, growth split and damping L1 profile.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ from .fields import (DampingFieldSpec, GrowthSplit, VelocityFieldSpec, sample_da
                      sample_nodes)
 from .numerics import (cell_centers, cumtrapz, holds_below, order_estimate, profile,
                        stable_sum, tensor_points, trapezoid_weights, trapz)
-from .renormalization import Renormalizer, TestFunctionPhiR, make_beta_log, make_phi_R
+from .renormalization import Renormalizer, TestFunctionPhiR
 from .representation import DensityRepresentation
 
 
@@ -171,15 +171,12 @@ def weak_residual_study(pairs, beta, phi, field, damping, u0,
 
 @dataclass(frozen=True)
 class GammaTrace:
-    """Gamma(t_k) = sum phi(x_i) beta(u(t_k, x_i)) cell_vol, with metadata."""
+    """Gamma(t_k) = sum phi(x_i) beta(u(t_k, x_i)) cell_vol, with its rhs."""
 
     times: np.ndarray
     values: np.ndarray
-    rhs: Optional[np.ndarray] = None
-    bound: Optional[float] = None
-    consistency: Optional[float] = None
-    passed: Optional[bool] = None
-    extras: dict = dc_field(default_factory=dict)
+    rhs: np.ndarray
+    consistency: float
 
 
 def gamma_trace(u: DensityRepresentation, beta: Renormalizer, phi_space,
@@ -257,19 +254,29 @@ class GronwallBoundData:
     C_R: float
     C_R_limit: float
     D: float                   # BMO lambda-family decay term; 0 for the plain bound
+    tau0: float                # the bound covers the time nodes up to tau0
 
     def bound(self, delta):
         return log_gronwall_bound(self.A, self.B_R, self.C_R + self.D, delta)
 
+    def window(self, trace: GammaTrace):
+        """Gamma on the time nodes up to tau0."""
+        return trace.values[trace.times <= self.tau0 + 1e-12]
+
+    def holds(self, trace: GammaTrace, delta):
+        """Gamma <= bound(delta) on [0, tau0], up to the factor 1 + GRONWALL_SLACK."""
+        return holds_below(self.window(trace), self.bound(delta), GRONWALL_SLACK)
+
 
 def gronwall_constants(rate, damping: DampingFieldSpec, growth: GrowthSplit,
-                       phi_R: TestFunctionPhiR, times, decay=None) -> GronwallBoundData:
+                       phi_R: TestFunctionPhiR, times, decay=None,
+                       tau0=None) -> GronwallBoundData:
     """A = int rate + (d+1) b2, B_R = int ||c||_1 + rate ||phi_R||_1 + decay,
     C_R = (d+1) int ||b1||_{L1(B_R^c)} and D = int decay, by trapezoids.
 
     ``rate`` samples ||div b||_inf on ``times`` for the plain bound, or
     d1 + lambda ||d2||_* for the BMO family, whose ``decay`` samples
-    C e^{-c lambda} ||d2||_*.
+    C e^{-c lambda} ||d2||_*; ``tau0`` ends the window, at the last node by default.
     """
     times = np.asarray(times, dtype=float)
     d = phi_R.d
@@ -282,28 +289,8 @@ def gronwall_constants(rate, damping: DampingFieldSpec, growth: GrowthSplit,
     c_limit = (d + 1) * profile(growth.b1_tail_l1, times, 1e18)
     return GronwallBoundData(A=trapz(a, times), B_R=trapz(b_R, times),
                              C_R=trapz(c_R, times), C_R_limit=trapz(c_limit, times),
-                             D=0.0 if decay is None else trapz(decay, times))
-
-
-def gronwall_log_diagnostic(u: DensityRepresentation, delta, R,
-                            field: VelocityFieldSpec, damping: DampingFieldSpec,
-                            growth: GrowthSplit, quad: SpaceTimeQuadrature,
-                            eta=0.0) -> GammaTrace:
-    """Gamma_{delta,R}(t) with the log renormalizer against its Gronwall bound.
-
-    Contract: Gamma(t) <= exp(A)(B_R + log(1 + pi^2/(4 delta)) C_R) at all
-    time nodes, up to the factor 1 + GRONWALL_SLACK.
-    """
-    beta = make_beta_log(delta)
-    phi_R = make_phi_R(R, quad.d)
-    trace = gamma_trace(u, beta, phi_R, field, damping, quad, eta)
-    data = gronwall_constants(profile(field.div_sup, quad.times), damping, growth,
-                              phi_R, quad.times)
-    bound = data.bound(delta)
-    passed = holds_below(trace.values, bound, GRONWALL_SLACK)
-    return GammaTrace(times=trace.times, values=trace.values, rhs=trace.rhs,
-                      bound=bound, consistency=trace.consistency, passed=passed,
-                      extras={"data": data, "delta": float(delta)})
+                             D=0.0 if decay is None else trapz(decay, times),
+                             tau0=float(times[-1]) if tau0 is None else tau0)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rough_transport.bmo import (BMODivergenceSplit, bmo_gronwall_diagnostic,
+from rough_transport.bmo import (BMODivergenceSplit, bmo_gronwall_constants,
                                  bmo_norm, choose_tau0,
                                  default_ball_family, jn_decay_check,
                                  lemma52_checks)
@@ -14,8 +14,10 @@ from rough_transport.errors import (BadSplitError, DegenerateFitError,
                                     EmptyBallError, LambdaTooSmallError,
                                     NegativeInputError, NonFiniteProfileError)
 from rough_transport.fields import growth_split
+from rough_transport.numerics import profile
+from rough_transport.renormalization import make_beta_log, make_phi_R
 from rough_transport.representation import DensityRepresentation
-from rough_transport.weakform import gronwall_log_diagnostic, make_quadrature
+from rough_transport.weakform import gamma_trace, gronwall_constants, make_quadrature
 
 from conftest import damping, field
 
@@ -157,8 +159,8 @@ def test_support_checked_once_per_profile(monkeypatch):
                                jn=jn_decay_check(prof, [1.0 + 0.5 * k for k in range(7)]))
     quad = make_quadrature(1, 2.0, 16, 1.0, 8)
     with pytest.raises(BadSplitError):
-        bmo_gronwall_diagnostic(_zero_density(quad), 1e-2, 2.0, 9.0,
-                                spec, split, growth_split(spec), damping("zero"), quad)
+        bmo_gronwall_constants(9.0, split, growth_split(spec), damping("zero"),
+                               make_phi_R(2.0, 1), quad.times)
 
 
 def test_core_values_built_once():
@@ -271,21 +273,22 @@ def test_bmo_gronwall_zero_solution():
                                d2_norm_star=lambda t: prof.norm_star, jn=fit)
     quad = make_quadrature(1, 2.0, 48, 1.0, 16)
     growth = growth_split(spec, rng=np.random.default_rng(0))
-    trace = bmo_gronwall_diagnostic(_zero_density(quad), 1e-2, 2.0, 9.0,
-                                    spec, split, growth,
-                                    damping("zero"), quad)
-    assert trace.passed
+    phi_R = make_phi_R(2.0, 1)
+    trace = gamma_trace(_zero_density(quad), make_beta_log(1e-2), phi_R, spec,
+                        damping("zero"), quad)
+    data = bmo_gronwall_constants(9.0, split, growth, damping("zero"), phi_R,
+                                  quad.times)
+    assert data.holds(trace, 1e-2)
     assert np.all(trace.values == 0.0)
-    assert trace.extras["tau0"] < 1.0     # the policy clips the window
+    assert data.tau0 < 1.0     # the policy clips the window
     # assembled constants match the closed forms for this autonomous split
     # (integrated up to the last time node inside the tau0 window):
     # a_lambda = lambda sigma + 2 b2 and d_lambda = C e^{-c lambda} sigma
     sigma = prof.norm_star
-    window = float(trace.times[-1])
-    assert window <= trace.extras["tau0"]
-    assert trace.extras["A_lambda"] == pytest.approx(window * (9.0 * sigma + 2.0),
-                                                     rel=1e-12)
-    assert trace.extras["D_lambda"] == pytest.approx(
+    window = float(quad.times[quad.times <= data.tau0 + 1e-12][-1])
+    assert window <= data.tau0
+    assert data.A == pytest.approx(window * (9.0 * sigma + 2.0), rel=1e-12)
+    assert data.D == pytest.approx(
         window * fit.C_fit * math.exp(-9.0 * fit.c_fit) * sigma, rel=1e-12)
 
 
@@ -298,9 +301,8 @@ def test_bmo_gronwall_lambda_too_small():
     quad = make_quadrature(1, 2.0, 16, 1.0, 8)
     growth = growth_split(spec, rng=np.random.default_rng(0))
     with pytest.raises(LambdaTooSmallError):
-        bmo_gronwall_diagnostic(_zero_density(quad), 1e-2, 2.0, 8.0,
-                                spec, split, growth,
-                                damping("zero"), quad)
+        bmo_gronwall_constants(8.0, split, growth, damping("zero"),
+                               make_phi_R(2.0, 1), quad.times)
 
 
 def test_bmo_gronwall_reduces_without_oscillating_part():
@@ -313,11 +315,14 @@ def test_bmo_gronwall_reduces_without_oscillating_part():
     growth = growth_split(spec, rng=np.random.default_rng(1))
     u = _zero_density(quad)
     for delta, R in ((1e-2, 2.0), (1e-4, 4.0)):
-        bmo_trace = bmo_gronwall_diagnostic(u, delta, R, 9.0,
-                                            spec, split, growth, dmp, quad)
-        log_trace = gronwall_log_diagnostic(u, delta, R, spec, dmp, growth, quad)
-        assert bmo_trace.extras["tau0"] == quad.times[-1]
-        assert bmo_trace.bound == log_trace.bound
+        phi_R = make_phi_R(R, 1)
+        trace = gamma_trace(u, make_beta_log(delta), phi_R, spec, dmp, quad)
+        bmo_data = bmo_gronwall_constants(9.0, split, growth, dmp, phi_R, quad.times)
+        log_data = gronwall_constants(profile(spec.div_sup, quad.times), dmp, growth,
+                                      phi_R, quad.times)
+        assert bmo_data.tau0 == quad.times[-1]
+        assert bmo_data.bound(delta) == log_data.bound(delta)
+        assert bmo_data.holds(trace, delta) and log_data.holds(trace, delta)
 
 
 def test_tau0_policy_window():

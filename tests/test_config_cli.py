@@ -66,6 +66,15 @@ def test_validation_collects_all_violations(tmp_path):
     assert "steps" in joined and "T" in joined and "eta" in joined
 
 
+def test_null_u0_id_rejected(tmp_path):
+    # every runner may read u0, so a null initial datum is a catalog violation
+    with pytest.raises(ValidationError) as err:
+        resolve({"scenario_id": "identity", "u0_id": None})
+    assert err.value.violations == ["u0_id: None not in the catalog"]
+    assert main(["run", _write(tmp_path, {"scenario_id": "identity",
+                                          "u0_id": None})]) == 2
+
+
 def test_unknown_diagnostic_rejected(tmp_path):
     with pytest.raises(ValidationError) as err:
         load_config(_write(tmp_path, {"scenario_id": "identity",

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rough_transport import renormalization
+from rough_transport.errors import InadmissibleRenormalizerError
 from rough_transport.renormalization import (Renormalizer, arctan_contraction_gap,
                                              check_admissible, make_beta_arctan,
                                              make_beta_log, make_phi_R,
@@ -128,6 +130,18 @@ def test_admissible_log():
     for delta in (1.0, 1e-4, 1e-6, 1e-12):
         report = check_admissible(make_beta_log(delta))
         assert report.passed, (delta, report.witnesses)
+
+
+def test_factories_raise_on_a_failed_certificate(monkeypatch):
+    failing = check_admissible(Renormalizer(
+        beta=lambda r: np.asarray(r, dtype=float) + 1e-3,
+        beta_prime=lambda r: np.ones_like(np.asarray(r, dtype=float)),
+        sup_beta=1e9, sup_rbeta_prime=1e9, label="shifted"))
+    assert failing.witnesses == {"zero": (0.0, 1e-3)}
+    monkeypatch.setattr(renormalization, "check_admissible", lambda ren: failing)
+    for make in (make_beta_arctan, make_beta_log):
+        with pytest.raises(InadmissibleRenormalizerError, match="'zero': "):
+            make(1.0)
 
 
 def test_admissible_rejects_wrong_derivative():

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from rough_transport import scenarios
+from rough_transport import renormalization, scenarios
 from rough_transport.config import resolve
+from rough_transport.errors import InadmissibleRenormalizerError, PipelineError
+from rough_transport.renormalization import AdmissibilityReport
 from rough_transport.scenarios import REGISTRY, _check, run_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -30,21 +32,54 @@ def test_default_run_matches_golden_artifacts(scenario_id, tmp_path):
             f"{scenario_id}/{name} differs from the golden copy"
 
 
-@pytest.mark.parametrize("scenario_id", ["compact_support_b", "twin_difference_gronwall",
-                                         "bmo_divergence_log"])
-def test_default_run_verifies_growth_split_once(scenario_id, tmp_path, monkeypatch):
-    # every runner that reads the growth split shares the run's one check
-    calls = []
-    verify = scenarios.growth_split
+# one per (delta, R): 3 x 1, 3 x 3, and 2 x 1 read by all three lambdas
+GAMMA_TRACES = {"compact_support_b": 3, "twin_difference_gronwall": 9,
+                "bmo_divergence_log": 2}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return verify(*args, **kwargs)
-    monkeypatch.setattr(scenarios, "growth_split", counted)
+
+@pytest.mark.parametrize("scenario_id", list(GAMMA_TRACES))
+def test_default_run_verifies_growth_split_once(scenario_id, tmp_path, monkeypatch):
+    # every runner that reads the growth split shares the run's one check,
+    # and each Gamma trace is taken once
+    calls = {"growth_split": 0, "gamma_trace": 0}
+
+    def counting(name):
+        fn = getattr(scenarios, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+    for name in calls:
+        monkeypatch.setattr(scenarios, name, counting(name))
     report = run_scenario(resolve({"scenario_id": scenario_id,
                                    "output_dir": str(tmp_path)}))
     assert all(r.passed for r in report.results)
-    assert len(calls) == 1
+    assert calls == {"growth_split": 1, "gamma_trace": GAMMA_TRACES[scenario_id]}
+
+
+def test_zero_gronwall_bound_passes(tmp_path):
+    # b = 0, c = 0: the twin difference and every bound are zero
+    report = run_scenario(resolve({"scenario_id": "twin_difference_gronwall",
+                                   "field_id": "zero", "damping_id": "zero",
+                                   "diagnostics": ["gronwall_log"],
+                                   "output_dir": str(tmp_path)}))
+    result = report.results[0]
+    assert result.passed
+    assert result.values["worst_gamma_over_bound"] == 0.0
+
+
+def test_inadmissible_beta_is_a_pipeline_error(tmp_path, monkeypatch):
+    failing = AdmissibilityReport(bounded_ok=False, rbeta_prime_ok=True, zero_ok=True,
+                                  derivative_ok=True, witnesses={"bounded": (1.0, 9.0)})
+    monkeypatch.setattr(renormalization, "check_admissible", lambda ren: failing)
+    cfg = resolve({"scenario_id": "compact_support_b", "diagnostics": ["gronwall_log"],
+                   "output_dir": str(tmp_path)})
+    with pytest.raises(PipelineError) as err:
+        run_scenario(cfg)
+    assert err.value.stage == "gronwall_log"
+    assert isinstance(err.value.cause, InadmissibleRenormalizerError)
+    assert "'bounded': (1.0, 9.0)" in str(err.value)
 
 
 def test_runtime_budget_folds_into_verdict(tmp_path, monkeypatch):
@@ -77,11 +112,14 @@ def test_nondefault_run_is_reproducible(tmp_path):
 
 def test_default_change_of_variables_runs_import_no_scipy(tmp_path):
     # linear_expand and rotation are the default scenarios that read bump
-    # integrals; a fresh process keeps modules other tests imported out
+    # integrals; twin_difference_gronwall and compact_support_b certify beta,
+    # build phi_R and the Gronwall constants; a fresh process keeps modules
+    # other tests imported out
+    ids = ("linear_expand", "rotation", "twin_difference_gronwall", "compact_support_b")
     code = textwrap.dedent(f"""
         import sys
         from rough_transport import cli, config, scenarios
-        for sid in ("linear_expand", "rotation"):
+        for sid in {ids!r}:
             cfg = config.resolve({{"scenario_id": sid,
                                   "output_dir": {str(tmp_path)!r} + "/" + sid}})
             scenarios.run_scenario(cfg).write(cfg.output_dir)
@@ -92,7 +130,7 @@ def test_default_change_of_variables_runs_import_no_scipy(tmp_path):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
-    assert sorted(os.listdir(tmp_path)) == ["linear_expand", "rotation"]
+    assert sorted(os.listdir(tmp_path)) == sorted(ids)
 
 
 def test_check_flag_must_be_true():

@@ -12,10 +12,11 @@ from rough_transport.renormalization import make_beta_arctan, make_beta_log, mak
 from rough_transport.representation import DensityRepresentation, pointwise_solution
 from rough_transport.testfunctions import (SpaceTimeTestFunction, TimeWindow, bump,
                                            compact_space_time, gaussian)
-from rough_transport.weakform import (gamma_trace, gronwall_constants,
-                                      gronwall_log_diagnostic, l2_energy_diagnostic,
-                                      make_quadrature, uniqueness_probe,
-                                      weak_residual, weak_residual_study)
+from rough_transport.weakform import (GRONWALL_SLACK, GammaTrace, GronwallBoundData,
+                                      gamma_trace, gronwall_constants,
+                                      l2_energy_diagnostic, make_quadrature,
+                                      uniqueness_probe, weak_residual,
+                                      weak_residual_study)
 
 from conftest import damping, field, u0_fn
 
@@ -247,15 +248,38 @@ def test_l2_energy_rejects_singular_damping():
 
 # --- logarithmic Gronwall ---------------------------------------------------------
 
+def _log_gronwall(u, delta, R, spec, dmp, growth, quad):
+    """(Gamma trace, plain Gronwall constants) at (delta, R)."""
+    phi_R = make_phi_R(R, quad.d)
+    trace = gamma_trace(u, make_beta_log(delta), phi_R, spec, dmp, quad)
+    return trace, gronwall_constants(profile(spec.div_sup, quad.times), dmp, growth,
+                                     phi_R, quad.times)
+
+
 def test_gronwall_zero_solution():
     spec, dmp = field("linear_expand"), damping("box_indicator")
     quad = make_quadrature(1, 3.0, 48, 1.0, 24)
     u = _density(quad, np.zeros((quad.times.size, quad.points.shape[0])))
     growth = growth_split(spec, rng=np.random.default_rng(0))
-    trace = gronwall_log_diagnostic(u, 1e-4, 2.0, spec, dmp, growth, quad)
-    assert trace.passed
+    trace, data = _log_gronwall(u, 1e-4, 2.0, spec, dmp, growth, quad)
+    assert data.holds(trace, 1e-4)
     assert np.all(trace.values == 0.0)
-    assert trace.bound > 0.0
+    assert data.bound(1e-4) > 0.0
+    assert data.tau0 == quad.times[-1]
+
+
+def test_gronwall_holds_reads_only_up_to_tau0():
+    # bound(delta) = e^0 (1 + 0) = 1, so the slack allows Gamma up to 1.1
+    data = GronwallBoundData(A=0.0, B_R=1.0, C_R=0.0, C_R_limit=0.0, D=0.0, tau0=0.5)
+    assert data.bound(1e-2) == 1.0
+    times = np.linspace(0.0, 1.0, 5)
+
+    def trace(values):
+        values = np.asarray(values, dtype=float)
+        return GammaTrace(times=times, values=values, rhs=np.zeros(5), consistency=0.0)
+    assert data.holds(trace([0.0, 0.5, 1.0 + GRONWALL_SLACK, 5.0, 9.0]), 1e-2)
+    assert not data.holds(trace([0.0, 1.2, 0.0, 0.0, 0.0]), 1e-2)
+    assert not data.holds(trace([0.0, np.nan, 0.0, 0.0, 0.0]), 1e-2)
 
 
 def test_gronwall_constants_hand_computed():
@@ -281,8 +305,8 @@ def test_gronwall_gamma_monotone_in_delta():
     growth = growth_split(spec, rng=np.random.default_rng(0))
     maxima = []
     for delta in (1e-2, 1e-4, 1e-6):
-        trace = gronwall_log_diagnostic(u, delta, 4.0, spec, dmp, growth, quad)
-        assert trace.passed
+        trace, data = _log_gronwall(u, delta, 4.0, spec, dmp, growth, quad)
+        assert data.holds(trace, delta)
         maxima.append(float(np.max(trace.values)))
     assert maxima[0] <= maxima[1] <= maxima[2]
 
@@ -297,10 +321,10 @@ def test_gronwall_compact_field_delta_independent():
     growth = growth_split(spec, rng=np.random.default_rng(1))
     bounds = []
     for delta in (1e-2, 1e-4, 1e-6):
-        trace = gronwall_log_diagnostic(u, delta, 8.0, spec, dmp, growth, quad)
-        assert trace.passed
-        assert trace.extras["data"].C_R == 0.0
-        bounds.append(trace.bound)
+        trace, data = _log_gronwall(u, delta, 8.0, spec, dmp, growth, quad)
+        assert data.holds(trace, delta)
+        assert data.C_R == 0.0
+        bounds.append(data.bound(delta))
     assert max(bounds) - min(bounds) <= 1e-12 * max(bounds)
 
 
