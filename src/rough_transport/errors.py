@@ -1,7 +1,7 @@
 """Exception types raised by the package.
 
 Every domain error derives from ``RoughTransportError`` so callers can catch
-the whole family; configuration problems have their own small hierarchy.
+the whole family.
 """
 
 
@@ -100,11 +100,7 @@ class BadSplitError(RoughTransportError):
 
 # --- configuration / pipeline ------------------------------------------------
 
-class ConfigError(RoughTransportError):
-    """Base class for configuration problems."""
-
-
-class ParseError(ConfigError):
+class ParseError(RoughTransportError):
     """Malformed or unknown-key configuration input."""
 
     def __init__(self, message, line=None, column=None, suggestion=None):
@@ -114,7 +110,7 @@ class ParseError(ConfigError):
         self.suggestion = suggestion
 
 
-class ValidationError(ConfigError):
+class ValidationError(RoughTransportError):
     """A structurally valid configuration violates invariants."""
 
     def __init__(self, message, violations=None):

@@ -79,15 +79,13 @@ class DampingFieldSpec:
     """Damping coefficient c(t, x), possibly unbounded on a singular set.
 
     ``sup_c`` and ``l1_spatial`` are optional analytic profiles
-    t -> ||c(t,.)||_inf and t -> ||c(t,.)||_L1 used by the bounded-damping
-    and Gronwall diagnostics; ``l1_norm_hint`` is the full space-time L1
-    mass when available in closed form. Dampings declared ``autonomous``
-    must not depend on t.
+    t -> ||c(t,.)||_inf and t -> ||c(t,.)||_L1 used by the bounded-damping,
+    L1-mass and Gronwall diagnostics. Dampings declared ``autonomous`` must
+    not depend on t.
     """
 
     eval_c: Callable
     singular_set: tuple = ()
-    l1_norm_hint: Optional[float] = None
     sup_c: Optional[Callable] = None
     l1_spatial: Optional[Callable] = None
     autonomous: bool = True

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InadmissibleRenormalizerError
-from .numerics import adaptive_quad, gl_nodes, holds_below, sphere_area
+from .numerics import holds_below
 
 
 # ---------------------------------------------------------------------------
@@ -79,14 +79,6 @@ def make_beta_log(delta) -> Renormalizer:
     return _certified(Renormalizer(beta=beta, beta_prime=beta_prime,
                                    sup_beta=sup_beta, sup_rbeta_prime=1.0,
                                    label=f"log(delta={delta:g})"))
-
-
-def arctan_contraction_gap(r1, r2, M):
-    """|beta_M(r1) - beta_M(r2)| - |r1 beta'_M(r1) - r2 beta'_M(r2)| (>= 0)."""
-    ren = make_beta_arctan(M)
-    lhs = abs(float(ren.beta(r1)) - float(ren.beta(r2)))
-    rhs = abs(r1 * float(ren.beta_prime(r1)) - r2 * float(ren.beta_prime(r2)))
-    return lhs - rhs
 
 
 # ---------------------------------------------------------------------------
@@ -200,20 +192,9 @@ class TestFunctionPhiR:
         out = -mag * x / safe_r
         return np.where(r >= self.R, out, 0.0)
 
-    def tail_mass(self, radius):
-        """Integral of phi_R outside the ball of the given radius (>= R)."""
-        if radius < self.R:
-            raise ValueError("tail only available outside the plateau")
-        if self.d == 1:
-            return 2.0 * self.R ** 2 / (self.R + radius)
-        val = adaptive_quad(lambda s: s ** (self.d - 1)
-                            * self.R ** (self.d + 1) / (self.R + s) ** (self.d + 1),
-                            radius, np.inf)
-        return sphere_area(self.d) * val
-
 
 def make_phi_R(R, d) -> TestFunctionPhiR:
-    """Build phi_R with its L1 norm (closed form in d = 1, 2)."""
+    """Build phi_R with its closed-form L1 norm; d is 1 or 2, as in every scenario."""
     if R <= 0.0:
         raise ValueError("R must be positive")
     R = float(R)
@@ -222,26 +203,5 @@ def make_phi_R(R, d) -> TestFunctionPhiR:
     elif d == 2:
         l1 = 7.0 * math.pi * R * R / 8.0
     else:
-        inner = sphere_area(d) * (0.5 ** (d + 1)) * R ** d / d
-        outer = adaptive_quad(lambda s: s ** (d - 1) * R ** (d + 1) / (R + s) ** (d + 1),
-                              R, np.inf)
-        l1 = inner + sphere_area(d) * outer
+        raise ValueError(f"phi_R has a closed-form L1 norm only for d = 1, 2, not {d}")
     return TestFunctionPhiR(R=R, d=d, l1_norm=l1)
-
-
-def phi_R_radial_integral(phi: TestFunctionPhiR):
-    """Radial quadrature of phi_R on 100 linear panels over [0, 2R] and 100
-    geometric ones up to 1000 R, plus the analytic tail; cross-checks the
-    stored L1 norm."""
-    R, d = phi.R, phi.d
-    hi = 1e3 * R
-    total = 0.0
-    cuts = np.concatenate([np.linspace(0.0, 2.0 * R, 101),
-                           np.geomspace(2.0 * R, hi, 101)[1:]])
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        xs, ws = gl_nodes(a, b, 16)
-        pts = np.zeros((xs.size, d))
-        pts[:, 0] = xs
-        vals = phi(pts) * xs ** (d - 1)
-        total += float(np.dot(ws, vals))
-    return sphere_area(d) * total + phi.tail_mass(hi)

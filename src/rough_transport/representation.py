@@ -8,7 +8,6 @@ singular set implements the almost-everywhere reading of the path integral.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,7 +30,6 @@ class DampingAccumulator:
 
     flow: FlowMap
     values: np.ndarray          # (N, K+1), trapezoid in time
-    eta: float                  # exclusion radius around the singular set
     truncated_nodes: np.ndarray  # (N,), count of zeroed integrand nodes
     integrand: np.ndarray       # (N, K+1), c along X after the cut-off
 
@@ -59,7 +57,7 @@ def damping_integral(damping: DampingFieldSpec, flow: FlowMap, eta) -> DampingAc
         raise AllTruncatedError(
             f"every node of trajectory {i} lies within eta={eta:g} of the singular set"
         )
-    return DampingAccumulator(flow=flow, values=cumtrapz(cvals, times), eta=eta,
+    return DampingAccumulator(flow=flow, values=cumtrapz(cvals, times),
                               truncated_nodes=truncated, integrand=cvals)
 
 
@@ -75,7 +73,6 @@ class DensityRepresentation:
     points: np.ndarray          # (N, d)
     values: np.ndarray          # (K+1, N)
     cell_volume: float
-    u0: Optional[Callable] = None
     out_of_domain_fraction: float = 0.0
 
 
@@ -102,7 +99,6 @@ def represent_pointwise(u0, flow_backward: FlowMap, track: JacobianTrack,
         points=pts,
         values=vals[None, :],
         cell_volume=flow_backward.seed_grid.cell_volume,
-        u0=u0,
     )
 
 
@@ -193,7 +189,7 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
         del flows, back
 
     return DensityRepresentation(times=time_grid.copy(), points=points.points,
-                                 values=vals, cell_volume=points.cell_volume, u0=u0)
+                                 values=vals, cell_volume=points.cell_volume)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +262,6 @@ def represent_pushforward(u0, flow_forward: FlowMap, acc: DampingAccumulator,
         points=target_grid.centers(),
         values=density[None, :],
         cell_volume=target_grid.cell_volume,
-        u0=u0,
         out_of_domain_fraction=out_frac,
     )
 

@@ -25,7 +25,7 @@ from .flow import (change_of_variables_residual, compressibility_estimate,
                    flow_convergence_study, forward_backward_mismatch, integrate_flow,
                    jacobian, jacobian_ode_residual, make_seed_grid,
                    seeds_from_points, superlevel_escape)
-from .numerics import ball_volume, cell_centers, profile
+from .numerics import ball_volume, cell_centers, profile, trapz
 from .renormalization import make_beta_arctan, make_beta_log, make_phi_R
 from .report import Artifact, DiagnosticResult, RunReport
 from .representation import (DensityRepresentation, damping_integral,
@@ -179,11 +179,6 @@ def _damping_zero(d):
                             label="zero")
 
 
-def _damping_constant(d):
-    return DampingFieldSpec(eval_c=lambda t, x: np.ones(np.asarray(x).shape[:-1]),
-                            sup_c=lambda t: 1.0, label="constant_one")
-
-
 def _damping_box(d):
     vol = ball_volume(d, 1.0)
 
@@ -196,7 +191,7 @@ def _damping_box(d):
 
 
 def _damping_inv_sqrt(d):
-    # |x|^(-1/2) on 0 < |x| <= 1 (d = 1); space-time L1 mass is 4T
+    # |x|^(-1/2) on 0 < |x| <= 1 (d = 1); spatial L1 mass is 4 at every t
     def eval_c(t, x):
         r = np.abs(np.asarray(x, dtype=float)[..., 0])
         out = np.zeros(r.shape)
@@ -206,13 +201,12 @@ def _damping_inv_sqrt(d):
 
     return DampingFieldSpec(eval_c=eval_c,
                             singular_set=(PointSingularity((0.0,)),),
-                            l1_norm_hint=4.0, l1_spatial=lambda t: 4.0,
+                            l1_spatial=lambda t: 4.0,
                             label="inv_sqrt")
 
 
 DAMPING_CATALOG = {
     "zero": _damping_zero,
-    "constant_one": _damping_constant,
     "box_indicator": _damping_box,
     "inv_sqrt": _damping_inv_sqrt,
 }
@@ -317,9 +311,18 @@ class RunContext:
                                    allow_nonsmooth=allow_nonsmooth)
             return quad, DensityRepresentation(
                 times=quad.times.copy(), points=quad.points,
-                values=coarse.values - fine.values, cell_volume=quad.cell_volume,
-                u0=lambda x: np.zeros(np.asarray(x).shape[:-1]))
+                values=coarse.values - fine.values, cell_volume=quad.cell_volume)
         return self._memo(("twin", quad_shape, radius, allow_nonsmooth), build)
+
+    def gronwall_bound(self, quad_shape, radius, R):
+        """(phi_R, plain Gronwall constants) on the twin-difference quadrature."""
+        def build():
+            quad, _ = self.twin_difference(quad_shape, radius)
+            phi_R = make_phi_R(R, self.d)
+            return phi_R, gronwall_constants(profile(self.field.div_sup, quad.times),
+                                             self.damping, self.growth(), phi_R,
+                                             quad.times)
+        return self._memo(("gronwall", quad_shape, radius, R), build)
 
     def bmo_profile(self):
         """Sampled log(1/|x|) on B_1 over a fine grid covering B_2."""
@@ -539,8 +542,9 @@ def _run_integrability(ctx, etas, expected_verdict, min_growth=None):
 def _run_damping_l1(ctx):
     fl = integrate_flow(ctx.field, make_seed_grid(1.0, 1024, 1), 16, "forward")
     total = damping_integral(ctx.damping, fl, eta=0.0).total_l1
-    bound = 1.0 * ctx.damping.l1_norm_hint * 1.2   # C(X) = 1 for b = 0
-    rel = abs(total - ctx.damping.l1_norm_hint) / ctx.damping.l1_norm_hint
+    mass = trapz(ctx.damping.l1_profile(fl.time_grid), fl.time_grid)
+    bound = 1.0 * mass * 1.2   # C(X) = 1 for b = 0
+    rel = abs(total - mass) / mass
     return _result(rel <= 0.02 and total <= bound,
                    {"discrete_l1": total, "relative_error": rel,
                     "compressibility_bound": bound},
@@ -559,30 +563,29 @@ def _skip_weak_form(ctx):
 
 def _run_gronwall_matrix(ctx, quad_shape, quad_radius, check_delta_independent=False):
     quad, u = ctx.twin_difference(quad_shape, quad_radius)
-    rate = profile(ctx.field.div_sup, quad.times)
-    phis = {R: make_phi_R(R, ctx.d) for R in ctx.cfg.r_list}
-    data = {R: gronwall_constants(rate, ctx.damping, ctx.growth(), phi, quad.times)
-            for R, phi in phis.items()}
+    bounds = {R: ctx.gronwall_bound(quad_shape, quad_radius, R) for R in ctx.cfg.r_list}
     rows = []
     trace_rows = []
     all_ok = True
     for delta in ctx.cfg.delta_list:
         beta = make_beta_log(delta)
         for R in ctx.cfg.r_list:
-            trace = gamma_trace(u, beta, phis[R], ctx.field, ctx.damping, quad,
+            phi_R, data = bounds[R]
+            trace = gamma_trace(u, beta, phi_R, ctx.field, ctx.damping, quad,
                                 ctx.cfg.eta)
-            bound = data[R].bound(delta)
+            bound = data.bound(delta)
             rows.append((delta, R, float(np.max(trace.values)), bound))
-            all_ok = all_ok and data[R].holds(trace, delta)
+            all_ok = all_ok and data.holds(trace, delta)
             trace_rows = trace_rows or [(float(t), float(g), float(r), bound) for t, g, r
                                         in zip(trace.times, trace.values, trace.rhs)]
     worst = max(g / max(b, 1e-300) for _, _, g, b in rows)
     metrics = {"worst_gamma_over_bound": (worst, 1.0 + GRONWALL_SLACK),
                "all_bounds_hold": (all_ok, True)}
     if check_delta_independent:
-        bounds = [[d.bound(delta) for delta in ctx.cfg.delta_list] for d in data.values()]
+        per_R = [[data.bound(delta) for delta in ctx.cfg.delta_list]
+                 for _, data in bounds.values()]
         metrics["bound_delta_independent"] = (
-            all(max(b) - min(b) <= 1e-9 * max(b) for b in bounds), True)
+            all(max(b) - min(b) <= 1e-9 * max(b) for b in per_R), True)
     art = Artifact("gronwall_log.csv", ("delta", "R", "gamma_max", "bound"),
                    tuple(rows))
     art_trace = Artifact("gamma_trace.csv", ("t", "gamma", "rhs", "bound"),
@@ -593,9 +596,7 @@ def _run_gronwall_matrix(ctx, quad_shape, quad_radius, check_delta_independent=F
 def _run_uniqueness_probe(ctx, quad_shape, quad_radius):
     """Superlevel {arctan(u)^2 > 1e-8} on B_R0, R0 = 0.9 quad_radius."""
     quad, u = ctx.twin_difference(quad_shape, quad_radius)
-    data = gronwall_constants(profile(ctx.field.div_sup, quad.times), ctx.damping,
-                              ctx.growth(), make_phi_R(max(ctx.cfg.r_list), ctx.d),
-                              quad.times)
+    _, data = ctx.gronwall_bound(quad_shape, quad_radius, max(ctx.cfg.r_list))
     deltas = [10.0 ** (-k) for k in range(2, 13, 2)]
     rep = uniqueness_probe(u, 1e-8, 0.9 * quad_radius, deltas, data, quad)
     ok = rep.verdict == "forces u=0" and all(h for _, _, h in rep.delta_table)
@@ -666,7 +667,7 @@ def _run_bmo_gronwall(ctx):
     phi_R = make_phi_R(ctx.cfg.r_list[0], ctx.d)
     # Gamma depends on (delta, R) alone: one trace per delta serves every lambda
     traces = {delta: gamma_trace(u, make_beta_log(delta), phi_R, ctx.field,
-                                 ctx.damping, quad)
+                                 ctx.damping, quad, ctx.cfg.eta)
               for delta in ctx.cfg.delta_list}
     rows = []
     all_ok = True

@@ -20,13 +20,13 @@ import numpy as np
 from .numerics import adaptive_quad, sphere_area
 
 # scipy.integrate.quad (limit=200) values of _radial_integral for the bumps
-# (d, radius, amplitude) that change_of_variables reads in the default
+# (d, radius) that change_of_variables reads in the default
 # scenarios. They are pinned bit for bit, not replaced by a closer value:
 # they sit 9 and 38 ulps below the true integrals, and the recorded
 # change_of_variables errors depend on those last bits.
 _PINNED_BUMP_INTEGRALS = {
-    (1, 1.0, 1.0): 1.2069003224378743,
-    (2, 0.8, 1.0): 0.8115917831216574,
+    (1, 1.0): 1.2069003224378743,
+    (2, 0.8): 0.8115917831216574,
 }
 
 
@@ -70,17 +70,16 @@ class RadialTestFunction:
         return self._tail(radius)
 
 
-def bump(d, radius=1.0, amplitude=1.0):
-    """C-infinity bump amplitude * exp(1 - 1/(1 - (|x|/a)^2)) on |x| < a."""
+def bump(d, radius=1.0):
+    """C-infinity bump exp(1 - 1/(1 - (|x|/a)^2)) on |x| < a."""
     a = float(radius)
-    amp = float(amplitude)
 
     def profile(r):
         r = np.asarray(r, dtype=float)
         s2 = (r / a) ** 2
         out = np.zeros(r.shape)
         inside = s2 < 1.0
-        out[inside] = amp * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
         return out
 
     def dprofile_over_r(r):
@@ -98,7 +97,7 @@ def bump(d, radius=1.0, amplitude=1.0):
         return float(profile(np.array([s]))[0])
 
     def integral():
-        pinned = _PINNED_BUMP_INTEGRALS.get((d, a, amp))
+        pinned = _PINNED_BUMP_INTEGRALS.get((d, a))
         if pinned is not None:
             return pinned
         return _radial_integral(scalar_profile, d, 0.0, a)
@@ -190,10 +189,6 @@ class TimeWindow:
         return _smooth_step_prime((np.asarray(t, dtype=float) - self.t_on)
                                   / (self.t_off - self.t_on)) / (self.t_off - self.t_on)
 
-    def integral(self, T):
-        return adaptive_quad(lambda s: float(self(np.array([s]))[0]), 0.0,
-                             min(self.t_off, T), limit=200)
-
 
 @dataclass(frozen=True)
 class SpaceTimeTestFunction:
@@ -215,10 +210,6 @@ class SpaceTimeTestFunction:
     def grad(self, t, x):
         w = np.asarray(self.window(t), dtype=float)
         return w[..., None] * self.space.grad(x) if np.ndim(w) else w * self.space.grad(x)
-
-    def total_integral(self, T):
-        """Space-time integral of phi over [0, T] x R^d."""
-        return self.window.integral(T) * self.space.reference_integral
 
 
 def compact_space_time(d, T, space_radius=1.0):

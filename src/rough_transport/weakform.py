@@ -181,7 +181,7 @@ class GammaTrace:
 
 def gamma_trace(u: DensityRepresentation, beta: Renormalizer, phi_space,
                 field: VelocityFieldSpec, damping: DampingFieldSpec,
-                quad: SpaceTimeQuadrature, eta=0.0) -> GammaTrace:
+                quad: SpaceTimeQuadrature, eta) -> GammaTrace:
     """Trace Gamma(t) with the tested-equation right-hand side.
 
     The consistency figure is the max over steps of the forward difference

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rough_transport.fields import DampingFieldSpec
 from rough_transport.scenarios import DAMPING_CATALOG, FIELD_CATALOG, U0_CATALOG
 
 
@@ -16,6 +17,12 @@ def damping(damping_id, d=1):
 
 def u0_fn(u0_id, d=1):
     return U0_CATALOG[u0_id](d)
+
+
+def unit_damping():
+    """c = 1 everywhere, for closed forms like D(t, x) = t; no scenario uses it."""
+    return DampingFieldSpec(eval_c=lambda t, x: np.ones(np.asarray(x).shape[:-1]),
+                            sup_c=lambda t: 1.0, label="unit")
 
 
 @pytest.fixture

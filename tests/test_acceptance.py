@@ -197,12 +197,11 @@ def test_criterion_09_uniqueness_probe_and_tamper():
     vals[quad.times > 0.5] = 2.0 * bump(1, 0.9)(quad.points)[None, :]
     u_bad = DensityRepresentation(
         times=quad.times.copy(), points=quad.points,
-        values=vals, cell_volume=quad.cell_volume,
-        u0=lambda x: np.zeros(np.asarray(x).shape[:-1]))
+        values=vals, cell_volume=quad.cell_volume)
     phi = compact_space_time(1, 1.0, space_radius=1.5)
     res = weak_residual(u_bad, make_beta_arctan(1.0), phi, spec, dmp,
-                        u_bad.u0, quad).residual
-    floor = 0.1 * phi.total_integral(1.0)
+                        lambda x: np.zeros(np.asarray(x).shape[:-1]), quad).residual
+    floor = 0.1 * 0.75 * phi.space.reference_integral   # the window integrates to 0.75 T
     ok = probe.passed and probe.values["verdict_forces_zero"] and res > floor
     announce(9, "twin difference forces u=0; tampered fixture flagged by weak residual",
              ok, f"m={probe.values['m']:.2e} residual={res:.3f} > {floor:.3f}")

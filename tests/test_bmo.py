@@ -261,8 +261,7 @@ def _zero_density(quad):
     return DensityRepresentation(
         times=quad.times.copy(), points=quad.points,
         values=np.zeros((quad.times.size, quad.points.shape[0])),
-        cell_volume=quad.cell_volume,
-        u0=lambda x: np.zeros(np.asarray(x).shape[:-1]))
+        cell_volume=quad.cell_volume)
 
 
 def test_bmo_gronwall_zero_solution():
@@ -275,7 +274,7 @@ def test_bmo_gronwall_zero_solution():
     growth = growth_split(spec, rng=np.random.default_rng(0))
     phi_R = make_phi_R(2.0, 1)
     trace = gamma_trace(_zero_density(quad), make_beta_log(1e-2), phi_R, spec,
-                        damping("zero"), quad)
+                        damping("zero"), quad, 0.0)
     data = bmo_gronwall_constants(9.0, split, growth, damping("zero"), phi_R,
                                   quad.times)
     assert data.holds(trace, 1e-2)
@@ -316,7 +315,7 @@ def test_bmo_gronwall_reduces_without_oscillating_part():
     u = _zero_density(quad)
     for delta, R in ((1e-2, 2.0), (1e-4, 4.0)):
         phi_R = make_phi_R(R, 1)
-        trace = gamma_trace(u, make_beta_log(delta), phi_R, spec, dmp, quad)
+        trace = gamma_trace(u, make_beta_log(delta), phi_R, spec, dmp, quad, 0.0)
         bmo_data = bmo_gronwall_constants(9.0, split, growth, dmp, phi_R, quad.times)
         log_data = gronwall_constants(profile(spec.div_sup, quad.times), dmp, growth,
                                       phi_R, quad.times)

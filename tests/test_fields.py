@@ -12,10 +12,11 @@ from rough_transport.flow import integrate_flow, jacobian, make_seed_grid
 from rough_transport.numerics import gauss_legendre
 from rough_transport.renormalization import make_beta_arctan
 from rough_transport.representation import DensityRepresentation
+from rough_transport.scenarios import DAMPING_CATALOG
 from rough_transport.testfunctions import compact_space_time
 from rough_transport.weakform import make_quadrature, weak_residual
 
-from conftest import damping, field
+from conftest import damping, field, unit_damping
 
 
 def test_zero_field_values():
@@ -62,8 +63,7 @@ def test_div_sup_dominates_samples(field_id, d):
         assert np.max(vals) <= spec.div_sup(t) + 1e-12
 
 
-@pytest.mark.parametrize("damping_id", ["zero", "constant_one", "box_indicator",
-                                        "inv_sqrt"])
+@pytest.mark.parametrize("damping_id", sorted(DAMPING_CATALOG))
 def test_damping_finite_off_singular_set(damping_id):
     dmp = damping(damping_id)
     rng = np.random.default_rng(11)
@@ -254,7 +254,7 @@ def test_sampler_calls_autonomous_fields_once(autonomous):
     # else; the weak form samples an autonomous field on one row of points
     calls = {"b": 0, "div": 0, "c": 0}
     points = dict(calls)
-    base, dmp = field("linear_expand"), damping("constant_one")
+    base, dmp = field("linear_expand"), unit_damping()
     spec = dataclasses.replace(
         base, autonomous=autonomous,
         eval_b=_counting(base.eval_b, calls, "b", points),

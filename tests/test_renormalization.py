@@ -1,6 +1,7 @@
 """Renormalizer families, the weighted-derivative contraction, phi_R."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,10 +10,9 @@ from hypothesis import strategies as st
 
 from rough_transport import renormalization
 from rough_transport.errors import InadmissibleRenormalizerError
-from rough_transport.renormalization import (Renormalizer, arctan_contraction_gap,
-                                             check_admissible, make_beta_arctan,
-                                             make_beta_log, make_phi_R,
-                                             phi_R_radial_integral, standard_sweep)
+from rough_transport.renormalization import (Renormalizer, check_admissible,
+                                             make_beta_arctan, make_beta_log, make_phi_R,
+                                             standard_sweep)
 
 
 # --- arctan family -------------------------------------------------------------
@@ -87,13 +87,27 @@ def test_beta_log_pointwise_monotone_in_delta():
 
 # --- contraction inequality ------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _arctan(M):
+    """One certified beta_M per M, shared by every example."""
+    return make_beta_arctan(M)
+
+
+def _contraction_gap(r1, r2, M):
+    """|beta_M(r1) - beta_M(r2)| - |r1 beta'_M(r1) - r2 beta'_M(r2)| (>= 0)."""
+    ren = _arctan(M)
+    lhs = abs(float(ren.beta(r1)) - float(ren.beta(r2)))
+    rhs = abs(r1 * float(ren.beta_prime(r1)) - r2 * float(ren.beta_prime(r2)))
+    return lhs - rhs
+
+
 def test_contraction_gap_equal_arguments():
-    assert arctan_contraction_gap(0.7, 0.7, 2.0) == 0.0
+    assert _contraction_gap(0.7, 0.7, 2.0) == 0.0
 
 
 def test_contraction_gap_explicit_value():
     # direct evaluation: |pi/4 - 0| - |1/2 - 0| = pi/4 - 1/2
-    assert arctan_contraction_gap(1.0, 0.0, 1.0) == pytest.approx(
+    assert _contraction_gap(1.0, 0.0, 1.0) == pytest.approx(
         math.pi / 4.0 - 0.5, abs=1e-15)
 
 
@@ -115,7 +129,7 @@ def test_contraction_gap_sweep():
        st.floats(min_value=-1e3, max_value=1e3),
        st.sampled_from([0.1, 1.0, 10.0]))
 def test_contraction_gap_property(r1, r2, M):
-    assert arctan_contraction_gap(r1, r2, M) >= -1e-12
+    assert _contraction_gap(r1, r2, M) >= -1e-12
 
 
 # --- admissibility ---------------------------------------------------------------
@@ -187,17 +201,35 @@ def test_phi_R_outer_value():
     assert float(phi(np.array([3.0]))) == pytest.approx(1.0 / 16.0, rel=1e-15)
 
 
+def _radial_l1(phi):
+    """Independent reference: QUADPACK over the plateau and the tail, split at R."""
+    from scipy.integrate import quad
+    sphere = 2.0 if phi.d == 1 else 2.0 * math.pi
+
+    def integrand(s):
+        pt = np.zeros((1, phi.d))
+        pt[0, 0] = s
+        return float(phi(pt)[0]) * s ** (phi.d - 1)
+
+    return sphere * (quad(integrand, 0.0, phi.R)[0] + quad(integrand, phi.R, np.inf)[0])
+
+
 def test_phi_R_l1_norm_d1():
-    # analytic: 2 (R/4 + R/2) = 3R/2; radial quadrature plus tail agrees
+    # analytic: 2 (R/4 + R/2) = 3R/2; radial quadrature agrees
     phi = make_phi_R(1.0, 1)
     assert phi.l1_norm == 1.5
-    assert phi_R_radial_integral(phi) == pytest.approx(1.5, abs=1e-6)
+    assert _radial_l1(phi) == pytest.approx(1.5, abs=1e-6)
 
 
 def test_phi_R_l1_norm_d2():
     phi = make_phi_R(2.0, 2)
     assert phi.l1_norm == pytest.approx(7.0 * math.pi * 4.0 / 8.0, rel=1e-14)
-    assert phi_R_radial_integral(phi) == pytest.approx(phi.l1_norm, rel=1e-6)
+    assert _radial_l1(phi) == pytest.approx(phi.l1_norm, rel=1e-6)
+
+
+def test_phi_R_needs_a_closed_form_dimension():
+    with pytest.raises(ValueError, match="d = 1, 2"):
+        make_phi_R(1.0, 3)
 
 
 def test_phi_R_gradient_zero_inside():

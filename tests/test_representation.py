@@ -15,7 +15,7 @@ from rough_transport.representation import (_CHUNK_BYTES, TargetGrid, damping_in
                                             integrability_probe, pointwise_solution,
                                             pushforward_total_mass,
                                             represent_pointwise, represent_pushforward)
-from conftest import damping, field, u0_fn
+from conftest import damping, field, u0_fn, unit_damping
 
 
 def _identity_flow(steps=16, cells=64, radius=1.0, d=1, T=1.0):
@@ -36,7 +36,7 @@ def test_damping_integral_zero():
 def test_damping_integral_constant():
     # b = 0 and constant c: D(t, x) = c0 t
     _, fl = _identity_flow(steps=10)
-    acc = damping_integral(damping("constant_one"), fl, eta=0.0)
+    acc = damping_integral(unit_damping(), fl, eta=0.0)
     assert np.max(np.abs(acc.values - fl.time_grid[None, :])) <= 1e-14
 
 
@@ -300,7 +300,7 @@ def test_pushforward_exponential_mass():
     u0 = u0_fn("bump")
     grid = make_seed_grid(1.0, 256, 1)
     fl = integrate_flow(spec, grid, 32, "forward")
-    acc = damping_integral(damping("constant_one"), fl, 0.0)
+    acc = damping_integral(unit_damping(), fl, 0.0)
     m0 = pushforward_total_mass(u0, grid, acc, time_index=0)
     m1 = pushforward_total_mass(u0, grid, acc, time_index=-1)
     assert abs(m1 - math.e * m0) <= 1e-10 * abs(m0)

@@ -1,5 +1,6 @@
 """Scenario runner loop: golden artifacts and runtime budgets."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -35,27 +36,58 @@ def test_default_run_matches_golden_artifacts(scenario_id, tmp_path):
 # one per (delta, R): 3 x 1, 3 x 3, and 2 x 1 read by all three lambdas
 GAMMA_TRACES = {"compact_support_b": 3, "twin_difference_gronwall": 9,
                 "bmo_divergence_log": 2}
+# plain constants once per R: r_list [8], [2, 4, 8] with uniqueness_probe
+# reading R = 8 again, and none (the BMO bound builds its own per lambda)
+GRONWALL_CONSTANTS = {"compact_support_b": 1, "twin_difference_gronwall": 3,
+                      "bmo_divergence_log": 0}
 
 
 @pytest.mark.parametrize("scenario_id", list(GAMMA_TRACES))
 def test_default_run_verifies_growth_split_once(scenario_id, tmp_path, monkeypatch):
     # every runner that reads the growth split shares the run's one check,
-    # and each Gamma trace is taken once
-    calls = {"growth_split": 0, "gamma_trace": 0}
+    # each Gamma trace is taken once with the configured cut-off, and the
+    # plain Gronwall constants are built once per R
+    calls = {"growth_split": 0, "gamma_trace": 0, "gronwall_constants": 0}
+    trace_etas = []
 
     def counting(name):
         fn = getattr(scenarios, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
+            if name == "gamma_trace":
+                bound = inspect.signature(fn).bind(*args, **kwargs)
+                trace_etas.append(bound.arguments.get("eta"))
             return fn(*args, **kwargs)
         return counted
     for name in calls:
         monkeypatch.setattr(scenarios, name, counting(name))
-    report = run_scenario(resolve({"scenario_id": scenario_id,
-                                   "output_dir": str(tmp_path)}))
+    cfg = resolve({"scenario_id": scenario_id, "output_dir": str(tmp_path)})
+    report = run_scenario(cfg)
     assert all(r.passed for r in report.results)
-    assert calls == {"growth_split": 1, "gamma_trace": GAMMA_TRACES[scenario_id]}
+    assert calls == {"growth_split": 1, "gamma_trace": GAMMA_TRACES[scenario_id],
+                     "gronwall_constants": GRONWALL_CONSTANTS[scenario_id]}
+    assert trace_etas == [cfg.eta] * GAMMA_TRACES[scenario_id]
+
+
+@pytest.mark.parametrize("T", [0.5, 2.0])
+def test_damping_l1_mass_follows_the_horizon(T, tmp_path):
+    # ||c(t, .)||_L1 = 4 at every t, so the space-time mass is 4 T
+    report = run_scenario(resolve({"scenario_id": "counterexample_L1_damping", "T": T,
+                                   "diagnostics": ["damping_l1"],
+                                   "output_dir": str(tmp_path)}))
+    result = report.results[0]
+    assert result.passed, result.values
+    assert result.values["compressibility_bound"] == pytest.approx(4.8 * T, rel=1e-15)
+
+
+def test_every_catalog_entry_is_a_scenario_default():
+    # a catalog value that no scenario selects is code no default run reaches
+    for catalog, key in ((scenarios.FIELD_CATALOG, "field_id"),
+                         (scenarios.DAMPING_CATALOG, "damping_id"),
+                         (scenarios.U0_CATALOG, "u0_id")):
+        used = {getattr(s, key) for s in REGISTRY.values()}
+        assert set(catalog) <= used, (key, sorted(set(catalog) - used))
 
 
 def test_zero_gronwall_bound_passes(tmp_path):

@@ -19,13 +19,13 @@ def _scalar(phi):
 
 @pytest.mark.parametrize("key", sorted(_PINNED_BUMP_INTEGRALS))
 def test_pinned_bump_integrals_are_quadpack_values(key):
-    d, a, amp = key
-    profile = _scalar(bump(d, a, amp))
+    d, a = key
+    profile = _scalar(bump(d, a))
     direct = sphere_area(d) * _quad(lambda s: profile(s) * s ** (d - 1), 0.0, a,
                                     limit=200)
     assert _PINNED_BUMP_INTEGRALS[key] == direct
     assert testfunctions._radial_integral(profile, d, 0.0, a) == direct
-    assert bump(d, a, amp).reference_integral == direct
+    assert bump(d, a).reference_integral == direct
 
 
 def test_bump_integral_is_computed_on_first_read(monkeypatch):
@@ -47,7 +47,7 @@ def test_bump_integral_is_computed_on_first_read(monkeypatch):
     assert first == 2.0 * _quad(profile, 0.0, 0.9, limit=200)
 
     pinned = bump(2, 0.8)
-    assert pinned.reference_integral == _PINNED_BUMP_INTEGRALS[(2, 0.8, 1.0)]
+    assert pinned.reference_integral == _PINNED_BUMP_INTEGRALS[(2, 0.8)]
     assert pinned.mass_outside(1.0) == 0.0
     assert len(calls) == 1
 
