@@ -18,7 +18,8 @@ from .errors import (BadSplitError, DegenerateFitError, EmptyBallError,
                      LambdaTooSmallError, NegativeInputError,
                      NonFiniteProfileError)
 from .fields import DampingFieldSpec, GrowthSplit
-from .numerics import ball_volume, log_linear_fit, profile, tensor_points, trapz
+from .numerics import (ball_volume, log_linear_fit, profile, sq_norms, tensor_points,
+                       trapz)
 from .renormalization import TestFunctionPhiR
 from .weakform import GronwallBoundData, gronwall_constants
 
@@ -54,7 +55,7 @@ class BMOProfile:
         rows = _slab_rows(order, np.searchsorted(keys, -self.M, "left"),
                           np.searchsorted(keys, self.M, "right"))
         values = self.values[rows]
-        radii = np.linalg.norm(self.points[rows], axis=-1)
+        radii = np.sqrt(sq_norms(self.points[rows]))
         return (np.count_nonzero(self.values) == np.count_nonzero(values)
                 and not np.any(values[radii > self.M] != 0.0),
                 values[radii < self.M])
@@ -128,7 +129,7 @@ def bmo_norm(values, M, ball_family, points, cell_volume) -> BMOProfile:
         pad = 1e-12 * (abs(c[0]) + radius)
         lo, hi = np.searchsorted(keys, (c[0] - radius - pad, c[0] + radius + pad))
         rows = _slab_rows(order, lo, hi)
-        inside = np.linalg.norm(points[rows] - c, axis=-1) < radius
+        inside = np.sqrt(sq_norms(points[rows], c)) < radius
         if not np.any(inside):
             raise EmptyBallError(f"ball at {center} radius {radius:g} holds no cell")
         sel = values[rows][inside]

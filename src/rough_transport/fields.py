@@ -207,7 +207,7 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
 
     eps = moll.eps
     horizon = spec.horizon
-    eoffsets = eps * moll.space_offsets
+    eoffset_rows = (eps * moll.space_offsets).tolist()
     sweights = moll.space_weights
     if spec.autonomous:
         # one node of weight 1.0 at lag 0: the time convolution is exact
@@ -219,16 +219,22 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
     base_sup = spec.div_sup
 
     def _space_conv(fun, t, x):
-        # accumulate per kernel node; beats one giant batched call because the
-        # (N, Q, d) intermediates are memory-bound for the cheap fields here.
-        # The shifted points share one buffer and the sum is taken in place,
-        # in the same left-to-right order; what fun returns is only read,
-        # so a field that returns its input or a cached array is safe
+        # accumulate per kernel node: batching the nodes into (Q, N, d) or
+        # (Qc, N, d) blocks was measured slower, as the intermediates are
+        # memory-bound for the cheap fields here. The shifted points share
+        # one buffer and the sum is taken in place, in the same left-to-right
+        # order; what fun returns is only read, so a field that returns its
+        # input or a cached array is safe. The shift goes one coordinate at
+        # a time, with the same differences: broadcasting against a (d,)
+        # offset runs numpy's inner loop over d = 1 or 2 items per point
         x = np.asarray(x, dtype=float)
         shifted = np.empty(x.shape)
+        columns = [(x[..., j], shifted[..., j]) for j in range(x.shape[-1])]
         acc = tmp = None
-        for q in range(eoffsets.shape[0]):
-            val = np.asarray(fun(t, np.subtract(x, eoffsets[q], out=shifted)), dtype=float)
+        for q, offset in enumerate(eoffset_rows):
+            for (xj, sj), oj in zip(columns, offset):
+                np.subtract(xj, oj, out=sj)
+            val = np.asarray(fun(t, shifted), dtype=float)
             if acc is None:
                 acc = sweights[q] * val
                 tmp = np.empty(acc.shape)

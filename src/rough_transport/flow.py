@@ -15,7 +15,8 @@ import numpy as np
 from .errors import (DivergenceUnboundedError, DomainTooSmallError,
                      StepBlowupError)
 from .fields import VelocityFieldSpec, make_mollifier, mollify, sample_nodes
-from .numerics import cell_centers, cumtrapz, profile, stable_sum, tensor_points, trapz
+from .numerics import (cell_centers, cumtrapz, profile, sq_norms, stable_sum,
+                       tensor_points, trapz)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +140,9 @@ def _rk4_path(rhs, y0, h, steps, escape_radius):
     array. The escape test reads sqrt(max |y|^2), which passes exactly when
     every norm passes, since sqrt is monotone and correctly rounded and a
     NaN fails both; the norms themselves are computed for the error only.
+    The squares are summed one coordinate at a time into a buffer kept for
+    the whole path (``sq_norms``), so a 1-D sweep allocates nothing per
+    step, and no per-point reduction runs over the length-d axis.
     """
     y0 = np.asarray(y0, dtype=float)
     n = y0.shape[0]
@@ -152,6 +156,7 @@ def _rk4_path(rhs, y0, h, steps, escape_radius):
     out = np.empty((total + 1,) + y0.shape)
     out[0] = y0
     stage, acc, scratch = (np.empty_like(y0) for _ in range(3))
+    sq = np.empty(n)
     hk, halfk, sixthk = h, half, sixth
     rows = n
     for k in range(total):
@@ -159,7 +164,7 @@ def _rk4_path(rhs, y0, h, steps, escape_radius):
             # finished rows keep their last position at every later node
             out[k + 1:, moving[k]:rows] = out[k, moving[k]:rows]
             rows = moving[k]
-            stage, acc, scratch = stage[:rows], acc[:rows], scratch[:rows]
+            stage, acc, scratch, sq = stage[:rows], acc[:rows], scratch[:rows], sq[:rows]
             if per_row:
                 hk, halfk, sixthk = h[:rows], half[:rows], sixth[:rows]
         y, y_next = out[k, :rows], out[k + 1, :rows]
@@ -175,7 +180,7 @@ def _rk4_path(rhs, y0, h, steps, escape_radius):
         k4 = rhs(t + hk, stage)
         np.add(acc, k4, out=acc)
         np.add(y, np.multiply(sixthk, acc, out=acc), out=y_next)
-        worst = np.max(np.multiply(y_next, y_next, out=scratch).sum(axis=-1))
+        worst = np.max(sq_norms(y_next, out=sq))
         if not math.sqrt(worst) <= escape_radius:
             norms = np.linalg.norm(y_next, axis=-1)
             # argmax picks the first NaN, else the largest norm
@@ -367,11 +372,12 @@ def superlevel_escape(flow: FlowMap, r, R):
     if seeds.bounding_radius < r:
         raise ValueError(f"seed grid (radius {seeds.bounding_radius:g}) does not cover B_{r:g}")
     start = flow.positions_at(0) if flow.direction == "forward" else flow.positions_at(-1)
-    inside = np.linalg.norm(start, axis=-1) < r
+    inside = np.sqrt(sq_norms(start)) < r
     radii = np.asarray(R, dtype=float)
-    norms = np.linalg.norm(flow.trajectories[inside], axis=-1)   # (n, K+1)
-    escaped = np.sum(norms[..., None] > radii.ravel(), axis=0)   # (K+1, radii)
-    measures = np.max(escaped, axis=0) * seeds.cell_volume
+    norms = np.sqrt(sq_norms(flow.trajectories[inside]))   # (n, K+1)
+    # escaped count per radius and time node, maximized over time
+    escaped = [np.max(np.count_nonzero(norms > R_j, axis=0)) for R_j in radii.ravel()]
+    measures = np.array(escaped, dtype=float) * seeds.cell_volume
     return float(measures[0]) if radii.ndim == 0 else measures.reshape(radii.shape)
 
 

@@ -19,6 +19,34 @@ def tensor_points(axes):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def sq_norms(x, center=None, out=None):
+    """|x - center|^2 over the last axis of ``x`` (..., d), into ``out`` if given.
+
+    The squares are summed one coordinate at a time, in coordinate order:
+    one pass over all points per coordinate, where a reduction over the
+    length-d axis runs numpy's inner loop over just d = 1 or 2 items per
+    point, several times slower. numpy's ``add.reduce`` also sums fewer
+    than 8 items left to right, so for d < 8 the result equals
+    ``np.sum((x - center) ** 2, -1)`` bit for bit, and its sqrt equals
+    ``np.linalg.norm(x - center, axis=-1)``.
+    """
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty(x.shape[:-1])
+    tmp = None
+    for j in range(x.shape[-1]):
+        xj = x[..., j]
+        if center is not None:
+            xj = xj - center[j]
+        if j == 0:
+            np.multiply(xj, xj, out=out)
+        else:
+            # a shifted coordinate is a fresh array and is squared in place
+            tmp = np.multiply(xj, xj, out=xj if center is not None else tmp)
+            np.add(out, tmp, out=out)
+    return out
+
+
 def holds_below(values, bound, slack):
     """True when every value is at most bound * (1 + slack); NaN fails."""
     return bool(np.all(values <= bound * (1.0 + slack) + 1e-300))

@@ -85,7 +85,7 @@ def _field_shear(T):
     # sign(0) = 0 by convention; the jump line y = 0 is measure zero
     def eval_b(t, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
+        out = np.zeros(x.shape)   # zeros_like's dispatch costs more, per call
         out[..., 0] = np.sign(x[..., 1])
         return out
 

@@ -151,6 +151,28 @@ def _full_tensor_rule(d, n=16):
     return offsets, svals / np.sum(svals)
 
 
+def _assert_full_rule_sums(spec, eps, calls, kept):
+    # one evaluation calls each base field once per kept node, and gives bit
+    # for bit the plain per-node sum over the full tensor rule, both on a
+    # list of points (N, d) and on the node blocks (K+1, N, d) that
+    # ``jacobian`` passes through ``sample_nodes``
+    d = spec.dimension
+    smooth = mollify(spec, make_mollifier(eps, d))
+    offsets, weights = _full_tensor_rule(d)
+    assert offsets.shape[0] == 16 ** d
+    rng = np.random.default_rng(3)
+    for shape in ((40, d), (5, 40, d)):
+        pts = rng.uniform(-1.0, 1.0, size=shape)
+        calls.update(b=0, div=0)
+        b, div = smooth.eval_b(0.5, pts), smooth.eval_div_b(0.5, pts)
+        assert calls == {"b": kept, "div": kept}
+        for fn, got in ((spec.eval_b, b), (spec.eval_div_b, div)):
+            acc = weights[0] * fn(0.5, pts - eps * offsets[0])
+            for q in range(1, offsets.shape[0]):
+                acc = acc + weights[q] * fn(0.5, pts - eps * offsets[q])
+            assert np.array_equal(got, acc)
+
+
 @pytest.mark.parametrize("d,kept", [(1, 16), (2, 144)])
 def test_mollifier_skips_zero_weight_nodes(d, kept):
     # dropping the nodes of weight exactly 0 leaves every sum unchanged
@@ -160,20 +182,16 @@ def test_mollifier_skips_zero_weight_nodes(d, kept):
         eval_b=_counting(lambda t, x: np.sin(x) + np.cos(x[..., ::-1]), calls, "b"),
         eval_div_b=_counting(lambda t, x: np.sum(np.cos(x), axis=-1), calls, "div"),
         regularity_tag="smooth", div_sup=lambda t: float(d), horizon=1.0)
-    eps = 0.1
-    moll = make_mollifier(eps, d)
-    smooth = mollify(spec, moll)
-    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(40, d))
-    b, div = smooth.eval_b(0.5, pts), smooth.eval_div_b(0.5, pts)
-    assert calls == {"b": kept, "div": kept}
+    _assert_full_rule_sums(spec, 0.1, calls, kept)
 
-    offsets, weights = _full_tensor_rule(d)
-    assert offsets.shape[0] == 16 ** d
-    for fn, got in ((spec.eval_b, b), (spec.eval_div_b, div)):
-        acc = weights[0] * fn(0.5, pts - eps * offsets[0])
-        for q in range(1, offsets.shape[0]):
-            acc = acc + weights[q] * fn(0.5, pts - eps * offsets[q])
-        assert np.array_equal(got, acc)
+
+def test_mollified_shear_matches_per_node_sum():
+    # the catalog shear, as the shear_bv scenario mollifies it
+    calls = {"b": 0, "div": 0}
+    base = field("shear", d=2)
+    spec = dataclasses.replace(base, eval_b=_counting(base.eval_b, calls, "b"),
+                               eval_div_b=_counting(base.eval_div_b, calls, "div"))
+    _assert_full_rule_sums(spec, 0.1, calls, 144)
 
 
 @pytest.mark.parametrize("kind", ["returns_input", "returns_cached"])

@@ -175,6 +175,28 @@ def test_rk4_kernel_nan_message():
     assert err.value.seed_index == 1
 
 
+@pytest.mark.parametrize("h, steps", [
+    (0.05, 400), (np.array([0.05, 0.05, 0.04]), np.array([400, 400, 300]))])
+def test_rk4_kernel_escape_message_2d(h, steps):
+    # the blow-up sits on coordinate 1 while coordinate 0 stays small; an
+    # escape test that drops a coordinate never fires
+    cubic = lambda t, y: y ** 3  # noqa: E731
+    y0 = np.array([[0.05, 0.1], [0.05, 2.0], [0.05, 0.7]])
+    with pytest.raises(StepBlowupError) as err:
+        _rk4_path(cubic, y0, h, steps, 1e3)
+    assert str(err.value) == "trajectory 1 escaped (|X|=4.88e+03 > 1e+03) at t=0.15"
+    assert err.value.seed_index == 1
+
+
+def test_rk4_kernel_nan_message_2d():
+    nan_right = lambda t, y: np.where(y > 0.5, np.nan, y)  # noqa: E731
+    with pytest.raises(StepBlowupError) as err:
+        _rk4_path(nan_right, np.array([[0.05, 0.1], [0.05, 2.0], [0.05, 0.7]]),
+                  np.array([0.05, 0.05, 0.04]), np.array([400, 400, 300]), 1e3)
+    assert str(err.value) == "trajectory 1 became non-finite at t=0.05"
+    assert err.value.seed_index == 1
+
+
 # --- Jacobians ---------------------------------------------------------------
 
 def test_jacobian_reads_autonomous_div_sup_once(linear_field):
@@ -389,6 +411,23 @@ def test_superlevel_radii_in_one_pass(linear_field):
                               ladder.reshape(3, 4))
         assert type(superlevel_escape(fl, r, 1.5)) is float
     assert np.any(superlevel_escape(fl, 0.9, radii) > 0.0)
+
+
+def test_superlevel_rotation_matches_norm_formula(rotation_field):
+    # 2-D: the per-radius counts equal the (n, K+1, radii) comparison they
+    # replaced; one radius is the largest sampled norm, so the strict ">"
+    # decides its count
+    fl = integrate_flow(rotation_field, make_seed_grid(1.0, 32, 2), 40, "forward")
+    r = 0.8
+    traj = fl.trajectories[np.linalg.norm(fl.positions_at(0), axis=-1) < r]
+    top = np.max(np.linalg.norm(traj, axis=-1))
+    radii = np.array([0.1, 0.35, top, np.nextafter(top, 0.0), 1.2])
+    expected = np.max(np.sum(np.linalg.norm(traj, axis=-1)[..., None] > radii, axis=0),
+                      axis=0) * fl.seed_grid.cell_volume
+    got = superlevel_escape(fl, r, radii)
+    assert np.array_equal(got, expected)
+    assert got[2] == 0.0 and got[3] > 0.0
+    assert got[1] > 0.0 and got[4] == 0.0
 
 
 def test_forward_backward_composition(linear_field):
