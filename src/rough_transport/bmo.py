@@ -55,7 +55,8 @@ class BMOProfile:
         rows = _slab_rows(order, np.searchsorted(keys, -self.M, "left"),
                           np.searchsorted(keys, self.M, "right"))
         values = self.values[rows]
-        radii = np.sqrt(sq_norms(self.points[rows]))
+        radii = sq_norms(self.points[rows])
+        np.sqrt(radii, out=radii)
         return (np.count_nonzero(self.values) == np.count_nonzero(values)
                 and not np.any(values[radii > self.M] != 0.0),
                 values[radii < self.M])
@@ -103,9 +104,15 @@ def bmo_norm(values, M, ball_family, points, cell_volume) -> BMOProfile:
 
     Each ball reads only the slab of cells whose first coordinate lies
     within its radius, found by binary search on the points sorted by
-    that coordinate; the ball test then runs on the slab alone, and the
-    selected samples keep their original order, so every average sums
-    the same numbers in the same order as a full-grid mask would.
+    that coordinate; the ball test then runs on the slab alone. One float
+    and one bool scratch array, sized to the widest slab, serve every
+    ball: the float one holds the distances and then |sel - avg|, the bool
+    one the ball test, so no slab-sized array is allocated (and
+    page-faulted again by a fresh process) per ball. A ball with no cell
+    raises before any mean is taken. The selected samples keep their order,
+    and a ball that holds its whole slab reads that slab directly, so
+    every average and oscillation sums the same numbers in the same order
+    as a full-grid mask would.
     """
     points = np.asarray(points, dtype=float)
     if callable(values):
@@ -114,34 +121,53 @@ def bmo_norm(values, M, ball_family, points, cell_volume) -> BMOProfile:
         values = np.asarray(values, dtype=float)
     if not ball_family:
         raise ValueError("ball_family must be nonempty")
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
         raise NonFiniteProfileError(
             f"profile sample {values[i]} at x={points[i].tolist()} is not finite")
+    del finite
 
-    keys, order = _by_first_coordinate(points)
-    averages = np.empty(len(ball_family))
-    oscillations = np.empty(len(ball_family))
-    for i, (center, radius) in enumerate(ball_family):
-        c = np.asarray(center, dtype=float)
-        # the margin covers the rounding of |x - c| against |x_0 - c_0|
-        pad = 1e-12 * (abs(c[0]) + radius)
-        lo, hi = np.searchsorted(keys, (c[0] - radius - pad, c[0] + radius + pad))
-        rows = _slab_rows(order, lo, hi)
-        inside = np.sqrt(sq_norms(points[rows], c)) < radius
-        if not np.any(inside):
-            raise EmptyBallError(f"ball at {center} radius {radius:g} holds no cell")
-        sel = values[rows][inside]
-        avg = float(np.mean(sel))
-        averages[i] = avg
-        oscillations[i] = float(np.mean(np.abs(sel - avg)))
+    averages, oscillations = _ball_statistics(values, ball_family, points)
     profile = BMOProfile(points=points, values=values, cell_volume=float(cell_volume),
                          M=float(M), averages=averages, oscillations=oscillations,
                          norm_star=float(np.max(oscillations)))
     if not profile.vanishes_outside:
         raise ValueError("profile must vanish outside B_M")
     return profile
+
+
+def _ball_statistics(values, ball_family, points):
+    """(averages, oscillations) per ball, through one pair of slab scratches."""
+    keys, order = _by_first_coordinate(points)
+    slabs = []
+    for center, radius in ball_family:
+        c = np.asarray(center, dtype=float)
+        # the margin covers the rounding of |x - c| against |x_0 - c_0|
+        pad = 1e-12 * (abs(c[0]) + radius)
+        lo, hi = np.searchsorted(keys, (c[0] - radius - pad, c[0] + radius + pad))
+        slabs.append((center, c, radius, lo, hi))
+    width = max(hi - lo for *_, lo, hi in slabs)
+    dist = np.empty(width)
+    inside = np.empty(width, dtype=bool)
+
+    averages = np.empty(len(ball_family))
+    oscillations = np.empty(len(ball_family))
+    for i, (center, c, radius, lo, hi) in enumerate(slabs):
+        rows = _slab_rows(order, lo, hi)
+        norms, mask = dist[:hi - lo], inside[:hi - lo]
+        np.sqrt(sq_norms(points[rows], c, out=norms), out=norms)
+        np.less(norms, radius, out=mask)
+        # before any reduction: an empty slab would pass the all-inside test
+        count = np.count_nonzero(mask)
+        if count == 0:
+            raise EmptyBallError(f"ball at {center} radius {radius:g} holds no cell")
+        sel = values[rows] if count == mask.size else values[rows][mask]
+        avg = float(np.mean(sel))
+        averages[i] = avg
+        dev = np.subtract(sel, avg, out=dist[:count])
+        oscillations[i] = float(np.mean(np.abs(dev, out=dev)))
+    return averages, oscillations
 
 
 # ---------------------------------------------------------------------------
@@ -162,16 +188,20 @@ def jn_decay_check(profile: BMOProfile, eta_grid) -> JNFit:
     """Fit measure{|f - (f)_{B_M}| > eta} to C Leb(B_M) exp(-c eta / ||f||*).
 
     All-empty superlevels report trivial decay; fewer than three nonempty
-    levels cannot be fitted.
+    levels cannot be fitted. One deviation array and one mask over the
+    B_M samples serve every level.
     """
     if profile.norm_star <= 0.0:
         raise ValueError("decay fit needs a nonconstant profile")
     core = profile.core_values
     avg = float(np.mean(core))
-    dev = np.abs(core - avg)
+    dev = np.subtract(core, avg)
+    np.abs(dev, out=dev)
+    above = np.empty(dev.shape, dtype=bool)
 
     etas = [float(e) for e in eta_grid]
-    measures = [float(np.sum(dev > e)) * profile.cell_volume for e in etas]
+    measures = [float(np.count_nonzero(np.greater(dev, e, out=above)))
+                * profile.cell_volume for e in etas]
     nonzero = [(e, m) for e, m in zip(etas, measures) if m > 0.0]
     if not nonzero:
         return JNFit(C_fit=0.0, c_fit=float("inf"), etas=tuple(etas),
@@ -206,8 +236,18 @@ class SuperlevelReport:
 
 
 def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
-    """Average bound and exponential tail decay for nonnegative profiles."""
-    if np.any(profile.values < 0.0):
+    """Average bound and exponential tail decay for nonnegative profiles.
+
+    One full-size mask serves the sign check and every lambda, and no
+    full-size excess array is built: each tail gathers the samples above
+    lambda norm_star in grid order and subtracts the level from them in
+    place. With gradual underflow, f - s > 0 exactly when f > s, so the
+    tail sums the same numbers in the same order as
+    ``np.sum(excess[excess > 0])`` with ``excess = f - s``.
+    """
+    values = profile.values
+    above = np.empty(values.shape, dtype=bool)
+    if np.less(values, 0.0, out=above).any():
         raise NegativeInputError("superlevel checks need a nonnegative profile")
     lambdas = [float(l) for l in lambda_list]
     sigma = profile.norm_star
@@ -217,8 +257,11 @@ def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
 
     tails = []
     for lam in lambdas:
-        excess = profile.values - lam * sigma
-        tails.append(float(np.sum(excess[excess > 0.0])) * profile.cell_volume)
+        level = lam * sigma
+        excess = values[np.greater(values, level, out=above)]
+        np.subtract(excess, level, out=excess)
+        tails.append(float(np.sum(excess)) * profile.cell_volume)
+        del excess       # freed before the next level gathers its own
 
     noninc = all(b <= a + 1e-12 for a, b in zip(tails[:-1], tails[1:]))
     convex = True

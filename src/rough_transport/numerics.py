@@ -29,6 +29,10 @@ def sq_norms(x, center=None, out=None):
     than 8 items left to right, so for d < 8 the result equals
     ``np.sum((x - center) ** 2, -1)`` bit for bit, and its sqrt equals
     ``np.linalg.norm(x - center, axis=-1)``.
+
+    Coordinate 0 is shifted and squared in ``out`` itself, and every later
+    coordinate in one scratch array, so a 1-D call with ``out`` allocates
+    nothing.
     """
     x = np.asarray(x, dtype=float)
     if out is None:
@@ -36,14 +40,13 @@ def sq_norms(x, center=None, out=None):
     tmp = None
     for j in range(x.shape[-1]):
         xj = x[..., j]
+        dst = out if j == 0 else tmp
         if center is not None:
-            xj = xj - center[j]
-        if j == 0:
-            np.multiply(xj, xj, out=out)
-        else:
-            # a shifted coordinate is a fresh array and is squared in place
-            tmp = np.multiply(xj, xj, out=xj if center is not None else tmp)
-            np.add(out, tmp, out=out)
+            xj = dst = np.subtract(xj, center[j], out=dst)
+        dst = np.multiply(xj, xj, out=dst)
+        if j > 0:
+            np.add(out, dst, out=out)
+            tmp = dst
     return out
 
 

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +17,10 @@ from rough_transport.errors import (BadSplitError, DegenerateFitError,
                                     EmptyBallError, LambdaTooSmallError,
                                     NegativeInputError, NonFiniteProfileError)
 from rough_transport.fields import growth_split
-from rough_transport.numerics import profile
+from rough_transport.numerics import cell_centers, profile
 from rough_transport.renormalization import make_beta_log, make_phi_R
 from rough_transport.representation import DensityRepresentation
+from rough_transport.scenarios import _log_core_samples
 from rough_transport.weakform import gamma_trace, gronwall_constants, make_quadrature
 
 from conftest import damping, field
@@ -76,11 +80,67 @@ def test_norm_requires_compact_support():
         bmo_norm(np.ones_like(xs), 1.0, (((0.0,), 1.0),), xs[:, None], h)
 
 
+
+
+def _raises_empty_ball(values, points, center, radius):
+    # the message names the ball; no mean of an empty selection runs first
+    # ("Mean of empty slice" would fail under -W error)
+    message = re.escape(f"ball at {center} radius {radius:g} holds no cell")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyBallError, match=message):
+            bmo_norm(values, 1.0, ((center, radius),), points, 1.0)
+
+
 def test_empty_ball_raises():
+    # the slab itself is empty: no x_0 lies within the radius
     xs, h = _grid_1d(n=64)
     vals = np.where(np.abs(xs) < 1.0, 1.0, 0.0)
-    with pytest.raises(EmptyBallError):
-        bmo_norm(vals, 1.0, (((0.0,), 1e-6),), xs[:, None], h)
+    _raises_empty_ball(vals, xs[:, None], (0.0,), 1e-6)
+
+
+@pytest.mark.parametrize("points,center,radius", [
+    # the slab holds x_0 = 0.5 at exactly the radius, which the strict test rejects
+    (np.array([[-1.0], [0.5], [1.5]]), (0.0,), 0.5),
+    # the slab holds x_0 = 0 twice, but both cells lie far off in x_1
+    (np.array([[0.0, 1.5], [0.0, -1.5], [1.5, 0.0]]), (0.0, 0.0), 0.25),
+])
+def test_ball_with_nonempty_slab_and_no_cell_raises(points, center, radius):
+    _raises_empty_ball(np.zeros(points.shape[0]), points, center, radius)
+
+
+def _where_log_samples(xs, M):
+    # the full-grid formula the core-only build replaces: three np.where passes
+    r = np.abs(xs)
+    with np.errstate(divide="ignore"):
+        return np.where(r < M, np.log(np.where(r > 0.0, 1.0 / r, 1.0)), 0.0)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [1, 3, 1025, 4097, 6, 1026, 4094, 1 << 12])
+@pytest.mark.parametrize("M", [1.0, 0.3])
+def test_log_core_samples_match_full_grid_formula(n, M):
+    # odd n puts a centre at x = 0; n = 2 mod 4 puts centres at (or within an
+    # ulp of) |x| = M, the edge of the core slice
+    xs = cell_centers(2.0 * M, n)
+    assert _same_bits(_log_core_samples(xs, M), _where_log_samples(xs, M))
+    if n % 2:
+        assert np.any(xs == 0.0)
+    if n % 4 == 2:
+        assert np.min(np.abs(np.abs(xs) - M)) <= 2.0 * np.spacing(M)
+
+
+@pytest.mark.parametrize("M", [1.0, 0.3])
+def test_log_core_samples_edges(M):
+    # exact zeros and exact +-M, with their neighbours one ulp inside and out
+    edge = [np.nextafter(M, 0.0), M, np.nextafter(M, 2.0)]
+    xs = np.array(sorted([-x for x in edge] + [-0.5 * M, -0.0, 0.0, 0.5 * M] + edge))
+    got = _log_core_samples(xs, M)
+    assert _same_bits(got, _where_log_samples(xs, M))
+    assert np.count_nonzero(got) == 4      # +-(M - ulp) and +-M/2
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -246,6 +306,23 @@ def test_tail_integral_closed_form():
     assert rep.log_slope < 0.0
 
 
+@pytest.mark.parametrize("n", [1 << 12, 1 << 12 | 1])
+def test_tails_match_full_size_excess(n):
+    # the gathered tails against np.sum(excess[excess > 0]), bit for bit,
+    # down to a level above every sample whose tail is empty
+    xs, h = _grid_1d(n=n)
+    prof = bmo_norm(_where_log_samples(xs, 1.0), 1.0, default_ball_family(1.0, 1),
+                    xs[:, None], h)
+    top = float(np.max(prof.values)) / prof.norm_star
+    lambdas = [0.0, 0.5, 3.0, 9.0, top, 2.0 * top]
+    rep = lemma52_checks(prof, lambdas)
+    for lam, tail in zip(lambdas, rep.tails):
+        excess = prof.values - lam * prof.norm_star
+        assert tail == float(np.sum(excess[excess > 0.0])) * prof.cell_volume
+    assert rep.tails[-2] == rep.tails[-1] == 0.0
+    assert rep.tails[0] > 0.0
+
+
 def test_tails_reject_negative_input():
     xs, h = _grid_1d()
     vals = np.where(np.abs(xs) < 1.0, -1.0, 0.0)
@@ -330,3 +407,46 @@ def test_tau0_policy_window():
     c_fit = 0.7
     tau0 = choose_tau0(lambda t: sigma, c_fit, 1.0)
     assert 0.4 * c_fit - 1e-8 <= tau0 * sigma <= 0.5 * c_fit + 1e-8
+
+
+# --- scratch memory -------------------------------------------------------------------
+
+def _traced(fn):
+    """(result, peak traced bytes, bytes still held by the result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
+
+
+@pytest.mark.parametrize("M", [1.0, 0.5])
+def test_bmo_norm_scratch_is_one_slab_pair(M):
+    # every ball shares one float and one bool slab-sized scratch: beyond the
+    # inputs and what the profile keeps (its B_M samples), the peak stays
+    # within 9 bytes per cell of the widest slab plus a quarter of a float
+    # slab of slack. With M = 0.5 the kept samples are half that slab, so a
+    # second float array per ball would exceed the bound too.
+    n = 1 << 20
+    xs, h = _grid_1d(n=n)
+    values, points = _where_log_samples(xs, M), xs[:, None]
+    family = default_ball_family(1.0, 1)
+    widest = max(int(np.count_nonzero(np.abs(xs - c[0]) <= r)) for c, r in family)
+    prof, peak, held = _traced(lambda: bmo_norm(values, M, family, points, h))
+    assert held >= 8 * prof.core_values.size
+    assert peak - held <= (8 + 1) * widest + 2 * widest
+
+
+def test_lemma52_scratch_is_one_mask():
+    # one full-size mask serves every lambda; the gathered positive excess is
+    # the only float array, the level is subtracted from it in place, and it
+    # is freed before the next, nearly as large, level gathers its own
+    prof = _log_profile(n=1 << 20)
+    n = prof.values.size
+    lambdas = [0.0, 0.1, 1.0, 4.0, 1e6]
+    largest = int(np.count_nonzero(prof.values > 0.0))
+    rep, peak, held = _traced(lambda: lemma52_checks(prof, lambdas))
+    assert rep.tails[0] > 0.0 and rep.tails[-1] == 0.0
+    assert peak - held <= n + 8 * largest + 2 * n
