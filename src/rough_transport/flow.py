@@ -281,14 +281,15 @@ class JacobianOdeResiduals:
         return max(self.forward, self.inverse)
 
 
-def jacobian_ode_residual(field: VelocityFieldSpec, flow: FlowMap,
+def jacobian_ode_residual(field: VelocityFieldSpec,
                           track: JacobianTrack) -> JacobianOdeResiduals:
-    """Difference-quotient residual of the Jacobian ODE along every path.
+    """Difference-quotient residual of the Jacobian ODE along the track's paths.
 
     Per step, the forward difference of JX is compared with the trapezoid
     average of JX * div b over the step (and likewise for 1/JX); the max
     over seeds and steps is returned for both. Pure diagnostic.
     """
+    flow = track.flow
     dt = np.diff(flow.time_grid)
     divs = _div_samples(field, flow)
     jx = track.jx
@@ -309,14 +310,14 @@ def jacobian_ode_residual(field: VelocityFieldSpec, flow: FlowMap,
 # integral identities
 # ---------------------------------------------------------------------------
 
-def change_of_variables_residual(flow: FlowMap, track: JacobianTrack, phi,
-                                 quad_domain_radius):
+def change_of_variables_residual(track: JacobianTrack, phi, quad_domain_radius):
     """| sum_i phi(X(T, x_i)) JX(T, x_i) cell_vol  -  integral of phi |.
 
-    ``phi`` must expose ``__call__``, ``reference_integral`` (analytic or
-    high-precision) and ``mass_outside(radius)``; the scenario supplies
-    ``quad_domain_radius``, a radius certified to be contained in the image
-    of the seed box at the evaluation time.
+    X is the track's forward flow. ``phi`` must expose ``__call__``,
+    ``reference_integral`` (analytic or high-precision) and
+    ``mass_outside(radius)``; the scenario supplies ``quad_domain_radius``, a
+    radius certified to be contained in the image of the seed box at the
+    evaluation time.
     """
     total = abs(phi.reference_integral)
     if total > 0.0 and phi.mass_outside(quad_domain_radius) > 1e-8 * total:
@@ -324,6 +325,7 @@ def change_of_variables_residual(flow: FlowMap, track: JacobianTrack, phi,
             f"test function mass outside radius {quad_domain_radius:g} exceeds "
             "1e-8 of its integral"
         )
+    flow = track.flow
     pos = flow.trajectories[:, -1, :]
     vals = np.asarray(phi(pos), dtype=float) * track.jx[:, -1]
     lhs = stable_sum(vals) * flow.seed_grid.cell_volume

@@ -5,6 +5,8 @@ integral) on fixed grid points by tracing each evaluation node back to
 time zero; the pushforward form transports weighted particles forward and
 deposits them on a target grid. A truncation radius eta around the damping
 singular set implements the almost-everywhere reading of the path integral.
+A DensityRepresentation carries the space-time quadrature whose nodes it
+is sampled on.
 """
 
 from dataclasses import dataclass
@@ -13,9 +15,10 @@ import numpy as np
 
 from .errors import AllTruncatedError, JacobianVanishedError, StepBlowupError
 from .fields import DampingFieldSpec, VelocityFieldSpec, sample_damping
-from .flow import (ESCAPE_FACTOR, FlowMap, JacobianTrack, SeedGrid, _rk4_path,
-                   integrate_flow, jacobian)
-from .numerics import cell_centers, cumtrapz, gl_nodes, stable_sum, tensor_points
+from .flow import (ESCAPE_FACTOR, FlowMap, SeedGrid, _rk4_path, integrate_flow,
+                   jacobian)
+from .numerics import (cell_centers, cumtrapz, gl_nodes, stable_sum, tensor_points,
+                       trapezoid_weights)
 
 _CHUNK_BYTES = 8 << 20     # stored path bytes per batched backward sweep
 
@@ -62,44 +65,80 @@ def damping_integral(damping: DampingFieldSpec, flow: FlowMap, eta) -> DampingAc
 
 
 # ---------------------------------------------------------------------------
-# density representations
+# space-time quadrature and the densities sampled on it
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DensityRepresentation:
-    """Sampled density u(t_k, x_i), either pointwise or deposited."""
+class SpaceTimeQuadrature:
+    """Tensor quadrature: trapezoid in time, midpoint cells in space.
 
-    times: np.ndarray           # (K+1,)
-    points: np.ndarray          # (N, d)
-    values: np.ndarray          # (K+1, N)
+    The combined weights sum to (box volume) x T.
+    """
+
+    times: np.ndarray          # (K+1,), includes 0 and T
+    points: np.ndarray         # (N, d) cell centers in [-radius, radius]^d
+    h: float
+    tau: float
     cell_volume: float
-    out_of_domain_fraction: float = 0.0
+    radius: float
+
+    @property
+    def d(self):
+        return self.points.shape[-1]
+
+    @property
+    def time_weights(self):
+        return trapezoid_weights(self.times)
 
 
-def represent_pointwise(u0, flow_backward: FlowMap, track: JacobianTrack,
-                        acc: DampingAccumulator) -> DensityRepresentation:
+def make_quadrature(dimension, radius, n_space, T, n_time) -> SpaceTimeQuadrature:
+    h = 2.0 * radius / n_space
+    points = tensor_points([cell_centers(radius, n_space)] * dimension)
+    times = np.linspace(0.0, T, n_time + 1)
+    return SpaceTimeQuadrature(times=times, points=points, h=h,
+                               tau=times[1] - times[0],
+                               cell_volume=h ** dimension, radius=radius)
+
+
+@dataclass(frozen=True)
+class DensityRepresentation:
+    """Sampled density u(t_k, x_i) on the nodes of its quadrature."""
+
+    quad: SpaceTimeQuadrature
+    values: np.ndarray          # (K+1, N)
+
+    def __post_init__(self):
+        nodes = (self.quad.times.shape[0], self.quad.points.shape[0])
+        if self.values.shape != nodes:
+            raise ValueError(f"density values {self.values.shape} do not fit the "
+                             f"quadrature's (time nodes, points) = {nodes}")
+
+    @property
+    def times(self):
+        return self.quad.times
+
+    @property
+    def points(self):
+        return self.quad.points
+
+
+def represent_pointwise(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
+                        flow_backward: FlowMap, eta):
     """u(anchor, x) = u0(X^{-1}) / JX(.,X^{-1}) * exp(D(.,X^{-1})) on seeds.
 
-    The backward map supplies X^{-1}(anchor, x_i) in its first column and
-    the track/accumulator are composed along the same characteristics, so
-    their last columns already sit at the inverse-flow samples.
+    The backward map supplies X^{-1}(anchor, x_i) in its first column; the
+    Jacobian and the damping integral are traced along the same
+    characteristics, so their last columns already sit at the inverse-flow
+    samples. Returns the (N,) values at the anchor time.
     """
     if flow_backward.direction != "backward":
         raise ValueError("represent_pointwise needs a backward flow map")
-    if track.flow is not flow_backward or acc.flow is not flow_backward:
-        raise ValueError("track and accumulator must come from the given flow")
-    jx_end = track.jx[:, -1]
+    jx_end = jacobian(field, flow_backward).jx[:, -1]
+    acc = damping_integral(damping, flow_backward, eta)
     if np.any(jx_end <= 0.0) or not np.all(np.isfinite(jx_end)):
-        raise JacobianVanishedError("nonpositive Jacobian sample; inconsistent inputs")
+        raise JacobianVanishedError("nonpositive or non-finite Jacobian sample")
     u0_vals = np.asarray(u0(flow_backward.inverse_samples), dtype=float)
-    vals = u0_vals / jx_end * np.exp(acc.values[:, -1])
-    pts = flow_backward.seed_grid.points
-    return DensityRepresentation(
-        times=np.array([flow_backward.anchor_time]),
-        points=pts,
-        values=vals[None, :],
-        cell_volume=flow_backward.seed_grid.cell_volume,
-    )
+    return u0_vals / jx_end * np.exp(acc.values[:, -1])
 
 
 def _backward_flows(field: VelocityFieldSpec, points: SeedGrid, anchors, counts,
@@ -136,15 +175,14 @@ def _backward_flows(field: VelocityFieldSpec, points: SeedGrid, anchors, counts,
 
 def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
                        points: SeedGrid, time_grid, steps, eta=0.0,
-                       allow_nonsmooth=False) -> DensityRepresentation:
-    """Assemble u(t_k, x_i) on a fixed grid from per-time backward flows.
+                       allow_nonsmooth=False) -> np.ndarray:
+    """u(t_k, x_i) on a fixed grid from per-time backward flows, shape (K+1, N).
 
     The characteristics through (t_k, x_i) differ for each t_k, so each
     slice has its own backward integration; the step size is kept near
     horizon/steps by scaling the step count with t_k. The t = 0 slice is
-    u0 on the nose. Each slice is the composition ``jacobian`` ->
-    ``damping_integral`` -> ``represent_pointwise`` on its backward map;
-    the maps come from chunked sweeps, longest first. A chunk stacks slices
+    u0 on the nose. Each slice is ``represent_pointwise`` on its backward
+    map; the maps come from chunked sweeps, longest first. A chunk stacks slices
     while its RK4 path, rows * (longest step count + 1) * d * 8 bytes, stays
     within ``_CHUNK_BYTES`` (8 MiB); a slice longer than that forms a chunk
     alone. Each chunk's path is released before the next one is built, so
@@ -181,15 +219,11 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
         flows = _backward_flows(field, points, [anchors[s] for s in chunk],
                                 [counts[s] for s in chunk], batch)
         for s, back in zip(chunk, flows):
-            rep = represent_pointwise(u0, back, jacobian(field, back),
-                                      damping_integral(damping, back, eta))
-            vals[1 + s] = rep.values[0]
+            vals[1 + s] = represent_pointwise(u0, field, damping, back, eta)
         # the maps are views of the chunk's path: drop them so the path is
         # freed before the next sweep allocates its own
         del flows, back
-
-    return DensityRepresentation(times=time_grid.copy(), points=points.points,
-                                 values=vals, cell_volume=points.cell_volume)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -237,40 +271,37 @@ def _cic_deposit(positions, weights, grid: TargetGrid):
     return acc, deposited
 
 
-def represent_pushforward(u0, flow_forward: FlowMap, acc: DampingAccumulator,
-                          target_grid: TargetGrid, time_index=-1) -> DensityRepresentation:
+def _particle_weights(u0, acc: DampingAccumulator, time_index):
+    seeds = acc.flow.seed_grid
+    return (np.asarray(u0(seeds.points), dtype=float)
+            * np.exp(acc.values[:, time_index]) * seeds.cell_volume)
+
+
+def represent_pushforward(u0, acc: DampingAccumulator, target_grid: TargetGrid,
+                          time_index=-1):
     """Deposit particles u0(x_i) exp(D) cell_vol at X(t, x_i) onto a grid.
 
-    First-order cloud-in-cell deposition: each particle splits its weight
-    over the 2^d surrounding cell centers, so interior particles conserve
-    mass to rounding. The fraction of particle mass lost over the grid
-    boundary is reported, not raised.
+    The particles ride the accumulator's forward flow. First-order
+    cloud-in-cell deposition: each particle splits its weight over the 2^d
+    surrounding cell centers, so interior particles conserve mass to
+    rounding. Returns (density on ``target_grid.centers()``, fraction of
+    particle mass lost over the grid boundary); the loss is reported, not
+    raised.
     """
+    flow_forward = acc.flow
     if flow_forward.direction != "forward":
         raise ValueError("represent_pushforward needs a forward flow map")
-    seeds = flow_forward.seed_grid
-    weights = (np.asarray(u0(seeds.points), dtype=float)
-               * np.exp(acc.values[:, time_index]) * seeds.cell_volume)
+    weights = _particle_weights(u0, acc, time_index)
     positions = flow_forward.trajectories[:, time_index, :]
     deposit, deposited_mass = _cic_deposit(positions, weights, target_grid)
     total = stable_sum(weights)
     out_frac = 0.0 if total == 0.0 else abs(total - deposited_mass) / abs(total)
-    density = deposit.ravel() / target_grid.cell_volume
-    t = float(flow_forward.time_grid[time_index])
-    return DensityRepresentation(
-        times=np.array([t]),
-        points=target_grid.centers(),
-        values=density[None, :],
-        cell_volume=target_grid.cell_volume,
-        out_of_domain_fraction=out_frac,
-    )
+    return deposit.ravel() / target_grid.cell_volume, out_frac
 
 
-def pushforward_total_mass(u0, seeds: SeedGrid, acc: DampingAccumulator, time_index=-1):
+def pushforward_total_mass(u0, acc: DampingAccumulator, time_index=-1):
     """Sum of particle weights at a time node (the transported total mass)."""
-    weights = (np.asarray(u0(seeds.points), dtype=float)
-               * np.exp(acc.values[:, time_index]) * seeds.cell_volume)
-    return stable_sum(weights)
+    return stable_sum(_particle_weights(u0, acc, time_index))
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,11 @@ from .numerics import ball_volume, cell_centers, profile, trapz
 from .renormalization import make_beta_arctan, make_beta_log, make_phi_R
 from .report import Artifact, DiagnosticResult, RunReport
 from .representation import (DensityRepresentation, damping_integral,
-                             integrability_probe, pointwise_solution)
+                             integrability_probe, make_quadrature, pointwise_solution)
 from .testfunctions import bump, compact_space_time, gaussian
 from .weakform import (GRONWALL_SLACK, gamma_trace, gronwall_constants,
-                       l2_energy_diagnostic, make_quadrature, uniqueness_probe,
-                       weak_residual, weak_residual_study)
+                       l2_energy_diagnostic, uniqueness_probe, weak_residual,
+                       weak_residual_study)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,7 @@ class RunContext:
         return self._memo("growth", lambda: growth_split(self.field, rng=self.rng))
 
     def density(self, n_space, n_time, radius=None, steps=None, allow_nonsmooth=False):
-        """(quadrature, pointwise representation sampled on its nodes).
+        """The pointwise representation on the nodes of its own quadrature.
 
         ``radius`` defaults to the box radius and ``steps`` to the configured
         ODE step count.
@@ -314,32 +314,28 @@ class RunContext:
         def build():
             quad = make_quadrature(self.d, radius, n_space, self.field.horizon, n_time)
             grid = seeds_from_points(quad.points, quad.cell_volume)
-            return quad, pointwise_solution(self.field, self.damping, self.u0, grid,
-                                            quad.times, steps, eta=self.cfg.eta,
-                                            allow_nonsmooth=allow_nonsmooth)
+            return DensityRepresentation(quad, pointwise_solution(
+                self.field, self.damping, self.u0, grid, quad.times, steps,
+                eta=self.cfg.eta, allow_nonsmooth=allow_nonsmooth))
         return self._memo(("density", n_space, n_time, radius, steps, allow_nonsmooth),
                           build)
 
     def twin_difference(self, quad_shape, radius, allow_nonsmooth=False):
-        """(quadrature, zero-datum density): the scenario at steps minus 2 steps."""
+        """Zero-datum density: the scenario at steps minus 2 steps."""
         def build():
-            quad, coarse = self.density(*quad_shape, radius,
-                                        allow_nonsmooth=allow_nonsmooth)
-            _, fine = self.density(*quad_shape, radius, steps=2 * self.cfg.steps,
-                                   allow_nonsmooth=allow_nonsmooth)
-            return quad, DensityRepresentation(
-                times=quad.times.copy(), points=quad.points,
-                values=coarse.values - fine.values, cell_volume=quad.cell_volume)
+            coarse = self.density(*quad_shape, radius, allow_nonsmooth=allow_nonsmooth)
+            fine = self.density(*quad_shape, radius, steps=2 * self.cfg.steps,
+                                allow_nonsmooth=allow_nonsmooth)
+            return DensityRepresentation(coarse.quad, coarse.values - fine.values)
         return self._memo(("twin", quad_shape, radius, allow_nonsmooth), build)
 
     def gronwall_bound(self, quad_shape, radius, R):
         """(phi_R, plain Gronwall constants) on the twin-difference quadrature."""
         def build():
-            quad, _ = self.twin_difference(quad_shape, radius)
+            times = self.twin_difference(quad_shape, radius).times
             phi_R = make_phi_R(R, self.d)
-            return phi_R, gronwall_constants(profile(self.field.div_sup, quad.times),
-                                             self.damping, self.growth(), phi_R,
-                                             quad.times)
+            return phi_R, gronwall_constants(profile(self.field.div_sup, times),
+                                             self.damping, self.growth(), phi_R, times)
         return self._memo(("gronwall", quad_shape, radius, R), build)
 
     def bmo_profile(self):
@@ -393,7 +389,7 @@ def _run_flow_identity(ctx):
 
 def _run_jacobian_unit(ctx):
     track = ctx.jacobian_track()
-    res = jacobian_ode_residual(ctx.field, ctx.forward_flow(), track).worst
+    res = jacobian_ode_residual(ctx.field, track).worst
     dev = float(np.max(np.abs(track.jx - 1.0)))
     return _check({"max_jx_deviation": (dev, 1e-13), "ode_residual": (res, 1e-12)})
 
@@ -423,27 +419,25 @@ def _run_compressibility(ctx, expected):
 
 def _run_change_of_variables(ctx, phi, tol, domain_radius=None):
     radius = domain_radius if domain_radius is not None else ctx.cfg.box_radius
-    res = change_of_variables_residual(ctx.forward_flow(), ctx.jacobian_track(),
-                                       phi, radius)
+    res = change_of_variables_residual(ctx.jacobian_track(), phi, radius)
     return _check({"residual": (res, tol)})
 
 
 def _run_weak_residual(ctx, n_space, n_time, tol, phi_radius):
-    quad, u = ctx.density(n_space, n_time)
-    rep = weak_residual(u, make_beta_arctan(1.0),
+    rep = weak_residual(ctx.density(n_space, n_time), make_beta_arctan(1.0),
                         compact_space_time(ctx.d, ctx.field.horizon, phi_radius),
-                        ctx.field, ctx.damping, ctx.u0, quad, eta=ctx.cfg.eta)
+                        ctx.field, ctx.damping, ctx.u0, eta=ctx.cfg.eta)
     art = Artifact("weak_residual.csv", ("h", "tau", "residual"), rep.history)
     return _check({"residual": (rep.residual, tol)}, artifacts=(art,))
 
 
 def _run_l2_energy(ctx, n_space, n_time):
-    quad, u = ctx.density(n_space, n_time)
-    times, curve, envelope, ok = l2_energy_diagnostic(u, ctx.field, ctx.damping, quad)
+    times, curve, envelope = l2_energy_diagnostic(ctx.density(n_space, n_time),
+                                                  ctx.field, ctx.damping)
     worst = float(np.max(curve / np.maximum(envelope, 1e-300)))
     art = Artifact("l2_energy.csv", ("t", "energy", "envelope"),
                    tuple(zip(times, curve, envelope)))
-    return _result(ok, {"worst_ratio": worst}, {"worst_ratio": 1.05}, artifacts=(art,))
+    return _check({"worst_ratio": (worst, 1.05)}, artifacts=(art,))
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +460,9 @@ def _run_jacobian_profile(ctx, rate):
 
 
 def _run_jacobian_ode(ctx):
-    fl1 = ctx.forward_flow()
-    r1 = jacobian_ode_residual(ctx.field, fl1, jacobian(ctx.field, fl1)).worst
+    r1 = jacobian_ode_residual(ctx.field, ctx.jacobian_track()).worst
     fl2 = integrate_flow(ctx.field, ctx.seed_grid(), 2 * ctx.cfg.steps, "forward")
-    r2 = jacobian_ode_residual(ctx.field, fl2, jacobian(ctx.field, fl2)).worst
+    r2 = jacobian_ode_residual(ctx.field, jacobian(ctx.field, fl2)).worst
     halved = r2 <= max(0.55 * r1, 1e-12)
     return _result(r1 <= 1e-3 and halved,
                    {"residual": r1, "residual_refined": r2},
@@ -515,13 +508,13 @@ def _run_flow_convergence(ctx):
 
 def _run_representation_exact(ctx):
     """b = 0 scenarios: pointwise representation equals u0 e^{t c} on seeds."""
-    quad, u = ctx.density(256, 64)
-    cvals = np.asarray(ctx.damping.eval_c(0.0, quad.points), dtype=float)
-    exact = (np.asarray(ctx.u0(quad.points), dtype=float)[None, :]
-             * np.exp(quad.times[:, None] * cvals[None, :]))
+    u = ctx.density(256, 64)
+    cvals = np.asarray(ctx.damping.eval_c(0.0, u.points), dtype=float)
+    exact = (np.asarray(ctx.u0(u.points), dtype=float)[None, :]
+             * np.exp(u.times[:, None] * cvals[None, :]))
     dev = float(np.max(np.abs(u.values - exact)))
-    rows = [(float(quad.times[-1]),) + tuple(p) + (float(v),)
-            for p, v in zip(quad.points[::16], u.values[-1, ::16])]
+    rows = [(float(u.times[-1]),) + tuple(p) + (float(v),)
+            for p, v in zip(u.points[::16], u.values[-1, ::16])]
     art = Artifact("density_final.csv",
                    ("t",) + tuple(f"x{i+1}" for i in range(ctx.d)) + ("u",),
                    tuple(rows))
@@ -581,7 +574,7 @@ def _skip_weak_form(ctx):
 # --- twin-difference runners -------------------------------------------------
 
 def _run_gronwall_matrix(ctx, quad_shape, quad_radius, check_delta_independent=False):
-    quad, u = ctx.twin_difference(quad_shape, quad_radius)
+    u = ctx.twin_difference(quad_shape, quad_radius)
     bounds = {R: ctx.gronwall_bound(quad_shape, quad_radius, R) for R in ctx.cfg.r_list}
     rows = []
     trace_rows = []
@@ -590,8 +583,7 @@ def _run_gronwall_matrix(ctx, quad_shape, quad_radius, check_delta_independent=F
         beta = make_beta_log(delta)
         for R in ctx.cfg.r_list:
             phi_R, data = bounds[R]
-            trace = gamma_trace(u, beta, phi_R, ctx.field, ctx.damping, quad,
-                                ctx.cfg.eta)
+            trace = gamma_trace(u, beta, phi_R, ctx.field, ctx.damping, ctx.cfg.eta)
             bound = data.bound(delta)
             rows.append((delta, R, float(np.max(trace.values)), bound))
             all_ok = all_ok and data.holds(trace, delta)
@@ -614,10 +606,10 @@ def _run_gronwall_matrix(ctx, quad_shape, quad_radius, check_delta_independent=F
 
 def _run_uniqueness_probe(ctx, quad_shape, quad_radius):
     """Superlevel {arctan(u)^2 > 1e-8} on B_R0, R0 = 0.9 quad_radius."""
-    quad, u = ctx.twin_difference(quad_shape, quad_radius)
+    u = ctx.twin_difference(quad_shape, quad_radius)
     _, data = ctx.gronwall_bound(quad_shape, quad_radius, max(ctx.cfg.r_list))
     deltas = [10.0 ** (-k) for k in range(2, 13, 2)]
-    rep = uniqueness_probe(u, 1e-8, 0.9 * quad_radius, deltas, data, quad)
+    rep = uniqueness_probe(u, 1e-8, 0.9 * quad_radius, deltas, data)
     ok = rep.verdict == "forces u=0" and all(h for _, _, h in rep.delta_table)
     art = Artifact("uniqueness_probe.csv", ("delta", "rhs_bound", "holds"),
                    rep.delta_table)
@@ -682,18 +674,18 @@ def _run_bmo_gronwall(ctx):
     split = BMODivergenceSplit(d1_sup=lambda t: 0.0, d2_profile=profile,
                                d2_norm_star=lambda t: profile.norm_star,
                                jn=ctx.jn_fit())
-    quad, u = ctx.twin_difference((96, 32), 2.0, allow_nonsmooth=True)
+    u = ctx.twin_difference((96, 32), 2.0, allow_nonsmooth=True)
     phi_R = make_phi_R(ctx.cfg.r_list[0], ctx.d)
     # Gamma depends on (delta, R) alone: one trace per delta serves every lambda
     traces = {delta: gamma_trace(u, make_beta_log(delta), phi_R, ctx.field,
-                                 ctx.damping, quad, ctx.cfg.eta)
+                                 ctx.damping, ctx.cfg.eta)
               for delta in ctx.cfg.delta_list}
     rows = []
     all_ok = True
     expA_D = {}
     for lam in ctx.cfg.lambda_list:
         data = bmo_gronwall_constants(lam, split, ctx.growth(), ctx.damping, phi_R,
-                                      quad.times)
+                                      u.times)
         expA_D[lam] = math.exp(data.A) * data.D
         for delta in ctx.cfg.delta_list:
             rows.append((lam, delta, float(np.max(data.window(traces[delta]))),

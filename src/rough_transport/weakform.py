@@ -21,53 +21,9 @@ import numpy as np
 from .errors import SupportOverflowError, UnboundedDampingError
 from .fields import (DampingFieldSpec, GrowthSplit, VelocityFieldSpec, sample_damping,
                      sample_nodes)
-from .numerics import (cell_centers, cumtrapz, holds_below, order_estimate, profile,
-                       stable_sum, tensor_points, trapezoid_weights, trapz)
+from .numerics import cumtrapz, holds_below, order_estimate, profile, stable_sum, trapz
 from .renormalization import Renormalizer, TestFunctionPhiR
 from .representation import DensityRepresentation
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpaceTimeQuadrature:
-    """Tensor quadrature: trapezoid in time, midpoint cells in space.
-
-    The combined weights sum to (box volume) x T.
-    """
-
-    times: np.ndarray          # (K+1,), includes 0 and T
-    points: np.ndarray         # (N, d) cell centers in [-radius, radius]^d
-    h: float
-    tau: float
-    cell_volume: float
-    radius: float
-
-    @property
-    def d(self):
-        return self.points.shape[-1]
-
-    @property
-    def time_weights(self):
-        return trapezoid_weights(self.times)
-
-
-def make_quadrature(dimension, radius, n_space, T, n_time) -> SpaceTimeQuadrature:
-    h = 2.0 * radius / n_space
-    points = tensor_points([cell_centers(radius, n_space)] * dimension)
-    times = np.linspace(0.0, T, n_time + 1)
-    return SpaceTimeQuadrature(times=times, points=points, h=h,
-                               tau=times[1] - times[0],
-                               cell_volume=h ** dimension, radius=radius)
-
-
-def _check_alignment(u: DensityRepresentation, quad: SpaceTimeQuadrature):
-    if u.values.shape != (quad.times.shape[0], quad.points.shape[0]):
-        raise ValueError("density representation is not sampled on the quadrature nodes")
-    if not np.array_equal(u.times, quad.times):
-        raise ValueError("density time grid differs from the quadrature time grid")
 
 
 def _field_tables(field, damping, quad, eta=0.0):
@@ -89,6 +45,14 @@ def _field_tables(field, damping, quad, eta=0.0):
     return tuple(np.broadcast_to(v, quad.times.shape + v.shape[1:]) for v in tables)
 
 
+def _tested_sum(flux, phiv, bu, ubp, div, c):
+    """Sum over the nodes of one time of flux beta(u) + phi [div b (beta(u) - u
+    beta'(u)) + c u beta'(u)], the tested equation's integrand."""
+    transport = flux * bu
+    reaction = phiv * (div * (bu - ubp) + c * ubp)
+    return np.sum(transport + reaction)
+
+
 # ---------------------------------------------------------------------------
 # weak residual
 # ---------------------------------------------------------------------------
@@ -100,17 +64,20 @@ class WeakResidualReport:
     order: Optional[float] = None
 
 
-def weak_residual(u: DensityRepresentation, beta: Renormalizer, phi,
+def weak_residual(quad: DensityRepresentation, beta: Renormalizer, phi,
                   field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
-                  quad: SpaceTimeQuadrature, eta=0.0) -> WeakResidualReport:
+                  eta=0.0) -> WeakResidualReport:
     """Quadrature value of the renormalized weak form (zero for solutions).
 
-    ``phi`` is a space-time test function with analytic dt/grad, compactly
-    supported in [0, T) x B_rho with rho at most the box radius (infinite
-    support raises SupportOverflowError). Singular damping values are
-    truncated within eta, matching the solution-side policy.
+    ``quad`` is the density u; its quadrature supplies every node. (The
+    argument keeps the name ``quad`` because perfbench/tracer.py counts the
+    quadrature nodes from ``quad.times`` and ``quad.points``.) ``phi`` is a
+    space-time test function with analytic dt/grad, compactly supported in
+    [0, T) x B_rho with rho at most the box radius (infinite support raises
+    SupportOverflowError). Singular damping values are truncated within
+    eta, matching the solution-side policy.
     """
-    _check_alignment(u, quad)
+    u, quad = quad.values, quad.quad
     if not phi.support_radius <= quad.radius:
         raise SupportOverflowError(
             f"phi support radius {phi.support_radius:g} exceeds the quadrature box "
@@ -118,9 +85,9 @@ def weak_residual(u: DensityRepresentation, beta: Renormalizer, phi,
         )
     bvals, divvals, cvals = _field_tables(field, damping, quad, eta)
 
-    bu = np.asarray(beta.beta(u.values), dtype=float)
-    bpu = np.asarray(beta.beta_prime(u.values), dtype=float)
-    ubp = u.values * bpu
+    bu = np.asarray(beta.beta(u), dtype=float)
+    bpu = np.asarray(beta.beta_prime(u), dtype=float)
+    ubp = u * bpu
 
     tw = quad.time_weights
     pieces = []
@@ -135,28 +102,25 @@ def weak_residual(u: DensityRepresentation, beta: Renormalizer, phi,
         dtphi = np.asarray(phi.dt(t, quad.points), dtype=float)
         gphi = np.asarray(phi.grad(t, quad.points), dtype=float)
         phiv = np.asarray(phi(t, quad.points), dtype=float)
-        transport = (dtphi + np.sum(gphi * bvals[k], axis=-1)) * bu[k]
-        reaction = phiv * (divvals[k] * (bu[k] - ubp[k]) + cvals[k] * ubp[k])
-        pieces.append(tw[k] * np.sum(transport + reaction) * quad.cell_volume)
+        flux = dtphi + np.sum(gphi * bvals[k], axis=-1)
+        pieces.append(tw[k] * _tested_sum(flux, phiv, bu[k], ubp[k], divvals[k],
+                                          cvals[k]) * quad.cell_volume)
 
     residual = abs(stable_sum(pieces))
     return WeakResidualReport(residual=residual,
                               history=((quad.h, quad.tau, residual),))
 
 
-def weak_residual_study(pairs, beta, phi, field, damping, u0,
+def weak_residual_study(densities, beta, phi, field, damping, u0,
                         eta=0.0) -> WeakResidualReport:
-    """Residuals over a strictly refining ladder with an order estimate.
-
-    ``pairs`` holds (quadrature, density sampled on its nodes) rungs.
-    """
-    hs = [q.h for q, _ in pairs]
+    """Residuals over a strictly refining ladder of densities with an order estimate."""
+    hs = [u.quad.h for u in densities]
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("quadrature ladder must be strictly refining")
     history = []
-    for q, u in pairs:
-        rep = weak_residual(u, beta, phi, field, damping, u0, q, eta)
-        history.append((q.h, q.tau, rep.residual))
+    for u in densities:
+        rep = weak_residual(u, beta, phi, field, damping, u0, eta)
+        history.append((u.quad.h, u.quad.tau, rep.residual))
     # the ladder is indexed by the spatial spacing (tau may refine more slowly
     # or stay fixed when the time error is already at its floor)
     order = order_estimate([row[0] for row in history],
@@ -179,29 +143,29 @@ class GammaTrace:
     consistency: float
 
 
-def gamma_trace(u: DensityRepresentation, beta: Renormalizer, phi_space,
-                field: VelocityFieldSpec, damping: DampingFieldSpec,
-                quad: SpaceTimeQuadrature, eta) -> GammaTrace:
+def gamma_trace(quad: DensityRepresentation, beta: Renormalizer, phi_space,
+                field: VelocityFieldSpec, damping: DampingFieldSpec, eta) -> GammaTrace:
     """Trace Gamma(t) with the tested-equation right-hand side.
 
-    The consistency figure is the max over steps of the forward difference
-    of Gamma against the trapezoid average of the right-hand side.
+    ``quad`` is the density u, named as in ``weak_residual``. The
+    consistency figure is the max over steps of the forward difference of
+    Gamma against the trapezoid average of the right-hand side.
     """
-    _check_alignment(u, quad)
+    u, quad = quad.values, quad.quad
     bvals, divvals, cvals = _field_tables(field, damping, quad, eta)
 
     phiv = np.asarray(phi_space(quad.points), dtype=float)
     gphi = np.asarray(phi_space.grad(quad.points), dtype=float)
 
-    bu = np.asarray(beta.beta(u.values), dtype=float)
-    ubp = u.values * np.asarray(beta.beta_prime(u.values), dtype=float)
+    bu = np.asarray(beta.beta(u), dtype=float)
+    ubp = u * np.asarray(beta.beta_prime(u), dtype=float)
 
     gamma = np.sum(phiv[None, :] * bu, axis=1) * quad.cell_volume
     rhs = np.empty_like(gamma)
     for k in range(quad.times.shape[0]):
-        transport = np.sum(gphi * bvals[k], axis=-1) * bu[k]
-        reaction = phiv * (divvals[k] * (bu[k] - ubp[k]) + cvals[k] * ubp[k])
-        rhs[k] = np.sum(transport + reaction) * quad.cell_volume
+        flux = np.sum(gphi * bvals[k], axis=-1)
+        rhs[k] = _tested_sum(flux, phiv, bu[k], ubp[k], divvals[k],
+                             cvals[k]) * quad.cell_volume
 
     dq = np.diff(gamma) / np.diff(quad.times)
     mid = 0.5 * (rhs[1:] + rhs[:-1])
@@ -215,22 +179,21 @@ def gamma_trace(u: DensityRepresentation, beta: Renormalizer, phi_space,
 # ---------------------------------------------------------------------------
 
 def l2_energy_diagnostic(u: DensityRepresentation, field: VelocityFieldSpec,
-                         damping: DampingFieldSpec, quad: SpaceTimeQuadrature):
+                         damping: DampingFieldSpec):
     """t -> integral of u^2 against its Gronwall envelope (bounded damping).
 
     Envelope: E(0) exp( int_0^t 2||c||_inf + ||div b||_inf ). Returns
-    (times, curve, envelope, passed); it passes when the curve stays within
-    5 % of the envelope.
+    (times, curve, envelope); the caller judges the curve against it.
     """
-    _check_alignment(u, quad)
     if damping.singular_set:
         raise UnboundedDampingError("l2 diagnostic requires bounded damping")
     if damping.sup_c is None:
         raise ValueError("damping needs a sup_c profile for the L2 envelope")
+    quad = u.quad
     curve = np.sum(u.values**2, axis=1) * quad.cell_volume
     rate = 2.0 * profile(damping.sup_c, quad.times) + profile(field.div_sup, quad.times)
     envelope = curve[0] * np.exp(cumtrapz(rate[None, :], quad.times)[0])
-    return quad.times.copy(), curve, envelope, holds_below(curve, envelope, 0.05)
+    return quad.times.copy(), curve, envelope
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +265,7 @@ class UniquenessProbeReport:
 
 
 def uniqueness_probe(u: DensityRepresentation, gamma_level, R0, delta_list,
-                     bound_data: GronwallBoundData,
-                     quad: SpaceTimeQuadrature) -> UniquenessProbeReport:
+                     bound_data: GronwallBoundData) -> UniquenessProbeReport:
     """Superlevel-measure contradiction probe for zero-datum solutions.
 
     m is the cell measure of {x in B_R0 : arctan(u)^2 > gamma_level},
@@ -313,7 +275,7 @@ def uniqueness_probe(u: DensityRepresentation, gamma_level, R0, delta_list,
     C_R at its large-R limit. A positive m above that limit is the
     contradiction that forces u = 0.
     """
-    _check_alignment(u, quad)
+    quad = u.quad
     d = quad.d
     inside = np.linalg.norm(quad.points, axis=-1) < R0
     level = np.arctan(u.values[:, inside]) ** 2 > gamma_level

@@ -19,9 +19,9 @@ from rough_transport.errors import (BadSplitError, DegenerateFitError,
 from rough_transport.fields import growth_split
 from rough_transport.numerics import cell_centers, profile
 from rough_transport.renormalization import make_beta_log, make_phi_R
-from rough_transport.representation import DensityRepresentation
+from rough_transport.representation import DensityRepresentation, make_quadrature
 from rough_transport.scenarios import _log_core_samples
-from rough_transport.weakform import gamma_trace, gronwall_constants, make_quadrature
+from rough_transport.weakform import gamma_trace, gronwall_constants
 
 from conftest import damping, field
 
@@ -335,10 +335,7 @@ def test_tails_reject_negative_input():
 # --- BMO Gronwall bound ---------------------------------------------------------------
 
 def _zero_density(quad):
-    return DensityRepresentation(
-        times=quad.times.copy(), points=quad.points,
-        values=np.zeros((quad.times.size, quad.points.shape[0])),
-        cell_volume=quad.cell_volume)
+    return DensityRepresentation(quad, np.zeros((quad.times.size, quad.points.shape[0])))
 
 
 def test_bmo_gronwall_zero_solution():
@@ -351,7 +348,7 @@ def test_bmo_gronwall_zero_solution():
     growth = growth_split(spec, rng=np.random.default_rng(0))
     phi_R = make_phi_R(2.0, 1)
     trace = gamma_trace(_zero_density(quad), make_beta_log(1e-2), phi_R, spec,
-                        damping("zero"), quad, 0.0)
+                        damping("zero"), 0.0)
     data = bmo_gronwall_constants(9.0, split, growth, damping("zero"), phi_R,
                                   quad.times)
     assert data.holds(trace, 1e-2)
@@ -392,7 +389,7 @@ def test_bmo_gronwall_reduces_without_oscillating_part():
     u = _zero_density(quad)
     for delta, R in ((1e-2, 2.0), (1e-4, 4.0)):
         phi_R = make_phi_R(R, 1)
-        trace = gamma_trace(u, make_beta_log(delta), phi_R, spec, dmp, quad, 0.0)
+        trace = gamma_trace(u, make_beta_log(delta), phi_R, spec, dmp, 0.0)
         bmo_data = bmo_gronwall_constants(9.0, split, growth, dmp, phi_R, quad.times)
         log_data = gronwall_constants(profile(spec.div_sup, quad.times), dmp, growth,
                                       phi_R, quad.times)

@@ -11,10 +11,10 @@ from rough_transport.fields import (VelocityFieldSpec, check_divergence_consiste
 from rough_transport.flow import integrate_flow, jacobian, make_seed_grid
 from rough_transport.numerics import gauss_legendre
 from rough_transport.renormalization import make_beta_arctan
-from rough_transport.representation import DensityRepresentation
+from rough_transport.representation import DensityRepresentation, make_quadrature
 from rough_transport.scenarios import DAMPING_CATALOG
 from rough_transport.testfunctions import compact_space_time
-from rough_transport.weakform import make_quadrature, weak_residual
+from rough_transport.weakform import weak_residual
 
 from conftest import damping, field, unit_damping
 
@@ -286,13 +286,11 @@ def test_sampler_calls_autonomous_fields_once(autonomous):
     assert calls["div"] == (1 if autonomous else 21)
 
     quad = make_quadrature(1, 2.0, 32, 1.0, 12)
-    u = DensityRepresentation(
-        times=quad.times.copy(), points=quad.points,
-        values=np.zeros((13, 32)), cell_volume=quad.cell_volume)
+    u = DensityRepresentation(quad, np.zeros((13, 32)))
     phi = compact_space_time(1, 1.0)
     calls.update(b=0, div=0, c=0)
     points.update(b=0, div=0, c=0)
     weak_residual(u, make_beta_arctan(1.0), phi, spec, dmp,
-                  lambda x: np.zeros(np.asarray(x).shape[:-1]), quad)
+                  lambda x: np.zeros(np.asarray(x).shape[:-1]))
     assert calls == dict.fromkeys(calls, 1 if autonomous else 13)
     assert points == dict.fromkeys(points, 32 if autonomous else 13 * 32)

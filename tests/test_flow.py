@@ -264,7 +264,7 @@ def test_jacobian_rejects_nan_divergence(zero_field):
 def test_jacobian_ode_residual_zero_field(zero_field):
     grid = make_seed_grid(1.0, 8, 1)
     fl = integrate_flow(zero_field, grid, 20, "forward")
-    res = jacobian_ode_residual(zero_field, fl, jacobian(zero_field, fl))
+    res = jacobian_ode_residual(zero_field, jacobian(zero_field, fl))
     assert res.forward == 0.0 and res.inverse == 0.0
 
 
@@ -273,7 +273,7 @@ def test_jacobian_ode_residual_halves(linear_field):
 
     def worst(steps):
         fl = integrate_flow(linear_field, grid, steps, "forward")
-        return jacobian_ode_residual(linear_field, fl, jacobian(linear_field, fl))
+        return jacobian_ode_residual(linear_field, jacobian(linear_field, fl))
 
     r1 = worst(1000)
     r2 = worst(2000)
@@ -305,7 +305,7 @@ def test_change_of_variables_identity_gaussian(zero_field):
     # spec example: identity flow leaves pure quadrature error, <= 1e-6 at 512
     grid = make_seed_grid(2.0, 512, 1)
     fl = integrate_flow(zero_field, grid, 4, "forward")
-    res = change_of_variables_residual(fl, jacobian(zero_field, fl),
+    res = change_of_variables_residual(jacobian(zero_field, fl),
                                        gaussian(1, 0.3), 2.0)
     assert res <= 1e-6
 
@@ -313,7 +313,7 @@ def test_change_of_variables_identity_gaussian(zero_field):
 def test_change_of_variables_linear_bump(linear_field):
     grid = make_seed_grid(1.0, 512, 1)
     fl = integrate_flow(linear_field, grid, 512, "forward")
-    res = change_of_variables_residual(fl, jacobian(linear_field, fl),
+    res = change_of_variables_residual(jacobian(linear_field, fl),
                                        bump(1, 1.0), 1.0)
     assert res <= 1e-5
 
@@ -321,7 +321,7 @@ def test_change_of_variables_linear_bump(linear_field):
 def test_change_of_variables_rotation_radial(rotation_field):
     grid = make_seed_grid(1.0, 128, 2)
     fl = integrate_flow(rotation_field, grid, 256, "forward")
-    res = change_of_variables_residual(fl, jacobian(rotation_field, fl),
+    res = change_of_variables_residual(jacobian(rotation_field, fl),
                                        bump(2, 0.8), 1.0)
     assert res <= 1e-6
 
@@ -332,7 +332,7 @@ def test_change_of_variables_refinement_order(linear_field):
     for n in cells:
         grid = make_seed_grid(1.0, n, 1)
         fl = integrate_flow(linear_field, grid, 2 * n, "forward")
-        errs.append(change_of_variables_residual(fl, jacobian(linear_field, fl),
+        errs.append(change_of_variables_residual(jacobian(linear_field, fl),
                                                  bump(1, 1.0), 1.0))
     order = order_estimate([1.0 / n for n in cells], errs)
     assert order >= 2.0
@@ -342,7 +342,7 @@ def test_change_of_variables_domain_too_small(zero_field):
     grid = make_seed_grid(2.0, 64, 1)
     fl = integrate_flow(zero_field, grid, 4, "forward")
     with pytest.raises(DomainTooSmallError):
-        change_of_variables_residual(fl, jacobian(zero_field, fl),
+        change_of_variables_residual(jacobian(zero_field, fl),
                                      bump(1, 1.0), 0.2)
 
 

@@ -11,9 +11,10 @@ from rough_transport.errors import (AllTruncatedError, JacobianVanishedError,
 from rough_transport.fields import DampingFieldSpec, PointSingularity, VelocityFieldSpec
 from rough_transport.flow import integrate_flow, jacobian, make_seed_grid, seeds_from_points
 from rough_transport import representation
-from rough_transport.representation import (_CHUNK_BYTES, TargetGrid, damping_integral,
-                                            integrability_probe, pointwise_solution,
-                                            pushforward_total_mass,
+from rough_transport.representation import (_CHUNK_BYTES, DensityRepresentation,
+                                            TargetGrid, damping_integral,
+                                            integrability_probe, make_quadrature,
+                                            pointwise_solution, pushforward_total_mass,
                                             represent_pointwise, represent_pushforward)
 from conftest import damping, field, u0_fn, unit_damping
 
@@ -76,10 +77,8 @@ def test_represent_pointwise_identity():
     u0 = u0_fn("bump")
     grid = make_seed_grid(1.0, 128, 1)
     back = integrate_flow(spec, grid, 16, "backward")
-    track = jacobian(spec, back)
-    acc = damping_integral(damping("zero"), back, 0.0)
-    rep = represent_pointwise(u0, back, track, acc)
-    assert np.array_equal(rep.values[0], u0(grid.points))
+    vals = represent_pointwise(u0, spec, damping("zero"), back, 0.0)
+    assert np.array_equal(vals, u0(grid.points))
 
 
 def test_represent_pointwise_pure_damping_formula():
@@ -89,11 +88,10 @@ def test_represent_pointwise_pure_damping_formula():
     u0 = u0_fn("bump")
     grid = make_seed_grid(2.0, 128, 1)
     back = integrate_flow(spec, grid, 32, "backward")
-    rep = represent_pointwise(u0, back, jacobian(spec, back),
-                              damping_integral(dmp, back, 0.0))
+    vals = represent_pointwise(u0, spec, dmp, back, 0.0)
     cvals = dmp.eval_c(0.0, grid.points)
     exact = u0(grid.points) * np.exp(1.0 * cvals)
-    assert np.max(np.abs(rep.values[0] - exact)) <= 1e-12
+    assert np.max(np.abs(vals - exact)) <= 1e-12
 
 
 def test_represent_pointwise_linear_flow():
@@ -102,10 +100,8 @@ def test_represent_pointwise_linear_flow():
     u0 = u0_fn("bump")
     pt = seeds_from_points([[math.e]])
     back = integrate_flow(spec, pt, 1000, "backward")
-    rep = represent_pointwise(u0, back, jacobian(spec, back),
-                              damping_integral(damping("zero"), back, 0.0))
-    assert rep.values[0, 0] == pytest.approx(u0(np.array([[1.0]]))[0] / math.e,
-                                             rel=1e-10)
+    vals = represent_pointwise(u0, spec, damping("zero"), back, 0.0)
+    assert vals[0] == pytest.approx(u0(np.array([[1.0]]))[0] / math.e, rel=1e-10)
 
 
 def _nan_damping(singular_set=()):
@@ -145,7 +141,7 @@ def test_pointwise_solution_thread_count_invariant(monkeypatch):
     for workers in ("1", "4"):
         monkeypatch.setenv("ROUGH_TRANSPORT_THREADS", workers)
         results.append(pointwise_solution(spec, damping("zero"), u0, grid,
-                                          times, steps=64).values)
+                                          times, steps=64))
     assert np.array_equal(results[0], results[1])
 
 
@@ -159,9 +155,8 @@ def _per_slice_reference(spec, dmp, u0, grid, times, steps, eta):
     for t in times[1:]:
         sub_steps = max(1, int(round(steps * t / spec.horizon)))
         back = integrate_flow(spec, grid, sub_steps, "backward", anchor_time=t)
-        acc = damping_integral(dmp, back, eta)
-        truncated += int(np.sum(acc.truncated_nodes))
-        vals.append(represent_pointwise(u0, back, jacobian(spec, back), acc).values[0])
+        truncated += int(np.sum(damping_integral(dmp, back, eta).truncated_nodes))
+        vals.append(represent_pointwise(u0, spec, dmp, back, eta))
     return np.array(vals), truncated
 
 
@@ -178,7 +173,7 @@ def test_pointwise_solution_matches_per_slice_composition(monkeypatch):
     assert 1001 * 64 * 48 * 8 > 4 * representation._CHUNK_BYTES
     u = pointwise_solution(spec, dmp, u0, grid, times, steps=1000)
     ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 1000, 0.0)
-    assert np.array_equal(u.values, ref)
+    assert np.array_equal(u, ref)
 
 
 @pytest.mark.parametrize("field_id, radius, n_space, n_time, steps", [
@@ -203,7 +198,7 @@ def test_pointwise_solution_holds_one_chunk_at_a_time(field_id, radius, n_space,
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert u.values.nbytes == result_bytes
+    assert u.nbytes == result_bytes
     assert peak <= 2 * _CHUNK_BYTES + result_bytes
 
 
@@ -217,7 +212,7 @@ def test_pointwise_solution_matches_per_slice_truncated():
     u = pointwise_solution(spec, dmp, u0, grid, times, steps=64, eta=0.05)
     ref, truncated = _per_slice_reference(spec, dmp, u0, grid, times, 64, 0.05)
     assert truncated > 0
-    assert np.array_equal(u.values, ref)
+    assert np.array_equal(u, ref)
 
 
 def test_pointwise_solution_time_dependent():
@@ -236,9 +231,9 @@ def test_pointwise_solution_time_dependent():
     times = np.linspace(0.0, 1.0, 9)
     u = pointwise_solution(spec, dmp, u0, grid, times, steps=200)
     exact = np.array([u0(grid.points * math.exp(-t * t / 2.0)) for t in times])
-    assert u.values == pytest.approx(exact, rel=1e-8)
+    assert u == pytest.approx(exact, rel=1e-8)
     ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 200, 0.0)
-    assert np.array_equal(u.values, ref)
+    assert np.array_equal(u, ref)
 
 
 def test_pointwise_solution_batches_autonomous_b_with_time_dependent_c(monkeypatch):
@@ -257,7 +252,7 @@ def test_pointwise_solution_batches_autonomous_b_with_time_dependent_c(monkeypat
         raise AssertionError("an autonomous b must take the batched sweep")
     monkeypatch.setattr(representation, "integrate_flow", per_slice)
     u = pointwise_solution(spec, dmp, u0, grid, times, steps=200)
-    assert np.array_equal(u.values, ref)
+    assert np.array_equal(u, ref)
 
 
 def test_pointwise_solution_initial_slice_exact():
@@ -266,18 +261,28 @@ def test_pointwise_solution_initial_slice_exact():
     grid = make_seed_grid(1.0, 64, 1)
     u = pointwise_solution(spec, damping("zero"), u0, grid,
                            np.linspace(0.0, 1.0, 9), steps=64)
-    assert np.array_equal(u.values[0], u0(grid.points))
+    assert np.array_equal(u[0], u0(grid.points))
 
 
 def test_represent_pointwise_rejects_bad_jacobian():
-    spec = field("zero")
-    grid = make_seed_grid(1.0, 8, 1)
-    back = integrate_flow(spec, grid, 4, "backward")
-    track = jacobian(spec, back)
-    object.__setattr__(track, "jx", track.jx * 0.0)
+    # div b = -800 within its bound 800: the path integral is -800 at t = 1,
+    # so JX = exp(-800) underflows to 0 and the formula would divide by it
+    spec = VelocityFieldSpec(
+        dimension=1, eval_b=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+        eval_div_b=lambda t, x: np.full(np.asarray(x).shape[:-1], -800.0),
+        regularity_tag="smooth", div_sup=lambda t: 800.0, horizon=1.0)
+    back = integrate_flow(spec, make_seed_grid(1.0, 8, 1), 4, "backward")
+    assert jacobian(spec, back).jx[0, -1] == 0.0
     with pytest.raises(JacobianVanishedError):
-        represent_pointwise(u0_fn("bump"), back, track,
-                            damping_integral(damping("zero"), back, 0.0))
+        represent_pointwise(u0_fn("bump"), spec, damping("zero"), back, 0.0)
+
+
+def test_density_rejects_values_off_its_quadrature():
+    quad = make_quadrature(1, 1.0, 8, 1.0, 4)
+    DensityRepresentation(quad, np.zeros((5, 8)))
+    for shape in ((5, 7), (4, 8), (8, 5), (40,)):
+        with pytest.raises(ValueError, match="do not fit"):
+            DensityRepresentation(quad, np.zeros(shape))
 
 
 # --- pushforward representation -------------------------------------------------
@@ -289,8 +294,8 @@ def test_pushforward_mass_conserved_divergence_free():
     grid = make_seed_grid(1.0, 64, 2)
     fl = integrate_flow(spec, grid, 64, "forward")
     acc = damping_integral(damping("zero", d=2), fl, 0.0)
-    m0 = pushforward_total_mass(u0, grid, acc, time_index=0)
-    m1 = pushforward_total_mass(u0, grid, acc, time_index=-1)
+    m0 = pushforward_total_mass(u0, acc, time_index=0)
+    m1 = pushforward_total_mass(u0, acc, time_index=-1)
     assert m0 == m1
 
 
@@ -301,8 +306,8 @@ def test_pushforward_exponential_mass():
     grid = make_seed_grid(1.0, 256, 1)
     fl = integrate_flow(spec, grid, 32, "forward")
     acc = damping_integral(unit_damping(), fl, 0.0)
-    m0 = pushforward_total_mass(u0, grid, acc, time_index=0)
-    m1 = pushforward_total_mass(u0, grid, acc, time_index=-1)
+    m0 = pushforward_total_mass(u0, acc, time_index=0)
+    m1 = pushforward_total_mass(u0, acc, time_index=-1)
     assert abs(m1 - math.e * m0) <= 1e-10 * abs(m0)
 
 
@@ -313,10 +318,10 @@ def test_pushforward_deposit_conserves_weights():
     fl = integrate_flow(spec, grid, 64, "forward")
     acc = damping_integral(damping("zero"), fl, 0.0)
     target = TargetGrid(radius=1.5, cells_per_axis=128, dimension=1)
-    rep = represent_pushforward(u0, fl, acc, target)
-    deposited = np.sum(rep.values[0]) * target.cell_volume
-    total = pushforward_total_mass(u0, grid, acc, time_index=-1)
-    assert rep.out_of_domain_fraction <= 1e-15
+    values, out_frac = represent_pushforward(u0, acc, target)
+    deposited = np.sum(values) * target.cell_volume
+    total = pushforward_total_mass(u0, acc, time_index=-1)
+    assert out_frac <= 1e-15
     assert deposited == pytest.approx(total, rel=1e-13)
 
 
@@ -329,8 +334,8 @@ def test_pushforward_initial_slice_reproduces_u0():
     fl = integrate_flow(spec, grid, 4, "forward")
     acc = damping_integral(damping("zero"), fl, 0.0)
     target = TargetGrid(radius=1.5, cells_per_axis=128, dimension=1)
-    rep = represent_pushforward(u0, fl, acc, target, time_index=0)
-    assert np.max(np.abs(rep.values[0] - u0(target.centers()))) <= 1e-13
+    values, _ = represent_pushforward(u0, acc, target, time_index=0)
+    assert np.max(np.abs(values - u0(target.centers()))) <= 1e-13
 
 
 def test_pushforward_reports_out_of_domain():
@@ -339,9 +344,9 @@ def test_pushforward_reports_out_of_domain():
     fl = integrate_flow(spec, grid, 64, "forward")
     acc = damping_integral(damping("zero"), fl, 0.0)
     target = TargetGrid(radius=1.0, cells_per_axis=64, dimension=1)  # too small
-    rep = represent_pushforward(lambda x: np.ones(np.asarray(x).shape[:-1]),
-                                fl, acc, target)
-    assert rep.out_of_domain_fraction > 0.1
+    _, out_frac = represent_pushforward(lambda x: np.ones(np.asarray(x).shape[:-1]),
+                                        acc, target)
+    assert out_frac > 0.1
 
 
 def test_representation_equivalence_first_order():
@@ -356,11 +361,11 @@ def test_representation_equivalence_first_order():
         seeds = make_seed_grid(1.0, seed_factor * cells, 1)
         fl = integrate_flow(spec, seeds, 128, "forward")
         acc = damping_integral(damping("zero"), fl, 0.0)
-        push = represent_pushforward(u0, fl, acc, target)
+        push, _ = represent_pushforward(u0, acc, target)
         eval_grid = seeds_from_points(target.centers(), target.cell_volume)
         point = pointwise_solution(spec, damping("zero"), u0, eval_grid,
                                    np.array([0.0, 1.0]), steps=128)
-        gaps.append(float(np.sum(np.abs(push.values[0] - point.values[-1]))
+        gaps.append(float(np.sum(np.abs(push - point[-1]))
                           * target.cell_volume))
     assert gaps[-1] < gaps[0]
     order = np.log2(gaps[0] / gaps[-1]) / 2.0
