@@ -251,7 +251,17 @@ def jacobian(field: VelocityFieldSpec, flow: FlowMap) -> JacobianTrack:
     """
     times = flow.time_grid
     dpi = cumtrapz(_div_samples(field, flow), times)
+    L = _divergence_bound(field, times, dpi)
+    return JacobianTrack(flow=flow, div_path_integral=dpi, jx=np.exp(dpi), L=L)
 
+
+def _divergence_bound(field: VelocityFieldSpec, times, dpi):
+    """L, the trapezoid of the div_sup profile over ``times``, or inf.
+
+    ``dpi`` holds div path integrals on the grid, or just the largest of
+    their magnitudes. Raises DivergenceUnboundedError when L is finite and
+    some |dpi| exceeds it.
+    """
     sup_profile = (np.full(times.shape, float(field.div_sup(float(times[0]))))
                    if field.autonomous else profile(field.div_sup, times))
     L = trapz(sup_profile, times) if np.all(np.isfinite(sup_profile)) else float("inf")
@@ -266,7 +276,7 @@ def jacobian(field: VelocityFieldSpec, flow: FlowMap) -> JacobianTrack:
                 f"divergence path integral {worst:.6g} exceeds its bound L={L:.6g}; "
                 "field metadata (eval_div_b vs div_sup) is inconsistent"
             )
-    return JacobianTrack(flow=flow, div_path_integral=dpi, jx=np.exp(dpi), L=L)
+    return L
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllTruncatedError, JacobianVanishedError, StepBlowupError
-from .fields import DampingFieldSpec, VelocityFieldSpec, sample_damping
-from .flow import (ESCAPE_FACTOR, FlowMap, SeedGrid, _rk4_path, integrate_flow,
-                   jacobian)
+from .fields import DampingFieldSpec, VelocityFieldSpec, sample_damping, sample_nodes
+from .flow import (ESCAPE_FACTOR, FlowMap, SeedGrid, _divergence_bound, _rk4_path,
+                   integrate_flow)
 from .numerics import (cell_centers, cumtrapz, gl_nodes, stable_sum, tensor_points,
                        trapezoid_weights)
 
-_CHUNK_BYTES = 8 << 20     # stored path bytes per batched backward sweep
+_CHUNK_BYTES = 8 << 20     # path and sample-table bytes per batched backward sweep
 
 
 # ---------------------------------------------------------------------------
@@ -128,35 +128,116 @@ def represent_pointwise(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
 
     The backward map supplies X^{-1}(anchor, x_i) in its first column; the
     Jacobian and the damping integral are traced along the same
-    characteristics, so their last columns already sit at the inverse-flow
+    characteristics, so their final values already sit at the inverse-flow
     samples. Returns the (N,) values at the anchor time.
     """
     if flow_backward.direction != "backward":
         raise ValueError("represent_pointwise needs a backward flow map")
-    jx_end = jacobian(field, flow_backward).jx[:, -1]
-    acc = damping_integral(damping, flow_backward, eta)
-    if np.any(jx_end <= 0.0) or not np.all(np.isfinite(jx_end)):
-        raise JacobianVanishedError("nonpositive or non-finite Jacobian sample")
-    u0_vals = np.asarray(u0(flow_backward.inverse_samples), dtype=float)
-    return u0_vals / jx_end * np.exp(acc.values[:, -1])
+    return _represent_slices(u0, field, damping,
+                             np.moveaxis(flow_backward.trajectories, 1, 0),
+                             [flow_backward.time_grid], eta)[0]
 
 
-def _backward_flows(field: VelocityFieldSpec, points: SeedGrid, anchors, counts,
-                    batch):
-    """Backward flow maps through (anchors[s], points) with counts[s] steps.
+def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
+                      nodes, grids, eta):
+    """u at the anchors of the backward slices along one path, (len(grids), N).
 
-    With ``batch`` (b independent of time) the slices share one RK4
-    sweep, traced with t = 0: slice s takes counts[s] steps of size
-    anchors[s] / counts[s], and its copy of the points fills rows s*N to
-    (s+1)*N. Counts must not increase, so the moving rows form a prefix.
-    Each map is a view of the sweep reversed onto its physical time grid,
-    bitwise ``integrate_flow(..., "backward", anchor_time=anchors[s])``,
-    which is what a time-dependent slice calls instead.
+    ``nodes`` (M+1, N, d) holds the path on ``grids[0]``, the time grid of
+    its longest slice. Slice k, on ``grids[k]`` = linspace(0, a_k, m_k + 1),
+    is its last m_k + 1 nodes, so X^{-1}(a_k, seeds) is row M - m_k. Only an
+    autonomous b lets slices share a path. div b, and an autonomous c, are
+    sampled once on the path, a time-dependent c on each slice's own grid,
+    ``block`` nodes per call into one (N, M+1) table.
+
+    Each slice's two integrals repeat ``cumtrapz`` on its grid operation for
+    operation, through one reused scratch block. A slice keeps only the
+    largest |div integral| (checked against L as ``jacobian`` does), the
+    final values and the paths its eta cut-off zeroes entirely. Raises what
+    ``jacobian`` and ``damping_integral`` raise, and JacobianVanishedError
+    for a JX that underflows or is not finite.
     """
-    if not batch:
+    rows, n = nodes.shape[:2]
+    # path nodes per field call and per scratch block: 1/16 of the budget
+    block = max(1, (_CHUNK_BYTES >> 4) // (8 * n))
+    table = np.empty((n, rows))     # samples along the path, time contiguous
+    masked = np.empty((n, rows), dtype=bool)
+    scratch = np.empty(n * (block + 1))
+    end = np.empty(n)
+    out = np.empty((len(grids), n))
+
+    def sample(times, damped):
+        # the table's last len(times) columns, on the nodes of those times
+        skip = rows - times.shape[0]
+        for r in range(skip, rows, block):
+            t, at = times[r - skip:r - skip + block], nodes[r:r + block]
+            if damped:
+                vals, mask = sample_damping(damping, t, at, eta)
+                masked[:, r:r + block] = mask.T
+            else:
+                vals = sample_nodes(field.eval_div_b, field.autonomous, t, at)
+            table[:, r:r + block] = vals.T
+
+    def path_integral(times):
+        # cumtrapz(table, times) on the slice's columns, into ``end``. A
+        # block's cumsum starts from the running value in its first column,
+        # which repeats the sequential sum bit for bit (up to the sign of a
+        # zero). Returns max |integral| over the nodes; a NaN gives NaN.
+        m = times.shape[0] - 1
+        v = table[:, rows - 1 - m:]
+        half_dt = 0.5 * np.diff(times)
+        end[:] = 0.0
+        worst = 0.0
+        for p in range(0, m, block):
+            w = min(block, m - p)
+            acc = scratch[:n * (w + 1)].reshape(n, w + 1)
+            acc[:, 0] = end
+            np.add(v[:, p + 1:p + w + 1], v[:, p:p + w], out=acc[:, 1:])
+            np.multiply(half_dt[p:p + w], acc[:, 1:], out=acc[:, 1:])
+            np.cumsum(acc, axis=-1, out=acc)
+            end[:] = acc[:, -1]
+            worst = np.maximum(worst, np.maximum(np.max(acc), -np.min(acc)))
+        return float(worst)
+
+    sample(grids[0], damped=False)
+    for k, times in enumerate(grids):
+        _divergence_bound(field, times, path_integral(times))
+        out[k] = np.exp(end)
+
+    if damping.autonomous:
+        sample(grids[0], damped=True)
+    for k, times in enumerate(grids):
+        m = times.shape[0] - 1
+        if not damping.autonomous:
+            sample(times, damped=True)
+        truncated = np.all(masked[:, rows - 1 - m:], axis=1)
+        if np.any(truncated):
+            raise AllTruncatedError(
+                f"every node of trajectory {int(np.argmax(truncated))} lies within "
+                f"eta={eta:g} of the singular set"
+            )
+        jx_end = out[k]
+        if np.any(jx_end <= 0.0) or not np.all(np.isfinite(jx_end)):
+            raise JacobianVanishedError("nonpositive or non-finite Jacobian sample")
+        path_integral(times)
+        out[k] = np.asarray(u0(nodes[rows - 1 - m]), dtype=float) / jx_end * np.exp(end)
+    return out
+
+
+def _backward_paths(field: VelocityFieldSpec, points: SeedGrid, anchors, counts):
+    """Backward paths from ``points`` at anchors[g] in counts[g] steps.
+
+    Path g is (counts[g] + 1, N, d) on the grid linspace(0, anchors[g],
+    counts[g] + 1), bitwise the trajectories of ``integrate_flow(...,
+    "backward", anchor_time=anchors[g])``, which a time-dependent b calls
+    for each path. With b independent of time the paths are views of one
+    RK4 sweep, traced with t = 0 and reversed in time: path g takes steps
+    of anchors[g] / counts[g] in rows g*N to (g+1)*N. Counts must not
+    increase, so the moving rows form a prefix.
+    """
+    if not field.autonomous:
         # pointwise_solution has already applied the nonsmooth-field check
-        return [integrate_flow(field, points, m, "backward", anchor_time=a,
-                               allow_nonsmooth=True)
+        return [np.moveaxis(integrate_flow(field, points, m, "backward", anchor_time=a,
+                                           allow_nonsmooth=True).trajectories, 1, 0)
                 for a, m in zip(anchors, counts)]
     n = points.points.shape[0]
     rhs = lambda s, y: -np.asarray(field.eval_b(0.0, y), dtype=float)  # noqa: E731
@@ -166,29 +247,33 @@ def _backward_flows(field: VelocityFieldSpec, points: SeedGrid, anchors, counts,
                          ESCAPE_FACTOR * max(points.bounding_radius, 1.0))
     except StepBlowupError as exc:     # row i integrates seed i mod N
         raise StepBlowupError(str(exc), seed_index=exc.seed_index % n) from exc
-    # sweep node j sits at time anchor - j h; reversed, columns run 0 -> anchor
-    return [FlowMap(seed_grid=points, time_grid=np.linspace(0.0, a, m + 1),
-                    trajectories=np.moveaxis(path[m::-1, s * n:(s + 1) * n], 0, 1),
-                    direction="backward", steps=m)
-            for s, (a, m) in enumerate(zip(anchors, counts))]
+    # sweep node j sits at time anchor - j h; reversed, rows run 0 -> anchor
+    return [path[m::-1, g * n:(g + 1) * n] for g, m in enumerate(counts)]
 
 
 def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
                        points: SeedGrid, time_grid, steps, eta=0.0,
                        allow_nonsmooth=False) -> np.ndarray:
-    """u(t_k, x_i) on a fixed grid from per-time backward flows, shape (K+1, N).
+    """u(t_k, x_i) on a fixed grid from backward characteristics, shape (K+1, N).
 
     The characteristics through (t_k, x_i) differ for each t_k, so each
-    slice has its own backward integration; the step size is kept near
-    horizon/steps by scaling the step count with t_k. The t = 0 slice is
-    u0 on the nose. Each slice is ``represent_pointwise`` on its backward
-    map; the maps come from chunked sweeps, longest first. A chunk stacks slices
-    while its RK4 path, rows * (longest step count + 1) * d * 8 bytes, stays
-    within ``_CHUNK_BYTES`` (8 MiB); a slice longer than that forms a chunk
-    alone. Each chunk's path is released before the next one is built, so
-    one path is alive at a time. When b depends on time, every chunk holds
-    one slice; c is sampled per slice on that slice's own time grid, so it
-    may depend on time either way.
+    slice follows its own backward path, t_k -> 0 in m_k steps; the step
+    size is kept near horizon/steps by scaling m_k with t_k. The t = 0
+    slice is u0 on the nose. With b autonomous, the path from x_i depends
+    only on the step t_k / m_k, so slices whose steps are bitwise equal
+    follow prefixes of one path, integrated and sampled once per distinct
+    step; each slice's values are bitwise ``represent_pointwise`` on its
+    own backward map. The identity build (step 1/256 for all 256 slices)
+    takes one path; linear_expand's 48 slices of 1000 steps take 31.
+
+    The paths come from chunked sweeps, longest first. A chunk stacks
+    paths while its sweep, rows * (longest step count + 1) * d * 8 bytes,
+    plus the (longest step count + 1) * N * 8 byte sample table of its
+    longest path stays within ``_CHUNK_BYTES`` (8 MiB); a path longer than
+    that forms a chunk alone. Each chunk's sweep is released before the
+    next one is built, so one sweep is alive at a time. When b depends on
+    time, every slice is its own path and chunk. A c that depends on time
+    is sampled per slice on that slice's own time grid.
     """
     if field.regularity_tag == "bv_nonsmooth" and not allow_nonsmooth:
         raise ValueError("bv_nonsmooth field: mollify first or pass allow_nonsmooth=True")
@@ -206,23 +291,30 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
 
     counts = [max(1, int(round(steps * t / horizon))) for t in anchors]
     batch = field.autonomous
-    slice_bytes = n * x.shape[1] * 8    # one float64 path node of every point
+    # slices that share a path, each longest first, the longest paths first
+    shared = {}
+    for s, h in sorted(enumerate(np.divide(anchors, counts)), key=lambda sh: -counts[sh[0]]):
+        shared.setdefault(h if batch else s, []).append(s)
+    node_bytes = n * 8                  # one float64 for every point
     chunks = []
-    for s in sorted(range(len(anchors)), key=lambda s: -counts[s]):
-        # a chunk's first slice is its longest and sets the path length
-        if (batch and chunks and (counts[chunks[-1][0]] + 1) * slice_bytes
-                * (len(chunks[-1]) + 1) <= _CHUNK_BYTES):
-            chunks[-1].append(s)
+    for group in shared.values():
+        # a chunk's first path is its longest: it sets the sweep length and
+        # the size of the one sample table alive beside the sweep
+        if (batch and chunks and (counts[chunks[-1][0][0]] + 1) * node_bytes
+                * (x.shape[1] * (len(chunks[-1]) + 1) + 1) <= _CHUNK_BYTES):
+            chunks[-1].append(group)
         else:
-            chunks.append([s])
+            chunks.append([group])
     for chunk in chunks:
-        flows = _backward_flows(field, points, [anchors[s] for s in chunk],
-                                [counts[s] for s in chunk], batch)
-        for s, back in zip(chunk, flows):
-            vals[1 + s] = represent_pointwise(u0, field, damping, back, eta)
-        # the maps are views of the chunk's path: drop them so the path is
-        # freed before the next sweep allocates its own
-        del flows, back
+        paths = _backward_paths(field, points, [anchors[g[0]] for g in chunk],
+                                [counts[g[0]] for g in chunk])
+        for group, path in zip(chunk, paths):
+            grids = [np.linspace(0.0, anchors[s], counts[s] + 1) for s in group]
+            vals[[1 + s for s in group]] = _represent_slices(u0, field, damping, path,
+                                                             grids, eta)
+        # the paths are views of the chunk's sweep: drop them so the sweep is
+        # freed before the next one allocates its own
+        del paths, path
     return vals
 
 

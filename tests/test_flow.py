@@ -247,6 +247,10 @@ def test_jacobian_rejects_inconsistent_metadata(linear_field):
     grid = make_seed_grid(1.0, 8, 1)
     with pytest.raises(DivergenceUnboundedError):
         jacobian(lying, integrate_flow(lying, grid, 50, "forward"))
+    # the slices of one shared backward path check the same bound
+    with pytest.raises(DivergenceUnboundedError):
+        pointwise_solution(lying, damping("zero"), u0_fn("bump"), grid,
+                           np.linspace(0.0, 1.0, 5), steps=50)
 
 
 def test_jacobian_rejects_nan_divergence(zero_field):

@@ -1,5 +1,6 @@
 """Solution representations: damping integrals, both formulas, the probe."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -148,15 +149,20 @@ def test_pointwise_solution_thread_count_invariant(monkeypatch):
 def _per_slice_reference(spec, dmp, u0, grid, times, steps, eta):
     """pointwise_solution composed slice by slice from the public steps.
 
-    Returns the values and the number of truncated damping nodes.
+    Each slice integrates its own backward flow, builds the full Jacobian and
+    damping tables along it and applies u0(X^{-1}) / JX * exp(D). Returns the
+    values and the number of truncated damping nodes.
     """
     vals = [np.asarray(u0(grid.points), dtype=float)]
     truncated = 0
     for t in times[1:]:
         sub_steps = max(1, int(round(steps * t / spec.horizon)))
         back = integrate_flow(spec, grid, sub_steps, "backward", anchor_time=t)
-        truncated += int(np.sum(damping_integral(dmp, back, eta).truncated_nodes))
-        vals.append(represent_pointwise(u0, spec, dmp, back, eta))
+        jx = jacobian(spec, back).jx[:, -1]
+        acc = damping_integral(dmp, back, eta)
+        truncated += int(np.sum(acc.truncated_nodes))
+        vals.append(np.asarray(u0(back.inverse_samples), dtype=float) / jx
+                    * np.exp(acc.values[:, -1]))
     return np.array(vals), truncated
 
 
@@ -176,9 +182,15 @@ def test_pointwise_solution_matches_per_slice_composition(monkeypatch):
     assert np.array_equal(u, ref)
 
 
-@pytest.mark.parametrize("field_id, radius, n_space, n_time, steps", [
+_DENSITY_BUILDS = [
     ("zero", 2.0, 256, 256, 256),             # identity/weak_residual
     ("linear_expand", 1.0, 128, 48, 1000),    # linear_expand/l2_energy
+]
+
+
+@pytest.mark.parametrize("field_id, radius, n_space, n_time, steps", _DENSITY_BUILDS + [
+    # one path and its sample table fill a chunk between them
+    ("linear_expand", 1.0, 512, 64, 1000),
 ])
 def test_pointwise_solution_holds_one_chunk_at_a_time(field_id, radius, n_space,
                                                       n_time, steps):
@@ -200,6 +212,68 @@ def test_pointwise_solution_holds_one_chunk_at_a_time(field_id, radius, n_space,
         tracemalloc.stop()
     assert u.nbytes == result_bytes
     assert peak <= 2 * _CHUNK_BYTES + result_bytes
+
+
+@pytest.mark.parametrize("field_id, radius, n_space, n_time, steps", _DENSITY_BUILDS)
+def test_pointwise_solution_independent_of_chunk_size(monkeypatch, field_id, radius,
+                                                      n_space, n_time, steps):
+    # 1 MiB holds one linear_expand path per chunk, 64 MiB all 31 of them
+    spec = field(field_id)
+    grid = make_seed_grid(radius, n_space, 1)
+    times = np.linspace(0.0, 1.0, n_time + 1)
+    results = []
+    for mib in (1, 8, 64):
+        monkeypatch.setattr(representation, "_CHUNK_BYTES", mib << 20)
+        results.append(pointwise_solution(spec, damping("inv_sqrt"), u0_fn("bump"),
+                                          grid, times, steps, eta=1e-3))
+    assert all(np.array_equal(results[0], u) for u in results[1:])
+
+
+def test_pointwise_solution_matches_per_slice_on_one_shared_path():
+    # every slice steps by h = (k/64) / (4k) = 1/256, so all 64 slices are
+    # prefixes of one backward path; b = x pulls it into the eta-ball
+    spec = field("linear_expand")
+    dmp = damping("inv_sqrt")
+    u0 = u0_fn("bump")
+    grid = make_seed_grid(1.0, 16, 1)
+    times = np.linspace(0.0, 1.0, 65)
+    assert {t / round(256 * t) for t in times[1:]} == {1.0 / 256}
+    u = pointwise_solution(spec, dmp, u0, grid, times, steps=256, eta=0.05)
+    ref, truncated = _per_slice_reference(spec, dmp, u0, grid, times, 256, 0.05)
+    assert truncated > 0
+    assert np.array_equal(u, ref)
+
+
+def test_pointwise_solution_integrates_and_samples_a_shared_path_once():
+    calls = {"b": 0, "div": 0, "c": 0}
+
+    def counted(key, fn):
+        def call(t, x):
+            calls[key] += 1
+            return fn(t, x)
+        return call
+
+    zero, unit = field("zero"), unit_damping()
+    spec = dataclasses.replace(zero, eval_b=counted("b", zero.eval_b),
+                               eval_div_b=counted("div", zero.eval_div_b))
+    dmp = dataclasses.replace(unit, eval_c=counted("c", unit.eval_c))
+    grid = make_seed_grid(1.0, 8, 1)
+    u = pointwise_solution(spec, dmp, u0_fn("bump"), grid, np.linspace(0.0, 1.0, 65),
+                           steps=256)
+    # one RK4 sweep of 256 steps, four stages each, for all 64 slices
+    assert calls == {"b": 4 * 256, "div": 1, "c": 1}
+    assert np.array_equal(u[-1], u0_fn("bump")(grid.points) * math.e)
+
+
+def test_pointwise_solution_all_truncated_on_short_slices_of_a_shared_path():
+    # b = -x: the backward path from 0.04 grows as 0.04 e^s and leaves the
+    # eta-ball only at s = log 1.25 ~ 0.22, so the slice at t = 1/8 lies in
+    # it entirely while every longer slice of the same path does not
+    seeds = seeds_from_points([[0.04], [0.5]])
+    with pytest.raises(AllTruncatedError, match="trajectory 0 "):
+        pointwise_solution(field("linear_contract"), damping("inv_sqrt"),
+                           u0_fn("bump"), seeds, np.linspace(0.0, 1.0, 9), steps=64,
+                           eta=0.05)
 
 
 def test_pointwise_solution_matches_per_slice_truncated():
