@@ -98,9 +98,8 @@ def default_ball_family(M, d):
 def bmo_norm(values, M, ball_family, points, cell_volume) -> BMOProfile:
     """Per-ball averages and mean oscillations; norm_star is the family max.
 
-    ``values`` may be a callable on points or a sample array. The samples
-    must be finite and vanish outside B_M (compact support hypothesis of
-    the decay lemma).
+    ``values`` holds one sample per point. The samples must be finite and
+    vanish outside B_M (compact support hypothesis of the decay lemma).
 
     Each ball reads only the slab of cells whose first coordinate lies
     within its radius, found by binary search on the points sorted by
@@ -115,10 +114,7 @@ def bmo_norm(values, M, ball_family, points, cell_volume) -> BMOProfile:
     as a full-grid mask would.
     """
     points = np.asarray(points, dtype=float)
-    if callable(values):
-        values = np.asarray(values(points), dtype=float)
-    else:
-        values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)
     if not ball_family:
         raise ValueError("ball_family must be nonempty")
     finite = np.isfinite(values)

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .config import ParseError, ValidationError, default_config, load_config
-from .errors import PipelineError, RoughTransportError
+from .errors import RoughTransportError
 from .scenarios import REGISTRY, list_scenarios, run_scenario
 
 
@@ -28,9 +28,6 @@ def _cmd_run(args):
         return 2
     try:
         report = run_scenario(cfg)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except RoughTransportError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -108,9 +108,8 @@ class JacobianTrack:
     """exp of the divergence path integral along each characteristic."""
 
     flow: FlowMap
-    div_path_integral: np.ndarray   # (N, K+1)
-    jx: np.ndarray                  # (N, K+1)
-    L: float                        # trapezoid of div_sup over the time grid
+    jx: np.ndarray       # (N, K+1)
+    L: float             # trapezoid of div_sup over the time grid
 
 
 ESCAPE_FACTOR = 1e3    # escape radius in units of max(seed radius, 1)
@@ -252,7 +251,7 @@ def jacobian(field: VelocityFieldSpec, flow: FlowMap) -> JacobianTrack:
     times = flow.time_grid
     dpi = cumtrapz(_div_samples(field, flow), times)
     L = _divergence_bound(field, times, dpi)
-    return JacobianTrack(flow=flow, div_path_integral=dpi, jx=np.exp(dpi), L=L)
+    return JacobianTrack(flow=flow, jx=np.exp(dpi, out=dpi), L=L)
 
 
 def _divergence_bound(field: VelocityFieldSpec, times, dpi):
@@ -302,18 +301,15 @@ def jacobian_ode_residual(field: VelocityFieldSpec,
     flow = track.flow
     dt = np.diff(flow.time_grid)
     divs = _div_samples(field, flow)
+
+    def residual(y, rate):
+        return float(np.max(np.abs((y[:, 1:] - y[:, :-1]) / dt
+                                   - 0.5 * (rate[:, 1:] + rate[:, :-1]))))
+
     jx = track.jx
-    rate = jx * divs
-    dq = (jx[:, 1:] - jx[:, :-1]) / dt
-    res_fwd = np.abs(dq - 0.5 * (rate[:, 1:] + rate[:, :-1]))
-
+    forward = residual(jx, jx * divs)
     inv = 1.0 / jx
-    rate_inv = -inv * divs
-    dq_inv = (inv[:, 1:] - inv[:, :-1]) / dt
-    res_inv = np.abs(dq_inv - 0.5 * (rate_inv[:, 1:] + rate_inv[:, :-1]))
-
-    return JacobianOdeResiduals(forward=float(np.max(res_fwd)),
-                                inverse=float(np.max(res_inv)))
+    return JacobianOdeResiduals(forward=forward, inverse=residual(inv, -inv * divs))
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +379,7 @@ def superlevel_escape(flow: FlowMap, r, R):
     seeds = flow.seed_grid
     if seeds.bounding_radius < r:
         raise ValueError(f"seed grid (radius {seeds.bounding_radius:g}) does not cover B_{r:g}")
-    start = flow.positions_at(0) if flow.direction == "forward" else flow.positions_at(-1)
-    inside = np.sqrt(sq_norms(start)) < r
+    inside = np.sqrt(sq_norms(seeds.points)) < r
     radii = np.asarray(R, dtype=float)
     norms = np.sqrt(sq_norms(flow.trajectories[inside]))   # (n, K+1)
     # escaped count per radius and time node, maximized over time

@@ -133,8 +133,7 @@ def order_estimate(scales, errors):
     keep = errors > 0.0
     if keep.sum() < 2:
         return float("nan")
-    slope = np.polyfit(np.log(scales[keep]), np.log(errors[keep]), 1)[0]
-    return float(slope)
+    return float(log_linear_fit(np.log(scales[keep]), errors[keep])[0])
 
 
 def log_linear_fit(xs, ys):

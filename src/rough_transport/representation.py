@@ -32,36 +32,37 @@ class DampingAccumulator:
     """D(t, x) = path integral of c along a characteristic, with truncation."""
 
     flow: FlowMap
-    values: np.ndarray          # (N, K+1), trapezoid in time
-    truncated_nodes: np.ndarray  # (N,), count of zeroed integrand nodes
-    integrand: np.ndarray       # (N, K+1), c along X after the cut-off
+    values: np.ndarray           # (N, K+1), trapezoid in time
+    truncated_nodes: np.ndarray  # (N,), count of nodes the cut-off zeroes
+    total_l1: float              # discrete integral of |c along X| dx dt
 
-    @property
-    def total_l1(self):
-        """Discrete integral of |c along X| dx dt, computed when read."""
-        abs_path = cumtrapz(np.abs(self.integrand), self.flow.time_grid)[:, -1]
-        return float(np.sum(abs_path)) * self.flow.seed_grid.cell_volume
+
+def _check_truncation(all_cut, eta):
+    """Raise AllTruncatedError for the first path whose every node is cut off."""
+    if np.any(all_cut):
+        raise AllTruncatedError(
+            f"every node of trajectory {int(np.argmax(all_cut))} lies within "
+            f"eta={eta:g} of the singular set"
+        )
 
 
 def damping_integral(damping: DampingFieldSpec, flow: FlowMap, eta) -> DampingAccumulator:
     """Trapezoid-in-time damping integral along every stored characteristic.
 
-    The integrand is set to zero whenever the trajectory is within eta of
-    the singular set. Raises AllTruncatedError if some trajectory had every
-    node excluded (seed effectively on the singular set).
+    c is set to zero whenever the trajectory is within eta of the singular
+    set. Raises AllTruncatedError if some trajectory had every node
+    excluded (seed effectively on the singular set).
     """
     times = flow.time_grid
     cvals, masked = sample_damping(damping, times,
                                    np.moveaxis(flow.trajectories, 1, 0), eta)
     cvals = cvals.T
     truncated = masked.sum(axis=0)
-    if np.any(truncated == times.shape[0]):
-        i = int(np.argmax(truncated == times.shape[0]))
-        raise AllTruncatedError(
-            f"every node of trajectory {i} lies within eta={eta:g} of the singular set"
-        )
+    _check_truncation(truncated == times.shape[0], eta)
+    total_l1 = (float(np.sum(cumtrapz(np.abs(cvals), times)[:, -1]))
+                * flow.seed_grid.cell_volume)
     return DampingAccumulator(flow=flow, values=cumtrapz(cvals, times),
-                              truncated_nodes=truncated, integrand=cvals)
+                              truncated_nodes=truncated, total_l1=total_l1)
 
 
 # ---------------------------------------------------------------------------
@@ -120,22 +121,6 @@ class DensityRepresentation:
     @property
     def points(self):
         return self.quad.points
-
-
-def represent_pointwise(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
-                        flow_backward: FlowMap, eta):
-    """u(anchor, x) = u0(X^{-1}) / JX(.,X^{-1}) * exp(D(.,X^{-1})) on seeds.
-
-    The backward map supplies X^{-1}(anchor, x_i) in its first column; the
-    Jacobian and the damping integral are traced along the same
-    characteristics, so their final values already sit at the inverse-flow
-    samples. Returns the (N,) values at the anchor time.
-    """
-    if flow_backward.direction != "backward":
-        raise ValueError("represent_pointwise needs a backward flow map")
-    return _represent_slices(u0, field, damping,
-                             np.moveaxis(flow_backward.trajectories, 1, 0),
-                             [flow_backward.time_grid], eta)[0]
 
 
 def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
@@ -209,12 +194,7 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
         m = times.shape[0] - 1
         if not damping.autonomous:
             sample(times, damped=True)
-        truncated = np.all(masked[:, rows - 1 - m:], axis=1)
-        if np.any(truncated):
-            raise AllTruncatedError(
-                f"every node of trajectory {int(np.argmax(truncated))} lies within "
-                f"eta={eta:g} of the singular set"
-            )
+        _check_truncation(np.all(masked[:, rows - 1 - m:], axis=1), eta)
         jx_end = out[k]
         if np.any(jx_end <= 0.0) or not np.all(np.isfinite(jx_end)):
             raise JacobianVanishedError("nonpositive or non-finite Jacobian sample")
@@ -262,8 +242,9 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     slice is u0 on the nose. With b autonomous, the path from x_i depends
     only on the step t_k / m_k, so slices whose steps are bitwise equal
     follow prefixes of one path, integrated and sampled once per distinct
-    step; each slice's values are bitwise ``represent_pointwise`` on its
-    own backward map. The identity build (step 1/256 for all 256 slices)
+    step; each slice's values are bitwise u0(X^{-1}) / JX * exp(D) from
+    ``jacobian`` and ``damping_integral`` on its own backward map from
+    ``integrate_flow``. The identity build (step 1/256 for all 256 slices)
     takes one path; linear_expand's 48 slices of 1000 steps take 31.
 
     The paths come from chunked sweeps, longest first. A chunk stacks
@@ -422,7 +403,7 @@ def integrability_probe(u0, damping: DampingFieldSpec, t,
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValueError("refinement_list must be strictly decreasing")
 
-    def integrand(x):
+    def weighted(x):
         pts = x[:, None]
         exponent = t * np.asarray(damping.eval_c(t, pts), dtype=float)
         with np.errstate(over="ignore"):
@@ -439,7 +420,7 @@ def integrability_probe(u0, damping: DampingFieldSpec, t,
                 cuts.append(min(hi, cuts[-1] * 2.0))
             for a, b in zip(cuts[:-1], cuts[1:]):
                 xs, ws = gl_nodes(a, b, 32)
-                total += float(np.dot(ws, integrand(sign * xs)))
+                total += float(np.dot(ws, weighted(sign * xs)))
         return total
 
     # telescoping keeps the shared outer region's quadrature identical across

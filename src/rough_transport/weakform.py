@@ -47,7 +47,7 @@ def _field_tables(field, damping, quad, eta=0.0):
 
 def _tested_sum(flux, phiv, bu, ubp, div, c):
     """Sum over the nodes of one time of flux beta(u) + phi [div b (beta(u) - u
-    beta'(u)) + c u beta'(u)], the tested equation's integrand."""
+    beta'(u)) + c u beta'(u)], the terms of the tested equation."""
     transport = flux * bu
     reaction = phiv * (div * (bu - ubp) + c * ubp)
     return np.sum(transport + reaction)

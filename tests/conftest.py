@@ -1,9 +1,12 @@
 """Shared fixtures: catalog fields, dampings and initial data."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rough_transport.fields import DampingFieldSpec
+from rough_transport.flow import integrate_flow, make_seed_grid
 from rough_transport.scenarios import DAMPING_CATALOG, FIELD_CATALOG, U0_CATALOG
 
 
@@ -23,6 +26,29 @@ def unit_damping():
     """c = 1 everywhere, for closed forms like D(t, x) = t; no scenario uses it."""
     return DampingFieldSpec(eval_c=lambda t, x: np.ones(np.asarray(x).shape[:-1]),
                             sup_c=lambda t: 1.0, label="unit")
+
+
+def long_linear_flow():
+    """(linear_expand, its 512-seed 2000-step forward flow, one table's bytes).
+
+    One (N, K+1) float table is 8.2 MB, so memory bounds in table units
+    stand well clear of the allocator's bookkeeping.
+    """
+    spec = field("linear_expand")
+    fl = integrate_flow(spec, make_seed_grid(1.0, 512, 1), 2000, "forward")
+    return spec, fl, fl.trajectories[..., 0].nbytes
+
+
+def traced_bytes(call):
+    """(call(), bytes it leaves allocated, its peak bytes), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, now - before, peak - before
 
 
 @pytest.fixture

@@ -163,6 +163,15 @@ def test_pipeline_error_names_the_stage(tmp_path):
     assert err.value.stage == "flow_endpoint"
 
 
+def test_cli_run_reports_pipeline_error(tmp_path, capsys):
+    # the same rotation failure through the CLI: exit code 1, stage on stderr
+    path = _write(tmp_path, {"scenario_id": "rotation", "T": 1.0,
+                             "diagnostics": ["flow_endpoint"],
+                             "output_dir": str(tmp_path / "x")})
+    assert main(["run", path]) == 1
+    assert "stage 'flow_endpoint'" in capsys.readouterr().err
+
+
 def test_identity_scenario_full_run(tmp_path):
     # registry example: all identity diagnostics pass inside five seconds
     import time

@@ -20,7 +20,7 @@ from rough_transport.numerics import order_estimate
 from rough_transport.representation import pointwise_solution
 from rough_transport.testfunctions import bump, gaussian
 
-from conftest import damping, field, u0_fn
+from conftest import damping, field, long_linear_flow, traced_bytes, u0_fn
 
 
 def test_identity_flow(zero_field):
@@ -217,7 +217,6 @@ def test_jacobian_reads_autonomous_div_sup_once(linear_field):
     assert calls == [1, 21]
     assert tracks[0].L == tracks[1].L
     assert np.array_equal(tracks[0].jx, tracks[1].jx)
-    assert np.array_equal(tracks[0].div_path_integral, tracks[1].div_path_integral)
 
 
 def test_jacobian_divergence_free(rotation_field):
@@ -285,6 +284,23 @@ def test_jacobian_ode_residual_halves(linear_field):
     assert r2.worst <= 0.55 * r1.worst
     # the reciprocal Jacobian obeys the mirrored ODE at matching accuracy
     assert r1.inverse <= 1e-3
+
+
+def test_jacobian_keeps_one_table():
+    # JX is exponentiated in place of its path integral
+    spec, fl, table = long_linear_flow()
+    track, kept, _ = traced_bytes(lambda: jacobian(spec, fl))
+    assert track.jx.shape == (512, 2001)
+    assert kept <= 1.1 * table
+
+
+def test_jacobian_ode_residual_frees_forward_temporaries():
+    # the forward residual's temporaries are gone before 1/JX is built
+    spec, fl, table = long_linear_flow()
+    track = jacobian(spec, fl)
+    res, _, peak = traced_bytes(lambda: jacobian_ode_residual(spec, track))
+    assert res.worst < 1e-6
+    assert peak <= 5.5 * table
 
 
 def test_jacobian_matches_flow_map_determinant():

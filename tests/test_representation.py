@@ -16,8 +16,8 @@ from rough_transport.representation import (_CHUNK_BYTES, DensityRepresentation,
                                             TargetGrid, damping_integral,
                                             integrability_probe, make_quadrature,
                                             pointwise_solution, pushforward_total_mass,
-                                            represent_pointwise, represent_pushforward)
-from conftest import damping, field, u0_fn, unit_damping
+                                            represent_pushforward)
+from conftest import damping, field, long_linear_flow, traced_bytes, u0_fn, unit_damping
 
 
 def _identity_flow(steps=16, cells=64, radius=1.0, d=1, T=1.0):
@@ -55,6 +55,14 @@ def test_damping_integral_inv_sqrt_mass():
     assert acc.total_l1 <= 1.0 * 4.0 * 1.2
 
 
+def test_damping_integral_keeps_one_table():
+    # the L1 mass is summed on the way: only the values table outlives the call
+    _, fl, table = long_linear_flow()
+    acc, kept, _ = traced_bytes(lambda: damping_integral(damping("box_indicator"), fl, 0.0))
+    assert acc.total_l1 > 0.0
+    assert kept <= 1.1 * table
+
+
 def test_damping_integral_counts_truncated_nodes():
     # contraction drags seeds into the eta-ball partway through the window
     spec = field("linear_contract")
@@ -77,8 +85,7 @@ def test_represent_pointwise_identity():
     spec = field("zero")
     u0 = u0_fn("bump")
     grid = make_seed_grid(1.0, 128, 1)
-    back = integrate_flow(spec, grid, 16, "backward")
-    vals = represent_pointwise(u0, spec, damping("zero"), back, 0.0)
+    vals = pointwise_solution(spec, damping("zero"), u0, grid, np.array([0.0, 1.0]), 16)[-1]
     assert np.array_equal(vals, u0(grid.points))
 
 
@@ -88,8 +95,7 @@ def test_represent_pointwise_pure_damping_formula():
     dmp = damping("box_indicator")
     u0 = u0_fn("bump")
     grid = make_seed_grid(2.0, 128, 1)
-    back = integrate_flow(spec, grid, 32, "backward")
-    vals = represent_pointwise(u0, spec, dmp, back, 0.0)
+    vals = pointwise_solution(spec, dmp, u0, grid, np.array([0.0, 1.0]), 32)[-1]
     cvals = dmp.eval_c(0.0, grid.points)
     exact = u0(grid.points) * np.exp(1.0 * cvals)
     assert np.max(np.abs(vals - exact)) <= 1e-12
@@ -100,8 +106,7 @@ def test_represent_pointwise_linear_flow():
     spec = field("linear_expand")
     u0 = u0_fn("bump")
     pt = seeds_from_points([[math.e]])
-    back = integrate_flow(spec, pt, 1000, "backward")
-    vals = represent_pointwise(u0, spec, damping("zero"), back, 0.0)
+    vals = pointwise_solution(spec, damping("zero"), u0, pt, np.array([0.0, 1.0]), 1000)[-1]
     assert vals[0] == pytest.approx(u0(np.array([[1.0]]))[0] / math.e, rel=1e-10)
 
 
@@ -345,10 +350,12 @@ def test_represent_pointwise_rejects_bad_jacobian():
         dimension=1, eval_b=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         eval_div_b=lambda t, x: np.full(np.asarray(x).shape[:-1], -800.0),
         regularity_tag="smooth", div_sup=lambda t: 800.0, horizon=1.0)
-    back = integrate_flow(spec, make_seed_grid(1.0, 8, 1), 4, "backward")
+    grid = make_seed_grid(1.0, 8, 1)
+    back = integrate_flow(spec, grid, 4, "backward")
     assert jacobian(spec, back).jx[0, -1] == 0.0
     with pytest.raises(JacobianVanishedError):
-        represent_pointwise(u0_fn("bump"), spec, damping("zero"), back, 0.0)
+        pointwise_solution(spec, damping("zero"), u0_fn("bump"), grid,
+                           np.array([0.0, 1.0]), 4)
 
 
 def test_density_rejects_values_off_its_quadrature():
