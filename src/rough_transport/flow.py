@@ -5,6 +5,8 @@ A forward map anchors seeds at t = 0; a backward map anchors the seeds at a
 given time and stores the same characteristics on the physical time grid,
 so its first column holds the inverse-flow samples. Jacobians come from the
 exponential of the divergence path integral, never from spatial gradients.
+The forward diagnostics read a ForwardSummary: reductions of one forward
+sweep taken in time blocks, so no full trajectory table is kept.
 """
 
 import math
@@ -88,10 +90,6 @@ class FlowMap:
     direction: str               # "forward" | "backward"
     steps: int
 
-    @property
-    def anchor_time(self):
-        return float(self.time_grid[-1])
-
     def positions_at(self, k):
         return self.trajectories[:, k, :]
 
@@ -115,8 +113,8 @@ class JacobianTrack:
 ESCAPE_FACTOR = 1e3    # escape radius in units of max(seed radius, 1)
 
 
-def _rk4_path(rhs, y0, h, steps, escape_radius):
-    """Fixed-step RK4 from time 0, recording every node.
+def _rk4_path(rhs, y0, h, steps, escape_radius, first=0):
+    """Fixed-step RK4 from step ``first`` (time first * h), recording every node.
 
     ``h`` and ``steps`` are either shared by every row or given per row. Per
     row step counts must not increase down the rows, so the rows still
@@ -127,10 +125,12 @@ def _rk4_path(rhs, y0, h, steps, escape_radius):
     Returns an array of shape (max steps + 1,) + y0.shape, in which a row
     keeps its final position past its last step; it is the only large
     allocation, (max steps + 1) * rows * d * 8 bytes. ``pointwise_solution``
-    sizes its batched sweeps so that this array stays within 8 MiB and
-    releases each one before the next is built. Raises StepBlowupError
-    as soon as any trajectory norm exceeds ``escape_radius`` or is not
-    finite.
+    and the forward blocks size their sweeps so that this array and the
+    tables read from it stay within ``_CHUNK_BYTES``, and release each one
+    before the next is built. A path continued from step ``first`` takes
+    the stage times (first + k) * h, so it repeats bit for bit the steps of
+    one sweep from time 0. Raises StepBlowupError as soon as any
+    trajectory norm exceeds ``escape_radius`` or is not finite.
 
     Each step performs the textbook operations in the textbook order,
     y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4) with stage points y + (h/2) k,
@@ -167,7 +167,7 @@ def _rk4_path(rhs, y0, h, steps, escape_radius):
             if per_row:
                 hk, halfk, sixthk = h[:rows], half[:rows], sixth[:rows]
         y, y_next = out[k, :rows], out[k + 1, :rows]
-        t = k * hk
+        t = (first + k) * hk
         k1 = rhs(t, y)
         np.add(y, np.multiply(halfk, k1, out=stage), out=stage)
         k2 = rhs(t + halfk, stage)
@@ -184,7 +184,7 @@ def _rk4_path(rhs, y0, h, steps, escape_radius):
             norms = np.linalg.norm(y_next, axis=-1)
             # argmax picks the first NaN, else the largest norm
             i = int(np.argmax(norms))
-            at = (k + 1) * (hk[i, 0] if per_row else hk)
+            at = (first + k + 1) * (hk[i, 0] if per_row else hk)
             what = (f"escaped (|X|={norms[i]:.3g} > {escape_radius:.3g})"
                     if np.isfinite(norms[i]) else "became non-finite")
             raise StepBlowupError(f"trajectory {i} {what} at t={at:.6g}",
@@ -233,12 +233,6 @@ def integrate_flow(field: VelocityFieldSpec, seeds: SeedGrid, steps, direction,
 # Jacobian along characteristics
 # ---------------------------------------------------------------------------
 
-def _div_samples(field: VelocityFieldSpec, flow: FlowMap):
-    """div b at every node of every path, shape (paths, time nodes)."""
-    return sample_nodes(field.eval_div_b, field.autonomous, flow.time_grid,
-                        np.moveaxis(flow.trajectories, 1, 0)).T
-
-
 def jacobian(field: VelocityFieldSpec, flow: FlowMap) -> JacobianTrack:
     """JX(t) = exp of the trapezoid path integral of div b along each path.
 
@@ -249,33 +243,36 @@ def jacobian(field: VelocityFieldSpec, flow: FlowMap) -> JacobianTrack:
     for an autonomous field is its one value div_sup(0) on every node.
     """
     times = flow.time_grid
-    dpi = cumtrapz(_div_samples(field, flow), times)
-    L = _divergence_bound(field, times, dpi)
+    dpi = cumtrapz(sample_nodes(field.eval_div_b, field.autonomous, times,
+                                np.moveaxis(flow.trajectories, 1, 0)).T, times)
+    L = _div_sup_integral(field, times)
+    _check_divergence(dpi, L)
     return JacobianTrack(flow=flow, jx=np.exp(dpi, out=dpi), L=L)
 
 
-def _divergence_bound(field: VelocityFieldSpec, times, dpi):
-    """L, the trapezoid of the div_sup profile over ``times``, or inf.
-
-    ``dpi`` holds div path integrals on the grid, or just the largest of
-    their magnitudes. Raises DivergenceUnboundedError when L is finite and
-    some |dpi| exceeds it.
-    """
+def _div_sup_integral(field: VelocityFieldSpec, times):
+    """L, the trapezoid of the div_sup profile over ``times``, or inf."""
     sup_profile = (np.full(times.shape, float(field.div_sup(float(times[0]))))
                    if field.autonomous else profile(field.div_sup, times))
-    L = trapz(sup_profile, times) if np.all(np.isfinite(sup_profile)) else float("inf")
+    return trapz(sup_profile, times) if np.all(np.isfinite(sup_profile)) else float("inf")
 
+
+def _check_divergence(dpi, L):
+    """Raise DivergenceUnboundedError when L is finite and some |dpi| exceeds it.
+
+    ``dpi`` holds div path integrals on the grid, or just the largest of
+    their magnitudes.
+    """
     if np.isfinite(L):
         # |trapz of div along X| <= trapz of div_sup = L holds node by node when
         # the field metadata is consistent; only rounding slack is allowed, and
         # a NaN path integral fails the comparison too
-        worst = float(np.max(np.abs(dpi)))
+        worst = float(_max_abs(dpi))
         if not worst <= L * (1.0 + 1e-12) + 1e-12:
             raise DivergenceUnboundedError(
                 f"divergence path integral {worst:.6g} exceeds its bound L={L:.6g}; "
                 "field metadata (eval_div_b vs div_sup) is inconsistent"
             )
-    return L
 
 
 @dataclass(frozen=True)
@@ -290,40 +287,160 @@ class JacobianOdeResiduals:
         return max(self.forward, self.inverse)
 
 
-def jacobian_ode_residual(field: VelocityFieldSpec,
-                          track: JacobianTrack) -> JacobianOdeResiduals:
-    """Difference-quotient residual of the Jacobian ODE along the track's paths.
+def _max_abs(x):
+    """max |x| from two reductions, without a full-size |x|; NaN if x holds one.
 
-    Per step, the forward difference of JX is compared with the trapezoid
-    average of JX * div b over the step (and likewise for 1/JX); the max
-    over seeds and steps is returned for both. Pure diagnostic.
+    Both reductions are NaN together, and the outer abs gives a zero its
+    plus sign, as max |x| has.
     """
-    flow = track.flow
-    dt = np.diff(flow.time_grid)
-    divs = _div_samples(field, flow)
+    return abs(max(np.max(x), -np.min(x)))
 
-    def residual(y, rate):
-        return float(np.max(np.abs((y[:, 1:] - y[:, :-1]) / dt
-                                   - 0.5 * (rate[:, 1:] + rate[:, :-1]))))
 
-    jx = track.jx
-    forward = residual(jx, jx * divs)
-    inv = 1.0 / jx
-    return JacobianOdeResiduals(forward=forward, inverse=residual(inv, -inv * divs))
+def _ode_residual(y, rate, dt, diff, mean):
+    """max |(y[k+1] - y[k]) / dt[k] - 0.5 * (rate[k+1] + rate[k])| down the rows.
+
+    The Jacobian ODE's difference quotient against the trapezoid mean of
+    its rate, step by step, worked in the (m, n) scratch tables ``diff``
+    and ``mean``.
+    """
+    np.divide(np.subtract(y[1:], y[:-1], out=diff), dt, out=diff)
+    np.multiply(0.5, np.add(rate[1:], rate[:-1], out=mean), out=mean)
+    return _max_abs(np.subtract(diff, mean, out=diff))
+
+
+# ---------------------------------------------------------------------------
+# the forward pass, reduced in time blocks
+# ---------------------------------------------------------------------------
+
+_CHUNK_BYTES = 8 << 20     # path and table bytes per block of a chunked sweep
+
+
+def _forward_blocks(field: VelocityFieldSpec, seeds: SeedGrid, steps, rows=slice(None)):
+    """The forward RK4 path of ``seeds.points[rows]`` over [0, horizon], in time blocks.
+
+    Yields (k0, nodes), nodes (m+1, n, d) holding path nodes k0 to k0 + m.
+    Each block starts from the last node of the one before and is released
+    before the next is built; its steps are bit for bit those of
+    ``integrate_flow``, whose escape radius it uses. One (m+1, n) float
+    table takes at most 1/16 of ``_CHUNK_BYTES``, as in the blocks of
+    ``pointwise_solution``, and m is at least 1: the path and up to 16 - d
+    tables of the caller fit in the budget, and each table stays small
+    enough for the elementwise passes over it to run in cache.
+    """
+    if field.regularity_tag == "bv_nonsmooth":
+        raise ValueError("bv_nonsmooth field: mollify first")
+    if steps < 1:
+        raise ValueError("steps must be a positive integer")
+    y = seeds.points[rows]
+    m = max(1, (_CHUNK_BYTES >> 4) // (8 * y.shape[0]) - 1)
+    rhs = lambda t, y: np.asarray(field.eval_b(t, y), dtype=float)  # noqa: E731
+    escape = ESCAPE_FACTOR * max(seeds.bounding_radius, 1.0)
+    for k0 in range(0, steps, m):
+        nodes = _rk4_path(rhs, y, field.horizon / steps, min(m, steps - k0), escape,
+                          first=k0)
+        y = nodes[-1].copy()
+        yield k0, nodes
+        del nodes
+
+
+@dataclass(frozen=True)
+class ForwardSummary:
+    """The reductions of one forward flow that the diagnostics read.
+
+    No (N, K+1) table is kept: the flow's end points, JX at the end time,
+    the bound L, the largest coordinate displacement |X - x0|, per time
+    node the smallest and largest JX over the seeds, and the largest
+    residuals of the Jacobian ODE and of its reciprocal.
+    """
+
+    seed_grid: SeedGrid
+    time_grid: np.ndarray          # (K+1,), 0 = t_0 < ... < t_K = horizon
+    steps: int
+    endpoints: np.ndarray          # (N, d), X(T, seeds)
+    jx_end: np.ndarray             # (N,), JX(T, seeds)
+    L: float
+    max_displacement: float        # max over seeds, nodes and coordinates
+    jx_min: np.ndarray             # (K+1,)
+    jx_max: np.ndarray             # (K+1,)
+    residuals: JacobianOdeResiduals
+
+    def jx_deviation(self, expected):
+        """max over seeds and nodes of |JX - expected|, a scalar or one value per node.
+
+        Exact: fl(a - e) is monotone in a, so at each node the largest
+        |JX - e| is found at the smallest or at the largest JX.
+        """
+        return float(np.max(np.maximum(np.abs(self.jx_max - expected),
+                                        np.abs(self.jx_min - expected))))
+
+
+def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps) -> ForwardSummary:
+    """One forward RK4 sweep over ``seeds`` on [0, horizon], reduced block by block.
+
+    Each block of ``_forward_blocks`` samples div b on its nodes, continues
+    the cumulative trapezoid of div b from the previous block's last
+    column, checks it against L and exponentiates it in place, then folds
+    into the reductions. Every value is bit for bit the reduction of the
+    ``integrate_flow`` and ``jacobian`` tables, and the residuals are those
+    of the Jacobian ODE and its reciprocal along those tables. Raises what
+    they raise; the divergence bound is checked before JX is formed.
+    """
+    time_grid = np.linspace(0.0, field.horizon, steps + 1)
+    dt = np.diff(time_grid)[:, None]
+    half_dt = 0.5 * dt
+    L = _div_sup_integral(field, time_grid)
+    x0 = seeds.points
+    jx_min, jx_max = np.empty(steps + 1), np.empty(steps + 1)
+    dpi_end = np.zeros(x0.shape[0])
+    worst = np.zeros(3)          # displacement, forward and inverse residuals
+    for k0, nodes in _forward_blocks(field, seeds, steps):
+        if k0 == 0:              # the first block is the longest
+            scratch = np.empty((4,) + nodes.shape[:2])
+        m = nodes.shape[0] - 1
+        block, steps_k = slice(k0, k0 + m + 1), slice(k0, k0 + m)
+        jx, rate = scratch[0, :m + 1], scratch[1, :m + 1]
+        diff, mean = scratch[2, :m], scratch[3, :m]
+        divs = sample_nodes(field.eval_div_b, field.autonomous, time_grid[block], nodes)
+        # cumtrapz's increments (0.5 * dt) * (v[k+1] + v[k]), summed in order
+        # from the running value, row by row (a cumsum down the rows is slower)
+        jx[0] = dpi_end
+        np.add(divs[1:], divs[:-1], out=jx[1:])
+        np.multiply(half_dt[steps_k], jx[1:], out=jx[1:])
+        for k in range(m):
+            np.add(jx[k], jx[k + 1], out=jx[k + 1])
+        _check_divergence(jx, L)
+        dpi_end[:] = jx[-1]
+        np.exp(jx, out=jx)
+        jx_min[block], jx_max[block] = np.min(jx, axis=1), np.max(jx, axis=1)
+        disp = max(_max_abs(np.subtract(nodes[..., j], x0[:, j], out=rate))
+                   for j in range(x0.shape[1]))
+        # JX' = JX div b, then (1/JX)' = -(1/JX) div b with 1/JX in JX's place
+        forward = _ode_residual(jx, np.multiply(jx, divs, out=rate), dt[steps_k], diff, mean)
+        inv = np.divide(1.0, jx, out=jx)
+        inverse = _ode_residual(inv, np.multiply(np.negative(inv, out=rate), divs, out=rate),
+                                dt[steps_k], diff, mean)
+        worst = np.maximum(worst, [disp, forward, inverse])
+        endpoints = nodes[-1].copy()
+        # drop the block before the next one is built
+        del nodes, divs
+    return ForwardSummary(seed_grid=seeds, time_grid=time_grid, steps=steps,
+                          endpoints=endpoints, jx_end=np.exp(dpi_end), L=L,
+                          max_displacement=float(worst[0]), jx_min=jx_min, jx_max=jx_max,
+                          residuals=JacobianOdeResiduals(float(worst[1]), float(worst[2])))
 
 
 # ---------------------------------------------------------------------------
 # integral identities
 # ---------------------------------------------------------------------------
 
-def change_of_variables_residual(track: JacobianTrack, phi, quad_domain_radius):
+def change_of_variables_residual(summary: ForwardSummary, phi, quad_domain_radius):
     """| sum_i phi(X(T, x_i)) JX(T, x_i) cell_vol  -  integral of phi |.
 
-    X is the track's forward flow. ``phi`` must expose ``__call__``,
-    ``reference_integral`` (analytic or high-precision) and
-    ``mass_outside(radius)``; the scenario supplies ``quad_domain_radius``, a
-    radius certified to be contained in the image of the seed box at the
-    evaluation time.
+    X and JX are the summary's end points and end Jacobians. ``phi`` must
+    expose ``__call__``, ``reference_integral`` (analytic or high-precision)
+    and ``mass_outside(radius)``; the scenario supplies
+    ``quad_domain_radius``, a radius certified to be contained in the image
+    of the seed box at the evaluation time.
     """
     total = abs(phi.reference_integral)
     if total > 0.0 and phi.mass_outside(quad_domain_radius) > 1e-8 * total:
@@ -331,14 +448,12 @@ def change_of_variables_residual(track: JacobianTrack, phi, quad_domain_radius):
             f"test function mass outside radius {quad_domain_radius:g} exceeds "
             "1e-8 of its integral"
         )
-    flow = track.flow
-    pos = flow.trajectories[:, -1, :]
-    vals = np.asarray(phi(pos), dtype=float) * track.jx[:, -1]
-    lhs = stable_sum(vals) * flow.seed_grid.cell_volume
+    vals = np.asarray(phi(summary.endpoints), dtype=float) * summary.jx_end
+    lhs = stable_sum(vals) * summary.seed_grid.cell_volume
     return abs(lhs - phi.reference_integral)
 
 
-def compressibility_estimate(flow: FlowMap):
+def compressibility_estimate(summary: ForwardSummary):
     """Empirical compressibility constant from arrival counts at the end time.
 
     Arrivals X(T, x_i) are binned into probe cells made of 16 seed cells
@@ -346,10 +461,9 @@ def compressibility_estimate(flow: FlowMap):
     is too coarse to resolve constants like e); the estimate is the max
     over probe cells of (seed count * cell_volume) / cell volume.
     """
-    seeds = flow.seed_grid
+    seeds = summary.seed_grid
     pts = seeds.points
     d = pts.shape[-1]
-    arrivals = flow.trajectories[:, -1, :]
 
     edges = []
     for axis in range(d):
@@ -359,7 +473,7 @@ def compressibility_estimate(flow: FlowMap):
         block = min(16, centers.size)
         cuts = np.arange(lo, hi - 0.5 * h * block, block * h)
         edges.append(np.append(cuts, hi))
-    counts, _ = np.histogramdd(arrivals, bins=edges)
+    counts, _ = np.histogramdd(summary.endpoints, bins=edges)
     vols = np.ones(counts.shape)
     for axis, e in enumerate(edges):
         widths = np.diff(e)
@@ -370,31 +484,43 @@ def compressibility_estimate(flow: FlowMap):
     return float(np.max(density))
 
 
-def superlevel_escape(flow: FlowMap, r, R):
+def superlevel_escape(field: VelocityFieldSpec, seeds: SeedGrid, steps, r, R):
     """cell_volume * #{i : |x_i| < r, |X(t, x_i)| > R}, maximized over t.
 
-    ``R`` may be an array of radii, all read from one pass of trajectory
-    norms; the result then has its shape. A scalar ``R`` gives a float.
+    Only the seeds inside B_r are integrated, in the time blocks of
+    ``forward_summary``; each block counts its escaped seeds per node, so
+    no trajectory is kept. ``R`` may be an array of radii, all counted in
+    the one sweep; the result then has its shape. A scalar ``R`` gives a
+    float.
     """
-    seeds = flow.seed_grid
     if seeds.bounding_radius < r:
         raise ValueError(f"seed grid (radius {seeds.bounding_radius:g}) does not cover B_{r:g}")
     inside = np.sqrt(sq_norms(seeds.points)) < r
     radii = np.asarray(R, dtype=float)
-    norms = np.sqrt(sq_norms(flow.trajectories[inside]))   # (n, K+1)
-    # escaped count per radius and time node, maximized over time
-    escaped = [np.max(np.count_nonzero(norms > R_j, axis=0)) for R_j in radii.ravel()]
-    measures = np.array(escaped, dtype=float) * seeds.cell_volume
+    # escaped count per radius, maximized over the time nodes
+    escaped = np.zeros(radii.size, dtype=int)
+    if np.any(inside):
+        try:
+            for _, nodes in _forward_blocks(field, seeds, steps, inside):
+                norms = np.sqrt(sq_norms(nodes))        # (m+1, n)
+                for j, R_j in enumerate(radii.ravel()):
+                    escaped[j] = max(escaped[j],
+                                     np.max(np.count_nonzero(norms > R_j, axis=1)))
+                del nodes, norms
+        except StepBlowupError as exc:    # row i integrates the i-th inside seed
+            raise StepBlowupError(str(exc), seed_index=int(
+                np.flatnonzero(inside)[exc.seed_index])) from exc
+    measures = escaped.astype(float) * seeds.cell_volume
     return float(measures[0]) if radii.ndim == 0 else measures.reshape(radii.shape)
 
 
-def forward_backward_mismatch(field: VelocityFieldSpec, flow_forward: FlowMap):
+def forward_backward_mismatch(field: VelocityFieldSpec, summary: ForwardSummary):
     """max_i |X^{-1}(T, X(T, x_i)) - x_i|, reintegrated back in as many steps."""
-    arrivals = seeds_from_points(flow_forward.positions_at(-1),
-                                 flow_forward.seed_grid.cell_volume)
-    back = integrate_flow(field, arrivals, flow_forward.steps, "backward",
-                          anchor_time=flow_forward.anchor_time)
-    diff = back.inverse_samples - flow_forward.positions_at(0)
+    seeds = summary.seed_grid
+    arrivals = seeds_from_points(summary.endpoints, seeds.cell_volume)
+    back = integrate_flow(field, arrivals, summary.steps, "backward",
+                          anchor_time=float(summary.time_grid[-1]))
+    diff = back.inverse_samples - seeds.points
     return float(np.max(np.linalg.norm(diff, axis=-1)))
 
 
@@ -419,9 +545,8 @@ def flow_convergence_study(field: VelocityFieldSpec, eps_list, seeds: SeedGrid, 
         if eps not in cache:
             moll = make_mollifier(eps, field.dimension)
             smooth = mollify(field, moll)
-            fl = integrate_flow(smooth, seeds, steps, "forward")
-            tr = jacobian(smooth, fl)
-            cache[eps] = (fl.positions_at(-1), tr.jx[:, -1])
+            summary = forward_summary(smooth, seeds, steps)
+            cache[eps] = (summary.endpoints, summary.jx_end)
         return cache[eps]
 
     rows = []

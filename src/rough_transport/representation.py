@@ -15,13 +15,10 @@ import numpy as np
 
 from .errors import AllTruncatedError, JacobianVanishedError, StepBlowupError
 from .fields import DampingFieldSpec, VelocityFieldSpec, sample_damping, sample_nodes
-from .flow import (ESCAPE_FACTOR, FlowMap, SeedGrid, _divergence_bound, _rk4_path,
-                   integrate_flow)
+from .flow import (_CHUNK_BYTES, ESCAPE_FACTOR, FlowMap, SeedGrid, _check_divergence,
+                   _div_sup_integral, _rk4_path, integrate_flow)
 from .numerics import (cell_centers, cumtrapz, gl_nodes, stable_sum, tensor_points,
                        trapezoid_weights)
-
-_CHUNK_BYTES = 8 << 20     # path and sample-table bytes per batched backward sweep
-
 
 # ---------------------------------------------------------------------------
 # damping path integral
@@ -185,7 +182,7 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
 
     sample(grids[0], damped=False)
     for k, times in enumerate(grids):
-        _divergence_bound(field, times, path_integral(times))
+        _check_divergence(path_integral(times), _div_sup_integral(field, times))
         out[k] = np.exp(end)
 
     if damping.autonomous:

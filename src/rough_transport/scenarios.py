@@ -22,9 +22,8 @@ from .fields import (DampingFieldSpec, PointSingularity, VelocityFieldSpec,
                      check_divergence_consistency, growth_split, make_mollifier,
                      mollify)
 from .flow import (change_of_variables_residual, compressibility_estimate,
-                   flow_convergence_study, forward_backward_mismatch, integrate_flow,
-                   jacobian, jacobian_ode_residual, make_seed_grid,
-                   seeds_from_points, superlevel_escape)
+                   flow_convergence_study, forward_backward_mismatch, forward_summary,
+                   integrate_flow, make_seed_grid, seeds_from_points, superlevel_escape)
 from .numerics import ball_volume, cell_centers, profile, trapz
 from .renormalization import make_beta_arctan, make_beta_log, make_phi_R
 from .report import Artifact, DiagnosticResult, RunReport
@@ -291,12 +290,10 @@ class RunContext:
         return self._memo("seeds", lambda: make_seed_grid(
             self.cfg.box_radius, self.cfg.seeds_per_axis, self.d))
 
-    def forward_flow(self):
-        return self._memo("flow", lambda: integrate_flow(
-            self.field, self.seed_grid(), self.cfg.steps, "forward"))
-
-    def jacobian_track(self):
-        return self._memo("track", lambda: jacobian(self.field, self.forward_flow()))
+    def forward(self):
+        """The forward flow's reductions on the seed grid; no (N, K+1) table."""
+        return self._memo("forward", lambda: forward_summary(
+            self.field, self.seed_grid(), self.cfg.steps))
 
     def growth(self):
         """The field's growth split, verified once per run on the run's rng."""
@@ -382,21 +379,18 @@ def _check(metrics, artifacts=()):
 # ---------------------------------------------------------------------------
 
 def _run_flow_identity(ctx):
-    fl = ctx.forward_flow()
-    dev = float(np.max(np.abs(fl.trajectories - fl.seed_grid.points[:, None, :])))
-    return _check({"max_deviation": (dev, 1e-12)})
+    return _check({"max_deviation": (ctx.forward().max_displacement, 1e-12)})
 
 
 def _run_jacobian_unit(ctx):
-    track = ctx.jacobian_track()
-    res = jacobian_ode_residual(ctx.field, track).worst
-    dev = float(np.max(np.abs(track.jx - 1.0)))
-    return _check({"max_jx_deviation": (dev, 1e-13), "ode_residual": (res, 1e-12)})
+    fwd = ctx.forward()
+    return _check({"max_jx_deviation": (fwd.jx_deviation(1.0), 1e-13),
+                   "ode_residual": (fwd.residuals.worst, 1e-12)})
 
 
 def _run_superlevel(ctx, r, R):
     radii = np.linspace(R, 2.0 * R, 5)      # radii[0] == R exactly
-    measures = superlevel_escape(ctx.forward_flow(), r, radii)
+    measures = superlevel_escape(ctx.field, ctx.seed_grid(), ctx.cfg.steps, r, radii)
     esc = float(measures[0])
     ladder = [(float(rr), float(m)) for rr, m in zip(radii, measures)]
     mono = all(b[1] <= a[1] for a, b in zip(ladder, ladder[1:]))
@@ -407,9 +401,9 @@ def _run_superlevel(ctx, r, R):
 
 
 def _run_compressibility(ctx, expected):
-    fl = ctx.forward_flow()
-    ceiling = math.exp(ctx.jacobian_track().L) * 1.1
-    c_emp = compressibility_estimate(fl)
+    fwd = ctx.forward()
+    ceiling = math.exp(fwd.L) * 1.1
+    c_emp = compressibility_estimate(fwd)
     rel = abs(c_emp - expected) / expected
     return _result(rel <= 0.1 and c_emp <= ceiling,
                    {"C_empirical": c_emp, "relative_error": rel,
@@ -419,7 +413,7 @@ def _run_compressibility(ctx, expected):
 
 def _run_change_of_variables(ctx, phi, tol, domain_radius=None):
     radius = domain_radius if domain_radius is not None else ctx.cfg.box_radius
-    res = change_of_variables_residual(ctx.jacobian_track(), phi, radius)
+    res = change_of_variables_residual(ctx.forward(), phi, radius)
     return _check({"residual": (res, tol)})
 
 
@@ -453,16 +447,14 @@ def _run_flow_endpoint(ctx, seed, t_eval, expected):
 
 def _run_jacobian_profile(ctx, rate):
     """max_t |JX(t) - exp(rate * t)| over the seed grid."""
-    track = ctx.jacobian_track()
-    expected = np.exp(rate * ctx.forward_flow().time_grid)
-    dev = float(np.max(np.abs(track.jx - expected[None, :])))
+    fwd = ctx.forward()
+    dev = fwd.jx_deviation(np.exp(rate * fwd.time_grid))
     return _check({"max_deviation": (dev, 1e-10)})
 
 
 def _run_jacobian_ode(ctx):
-    r1 = jacobian_ode_residual(ctx.field, ctx.jacobian_track()).worst
-    fl2 = integrate_flow(ctx.field, ctx.seed_grid(), 2 * ctx.cfg.steps, "forward")
-    r2 = jacobian_ode_residual(ctx.field, jacobian(ctx.field, fl2)).worst
+    r1 = ctx.forward().residuals.worst
+    r2 = forward_summary(ctx.field, ctx.seed_grid(), 2 * ctx.cfg.steps).residuals.worst
     halved = r2 <= max(0.55 * r1, 1e-12)
     return _result(r1 <= 1e-3 and halved,
                    {"residual": r1, "residual_refined": r2},
@@ -470,7 +462,7 @@ def _run_jacobian_ode(ctx):
 
 
 def _run_forward_backward(ctx):
-    dev = forward_backward_mismatch(ctx.field, ctx.forward_flow())
+    dev = forward_backward_mismatch(ctx.field, ctx.forward())
     return _check({"max_mismatch": (dev, 1e-10)})
 
 

@@ -13,8 +13,8 @@ import time
 import numpy as np
 
 from rough_transport.config import resolve
-from rough_transport.flow import (change_of_variables_residual, integrate_flow,
-                                  jacobian, jacobian_ode_residual, make_seed_grid,
+from rough_transport.flow import (change_of_variables_residual, forward_summary,
+                                  integrate_flow, make_seed_grid,
                                   seeds_from_points)
 from rough_transport.numerics import order_estimate
 from rough_transport.renormalization import (make_beta_arctan, make_beta_log,
@@ -71,8 +71,7 @@ def test_criterion_02_jacobian_identity():
         grid = make_seed_grid(1.0, 8 if d == 1 else (8, 8), d)
 
         def worst(steps):
-            fl = integrate_flow(spec, grid, steps, "forward")
-            return jacobian_ode_residual(spec, jacobian(spec, fl)).worst
+            return forward_summary(spec, grid, steps).residuals.worst
 
         r1, r2 = worst(1000), worst(2000)
         results[name] = (r1, r2, r1 <= 1e-3 and r2 <= max(0.55 * r1, 1e-12))
@@ -87,8 +86,7 @@ def test_criterion_03_change_of_variables():
 
     def residual(cells, steps):
         grid = make_seed_grid(1.0, cells, 1)
-        fl = integrate_flow(spec, grid, steps, "forward")
-        return change_of_variables_residual(jacobian(spec, fl), phi, 1.0)
+        return change_of_variables_residual(forward_summary(spec, grid, steps), phi, 1.0)
 
     res512 = residual(512, 512)
     ladder = [(64, 128), (128, 256), (256, 512)]

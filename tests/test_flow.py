@@ -8,16 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rough_transport import flow
+from rough_transport.config import resolve
 from rough_transport.errors import (DivergenceUnboundedError, DomainTooSmallError,
                                     StepBlowupError)
-from rough_transport.fields import VelocityFieldSpec
+from rough_transport.fields import VelocityFieldSpec, sample_nodes
 from rough_transport.flow import (_rk4_path, change_of_variables_residual,
                                   compressibility_estimate, flow_convergence_study,
-                                  forward_backward_mismatch, integrate_flow,
-                                  jacobian, jacobian_ode_residual, make_seed_grid,
+                                  forward_backward_mismatch, forward_summary,
+                                  integrate_flow, jacobian, make_seed_grid,
                                   seeds_from_points, superlevel_escape)
-from rough_transport.numerics import order_estimate
+from rough_transport.numerics import order_estimate, sq_norms
 from rough_transport.representation import pointwise_solution
+from rough_transport.scenarios import run_scenario
 from rough_transport.testfunctions import bump, gaussian
 
 from conftest import damping, field, long_linear_flow, traced_bytes, u0_fn
@@ -246,6 +249,8 @@ def test_jacobian_rejects_inconsistent_metadata(linear_field):
     grid = make_seed_grid(1.0, 8, 1)
     with pytest.raises(DivergenceUnboundedError):
         jacobian(lying, integrate_flow(lying, grid, 50, "forward"))
+    with pytest.raises(DivergenceUnboundedError):
+        forward_summary(lying, grid, 50)
     # the slices of one shared backward path check the same bound
     with pytest.raises(DivergenceUnboundedError):
         pointwise_solution(lying, damping("zero"), u0_fn("bump"), grid,
@@ -260,14 +265,15 @@ def test_jacobian_rejects_nan_divergence(zero_field):
     with pytest.raises(DivergenceUnboundedError):
         jacobian(spec, integrate_flow(spec, seeds, 8, "forward"))
     with pytest.raises(DivergenceUnboundedError):
+        forward_summary(spec, seeds, 8)
+    with pytest.raises(DivergenceUnboundedError):
         pointwise_solution(spec, damping("zero"), u0_fn("bump"), seeds,
                            np.linspace(0.0, 1.0, 5), steps=8)
 
 
 def test_jacobian_ode_residual_zero_field(zero_field):
     grid = make_seed_grid(1.0, 8, 1)
-    fl = integrate_flow(zero_field, grid, 20, "forward")
-    res = jacobian_ode_residual(zero_field, jacobian(zero_field, fl))
+    res = forward_summary(zero_field, grid, 20).residuals
     assert res.forward == 0.0 and res.inverse == 0.0
 
 
@@ -275,8 +281,7 @@ def test_jacobian_ode_residual_halves(linear_field):
     grid = make_seed_grid(1.0, 4, 1)
 
     def worst(steps):
-        fl = integrate_flow(linear_field, grid, steps, "forward")
-        return jacobian_ode_residual(linear_field, jacobian(linear_field, fl))
+        return forward_summary(linear_field, grid, steps).residuals
 
     r1 = worst(1000)
     r2 = worst(2000)
@@ -295,10 +300,9 @@ def test_jacobian_keeps_one_table():
 
 
 def test_jacobian_ode_residual_frees_forward_temporaries():
-    # the forward residual's temporaries are gone before 1/JX is built
+    # the residuals are reduced block by block, so no full table is built
     spec, fl, table = long_linear_flow()
-    track = jacobian(spec, fl)
-    res, _, peak = traced_bytes(lambda: jacobian_ode_residual(spec, track))
+    res, _, peak = traced_bytes(lambda: forward_summary(spec, fl.seed_grid, 2000).residuals)
     assert res.worst < 1e-6
     assert peak <= 5.5 * table
 
@@ -324,24 +328,21 @@ def test_jacobian_matches_flow_map_determinant():
 def test_change_of_variables_identity_gaussian(zero_field):
     # spec example: identity flow leaves pure quadrature error, <= 1e-6 at 512
     grid = make_seed_grid(2.0, 512, 1)
-    fl = integrate_flow(zero_field, grid, 4, "forward")
-    res = change_of_variables_residual(jacobian(zero_field, fl),
+    res = change_of_variables_residual(forward_summary(zero_field, grid, 4),
                                        gaussian(1, 0.3), 2.0)
     assert res <= 1e-6
 
 
 def test_change_of_variables_linear_bump(linear_field):
     grid = make_seed_grid(1.0, 512, 1)
-    fl = integrate_flow(linear_field, grid, 512, "forward")
-    res = change_of_variables_residual(jacobian(linear_field, fl),
+    res = change_of_variables_residual(forward_summary(linear_field, grid, 512),
                                        bump(1, 1.0), 1.0)
     assert res <= 1e-5
 
 
 def test_change_of_variables_rotation_radial(rotation_field):
     grid = make_seed_grid(1.0, 128, 2)
-    fl = integrate_flow(rotation_field, grid, 256, "forward")
-    res = change_of_variables_residual(jacobian(rotation_field, fl),
+    res = change_of_variables_residual(forward_summary(rotation_field, grid, 256),
                                        bump(2, 0.8), 1.0)
     assert res <= 1e-6
 
@@ -351,18 +352,16 @@ def test_change_of_variables_refinement_order(linear_field):
     cells = [64, 128, 256]
     for n in cells:
         grid = make_seed_grid(1.0, n, 1)
-        fl = integrate_flow(linear_field, grid, 2 * n, "forward")
-        errs.append(change_of_variables_residual(jacobian(linear_field, fl),
-                                                 bump(1, 1.0), 1.0))
+        errs.append(change_of_variables_residual(
+            forward_summary(linear_field, grid, 2 * n), bump(1, 1.0), 1.0))
     order = order_estimate([1.0 / n for n in cells], errs)
     assert order >= 2.0
 
 
 def test_change_of_variables_domain_too_small(zero_field):
     grid = make_seed_grid(2.0, 64, 1)
-    fl = integrate_flow(zero_field, grid, 4, "forward")
     with pytest.raises(DomainTooSmallError):
-        change_of_variables_residual(jacobian(zero_field, fl),
+        change_of_variables_residual(forward_summary(zero_field, grid, 4),
                                      bump(1, 1.0), 0.2)
 
 
@@ -370,42 +369,37 @@ def test_change_of_variables_domain_too_small(zero_field):
 
 def test_compressibility_identity(zero_field):
     grid = make_seed_grid(1.0, 256, 1)
-    fl = integrate_flow(zero_field, grid, 4, "forward")
-    assert compressibility_estimate(fl) == pytest.approx(1.0)
+    assert compressibility_estimate(forward_summary(zero_field, grid, 4)) == pytest.approx(1.0)
 
 
 def test_compressibility_contraction(contract_field):
     # uniform contraction by e^{-1} concentrates density by e
     grid = make_seed_grid(1.0, 10_000, 1)
-    fl = integrate_flow(contract_field, grid, 300, "forward")
-    c = compressibility_estimate(fl)
+    c = compressibility_estimate(forward_summary(contract_field, grid, 300))
     assert abs(c - math.e) / math.e <= 0.1
 
 
 def test_compressibility_rotation(rotation_field):
     grid = make_seed_grid(1.0, 100, 2)
-    fl = integrate_flow(rotation_field, grid, 200, "forward")
-    assert abs(compressibility_estimate(fl) - 1.0) <= 0.1
+    assert abs(compressibility_estimate(forward_summary(rotation_field, grid, 200))
+               - 1.0) <= 0.1
 
 
 def test_superlevel_zero_field(zero_field):
     grid = make_seed_grid(1.0, 64, 1)
-    fl = integrate_flow(zero_field, grid, 8, "forward")
-    assert superlevel_escape(fl, 1.0, 1.1) == 0.0
+    assert superlevel_escape(zero_field, grid, 8, 1.0, 1.1) == 0.0
 
 
 def test_superlevel_linear_growth_bound(linear_field):
     # |X(t, x)| <= e^T |x|, so nothing from B_r escapes past r e^T
     grid = make_seed_grid(1.0, 512, 1)
-    fl = integrate_flow(linear_field, grid, 200, "forward")
-    assert superlevel_escape(fl, 1.0, math.e + 0.01) == 0.0
-    assert superlevel_escape(fl, 0.5, 0.5 * math.e + 0.01) == 0.0
+    assert superlevel_escape(linear_field, grid, 200, 1.0, math.e + 0.01) == 0.0
+    assert superlevel_escape(linear_field, grid, 200, 0.5, 0.5 * math.e + 0.01) == 0.0
 
 
 def test_superlevel_rotation_norm_preserving(rotation_field):
     grid = make_seed_grid(1.0, 64, 2)
-    fl = integrate_flow(rotation_field, grid, 100, "forward")
-    assert superlevel_escape(fl, 1.0, 1.42) == 0.0
+    assert superlevel_escape(rotation_field, grid, 100, 1.0, 1.42) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -414,23 +408,24 @@ def test_superlevel_rotation_norm_preserving(rotation_field):
 def test_superlevel_nonincreasing_in_R(r_low, bump_R):
     spec = field("linear_expand")
     grid = make_seed_grid(1.0, 64, 1)
-    fl = integrate_flow(spec, grid, 32, "forward")
-    a = superlevel_escape(fl, 0.9, r_low)
-    b = superlevel_escape(fl, 0.9, r_low + bump_R)
+    a = superlevel_escape(spec, grid, 32, 0.9, r_low)
+    b = superlevel_escape(spec, grid, 32, 0.9, r_low + bump_R)
     assert b <= a
 
 
 def test_superlevel_radii_in_one_pass(linear_field):
     # an array of radii reads one pass of norms and matches the scalar calls
-    fl = integrate_flow(linear_field, make_seed_grid(1.0, 64, 1), 32, "forward")
+    grid = make_seed_grid(1.0, 64, 1)
+
+    def escape(r, R):
+        return superlevel_escape(linear_field, grid, 32, r, R)
     radii = np.linspace(0.3, 3.0, 12)
     for r in (0.9, 0.01):            # no seed lies inside B_0.01
-        ladder = superlevel_escape(fl, r, radii)
-        assert np.array_equal(ladder, [superlevel_escape(fl, r, R) for R in radii])
-        assert np.array_equal(superlevel_escape(fl, r, radii.reshape(3, 4)),
-                              ladder.reshape(3, 4))
-        assert type(superlevel_escape(fl, r, 1.5)) is float
-    assert np.any(superlevel_escape(fl, 0.9, radii) > 0.0)
+        ladder = escape(r, radii)
+        assert np.array_equal(ladder, [escape(r, R) for R in radii])
+        assert np.array_equal(escape(r, radii.reshape(3, 4)), ladder.reshape(3, 4))
+        assert type(escape(r, 1.5)) is float
+    assert np.any(escape(0.9, radii) > 0.0)
 
 
 def test_superlevel_rotation_matches_norm_formula(rotation_field):
@@ -444,7 +439,7 @@ def test_superlevel_rotation_matches_norm_formula(rotation_field):
     radii = np.array([0.1, 0.35, top, np.nextafter(top, 0.0), 1.2])
     expected = np.max(np.sum(np.linalg.norm(traj, axis=-1)[..., None] > radii, axis=0),
                       axis=0) * fl.seed_grid.cell_volume
-    got = superlevel_escape(fl, r, radii)
+    got = superlevel_escape(rotation_field, fl.seed_grid, 40, r, radii)
     assert np.array_equal(got, expected)
     assert got[2] == 0.0 and got[3] > 0.0
     assert got[1] > 0.0 and got[4] == 0.0
@@ -452,9 +447,9 @@ def test_superlevel_rotation_matches_norm_formula(rotation_field):
 
 def test_forward_backward_composition(linear_field):
     grid = make_seed_grid(1.0, 64, 1)
-    fl = integrate_flow(linear_field, grid, 1000, "forward")
     # 10x the integrator's local tolerance for this smooth field
-    assert forward_backward_mismatch(linear_field, fl) <= 1e-10
+    assert forward_backward_mismatch(linear_field,
+                                     forward_summary(linear_field, grid, 1000)) <= 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -471,9 +466,115 @@ def test_linear_field_jacobian_and_inverse(entries):
         dimension=d, eval_b=lambda t, x: np.asarray(x) @ A.T,
         eval_div_b=lambda t, x: np.full(np.asarray(x).shape[:-1], tr),
         regularity_tag="smooth", div_sup=lambda t: abs(tr), horizon=1.0)
-    fl = integrate_flow(spec, make_seed_grid(1.0, 4, d), 256, "forward")
-    assert jacobian(spec, fl).jx[:, -1] == pytest.approx(math.exp(tr), rel=1e-12)
-    assert forward_backward_mismatch(spec, fl) <= 1e-8
+    fwd = forward_summary(spec, make_seed_grid(1.0, 4, d), 256)
+    assert fwd.jx_end == pytest.approx(math.exp(tr), rel=1e-12)
+    assert forward_backward_mismatch(spec, fwd) <= 1e-8
+
+
+# --- the forward pass in time blocks -----------------------------------------
+
+def _time_dependent_field():
+    """b(t, x) = 2t x: X = x exp(t^2), JX = exp(t^2), one field call per node."""
+    return VelocityFieldSpec(
+        dimension=1, eval_b=lambda t, x: 2.0 * t * np.asarray(x, dtype=float),
+        eval_div_b=lambda t, x: np.full(np.asarray(x).shape[:-1], 2.0 * t),
+        regularity_tag="smooth", div_sup=lambda t: 2.0 * t, horizon=1.0,
+        autonomous=False)
+
+
+_FORWARD_CASES = {
+    "linear_expand": lambda: (field("linear_expand"), make_seed_grid(1.0, 512, 1), 1000),
+    "rotation": lambda: (field("rotation", d=2, T=np.pi / 2.0),
+                         make_seed_grid(1.0, 100, 2), 500),
+    "time_dependent": lambda: (_time_dependent_field(), make_seed_grid(1.0, 64, 1), 300),
+}
+# one node per block, 1 MiB, and more than the whole path
+_BUDGETS = (1, 1 << 20, 1 << 40)
+
+
+def _full_table_reductions(spec, grid, steps, r, radii):
+    """The forward reductions taken from the full integrate_flow and jacobian tables."""
+    fl = integrate_flow(spec, grid, steps, "forward")
+    traj, times = fl.trajectories, fl.time_grid
+    out = {"endpoints": traj[:, -1].copy(),
+           "max_displacement": float(np.max(np.abs(traj - grid.points[:, None, :])))}
+    norms = np.sqrt(sq_norms(traj[np.sqrt(sq_norms(grid.points)) < r]))
+    out["ladder"] = np.array([np.max(np.count_nonzero(norms > R, axis=0)) for R in radii],
+                             dtype=float) * grid.cell_volume
+    del norms
+    divs = sample_nodes(spec.eval_div_b, spec.autonomous, times,
+                        np.moveaxis(traj, 1, 0)).T
+    del traj
+    track = jacobian(spec, fl)
+    del fl
+    jx, dt = track.jx, np.diff(times)
+
+    def residual(y, rate):
+        return float(np.max(np.abs((y[:, 1:] - y[:, :-1]) / dt
+                                   - 0.5 * (rate[:, 1:] + rate[:, :-1]))))
+    out.update(jx_end=jx[:, -1].copy(), L=track.L, jx_min=np.min(jx, axis=0),
+               jx_max=np.max(jx, axis=0), forward=residual(jx, jx * divs),
+               deviation=float(np.max(np.abs(jx - np.exp(times)))))
+    inv = 1.0 / jx
+    out["inverse"] = residual(inv, -inv * divs)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(_FORWARD_CASES))
+def test_forward_summary_bitwise_equals_full_table_reductions(case, monkeypatch):
+    # every reduction, and the superlevel ladder, at every block size
+    spec, grid, steps = _FORWARD_CASES[case]()
+    r, radii = 0.9, np.linspace(0.5, 1.5, 5)
+    ref = _full_table_reductions(spec, grid, steps, r, radii)
+    assert np.any(ref["ladder"] > 0.0)
+    for budget in _BUDGETS:
+        monkeypatch.setattr(flow, "_CHUNK_BYTES", budget)
+        fwd = forward_summary(spec, grid, steps)
+        for key in ("endpoints", "jx_end", "jx_min", "jx_max"):
+            assert np.array_equal(getattr(fwd, key), ref[key]), (budget, key)
+        assert fwd.L == ref["L"] and fwd.max_displacement == ref["max_displacement"]
+        assert fwd.residuals.forward == ref["forward"]
+        assert fwd.residuals.inverse == ref["inverse"]
+        # the per-node extremes give max |JX - e_k| exactly
+        assert fwd.jx_deviation(np.exp(fwd.time_grid)) == ref["deviation"]
+        assert np.array_equal(superlevel_escape(spec, grid, steps, r, radii), ref["ladder"])
+
+
+def test_forward_summary_escape_in_later_block_matches_integrate_flow(monkeypatch):
+    # seed 1 escapes at step 6 of 400: in block 6 of one-step blocks, or in
+    # the third of two-step ones; the error names the global seed and time
+    cubic = VelocityFieldSpec(
+        dimension=1,
+        eval_b=lambda t, x: np.asarray(x, dtype=float) ** 3,
+        eval_div_b=lambda t, x: 3.0 * np.asarray(x)[..., 0] ** 2,
+        regularity_tag="smooth", div_sup=lambda t: float("inf"), horizon=10.0)
+    seeds = seeds_from_points([[0.1], [2.0]])
+    with pytest.raises(StepBlowupError) as whole:
+        integrate_flow(cubic, seeds, 400, "forward")
+    assert str(whole.value).endswith("at t=0.15")
+    for budget in (1, 16 * 8 * 2 * 3):
+        monkeypatch.setattr(flow, "_CHUNK_BYTES", budget)
+        with pytest.raises(StepBlowupError) as err:
+            forward_summary(cubic, seeds, 400)
+        assert str(err.value) == str(whole.value)
+        assert err.value.seed_index == whole.value.seed_index == 1
+    # superlevel integrates the seeds inside B_r alone and names the seed
+    # by its index in the grid
+    seeds = seeds_from_points([[3.0], [0.1], [2.0]])
+    with pytest.raises(StepBlowupError) as err:
+        superlevel_escape(cubic, seeds, 400, 2.5, 5.0)
+    assert err.value.seed_index == 2
+
+
+def test_forward_reads_of_rotation_stay_within_the_block_budget(tmp_path):
+    # compressibility, change of variables and superlevel on 10^4 seeds x 500
+    # steps; the full flow and Jacobian tables alone would take 115 MiB
+    cfg = resolve({"scenario_id": "rotation", "output_dir": str(tmp_path),
+                   "diagnostics": ["compressibility", "change_of_variables",
+                                   "superlevel"]})
+    report, _, peak = traced_bytes(lambda: run_scenario(cfg))
+    assert all(r.passed for r in report.results)
+    assert peak <= 3 * flow._CHUNK_BYTES + (1 << 20)
 
 
 # --- mollified flow convergence ----------------------------------------------
