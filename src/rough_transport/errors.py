@@ -33,11 +33,15 @@ class NonFiniteDampingError(RoughTransportError):
 # --- flow --------------------------------------------------------------------
 
 class StepBlowupError(RoughTransportError):
-    """A trajectory left the escape radius during integration."""
+    """Trajectory ``seed_index`` left the escape radius (``what``) at time ``t``."""
 
-    def __init__(self, message, seed_index=None):
-        super().__init__(message)
-        self.seed_index = seed_index
+    def __init__(self, seed_index, what, t):
+        super().__init__(f"trajectory {seed_index} {what} at t={t:.6g}")
+        self.seed_index, self.what, self.t = seed_index, what, t
+
+    def renamed(self, seed_index, t=None):
+        """The same failure of seed ``seed_index``, at time ``t`` if given."""
+        return StepBlowupError(seed_index, self.what, self.t if t is None else t)
 
 
 class DivergenceUnboundedError(RoughTransportError):

@@ -187,8 +187,7 @@ def _rk4_path(rhs, y0, h, steps, escape_radius, first=0):
             at = (first + k + 1) * (hk[i, 0] if per_row else hk)
             what = (f"escaped (|X|={norms[i]:.3g} > {escape_radius:.3g})"
                     if np.isfinite(norms[i]) else "became non-finite")
-            raise StepBlowupError(f"trajectory {i} {what} at t={at:.6g}",
-                                  seed_index=i)
+            raise StepBlowupError(i, what, at)
     return out
 
 
@@ -222,7 +221,10 @@ def integrate_flow(field: VelocityFieldSpec, seeds: SeedGrid, steps, direction,
         traj = np.moveaxis(path, 0, 1)
     else:
         rhs = lambda s, y: -np.asarray(field.eval_b(anchor - s, y), dtype=float)  # noqa: E731
-        path = _rk4_path(rhs, seeds.points, anchor / steps, steps, escape)
+        try:
+            path = _rk4_path(rhs, seeds.points, anchor / steps, steps, escape)
+        except StepBlowupError as exc:    # the sweep's time runs back from the anchor
+            raise exc.renamed(exc.seed_index, anchor - exc.t) from exc
         traj = np.moveaxis(path[::-1], 0, 1)
 
     return FlowMap(seed_grid=seeds, time_grid=time_grid, trajectories=traj,
@@ -508,8 +510,7 @@ def superlevel_escape(field: VelocityFieldSpec, seeds: SeedGrid, steps, r, R):
                                      np.max(np.count_nonzero(norms > R_j, axis=1)))
                 del nodes, norms
         except StepBlowupError as exc:    # row i integrates the i-th inside seed
-            raise StepBlowupError(str(exc), seed_index=int(
-                np.flatnonzero(inside)[exc.seed_index])) from exc
+            raise exc.renamed(int(np.flatnonzero(inside)[exc.seed_index])) from exc
     measures = escaped.astype(float) * seeds.cell_volume
     return float(measures[0]) if radii.ndim == 0 else measures.reshape(radii.shape)
 

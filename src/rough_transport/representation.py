@@ -222,8 +222,9 @@ def _backward_paths(field: VelocityFieldSpec, points: SeedGrid, anchors, counts)
         path = _rk4_path(rhs, np.tile(points.points, (len(anchors), 1)),
                          np.repeat(np.divide(anchors, counts), n), np.repeat(counts, n),
                          ESCAPE_FACTOR * max(points.bounding_radius, 1.0))
-    except StepBlowupError as exc:     # row i integrates seed i mod N
-        raise StepBlowupError(str(exc), seed_index=exc.seed_index % n) from exc
+    except StepBlowupError as exc:
+        # row i integrates seed i mod N back from anchors[i // N]
+        raise exc.renamed(exc.seed_index % n, anchors[exc.seed_index // n] - exc.t) from exc
     # sweep node j sits at time anchor - j h; reversed, rows run 0 -> anchor
     return [path[m::-1, g * n:(g + 1) * n] for g, m in enumerate(counts)]
 

@@ -208,8 +208,7 @@ class SpaceTimeTestFunction:
         return self.window.prime(t) * self.space(x)
 
     def grad(self, t, x):
-        w = np.asarray(self.window(t), dtype=float)
-        return w[..., None] * self.space.grad(x) if np.ndim(w) else w * self.space.grad(x)
+        return self.window(t)[..., None] * self.space.grad(x)
 
 
 def compact_space_time(d, T, space_radius=1.0):

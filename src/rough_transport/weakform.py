@@ -1,7 +1,7 @@
 """Renormalized weak-form residuals and Gronwall uniqueness diagnostics.
 
 The weak residual evaluates, by space-time quadrature with analytic test
-function derivatives,
+function derivatives, as one array expression over all time nodes,
 
     phi(0)beta(u0) + [dt phi + grad phi . b] beta(u)
                   + phi [div b (beta(u) - u beta'(u)) + c u beta'(u)]
@@ -27,30 +27,27 @@ from .representation import DensityRepresentation
 
 
 def _field_tables(field, damping, quad, eta=0.0):
-    """b, div b and the cut-off c on the full space-time node set.
+    """b, div b and the cut-off c on the space-time nodes, one row per time node.
 
-    What does not depend on time is sampled on one row of points and
-    broadcast over the time nodes; the tables are read-only views.
+    What does not depend on time is sampled on one row of points, at the
+    first time node; numpy broadcasts that (1, N, ...) row over the times.
     """
     def nodes(autonomous):
-        if autonomous:
-            return quad.times[:1], quad.points[None]
-        return quad.times, np.broadcast_to(quad.points,
-                                           quad.times.shape + quad.points.shape)
+        times = quad.times[:1] if autonomous else quad.times
+        return times, np.repeat(quad.points[None], times.size, axis=0)
 
     at_b, at_c = nodes(field.autonomous), nodes(damping.autonomous)
-    tables = (sample_nodes(field.eval_b, field.autonomous, *at_b),
-              sample_nodes(field.eval_div_b, field.autonomous, *at_b),
-              sample_damping(damping, *at_c, eta)[0])
-    return tuple(np.broadcast_to(v, quad.times.shape + v.shape[1:]) for v in tables)
+    return (sample_nodes(field.eval_b, field.autonomous, *at_b),
+            sample_nodes(field.eval_div_b, field.autonomous, *at_b),
+            sample_damping(damping, *at_c, eta)[0])
 
 
 def _tested_sum(flux, phiv, bu, ubp, div, c):
-    """Sum over the nodes of one time of flux beta(u) + phi [div b (beta(u) - u
-    beta'(u)) + c u beta'(u)], the terms of the tested equation."""
+    """Sum over the nodes of each time of flux beta(u) + phi [div b (beta(u) -
+    u beta'(u)) + c u beta'(u)], the terms of the tested equation."""
     transport = flux * bu
     reaction = phiv * (div * (bu - ubp) + c * ubp)
-    return np.sum(transport + reaction)
+    return np.sum(transport + reaction, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -86,25 +83,18 @@ def weak_residual(quad: DensityRepresentation, beta: Renormalizer, phi,
     bvals, divvals, cvals = _field_tables(field, damping, quad, eta)
 
     bu = np.asarray(beta.beta(u), dtype=float)
-    bpu = np.asarray(beta.beta_prime(u), dtype=float)
-    ubp = u * bpu
-
-    tw = quad.time_weights
-    pieces = []
+    ubp = u * np.asarray(beta.beta_prime(u), dtype=float)
 
     u0_vals = np.asarray(u0(quad.points), dtype=float)
     phi0 = np.asarray(phi(0.0, quad.points), dtype=float)
-    pieces.append(np.sum(phi0 * np.asarray(beta.beta(u0_vals), dtype=float))
-                  * quad.cell_volume)
+    initial = np.sum(phi0 * np.asarray(beta.beta(u0_vals), dtype=float)) * quad.cell_volume
 
-    for k, t in enumerate(quad.times):
-        t = float(t)
-        dtphi = np.asarray(phi.dt(t, quad.points), dtype=float)
-        gphi = np.asarray(phi.grad(t, quad.points), dtype=float)
-        phiv = np.asarray(phi(t, quad.points), dtype=float)
-        flux = dtphi + np.sum(gphi * bvals[k], axis=-1)
-        pieces.append(tw[k] * _tested_sum(flux, phiv, bu[k], ubp[k], divvals[k],
-                                          cvals[k]) * quad.cell_volume)
+    t = quad.times[:, None]
+    flux = (np.asarray(phi.dt(t, quad.points), dtype=float)
+            + np.sum(np.asarray(phi.grad(t, quad.points), dtype=float) * bvals, axis=-1))
+    phiv = np.asarray(phi(t, quad.points), dtype=float)
+    tested = _tested_sum(flux, phiv, bu, ubp, divvals, cvals)
+    pieces = [initial, *(quad.time_weights * tested * quad.cell_volume)]
 
     residual = abs(stable_sum(pieces))
     return WeakResidualReport(residual=residual,
@@ -161,11 +151,8 @@ def gamma_trace(quad: DensityRepresentation, beta: Renormalizer, phi_space,
     ubp = u * np.asarray(beta.beta_prime(u), dtype=float)
 
     gamma = np.sum(phiv[None, :] * bu, axis=1) * quad.cell_volume
-    rhs = np.empty_like(gamma)
-    for k in range(quad.times.shape[0]):
-        flux = np.sum(gphi * bvals[k], axis=-1)
-        rhs[k] = _tested_sum(flux, phiv, bu[k], ubp[k], divvals[k],
-                             cvals[k]) * quad.cell_volume
+    flux = np.sum(gphi * bvals, axis=-1)
+    rhs = _tested_sum(flux, phiv, bu, ubp, divvals, cvals) * quad.cell_volume
 
     dq = np.diff(gamma) / np.diff(quad.times)
     mid = 0.5 * (rhs[1:] + rhs[:-1])

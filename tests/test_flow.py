@@ -96,6 +96,46 @@ def test_step_blowup_on_nan_field():
     assert err.value.seed_index == 1
 
 
+def _nan_right_of_half():
+    """b = -x, NaN for x > 0.5: a backward path from x = 0.45 meets the NaN."""
+    return VelocityFieldSpec(
+        dimension=1, eval_b=lambda t, x: np.where(x > 0.5, np.nan, -x),
+        eval_div_b=lambda t, x: -np.ones(np.asarray(x).shape[:-1]),
+        regularity_tag="smooth", div_sup=lambda t: 1.0, horizon=1.0)
+
+
+def test_step_blowup_message_names_the_seed_of_a_backward_slice():
+    # the slices t = 1, 2/3, 1/3 take 10, 7 and 3 steps, stacked in that
+    # order in one sweep; seed 1 of the t = 1/3 slice (sweep row 5) hits the
+    # NaN one step of 1/9 back, at t = 2/9
+    with pytest.raises(StepBlowupError) as err:
+        pointwise_solution(_nan_right_of_half(), damping("zero"), u0_fn("bump"),
+                           seeds_from_points([[0.2], [0.45]]),
+                           np.linspace(0.0, 1.0, 4), steps=10)
+    assert err.value.seed_index == 1
+    assert str(err.value) == "trajectory 1 became non-finite at t=0.222222"
+    # a backward flow prints the physical time too, not the time traced back
+    with pytest.raises(StepBlowupError) as err:
+        integrate_flow(_nan_right_of_half(), seeds_from_points([[0.2], [0.45]]), 3,
+                       "backward", anchor_time=1.0 / 3.0)
+    assert err.value.seed_index == 1
+    assert str(err.value) == "trajectory 1 became non-finite at t=0.222222"
+
+
+def test_step_blowup_message_names_the_grid_seed_of_superlevel_escape():
+    cubic = VelocityFieldSpec(
+        dimension=1,
+        eval_b=lambda t, x: np.asarray(x, dtype=float) ** 3,
+        eval_div_b=lambda t, x: 3.0 * np.asarray(x)[..., 0] ** 2,
+        regularity_tag="smooth", div_sup=lambda t: float("inf"), horizon=10.0)
+    # only seeds 1 and 2 lie inside B_2.5; seed 2 escapes
+    with pytest.raises(StepBlowupError) as err:
+        superlevel_escape(cubic, seeds_from_points([[3.0], [0.1], [2.0]]), 400, 2.5, 5.0)
+    assert err.value.seed_index == 2
+    assert str(err.value).startswith("trajectory 2 escaped ")
+    assert str(err.value).endswith(" at t=0.15")
+
+
 # --- the RK4 kernel -----------------------------------------------------------
 
 def _textbook_rk4(rhs, y0, h, steps):
@@ -271,13 +311,13 @@ def test_jacobian_rejects_nan_divergence(zero_field):
                            np.linspace(0.0, 1.0, 5), steps=8)
 
 
-def test_jacobian_ode_residual_zero_field(zero_field):
+def test_forward_summary_ode_residual_zero_field(zero_field):
     grid = make_seed_grid(1.0, 8, 1)
     res = forward_summary(zero_field, grid, 20).residuals
     assert res.forward == 0.0 and res.inverse == 0.0
 
 
-def test_jacobian_ode_residual_halves(linear_field):
+def test_forward_summary_ode_residual_halves(linear_field):
     grid = make_seed_grid(1.0, 4, 1)
 
     def worst(steps):
@@ -291,6 +331,44 @@ def test_jacobian_ode_residual_halves(linear_field):
     assert r1.inverse <= 1e-3
 
 
+def _log_drift_errors(steps):
+    """Max errors of X and JX against the closed forms of log_drift.
+
+    With y = log x the ODE x' = x (1 - log x) is y' = 1 - y, so a path from
+    x0 in (0, e^{1-e}) stays in (0, 1) up to t = 1, with X = exp(1 - (1 -
+    log x0) e^{-t}) and JX = dX/dx0 = (X / x0) e^{-t}. Returns the errors of
+    integrate_flow + jacobian over the whole paths, and of forward_summary
+    at t = 1 on a copy of the field tagged smooth (forward_summary requires
+    it; b is smooth on the interval the paths visit).
+    """
+    spec = field("log_drift")
+    x0 = np.linspace(0.01, 0.17, 33)[:, None]
+    seeds = seeds_from_points(x0)
+    fl = integrate_flow(spec, seeds, steps, "forward", allow_nonsmooth=True)
+    t = fl.time_grid
+    X = np.exp(1.0 - (1.0 - np.log(x0)) * np.exp(-t))
+    JX = X / x0 * np.exp(-t)
+    summary = forward_summary(dataclasses.replace(spec, regularity_tag="smooth"),
+                              seeds, steps)
+    return (np.max(np.abs(fl.trajectories[..., 0] - X)),
+            np.max(np.abs(jacobian(spec, fl).jx - JX)),
+            np.max(np.abs(summary.endpoints[:, 0] - X[:, -1])),
+            np.max(np.abs(summary.jx_end - JX[:, -1])))
+
+
+def test_log_drift_flow_and_jacobian_match_closed_forms():
+    # measured orders: flow 3.85, 3.93, 3.96 and JX 2.03, 2.01, 2.00; a k4
+    # stage built from k2 drops the flow to order 2.9, a left-Riemann
+    # trapezoid the Jacobian to order 1 and 100x the error
+    errors = np.array([_log_drift_errors(m) for m in (16, 32, 64, 128)])
+    orders = np.log2(errors[:-1] / errors[1:])
+    flow_orders, jx_orders = orders[:, [0, 2]], orders[:, [1, 3]]
+    assert np.all(flow_orders >= 3.7)
+    assert np.all((jx_orders >= 1.9) & (jx_orders <= 2.1))
+    assert np.all(errors[-1, [0, 2]] <= 1e-8)
+    assert np.all(errors[-1, [1, 3]] <= 5e-4)
+
+
 def test_jacobian_keeps_one_table():
     # JX is exponentiated in place of its path integral
     spec, fl, table = long_linear_flow()
@@ -299,7 +377,7 @@ def test_jacobian_keeps_one_table():
     assert kept <= 1.1 * table
 
 
-def test_jacobian_ode_residual_frees_forward_temporaries():
+def test_forward_summary_ode_residual_frees_forward_temporaries():
     # the residuals are reduced block by block, so no full table is built
     spec, fl, table = long_linear_flow()
     res, _, peak = traced_bytes(lambda: forward_summary(spec, fl.seed_grid, 2000).residuals)

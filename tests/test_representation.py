@@ -81,7 +81,7 @@ def test_damping_integral_all_truncated():
 
 # --- pointwise representation ---------------------------------------------------
 
-def test_represent_pointwise_identity():
+def test_pointwise_solution_identity():
     spec = field("zero")
     u0 = u0_fn("bump")
     grid = make_seed_grid(1.0, 128, 1)
@@ -89,7 +89,7 @@ def test_represent_pointwise_identity():
     assert np.array_equal(vals, u0(grid.points))
 
 
-def test_represent_pointwise_pure_damping_formula():
+def test_pointwise_solution_pure_damping_formula():
     # u(t, x) = u0(x) e^{t c(x)} for b = 0 (the closed-form damped solution)
     spec = field("zero")
     dmp = damping("box_indicator")
@@ -101,13 +101,25 @@ def test_represent_pointwise_pure_damping_formula():
     assert np.max(np.abs(vals - exact)) <= 1e-12
 
 
-def test_represent_pointwise_linear_flow():
+def test_pointwise_solution_linear_flow():
     # b = x: u(t, x) = u0(x e^{-t}) e^{-t}; at t=1, x=e this is u0(1)/e
     spec = field("linear_expand")
     u0 = u0_fn("bump")
     pt = seeds_from_points([[math.e]])
     vals = pointwise_solution(spec, damping("zero"), u0, pt, np.array([0.0, 1.0]), 1000)[-1]
     assert vals[0] == pytest.approx(u0(np.array([[1.0]]))[0] / math.e, rel=1e-10)
+
+
+def test_pointwise_solution_linear_expand_matches_closed_form():
+    # b = x, c = 0: u(t, x) = u0(x e^{-t}) e^{-t} on every slice. The 16
+    # slices take 16, 32, ..., 256 steps of 1/256 each; a slice step of
+    # anchor / (count + 1) is off by 1.9e-3
+    spec, u0 = field("linear_expand"), u0_fn("bump")
+    grid = make_seed_grid(1.0, 128, 1)
+    times = np.linspace(0.0, 1.0, 17)
+    vals = pointwise_solution(spec, damping("zero"), u0, grid, times, steps=256)
+    exact = np.stack([u0(grid.points * math.exp(-t)) * math.exp(-t) for t in times])
+    assert np.max(np.abs(vals - exact)) <= 1e-10
 
 
 def _nan_damping(singular_set=()):
@@ -137,7 +149,7 @@ def test_pointwise_solution_rejects_nan_damping():
                            steps=16)
 
 
-def test_pointwise_solution_thread_count_invariant(monkeypatch):
+def test_pointwise_solution_two_builds_bitwise_equal(monkeypatch):
     # the package runs no thread pool: the worker setting cannot change bits
     spec = field("linear_expand")
     u0 = u0_fn("bump")
@@ -343,7 +355,7 @@ def test_pointwise_solution_initial_slice_exact():
     assert np.array_equal(u[0], u0(grid.points))
 
 
-def test_represent_pointwise_rejects_bad_jacobian():
+def test_pointwise_solution_rejects_bad_jacobian():
     # div b = -800 within its bound 800: the path integral is -800 at t = 1,
     # so JX = exp(-800) underflows to 0 and the formula would divide by it
     spec = VelocityFieldSpec(

@@ -1,13 +1,14 @@
 """Weak-form residuals, Gamma traces, energy and Gronwall diagnostics."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from rough_transport.errors import (NonFiniteDampingError, SupportOverflowError,
                                     UnboundedDampingError)
-from rough_transport.fields import DampingFieldSpec, growth_split
+from rough_transport.fields import DampingFieldSpec, VelocityFieldSpec, growth_split
 from rough_transport.flow import seeds_from_points
 from rough_transport.numerics import holds_below, profile
 from rough_transport.renormalization import make_beta_arctan, make_beta_log, make_phi_R
@@ -153,6 +154,52 @@ def test_weak_residual_matches_gamma_trace_identity():
     assert rep.residual == pytest.approx(reconstructed, rel=1e-12, abs=1e-13)
 
 
+def _per_node_reference(u, beta, phi, spec, dmp, u0):
+    """(weak residual, Gamma rhs) summed one time node at a time.
+
+    Each node builds phi, dt phi and grad phi at its own float t and samples
+    b, div b and c there, with the products and pairwise sums in the order
+    of the array expressions, so the two must agree bit for bit.
+    """
+    quad, vals = u.quad, u.values
+    x, cv = quad.points, quad.cell_volume
+    pieces = [np.sum(phi(0.0, x) * beta.beta(u0(x))) * cv]
+    rhs = []
+    for k, t in enumerate(quad.times):
+        t = float(t)
+        b, div = spec.eval_b(t, x[None])[0], spec.eval_div_b(t, x[None])[0]
+        c = dmp.eval_c(t, x[None])[0]
+        bu, ubp = beta.beta(vals[k]), vals[k] * beta.beta_prime(vals[k])
+        reaction = div * (bu - ubp) + c * ubp
+        flux = phi.dt(t, x) + np.sum(phi.grad(t, x) * b, axis=-1)
+        pieces.append(quad.time_weights[k] * np.sum(flux * bu + phi(t, x) * reaction) * cv)
+        flux = np.sum(phi.space.grad(x) * b, axis=-1)
+        rhs.append(np.sum(flux * bu + phi.space(x) * reaction) * cv)
+    return abs(math.fsum(pieces)), np.array(rhs)
+
+
+@pytest.mark.parametrize("d, autonomous", [(1, True), (1, False), (2, True), (2, False)])
+def test_weak_form_matches_per_time_node_loop(d, autonomous):
+    # b = (1 + t) x and c = 1 + t when time-dependent, else b = x and c = 1
+    scale = (lambda t: 1.0 + t) if not autonomous else (lambda t: 1.0)
+    spec = VelocityFieldSpec(
+        dimension=d, eval_b=lambda t, x: scale(t) * np.asarray(x, dtype=float),
+        eval_div_b=lambda t, x: np.full(np.asarray(x).shape[:-1], d * scale(t)),
+        regularity_tag="smooth", div_sup=lambda t: d * scale(t), horizon=1.0,
+        autonomous=autonomous)
+    dmp = DampingFieldSpec(
+        eval_c=lambda t, x: np.full(np.asarray(x).shape[:-1], scale(t)),
+        autonomous=autonomous)
+    quad = make_quadrature(d, 2.0, 24 if d == 1 else 12, 1.0, 10)
+    rng = np.random.default_rng(7)
+    u = DensityRepresentation(quad, rng.normal(size=(quad.times.size,
+                                                     quad.points.shape[0])))
+    beta, phi, u0 = make_beta_arctan(1.0), compact_space_time(d, 1.0, 1.5), u0_fn("bump", d)
+    residual, rhs = _per_node_reference(u, beta, phi, spec, dmp, u0)
+    assert weak_residual(u, beta, phi, spec, dmp, u0).residual == residual
+    assert np.array_equal(gamma_trace(u, beta, phi.space, spec, dmp, 0.0).rhs, rhs)
+
+
 # --- Gamma traces ----------------------------------------------------------------
 
 def test_gamma_trace_zero_density():
@@ -295,6 +342,21 @@ def test_gronwall_constants_hand_computed():
         assert data.A == pytest.approx(3.0, rel=1e-14)
         assert data.B_R == pytest.approx(2.0 + 1.5 * R, rel=1e-14)
         assert data.C_R == 0.0 and data.C_R_limit == 0.0
+
+
+def test_gronwall_bound_delta_slope_inside_the_support_of_b1():
+    # compact_bump's b1 reaches outside B_0.5, where C_R = 2; between two
+    # deltas the bound moves by exp(A) C_R times the change of the log term
+    spec, dmp = field("compact_bump"), damping("zero")
+    growth = growth_split(spec, rng=np.random.default_rng(0))
+    times = np.linspace(0.0, 1.0, 33)
+    data = gronwall_constants(profile(spec.div_sup, times), dmp, growth,
+                              make_phi_R(0.5, 1), times)
+    assert data.C_R == 2.0
+    for delta, other in ((1e-2, 1e-4), (1e-4, 1e-8)):
+        slope = math.exp(data.A) * data.C_R * (math.log1p(math.pi ** 2 / (4.0 * delta))
+                                               - math.log1p(math.pi ** 2 / (4.0 * other)))
+        assert data.bound(delta) - data.bound(other) == pytest.approx(slope, rel=1e-12)
 
 
 def test_gronwall_gamma_monotone_in_delta():
