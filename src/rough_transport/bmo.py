@@ -57,9 +57,11 @@ class BMOProfile:
         values = self.values[rows]
         radii = sq_norms(self.points[rows])
         np.sqrt(radii, out=radii)
-        return (np.count_nonzero(self.values) == np.count_nonzero(values)
-                and not np.any(values[radii > self.M] != 0.0),
-                values[radii < self.M])
+        vanishes = (np.count_nonzero(self.values) == np.count_nonzero(values)
+                    and not np.any(values[radii > self.M] != 0.0))
+        inside = radii < self.M
+        del radii        # freed before the B_M samples are gathered
+        return vanishes, values[inside]
 
     @cached_property
     def vanishes_outside(self):
@@ -117,12 +119,12 @@ def bmo_norm(values, M, ball_family, points, cell_volume) -> BMOProfile:
     values = np.asarray(values, dtype=float)
     if not ball_family:
         raise ValueError("ball_family must be nonempty")
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(np.argmin(finite))
+    # a NaN makes the max NaN and an inf makes the max or the min infinite,
+    # so no full-size mask is built unless a sample is bad
+    if values.size and not (np.isfinite(np.max(values)) and np.isfinite(np.min(values))):
+        i = int(np.argmin(np.isfinite(values)))
         raise NonFiniteProfileError(
             f"profile sample {values[i]} at x={points[i].tolist()} is not finite")
-    del finite
 
     averages, oscillations = _ball_statistics(values, ball_family, points)
     profile = BMOProfile(points=points, values=values, cell_volume=float(cell_volume),
@@ -180,24 +182,33 @@ class JNFit:
     r_squared: Optional[float] = None
 
 
+_JN_CHUNK = 1 << 16      # cells per chunk of the superlevel counts
+
+
 def jn_decay_check(profile: BMOProfile, eta_grid) -> JNFit:
     """Fit measure{|f - (f)_{B_M}| > eta} to C Leb(B_M) exp(-c eta / ||f||*).
 
     All-empty superlevels report trivial decay; fewer than three nonempty
-    levels cannot be fitted. One deviation array and one mask over the
-    B_M samples serve every level.
+    levels cannot be fitted. The B_M samples are read in chunks of
+    ``_JN_CHUNK`` cells: one chunk-sized deviation scratch and one mask
+    serve every chunk and level, and the integer counts add up exactly.
     """
     if profile.norm_star <= 0.0:
         raise ValueError("decay fit needs a nonconstant profile")
     core = profile.core_values
     avg = float(np.mean(core))
-    dev = np.subtract(core, avg)
-    np.abs(dev, out=dev)
+    dev = np.empty(min(core.size, _JN_CHUNK))
     above = np.empty(dev.shape, dtype=bool)
 
     etas = [float(e) for e in eta_grid]
-    measures = [float(np.count_nonzero(np.greater(dev, e, out=above)))
-                * profile.cell_volume for e in etas]
+    counts = [0] * len(etas)
+    for start in range(0, core.size, _JN_CHUNK):
+        part = core[start:start + _JN_CHUNK]
+        chunk = np.subtract(part, avg, out=dev[:part.size])
+        np.abs(chunk, out=chunk)
+        for k, e in enumerate(etas):
+            counts[k] += int(np.count_nonzero(np.greater(chunk, e, out=above[:part.size])))
+    measures = [float(c) * profile.cell_volume for c in counts]
     nonzero = [(e, m) for e, m in zip(etas, measures) if m > 0.0]
     if not nonzero:
         return JNFit(C_fit=0.0, c_fit=float("inf"), etas=tuple(etas),

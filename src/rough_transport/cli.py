@@ -40,7 +40,7 @@ def _cmd_run(args):
         status = "PASS" if r.passed else "FAIL"
         note = f"  ({r.note})" if r.note else ""
         print(f"[{status}] {cfg.scenario_id}/{r.name}  "
-              f"{r.seconds:.2f}s{note}")
+              f"{r.seconds:.2f}s  peak RSS {r.peak_rss_mb:.1f} MB{note}")
     print(f"report written to {cfg.output_dir}/diagnostics.csv")
     return 0 if report.passed else 1
 

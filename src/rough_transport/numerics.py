@@ -9,8 +9,18 @@ import numpy as np
 
 
 def cell_centers(radius, n):
-    """Centres of the n equal cells of [-radius, radius], ascending."""
-    return -radius + 2.0 * radius / n * (np.arange(n) + 0.5)
+    """Centres of the n equal cells of [-radius, radius], ascending.
+
+    Built in the result itself, with no second n-sized temporary. The bits
+    are those of ``-radius + 2.0 * radius / n * (np.arange(n) + 0.5)``: the
+    integers are exact in float64, the factor is formed first as there, and
+    IEEE addition commutes.
+    """
+    xs = np.arange(n, dtype=float)
+    xs += 0.5
+    xs *= 2.0 * radius / n
+    xs += -radius
+    return xs
 
 
 def tensor_points(axes):

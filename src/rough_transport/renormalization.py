@@ -18,6 +18,7 @@ ball of radius R and decaying like (R + |x|)^-(d+1) outside.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -89,10 +90,13 @@ SWEEP_POINTS = 100_000
 SWEEP_DECADES = (-6.0, 6.0)
 
 
+@lru_cache(maxsize=None)
 def standard_sweep():
-    """Fixed log-spaced sweep over both signs, |r| in [1e-6, 1e6]."""
+    """Fixed log-spaced sweep over both signs, |r| in [1e-6, 1e6]; built once, read-only."""
     mags = np.logspace(SWEEP_DECADES[0], SWEEP_DECADES[1], SWEEP_POINTS // 2)
-    return np.concatenate([-mags[::-1], mags])
+    sweep = np.concatenate([-mags[::-1], mags])
+    sweep.flags.writeable = False
+    return sweep
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ class DiagnosticResult:
     values: dict               # metric -> measured value
     thresholds: dict           # metric -> tolerance / bound it was judged against
     seconds: float = 0.0
+    peak_rss_mb: float = 0.0   # the process's peak RSS once the runner returned
     note: str = ""
     artifacts: tuple = ()
 
@@ -55,8 +56,8 @@ class RunReport:
         return all(r.passed for r in self.results)
 
     def summary_rows(self):
-        # wall times stay out of the CSVs so identical configs emit
-        # byte-identical artifacts
+        # wall times and peak RSS stay out of the CSVs so identical configs
+        # emit byte-identical artifacts
         rows = []
         for r in self.results:
             for key in sorted(r.values):

@@ -8,8 +8,10 @@ all mirrored into CSV artifacts.
 """
 
 import math
+import resource
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -243,18 +245,24 @@ _BMO_GRID_CELLS = 1 << 22     # resolves exp(-lambda sigma) superlevels at lambd
 def _log_core_samples(xs, M):
     """log(1/|x|) on the cells of the ascending ``xs`` with |x| < M, 0 elsewhere.
 
-    The cells with |x| < M are one slice, found by binary search, and the
-    log formula runs on that slice only; each sample is the same bits as
-    ``where(|x| < M, log(where(|x| > 0, 1/|x|, 1)), 0)`` over the full grid,
-    without its three full-size passes.
+    The cells with |x| < M are one slice, found by binary search. |x|, 1/|x|
+    and the log are written into that slice of the result in place, and the
+    cells at x = 0 get log(1) = 0 through one slice-sized bool mask; each
+    sample is the same bits as
+    ``where(|x| < M, log(where(|x| > 0, 1/|x|, 1)), 0)`` over the full grid.
+    The result starts as ``np.zeros`` (calloc'd) and no pass writes outside
+    the slice, so the pages of the zero tail are never touched and never
+    count towards the resident set; ``zeros_like`` would fill them all.
     """
-    vals = np.zeros_like(xs)
+    vals = np.zeros(xs.shape)
     lo = np.searchsorted(xs, -M, "right")
     hi = np.searchsorted(xs, M, "left")
-    r = np.abs(xs[lo:hi])
+    core = np.abs(xs[lo:hi], out=vals[lo:hi])
+    zero = core == 0.0
     with np.errstate(divide="ignore"):
-        # the r > 0 mask is taken before 1/r overwrites r
-        np.log(np.where(r > 0.0, np.divide(1.0, r, out=r), 1.0), out=vals[lo:hi])
+        np.divide(1.0, core, out=core)
+    np.copyto(core, 1.0, where=zero)
+    np.log(core, out=core)
     return vals
 
 
@@ -565,6 +573,11 @@ def _skip_weak_form(ctx):
 
 # --- twin-difference runners -------------------------------------------------
 
+# one certified log renormalizer per delta for the whole process, so each
+# delta runs check_admissible once however many Gamma-trace runners read it
+_certified_beta_log = lru_cache(maxsize=None)(make_beta_log)
+
+
 def _run_gronwall_matrix(ctx, quad_shape, quad_radius, check_delta_independent=False):
     u = ctx.twin_difference(quad_shape, quad_radius)
     bounds = {R: ctx.gronwall_bound(quad_shape, quad_radius, R) for R in ctx.cfg.r_list}
@@ -572,7 +585,7 @@ def _run_gronwall_matrix(ctx, quad_shape, quad_radius, check_delta_independent=F
     trace_rows = []
     all_ok = True
     for delta in ctx.cfg.delta_list:
-        beta = make_beta_log(delta)
+        beta = _certified_beta_log(delta)
         for R in ctx.cfg.r_list:
             phi_R, data = bounds[R]
             trace = gamma_trace(u, beta, phi_R, ctx.field, ctx.damping, ctx.cfg.eta)
@@ -669,7 +682,7 @@ def _run_bmo_gronwall(ctx):
     u = ctx.twin_difference((96, 32), 2.0, allow_nonsmooth=True)
     phi_R = make_phi_R(ctx.cfg.r_list[0], ctx.d)
     # Gamma depends on (delta, R) alone: one trace per delta serves every lambda
-    traces = {delta: gamma_trace(u, make_beta_log(delta), phi_R, ctx.field,
+    traces = {delta: gamma_trace(u, _certified_beta_log(delta), phi_R, ctx.field,
                                  ctx.damping, ctx.cfg.eta)
               for delta in ctx.cfg.delta_list}
     rows = []
@@ -880,7 +893,8 @@ def run_scenario(cfg) -> RunReport:
     """Execute the selected diagnostics of a resolved configuration.
 
     Each runner computes and judges; this loop names its result by the
-    registry key and times the call. Runtime budgets live only in
+    registry key, times the call and records the process's peak RSS
+    (``ru_maxrss``, in MiB) once it returns. Runtime budgets live only in
     ``RUNTIME_BUDGET_S``: a budgeted diagnostic passes only if its runner
     passed and took strictly less than the budget, and its note names the
     budget. Module errors are re-raised as PipelineError tagged with the
@@ -899,6 +913,7 @@ def run_scenario(cfg) -> RunReport:
             raise PipelineError(name, exc) from exc
         result.name = name
         result.seconds = time.perf_counter() - t0
+        result.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         budget = RUNTIME_BUDGET_S.get(name)
         if budget is not None:
             result.passed = result.passed and result.seconds < budget

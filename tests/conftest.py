@@ -7,7 +7,19 @@ import pytest
 
 from rough_transport.fields import DampingFieldSpec
 from rough_transport.flow import integrate_flow, make_seed_grid
+from rough_transport import scenarios
 from rough_transport.scenarios import DAMPING_CATALOG, FIELD_CATALOG, U0_CATALOG
+
+
+@pytest.fixture(autouse=True)
+def fresh_log_renormalizers():
+    """Each test certifies its log renormalizers anew, as a fresh process does.
+
+    The scenario runners share one certified renormalizer per delta for the
+    whole process; without this, a test that patches ``check_admissible``
+    would read a renormalizer an earlier test certified.
+    """
+    scenarios._certified_beta_log.cache_clear()
 
 
 def field(field_id, d=1, T=1.0):

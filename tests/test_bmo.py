@@ -23,7 +23,7 @@ from rough_transport.representation import DensityRepresentation, make_quadratur
 from rough_transport.scenarios import _log_core_samples
 from rough_transport.weakform import gamma_trace, gronwall_constants
 
-from conftest import damping, field
+from conftest import damping, field, traced_bytes
 
 
 def _grid_1d(M=1.0, n=1 << 18):
@@ -459,3 +459,40 @@ def test_lemma52_scratch_is_one_mask():
     rep, peak, held = _traced(lambda: lemma52_checks(prof, lambdas))
     assert rep.tails[0] > 0.0 and rep.tails[-1] == 0.0
     assert peak - held <= n + 8 * largest + 2 * n
+
+
+def test_log_core_samples_scratch_is_one_core_mask():
+    # beyond the result, only the bool mask of the x = 0 cells is allocated:
+    # |x|, 1/|x| and the log are written into the core slice in place
+    n, M = 1 << 20, 1.0
+    xs = cell_centers(2.0 * M, n)
+    core = int(np.count_nonzero(np.abs(xs) < M))
+    vals, kept, peak = traced_bytes(lambda: _log_core_samples(xs, M))
+    assert kept >= vals.nbytes
+    assert peak <= vals.nbytes + core + core // 4
+
+
+def test_jn_decay_check_reads_the_core_in_chunks():
+    # a 2^21-cell core: one chunk-sized deviation scratch and mask, not a
+    # core-sized |core - avg| array (16 MiB) and mask (2 MiB)
+    xs = cell_centers(1.0, 1 << 21)
+    prof = bmo_norm(_where_log_samples(xs, 1.0), 1.0, default_ball_family(1.0, 1),
+                    xs[:, None], 2.0 / xs.size)
+    assert prof.core_values.size == 1 << 21
+    etas = [1.0 + 0.5 * k for k in range(7)]
+    fit, _, peak = traced_bytes(lambda: jn_decay_check(prof, etas))
+    assert peak <= 1 << 20
+    dev = np.abs(prof.core_values - np.mean(prof.core_values))
+    assert fit.measures == tuple(float(np.count_nonzero(dev > e)) * prof.cell_volume
+                                 for e in etas)
+
+
+def test_support_frees_the_radius_table_before_the_gather():
+    # the B_M samples are gathered once the slab's radius table is gone, so
+    # no second slab-sized float array is alive beside it
+    prof = _log_profile(n=1 << 20)
+    slab = int(np.count_nonzero(np.abs(prof.points[:, 0]) <= prof.M))
+    fresh = dataclasses.replace(prof)
+    (vanishes, core), kept, peak = traced_bytes(lambda: fresh._support)
+    assert vanishes and kept >= core.nbytes
+    assert peak <= (8 + 3) * slab

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -161,6 +162,17 @@ def test_pipeline_error_names_the_stage(tmp_path):
     with pytest.raises(PipelineError) as err:
         run_scenario(cfg)
     assert err.value.stage == "flow_endpoint"
+
+
+def test_cli_run_prints_seconds_and_peak_rss(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scenario_id": "counterexample_L1_damping",
+                                "diagnostics": ["damping_l1"],
+                                "output_dir": str(tmp_path / "out")}))
+    assert main(["run", str(path)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert re.fullmatch(r"\[PASS\] counterexample_L1_damping/damping_l1  "
+                        r"\d+\.\d\ds  peak RSS \d+\.\d MB", line), line
 
 
 def test_cli_run_reports_pipeline_error(tmp_path, capsys):

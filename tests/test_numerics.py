@@ -1,9 +1,11 @@
-"""Shared numerical utilities: per-coordinate squared norms."""
+"""Shared numerical utilities: cell centres and per-coordinate squared norms."""
 
 import numpy as np
 import pytest
 
-from rough_transport.numerics import sq_norms
+from rough_transport.numerics import cell_centers, sq_norms
+
+from conftest import traced_bytes
 
 # overflow (1e200**2 = inf), underflow (1e-170**2 = 0), signed zero,
 # infinities and NaN, mixed with ordinary values
@@ -57,3 +59,20 @@ def test_sq_norms_fills_out_and_leaves_input(d):
     assert _same_bits(x, kept)
     assert _same_bits(sq_norms(x, np.ones(d), out=out), np.sum((x - 1.0) ** 2, -1))
     assert _same_bits(x, kept)
+
+
+# --- cell centres -------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 255, (1 << 16) + 1])
+@pytest.mark.parametrize("radius", [0.5, 1.0, 2.0, 3.7])
+def test_cell_centers_bitwise_equal_to_the_closed_form(n, radius):
+    expected = -radius + 2.0 * radius / n * (np.arange(n) + 0.5)
+    assert _same_bits(cell_centers(radius, n), expected)
+
+
+def test_cell_centers_peak_is_the_result():
+    # built in place: no int64 arange or float temporary beside the result
+    n = 1 << 20
+    xs, kept, peak = traced_bytes(lambda: cell_centers(2.0, n))
+    assert kept >= xs.nbytes
+    assert peak <= 1.05 * xs.nbytes

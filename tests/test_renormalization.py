@@ -146,6 +146,12 @@ def test_admissible_log():
         assert report.passed, (delta, report.witnesses)
 
 
+def test_standard_sweep_is_built_once_and_read_only():
+    sweep = standard_sweep()
+    assert standard_sweep() is sweep and not sweep.flags.writeable
+    assert sweep.size == 100_000 and np.all(np.diff(sweep) > 0.0)
+
+
 def test_factories_raise_on_a_failed_certificate(monkeypatch):
     failing = check_admissible(Renormalizer(
         beta=lambda r: np.asarray(r, dtype=float) + 1e-3,

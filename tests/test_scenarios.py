@@ -114,6 +114,33 @@ def test_inadmissible_beta_is_a_pipeline_error(tmp_path, monkeypatch):
     assert "'bounded': (1.0, 9.0)" in str(err.value)
 
 
+def test_gronwall_scenarios_certify_each_log_beta_once(tmp_path, monkeypatch):
+    # the three scenarios read delta in {1e-2, 1e-4, 1e-6} from two Gamma-trace
+    # runners: 3 + 3 + 2 log renormalizers, of which 3 are distinct
+    certify = renormalization.check_admissible
+    labels = []
+
+    def counted(ren):
+        labels.append(ren.label)
+        return certify(ren)
+    monkeypatch.setattr(renormalization, "check_admissible", counted)
+    for sid in ("compact_support_b", "twin_difference_gronwall", "bmo_divergence_log"):
+        report = run_scenario(resolve({"scenario_id": sid,
+                                       "output_dir": str(tmp_path / sid)}))
+        assert report.passed
+    assert sorted(labels) == ["log(delta=0.0001)", "log(delta=0.01)", "log(delta=1e-06)"]
+
+
+def test_peak_rss_follows_each_runner_and_stays_out_of_the_csv(tmp_path):
+    cfg = resolve({"scenario_id": "counterexample_L1_damping",
+                   "output_dir": str(tmp_path)})
+    report = run_scenario(cfg)
+    peaks = [r.peak_rss_mb for r in report.results]
+    assert peaks[0] > 0.0 and peaks == sorted(peaks)
+    report.write(str(tmp_path))
+    assert "rss" not in (tmp_path / "diagnostics.csv").read_text()
+
+
 def test_runtime_budget_folds_into_verdict(tmp_path, monkeypatch):
     cfg = resolve({"scenario_id": "counterexample_L1_damping",
                    "diagnostics": ["integrability_probe"],
