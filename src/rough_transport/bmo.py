@@ -18,8 +18,7 @@ from .errors import (BadSplitError, DegenerateFitError, EmptyBallError,
                      LambdaTooSmallError, NegativeInputError,
                      NonFiniteProfileError)
 from .fields import DampingFieldSpec, GrowthSplit
-from .numerics import (ball_volume, log_linear_fit, profile, sq_norms, tensor_points,
-                       trapz)
+from .numerics import CellGrid, ball_volume, log_linear_fit, profile, tensor_points, trapz
 from .renormalization import TestFunctionPhiR
 from .weakform import GronwallBoundData, gronwall_constants
 
@@ -32,62 +31,61 @@ from .weakform import GronwallBoundData, gronwall_constants
 class BMOProfile:
     """A compactly supported sample field with its ball-family statistics."""
 
-    points: np.ndarray        # (N, d) cell centers covering the box of B_2M
-    values: np.ndarray        # (N,)
-    cell_volume: float
+    grid: CellGrid            # cells covering the box of B_2M
+    values: np.ndarray        # (N,), one sample per cell
     M: float
     averages: np.ndarray      # per ball
     oscillations: np.ndarray  # per ball
     norm_star: float
 
     @property
+    def points(self):
+        """The grid, whose ``shape[0]`` is the cell count; no point is stored."""
+        return self.grid
+
+    @property
+    def cell_volume(self):
+        return self.grid.cell_volume
+
+    @property
     def d(self):
-        return self.points.shape[-1]
+        return self.grid.dimension
 
     @cached_property
     def _support(self):
-        """(no nonzero sample outside B_M, samples in B_M), one slab pass.
-
-        |x| >= |x_0|, so the norm runs on the slab |x_0| <= M alone, and
-        every sample outside the slab must be zero.
-        """
-        keys, order = _by_first_coordinate(self.points)
-        rows = _slab_rows(order, np.searchsorted(keys, -self.M, "left"),
-                          np.searchsorted(keys, self.M, "right"))
-        values = self.values[rows]
-        radii = sq_norms(self.points[rows])
-        np.sqrt(radii, out=radii)
-        vanishes = (np.count_nonzero(self.values) == np.count_nonzero(values)
-                    and not np.any(values[radii > self.M] != 0.0))
-        inside = radii < self.M
-        del radii        # freed before the B_M samples are gathered
-        return vanishes, values[inside]
+        """(index runs of the cells with |x| <= M, of the cells with |x| < M)."""
+        # for a float y, y <= M exactly when y < the next float above M
+        return tuple(self.grid.ball_runs([(0.0,) * self.d] * 2,
+                                         [np.nextafter(self.M, np.inf), self.M]))
 
     @cached_property
     def vanishes_outside(self):
         """True when every sample outside B_M is zero; checked once."""
-        return self._support[0]
+        return bool(np.count_nonzero(self.values) == sum(
+            np.count_nonzero(self.values[a:b]) for a, b in self._support[0]))
+
+    @property
+    def support_values(self):
+        """Samples with |x| <= M in grid order; a view of ``values`` in 1-D."""
+        return _gather(self.values, self._support[0])
 
     @cached_property
     def core_values(self):
-        """Samples in B_M, the ball every decay check reads; built once."""
-        if self._support[1].size == 0:
+        """Samples in B_M, the ball every decay check reads; a view in 1-D."""
+        core = _gather(self.values, self._support[1])
+        if core.size == 0:
             raise EmptyBallError(f"B_M (M={self.M:g}) holds no cell")
-        return self._support[1]
+        return core
 
 
-def _by_first_coordinate(points):
-    """(x_0 sorted, its stable argsort or None when already sorted)."""
-    keys = points[:, 0]
-    if np.all(keys[:-1] <= keys[1:]):
-        return keys, None          # already sorted: every slab is a slice
-    order = np.argsort(keys, kind="stable")
-    return keys[order], order
-
-
-def _slab_rows(order, lo, hi):
-    """Rows lo:hi of the sorted keys, indexed in their original order."""
-    return slice(lo, hi) if order is None else np.sort(order[lo:hi])
+def _gather(values, runs, out=None):
+    """The samples of the index ``runs`` in grid order; one run is a view."""
+    if len(runs) == 1:
+        (a, b), = runs
+        return values[a:b]
+    if not runs:
+        return values[:0]
+    return np.concatenate([values[a:b] for a, b in runs], out=out)
 
 
 def default_ball_family(M, d):
@@ -97,73 +95,59 @@ def default_ball_family(M, d):
     return tuple((tuple(c), r) for c in centers for r in radii)
 
 
-def bmo_norm(values, M, ball_family, points, cell_volume) -> BMOProfile:
+def bmo_norm(values, M, ball_family, grid) -> BMOProfile:
     """Per-ball averages and mean oscillations; norm_star is the family max.
 
-    ``values`` holds one sample per point. The samples must be finite and
-    vanish outside B_M (compact support hypothesis of the decay lemma).
+    ``values`` holds one sample per cell of the ``CellGrid``. The samples
+    must be finite and vanish outside B_M (compact support hypothesis of
+    the decay lemma).
 
-    Each ball reads only the slab of cells whose first coordinate lies
-    within its radius, found by binary search on the points sorted by
-    that coordinate; the ball test then runs on the slab alone. One float
-    and one bool scratch array, sized to the widest slab, serve every
-    ball: the float one holds the distances and then |sel - avg|, the bool
-    one the ball test, so no slab-sized array is allocated (and
-    page-faulted again by a fresh process) per ball. A ball with no cell
-    raises before any mean is taken. The selected samples keep their order,
-    and a ball that holds its whole slab reads that slab directly, so
-    every average and oscillation sums the same numbers in the same order
-    as a full-grid mask would.
+    Each ball's cells are exact index runs of the grid
+    (``CellGrid.ball_runs``), so no distance is computed per cell. A ball
+    with no cell raises before any mean is taken. In 1-D a ball is one run
+    and its samples are a view; in higher dimension the runs are gathered
+    into one float scratch array, sized to the widest ball, which then
+    holds |sel - avg| for every ball. The samples keep grid order, so every
+    average and oscillation sums the same numbers in the same order as a
+    full-grid mask would.
     """
-    points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
+    if values.shape != grid.shape[:1]:
+        raise ValueError(f"need one sample per cell, {grid.shape[0]}, not {values.shape}")
     if not ball_family:
         raise ValueError("ball_family must be nonempty")
     # a NaN makes the max NaN and an inf makes the max or the min infinite,
     # so no full-size mask is built unless a sample is bad
     if values.size and not (np.isfinite(np.max(values)) and np.isfinite(np.min(values))):
         i = int(np.argmin(np.isfinite(values)))
-        raise NonFiniteProfileError(
-            f"profile sample {values[i]} at x={points[i].tolist()} is not finite")
+        cell = np.unravel_index(i, (grid.cells_per_axis,) * grid.dimension)
+        raise NonFiniteProfileError(f"profile sample {values[i]} at "
+                                    f"x={grid.coordinate(cell).tolist()} is not finite")
 
-    averages, oscillations = _ball_statistics(values, ball_family, points)
-    profile = BMOProfile(points=points, values=values, cell_volume=float(cell_volume),
-                         M=float(M), averages=averages, oscillations=oscillations,
-                         norm_star=float(np.max(oscillations)))
+    averages, oscillations = _ball_statistics(values, ball_family, grid)
+    profile = BMOProfile(grid=grid, values=values, M=float(M), averages=averages,
+                         oscillations=oscillations, norm_star=float(np.max(oscillations)))
     if not profile.vanishes_outside:
         raise ValueError("profile must vanish outside B_M")
     return profile
 
 
-def _ball_statistics(values, ball_family, points):
-    """(averages, oscillations) per ball, through one pair of slab scratches."""
-    keys, order = _by_first_coordinate(points)
-    slabs = []
-    for center, radius in ball_family:
-        c = np.asarray(center, dtype=float)
-        # the margin covers the rounding of |x - c| against |x_0 - c_0|
-        pad = 1e-12 * (abs(c[0]) + radius)
-        lo, hi = np.searchsorted(keys, (c[0] - radius - pad, c[0] + radius + pad))
-        slabs.append((center, c, radius, lo, hi))
-    width = max(hi - lo for *_, lo, hi in slabs)
-    dist = np.empty(width)
-    inside = np.empty(width, dtype=bool)
+def _ball_statistics(values, ball_family, grid):
+    """(averages, oscillations) per ball, through one float scratch."""
+    runs = grid.ball_runs(*zip(*ball_family))
+    for (center, radius), r in zip(ball_family, runs):
+        if not r:
+            raise EmptyBallError(f"ball at {center} radius {radius:g} holds no cell")
+    counts = [sum(b - a for a, b in r) for r in runs]
+    scratch = np.empty(max(counts))
 
     averages = np.empty(len(ball_family))
     oscillations = np.empty(len(ball_family))
-    for i, (center, c, radius, lo, hi) in enumerate(slabs):
-        rows = _slab_rows(order, lo, hi)
-        norms, mask = dist[:hi - lo], inside[:hi - lo]
-        np.sqrt(sq_norms(points[rows], c, out=norms), out=norms)
-        np.less(norms, radius, out=mask)
-        # before any reduction: an empty slab would pass the all-inside test
-        count = np.count_nonzero(mask)
-        if count == 0:
-            raise EmptyBallError(f"ball at {center} radius {radius:g} holds no cell")
-        sel = values[rows] if count == mask.size else values[rows][mask]
+    for i, (r, count) in enumerate(zip(runs, counts)):
+        sel = _gather(values, r, out=scratch[:count])
         avg = float(np.mean(sel))
         averages[i] = avg
-        dev = np.subtract(sel, avg, out=dist[:count])
+        dev = np.subtract(sel, avg, out=scratch[:count])
         oscillations[i] = float(np.mean(np.abs(dev, out=dev)))
     return averages, oscillations
 
@@ -245,18 +229,23 @@ class SuperlevelReport:
 def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
     """Average bound and exponential tail decay for nonnegative profiles.
 
-    One full-size mask serves the sign check and every lambda, and no
-    full-size excess array is built: each tail gathers the samples above
-    lambda norm_star in grid order and subtracts the level from them in
-    place. With gradual underflow, f - s > 0 exactly when f > s, so the
-    tail sums the same numbers in the same order as
-    ``np.sum(excess[excess > 0])`` with ``excess = f - s``.
+    Only the cells with |x| <= M are read: ``bmo_norm`` verified that every
+    nonzero sample lies there, and no level is negative, so every sample
+    above a level does too. One support-sized mask serves the sign check
+    and every lambda, and no excess array of the support's size is built:
+    each tail gathers the samples above lambda norm_star in grid order and
+    subtracts the level from them in place. With gradual underflow,
+    f - s > 0 exactly when f > s, so the tail sums the same numbers in the
+    same order as ``np.sum(excess[excess > 0])`` with ``excess = f - s``
+    over the whole grid.
     """
-    values = profile.values
+    lambdas = [float(l) for l in lambda_list]
+    if any(lam < 0.0 for lam in lambdas):
+        raise ValueError("superlevel checks need nonnegative lambdas")
+    values = profile.support_values
     above = np.empty(values.shape, dtype=bool)
     if np.less(values, 0.0, out=above).any():
         raise NegativeInputError("superlevel checks need a nonnegative profile")
-    lambdas = [float(l) for l in lambda_list]
     sigma = profile.norm_star
 
     average = float(np.mean(profile.core_values))

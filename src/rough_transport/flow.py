@@ -113,7 +113,7 @@ class JacobianTrack:
 ESCAPE_FACTOR = 1e3    # escape radius in units of max(seed radius, 1)
 
 
-def _rk4_path(rhs, y0, h, steps, escape_radius, first=0):
+def _rk4_path(rhs, y0, h, steps, escape_radius, first=0, out=None):
     """Fixed-step RK4 from step ``first`` (time first * h), recording every node.
 
     ``h`` and ``steps`` are either shared by every row or given per row. Per
@@ -124,10 +124,12 @@ def _rk4_path(rhs, y0, h, steps, escape_radius, first=0):
 
     Returns an array of shape (max steps + 1,) + y0.shape, in which a row
     keeps its final position past its last step; it is the only large
-    allocation, (max steps + 1) * rows * d * 8 bytes. ``pointwise_solution``
-    and the forward blocks size their sweeps so that this array and the
-    tables read from it stay within ``_CHUNK_BYTES``, and release each one
-    before the next is built. A path continued from step ``first`` takes
+    allocation, (max steps + 1) * rows * d * 8 bytes, and is written into
+    ``out`` instead when given. ``pointwise_solution`` and the forward
+    blocks size their sweeps so that this array and the tables read from
+    it stay within ``_CHUNK_BYTES``; the forward blocks release each one
+    before the next is built, and ``pointwise_solution`` writes all of its
+    sweeps into one buffer. A path continued from step ``first`` takes
     the stage times (first + k) * h, so it repeats bit for bit the steps of
     one sweep from time 0. Raises StepBlowupError as soon as any
     trajectory norm exceeds ``escape_radius`` or is not finite.
@@ -152,7 +154,7 @@ def _rk4_path(rhs, y0, h, steps, escape_radius, first=0):
     counts = np.broadcast_to(np.asarray(steps, dtype=int), (n,))
     # rows moving at step k: those whose count exceeds k
     moving = np.searchsorted(-counts, -np.arange(total), side="left")
-    out = np.empty((total + 1,) + y0.shape)
+    out = np.empty((total + 1,) + y0.shape) if out is None else out
     out[0] = y0
     stage, acc, scratch = (np.empty_like(y0) for _ in range(3))
     sq = np.empty(n)

@@ -3,21 +3,25 @@ bound tests and ball measures."""
 
 import math
 import os
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 
-def cell_centers(radius, n):
-    """Centres of the n equal cells of [-radius, radius], ascending.
+def cell_centers(radius, n, start=0, stop=None, out=None):
+    """Centres of cells start:stop of the n equal cells of [-radius, radius].
 
-    Built in the result itself, with no second n-sized temporary. The bits
-    are those of ``-radius + 2.0 * radius / n * (np.arange(n) + 0.5)``: the
-    integers are exact in float64, the factor is formed first as there, and
-    IEEE addition commutes.
+    Built in ``out`` (or the new result) itself, with no second temporary.
+    The bits are those of ``-radius + 2.0 * radius / n * (i + 0.5)`` for
+    the integer i: the running sum of ones and the shift by start - 0.5
+    give every i + 0.5 exactly below 2^52, the factor is formed first as
+    there, and IEEE addition commutes.
     """
-    xs = np.arange(n, dtype=float)
-    xs += 0.5
+    xs = np.empty((n if stop is None else stop) - start) if out is None else out
+    xs.fill(1.0)
+    np.add.accumulate(xs, out=xs)
+    xs += start - 0.5
     xs *= 2.0 * radius / n
     xs += -radius
     return xs
@@ -58,6 +62,87 @@ def sq_norms(x, center=None, out=None):
             np.add(out, dst, out=out)
             tmp = dst
     return out
+
+
+@dataclass(frozen=True)
+class CellGrid:
+    """The equal cells of [-radius, radius]^dimension, described, not stored.
+
+    Cells are numbered in "ij" order, the last axis fastest, as
+    ``centers()`` lists them; ``shape`` is the shape of that list.
+    """
+
+    radius: float
+    cells_per_axis: int
+    dimension: int
+
+    @property
+    def h(self):
+        return 2.0 * self.radius / self.cells_per_axis
+
+    @property
+    def cell_volume(self):
+        return self.h ** self.dimension
+
+    @property
+    def shape(self):
+        return (self.cells_per_axis ** self.dimension, self.dimension)
+
+    def axis(self, start=0, stop=None, out=None):
+        """Centres of cells start:stop along one axis (``cell_centers``)."""
+        return cell_centers(self.radius, self.cells_per_axis, start, stop, out)
+
+    def coordinate(self, index):
+        """Centres of the integer cell ``index`` along one axis, same bits."""
+        return (np.asarray(index) + 0.5) * self.h + (-self.radius)
+
+    def centers(self):
+        return tensor_points([self.axis()] * self.dimension)
+
+    def ball_runs(self, centers, radii):
+        """Per ball, the cells with ``sqrt(sq_norms(x, center)) < radius`` as index runs.
+
+        Returns, for each (center, radius) pair, the nonempty runs
+        [(start, stop), ...] of flat cell indices in grid order, one at most
+        per line of the last axis. Along such a line the rounded test is
+        monotone on either side of the centre: fl(x - c), its square, the
+        sum with the line's first d - 1 terms and sqrt are all monotone. So
+        the cells inside are one contiguous run, and bisection on the same
+        expression, in ``sq_norms``' coordinate and sum order, finds its
+        ends exactly, for every ball and line at once.
+        """
+        n, d = self.cells_per_axis, self.dimension
+        c = np.asarray(centers, dtype=float).reshape(-1, 1, d)
+        r = np.asarray(radii, dtype=float).reshape(-1, 1)
+        # the first d - 1 terms of every ball and line; in 1-D, + 0.0 changes no bit
+        head = (sq_norms(tensor_points([self.axis()] * (d - 1)) - c[..., :-1])
+                if d > 1 else np.zeros(r.shape))
+        last = c[..., -1]
+
+        def inside(i):
+            t = self.coordinate(i) - last
+            return np.sqrt(head + t * t) < r
+
+        first = np.zeros(head.shape, dtype=np.int64)
+        split = _first(lambda i: self.coordinate(i) >= last, first, first + n)
+        start = _first(inside, first, split)
+        stop = _first(lambda i: ~inside(i), split, first + n)
+        line = np.arange(head.shape[1]) * n
+        return [list(zip((line + a)[a < b].tolist(), (line + b)[a < b].tolist()))
+                for a, b in zip(start, stop)]
+
+
+def _first(holds, lo, hi):
+    """Per entry, the least i in [lo, hi) with holds(i), else hi.
+
+    ``holds`` must be False and then True on [lo, hi); it is evaluated on
+    every entry at once.
+    """
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        ok = holds(mid)
+        lo, hi = (np.where(open_ & ~ok, mid + 1, lo), np.where(open_ & ok, mid, hi))
+    return lo
 
 
 def holds_below(values, bound, slack):

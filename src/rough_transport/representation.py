@@ -17,8 +17,8 @@ from .errors import AllTruncatedError, JacobianVanishedError, StepBlowupError
 from .fields import DampingFieldSpec, VelocityFieldSpec, sample_damping, sample_nodes
 from .flow import (_CHUNK_BYTES, ESCAPE_FACTOR, FlowMap, SeedGrid, _check_divergence,
                    _div_sup_integral, _rk4_path, integrate_flow)
-from .numerics import (cell_centers, cumtrapz, gl_nodes, stable_sum, tensor_points,
-                       trapezoid_weights)
+from .numerics import (CellGrid, cell_centers, cumtrapz, gl_nodes, stable_sum,
+                       tensor_points, trapezoid_weights)
 
 # ---------------------------------------------------------------------------
 # damping path integral
@@ -200,15 +200,17 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
     return out
 
 
-def _backward_paths(field: VelocityFieldSpec, points: SeedGrid, anchors, counts):
+def _backward_paths(field: VelocityFieldSpec, points: SeedGrid, anchors, counts,
+                    sweep):
     """Backward paths from ``points`` at anchors[g] in counts[g] steps.
 
     Path g is (counts[g] + 1, N, d) on the grid linspace(0, anchors[g],
     counts[g] + 1), bitwise the trajectories of ``integrate_flow(...,
     "backward", anchor_time=anchors[g])``, which a time-dependent b calls
     for each path. With b independent of time the paths are views of one
-    RK4 sweep, traced with t = 0 and reversed in time: path g takes steps
-    of anchors[g] / counts[g] in rows g*N to (g+1)*N. Counts must not
+    RK4 sweep, written into the front of the flat buffer ``sweep``, traced
+    with t = 0 and reversed in time: path g takes steps of
+    anchors[g] / counts[g] in rows g*N to (g+1)*N. Counts must not
     increase, so the moving rows form a prefix.
     """
     if not field.autonomous:
@@ -218,10 +220,12 @@ def _backward_paths(field: VelocityFieldSpec, points: SeedGrid, anchors, counts)
                 for a, m in zip(anchors, counts)]
     n = points.points.shape[0]
     rhs = lambda s, y: -np.asarray(field.eval_b(0.0, y), dtype=float)  # noqa: E731
+    y0 = np.tile(points.points, (len(anchors), 1))
+    out = sweep[:(counts[0] + 1) * y0.size].reshape((counts[0] + 1,) + y0.shape)
     try:
-        path = _rk4_path(rhs, np.tile(points.points, (len(anchors), 1)),
-                         np.repeat(np.divide(anchors, counts), n), np.repeat(counts, n),
-                         ESCAPE_FACTOR * max(points.bounding_radius, 1.0))
+        path = _rk4_path(rhs, y0, np.repeat(np.divide(anchors, counts), n),
+                         np.repeat(counts, n),
+                         ESCAPE_FACTOR * max(points.bounding_radius, 1.0), out=out)
     except StepBlowupError as exc:
         # row i integrates seed i mod N back from anchors[i // N]
         raise exc.renamed(exc.seed_index % n, anchors[exc.seed_index // n] - exc.t) from exc
@@ -249,8 +253,12 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     paths while its sweep, rows * (longest step count + 1) * d * 8 bytes,
     plus the (longest step count + 1) * N * 8 byte sample table of its
     longest path stays within ``_CHUNK_BYTES`` (8 MiB); a path longer than
-    that forms a chunk alone. Each chunk's sweep is released before the
-    next one is built, so one sweep is alive at a time. When b depends on
+    that forms a chunk alone. Every chunk writes its sweep into one buffer,
+    sized to the largest and allocated once: with a fresh sweep per chunk,
+    whether the next one fit where the last was freed turned on where
+    small objects had landed in the heap, so the peak RSS of the
+    ``linear_expand`` build moved by about 5 MB between runs of the same
+    code. When b depends on
     time, every slice is its own path and chunk. A c that depends on time
     is sampled per slice on that slice's own time grid.
     """
@@ -284,16 +292,15 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
             chunks[-1].append(group)
         else:
             chunks.append([group])
+    sweep = np.empty(max((counts[c[0][0]] + 1) * len(c) * x.size for c in chunks)
+                     if batch and chunks else 0)
     for chunk in chunks:
         paths = _backward_paths(field, points, [anchors[g[0]] for g in chunk],
-                                [counts[g[0]] for g in chunk])
+                                [counts[g[0]] for g in chunk], sweep)
         for group, path in zip(chunk, paths):
             grids = [np.linspace(0.0, anchors[s], counts[s] + 1) for s in group]
             vals[[1 + s for s in group]] = _represent_slices(u0, field, damping, path,
                                                              grids, eta)
-        # the paths are views of the chunk's sweep: drop them so the sweep is
-        # freed before the next one allocates its own
-        del paths, path
     return vals
 
 
@@ -301,28 +308,7 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
 # pushforward representation (cloud-in-cell deposition)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TargetGrid:
-    """Uniform cell-centered deposition grid on [-radius, radius]^d."""
-
-    radius: float
-    cells_per_axis: int
-    dimension: int
-
-    @property
-    def h(self):
-        return 2.0 * self.radius / self.cells_per_axis
-
-    @property
-    def cell_volume(self):
-        return self.h ** self.dimension
-
-    def centers(self):
-        return tensor_points([cell_centers(self.radius, self.cells_per_axis)]
-                             * self.dimension)
-
-
-def _cic_deposit(positions, weights, grid: TargetGrid):
+def _cic_deposit(positions, weights, grid: CellGrid):
     d = grid.dimension
     n = grid.cells_per_axis
     rel = (positions + grid.radius) / grid.h - 0.5    # cell-center coordinates
@@ -348,7 +334,7 @@ def _particle_weights(u0, acc: DampingAccumulator, time_index):
             * np.exp(acc.values[:, time_index]) * seeds.cell_volume)
 
 
-def represent_pushforward(u0, acc: DampingAccumulator, target_grid: TargetGrid,
+def represent_pushforward(u0, acc: DampingAccumulator, target_grid: CellGrid,
                           time_index=-1):
     """Deposit particles u0(x_i) exp(D) cell_vol at X(t, x_i) onto a grid.
 

@@ -26,7 +26,7 @@ from .fields import (DampingFieldSpec, PointSingularity, VelocityFieldSpec,
 from .flow import (change_of_variables_residual, compressibility_estimate,
                    flow_convergence_study, forward_backward_mismatch, forward_summary,
                    integrate_flow, make_seed_grid, seeds_from_points, superlevel_escape)
-from .numerics import ball_volume, cell_centers, profile, trapz
+from .numerics import CellGrid, ball_volume, profile, trapz
 from .renormalization import make_beta_arctan, make_beta_log, make_phi_R
 from .report import Artifact, DiagnosticResult, RunReport
 from .representation import (DensityRepresentation, damping_integral,
@@ -242,27 +242,29 @@ U0_CATALOG = {
 _BMO_GRID_CELLS = 1 << 22     # resolves exp(-lambda sigma) superlevels at lambda = 16
 
 
-def _log_core_samples(xs, M):
-    """log(1/|x|) on the cells of the ascending ``xs`` with |x| < M, 0 elsewhere.
+def _log_core_samples(grid, M):
+    """log(1/|x|) on the cells of the 1-D ``grid`` with |x| < M, 0 elsewhere.
 
-    The cells with |x| < M are one slice, found by binary search. |x|, 1/|x|
-    and the log are written into that slice of the result in place, and the
-    cells at x = 0 get log(1) = 0 through one slice-sized bool mask; each
-    sample is the same bits as
-    ``where(|x| < M, log(where(|x| > 0, 1/|x|, 1)), 0)`` over the full grid.
-    The result starts as ``np.zeros`` (calloc'd) and no pass writes outside
-    the slice, so the pages of the zero tail are never touched and never
-    count towards the resident set; ``zeros_like`` would fill them all.
+    The cells with |x| < M are one run of the grid (``CellGrid.ball_runs``;
+    sqrt(x * x) is |x| in binary64 short of underflow, so it is the slice
+    -M < x < M). Their centres, then |x|, 1/|x| and the log are written
+    into that run of the result in place, and the cells at x = 0 get
+    log(1) = 0 through one run-sized bool mask; each sample is the same bits
+    as ``where(|x| < M, log(where(|x| > 0, 1/|x|, 1)), 0)`` over the full
+    grid of centres. The result starts as ``np.zeros`` (calloc'd) and no
+    pass writes outside the run, so the pages of the zero tail are never
+    touched and never count towards the resident set; ``zeros_like`` would
+    fill them all.
     """
-    vals = np.zeros(xs.shape)
-    lo = np.searchsorted(xs, -M, "right")
-    hi = np.searchsorted(xs, M, "left")
-    core = np.abs(xs[lo:hi], out=vals[lo:hi])
-    zero = core == 0.0
-    with np.errstate(divide="ignore"):
-        np.divide(1.0, core, out=core)
-    np.copyto(core, 1.0, where=zero)
-    np.log(core, out=core)
+    vals = np.zeros(grid.shape[0])
+    for lo, hi in grid.ball_runs([(0.0,)], [M])[0]:      # one run at most in 1-D
+        core = grid.axis(lo, hi, out=vals[lo:hi])
+        np.abs(core, out=core)
+        zero = core == 0.0
+        with np.errstate(divide="ignore"):
+            np.divide(1.0, core, out=core)
+        np.copyto(core, 1.0, where=zero)
+        np.log(core, out=core)
     return vals
 
 
@@ -346,15 +348,14 @@ class RunContext:
     def bmo_profile(self):
         """Sampled log(1/|x|) on B_1 over a fine grid covering B_2.
 
-        The log is taken on the cells of B_1 alone (``_log_core_samples``);
-        ``bmo_norm`` then reuses one slab scratch pair for all 35 balls.
+        The log is taken on the cells of B_1 alone (``_log_core_samples``),
+        and no cell centre is stored: ``bmo_norm`` reads each of its 35
+        balls as an index run of the grid.
         """
         def build():
             M = 1.0
-            n = _BMO_GRID_CELLS
-            xs = cell_centers(2.0 * M, n)
-            return bmo_norm(_log_core_samples(xs, M), M, default_ball_family(M, 1),
-                            xs[:, None], 4.0 * M / n)
+            grid = CellGrid(2.0 * M, _BMO_GRID_CELLS, 1)
+            return bmo_norm(_log_core_samples(grid, M), M, default_ball_family(M, 1), grid)
         return self._memo("bmo_profile", build)
 
     def jn_fit(self):

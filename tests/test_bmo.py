@@ -1,6 +1,7 @@
 """Mean oscillation norms, John-Nirenberg decay, the BMO Gronwall bound."""
 
 import dataclasses
+import inspect
 import math
 import re
 import tracemalloc
@@ -17,7 +18,7 @@ from rough_transport.errors import (BadSplitError, DegenerateFitError,
                                     EmptyBallError, LambdaTooSmallError,
                                     NegativeInputError, NonFiniteProfileError)
 from rough_transport.fields import growth_split
-from rough_transport.numerics import cell_centers, profile
+from rough_transport.numerics import CellGrid, cell_centers, profile
 from rough_transport.renormalization import make_beta_log, make_phi_R
 from rough_transport.representation import DensityRepresentation, make_quadrature
 from rough_transport.scenarios import _log_core_samples
@@ -27,9 +28,9 @@ from conftest import damping, field, traced_bytes
 
 
 def _grid_1d(M=1.0, n=1 << 18):
-    h = 4.0 * M / n
-    xs = -2.0 * M + h * (np.arange(n) + 0.5)
-    return xs, h
+    """The n cells of [-2M, 2M] and their centres."""
+    grid = CellGrid(2.0 * M, n, 1)
+    return grid, grid.axis()
 
 
 def _log_samples(points, M=1.0):
@@ -39,59 +40,71 @@ def _log_samples(points, M=1.0):
 
 
 def _log_profile(M=1.0, n=1 << 18):
-    xs, h = _grid_1d(M, n)
-    return bmo_norm(_log_samples(xs[:, None], M), M, default_ball_family(M, 1),
-                    xs[:, None], h)
+    grid, xs = _grid_1d(M, n)
+    return bmo_norm(_log_samples(xs[:, None], M), M, default_ball_family(M, 1), grid)
 
 
 def test_norm_of_log_on_centred_balls_is_two_over_e():
     # on B_r centred at 0, log(1/|x|) has average 1 + log(1/r) and mean
     # oscillation 2/e for every r <= 1; on 2^20 cells of [-2, 2] the grid
     # errors stay below 2.7e-5 and 2.1e-5
-    xs, h = _grid_1d(n=1 << 20)
+    grid, xs = _grid_1d(n=1 << 20)
     radii = [2.0 ** -k for k in range(5)]
     prof = bmo_norm(_log_samples(xs[:, None]), 1.0, tuple(((0.0,), r) for r in radii),
-                    xs[:, None], h)
+                    grid)
     assert np.max(np.abs(prof.oscillations - 2.0 / math.e)) <= 1e-4
     assert np.max(np.abs(prof.averages - (1.0 + np.log(1.0 / np.array(radii))))) <= 1e-4
 
 
 def test_norm_constant_on_support_is_handled():
     # oscillation kills constants: f and f + const have identical norm_star
-    xs, h = _grid_1d()
+    grid, xs = _grid_1d()
     inside = np.abs(xs) < 1.0
     base = np.where(inside, np.abs(xs), 0.0)
     fam = default_ball_family(1.0, 1)
     # restrict the family to balls inside B_1 so the support step is not seen
     fam = tuple((c, r) for c, r in fam if abs(c[0]) + r <= 1.0)
-    p1 = bmo_norm(base, 1.0, fam, xs[:, None], h)
-    p2 = bmo_norm(np.where(inside, base + 3.0, 0.0), 1.0, fam, xs[:, None], h)
+    p1 = bmo_norm(base, 1.0, fam, grid)
+    p2 = bmo_norm(np.where(inside, base + 3.0, 0.0), 1.0, fam, grid)
     assert p2.norm_star == pytest.approx(p1.norm_star, rel=1e-12)
 
 
 def test_norm_zero_for_constant_field():
-    xs, h = _grid_1d()
+    grid, xs = _grid_1d()
     fam = tuple((c, r) for c, r in default_ball_family(1.0, 1)
                 if abs(c[0]) + r <= 1.0)
-    prof = bmo_norm(np.where(np.abs(xs) < 1.0, 2.5, 0.0), 1.0, fam, xs[:, None], h)
+    prof = bmo_norm(np.where(np.abs(xs) < 1.0, 2.5, 0.0), 1.0, fam, grid)
     assert prof.norm_star == 0.0
 
 
 def test_norm_indicator_half_oscillation():
     # symmetric ball at 0: average 1/2 and |f - 1/2| identically 1/2
-    xs, h = _grid_1d()
+    grid, xs = _grid_1d()
     vals = np.where((xs > 0.0) & (np.abs(xs) < 1.0), 1.0, 0.0)
-    prof = bmo_norm(vals, 1.0, (((0.0,), 0.5),), xs[:, None], h)
+    prof = bmo_norm(vals, 1.0, (((0.0,), 0.5),), grid)
     assert prof.averages[0] == pytest.approx(0.5, abs=1e-12)
     assert prof.oscillations[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_norm_requires_compact_support():
-    xs, h = _grid_1d()
+    grid, xs = _grid_1d()
     with pytest.raises(ValueError):
-        bmo_norm(np.ones_like(xs), 1.0, (((0.0,), 1.0),), xs[:, None], h)
+        bmo_norm(np.ones_like(xs), 1.0, (((0.0,), 1.0),), grid)
 
 
+def test_norm_needs_one_sample_per_cell():
+    grid, xs = _grid_1d(n=64)
+    with pytest.raises(ValueError, match="one sample per cell"):
+        bmo_norm(np.zeros(63), 1.0, (((0.0,), 1.0),), grid)
+
+
+def test_bmo_norm_keeps_the_names_the_tracer_binds():
+    # perfbench/tracer.py binds bmo_norm's ball_family by name and reads the
+    # cell count as profile.points.shape[0]; a rename would pass every other
+    # test and break only a traced benchmark pass
+    assert "ball_family" in inspect.signature(bmo_norm).parameters
+    prof = _log_profile(n=1 << 12)
+    assert prof.points.shape[0] == prof.values.size == 1 << 12
 
 
 def _raises_empty_ball(values, points, center, radius):
@@ -101,21 +114,22 @@ def _raises_empty_ball(values, points, center, radius):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EmptyBallError, match=message):
-            bmo_norm(values, 1.0, ((center, radius),), points, 1.0)
+            bmo_norm(values, 1.0, ((center, radius),), points)
 
 
 def test_empty_ball_raises():
-    # the slab itself is empty: no x_0 lies within the radius
-    xs, h = _grid_1d(n=64)
+    # no cell centre lies within the radius
+    grid, xs = _grid_1d(n=64)
     vals = np.where(np.abs(xs) < 1.0, 1.0, 0.0)
-    _raises_empty_ball(vals, xs[:, None], (0.0,), 1e-6)
+    _raises_empty_ball(vals, grid, (0.0,), 1e-6)
 
 
 @pytest.mark.parametrize("points,center,radius", [
-    # the slab holds x_0 = 0.5 at exactly the radius, which the strict test rejects
-    (np.array([[-1.0], [0.5], [1.5]]), (0.0,), 0.5),
-    # the slab holds x_0 = 0 twice, but both cells lie far off in x_1
-    (np.array([[0.0, 1.5], [0.0, -1.5], [1.5, 0.0]]), (0.0, 0.0), 0.25),
+    # the centres +-0.5 lie at exactly the radius, which the strict test rejects
+    (CellGrid(2.0, 4, 1), (0.0,), 0.5),
+    # the centre lies between the cells (0, 0) and (0, 1) of its line, each
+    # 0.5 away, so the line's bisection finds an empty run
+    (CellGrid(1.5, 3, 2), (0.0, 0.5), 0.25),
 ])
 def test_ball_with_nonempty_slab_and_no_cell_raises(points, center, radius):
     _raises_empty_ball(np.zeros(points.shape[0]), points, center, radius)
@@ -136,9 +150,10 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("M", [1.0, 0.3])
 def test_log_core_samples_match_full_grid_formula(n, M):
     # odd n puts a centre at x = 0; n = 2 mod 4 puts centres at (or within an
-    # ulp of) |x| = M, the edge of the core slice
+    # ulp of) |x| = M, the edge of the core run
     xs = cell_centers(2.0 * M, n)
-    assert _same_bits(_log_core_samples(xs, M), _where_log_samples(xs, M))
+    assert _same_bits(_log_core_samples(CellGrid(2.0 * M, n, 1), M),
+                      _where_log_samples(xs, M))
     if n % 2:
         assert np.any(xs == 0.0)
     if n % 4 == 2:
@@ -147,22 +162,31 @@ def test_log_core_samples_match_full_grid_formula(n, M):
 
 @pytest.mark.parametrize("M", [1.0, 0.3])
 def test_log_core_samples_edges(M):
-    # exact zeros and exact +-M, with their neighbours one ulp inside and out
-    edge = [np.nextafter(M, 0.0), M, np.nextafter(M, 2.0)]
-    xs = np.array(sorted([-x for x in edge] + [-0.5 * M, -0.0, 0.0, 0.5 * M] + edge))
-    got = _log_core_samples(xs, M)
-    assert _same_bits(got, _where_log_samples(xs, M))
-    assert np.count_nonzero(got) == 4      # +-(M - ulp) and +-M/2
+    # grids with centres at exactly 0, at exactly +-1.0, and at -0.3 and one
+    # ulp inside and outside +-0.3 (no grid below 6000 cells puts a centre at
+    # 0.3 exactly, or an ulp away from 1.0)
+    edges = {0.0, -M, M}
+    if M == 0.3:
+        edges = {0.0, -M} | {s * float(np.nextafter(M, t))
+                             for s in (1.0, -1.0) for t in (0.0, 2.0)}
+    hit = set()
+    for n in (1, 2, 14, 74, 266):
+        xs = cell_centers(2.0 * M, n)
+        got = _log_core_samples(CellGrid(2.0 * M, n, 1), M)
+        assert _same_bits(got, _where_log_samples(xs, M))
+        assert np.count_nonzero(got) == np.count_nonzero((np.abs(xs) < M) & (xs != 0.0))
+        hit |= edges.intersection(xs.tolist())
+    assert hit == edges
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_norm_rejects_nonfinite_sample(bad):
     # one bad sample inside B_M would turn norm_star and every fit into NaN
-    xs, h = _grid_1d(n=1 << 12)
+    grid, xs = _grid_1d(n=1 << 12)
     vals = _log_samples(xs[:, None])
     vals[1 << 10] = bad
-    with pytest.raises(NonFiniteProfileError):
-        bmo_norm(vals, 1.0, default_ball_family(1.0, 1), xs[:, None], h)
+    with pytest.raises(NonFiniteProfileError, match=re.escape(f"x={[float(xs[1 << 10])]}")):
+        bmo_norm(vals, 1.0, default_ball_family(1.0, 1), grid)
 
 
 def _brute_force_statistics(values, ball_family, points):
@@ -176,33 +200,98 @@ def _brute_force_statistics(values, ball_family, points):
     return np.array(averages), np.array(oscillations)
 
 
-@pytest.mark.parametrize("d,shuffled", [(1, False), (1, True), (2, False), (2, True)])
-def test_slab_statistics_match_full_grid_masks(d, shuffled):
-    # slabs of the x_0-sorted points give the per-ball masks bit for bit; the
-    # 2-D grid puts cells exactly on ball boundaries and repeats every x_0
+def _half_cell(family, grid):
+    """The family with every centre moved by half a cell along the last axis."""
+    return tuple(((*c[:-1], c[-1] + 0.5 * grid.h), r) for c, r in family)
+
+
+def _run_mask(runs, size):
+    mask = np.zeros(size, dtype=bool)
+    for a, b in runs:
+        mask[a:b] = True
+    return mask
+
+
+# 2.0125 / 161 = 0.025 puts the centres at -2 + 0.025 i up to rounding, so
+# many lie on the ball boundaries, or an ulp off them
+_RUN_GRIDS = [CellGrid(2.0, 1 << 12, 1), CellGrid(2.0, 1 << 12 | 1, 1),
+              CellGrid(2.0125, 161, 1), CellGrid(2.0125, 161, 2), CellGrid(2.0, 64, 2),
+              CellGrid(2.0, 9, 3)]
+
+
+@pytest.mark.parametrize("grid", _RUN_GRIDS,
+                         ids=lambda g: f"{g.radius}-{g.cells_per_axis}-{g.dimension}")
+@pytest.mark.parametrize("half_cell", [False, True])
+def test_ball_runs_match_full_grid_masks(grid, half_cell):
+    # every ball of the family, and the closed and open B_1 the support check
+    # reads, against the full-grid mask of np.linalg.norm on the centres
+    family = default_ball_family(1.0, grid.dimension)
+    if half_cell:
+        family = _half_cell(family, grid)
+    family += (((0.0,) * grid.dimension, 1.0),
+               ((0.0,) * grid.dimension, float(np.nextafter(1.0, 2.0))))
+    points = grid.centers()
+    assert grid.shape == points.shape
+    n = grid.cells_per_axis
+    close = 0
+    for (center, radius), runs in zip(family, grid.ball_runs(*zip(*family))):
+        dist = np.linalg.norm(points - np.asarray(center), axis=-1)
+        assert np.array_equal(_run_mask(runs, points.shape[0]), dist < radius)
+        # nonempty, in grid order, one at most per line of the last axis
+        lines = [a // n for a, b in runs]
+        assert all(a < b and (b - 1) // n == a // n for a, b in runs)
+        assert lines == sorted(set(lines))
+        close += int(np.count_nonzero(np.abs(dist - radius) <= 4.0 * np.spacing(radius)))
+    if grid.radius == 2.0125 and not half_cell:
+        assert close > 0
+
+
+@pytest.mark.parametrize("d,half_cell", [(1, False), (1, True), (2, False), (2, True)])
+def test_slab_statistics_match_full_grid_masks(d, half_cell):
+    # the ball runs give the per-ball masks bit for bit; the 2-D grid puts
+    # centres on ball boundaries up to rounding. With half_cell every ball
+    # centre moves by half a cell: onto cell centres in 1-D (where the
+    # family's centres lie on cell faces), between cells in 2-D
     if d == 1:
-        xs, h = _grid_1d(n=1 << 16)
-        points, cell = xs[:, None], h
+        grid = CellGrid(2.0, 1 << 16, 1)
     else:
-        axis = np.linspace(-2.0, 2.0, 161)
-        mesh = np.meshgrid(axis, axis, indexing="ij")
-        points, cell = np.stack([m.ravel() for m in mesh], axis=-1), 0.025 ** 2
-    if shuffled:
-        points = points[np.random.default_rng(7).permutation(points.shape[0])]
+        grid = CellGrid(2.0125, 161, 2)
+    points = grid.centers()
     values = _log_samples(points)
     family = default_ball_family(1.0, d)
-    prof = bmo_norm(values, 1.0, family, points, cell)
+    if half_cell:
+        family = _half_cell(family, grid)
+    prof = bmo_norm(values, 1.0, family, grid)
     averages, oscillations = _brute_force_statistics(values, family, points)
     assert np.array_equal(prof.averages, averages)
     assert np.array_equal(prof.oscillations, oscillations)
-    # the support check reads the slab |x_0| <= M alone, against full-grid masks
+    # the support check reads the runs of |x| <= M alone, against full-grid masks
     radii = np.linalg.norm(points, axis=-1)
     assert prof.vanishes_outside
     assert np.array_equal(prof.core_values, values[radii < 1.0])
-    # the sample outside B_1 nearest the slab: inside it in 2-D, just past it in 1-D
+    assert np.array_equal(prof.support_values, values[radii <= 1.0])
+    # the sample outside B_1 nearest to it
     leaky = values.copy()
-    leaky[np.argmin(np.where(radii > 1.0, np.abs(points[:, 0]), np.inf))] = 1.0
+    leaky[np.argmin(np.where(radii > 1.0, radii, np.inf))] = 1.0
     assert not dataclasses.replace(prof, values=leaky).vanishes_outside
+
+
+@pytest.mark.parametrize("grid", [CellGrid(2.0, 1026, 1), CellGrid(2.0125, 161, 2)],
+                         ids=["1d", "2d"])
+def test_support_holds_the_sphere_and_the_core_does_not(grid):
+    # a nonzero sample at |x| == M exactly lies in the support, so the profile
+    # vanishes outside B_M, but not in the open ball the core reads
+    points = grid.centers()
+    radii = np.linalg.norm(points, axis=-1)
+    assert np.any(radii == 1.0)
+    values = np.where(radii <= 1.0, 1.0, 0.0)
+    values[radii < 1.0] = 0.5
+    prof = bmo_norm(values, 1.0, (((0.0,) * grid.dimension, 0.5),), grid)
+    assert prof.vanishes_outside
+    assert prof.core_values.size == np.count_nonzero(radii < 1.0)
+    assert np.all(prof.core_values == 0.5)
+    assert np.count_nonzero(prof.support_values == 1.0) == np.count_nonzero(radii == 1.0)
+    assert grid.dimension > 1 or np.shares_memory(prof.core_values, prof.values)
 
 
 def test_support_checked_once_per_profile(monkeypatch):
@@ -238,7 +327,7 @@ def test_support_checked_once_per_profile(monkeypatch):
 def test_core_values_built_once():
     # the B_M samples every decay check reads come from one cached mask
     prof = _log_profile(n=1 << 12)
-    inside = np.linalg.norm(prof.points, axis=-1) < prof.M
+    inside = np.linalg.norm(prof.grid.centers(), axis=-1) < prof.M
     assert prof.core_values is prof.core_values
     assert np.array_equal(prof.core_values, prof.values[inside])
 
@@ -259,17 +348,17 @@ def test_jn_log_exemplar():
 
 
 def test_jn_trivially_decayed():
-    xs, h = _grid_1d()
+    grid, xs = _grid_1d()
     vals = np.where(np.abs(xs) < 1.0, np.abs(xs), 0.0)
-    prof = bmo_norm(vals, 1.0, default_ball_family(1.0, 1), xs[:, None], h)
+    prof = bmo_norm(vals, 1.0, default_ball_family(1.0, 1), grid)
     fit = jn_decay_check(prof, [5.0, 6.0, 7.0])
     assert fit.trivial
 
 
 def test_jn_degenerate_fit():
-    xs, h = _grid_1d()
+    grid, xs = _grid_1d()
     vals = np.where((xs > 0.0) & (np.abs(xs) < 1.0), 1.0, 0.0)
-    prof = bmo_norm(vals, 1.0, (((0.0,), 1.0),), xs[:, None], h)
+    prof = bmo_norm(vals, 1.0, (((0.0,), 1.0),), grid)
     # |f - 1/2| is identically 1/2 on B_1: only levels below 1/2 are nonempty
     with pytest.raises(DegenerateFitError):
         jn_decay_check(prof, [0.2, 0.4, 0.6, 0.8])
@@ -278,11 +367,11 @@ def test_jn_degenerate_fit():
 def test_jn_scaling_invariance():
     # doubling f doubles norm_star and halves the decay per unit eta
     prof1 = _log_profile()
-    xs, h = _grid_1d()
+    grid, xs = _grid_1d()
     r = np.abs(xs)
     with np.errstate(divide="ignore"):
         vals = np.where(r < 1.0, 2.0 * np.log(np.where(r > 0.0, 1.0 / r, 1.0)), 0.0)
-    prof2 = bmo_norm(vals, 1.0, default_ball_family(1.0, 1), xs[:, None], h)
+    prof2 = bmo_norm(vals, 1.0, default_ball_family(1.0, 1), grid)
     assert prof2.norm_star == pytest.approx(2.0 * prof1.norm_star, rel=1e-12)
     fit1 = jn_decay_check(prof1, [1.0 + 0.5 * k for k in range(7)])
     fit2 = jn_decay_check(prof2, [2.0 + 1.0 * k for k in range(7)])
@@ -322,9 +411,9 @@ def test_tail_integral_closed_form():
 def test_tails_match_full_size_excess(n):
     # the gathered tails against np.sum(excess[excess > 0]), bit for bit,
     # down to a level above every sample whose tail is empty
-    xs, h = _grid_1d(n=n)
+    grid, xs = _grid_1d(n=n)
     prof = bmo_norm(_where_log_samples(xs, 1.0), 1.0, default_ball_family(1.0, 1),
-                    xs[:, None], h)
+                    grid)
     top = float(np.max(prof.values)) / prof.norm_star
     lambdas = [0.0, 0.5, 3.0, 9.0, top, 2.0 * top]
     rep = lemma52_checks(prof, lambdas)
@@ -335,10 +424,32 @@ def test_tails_match_full_size_excess(n):
     assert rep.tails[0] > 0.0
 
 
+def test_tails_match_full_size_excess_in_2d():
+    # the 2-D support is many runs, gathered in grid order: the same numbers
+    # in the same order as the full-grid excess
+    grid = CellGrid(2.0125, 161, 2)
+    points = grid.centers()
+    values = _log_samples(points)
+    prof = bmo_norm(values, 1.0, default_ball_family(1.0, 2), grid)
+    lambdas = [0.0, 0.5, 3.0]
+    rep = lemma52_checks(prof, lambdas)
+    for lam, tail in zip(lambdas, rep.tails):
+        excess = values - lam * prof.norm_star
+        assert tail == float(np.sum(excess[excess > 0.0])) * prof.cell_volume
+    assert rep.tails[-1] > 0.0
+
+
+def test_tails_reject_negative_lambda():
+    # below level 0 the zeros outside B_M would count, and the support is
+    # all that is read
+    with pytest.raises(ValueError, match="nonnegative lambdas"):
+        lemma52_checks(_log_profile(n=1 << 12), [9.0, -1.0])
+
+
 def test_tails_reject_negative_input():
-    xs, h = _grid_1d()
+    grid, xs = _grid_1d()
     vals = np.where(np.abs(xs) < 1.0, -1.0, 0.0)
-    prof = bmo_norm(np.abs(vals), 1.0, default_ball_family(1.0, 1), xs[:, None], h)
+    prof = bmo_norm(np.abs(vals), 1.0, default_ball_family(1.0, 1), grid)
     object.__setattr__(prof, "values", vals)
     with pytest.raises(NegativeInputError):
         lemma52_checks(prof, [9.0])
@@ -432,42 +543,45 @@ def _traced(fn):
 
 
 @pytest.mark.parametrize("M", [1.0, 0.5])
-def test_bmo_norm_scratch_is_one_slab_pair(M):
-    # every ball shares one float and one bool slab-sized scratch: beyond the
-    # inputs and what the profile keeps (its B_M samples), the peak stays
-    # within 9 bytes per cell of the widest slab plus a quarter of a float
-    # slab of slack. With M = 0.5 the kept samples are half that slab, so a
-    # second float array per ball would exceed the bound too.
+def test_bmo_norm_scratch_is_one_float_array(M):
+    # every ball reads its samples as a view of the 1-D values, and one float
+    # scratch sized to the widest ball holds |sel - avg| for all of them:
+    # beyond the inputs the peak stays within 8 bytes per cell of the widest
+    # ball plus 64 KiB for the runs and the per-ball tables. No distance or
+    # bool array per cell is built, and the profile keeps no copy: its B_M
+    # samples are a view too
     n = 1 << 20
-    xs, h = _grid_1d(n=n)
-    values, points = _where_log_samples(xs, M), xs[:, None]
+    grid, xs = _grid_1d(n=n)
+    values = _where_log_samples(xs, M)
     family = default_ball_family(1.0, 1)
-    widest = max(int(np.count_nonzero(np.abs(xs - c[0]) <= r)) for c, r in family)
-    prof, peak, held = _traced(lambda: bmo_norm(values, M, family, points, h))
-    assert held >= 8 * prof.core_values.size
-    assert peak - held <= (8 + 1) * widest + 2 * widest
+    widest = max(int(np.count_nonzero(np.abs(xs - c[0]) < r)) for c, r in family)
+    prof, peak, held = _traced(lambda: bmo_norm(values, M, family, grid))
+    assert np.shares_memory(prof.core_values, values)
+    assert peak - held <= 8 * widest + (1 << 16)
 
 
 def test_lemma52_scratch_is_one_mask():
-    # one full-size mask serves every lambda; the gathered positive excess is
-    # the only float array, the level is subtracted from it in place, and it
-    # is freed before the next, nearly as large, level gathers its own
+    # the cells with |x| <= M alone are read: one support-sized mask serves
+    # every lambda; the gathered positive excess is the only float array, the
+    # level is subtracted from it in place, and it is freed before the next,
+    # nearly as large, level gathers its own
     prof = _log_profile(n=1 << 20)
-    n = prof.values.size
+    support = prof.support_values.size
+    assert 2 * support <= prof.values.size + 2
     lambdas = [0.0, 0.1, 1.0, 4.0, 1e6]
     largest = int(np.count_nonzero(prof.values > 0.0))
     rep, peak, held = _traced(lambda: lemma52_checks(prof, lambdas))
     assert rep.tails[0] > 0.0 and rep.tails[-1] == 0.0
-    assert peak - held <= n + 8 * largest + 2 * n
+    assert peak - held <= support + 8 * largest + (1 << 16)
 
 
 def test_log_core_samples_scratch_is_one_core_mask():
     # beyond the result, only the bool mask of the x = 0 cells is allocated:
-    # |x|, 1/|x| and the log are written into the core slice in place
+    # the centres, |x|, 1/|x| and the log are written into the core run in place
     n, M = 1 << 20, 1.0
     xs = cell_centers(2.0 * M, n)
     core = int(np.count_nonzero(np.abs(xs) < M))
-    vals, kept, peak = traced_bytes(lambda: _log_core_samples(xs, M))
+    vals, kept, peak = traced_bytes(lambda: _log_core_samples(CellGrid(2.0 * M, n, 1), M))
     assert kept >= vals.nbytes
     assert peak <= vals.nbytes + core + core // 4
 
@@ -477,7 +591,7 @@ def test_jn_decay_check_reads_the_core_in_chunks():
     # core-sized |core - avg| array (16 MiB) and mask (2 MiB)
     xs = cell_centers(1.0, 1 << 21)
     prof = bmo_norm(_where_log_samples(xs, 1.0), 1.0, default_ball_family(1.0, 1),
-                    xs[:, None], 2.0 / xs.size)
+                    CellGrid(1.0, 1 << 21, 1))
     assert prof.core_values.size == 1 << 21
     etas = [1.0 + 0.5 * k for k in range(7)]
     fit, _, peak = traced_bytes(lambda: jn_decay_check(prof, etas))
@@ -487,12 +601,12 @@ def test_jn_decay_check_reads_the_core_in_chunks():
                                  for e in etas)
 
 
-def test_support_frees_the_radius_table_before_the_gather():
-    # the B_M samples are gathered once the slab's radius table is gone, so
-    # no second slab-sized float array is alive beside it
+def test_support_allocates_no_slab():
+    # the support check and the B_M samples read index runs of the grid: no
+    # radius table is built, and in 1-D the samples are a view of the values
     prof = _log_profile(n=1 << 20)
-    slab = int(np.count_nonzero(np.abs(prof.points[:, 0]) <= prof.M))
     fresh = dataclasses.replace(prof)
-    (vanishes, core), kept, peak = traced_bytes(lambda: fresh._support)
-    assert vanishes and kept >= core.nbytes
-    assert peak <= (8 + 3) * slab
+    (vanishes, core), _, peak = traced_bytes(
+        lambda: (fresh.vanishes_outside, fresh.core_values))
+    assert vanishes and np.shares_memory(core, fresh.values)
+    assert peak <= 1 << 16

@@ -1,9 +1,10 @@
-"""Shared numerical utilities: cell centres and per-coordinate squared norms."""
+"""Shared numerical utilities: cell centres, the cell grid and per-coordinate
+squared norms."""
 
 import numpy as np
 import pytest
 
-from rough_transport.numerics import cell_centers, sq_norms
+from rough_transport.numerics import CellGrid, cell_centers, sq_norms, tensor_points
 
 from conftest import traced_bytes
 
@@ -76,3 +77,23 @@ def test_cell_centers_peak_is_the_result():
     xs, kept, peak = traced_bytes(lambda: cell_centers(2.0, n))
     assert kept >= xs.nbytes
     assert peak <= 1.05 * xs.nbytes
+
+
+@pytest.mark.parametrize("radius,n", [(0.5, 1), (1.0, 7), (2.0, 64), (2.0125, 161),
+                                      (3.7, 255)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cell_grid_centers_bitwise_equal_to_cell_centers(radius, n, d):
+    grid = CellGrid(radius, n, d)
+    xs = cell_centers(radius, n)
+    points = grid.centers()
+    assert grid.shape == points.shape == (n ** d, d)
+    assert _same_bits(points, tensor_points([xs] * d))
+    assert grid.h == 2.0 * radius / n and grid.cell_volume == grid.h ** d
+    # any index range, built new or in a given array, and any index array
+    for start, stop in ((0, n), (n // 3, n - n // 4), (n - 1, n), (n // 2, n // 2)):
+        assert _same_bits(grid.axis(start, stop), xs[start:stop])
+        out = np.full(stop - start, np.nan)
+        assert grid.axis(start, stop, out=out) is out
+        assert _same_bits(out, xs[start:stop])
+    index = np.array([0, n - 1, n // 2, n // 3])
+    assert _same_bits(grid.coordinate(index), xs[index])

@@ -11,12 +11,12 @@ from rough_transport.errors import (AllTruncatedError, JacobianVanishedError,
                                     NonFiniteDampingError)
 from rough_transport.fields import DampingFieldSpec, PointSingularity, VelocityFieldSpec
 from rough_transport.flow import integrate_flow, jacobian, make_seed_grid, seeds_from_points
+from rough_transport.numerics import CellGrid
 from rough_transport import representation
 from rough_transport.representation import (_CHUNK_BYTES, DensityRepresentation,
-                                            TargetGrid, damping_integral,
-                                            integrability_probe, make_quadrature,
-                                            pointwise_solution, pushforward_total_mass,
-                                            represent_pushforward)
+                                            damping_integral, integrability_probe,
+                                            make_quadrature, pointwise_solution,
+                                            pushforward_total_mass, represent_pushforward)
 from conftest import damping, field, long_linear_flow, traced_bytes, u0_fn, unit_damping
 
 
@@ -211,9 +211,9 @@ _DENSITY_BUILDS = [
 ])
 def test_pointwise_solution_holds_one_chunk_at_a_time(field_id, radius, n_space,
                                                       n_time, steps):
-    # the build spans several chunks; a chunk's path is freed before the next
-    # sweep allocates, so the traced peak stays under two chunk budgets plus
-    # the result
+    # the build spans several chunks; every chunk writes its sweep into one
+    # buffer sized to the largest, so the traced peak stays under two chunk
+    # budgets plus the result
     spec = field(field_id)
     grid = make_seed_grid(radius, n_space, 1)
     times = np.linspace(0.0, 1.0, n_time + 1)
@@ -410,7 +410,7 @@ def test_pushforward_deposit_conserves_weights():
     grid = make_seed_grid(1.0, 256, 1)
     fl = integrate_flow(spec, grid, 64, "forward")
     acc = damping_integral(damping("zero"), fl, 0.0)
-    target = TargetGrid(radius=1.5, cells_per_axis=128, dimension=1)
+    target = CellGrid(radius=1.5, cells_per_axis=128, dimension=1)
     values, out_frac = represent_pushforward(u0, acc, target)
     deposited = np.sum(values) * target.cell_volume
     total = pushforward_total_mass(u0, acc, time_index=-1)
@@ -426,7 +426,7 @@ def test_pushforward_initial_slice_reproduces_u0():
     grid = make_seed_grid(1.5, 128, 1)
     fl = integrate_flow(spec, grid, 4, "forward")
     acc = damping_integral(damping("zero"), fl, 0.0)
-    target = TargetGrid(radius=1.5, cells_per_axis=128, dimension=1)
+    target = CellGrid(radius=1.5, cells_per_axis=128, dimension=1)
     values, _ = represent_pushforward(u0, acc, target, time_index=0)
     assert np.max(np.abs(values - u0(target.centers()))) <= 1e-13
 
@@ -436,7 +436,7 @@ def test_pushforward_reports_out_of_domain():
     grid = make_seed_grid(1.0, 128, 1)
     fl = integrate_flow(spec, grid, 64, "forward")
     acc = damping_integral(damping("zero"), fl, 0.0)
-    target = TargetGrid(radius=1.0, cells_per_axis=64, dimension=1)  # too small
+    target = CellGrid(radius=1.0, cells_per_axis=64, dimension=1)  # too small
     _, out_frac = represent_pushforward(lambda x: np.ones(np.asarray(x).shape[:-1]),
                                         acc, target)
     assert out_frac > 0.1
@@ -450,7 +450,7 @@ def test_representation_equivalence_first_order():
     u0 = u0_fn("bump")
     gaps = []
     for cells, seed_factor in ((64, 4), (128, 8), (256, 16)):
-        target = TargetGrid(radius=3.0, cells_per_axis=cells, dimension=1)
+        target = CellGrid(radius=3.0, cells_per_axis=cells, dimension=1)
         seeds = make_seed_grid(1.0, seed_factor * cells, 1)
         fl = integrate_flow(spec, seeds, 128, "forward")
         acc = damping_integral(damping("zero"), fl, 0.0)
