@@ -8,8 +8,10 @@ superlevel decay.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,6 +90,38 @@ def _gather(values, runs, out=None):
     return np.concatenate([values[a:b] for a, b in runs], out=out)
 
 
+# cells per leaf of a ball's sums, and per chunk of the superlevel counts
+_CHUNK = 1 << 16
+_PAIRWISE_BLOCK = 128    # numpy sums at most this many floats without a split
+
+
+def _pairwise_sum(leaf_sum, n, start=0):
+    """``np.add.reduce`` of n contiguous floats, bit for bit, from leaf sums.
+
+    numpy sums more than ``_PAIRWISE_BLOCK`` floats as the sum of its two
+    halves, split at n//2 - (n//2) % 8, so the tree depends on n alone.
+    The same splits run here down to leaves of at most ``_CHUNK`` floats
+    (or ``_PAIRWISE_BLOCK``, below which numpy splits no more), and the
+    leaf sums add up in tree order. ``leaf_sum(a, b)`` must return
+    ``np.add.reduce`` of floats a:b as a Python float.
+    """
+    if n <= max(_CHUNK, _PAIRWISE_BLOCK):
+        return leaf_sum(start, start + n)
+    half = n // 2 - (n // 2) % 8
+    return (_pairwise_sum(leaf_sum, half, start)
+            + _pairwise_sum(leaf_sum, n - half, start + half))
+
+
+def _span_runs(runs, offsets, start, stop):
+    """The index runs of samples start:stop of ``runs``, read in order.
+
+    ``offsets`` are the partial sums of the run lengths, from 0.
+    """
+    k, j = bisect_right(offsets, start) - 1, bisect_left(offsets, stop)
+    return [(max(a, a + start - o), min(b, a + stop - o))
+            for (a, b), o in zip(runs[k:j], offsets[k:j])]
+
+
 def default_ball_family(M, d):
     """Dyadic radii M 2^-k, k < 7, on a grid of 5^d centers inside B_M."""
     centers = tensor_points([np.linspace(-0.5 * M, 0.5 * M, 5)] * d)
@@ -104,12 +138,11 @@ def bmo_norm(values, M, ball_family, grid) -> BMOProfile:
 
     Each ball's cells are exact index runs of the grid
     (``CellGrid.ball_runs``), so no distance is computed per cell. A ball
-    with no cell raises before any mean is taken. In 1-D a ball is one run
-    and its samples are a view; in higher dimension the runs are gathered
-    into one float scratch array, sized to the widest ball, which then
-    holds |sel - avg| for every ball. The samples keep grid order, so every
-    average and oscillation sums the same numbers in the same order as a
-    full-grid mask would.
+    with no cell raises before any mean is taken. Every average and mean
+    oscillation is ``np.mean`` of the ball's samples in grid order, and of
+    |sel - avg|, bit for bit, but each sum is taken leaf by leaf along
+    numpy's own pairwise tree (``_ball_statistics``): no ball is ever held
+    whole, and the only float scratch is one leaf of ``_CHUNK`` cells.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape[:1]:
@@ -133,22 +166,38 @@ def bmo_norm(values, M, ball_family, grid) -> BMOProfile:
 
 
 def _ball_statistics(values, ball_family, grid):
-    """(averages, oscillations) per ball, through one float scratch."""
+    """(averages, oscillations) per ball, summed leaf by leaf.
+
+    Both sums of a ball run along ``_pairwise_sum``'s leaves, at most
+    ``_CHUNK`` samples each. A leaf inside one run of the ball (every leaf
+    in 1-D) is a view of the values; a leaf that spans runs is gathered
+    into one leaf-sized scratch. For the oscillation the scratch then
+    receives |leaf - avg|, so ``avg`` is subtracted from the same samples
+    as in ``np.mean(np.abs(sel - avg))``.
+    """
     runs = grid.ball_runs(*zip(*ball_family))
     for (center, radius), r in zip(ball_family, runs):
         if not r:
             raise EmptyBallError(f"ball at {center} radius {radius:g} holds no cell")
     counts = [sum(b - a for a, b in r) for r in runs]
-    scratch = np.empty(max(counts))
+    scratch = np.empty(min(max(counts), max(_CHUNK, _PAIRWISE_BLOCK)))
 
     averages = np.empty(len(ball_family))
     oscillations = np.empty(len(ball_family))
     for i, (r, count) in enumerate(zip(runs, counts)):
-        sel = _gather(values, r, out=scratch[:count])
-        avg = float(np.mean(sel))
+        offsets = list(accumulate((b - a for a, b in r), initial=0))
+
+        def leaf(a, b):
+            return _gather(values, _span_runs(r, offsets, a, b), out=scratch[:b - a])
+
+        avg = _pairwise_sum(lambda a, b: float(np.add.reduce(leaf(a, b))), count) / count
+
+        def oscillation(a, b):
+            dev = np.subtract(leaf(a, b), avg, out=scratch[:b - a])
+            return float(np.add.reduce(np.abs(dev, out=dev)))
+
         averages[i] = avg
-        dev = np.subtract(sel, avg, out=scratch[:count])
-        oscillations[i] = float(np.mean(np.abs(dev, out=dev)))
+        oscillations[i] = _pairwise_sum(oscillation, count) / count
     return averages, oscillations
 
 
@@ -166,28 +215,25 @@ class JNFit:
     r_squared: Optional[float] = None
 
 
-_JN_CHUNK = 1 << 16      # cells per chunk of the superlevel counts
-
-
 def jn_decay_check(profile: BMOProfile, eta_grid) -> JNFit:
     """Fit measure{|f - (f)_{B_M}| > eta} to C Leb(B_M) exp(-c eta / ||f||*).
 
     All-empty superlevels report trivial decay; fewer than three nonempty
     levels cannot be fitted. The B_M samples are read in chunks of
-    ``_JN_CHUNK`` cells: one chunk-sized deviation scratch and one mask
+    ``_CHUNK`` cells: one chunk-sized deviation scratch and one mask
     serve every chunk and level, and the integer counts add up exactly.
     """
     if profile.norm_star <= 0.0:
         raise ValueError("decay fit needs a nonconstant profile")
     core = profile.core_values
     avg = float(np.mean(core))
-    dev = np.empty(min(core.size, _JN_CHUNK))
+    dev = np.empty(min(core.size, _CHUNK))
     above = np.empty(dev.shape, dtype=bool)
 
     etas = [float(e) for e in eta_grid]
     counts = [0] * len(etas)
-    for start in range(0, core.size, _JN_CHUNK):
-        part = core[start:start + _JN_CHUNK]
+    for start in range(0, core.size, _CHUNK):
+        part = core[start:start + _CHUNK]
         chunk = np.subtract(part, avg, out=dev[:part.size])
         np.abs(chunk, out=chunk)
         for k, e in enumerate(etas):

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rough_transport import bmo
 from rough_transport.bmo import (BMODivergenceSplit, bmo_gronwall_constants,
                                  bmo_norm, choose_tau0,
                                  default_ball_family, jn_decay_check,
@@ -246,22 +247,51 @@ def test_ball_runs_match_full_grid_masks(grid, half_cell):
         assert close > 0
 
 
-@pytest.mark.parametrize("d,half_cell", [(1, False), (1, True), (2, False), (2, True)])
-def test_slab_statistics_match_full_grid_masks(d, half_cell):
+@pytest.mark.parametrize("n", list(range(1, 10)) + [127, 128, 129, (1 << 16) - 1, 1 << 16,
+                               (1 << 16) + 1, (1 << 17) + 5, 3 * (1 << 20) + 1])
+def test_leafwise_sum_is_numpys_pairwise_sum(n):
+    # the leaf sums, added along the split points of numpy's pairwise tree,
+    # give np.add.reduce and np.mean bit for bit; lengths around the 8-float
+    # unroll, the 128-float block and the 2^16-cell leaf, and long arrays
+    # with many leaves
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    total = bmo._pairwise_sum(lambda a, b: float(np.add.reduce(x[a:b])), n)
+    message = ("numpy's pairwise summation order changed: the leaf-wise ball sums "
+               "of bmo.py no longer reproduce np.add.reduce")
+    assert np.float64(total).view(np.int64) == np.add.reduce(x).view(np.int64), message
+    assert np.float64(total / n).view(np.int64) == np.mean(x).view(np.int64), message
+
+
+_SLAB_CASES = [(d, half_cell, leaf) for leaf in (None, 64, 136)
+               for d in (1, 2) for half_cell in (False, True)]
+
+
+@pytest.mark.parametrize("d,half_cell,leaf", _SLAB_CASES,
+                         ids=[f"{d}-{h}" + (f"-leaf{leaf}" if leaf else "")
+                              for d, h, leaf in _SLAB_CASES])
+def test_slab_statistics_match_full_grid_masks(d, half_cell, leaf, monkeypatch):
     # the ball runs give the per-ball masks bit for bit; the 2-D grid puts
     # centres on ball boundaries up to rounding. With half_cell every ball
     # centre moves by half a cell: onto cell centres in 1-D (where the
-    # family's centres lie on cell faces), between cells in 2-D
+    # family's centres lie on cell faces), between cells in 2-D. A small
+    # leaf splits every wide ball into many leaves, and in 2-D the lines of
+    # up to 80 cells cross leaf boundaries
     if d == 1:
         grid = CellGrid(2.0, 1 << 16, 1)
     else:
         grid = CellGrid(2.0125, 161, 2)
+    if leaf:
+        monkeypatch.setattr(bmo, "_CHUNK", leaf)
     points = grid.centers()
     values = _log_samples(points)
     family = default_ball_family(1.0, d)
     if half_cell:
         family = _half_cell(family, grid)
     prof = bmo_norm(values, 1.0, family, grid)
+    if leaf:
+        widest = max(sum(b - a for a, b in r) for r in grid.ball_runs(*zip(*family)))
+        assert widest > 16 * leaf
     averages, oscillations = _brute_force_statistics(values, family, points)
     assert np.array_equal(prof.averages, averages)
     assert np.array_equal(prof.oscillations, oscillations)
@@ -542,22 +572,31 @@ def _traced(fn):
     return result, peak, held
 
 
-@pytest.mark.parametrize("M", [1.0, 0.5])
-def test_bmo_norm_scratch_is_one_float_array(M):
-    # every ball reads its samples as a view of the 1-D values, and one float
-    # scratch sized to the widest ball holds |sel - avg| for all of them:
-    # beyond the inputs the peak stays within 8 bytes per cell of the widest
-    # ball plus 64 KiB for the runs and the per-ball tables. No distance or
-    # bool array per cell is built, and the profile keeps no copy: its B_M
-    # samples are a view too
-    n = 1 << 20
-    grid, xs = _grid_1d(n=n)
-    values = _where_log_samples(xs, M)
-    family = default_ball_family(1.0, 1)
-    widest = max(int(np.count_nonzero(np.abs(xs - c[0]) < r)) for c, r in family)
+@pytest.mark.parametrize("d,M,leaf", [pytest.param(1, 1.0, None, id="1.0"),
+                                       pytest.param(1, 0.5, None, id="0.5"),
+                                       pytest.param(2, 1.0, 4096, id="2d")])
+def test_bmo_norm_scratch_is_one_float_array(d, M, leaf, monkeypatch):
+    # every ball is summed leaf by leaf, and one float scratch of one leaf
+    # holds the gathered samples and |sel - avg| for every leaf: beyond the
+    # inputs the peak stays within 8 bytes per cell of a leaf plus 64 KiB
+    # for the runs and the per-ball tables, far below the widest ball. No
+    # distance or bool array per cell is built, and the profile keeps no
+    # copy: in 1-D its B_M samples are a view too. The 2-D balls are many
+    # runs, which a smaller leaf spans
+    if d == 1:
+        grid, xs = _grid_1d(n=1 << 20)
+        values = _where_log_samples(xs, M)
+        family = default_ball_family(1.0, 1)
+    else:
+        monkeypatch.setattr(bmo, "_CHUNK", leaf)
+        grid = CellGrid(2.0, 512, 2)
+        values = _log_samples(grid.centers())
+        family = (((0.0, 0.0), 1.0), ((0.25, -0.25), 0.5))
+    widest = max(sum(b - a for a, b in r) for r in grid.ball_runs(*zip(*family)))
     prof, peak, held = _traced(lambda: bmo_norm(values, M, family, grid))
-    assert np.shares_memory(prof.core_values, values)
-    assert peak - held <= 8 * widest + (1 << 16)
+    assert d > 1 or np.shares_memory(prof.core_values, values)
+    assert 8 * widest > 4 * (8 * bmo._CHUNK + (1 << 16))
+    assert peak - held <= 8 * bmo._CHUNK + (1 << 16)
 
 
 def test_lemma52_scratch_is_one_mask():
