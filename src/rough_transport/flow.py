@@ -5,8 +5,9 @@ A forward map anchors seeds at t = 0; a backward map anchors the seeds at a
 given time and stores the same characteristics on the physical time grid,
 so its first column holds the inverse-flow samples. Jacobians come from the
 exponential of the divergence path integral, never from spatial gradients.
-The forward diagnostics read a ForwardSummary: reductions of one forward
-sweep taken in time blocks, so no full trajectory table is kept.
+Every forward Lagrangian quantity, the damping integral included, is read
+from a ForwardSummary: reductions of one forward sweep taken in time
+blocks, so no full trajectory table is kept.
 """
 
 import math
@@ -14,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DivergenceUnboundedError, DomainTooSmallError,
+from .errors import (AllTruncatedError, DivergenceUnboundedError, DomainTooSmallError,
                      StepBlowupError)
-from .fields import VelocityFieldSpec, make_mollifier, mollify, sample_nodes
-from .numerics import (cell_centers, cumtrapz, profile, sq_norms, stable_sum,
-                       tensor_points, trapz)
+from .fields import (DampingFieldSpec, VelocityFieldSpec, make_mollifier, mollify,
+                     sample_damping, sample_nodes)
+from .numerics import (cell_centers, profile, sq_norms, stable_sum, tensor_points,
+                       trapz)
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +101,6 @@ class FlowMap:
         if self.direction != "backward":
             raise ValueError("inverse samples only exist on backward maps")
         return self.trajectories[:, 0, :]
-
-
-@dataclass(frozen=True)
-class JacobianTrack:
-    """exp of the divergence path integral along each characteristic."""
-
-    flow: FlowMap
-    jx: np.ndarray       # (N, K+1)
-    L: float             # trapezoid of div_sup over the time grid
 
 
 ESCAPE_FACTOR = 1e3    # escape radius in units of max(seed radius, 1)
@@ -234,25 +227,8 @@ def integrate_flow(field: VelocityFieldSpec, seeds: SeedGrid, steps, direction,
 
 
 # ---------------------------------------------------------------------------
-# Jacobian along characteristics
+# checks on the path integrals
 # ---------------------------------------------------------------------------
-
-def jacobian(field: VelocityFieldSpec, flow: FlowMap) -> JacobianTrack:
-    """JX(t) = exp of the trapezoid path integral of div b along each path.
-
-    Works for forward maps (Jacobian at the seeds) and for backward maps
-    (Jacobian composed with the inverse-flow samples, which is exactly the
-    combination the representation formula needs). Enforces the two-sided
-    bound exp(-L) <= JX <= exp(L) from the divergence sup profile, which
-    for an autonomous field is its one value div_sup(0) on every node.
-    """
-    times = flow.time_grid
-    dpi = cumtrapz(sample_nodes(field.eval_div_b, field.autonomous, times,
-                                np.moveaxis(flow.trajectories, 1, 0)).T, times)
-    L = _div_sup_integral(field, times)
-    _check_divergence(dpi, L)
-    return JacobianTrack(flow=flow, jx=np.exp(dpi, out=dpi), L=L)
-
 
 def _div_sup_integral(field: VelocityFieldSpec, times):
     """L, the trapezoid of the div_sup profile over ``times``, or inf."""
@@ -277,6 +253,15 @@ def _check_divergence(dpi, L):
                 f"divergence path integral {worst:.6g} exceeds its bound L={L:.6g}; "
                 "field metadata (eval_div_b vs div_sup) is inconsistent"
             )
+
+
+def _check_truncation(all_cut, eta):
+    """Raise AllTruncatedError for the first path whose every node is cut off."""
+    if np.any(all_cut):
+        raise AllTruncatedError(
+            f"every node of trajectory {int(np.argmax(all_cut))} lies within "
+            f"eta={eta:g} of the singular set"
+        )
 
 
 @dataclass(frozen=True)
@@ -352,9 +337,10 @@ class ForwardSummary:
     """The reductions of one forward flow that the diagnostics read.
 
     No (N, K+1) table is kept: the flow's end points, JX at the end time,
-    the bound L, the largest coordinate displacement |X - x0|, per time
-    node the smallest and largest JX over the seeds, and the largest
-    residuals of the Jacobian ODE and of its reciprocal.
+    the damping integral D at the end time, the bound L, the largest
+    coordinate displacement |X - x0|, per time node the smallest and
+    largest JX over the seeds, and the largest residuals of the Jacobian
+    ODE and of its reciprocal.
     """
 
     seed_grid: SeedGrid
@@ -362,6 +348,7 @@ class ForwardSummary:
     steps: int
     endpoints: np.ndarray          # (N, d), X(T, seeds)
     jx_end: np.ndarray             # (N,), JX(T, seeds)
+    damping_end: np.ndarray        # (N,), D(T, seeds); zero without a damping
     L: float
     max_displacement: float        # max over seeds, nodes and coordinates
     jx_min: np.ndarray             # (K+1,)
@@ -378,16 +365,21 @@ class ForwardSummary:
                                         np.abs(self.jx_min - expected))))
 
 
-def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps) -> ForwardSummary:
+def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
+                    damping: DampingFieldSpec = None, eta=0.0) -> ForwardSummary:
     """One forward RK4 sweep over ``seeds`` on [0, horizon], reduced block by block.
 
     Each block of ``_forward_blocks`` samples div b on its nodes, continues
     the cumulative trapezoid of div b from the previous block's last
     column, checks it against L and exponentiates it in place, then folds
-    into the reductions. Every value is bit for bit the reduction of the
-    ``integrate_flow`` and ``jacobian`` tables, and the residuals are those
-    of the Jacobian ODE and its reciprocal along those tables. Raises what
-    they raise; the divergence bound is checked before JX is formed.
+    into the reductions. Given a ``damping``, each block also samples c
+    with the eta cut-off of ``sample_damping`` and continues the trapezoid
+    of c the same way; a seed whose every node is cut off raises
+    AllTruncatedError after the sweep. Every value is bit for bit the
+    reduction of the cumulative trapezoids over the full ``integrate_flow``
+    table, and the residuals are those of the Jacobian ODE and its
+    reciprocal along that table. Raises what the sampled fields raise; the
+    divergence bound is checked before JX is formed.
     """
     time_grid = np.linspace(0.0, field.horizon, steps + 1)
     dt = np.diff(time_grid)[:, None]
@@ -395,7 +387,8 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps) -> Forward
     L = _div_sup_integral(field, time_grid)
     x0 = seeds.points
     jx_min, jx_max = np.empty(steps + 1), np.empty(steps + 1)
-    dpi_end = np.zeros(x0.shape[0])
+    dpi_end, damping_end = np.zeros(x0.shape[0]), np.zeros(x0.shape[0])
+    all_cut = np.full(x0.shape[0], damping is not None)    # without c, nothing is cut
     worst = np.zeros(3)          # displacement, forward and inverse residuals
     for k0, nodes in _forward_blocks(field, seeds, steps):
         if k0 == 0:              # the first block is the longest
@@ -424,11 +417,22 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps) -> Forward
         inverse = _ode_residual(inv, np.multiply(np.negative(inv, out=rate), divs, out=rate),
                                 dt[steps_k], diff, mean)
         worst = np.maximum(worst, [disp, forward, inverse])
+        if damping is not None:
+            # D continues from its running value as div b's integral does
+            cvals, cut = sample_damping(damping, time_grid[block], nodes, eta)
+            all_cut &= np.all(cut, axis=0)
+            np.add(cvals[1:], cvals[:-1], out=diff)
+            np.multiply(half_dt[steps_k], diff, out=diff)
+            for k in range(m):
+                np.add(damping_end, diff[k], out=damping_end)
+            del cvals, cut
         endpoints = nodes[-1].copy()
         # drop the block before the next one is built
         del nodes, divs
+    _check_truncation(all_cut, eta)
     return ForwardSummary(seed_grid=seeds, time_grid=time_grid, steps=steps,
-                          endpoints=endpoints, jx_end=np.exp(dpi_end), L=L,
+                          endpoints=endpoints, jx_end=np.exp(dpi_end),
+                          damping_end=damping_end, L=L,
                           max_displacement=float(worst[0]), jx_min=jx_min, jx_max=jx_max,
                           residuals=JacobianOdeResiduals(float(worst[1]), float(worst[2])))
 
@@ -437,19 +441,19 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps) -> Forward
 # integral identities
 # ---------------------------------------------------------------------------
 
-def change_of_variables_residual(summary: ForwardSummary, phi, quad_domain_radius):
+def change_of_variables_residual(summary: ForwardSummary, phi, quad_radius):
     """| sum_i phi(X(T, x_i)) JX(T, x_i) cell_vol  -  integral of phi |.
 
     X and JX are the summary's end points and end Jacobians. ``phi`` must
     expose ``__call__``, ``reference_integral`` (analytic or high-precision)
     and ``mass_outside(radius)``; the scenario supplies
-    ``quad_domain_radius``, a radius certified to be contained in the image
+    ``quad_radius``, a radius certified to be contained in the image
     of the seed box at the evaluation time.
     """
     total = abs(phi.reference_integral)
-    if total > 0.0 and phi.mass_outside(quad_domain_radius) > 1e-8 * total:
+    if total > 0.0 and phi.mass_outside(quad_radius) > 1e-8 * total:
         raise DomainTooSmallError(
-            f"test function mass outside radius {quad_domain_radius:g} exceeds "
+            f"test function mass outside radius {quad_radius:g} exceeds "
             "1e-8 of its integral"
         )
     vals = np.asarray(phi(summary.endpoints), dtype=float) * summary.jx_end

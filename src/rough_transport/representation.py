@@ -13,54 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllTruncatedError, JacobianVanishedError, StepBlowupError
+from .errors import JacobianVanishedError, StepBlowupError
 from .fields import DampingFieldSpec, VelocityFieldSpec, sample_damping, sample_nodes
-from .flow import (_CHUNK_BYTES, ESCAPE_FACTOR, FlowMap, SeedGrid, _check_divergence,
-                   _div_sup_integral, _rk4_path, integrate_flow)
-from .numerics import (CellGrid, cell_centers, cumtrapz, gl_nodes, stable_sum,
-                       tensor_points, trapezoid_weights)
-
-# ---------------------------------------------------------------------------
-# damping path integral
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DampingAccumulator:
-    """D(t, x) = path integral of c along a characteristic, with truncation."""
-
-    flow: FlowMap
-    values: np.ndarray           # (N, K+1), trapezoid in time
-    truncated_nodes: np.ndarray  # (N,), count of nodes the cut-off zeroes
-    total_l1: float              # discrete integral of |c along X| dx dt
-
-
-def _check_truncation(all_cut, eta):
-    """Raise AllTruncatedError for the first path whose every node is cut off."""
-    if np.any(all_cut):
-        raise AllTruncatedError(
-            f"every node of trajectory {int(np.argmax(all_cut))} lies within "
-            f"eta={eta:g} of the singular set"
-        )
-
-
-def damping_integral(damping: DampingFieldSpec, flow: FlowMap, eta) -> DampingAccumulator:
-    """Trapezoid-in-time damping integral along every stored characteristic.
-
-    c is set to zero whenever the trajectory is within eta of the singular
-    set. Raises AllTruncatedError if some trajectory had every node
-    excluded (seed effectively on the singular set).
-    """
-    times = flow.time_grid
-    cvals, masked = sample_damping(damping, times,
-                                   np.moveaxis(flow.trajectories, 1, 0), eta)
-    cvals = cvals.T
-    truncated = masked.sum(axis=0)
-    _check_truncation(truncated == times.shape[0], eta)
-    total_l1 = (float(np.sum(cumtrapz(np.abs(cvals), times)[:, -1]))
-                * flow.seed_grid.cell_volume)
-    return DampingAccumulator(flow=flow, values=cumtrapz(cvals, times),
-                              truncated_nodes=truncated, total_l1=total_l1)
-
+from .flow import (_CHUNK_BYTES, ESCAPE_FACTOR, ForwardSummary, SeedGrid,
+                   _check_divergence, _check_truncation, _div_sup_integral, _rk4_path,
+                   integrate_flow)
+from .numerics import (CellGrid, cell_centers, gl_nodes, stable_sum, tensor_points,
+                       trapezoid_weights)
 
 # ---------------------------------------------------------------------------
 # space-time quadrature and the densities sampled on it
@@ -133,10 +92,10 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
 
     Each slice's two integrals repeat ``cumtrapz`` on its grid operation for
     operation, through one reused scratch block. A slice keeps only the
-    largest |div integral| (checked against L as ``jacobian`` does), the
-    final values and the paths its eta cut-off zeroes entirely. Raises what
-    ``jacobian`` and ``damping_integral`` raise, and JacobianVanishedError
-    for a JX that underflows or is not finite.
+    largest |div integral| (checked against L as ``forward_summary`` does),
+    the final values and the paths its eta cut-off zeroes entirely. Raises
+    what ``forward_summary`` raises for the same fields, and
+    JacobianVanishedError for a JX that underflows or is not finite.
     """
     rows, n = nodes.shape[:2]
     # path nodes per field call and per scratch block: 1/16 of the budget
@@ -245,8 +204,9 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     only on the step t_k / m_k, so slices whose steps are bitwise equal
     follow prefixes of one path, integrated and sampled once per distinct
     step; each slice's values are bitwise u0(X^{-1}) / JX * exp(D) from
-    ``jacobian`` and ``damping_integral`` on its own backward map from
-    ``integrate_flow``. The identity build (step 1/256 for all 256 slices)
+    the cumulative trapezoids of div b and c over the full table of its own
+    backward map from ``integrate_flow`` (the reference the tests keep in
+    ``tests/reference.py``). The identity build (step 1/256 for all 256 slices)
     takes one path; linear_expand's 48 slices of 1000 steps take 31.
 
     The paths come from chunked sweeps, longest first. A chunk stacks
@@ -328,37 +288,24 @@ def _cic_deposit(positions, weights, grid: CellGrid):
     return acc, deposited
 
 
-def _particle_weights(u0, acc: DampingAccumulator, time_index):
-    seeds = acc.flow.seed_grid
-    return (np.asarray(u0(seeds.points), dtype=float)
-            * np.exp(acc.values[:, time_index]) * seeds.cell_volume)
+def represent_pushforward(u0, summary: ForwardSummary, target_grid: CellGrid):
+    """Deposit particles u0(x_i) exp(D) cell_vol at X(T, x_i) onto a grid.
 
-
-def represent_pushforward(u0, acc: DampingAccumulator, target_grid: CellGrid,
-                          time_index=-1):
-    """Deposit particles u0(x_i) exp(D) cell_vol at X(t, x_i) onto a grid.
-
-    The particles ride the accumulator's forward flow. First-order
-    cloud-in-cell deposition: each particle splits its weight over the 2^d
-    surrounding cell centers, so interior particles conserve mass to
-    rounding. Returns (density on ``target_grid.centers()``, fraction of
-    particle mass lost over the grid boundary); the loss is reported, not
-    raised.
+    The particles ride the summary's forward flow and carry its damping
+    integral D at the end time; only the summary's (N,) end values are
+    read. First-order cloud-in-cell deposition: each particle splits its
+    weight over the 2^d surrounding cell centers, so interior particles
+    conserve mass to rounding. Returns (density on
+    ``target_grid.centers()``, fraction of particle mass lost over the grid
+    boundary); the loss is reported, not raised.
     """
-    flow_forward = acc.flow
-    if flow_forward.direction != "forward":
-        raise ValueError("represent_pushforward needs a forward flow map")
-    weights = _particle_weights(u0, acc, time_index)
-    positions = flow_forward.trajectories[:, time_index, :]
-    deposit, deposited_mass = _cic_deposit(positions, weights, target_grid)
+    seeds = summary.seed_grid
+    weights = (np.asarray(u0(seeds.points), dtype=float)
+               * np.exp(summary.damping_end) * seeds.cell_volume)
+    deposit, deposited_mass = _cic_deposit(summary.endpoints, weights, target_grid)
     total = stable_sum(weights)
     out_frac = 0.0 if total == 0.0 else abs(total - deposited_mass) / abs(total)
     return deposit.ravel() / target_grid.cell_volume, out_frac
-
-
-def pushforward_total_mass(u0, acc: DampingAccumulator, time_index=-1):
-    """Sum of particle weights at a time node (the transported total mass)."""
-    return stable_sum(_particle_weights(u0, acc, time_index))
 
 
 # ---------------------------------------------------------------------------

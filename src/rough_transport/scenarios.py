@@ -10,7 +10,7 @@ all mirrored into CSV artifacts.
 import math
 import resource
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -29,8 +29,8 @@ from .flow import (change_of_variables_residual, compressibility_estimate,
 from .numerics import CellGrid, ball_volume, profile, trapz
 from .renormalization import make_beta_arctan, make_beta_log, make_phi_R
 from .report import Artifact, DiagnosticResult, RunReport
-from .representation import (DensityRepresentation, damping_integral,
-                             integrability_probe, make_quadrature, pointwise_solution)
+from .representation import (DensityRepresentation, integrability_probe,
+                             make_quadrature, pointwise_solution)
 from .testfunctions import bump, compact_space_time, gaussian
 from .weakform import (GRONWALL_SLACK, gamma_trace, gronwall_constants,
                        l2_energy_diagnostic, uniqueness_probe, weak_residual,
@@ -420,9 +420,8 @@ def _run_compressibility(ctx, expected):
                    {"relative_error": 0.1, "admissible_ceiling": ceiling})
 
 
-def _run_change_of_variables(ctx, phi, tol, domain_radius=None):
-    radius = domain_radius if domain_radius is not None else ctx.cfg.box_radius
-    res = change_of_variables_residual(ctx.forward(), phi, radius)
+def _run_change_of_variables(ctx, phi, tol):
+    res = change_of_variables_residual(ctx.forward(), phi, ctx.cfg.box_radius)
     return _check({"residual": (res, tol)})
 
 
@@ -553,9 +552,11 @@ def _run_integrability(ctx, etas, expected_verdict, min_growth=None):
 
 
 def _run_damping_l1(ctx):
-    fl = integrate_flow(ctx.field, make_seed_grid(1.0, 1024, 1), 16, "forward")
-    total = damping_integral(ctx.damping, fl, eta=0.0).total_l1
-    mass = trapz(ctx.damping.l1_profile(fl.time_grid), fl.time_grid)
+    c = ctx.damping
+    fwd = forward_summary(ctx.field, make_seed_grid(1.0, 1024, 1), 16,
+                          damping=replace(c, eval_c=lambda t, x: np.abs(c.eval_c(t, x))))
+    total = float(np.sum(fwd.damping_end)) * fwd.seed_grid.cell_volume
+    mass = trapz(c.l1_profile(fwd.time_grid), fwd.time_grid)
     bound = 1.0 * mass * 1.2   # C(X) = 1 for b = 0
     rel = abs(total - mass) / mass
     return _result(rel <= 0.02 and total <= bound,
@@ -754,7 +755,7 @@ REGISTRY = {s.scenario_id: s for s in (
             "jacobian_profile": lambda ctx: _run_jacobian_profile(ctx, 1.0),
             "jacobian_ode": _run_jacobian_ode,
             "change_of_variables": lambda ctx: _run_change_of_variables(
-                ctx, bump(1, 1.0), 1e-5, domain_radius=1.0),
+                ctx, bump(1, 1.0), 1e-5),
             "superlevel": lambda ctx: _run_superlevel(
                 ctx, 0.5, 0.5 * math.e + 0.01),
             "forward_backward": _run_forward_backward,
@@ -779,7 +780,7 @@ REGISTRY = {s.scenario_id: s for s in (
                 ctx, [1.0, 0.0], math.pi / 2.0, [0.0, 1.0]),
             "compressibility": lambda ctx: _run_compressibility(ctx, 1.0),
             "change_of_variables": lambda ctx: _run_change_of_variables(
-                ctx, bump(2, 0.8), 1e-6, domain_radius=1.0),
+                ctx, bump(2, 0.8), 1e-6),
             "superlevel": lambda ctx: _run_superlevel(ctx, 0.9, 1.45),
         }),
     Scenario(

@@ -8,7 +8,7 @@ import pytest
 from rough_transport.errors import BadKernelError, SplitViolationError
 from rough_transport.fields import (VelocityFieldSpec, check_divergence_consistency,
                                     growth_split, make_mollifier, mollify)
-from rough_transport.flow import integrate_flow, jacobian, make_seed_grid
+from rough_transport.flow import forward_summary, make_seed_grid
 from rough_transport.numerics import gauss_legendre
 from rough_transport.renormalization import make_beta_arctan
 from rough_transport.representation import DensityRepresentation, make_quadrature
@@ -154,8 +154,8 @@ def _full_tensor_rule(d, n=16):
 def _assert_full_rule_sums(spec, eps, calls, kept):
     # one evaluation calls each base field once per kept node, and gives bit
     # for bit the plain per-node sum over the full tensor rule, both on a
-    # list of points (N, d) and on the node blocks (K+1, N, d) that
-    # ``jacobian`` passes through ``sample_nodes``
+    # list of points (N, d) and on the node blocks (m+1, N, d) that
+    # ``forward_summary`` passes through ``sample_nodes``
     d = spec.dimension
     smooth = mollify(spec, make_mollifier(eps, d))
     offsets, weights = _full_tensor_rule(d)
@@ -280,9 +280,7 @@ def test_sampler_calls_autonomous_fields_once(autonomous):
     dmp = dataclasses.replace(dmp, autonomous=autonomous,
                               eval_c=_counting(dmp.eval_c, calls, "c", points))
 
-    fl = integrate_flow(spec, make_seed_grid(1.0, 16, 1), 20, "forward")
-    calls["div"] = 0
-    jacobian(spec, fl)
+    forward_summary(spec, make_seed_grid(1.0, 16, 1), 20)
     assert calls["div"] == (1 if autonomous else 21)
 
     quad = make_quadrature(1, 2.0, 32, 1.0, 12)

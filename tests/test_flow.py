@@ -16,7 +16,7 @@ from rough_transport.fields import VelocityFieldSpec, sample_nodes
 from rough_transport.flow import (_rk4_path, change_of_variables_residual,
                                   compressibility_estimate, flow_convergence_study,
                                   forward_backward_mismatch, forward_summary,
-                                  integrate_flow, jacobian, make_seed_grid,
+                                  integrate_flow, make_seed_grid,
                                   seeds_from_points, superlevel_escape)
 from rough_transport.numerics import order_estimate, sq_norms
 from rough_transport.representation import pointwise_solution
@@ -24,6 +24,7 @@ from rough_transport.scenarios import run_scenario
 from rough_transport.testfunctions import bump, gaussian
 
 from conftest import damping, field, long_linear_flow, traced_bytes, u0_fn
+from reference import jacobian
 
 
 def test_identity_flow(zero_field):

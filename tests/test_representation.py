@@ -10,14 +10,16 @@ import pytest
 from rough_transport.errors import (AllTruncatedError, JacobianVanishedError,
                                     NonFiniteDampingError)
 from rough_transport.fields import DampingFieldSpec, PointSingularity, VelocityFieldSpec
-from rough_transport.flow import integrate_flow, jacobian, make_seed_grid, seeds_from_points
-from rough_transport.numerics import CellGrid
-from rough_transport import representation
+from rough_transport.flow import (forward_summary, integrate_flow, make_seed_grid,
+                                  seeds_from_points)
+from rough_transport.numerics import CellGrid, stable_sum
+from rough_transport import flow, representation
 from rough_transport.representation import (_CHUNK_BYTES, DensityRepresentation,
-                                            damping_integral, integrability_probe,
+                                            _cic_deposit, integrability_probe,
                                             make_quadrature, pointwise_solution,
-                                            pushforward_total_mass, represent_pushforward)
+                                            represent_pushforward)
 from conftest import damping, field, long_linear_flow, traced_bytes, u0_fn, unit_damping
+from reference import damping_integral, jacobian
 
 
 def _identity_flow(steps=16, cells=64, radius=1.0, d=1, T=1.0):
@@ -29,30 +31,32 @@ def _identity_flow(steps=16, cells=64, radius=1.0, d=1, T=1.0):
 # --- damping path integrals ---------------------------------------------------
 
 def test_damping_integral_zero():
-    _, fl = _identity_flow()
-    acc = damping_integral(damping("zero"), fl, eta=0.0)
-    assert np.all(acc.values == 0.0)
-    assert acc.total_l1 == 0.0
+    fwd = forward_summary(field("zero"), make_seed_grid(1.0, 64, 1), 16,
+                          damping=damping("zero"))
+    assert np.all(fwd.damping_end == 0.0)
 
 
 def test_damping_integral_constant():
     # b = 0 and constant c: D(t, x) = c0 t
-    _, fl = _identity_flow(steps=10)
-    acc = damping_integral(unit_damping(), fl, eta=0.0)
-    assert np.max(np.abs(acc.values - fl.time_grid[None, :])) <= 1e-14
+    grid = make_seed_grid(1.0, 64, 1)
+    for T in (0.5, 1.0, 2.0):
+        fwd = forward_summary(field("zero", T=T), grid, 10, damping=unit_damping())
+        assert np.max(np.abs(fwd.damping_end - T)) <= 1e-14
 
 
 def test_damping_integral_inv_sqrt_mass():
-    # analytic: integral over (0,1) x [-1,1] of |x|^(-1/2) равен 4
+    # analytic: integral over (0,1) x [-1,1] of |x|^(-1/2) is 4
     errors = []
     for cells in (128, 256, 512, 1024):
-        _, fl = _identity_flow(steps=8, cells=cells)
-        acc = damping_integral(damping("inv_sqrt"), fl, eta=1e-12)
-        errors.append(abs(acc.total_l1 - 4.0) / 4.0)
+        grid = make_seed_grid(1.0, cells, 1)
+        fwd = forward_summary(field("zero"), grid, 8, damping=damping("inv_sqrt"),
+                              eta=1e-12)
+        total_l1 = float(np.sum(fwd.damping_end)) * grid.cell_volume
+        errors.append(abs(total_l1 - 4.0) / 4.0)
     assert errors[-1] <= 0.02
     assert errors[-1] < errors[0]
     # compressibility bound: C(X) = 1 for the identity flow, 20% grid slack
-    assert acc.total_l1 <= 1.0 * 4.0 * 1.2
+    assert total_l1 <= 1.0 * 4.0 * 1.2
 
 
 def test_damping_integral_keeps_one_table():
@@ -77,6 +81,54 @@ def test_damping_integral_all_truncated():
     fl = integrate_flow(spec, seeds_from_points([[0.0]]), 4, "forward")
     with pytest.raises(AllTruncatedError):
         damping_integral(damping("inv_sqrt"), fl, eta=0.5)
+
+
+def _time_dependent_damping():
+    # c = (1 + t) cos(3x): a c that changes along the path and in time
+    return DampingFieldSpec(
+        eval_c=lambda t, x: (1.0 + t) * np.cos(3.0 * np.asarray(x)[..., 0]),
+        autonomous=False)
+
+
+# c and eta; b = -x carries the seeds across the unit ball's boundary, and
+# the two innermost, at +-0.023, into the eta-ball around the inv_sqrt
+# singularity from t = 0.85 on
+_DAMPINGS = {
+    "box_indicator": lambda: (damping("box_indicator"), 0.0),
+    "inv_sqrt": lambda: (damping("inv_sqrt"), 1e-2),
+    "time_dependent": lambda: (_time_dependent_damping(), 0.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DAMPINGS))
+def test_forward_summary_damping_end_bitwise_equals_reference(case, monkeypatch):
+    # the default budget takes the sweep in one block, 64 KiB in 29 blocks
+    # of 7 steps and a last one of 4
+    spec, grid, steps = field("linear_contract"), make_seed_grid(1.5, 64, 1), 200
+    dmp, eta = _DAMPINGS[case]()
+    acc = damping_integral(dmp, integrate_flow(spec, grid, steps, "forward"), eta)
+    if case == "inv_sqrt":      # the cut-off bites partway along some paths
+        assert 0 < np.max(acc.truncated_nodes) < steps + 1
+    for budget in (flow._CHUNK_BYTES, 1 << 16):
+        monkeypatch.setattr(flow, "_CHUNK_BYTES", budget)
+        fwd = forward_summary(spec, grid, steps, damping=dmp, eta=eta)
+        assert np.array_equal(fwd.damping_end, acc.values[:, -1]), budget
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_forward_summary_all_truncated_names_the_seed(budget, monkeypatch):
+    # b = -x: seed 1 starts in the eta-ball and never leaves it; seed 2
+    # enters it at t = log 2 and seed 0 never does. A seed is cut off
+    # entirely only when every block cuts it, here of one step each
+    if budget is not None:
+        monkeypatch.setattr(flow, "_CHUNK_BYTES", budget)
+    spec, dmp = field("linear_contract"), damping("inv_sqrt")
+    with pytest.raises(AllTruncatedError, match="trajectory 1 "):
+        forward_summary(spec, seeds_from_points([[0.9], [0.1], [0.3]]), 32,
+                        damping=dmp, eta=0.15)
+    fwd = forward_summary(spec, seeds_from_points([[0.9], [0.3]]), 32, damping=dmp,
+                          eta=0.15)
+    assert np.all(fwd.damping_end > 0.0)
 
 
 # --- pointwise representation ---------------------------------------------------
@@ -140,6 +192,19 @@ def test_damping_integral_rejects_nan_damping():
     acc = damping_integral(_nan_damping((PointSingularity((0.75,)),)), fl, eta=0.25)
     assert np.all(np.isfinite(acc.values))
     assert 0 < acc.truncated_nodes[0] < 32 and acc.truncated_nodes[1] == 0
+
+
+def test_forward_summary_rejects_nan_damping():
+    with pytest.raises(NonFiniteDampingError):
+        forward_summary(field("zero"), make_seed_grid(1.0, 8, 1), 8,
+                        damping=_nan_damping())
+    # the NaN region the cut-off covers is never read, as in the reference
+    spec, seeds = field("linear_contract"), seeds_from_points([[0.6], [0.2]])
+    dmp = _nan_damping((PointSingularity((0.75,)),))
+    fwd = forward_summary(spec, seeds, 32, damping=dmp, eta=0.25)
+    acc = damping_integral(dmp, integrate_flow(spec, seeds, 32, "forward"), eta=0.25)
+    assert np.all(np.isfinite(fwd.damping_end))
+    assert np.array_equal(fwd.damping_end, acc.values[:, -1])
 
 
 def test_pointwise_solution_rejects_nan_damping():
@@ -385,11 +450,13 @@ def test_pushforward_mass_conserved_divergence_free():
     spec = field("rotation", d=2, T=math.pi / 2)
     u0 = u0_fn("bump", d=2)
     grid = make_seed_grid(1.0, 64, 2)
-    fl = integrate_flow(spec, grid, 64, "forward")
-    acc = damping_integral(damping("zero", d=2), fl, 0.0)
-    m0 = pushforward_total_mass(u0, acc, time_index=0)
-    m1 = pushforward_total_mass(u0, acc, time_index=-1)
-    assert m0 == m1
+    fwd = forward_summary(spec, grid, 64, damping=damping("zero", d=2))
+    assert np.all(fwd.damping_end == 0.0)
+    target = CellGrid(radius=1.5, cells_per_axis=96, dimension=2)
+    values, out_frac = represent_pushforward(u0, fwd, target)
+    m0 = stable_sum(u0(grid.points) * grid.cell_volume)
+    assert out_frac <= 1e-15
+    assert np.sum(values) * target.cell_volume == pytest.approx(m0, rel=1e-13)
 
 
 def test_pushforward_exponential_mass():
@@ -397,10 +464,11 @@ def test_pushforward_exponential_mass():
     spec = field("zero")
     u0 = u0_fn("bump")
     grid = make_seed_grid(1.0, 256, 1)
-    fl = integrate_flow(spec, grid, 32, "forward")
-    acc = damping_integral(unit_damping(), fl, 0.0)
-    m0 = pushforward_total_mass(u0, acc, time_index=0)
-    m1 = pushforward_total_mass(u0, acc, time_index=-1)
+    fwd = forward_summary(spec, grid, 32, damping=unit_damping())
+    target = CellGrid(radius=1.0, cells_per_axis=256, dimension=1)
+    values, _ = represent_pushforward(u0, fwd, target)
+    m0 = stable_sum(u0(grid.points) * grid.cell_volume)
+    m1 = np.sum(values) * target.cell_volume
     assert abs(m1 - math.e * m0) <= 1e-10 * abs(m0)
 
 
@@ -408,38 +476,63 @@ def test_pushforward_deposit_conserves_weights():
     spec = field("linear_contract")
     u0 = u0_fn("bump")
     grid = make_seed_grid(1.0, 256, 1)
-    fl = integrate_flow(spec, grid, 64, "forward")
-    acc = damping_integral(damping("zero"), fl, 0.0)
+    fwd = forward_summary(spec, grid, 64, damping=damping("zero"))
     target = CellGrid(radius=1.5, cells_per_axis=128, dimension=1)
-    values, out_frac = represent_pushforward(u0, acc, target)
+    values, out_frac = represent_pushforward(u0, fwd, target)
     deposited = np.sum(values) * target.cell_volume
-    total = pushforward_total_mass(u0, acc, time_index=-1)
+    total = stable_sum(u0(grid.points) * np.exp(fwd.damping_end) * grid.cell_volume)
     assert out_frac <= 1e-15
     assert deposited == pytest.approx(total, rel=1e-13)
 
 
 def test_pushforward_initial_slice_reproduces_u0():
-    # particles start at cell centers of a matching grid: the deposition
-    # returns u0 exactly on seeds at t = 0
+    # particles start at cell centers of a matching grid, and b = 0 keeps
+    # them there: the deposition returns u0 exactly on the seeds; without
+    # a damping the summary carries D = 0
     spec = field("zero")
     u0 = u0_fn("bump")
     grid = make_seed_grid(1.5, 128, 1)
-    fl = integrate_flow(spec, grid, 4, "forward")
-    acc = damping_integral(damping("zero"), fl, 0.0)
     target = CellGrid(radius=1.5, cells_per_axis=128, dimension=1)
-    values, _ = represent_pushforward(u0, acc, target, time_index=0)
+    values, _ = represent_pushforward(u0, forward_summary(spec, grid, 4), target)
     assert np.max(np.abs(values - u0(target.centers()))) <= 1e-13
 
 
 def test_pushforward_reports_out_of_domain():
     spec = field("linear_expand")
     grid = make_seed_grid(1.0, 128, 1)
-    fl = integrate_flow(spec, grid, 64, "forward")
-    acc = damping_integral(damping("zero"), fl, 0.0)
+    fwd = forward_summary(spec, grid, 64, damping=damping("zero"))
     target = CellGrid(radius=1.0, cells_per_axis=64, dimension=1)  # too small
     _, out_frac = represent_pushforward(lambda x: np.ones(np.asarray(x).shape[:-1]),
-                                        acc, target)
+                                        fwd, target)
     assert out_frac > 0.1
+
+
+def test_pushforward_stays_within_the_block_budget_and_matches_full_tables():
+    # rotation, 128^2 seeds, 200 steps: the full flow and damping tables
+    # would take 79 MiB, the blocked sweep keeps its budget and O(N) per seed
+    spec = field("rotation", d=2, T=math.pi / 2)
+    u0, dmp = u0_fn("bump", d=2), damping("box_indicator", d=2)
+    grid = make_seed_grid(1.0, 128, 2)
+    target = CellGrid(radius=1.5, cells_per_axis=96, dimension=2)
+    (values, out_frac), _, peak = traced_bytes(
+        lambda: represent_pushforward(u0, forward_summary(spec, grid, 200, damping=dmp),
+                                      target))
+    assert peak <= 2 * flow._CHUNK_BYTES + 64 * grid.points.shape[0]
+    fl = integrate_flow(spec, grid, 200, "forward")
+    weights = (u0(grid.points) * np.exp(damping_integral(dmp, fl, 0.0).values[:, -1])
+               * grid.cell_volume)
+    ref, deposited = _cic_deposit(fl.trajectories[:, -1], weights, target)
+    assert np.array_equal(values, ref.ravel() / target.cell_volume)
+    total = stable_sum(weights)
+    assert out_frac == abs(total - deposited) / abs(total)
+
+
+def test_full_table_layer_left_the_package():
+    # the full-table reference lives in tests/reference.py only
+    for module in (flow, representation):
+        for name in ("jacobian", "JacobianTrack", "damping_integral",
+                     "DampingAccumulator", "pushforward_total_mass"):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_representation_equivalence_first_order():
@@ -452,9 +545,8 @@ def test_representation_equivalence_first_order():
     for cells, seed_factor in ((64, 4), (128, 8), (256, 16)):
         target = CellGrid(radius=3.0, cells_per_axis=cells, dimension=1)
         seeds = make_seed_grid(1.0, seed_factor * cells, 1)
-        fl = integrate_flow(spec, seeds, 128, "forward")
-        acc = damping_integral(damping("zero"), fl, 0.0)
-        push, _ = represent_pushforward(u0, acc, target)
+        fwd = forward_summary(spec, seeds, 128, damping=damping("zero"))
+        push, _ = represent_pushforward(u0, fwd, target)
         eval_grid = seeds_from_points(target.centers(), target.cell_volume)
         point = pointwise_solution(spec, damping("zero"), u0, eval_grid,
                                    np.array([0.0, 1.0]), steps=128)
