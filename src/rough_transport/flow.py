@@ -1,13 +1,13 @@
 """Lagrangian flow maps: trajectory integration, Jacobians, flow identities.
 
-Trajectories are integrated with fixed-step classical RK4 over a seed grid.
-A forward map anchors seeds at t = 0; a backward map anchors the seeds at a
-given time and stores the same characteristics on the physical time grid,
-so its first column holds the inverse-flow samples. Jacobians come from the
-exponential of the divergence path integral, never from spatial gradients.
-Every forward Lagrangian quantity, the damping integral included, is read
-from a ForwardSummary: reductions of one forward sweep taken in time
-blocks, so no full trajectory table is kept.
+Every trajectory is integrated here, with fixed-step classical RK4. The
+forward sweep over a seed grid is taken in time blocks, and every forward
+Lagrangian quantity, the damping integral included, is read from its
+ForwardSummary of per-seed reductions: no full trajectory table is kept.
+Backward paths trace the characteristics through (anchor, point) back to
+t = 0 on the physical time grid, so their first row holds the inverse-flow
+samples. Jacobians come from the exponential of the divergence path
+integral, never from spatial gradients.
 """
 
 import math
@@ -38,7 +38,9 @@ class SeedGrid:
     def __post_init__(self):
         if self.cell_volume <= 0.0:
             raise ValueError("cell_volume must be positive")
-        if np.unique(self.points, axis=0).shape[0] != self.points.shape[0]:
+        # equal rows are adjacent in lexicographic order; -0.0 == 0.0, NaN != NaN
+        rows = self.points[np.lexsort(self.points.T)]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise ValueError("seed points must be pairwise distinct")
 
 
@@ -73,35 +75,8 @@ def seeds_from_points(points, cell_volume=1.0):
 
 
 # ---------------------------------------------------------------------------
-# flow maps
+# the RK4 kernel and the backward paths
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FlowMap:
-    """Sampled characteristics of a velocity field on a shared time grid.
-
-    ``trajectories[i, k]`` is the position of characteristic i at
-    ``time_grid[k]``. Forward maps satisfy trajectories[:, 0] = seeds;
-    backward maps are anchored at the final node instead, so
-    trajectories[:, 0] samples the inverse flow at the anchor time.
-    """
-
-    seed_grid: SeedGrid
-    time_grid: np.ndarray        # (K+1,), 0 = t_0 < ... < t_K
-    trajectories: np.ndarray     # (N, K+1, d)
-    direction: str               # "forward" | "backward"
-    steps: int
-
-    def positions_at(self, k):
-        return self.trajectories[:, k, :]
-
-    @property
-    def inverse_samples(self):
-        """X^{-1}(anchor, seeds) for a backward map."""
-        if self.direction != "backward":
-            raise ValueError("inverse samples only exist on backward maps")
-        return self.trajectories[:, 0, :]
-
 
 ESCAPE_FACTOR = 1e3    # escape radius in units of max(seed radius, 1)
 
@@ -186,44 +161,45 @@ def _rk4_path(rhs, y0, h, steps, escape_radius, first=0, out=None):
     return out
 
 
-def integrate_flow(field: VelocityFieldSpec, seeds: SeedGrid, steps, direction,
-                   anchor_time=None, allow_nonsmooth=False) -> FlowMap:
-    """Integrate the characteristic ODE over the seed grid.
+def backward_paths(field: VelocityFieldSpec, points: SeedGrid, anchors, counts,
+                   sweep=None):
+    """Backward paths from ``points`` at anchors[g] in counts[g] steps.
 
-    Forward: dX/dt = b(t, X), X(0) = seed, on [0, T]. Backward: the
-    characteristic through (anchor, seed) is traced back to t = 0 by
-    integrating -b in reversed time; the result is stored on the physical
-    time grid so the anchor sits in the last column.
-
-    Nonsmooth fields must be mollified first unless the caller explicitly
-    accepts the reduced order with ``allow_nonsmooth=True``.
+    Path g is (counts[g] + 1, N, d) on the grid linspace(0, anchors[g],
+    counts[g] + 1), so its row 0 is X^{-1}(anchors[g], points): -b is
+    integrated in the time s = anchor - t and the sweep reversed, bit for
+    bit as in the full-table reference of ``tests/reference.py``. A
+    time-dependent b takes one sweep per path. With b independent of time
+    the paths are views of one sweep, written into the front of the flat
+    buffer ``sweep`` if given: path g takes steps of anchors[g] / counts[g]
+    in rows g*N to (g+1)*N, and counts must not increase, so the moving
+    rows form a prefix. A StepBlowupError names the seed and the physical
+    time. The caller applies the nonsmooth-field check.
     """
-    if field.regularity_tag == "bv_nonsmooth" and not allow_nonsmooth:
-        raise ValueError("bv_nonsmooth field: mollify first or pass allow_nonsmooth=True")
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if steps < 1:
-        raise ValueError("steps must be a positive integer")
-    anchor = field.horizon if anchor_time is None else float(anchor_time)
-    if not 0.0 < anchor <= field.horizon:
-        raise ValueError("anchor_time must lie in (0, horizon]")
-    escape = ESCAPE_FACTOR * max(seeds.bounding_radius, 1.0)
-    time_grid = np.linspace(0.0, anchor, steps + 1)
-
-    if direction == "forward":
-        rhs = lambda t, y: np.asarray(field.eval_b(t, y), dtype=float)  # noqa: E731
-        path = _rk4_path(rhs, seeds.points, anchor / steps, steps, escape)
-        traj = np.moveaxis(path, 0, 1)
-    else:
-        rhs = lambda s, y: -np.asarray(field.eval_b(anchor - s, y), dtype=float)  # noqa: E731
-        try:
-            path = _rk4_path(rhs, seeds.points, anchor / steps, steps, escape)
-        except StepBlowupError as exc:    # the sweep's time runs back from the anchor
-            raise exc.renamed(exc.seed_index, anchor - exc.t) from exc
-        traj = np.moveaxis(path[::-1], 0, 1)
-
-    return FlowMap(seed_grid=seeds, time_grid=time_grid, trajectories=traj,
-                   direction=direction, steps=steps)
+    x = points.points
+    n = x.shape[0]
+    escape = ESCAPE_FACTOR * max(points.bounding_radius, 1.0)
+    if not field.autonomous:
+        paths = []
+        for a, m in zip(anchors, counts):
+            rhs = lambda s, y: -np.asarray(field.eval_b(a - s, y), dtype=float)  # noqa: E731
+            try:
+                paths.append(_rk4_path(rhs, x, a / m, m, escape)[::-1])
+            except StepBlowupError as exc:    # the sweep's time runs back from a
+                raise exc.renamed(exc.seed_index, a - exc.t) from exc
+        return paths
+    rhs = lambda s, y: -np.asarray(field.eval_b(0.0, y), dtype=float)  # noqa: E731
+    y0 = np.tile(x, (len(anchors), 1))
+    out = (None if sweep is None else
+           sweep[:(counts[0] + 1) * y0.size].reshape((counts[0] + 1,) + y0.shape))
+    try:
+        path = _rk4_path(rhs, y0, np.repeat(np.divide(anchors, counts), n),
+                         np.repeat(counts, n), escape, out=out)
+    except StepBlowupError as exc:
+        # row i integrates seed i mod N back from anchors[i // N]
+        raise exc.renamed(exc.seed_index % n, anchors[exc.seed_index // n] - exc.t) from exc
+    # sweep node j sits at time anchor - j h; reversed, rows run 0 -> anchor
+    return [path[m::-1, g * n:(g + 1) * n] for g, m in enumerate(counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +285,12 @@ def _forward_blocks(field: VelocityFieldSpec, seeds: SeedGrid, steps, rows=slice
 
     Yields (k0, nodes), nodes (m+1, n, d) holding path nodes k0 to k0 + m.
     Each block starts from the last node of the one before and is released
-    before the next is built; its steps are bit for bit those of
-    ``integrate_flow``, whose escape radius it uses. One (m+1, n) float
-    table takes at most 1/16 of ``_CHUNK_BYTES``, as in the blocks of
-    ``pointwise_solution``, and m is at least 1: the path and up to 16 - d
-    tables of the caller fit in the budget, and each table stays small
-    enough for the elementwise passes over it to run in cache.
+    before the next is built; its steps are bit for bit those of one sweep
+    from time 0, as in the full-table reference of ``tests/reference.py``.
+    One (m+1, n) float table takes at most 1/16 of ``_CHUNK_BYTES``, as in
+    the blocks of ``pointwise_solution``, and m is at least 1: the path and
+    up to 16 - d tables of the caller fit in the budget, and each table
+    stays small enough for the elementwise passes over it to run in cache.
     """
     if field.regularity_tag == "bv_nonsmooth":
         raise ValueError("bv_nonsmooth field: mollify first")
@@ -376,10 +352,11 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
     with the eta cut-off of ``sample_damping`` and continues the trapezoid
     of c the same way; a seed whose every node is cut off raises
     AllTruncatedError after the sweep. Every value is bit for bit the
-    reduction of the cumulative trapezoids over the full ``integrate_flow``
-    table, and the residuals are those of the Jacobian ODE and its
-    reciprocal along that table. Raises what the sampled fields raise; the
-    divergence bound is checked before JX is formed.
+    reduction of the cumulative trapezoids over the full trajectory table
+    of the reference in ``tests/reference.py``, and the residuals are those
+    of the Jacobian ODE and its reciprocal along that table. Raises what
+    the sampled fields raise; the divergence bound is checked before JX is
+    formed.
     """
     time_grid = np.linspace(0.0, field.horizon, steps + 1)
     dt = np.diff(time_grid)[:, None]
@@ -475,7 +452,8 @@ def compressibility_estimate(summary: ForwardSummary):
 
     edges = []
     for axis in range(d):
-        centers = np.unique(pts[:, axis])
+        centers = np.sort(pts[:, axis])
+        centers = centers[np.append(True, centers[1:] != centers[:-1])]
         h = centers[1] - centers[0] if centers.size > 1 else 2.0 * seeds.bounding_radius
         lo, hi = centers[0] - 0.5 * h, centers[-1] + 0.5 * h
         block = min(16, centers.size)
@@ -525,10 +503,10 @@ def forward_backward_mismatch(field: VelocityFieldSpec, summary: ForwardSummary)
     """max_i |X^{-1}(T, X(T, x_i)) - x_i|, reintegrated back in as many steps."""
     seeds = summary.seed_grid
     arrivals = seeds_from_points(summary.endpoints, seeds.cell_volume)
-    back = integrate_flow(field, arrivals, summary.steps, "backward",
-                          anchor_time=float(summary.time_grid[-1]))
-    diff = back.inverse_samples - seeds.points
-    return float(np.max(np.linalg.norm(diff, axis=-1)))
+    # row 0 of the one backward path is X^{-1}(T, arrivals)
+    inverse = backward_paths(field, arrivals, [float(summary.time_grid[-1])],
+                             [summary.steps])[0][0]
+    return float(np.max(np.linalg.norm(inverse - seeds.points, axis=-1)))
 
 
 # ---------------------------------------------------------------------------

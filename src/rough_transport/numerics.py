@@ -164,15 +164,15 @@ def gl_nodes(a, b, n):
     return a + half * (x + 1.0), half * w
 
 
-def adaptive_quad(fn, a, b, limit=50):
-    """QUADPACK integral of the scalar ``fn`` over [a, b]; ``b`` may be inf.
+def adaptive_quad(fn, a, b):
+    """QUADPACK integral (limit=200) of the scalar ``fn`` over [a, b]; ``b`` may be inf.
 
     scipy is imported here, on the first call, not with the package: no
     default scenario integrates adaptively, and the import costs more than
     numpy's.
     """
     from scipy.integrate import quad
-    return quad(fn, a, b, limit=limit)[0]
+    return quad(fn, a, b, limit=200)[0]
 
 
 def stable_sum(values):

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import JacobianVanishedError, StepBlowupError
+from .errors import JacobianVanishedError
 from .fields import DampingFieldSpec, VelocityFieldSpec, sample_damping, sample_nodes
-from .flow import (_CHUNK_BYTES, ESCAPE_FACTOR, ForwardSummary, SeedGrid,
-                   _check_divergence, _check_truncation, _div_sup_integral, _rk4_path,
-                   integrate_flow)
+from .flow import (_CHUNK_BYTES, ForwardSummary, SeedGrid, _check_divergence,
+                   _check_truncation, _div_sup_integral, backward_paths)
 from .numerics import (CellGrid, cell_centers, gl_nodes, stable_sum, tensor_points,
                        trapezoid_weights)
 
@@ -159,39 +158,6 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
     return out
 
 
-def _backward_paths(field: VelocityFieldSpec, points: SeedGrid, anchors, counts,
-                    sweep):
-    """Backward paths from ``points`` at anchors[g] in counts[g] steps.
-
-    Path g is (counts[g] + 1, N, d) on the grid linspace(0, anchors[g],
-    counts[g] + 1), bitwise the trajectories of ``integrate_flow(...,
-    "backward", anchor_time=anchors[g])``, which a time-dependent b calls
-    for each path. With b independent of time the paths are views of one
-    RK4 sweep, written into the front of the flat buffer ``sweep``, traced
-    with t = 0 and reversed in time: path g takes steps of
-    anchors[g] / counts[g] in rows g*N to (g+1)*N. Counts must not
-    increase, so the moving rows form a prefix.
-    """
-    if not field.autonomous:
-        # pointwise_solution has already applied the nonsmooth-field check
-        return [np.moveaxis(integrate_flow(field, points, m, "backward", anchor_time=a,
-                                           allow_nonsmooth=True).trajectories, 1, 0)
-                for a, m in zip(anchors, counts)]
-    n = points.points.shape[0]
-    rhs = lambda s, y: -np.asarray(field.eval_b(0.0, y), dtype=float)  # noqa: E731
-    y0 = np.tile(points.points, (len(anchors), 1))
-    out = sweep[:(counts[0] + 1) * y0.size].reshape((counts[0] + 1,) + y0.shape)
-    try:
-        path = _rk4_path(rhs, y0, np.repeat(np.divide(anchors, counts), n),
-                         np.repeat(counts, n),
-                         ESCAPE_FACTOR * max(points.bounding_radius, 1.0), out=out)
-    except StepBlowupError as exc:
-        # row i integrates seed i mod N back from anchors[i // N]
-        raise exc.renamed(exc.seed_index % n, anchors[exc.seed_index // n] - exc.t) from exc
-    # sweep node j sits at time anchor - j h; reversed, rows run 0 -> anchor
-    return [path[m::-1, g * n:(g + 1) * n] for g, m in enumerate(counts)]
-
-
 def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
                        points: SeedGrid, time_grid, steps, eta=0.0,
                        allow_nonsmooth=False) -> np.ndarray:
@@ -205,9 +171,9 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     follow prefixes of one path, integrated and sampled once per distinct
     step; each slice's values are bitwise u0(X^{-1}) / JX * exp(D) from
     the cumulative trapezoids of div b and c over the full table of its own
-    backward map from ``integrate_flow`` (the reference the tests keep in
-    ``tests/reference.py``). The identity build (step 1/256 for all 256 slices)
-    takes one path; linear_expand's 48 slices of 1000 steps take 31.
+    backward map (the reference the tests keep in ``tests/reference.py``).
+    The identity build (step 1/256 for all 256 slices) takes one path;
+    linear_expand's 48 slices of 1000 steps take 31.
 
     The paths come from chunked sweeps, longest first. A chunk stacks
     paths while its sweep, rows * (longest step count + 1) * d * 8 bytes,
@@ -255,8 +221,8 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     sweep = np.empty(max((counts[c[0][0]] + 1) * len(c) * x.size for c in chunks)
                      if batch and chunks else 0)
     for chunk in chunks:
-        paths = _backward_paths(field, points, [anchors[g[0]] for g in chunk],
-                                [counts[g[0]] for g in chunk], sweep)
+        paths = backward_paths(field, points, [anchors[g[0]] for g in chunk],
+                               [counts[g[0]] for g in chunk], sweep)
         for group, path in zip(chunk, paths):
             grids = [np.linspace(0.0, anchors[s], counts[s] + 1) for s in group]
             vals[[1 + s for s in group]] = _represent_slices(u0, field, damping, path,

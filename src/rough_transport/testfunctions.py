@@ -33,7 +33,7 @@ _PINNED_BUMP_INTEGRALS = {
 def _radial_integral(profile, d, lower, upper):
     """Integral of the radial profile over lower < |x| < upper in R^d."""
     return sphere_area(d) * adaptive_quad(lambda s: profile(s) * s ** (d - 1),
-                                          lower, upper, limit=200)
+                                          lower, upper)
 
 
 # ---------------------------------------------------------------------------

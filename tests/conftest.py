@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from rough_transport.fields import DampingFieldSpec
-from rough_transport.flow import integrate_flow, make_seed_grid
+from rough_transport.flow import make_seed_grid
 from rough_transport import scenarios
 from rough_transport.scenarios import DAMPING_CATALOG, FIELD_CATALOG, U0_CATALOG
+
+from reference import integrate_flow
 
 
 @pytest.fixture(autouse=True)

@@ -2,19 +2,89 @@
 
 The package reads each forward quantity from one blocked sweep
 (``forward_summary``) and each backward one from shared paths
-(``pointwise_solution``); the tests compare both bit for bit against these
-cumulative trapezoids over a whole ``integrate_flow`` table.
+(``backward_paths``, read by ``pointwise_solution``); the tests compare
+both bit for bit against one ``integrate_flow`` sweep per map, kept whole
+in a ``FlowMap``, and against the cumulative trapezoids over its table.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from rough_transport.errors import StepBlowupError
 from rough_transport.fields import (DampingFieldSpec, VelocityFieldSpec, sample_damping,
                                     sample_nodes)
-from rough_transport.flow import (FlowMap, _check_divergence, _check_truncation,
-                                  _div_sup_integral)
+from rough_transport.flow import (ESCAPE_FACTOR, SeedGrid, _check_divergence,
+                                  _check_truncation, _div_sup_integral, _rk4_path)
 from rough_transport.numerics import cumtrapz
+
+
+@dataclass(frozen=True)
+class FlowMap:
+    """Sampled characteristics of a velocity field on a shared time grid.
+
+    ``trajectories[i, k]`` is the position of characteristic i at
+    ``time_grid[k]``. Forward maps satisfy trajectories[:, 0] = seeds;
+    backward maps are anchored at the final node instead, so
+    trajectories[:, 0] samples the inverse flow at the anchor time.
+    """
+
+    seed_grid: SeedGrid
+    time_grid: np.ndarray        # (K+1,), 0 = t_0 < ... < t_K
+    trajectories: np.ndarray     # (N, K+1, d)
+    direction: str               # "forward" | "backward"
+    steps: int
+
+    def positions_at(self, k):
+        return self.trajectories[:, k, :]
+
+    @property
+    def inverse_samples(self):
+        """X^{-1}(anchor, seeds) for a backward map."""
+        if self.direction != "backward":
+            raise ValueError("inverse samples only exist on backward maps")
+        return self.trajectories[:, 0, :]
+
+
+def integrate_flow(field: VelocityFieldSpec, seeds: SeedGrid, steps, direction,
+                   anchor_time=None, allow_nonsmooth=False) -> FlowMap:
+    """Integrate the characteristic ODE over the seed grid.
+
+    Forward: dX/dt = b(t, X), X(0) = seed, on [0, T]. Backward: the
+    characteristic through (anchor, seed) is traced back to t = 0 by
+    integrating -b in reversed time; the result is stored on the physical
+    time grid so the anchor sits in the last column.
+
+    Nonsmooth fields must be mollified first unless the caller explicitly
+    accepts the reduced order with ``allow_nonsmooth=True``.
+    """
+    if field.regularity_tag == "bv_nonsmooth" and not allow_nonsmooth:
+        raise ValueError("bv_nonsmooth field: mollify first or pass allow_nonsmooth=True")
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"unknown direction {direction!r}")
+    if steps < 1:
+        raise ValueError("steps must be a positive integer")
+    anchor = field.horizon if anchor_time is None else float(anchor_time)
+    if not 0.0 < anchor <= field.horizon:
+        raise ValueError("anchor_time must lie in (0, horizon]")
+    escape = ESCAPE_FACTOR * max(seeds.bounding_radius, 1.0)
+    time_grid = np.linspace(0.0, anchor, steps + 1)
+
+    if direction == "forward":
+        rhs = lambda t, y: np.asarray(field.eval_b(t, y), dtype=float)  # noqa: E731
+        path = _rk4_path(rhs, seeds.points, anchor / steps, steps, escape)
+        traj = np.moveaxis(path, 0, 1)
+    else:
+        rhs = lambda s, y: -np.asarray(field.eval_b(anchor - s, y), dtype=float)  # noqa: E731
+        try:
+            path = _rk4_path(rhs, seeds.points, anchor / steps, steps, escape)
+        except StepBlowupError as exc:    # the sweep's time runs back from the anchor
+            raise exc.renamed(exc.seed_index, anchor - exc.t) from exc
+        traj = np.moveaxis(path[::-1], 0, 1)
+
+    return FlowMap(seed_grid=seeds, time_grid=time_grid, trajectories=traj,
+                   direction=direction, steps=steps)
+
 
 
 @dataclass(frozen=True)

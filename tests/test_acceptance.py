@@ -14,8 +14,7 @@ import numpy as np
 
 from rough_transport.config import resolve
 from rough_transport.flow import (change_of_variables_residual, forward_summary,
-                                  integrate_flow, make_seed_grid,
-                                  seeds_from_points)
+                                  make_seed_grid, seeds_from_points)
 from rough_transport.numerics import order_estimate
 from rough_transport.renormalization import (make_beta_arctan, make_beta_log,
                                              standard_sweep)
@@ -26,6 +25,7 @@ from rough_transport.testfunctions import bump, compact_space_time
 from rough_transport.weakform import weak_residual
 
 from conftest import damping, field, u0_fn
+from reference import integrate_flow
 
 ORDER_MARGIN = 0.1
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rough_transport import flow
+from rough_transport import flow, representation
 from rough_transport.config import resolve
 from rough_transport.errors import (DivergenceUnboundedError, DomainTooSmallError,
                                     StepBlowupError)
@@ -16,15 +16,14 @@ from rough_transport.fields import VelocityFieldSpec, sample_nodes
 from rough_transport.flow import (_rk4_path, change_of_variables_residual,
                                   compressibility_estimate, flow_convergence_study,
                                   forward_backward_mismatch, forward_summary,
-                                  integrate_flow, make_seed_grid,
-                                  seeds_from_points, superlevel_escape)
+                                  make_seed_grid, seeds_from_points, superlevel_escape)
 from rough_transport.numerics import order_estimate, sq_norms
 from rough_transport.representation import pointwise_solution
 from rough_transport.scenarios import run_scenario
 from rough_transport.testfunctions import bump, gaussian
 
 from conftest import damping, field, long_linear_flow, traced_bytes, u0_fn
-from reference import jacobian
+from reference import integrate_flow, jacobian
 
 
 def test_identity_flow(zero_field):
@@ -67,6 +66,24 @@ def test_flow_reproducible_bitwise(linear_field):
     a = integrate_flow(linear_field, grid, 100, "forward")
     b = integrate_flow(linear_field, grid, 100, "forward")
     assert np.array_equal(a.trajectories, b.trajectories)
+
+
+def test_seed_grid_rejects_repeated_points():
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        seeds_from_points([[0.5, 1.0], [0.2, 0.3], [0.5, 1.0]])
+    # rows equal in every coordinate, even when one zero carries a minus sign
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        seeds_from_points([[0.0, 1.0], [0.3, 0.0], [-0.0, 1.0]])
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        seeds_from_points([[0.25], [-0.25], [0.25]])
+
+
+def test_seed_grid_accepts_distinct_points():
+    assert seeds_from_points([[0.4, -0.1]]).points.shape == (1, 2)
+    # rows that share a coordinate are distinct; a NaN equals nothing
+    seeds_from_points([[0.0, 1.0], [0.0, 2.0], [1.0, 1.0]])
+    seeds_from_points([[np.nan], [np.nan], [0.0]])
+    assert make_seed_grid(1.0, (3, 5), 2).points.shape == (15, 2)
 
 
 def test_step_blowup_reports_seed():
@@ -548,6 +565,59 @@ def test_linear_field_jacobian_and_inverse(entries):
     fwd = forward_summary(spec, make_seed_grid(1.0, 4, d), 256)
     assert fwd.jx_end == pytest.approx(math.exp(tr), rel=1e-12)
     assert forward_backward_mismatch(spec, fwd) <= 1e-8
+
+
+# --- the backward paths --------------------------------------------------------
+
+def _reference_backward(spec, grid, anchors, counts):
+    """Each backward path from the full-table reference, node-major like backward_paths."""
+    return [np.moveaxis(integrate_flow(spec, grid, m, "backward", anchor_time=a)
+                        .trajectories, 1, 0) for a, m in zip(anchors, counts)]
+
+
+@pytest.mark.parametrize("field_id,anchors,counts", [
+    ("linear_expand", [1.0, 2.0 / 3.0, 0.5, 1.0 / 3.0], [10, 7, 7, 3]),
+    ("linear_expand", [1.0], [64]),         # forward_backward_mismatch's one path
+    ("time_dependent", [1.0, 0.25, 0.75], [12, 3, 9]),
+], ids=["stacked", "one_anchor", "time_dependent"])
+def test_backward_paths_match_the_reference_bitwise(field_id, anchors, counts):
+    spec = _time_dependent_field() if field_id == "time_dependent" else field(field_id)
+    grid = make_seed_grid(1.0, 16, 1)
+    ref = _reference_backward(spec, grid, anchors, counts)
+    got = flow.backward_paths(spec, grid, anchors, counts)
+    assert len(got) == len(ref)
+    for path, want in zip(got, ref):
+        assert np.array_equal(path, want)
+    if spec.autonomous:
+        # written into a caller's buffer, the sweep gives the same paths
+        sweep = np.empty(2 * (counts[0] + 1) * len(anchors) * grid.points.size)
+        for path, want in zip(flow.backward_paths(spec, grid, anchors, counts, sweep), ref):
+            assert np.shares_memory(path, sweep)
+            assert np.array_equal(path, want)
+
+
+@pytest.mark.parametrize("autonomous", [True, False])
+def test_backward_paths_blowup_names_seed_and_physical_time(autonomous):
+    # the path from 0.45 back from t = 1/3 meets the NaN at its first step
+    # of 1/9, at t = 2/9; the path back from t = 1 (steps of 0.1), or
+    # from t = 0.05 in one step, is still finite then. Stacked, the failing
+    # row is 3 = path 1 x 2 seeds + seed 1
+    spec = dataclasses.replace(_nan_right_of_half(), autonomous=autonomous)
+    anchors, counts = (([1.0, 1.0 / 3.0], [10, 3]) if autonomous
+                       else ([0.05, 1.0 / 3.0], [1, 3]))
+    with pytest.raises(StepBlowupError) as err:
+        flow.backward_paths(spec, seeds_from_points([[0.2], [0.45]]), anchors, counts)
+    assert err.value.seed_index == 1
+    assert err.value.t == pytest.approx(2.0 / 9.0, rel=1e-15)
+    assert str(err.value) == "trajectory 1 became non-finite at t=0.222222"
+
+
+def test_flow_drives_every_characteristic_sweep():
+    # the full-table trajectory map is a test reference, and the solution
+    # formulas reach RK4 only through flow's forward and backward drivers
+    assert not hasattr(flow, "integrate_flow") and not hasattr(flow, "FlowMap")
+    for name in ("_rk4_path", "ESCAPE_FACTOR", "integrate_flow"):
+        assert not hasattr(representation, name)
 
 
 # --- the forward pass in time blocks -----------------------------------------

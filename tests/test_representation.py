@@ -10,8 +10,7 @@ import pytest
 from rough_transport.errors import (AllTruncatedError, JacobianVanishedError,
                                     NonFiniteDampingError)
 from rough_transport.fields import DampingFieldSpec, PointSingularity, VelocityFieldSpec
-from rough_transport.flow import (forward_summary, integrate_flow, make_seed_grid,
-                                  seeds_from_points)
+from rough_transport.flow import forward_summary, make_seed_grid, seeds_from_points
 from rough_transport.numerics import CellGrid, stable_sum
 from rough_transport import flow, representation
 from rough_transport.representation import (_CHUNK_BYTES, DensityRepresentation,
@@ -19,7 +18,7 @@ from rough_transport.representation import (_CHUNK_BYTES, DensityRepresentation,
                                             make_quadrature, pointwise_solution,
                                             represent_pushforward)
 from conftest import damping, field, long_linear_flow, traced_bytes, u0_fn, unit_damping
-from reference import damping_integral, jacobian
+from reference import damping_integral, integrate_flow, jacobian
 
 
 def _identity_flow(steps=16, cells=64, radius=1.0, d=1, T=1.0):
@@ -404,11 +403,18 @@ def test_pointwise_solution_batches_autonomous_b_with_time_dependent_c(monkeypat
     times = np.linspace(0.0, 1.0, 9)
     ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 200, 0.0)
 
-    def per_slice(*args, **kwargs):
-        raise AssertionError("an autonomous b must take the batched sweep")
-    monkeypatch.setattr(representation, "integrate_flow", per_slice)
+    sweeps = []
+    real = flow._rk4_path
+
+    def counting(*args, **kwargs):
+        sweeps.append(args[1].shape)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(flow, "_rk4_path", counting)
     u = pointwise_solution(spec, dmp, u0, grid, times, steps=200)
     assert np.array_equal(u, ref)
+    # all 8 slices step by 1/200, so an autonomous b takes one batched sweep
+    # of one path, not one sweep per slice
+    assert sweeps == [(32, 1)]
 
 
 def test_pointwise_solution_initial_slice_exact():

@@ -181,12 +181,29 @@ def test_nondefault_run_is_reproducible(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("scenario_id", ["linear_expand", "rotation"])
+def test_flow_endpoint_ends_its_sweep_at_t_eval(scenario_id, tmp_path):
+    # the endpoint check reads X at a fixed t_eval (1 and pi/2); a longer
+    # horizon leaves its sweep, and so its error, bit for bit unchanged, and
+    # a horizon short of t_eval is a pipeline error (see test_config_cli)
+    def position_error(**overrides):
+        cfg = resolve({"scenario_id": scenario_id, "diagnostics": ["flow_endpoint"],
+                       "output_dir": str(tmp_path), **overrides})
+        (result,) = run_scenario(cfg).results
+        assert result.passed
+        return result.values["position_error"]
+    assert position_error(T=2.0) == position_error()
+
+
 def test_default_change_of_variables_runs_import_no_scipy(tmp_path):
     # linear_expand and rotation are the default scenarios that read bump
     # integrals; twin_difference_gronwall and compact_support_b certify beta,
-    # build phi_R and the Gronwall constants; a fresh process keeps modules
-    # other tests imported out
-    ids = ("linear_expand", "rotation", "twin_difference_gronwall", "compact_support_b")
+    # build phi_R and the Gronwall constants; identity builds seed grids and
+    # estimates compressibility. numpy.ma, which np.unique imports on its
+    # first call, stays out too. A fresh process keeps modules other tests
+    # imported out
+    ids = ("identity", "linear_expand", "rotation", "twin_difference_gronwall",
+           "compact_support_b")
     code = textwrap.dedent(f"""
         import sys
         from rough_transport import cli, config, scenarios
@@ -194,7 +211,8 @@ def test_default_change_of_variables_runs_import_no_scipy(tmp_path):
             cfg = config.resolve({{"scenario_id": sid,
                                   "output_dir": {str(tmp_path)!r} + "/" + sid}})
             scenarios.run_scenario(cfg).write(cfg.output_dir)
-        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        print(sorted(m for m in sys.modules
+                     if m.startswith("scipy") or m.split(".")[:2] == ["numpy", "ma"]))
     """)
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
