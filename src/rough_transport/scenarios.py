@@ -274,14 +274,15 @@ class RunContext:
 
     Each shared object is built on first use and memoised in ``_cache``, so
     the diagnostics of one scenario that read the same flow, density or
-    profile build it once.
+    profile build it once. The random generator is one of them: ``rng``
+    seeds it from ``cfg.rng_seed`` on first read, so a run that never draws
+    never imports ``numpy.random``.
     """
 
     cfg: "object"                      # config.ScenarioConfig
     field: VelocityFieldSpec
     damping: DampingFieldSpec
     u0: Callable
-    rng: np.random.Generator
     _cache: dict = None
 
     def __post_init__(self):
@@ -296,6 +297,11 @@ class RunContext:
             self._cache[key] = build()
         return self._cache[key]
 
+    @property
+    def rng(self):
+        """The run's generator, seeded from ``cfg.rng_seed`` on first read."""
+        return self._memo("rng", lambda: np.random.default_rng(self.cfg.rng_seed))
+
     def seed_grid(self):
         return self._memo("seeds", lambda: make_seed_grid(
             self.cfg.box_radius, self.cfg.seeds_per_axis, self.d))
@@ -306,7 +312,12 @@ class RunContext:
             self.field, self.seed_grid(), self.cfg.steps))
 
     def growth(self):
-        """The field's growth split, verified once per run on the run's rng."""
+        """The field's growth split, verified once per run on the run's rng.
+
+        Its samples are the first read of ``rng`` in each of the three
+        Gronwall scenarios, the only runs that draw; ``_run_growth_split``'s
+        divergence check draws next from the same stream.
+        """
         return self._memo("growth", lambda: growth_split(self.field, rng=self.rng))
 
     def density(self, n_space, n_time, radius=None, steps=None, allow_nonsmooth=False):
@@ -890,8 +901,7 @@ def build_context(cfg) -> RunContext:
     field = FIELD_CATALOG[cfg.field_id](scenario.dimension, cfg.T)
     damping = DAMPING_CATALOG[cfg.damping_id](scenario.dimension)
     u0 = U0_CATALOG[cfg.u0_id](scenario.dimension)
-    rng = np.random.default_rng(cfg.rng_seed)
-    return RunContext(cfg=cfg, field=field, damping=damping, u0=u0, rng=rng)
+    return RunContext(cfg=cfg, field=field, damping=damping, u0=u0)
 
 
 def run_scenario(cfg) -> RunReport:

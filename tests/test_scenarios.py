@@ -7,6 +7,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rough_transport import renormalization, scenarios
@@ -14,7 +15,7 @@ from rough_transport.config import resolve
 from rough_transport.errors import InadmissibleRenormalizerError, PipelineError
 from rough_transport.renormalization import AdmissibilityReport
 from rough_transport.representation import pointwise_solution
-from rough_transport.scenarios import REGISTRY, _check, run_scenario
+from rough_transport.scenarios import REGISTRY, _check, build_context, run_scenario
 from rough_transport.weakform import gamma_trace, weak_residual
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -220,6 +221,44 @@ def test_default_change_of_variables_runs_import_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
     assert sorted(os.listdir(tmp_path)) == sorted(ids)
+
+
+def test_only_runs_that_draw_import_numpy_random(tmp_path):
+    # the seven default scenarios of the forward_flow and pointwise_weak
+    # workloads never read ctx.rng, so numpy.random (about 6 MB of RSS) stays
+    # out of their process; compact_support_b's growth split draws, and so
+    # loads it. A fresh process keeps modules other tests imported out
+    quiet = ("identity", "linear_expand", "damping_bounded", "linear_contract",
+             "rotation", "shear_bv", "counterexample_L1_damping")
+    code = textwrap.dedent(f"""
+        import sys
+        from rough_transport import cli, config, scenarios
+        def run(sid):
+            cfg = config.resolve({{"scenario_id": sid,
+                                  "output_dir": {str(tmp_path)!r} + "/" + sid}})
+            scenarios.run_scenario(cfg).write(cfg.output_dir)
+        for sid in {quiet!r}:
+            run(sid)
+        print("numpy.random" in sys.modules)
+        run("compact_support_b")
+        print("numpy.random" in sys.modules)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-2:] == ["False", "True"]
+    assert sorted(os.listdir(tmp_path)) == sorted(quiet + ("compact_support_b",))
+
+
+def test_run_generator_is_built_on_first_read(tmp_path):
+    cfg = resolve({"scenario_id": "compact_support_b", "output_dir": str(tmp_path)})
+    ctx = build_context(cfg)
+    assert "rng" not in ctx._cache
+    rng = ctx.rng
+    assert ctx.rng is rng and ctx._cache["rng"] is rng
+    assert rng.uniform(size=8).tolist() == \
+        np.random.default_rng(cfg.rng_seed).uniform(size=8).tolist()
 
 
 def test_check_flag_must_be_true():
