@@ -8,10 +8,8 @@ superlevel decay.
 """
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,17 +78,17 @@ class BMOProfile:
         return core
 
 
-def _gather(values, runs, out=None):
+def _gather(values, runs):
     """The samples of the index ``runs`` in grid order; one run is a view."""
     if len(runs) == 1:
         (a, b), = runs
         return values[a:b]
     if not runs:
         return values[:0]
-    return np.concatenate([values[a:b] for a, b in runs], out=out)
+    return np.concatenate([values[a:b] for a, b in runs])
 
 
-# cells per leaf of a ball's sums, and per chunk of the superlevel counts
+# cells per leaf of a ball's oscillation sum, and per chunk of the superlevel counts
 _CHUNK = 1 << 16
 _PAIRWISE_BLOCK = 128    # numpy sums at most this many floats without a split
 
@@ -112,16 +110,6 @@ def _pairwise_sum(leaf_sum, n, start=0):
             + _pairwise_sum(leaf_sum, n - half, start + half))
 
 
-def _span_runs(runs, offsets, start, stop):
-    """The index runs of samples start:stop of ``runs``, read in order.
-
-    ``offsets`` are the partial sums of the run lengths, from 0.
-    """
-    k, j = bisect_right(offsets, start) - 1, bisect_left(offsets, stop)
-    return [(max(a, a + start - o), min(b, a + stop - o))
-            for (a, b), o in zip(runs[k:j], offsets[k:j])]
-
-
 def default_ball_family(M, d):
     """Dyadic radii M 2^-k, k < 7, on a grid of 5^d centers inside B_M."""
     centers = tensor_points([np.linspace(-0.5 * M, 0.5 * M, 5)] * d)
@@ -140,9 +128,7 @@ def bmo_norm(values, M, ball_family, grid) -> BMOProfile:
     (``CellGrid.ball_runs``), so no distance is computed per cell. A ball
     with no cell raises before any mean is taken. Every average and mean
     oscillation is ``np.mean`` of the ball's samples in grid order, and of
-    |sel - avg|, bit for bit, but each sum is taken leaf by leaf along
-    numpy's own pairwise tree (``_ball_statistics``): no ball is ever held
-    whole, and the only float scratch is one leaf of ``_CHUNK`` cells.
+    |sel - avg|, bit for bit (``_ball_statistics``).
     """
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape[:1]:
@@ -166,14 +152,14 @@ def bmo_norm(values, M, ball_family, grid) -> BMOProfile:
 
 
 def _ball_statistics(values, ball_family, grid):
-    """(averages, oscillations) per ball, summed leaf by leaf.
+    """(averages, oscillations) per ball.
 
-    Both sums of a ball run along ``_pairwise_sum``'s leaves, at most
-    ``_CHUNK`` samples each. A leaf inside one run of the ball (every leaf
-    in 1-D) is a view of the values; a leaf that spans runs is gathered
-    into one leaf-sized scratch. For the oscillation the scratch then
-    receives |leaf - avg|, so ``avg`` is subtracted from the same samples
-    as in ``np.mean(np.abs(sel - avg))``.
+    Each ball's samples ``sel`` are gathered once: in 1-D a ball is one run,
+    so ``sel`` is a view of the values; in d >= 2 it is a copy of the
+    ball's runs. The average is ``np.add.reduce(sel) / count``. The
+    oscillation sum runs along ``_pairwise_sum``'s leaves of at most
+    ``_CHUNK`` samples, each written as |leaf - avg| into one leaf-sized
+    scratch, so no |sel - avg| array of the ball's size is built.
     """
     runs = grid.ball_runs(*zip(*ball_family))
     for (center, radius), r in zip(ball_family, runs):
@@ -185,19 +171,16 @@ def _ball_statistics(values, ball_family, grid):
     averages = np.empty(len(ball_family))
     oscillations = np.empty(len(ball_family))
     for i, (r, count) in enumerate(zip(runs, counts)):
-        offsets = list(accumulate((b - a for a, b in r), initial=0))
-
-        def leaf(a, b):
-            return _gather(values, _span_runs(r, offsets, a, b), out=scratch[:b - a])
-
-        avg = _pairwise_sum(lambda a, b: float(np.add.reduce(leaf(a, b))), count) / count
+        sel = _gather(values, r)
+        avg = float(np.add.reduce(sel)) / count
 
         def oscillation(a, b):
-            dev = np.subtract(leaf(a, b), avg, out=scratch[:b - a])
+            dev = np.subtract(sel[a:b], avg, out=scratch[:b - a])
             return float(np.add.reduce(np.abs(dev, out=dev)))
 
         averages[i] = avg
         oscillations[i] = _pairwise_sum(oscillation, count) / count
+        del sel          # freed before the next ball is gathered
     return averages, oscillations
 
 
@@ -373,7 +356,7 @@ def bmo_gronwall_constants(lam, split: BMODivergenceSplit, growth: GrowthSplit,
     """Constants of the lambda-family Gronwall bound on [0, tau0].
 
     The abstract decay constants are replaced by the fitted (C, c) of the
-    oscillating divergence part; tau0 is chosen so the accumulated
+    oscillating divergence part; tau0 is chosen so the time integral of the
     oscillation norm stays below half the fitted decay rate, which is what
     makes exp(A_lambda) D_lambda decay in lambda. With d2 = 0 the constants
     reduce to those of the plain logarithmic Gronwall bound.

@@ -48,15 +48,17 @@ class PointSingularity:
 class VelocityFieldSpec:
     """A velocity field b with analytic divergence and regularity metadata.
 
-    ``div_sup(t)`` bounds the spatial sup of |div b(t, .)|; its time
-    integral is the constant L controlling the Jacobian between exp(-L)
-    and exp(L). Fields declared ``autonomous`` must not depend on t.
+    The RK4 drivers integrate only a ``continuous`` b; a field with a jump,
+    such as the BV shear, must be mollified first. ``div_sup(t)`` bounds
+    the spatial sup of |div b(t, .)|; its time integral is the constant L
+    controlling the Jacobian between exp(-L) and exp(L). Fields declared
+    ``autonomous`` must not depend on t.
     """
 
     dimension: int
     eval_b: Callable
     eval_div_b: Callable
-    regularity_tag: str          # "smooth" | "lipschitz" | "bv_nonsmooth"
+    continuous: bool             # False for a field with a jump
     div_sup: Callable            # t -> float (may be inf for BMO-type fields)
     horizon: float
     autonomous: bool = True
@@ -70,8 +72,6 @@ class VelocityFieldSpec:
             raise ValueError("dimension must be a positive integer")
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
-        if self.regularity_tag not in ("smooth", "lipschitz", "bv_nonsmooth"):
-            raise ValueError(f"unknown regularity_tag {self.regularity_tag!r}")
 
 
 @dataclass(frozen=True)
@@ -257,7 +257,7 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
         spec,
         eval_b=lambda t, x: _conv(base_b, t, x),
         eval_div_b=lambda t, x: _conv(base_div, t, x),
-        regularity_tag="smooth",
+        continuous=True,
         div_sup=div_sup,
         growth_b1=None,
         growth_b2=None,

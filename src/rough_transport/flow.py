@@ -174,8 +174,10 @@ def backward_paths(field: VelocityFieldSpec, points: SeedGrid, anchors, counts,
     buffer ``sweep`` if given: path g takes steps of anchors[g] / counts[g]
     in rows g*N to (g+1)*N, and counts must not increase, so the moving
     rows form a prefix. A StepBlowupError names the seed and the physical
-    time. The caller applies the nonsmooth-field check.
+    time, and a field that is not continuous raises ValueError.
     """
+    if not field.continuous:
+        raise ValueError("discontinuous field: mollify first")
     x = points.points
     n = x.shape[0]
     escape = ESCAPE_FACTOR * max(points.bounding_radius, 1.0)
@@ -292,8 +294,8 @@ def _forward_blocks(field: VelocityFieldSpec, seeds: SeedGrid, steps, rows=slice
     up to 16 - d tables of the caller fit in the budget, and each table
     stays small enough for the elementwise passes over it to run in cache.
     """
-    if field.regularity_tag == "bv_nonsmooth":
-        raise ValueError("bv_nonsmooth field: mollify first")
+    if not field.continuous:
+        raise ValueError("discontinuous field: mollify first")
     if steps < 1:
         raise ValueError("steps must be a positive integer")
     y = seeds.points[rows]

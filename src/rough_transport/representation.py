@@ -159,8 +159,7 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
 
 
 def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
-                       points: SeedGrid, time_grid, steps, eta=0.0,
-                       allow_nonsmooth=False) -> np.ndarray:
+                       points: SeedGrid, time_grid, steps, eta=0.0) -> np.ndarray:
     """u(t_k, x_i) on a fixed grid from backward characteristics, shape (K+1, N).
 
     The characteristics through (t_k, x_i) differ for each t_k, so each
@@ -188,8 +187,6 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     time, every slice is its own path and chunk. A c that depends on time
     is sampled per slice on that slice's own time grid.
     """
-    if field.regularity_tag == "bv_nonsmooth" and not allow_nonsmooth:
-        raise ValueError("bv_nonsmooth field: mollify first or pass allow_nonsmooth=True")
     time_grid = np.asarray(time_grid, dtype=float)
     if time_grid[0] != 0.0:
         raise ValueError("evaluation time grid must start at t = 0")

@@ -50,7 +50,7 @@ def _field_zero(d, T):
         dimension=d,
         eval_b=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         eval_div_b=lambda t, x: _zeros_like_scalar(x),
-        regularity_tag="smooth", div_sup=lambda t: 0.0, horizon=T,
+        continuous=True, div_sup=lambda t: 0.0, horizon=T,
         growth_b1=lambda t, x: _zeros_like_scalar(x),
         growth_b2=lambda t: 0.0, label="zero")
 
@@ -60,7 +60,7 @@ def _field_linear(d, T, sign):
         dimension=d,
         eval_b=lambda t, x: sign * np.asarray(x, dtype=float),
         eval_div_b=lambda t, x: np.full(np.asarray(x).shape[:-1], sign * d),
-        regularity_tag="smooth", div_sup=lambda t: float(abs(sign) * d), horizon=T,
+        continuous=True, div_sup=lambda t: float(abs(sign) * d), horizon=T,
         growth_b1=lambda t, x: _zeros_like_scalar(x),
         growth_b2=lambda t: 1.0,
         label="linear_expand" if sign > 0 else "linear_contract")
@@ -77,7 +77,7 @@ def _field_rotation(T):
     return VelocityFieldSpec(
         dimension=2, eval_b=eval_b,
         eval_div_b=lambda t, x: _zeros_like_scalar(x),
-        regularity_tag="smooth", div_sup=lambda t: 0.0, horizon=T,
+        continuous=True, div_sup=lambda t: 0.0, horizon=T,
         growth_b1=lambda t, x: _zeros_like_scalar(x),
         growth_b2=lambda t: 1.0, label="rotation")
 
@@ -93,7 +93,7 @@ def _field_shear(T):
     return VelocityFieldSpec(
         dimension=2, eval_b=eval_b,
         eval_div_b=lambda t, x: _zeros_like_scalar(x),
-        regularity_tag="bv_nonsmooth", div_sup=lambda t: 0.0, horizon=T,
+        continuous=False, div_sup=lambda t: 0.0, horizon=T,
         growth_b1=lambda t, x: _zeros_like_scalar(x),
         growth_b2=lambda t: 1.0, label="shear")
 
@@ -123,7 +123,7 @@ def _field_compact_bump(T):
 
     return VelocityFieldSpec(
         dimension=1, eval_b=eval_b, eval_div_b=eval_div_b,
-        regularity_tag="smooth", div_sup=lambda t: _COMPACT_DIV_SUP, horizon=T,
+        continuous=True, div_sup=lambda t: _COMPACT_DIV_SUP, horizon=T,
         growth_b1=b1, growth_b2=lambda t: 0.0, growth_b1_tail=b1_tail,
         label="compact_support_b")
 
@@ -154,7 +154,7 @@ def _field_log_drift(T):
 
     return VelocityFieldSpec(
         dimension=1, eval_b=eval_b, eval_div_b=eval_div_b,
-        regularity_tag="bv_nonsmooth", div_sup=lambda t: float("inf"), horizon=T,
+        continuous=True, div_sup=lambda t: float("inf"), horizon=T,
         growth_b1=lambda t, x: _zeros_like_scalar(x),
         growth_b2=lambda t: 1.0, label="log_drift")
 
@@ -320,7 +320,7 @@ class RunContext:
         """
         return self._memo("growth", lambda: growth_split(self.field, rng=self.rng))
 
-    def density(self, n_space, n_time, radius=None, steps=None, allow_nonsmooth=False):
+    def density(self, n_space, n_time, radius=None, steps=None):
         """The pointwise representation on the nodes of its own quadrature.
 
         ``radius`` defaults to the box radius and ``steps`` to the configured
@@ -334,18 +334,16 @@ class RunContext:
             grid = seeds_from_points(quad.points, quad.cell_volume)
             return DensityRepresentation(quad, pointwise_solution(
                 self.field, self.damping, self.u0, grid, quad.times, steps,
-                eta=self.cfg.eta, allow_nonsmooth=allow_nonsmooth))
-        return self._memo(("density", n_space, n_time, radius, steps, allow_nonsmooth),
-                          build)
+                eta=self.cfg.eta))
+        return self._memo(("density", n_space, n_time, radius, steps), build)
 
-    def twin_difference(self, quad_shape, radius, allow_nonsmooth=False):
+    def twin_difference(self, quad_shape, radius):
         """Zero-datum density: the scenario at steps minus 2 steps."""
         def build():
-            coarse = self.density(*quad_shape, radius, allow_nonsmooth=allow_nonsmooth)
-            fine = self.density(*quad_shape, radius, steps=2 * self.cfg.steps,
-                                allow_nonsmooth=allow_nonsmooth)
+            coarse = self.density(*quad_shape, radius)
+            fine = self.density(*quad_shape, radius, steps=2 * self.cfg.steps)
             return DensityRepresentation(coarse.quad, coarse.values - fine.values)
-        return self._memo(("twin", quad_shape, radius, allow_nonsmooth), build)
+        return self._memo(("twin", quad_shape, radius), build)
 
     def gronwall_bound(self, quad_shape, radius, R):
         """(phi_R, plain Gronwall constants) on the twin-difference quadrature."""
@@ -695,7 +693,7 @@ def _run_bmo_gronwall(ctx):
     split = BMODivergenceSplit(d1_sup=lambda t: 0.0, d2_profile=profile,
                                d2_norm_star=lambda t: profile.norm_star,
                                jn=ctx.jn_fit())
-    u = ctx.twin_difference((96, 32), 2.0, allow_nonsmooth=True)
+    u = ctx.twin_difference((96, 32), 2.0)
     phi_R = make_phi_R(ctx.cfg.r_list[0], ctx.d)
     # Gamma depends on (delta, R) alone: one trace per delta serves every lambda
     traces = {delta: gamma_trace(u, _certified_beta_log(delta), phi_R, ctx.field,

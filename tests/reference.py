@@ -55,11 +55,11 @@ def integrate_flow(field: VelocityFieldSpec, seeds: SeedGrid, steps, direction,
     integrating -b in reversed time; the result is stored on the physical
     time grid so the anchor sits in the last column.
 
-    Nonsmooth fields must be mollified first unless the caller explicitly
+    Discontinuous fields must be mollified first unless the caller explicitly
     accepts the reduced order with ``allow_nonsmooth=True``.
     """
-    if field.regularity_tag == "bv_nonsmooth" and not allow_nonsmooth:
-        raise ValueError("bv_nonsmooth field: mollify first or pass allow_nonsmooth=True")
+    if not field.continuous and not allow_nonsmooth:
+        raise ValueError("discontinuous field: mollify first or pass allow_nonsmooth=True")
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
     if steps < 1:

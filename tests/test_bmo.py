@@ -572,29 +572,20 @@ def _traced(fn):
     return result, peak, held
 
 
-@pytest.mark.parametrize("d,M,leaf", [pytest.param(1, 1.0, None, id="1.0"),
-                                       pytest.param(1, 0.5, None, id="0.5"),
-                                       pytest.param(2, 1.0, 4096, id="2d")])
-def test_bmo_norm_scratch_is_one_float_array(d, M, leaf, monkeypatch):
-    # every ball is summed leaf by leaf, and one float scratch of one leaf
-    # holds the gathered samples and |sel - avg| for every leaf: beyond the
+@pytest.mark.parametrize("M", [pytest.param(1.0, id="1.0"), pytest.param(0.5, id="0.5")])
+def test_bmo_norm_scratch_is_one_float_array(M):
+    # a 1-D ball is one run, read as a view of the values, and one float
+    # scratch of one leaf holds |sel - avg| for every leaf: beyond the
     # inputs the peak stays within 8 bytes per cell of a leaf plus 64 KiB
     # for the runs and the per-ball tables, far below the widest ball. No
     # distance or bool array per cell is built, and the profile keeps no
-    # copy: in 1-D its B_M samples are a view too. The 2-D balls are many
-    # runs, which a smaller leaf spans
-    if d == 1:
-        grid, xs = _grid_1d(n=1 << 20)
-        values = _where_log_samples(xs, M)
-        family = default_ball_family(1.0, 1)
-    else:
-        monkeypatch.setattr(bmo, "_CHUNK", leaf)
-        grid = CellGrid(2.0, 512, 2)
-        values = _log_samples(grid.centers())
-        family = (((0.0, 0.0), 1.0), ((0.25, -0.25), 0.5))
+    # copy: its B_M samples are a view too
+    grid, xs = _grid_1d(n=1 << 20)
+    values = _where_log_samples(xs, M)
+    family = default_ball_family(1.0, 1)
     widest = max(sum(b - a for a, b in r) for r in grid.ball_runs(*zip(*family)))
     prof, peak, held = _traced(lambda: bmo_norm(values, M, family, grid))
-    assert d > 1 or np.shares_memory(prof.core_values, values)
+    assert np.shares_memory(prof.core_values, values)
     assert 8 * widest > 4 * (8 * bmo._CHUNK + (1 << 16))
     assert peak - held <= 8 * bmo._CHUNK + (1 << 16)
 

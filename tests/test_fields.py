@@ -92,7 +92,7 @@ def test_mollify_constant_field(eps):
         dimension=2,
         eval_b=lambda t, x: np.broadcast_to(v, np.asarray(x).shape).copy(),
         eval_div_b=lambda t, x: np.zeros(np.asarray(x).shape[:-1]),
-        regularity_tag="smooth", div_sup=lambda t: 0.0, horizon=1.0)
+        continuous=True, div_sup=lambda t: 0.0, horizon=1.0)
     smooth = mollify(spec, make_mollifier(eps, 2))
     pts = np.random.default_rng(0).uniform(-2, 2, size=(50, 2))
     assert np.max(np.abs(smooth.eval_b(0.5, pts) - v)) <= 1e-12
@@ -127,7 +127,7 @@ def test_mollified_divergence_bound_time_dependent():
         dimension=1,
         eval_b=lambda t, x: np.sin(t) * np.asarray(x, dtype=float),
         eval_div_b=lambda t, x: np.full(np.asarray(x).shape[:-1], np.sin(t)),
-        regularity_tag="smooth", div_sup=lambda t: abs(np.sin(t)),
+        continuous=True, div_sup=lambda t: abs(np.sin(t)),
         horizon=1.0, autonomous=False)
     eps = 0.15
     smooth = mollify(spec, make_mollifier(eps, 1))
@@ -181,7 +181,7 @@ def test_mollifier_skips_zero_weight_nodes(d, kept):
         dimension=d,
         eval_b=_counting(lambda t, x: np.sin(x) + np.cos(x[..., ::-1]), calls, "b"),
         eval_div_b=_counting(lambda t, x: np.sum(np.cos(x), axis=-1), calls, "div"),
-        regularity_tag="smooth", div_sup=lambda t: float(d), horizon=1.0)
+        continuous=True, div_sup=lambda t: float(d), horizon=1.0)
     _assert_full_rule_sums(spec, 0.1, calls, kept)
 
 
@@ -206,7 +206,7 @@ def test_mollifier_sum_survives_aliased_field_values(kind):
     base = (lambda t, x: x) if kind == "returns_input" else (lambda t, x: cached)
     spec = VelocityFieldSpec(dimension=d, eval_b=base,
                              eval_div_b=lambda t, x: np.zeros(x.shape[:-1]),
-                             regularity_tag="smooth", div_sup=lambda t: 0.0,
+                             continuous=True, div_sup=lambda t: 0.0,
                              horizon=1.0)
     moll = make_mollifier(eps, d)
     got = mollify(spec, moll).eval_b(0.5, pts)
@@ -220,7 +220,7 @@ def test_mollifier_sum_survives_aliased_field_values(kind):
 
 
 def test_mollified_field_is_tagged_smooth(shear_field):
-    assert mollify(shear_field, make_mollifier(0.1, 2)).regularity_tag == "smooth"
+    assert mollify(shear_field, make_mollifier(0.1, 2)).continuous
 
 
 # --- growth splits -----------------------------------------------------------

@@ -13,7 +13,7 @@ from rough_transport.config import resolve
 from rough_transport.errors import (DivergenceUnboundedError, DomainTooSmallError,
                                     StepBlowupError)
 from rough_transport.fields import VelocityFieldSpec, sample_nodes
-from rough_transport.flow import (_rk4_path, change_of_variables_residual,
+from rough_transport.flow import (_rk4_path, backward_paths, change_of_variables_residual,
                                   compressibility_estimate, flow_convergence_study,
                                   forward_backward_mismatch, forward_summary,
                                   make_seed_grid, seeds_from_points, superlevel_escape)
@@ -61,6 +61,26 @@ def test_nonsmooth_requires_optin(shear_field):
         integrate_flow(shear_field, seeds_from_points([[0.0, 0.5]]), 8, "forward")
 
 
+_RK4_DRIVERS = {
+    "forward_summary": lambda spec, grid: forward_summary(spec, grid, 8),
+    "superlevel_escape": lambda spec, grid: superlevel_escape(spec, grid, 8, 0.5, 2.0),
+    "backward_paths": lambda spec, grid: backward_paths(spec, grid, [1.0], [8]),
+    "pointwise_solution": lambda spec, grid: pointwise_solution(
+        spec, damping("zero", spec.dimension), u0_fn("bump", spec.dimension), grid,
+        [0.0, 0.5, 1.0], 8),
+}
+
+
+@pytest.mark.parametrize("driver", list(_RK4_DRIVERS))
+def test_rk4_drivers_refuse_a_discontinuous_field(driver):
+    # the shear jumps across y = 0: every sweep refuses it before any step,
+    # while the continuous (log-Lipschitz) log_drift runs as it is
+    with pytest.raises(ValueError, match="discontinuous"):
+        _RK4_DRIVERS[driver](field("shear", d=2), make_seed_grid(1.0, 4, 2))
+    if driver in ("forward_summary", "backward_paths"):
+        _RK4_DRIVERS[driver](field("log_drift"), make_seed_grid(1.0, 8, 1))
+
+
 def test_flow_reproducible_bitwise(linear_field):
     grid = make_seed_grid(1.0, 32, 1)
     a = integrate_flow(linear_field, grid, 100, "forward")
@@ -91,7 +111,7 @@ def test_step_blowup_reports_seed():
         dimension=1,
         eval_b=lambda t, x: np.asarray(x, dtype=float) ** 3,
         eval_div_b=lambda t, x: 3.0 * np.asarray(x)[..., 0] ** 2,
-        regularity_tag="smooth", div_sup=lambda t: float("inf"), horizon=10.0)
+        continuous=True, div_sup=lambda t: float("inf"), horizon=10.0)
     with pytest.raises(StepBlowupError) as err:
         integrate_flow(cubic, seeds_from_points([[0.1], [2.0]]), 400, "forward")
     assert err.value.seed_index == 1
@@ -102,7 +122,7 @@ def test_step_blowup_on_nan_field():
     spec = VelocityFieldSpec(
         dimension=1, eval_b=lambda t, x: np.where(x > 0.5, np.nan, x),
         eval_div_b=lambda t, x: np.ones(np.asarray(x).shape[:-1]),
-        regularity_tag="smooth", div_sup=lambda t: 1.0, horizon=1.0)
+        continuous=True, div_sup=lambda t: 1.0, horizon=1.0)
     with pytest.raises(StepBlowupError) as err:
         integrate_flow(spec, seeds_from_points([[-0.2], [0.45]]), 64, "forward")
     assert err.value.seed_index == 1
@@ -119,7 +139,7 @@ def _nan_right_of_half():
     return VelocityFieldSpec(
         dimension=1, eval_b=lambda t, x: np.where(x > 0.5, np.nan, -x),
         eval_div_b=lambda t, x: -np.ones(np.asarray(x).shape[:-1]),
-        regularity_tag="smooth", div_sup=lambda t: 1.0, horizon=1.0)
+        continuous=True, div_sup=lambda t: 1.0, horizon=1.0)
 
 
 def test_step_blowup_message_names_the_seed_of_a_backward_slice():
@@ -145,7 +165,7 @@ def test_step_blowup_message_names_the_grid_seed_of_superlevel_escape():
         dimension=1,
         eval_b=lambda t, x: np.asarray(x, dtype=float) ** 3,
         eval_div_b=lambda t, x: 3.0 * np.asarray(x)[..., 0] ** 2,
-        regularity_tag="smooth", div_sup=lambda t: float("inf"), horizon=10.0)
+        continuous=True, div_sup=lambda t: float("inf"), horizon=10.0)
     # only seeds 1 and 2 lie inside B_2.5; seed 2 escapes
     with pytest.raises(StepBlowupError) as err:
         superlevel_escape(cubic, seeds_from_points([[3.0], [0.1], [2.0]]), 400, 2.5, 5.0)
@@ -356,18 +376,16 @@ def _log_drift_errors(steps):
     x0 in (0, e^{1-e}) stays in (0, 1) up to t = 1, with X = exp(1 - (1 -
     log x0) e^{-t}) and JX = dX/dx0 = (X / x0) e^{-t}. Returns the errors of
     integrate_flow + jacobian over the whole paths, and of forward_summary
-    at t = 1 on a copy of the field tagged smooth (forward_summary requires
-    it; b is smooth on the interval the paths visit).
+    at t = 1.
     """
     spec = field("log_drift")
     x0 = np.linspace(0.01, 0.17, 33)[:, None]
     seeds = seeds_from_points(x0)
-    fl = integrate_flow(spec, seeds, steps, "forward", allow_nonsmooth=True)
+    fl = integrate_flow(spec, seeds, steps, "forward")
     t = fl.time_grid
     X = np.exp(1.0 - (1.0 - np.log(x0)) * np.exp(-t))
     JX = X / x0 * np.exp(-t)
-    summary = forward_summary(dataclasses.replace(spec, regularity_tag="smooth"),
-                              seeds, steps)
+    summary = forward_summary(spec, seeds, steps)
     return (np.max(np.abs(fl.trajectories[..., 0] - X)),
             np.max(np.abs(jacobian(spec, fl).jx - JX)),
             np.max(np.abs(summary.endpoints[:, 0] - X[:, -1])),
@@ -561,7 +579,7 @@ def test_linear_field_jacobian_and_inverse(entries):
     spec = VelocityFieldSpec(
         dimension=d, eval_b=lambda t, x: np.asarray(x) @ A.T,
         eval_div_b=lambda t, x: np.full(np.asarray(x).shape[:-1], tr),
-        regularity_tag="smooth", div_sup=lambda t: abs(tr), horizon=1.0)
+        continuous=True, div_sup=lambda t: abs(tr), horizon=1.0)
     fwd = forward_summary(spec, make_seed_grid(1.0, 4, d), 256)
     assert fwd.jx_end == pytest.approx(math.exp(tr), rel=1e-12)
     assert forward_backward_mismatch(spec, fwd) <= 1e-8
@@ -627,7 +645,7 @@ def _time_dependent_field():
     return VelocityFieldSpec(
         dimension=1, eval_b=lambda t, x: 2.0 * t * np.asarray(x, dtype=float),
         eval_div_b=lambda t, x: np.full(np.asarray(x).shape[:-1], 2.0 * t),
-        regularity_tag="smooth", div_sup=lambda t: 2.0 * t, horizon=1.0,
+        continuous=True, div_sup=lambda t: 2.0 * t, horizon=1.0,
         autonomous=False)
 
 
@@ -696,7 +714,7 @@ def test_forward_summary_escape_in_later_block_matches_integrate_flow(monkeypatc
         dimension=1,
         eval_b=lambda t, x: np.asarray(x, dtype=float) ** 3,
         eval_div_b=lambda t, x: 3.0 * np.asarray(x)[..., 0] ** 2,
-        regularity_tag="smooth", div_sup=lambda t: float("inf"), horizon=10.0)
+        continuous=True, div_sup=lambda t: float("inf"), horizon=10.0)
     seeds = seeds_from_points([[0.1], [2.0]])
     with pytest.raises(StepBlowupError) as whole:
         integrate_flow(cubic, seeds, 400, "forward")

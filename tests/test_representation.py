@@ -376,7 +376,7 @@ def test_pointwise_solution_time_dependent():
     spec = VelocityFieldSpec(
         dimension=1, eval_b=lambda t, x: t * np.asarray(x, dtype=float),
         eval_div_b=lambda t, x: np.full(np.asarray(x).shape[:-1], float(t)),
-        regularity_tag="smooth", div_sup=lambda t: abs(t), horizon=1.0,
+        continuous=True, div_sup=lambda t: abs(t), horizon=1.0,
         autonomous=False)
     dmp = DampingFieldSpec(
         eval_c=lambda t, x: np.full(np.asarray(x).shape[:-1], float(t)),
@@ -432,7 +432,7 @@ def test_pointwise_solution_rejects_bad_jacobian():
     spec = VelocityFieldSpec(
         dimension=1, eval_b=lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
         eval_div_b=lambda t, x: np.full(np.asarray(x).shape[:-1], -800.0),
-        regularity_tag="smooth", div_sup=lambda t: 800.0, horizon=1.0)
+        continuous=True, div_sup=lambda t: 800.0, horizon=1.0)
     grid = make_seed_grid(1.0, 8, 1)
     back = integrate_flow(spec, grid, 4, "backward")
     assert jacobian(spec, back).jx[0, -1] == 0.0

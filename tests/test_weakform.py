@@ -75,7 +75,7 @@ def test_weak_residual_mollified_nonsmooth_field_first_order():
         dimension=1,
         eval_b=lambda t, x: np.abs(np.asarray(x, dtype=float)),
         eval_div_b=lambda t, x: np.sign(np.asarray(x, dtype=float)[..., 0]),
-        regularity_tag="bv_nonsmooth", div_sup=lambda t: 1.0, horizon=1.0,
+        continuous=True, div_sup=lambda t: 1.0, horizon=1.0,
         label="kinked")
     # the mollification scale must be resolved by the coarsest grid, and the
     # ladder must sit past the pre-asymptotic regime where lucky cancellations
@@ -185,7 +185,7 @@ def test_weak_form_matches_per_time_node_loop(d, autonomous):
     spec = VelocityFieldSpec(
         dimension=d, eval_b=lambda t, x: scale(t) * np.asarray(x, dtype=float),
         eval_div_b=lambda t, x: np.full(np.asarray(x).shape[:-1], d * scale(t)),
-        regularity_tag="smooth", div_sup=lambda t: d * scale(t), horizon=1.0,
+        continuous=True, div_sup=lambda t: d * scale(t), horizon=1.0,
         autonomous=autonomous)
     dmp = DampingFieldSpec(
         eval_c=lambda t, x: np.full(np.asarray(x).shape[:-1], scale(t)),
