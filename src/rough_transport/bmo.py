@@ -10,7 +10,7 @@ superlevel decay.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .errors import (BadSplitError, DegenerateFitError, EmptyBallError,
                      LambdaTooSmallError, NegativeInputError,
                      NonFiniteProfileError)
 from .fields import DampingFieldSpec, GrowthSplit
-from .numerics import CellGrid, ball_volume, log_linear_fit, profile, tensor_points, trapz
+from .numerics import CellGrid, ball_volume, log_linear_fit, tensor_points, trapz
 from .renormalization import TestFunctionPhiR
 from .weakform import GronwallBoundData, gronwall_constants
 
@@ -315,66 +315,50 @@ def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
 # BMO-divergence Gronwall constants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BMODivergenceSplit:
-    """|div b| <= d1(t,x) + d2(t,x): bounded part plus compact BMO part."""
+def choose_tau0(sigma, c_fit, horizon):
+    """tau0 with int_0^tau0 sigma dt inside [0.4, 0.5] * c_fit, or the horizon.
 
-    d1_sup: Callable                      # t -> ||d1(t,.)||_inf
-    d2_profile: Optional[BMOProfile]      # None when d2 = 0
-    d2_norm_star: Callable                # t -> ||d2(t,.)||_*
-    jn: Optional["JNFit"] = None          # fitted decay constants for d2
-
-
-def choose_tau0(norm_star_of_t, c_fit, horizon):
-    """tau0 with int_0^tau0 ||d2||_* inside [0.4, 0.5] * c_fit, or the horizon.
-
-    Bisects to 1e-10 of the horizon for the window's midpoint.
+    The constant sigma is integrated by the 257-node trapezoid rule. Bisects
+    to 1e-10 of the horizon for the window's midpoint.
     """
-    total = _integral_to(norm_star_of_t, horizon)
-    if total <= 0.5 * c_fit:
+    def integral_to(t):
+        ts = np.linspace(0.0, t, 257)
+        return trapz(np.full(ts.shape, sigma), ts)
+
+    if integral_to(horizon) <= 0.5 * c_fit:
         return horizon
     lo_t, hi_t = 0.0, horizon
     target = 0.5 * (0.4 + 0.5) * c_fit
     while hi_t - lo_t > 1e-10 * horizon:
         mid = 0.5 * (lo_t + hi_t)
-        if _integral_to(norm_star_of_t, mid) < target:
+        if integral_to(mid) < target:
             lo_t = mid
         else:
             hi_t = mid
     return 0.5 * (lo_t + hi_t)
 
 
-def _integral_to(fn, t):
-    """Trapezoid integral of the scalar fn over [0, t] on 257 nodes."""
-    ts = np.linspace(0.0, t, 257)
-    return trapz(profile(fn, ts), ts)
+def bmo_gronwall_family(lambdas, profile: BMOProfile, jn: JNFit, growth: GrowthSplit,
+                        damping: DampingFieldSpec, phi_R: TestFunctionPhiR,
+                        times) -> list[GronwallBoundData]:
+    """Constants of the lambda-family Gronwall bound on [0, tau0], one per lambda.
 
-
-def bmo_gronwall_constants(lam, split: BMODivergenceSplit, growth: GrowthSplit,
-                           damping: DampingFieldSpec, phi_R: TestFunctionPhiR,
-                           times) -> GronwallBoundData:
-    """Constants of the lambda-family Gronwall bound on [0, tau0].
-
-    The abstract decay constants are replaced by the fitted (C, c) of the
-    oscillating divergence part; tau0 is chosen so the time integral of the
-    oscillation norm stays below half the fitted decay rate, which is what
-    makes exp(A_lambda) D_lambda decay in lambda. With d2 = 0 the constants
-    reduce to those of the plain logarithmic Gronwall bound.
+    |div b| <= d2, the compactly supported, time-independent ``profile``,
+    and the fitted (C, c) of ``jn`` replace the abstract decay constants.
+    tau0 does not depend on lambda: it is chosen once, so that the integral
+    of sigma = ||d2||_* stays below c / 2, which makes exp(A) D decay in
+    lambda. The rate is lambda sigma and the decay C e^{-c lambda} sigma.
     """
     d = phi_R.d
-    if lam <= 2.0 ** (d + 2):
-        raise LambdaTooSmallError(f"lambda={lam:g} must exceed 2^(d+2)={2.0**(d+2):g}")
-    if split.d2_profile is not None and not split.d2_profile.vanishes_outside:
+    for lam in lambdas:
+        if lam <= 2.0 ** (d + 2):
+            raise LambdaTooSmallError(f"lambda={lam:g} must exceed 2^(d+2)={2.0**(d+2):g}")
+    if not profile.vanishes_outside:
         raise BadSplitError("d2 is not compactly supported in B_M")
 
-    tau0, decay = float(times[-1]), 0.0
-    if split.d2_profile is not None:
-        if split.jn is None:
-            raise ValueError("split needs the fitted decay constants (jn)")
-        tau0 = choose_tau0(split.d2_norm_star, split.jn.c_fit, tau0)
-        decay = split.jn.C_fit * math.exp(-split.jn.c_fit * lam)
-
+    tau0 = choose_tau0(profile.norm_star, jn.c_fit, float(times[-1]))
     times = times[times <= tau0 + 1e-12]
-    sig = profile(split.d2_norm_star, times)
-    return gronwall_constants(profile(split.d1_sup, times) + lam * sig, damping,
-                              growth, phi_R, times, decay * sig, tau0)
+    sig = np.full(times.shape, profile.norm_star)
+    return [gronwall_constants(lam * sig, damping, growth, phi_R, times,
+                               jn.C_fit * math.exp(-jn.c_fit * lam) * sig, tau0)
+            for lam in lambdas]

@@ -145,6 +145,7 @@ class MollifierSpec:
     stored 16-node Gauss-Legendre tensor rule integrates both kernels exactly, so
     the folded weights sum to one up to rounding. Only the tensor nodes
     inside the unit ball, where the space kernel is positive, are stored.
+    ``mollify`` applies the space rule only.
     """
 
     eps: float
@@ -189,34 +190,24 @@ def make_mollifier(eps, dimension):
 
 
 def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
-    """Convolve a velocity field with the mollifier kernel.
+    """Convolve a velocity field in space with the mollifier kernel.
 
-    Space convolution uses the stored tensor quadrature. Time convolution
-    acts on the field clamped to its time interval [0, T]; for autonomous
-    fields it is the identity, one node of weight one. The mollified
-    ``div_sup`` is the time-mollified sup bound, which dominates the
-    divergence of the smoothed field.
+    The convolution uses the stored tensor quadrature, at the time of the
+    evaluation; as in the DiPerna-Lions smoothing, time is not convolved.
+    The field keeps its ``div_sup``: an average of div b over a ball is
+    bounded by the sup of |div b|, so it bounds the smoothed divergence.
     """
     if moll.dimension != spec.dimension:
         raise ValueError("mollifier dimension does not match the field")
-    ti, si = moll.kernel_integrals()
-    if abs(ti - 1.0) > KERNEL_INTEGRAL_TOL or abs(si - 1.0) > KERNEL_INTEGRAL_TOL:
+    _, si = moll.kernel_integrals()
+    if abs(si - 1.0) > KERNEL_INTEGRAL_TOL:
         raise BadKernelError(
-            f"kernel integrals ({ti!r}, {si!r}) deviate from 1 beyond {KERNEL_INTEGRAL_TOL}"
+            f"space kernel integral {si!r} deviates from 1 beyond {KERNEL_INTEGRAL_TOL}"
         )
 
     eps = moll.eps
-    horizon = spec.horizon
     eoffset_rows = (eps * moll.space_offsets).tolist()
     sweights = moll.space_weights
-    if spec.autonomous:
-        # one node of weight 1.0 at lag 0: the time convolution is exact
-        tnodes, tweights = np.zeros(1), np.ones(1)
-    else:
-        tnodes, tweights = moll.time_nodes, moll.time_weights
-    base_b = spec.eval_b
-    base_div = spec.eval_div_b
-    base_sup = spec.div_sup
 
     def _space_conv(fun, t, x):
         # accumulate per kernel node: batching the nodes into (Q, N, d) or
@@ -242,23 +233,11 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
                 np.add(acc, np.multiply(sweights[q], val, out=tmp), out=acc)
         return acc
 
-    def _conv(fun, t, x):
-        acc = None
-        for s, w in zip(tnodes, tweights):
-            contrib = w * _space_conv(fun, min(max(t - eps * s, 0.0), horizon), x)
-            acc = contrib if acc is None else acc + contrib
-        return acc
-
-    def div_sup(t):
-        vals = [base_sup(min(max(t - eps * s, 0.0), horizon)) for s in tnodes]
-        return float(np.dot(tweights, vals))
-
     return replace(
         spec,
-        eval_b=lambda t, x: _conv(base_b, t, x),
-        eval_div_b=lambda t, x: _conv(base_div, t, x),
+        eval_b=lambda t, x: _space_conv(spec.eval_b, t, x),
+        eval_div_b=lambda t, x: _space_conv(spec.eval_div_b, t, x),
         continuous=True,
-        div_sup=div_sup,
         growth_b1=None,
         growth_b2=None,
         growth_b1_tail=None,

@@ -90,8 +90,9 @@ def _rk4_path(rhs, y0, h, steps, escape_radius, first=0, out=None):
     stage time of those rows: a float when ``h`` is one, an (n, 1) column
     otherwise.
 
-    Returns an array of shape (max steps + 1,) + y0.shape, in which a row
-    keeps its final position past its last step; it is the only large
+    Returns an array of shape (max steps + 1,) + y0.shape. Row i is written
+    at its nodes 0 to steps[i] only, ``[:steps[i] + 1, i]``; the nodes past
+    its last step are left as they were. The array is the only large
     allocation, (max steps + 1) * rows * d * 8 bytes, and is written into
     ``out`` instead when given. ``pointwise_solution`` and the forward
     blocks size their sweeps so that this array and the tables read from
@@ -130,8 +131,6 @@ def _rk4_path(rhs, y0, h, steps, escape_radius, first=0, out=None):
     rows = n
     for k in range(total):
         if moving[k] < rows:
-            # finished rows keep their last position at every later node
-            out[k + 1:, moving[k]:rows] = out[k, moving[k]:rows]
             rows = moving[k]
             stage, acc, scratch, sq = stage[:rows], acc[:rows], scratch[:rows], sq[:rows]
             if per_row:

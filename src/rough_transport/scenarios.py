@@ -17,8 +17,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .bmo import (BMODivergenceSplit, bmo_gronwall_constants, bmo_norm,
-                  default_ball_family, jn_decay_check, lemma52_checks)
+from .bmo import (bmo_gronwall_family, bmo_norm, default_ball_family, jn_decay_check,
+                  lemma52_checks)
 from .errors import PipelineError, RoughTransportError
 from .fields import (DampingFieldSpec, PointSingularity, VelocityFieldSpec,
                      check_divergence_consistency, growth_split, make_mollifier,
@@ -689,22 +689,18 @@ def _run_superlevel_tails(ctx):
 
 
 def _run_bmo_gronwall(ctx):
-    profile = ctx.bmo_profile()
-    split = BMODivergenceSplit(d1_sup=lambda t: 0.0, d2_profile=profile,
-                               d2_norm_star=lambda t: profile.norm_star,
-                               jn=ctx.jn_fit())
     u = ctx.twin_difference((96, 32), 2.0)
     phi_R = make_phi_R(ctx.cfg.r_list[0], ctx.d)
     # Gamma depends on (delta, R) alone: one trace per delta serves every lambda
     traces = {delta: gamma_trace(u, _certified_beta_log(delta), phi_R, ctx.field,
                                  ctx.damping, ctx.cfg.eta)
               for delta in ctx.cfg.delta_list}
+    family = bmo_gronwall_family(ctx.cfg.lambda_list, ctx.bmo_profile(), ctx.jn_fit(),
+                                 ctx.growth(), ctx.damping, phi_R, u.times)
     rows = []
     all_ok = True
     expA_D = {}
-    for lam in ctx.cfg.lambda_list:
-        data = bmo_gronwall_constants(lam, split, ctx.growth(), ctx.damping, phi_R,
-                                      u.times)
+    for lam, data in zip(ctx.cfg.lambda_list, family):
         expA_D[lam] = math.exp(data.A) * data.D
         for delta in ctx.cfg.delta_list:
             rows.append((lam, delta, float(np.max(data.window(traces[delta]))),

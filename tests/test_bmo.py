@@ -11,19 +11,18 @@ import numpy as np
 import pytest
 
 from rough_transport import bmo
-from rough_transport.bmo import (BMODivergenceSplit, bmo_gronwall_constants,
-                                 bmo_norm, choose_tau0,
+from rough_transport.bmo import (bmo_gronwall_family, bmo_norm, choose_tau0,
                                  default_ball_family, jn_decay_check,
                                  lemma52_checks)
 from rough_transport.errors import (BadSplitError, DegenerateFitError,
                                     EmptyBallError, LambdaTooSmallError,
                                     NegativeInputError, NonFiniteProfileError)
 from rough_transport.fields import growth_split
-from rough_transport.numerics import CellGrid, cell_centers, profile
+from rough_transport.numerics import CellGrid, cell_centers
 from rough_transport.renormalization import make_beta_log, make_phi_R
 from rough_transport.representation import DensityRepresentation, make_quadrature
 from rough_transport.scenarios import _log_core_samples
-from rough_transport.weakform import gamma_trace, gronwall_constants
+from rough_transport.weakform import gamma_trace
 
 from conftest import damping, field, traced_bytes
 
@@ -345,13 +344,11 @@ def test_support_checked_once_per_profile(monkeypatch):
     leaky = dataclasses.replace(prof, values=prof.values + 1.0)
     assert not leaky.vanishes_outside
     spec = field("log_drift")
-    split = BMODivergenceSplit(d1_sup=lambda t: 0.0, d2_profile=leaky,
-                               d2_norm_star=lambda t: prof.norm_star,
-                               jn=jn_decay_check(prof, [1.0 + 0.5 * k for k in range(7)]))
+    fit = jn_decay_check(prof, [1.0 + 0.5 * k for k in range(7)])
     quad = make_quadrature(1, 2.0, 16, 1.0, 8)
     with pytest.raises(BadSplitError):
-        bmo_gronwall_constants(9.0, split, growth_split(spec), damping("zero"),
-                               make_phi_R(2.0, 1), quad.times)
+        bmo_gronwall_family([9.0], leaky, fit, growth_split(spec), damping("zero"),
+                            make_phi_R(2.0, 1), quad.times)
 
 
 def test_core_values_built_once():
@@ -495,15 +492,13 @@ def test_bmo_gronwall_zero_solution():
     spec = field("log_drift")
     prof = _log_profile()
     fit = jn_decay_check(prof, [1.0 + 0.5 * k for k in range(7)])
-    split = BMODivergenceSplit(d1_sup=lambda t: 0.0, d2_profile=prof,
-                               d2_norm_star=lambda t: prof.norm_star, jn=fit)
     quad = make_quadrature(1, 2.0, 48, 1.0, 16)
     growth = growth_split(spec, rng=np.random.default_rng(0))
     phi_R = make_phi_R(2.0, 1)
     trace = gamma_trace(_zero_density(quad), make_beta_log(1e-2), phi_R, spec,
                         damping("zero"), 0.0)
-    data = bmo_gronwall_constants(9.0, split, growth, damping("zero"), phi_R,
-                                  quad.times)
+    data, = bmo_gronwall_family([9.0], prof, fit, growth, damping("zero"), phi_R,
+                                quad.times)
     assert data.holds(trace, 1e-2)
     assert np.all(trace.values == 0.0)
     assert data.tau0 < 1.0     # the policy clips the window
@@ -522,41 +517,47 @@ def test_bmo_gronwall_lambda_too_small():
     spec = field("log_drift")
     prof = _log_profile()
     fit = jn_decay_check(prof, [1.0 + 0.5 * k for k in range(7)])
-    split = BMODivergenceSplit(d1_sup=lambda t: 0.0, d2_profile=prof,
-                               d2_norm_star=lambda t: prof.norm_star, jn=fit)
     quad = make_quadrature(1, 2.0, 16, 1.0, 8)
     growth = growth_split(spec, rng=np.random.default_rng(0))
+    # one lambda at 2^(d+2) = 8 fails the whole family, wherever it stands
     with pytest.raises(LambdaTooSmallError):
-        bmo_gronwall_constants(8.0, split, growth, damping("zero"),
-                               make_phi_R(2.0, 1), quad.times)
+        bmo_gronwall_family([9.0, 8.0], prof, fit, growth, damping("zero"),
+                            make_phi_R(2.0, 1), quad.times)
 
 
-def test_bmo_gronwall_reduces_without_oscillating_part():
-    # d2 = 0: the bound coincides with the plain logarithmic Gronwall bound
-    spec = field("linear_expand")
-    dmp = damping("zero")
-    split = BMODivergenceSplit(d1_sup=spec.div_sup, d2_profile=None,
-                               d2_norm_star=lambda t: 0.0, jn=None)
+def test_bmo_gronwall_family_chooses_tau0_once(monkeypatch):
+    # tau0 does not depend on lambda: one call over three lambdas bisects
+    # once, and each member matches the family of its lambda alone
+    spec = field("log_drift")
+    prof = _log_profile()
+    fit = jn_decay_check(prof, [1.0 + 0.5 * k for k in range(7)])
     quad = make_quadrature(1, 2.0, 48, 1.0, 16)
-    growth = growth_split(spec, rng=np.random.default_rng(1))
-    u = _zero_density(quad)
-    for delta, R in ((1e-2, 2.0), (1e-4, 4.0)):
-        phi_R = make_phi_R(R, 1)
-        trace = gamma_trace(u, make_beta_log(delta), phi_R, spec, dmp, 0.0)
-        bmo_data = bmo_gronwall_constants(9.0, split, growth, dmp, phi_R, quad.times)
-        log_data = gronwall_constants(profile(spec.div_sup, quad.times), dmp, growth,
-                                      phi_R, quad.times)
-        assert bmo_data.tau0 == quad.times[-1]
-        assert bmo_data.bound(delta) == log_data.bound(delta)
-        assert bmo_data.holds(trace, delta) and log_data.holds(trace, delta)
+    growth = growth_split(spec, rng=np.random.default_rng(0))
+    phi_R = make_phi_R(2.0, 1)
+    args = (prof, fit, growth, damping("zero"), phi_R, quad.times)
+    singles = [bmo_gronwall_family([lam], *args)[0] for lam in (9.0, 12.0, 16.0)]
+
+    calls = []
+    real = bmo.choose_tau0
+
+    def counted(*a):
+        calls.append(a)
+        return real(*a)
+    monkeypatch.setattr(bmo, "choose_tau0", counted)
+    family = bmo_gronwall_family([9.0, 12.0, 16.0], *args)
+    assert calls == [(prof.norm_star, fit.c_fit, float(quad.times[-1]))]
+    assert family == singles
+    assert len({data.tau0 for data in family}) == 1
 
 
 def test_tau0_policy_window():
-    # constant norm profile sigma: tau0 sigma must land in [0.4, 0.5] c_fit
+    # constant norm sigma: tau0 sigma must land in [0.4, 0.5] c_fit
     sigma = 0.7
     c_fit = 0.7
-    tau0 = choose_tau0(lambda t: sigma, c_fit, 1.0)
+    tau0 = choose_tau0(sigma, c_fit, 1.0)
     assert 0.4 * c_fit - 1e-8 <= tau0 * sigma <= 0.5 * c_fit + 1e-8
+    # a small sigma integrates to at most half of c_fit: the whole horizon
+    assert choose_tau0(0.2, c_fit, 1.0) == 1.0
 
 
 # --- scratch memory -------------------------------------------------------------------

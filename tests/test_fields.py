@@ -122,7 +122,7 @@ def test_mollify_rejects_bad_kernel():
 
 
 def test_mollified_divergence_bound_time_dependent():
-    # time-mollified sup profile dominates the mollified divergence
+    # the field's own sup profile dominates the divergence smoothed in space
     spec = VelocityFieldSpec(
         dimension=1,
         eval_b=lambda t, x: np.sin(t) * np.asarray(x, dtype=float),
@@ -135,6 +135,30 @@ def test_mollified_divergence_bound_time_dependent():
     for t in np.linspace(0.0, 1.0, 9):
         vals = np.abs(np.asarray(smooth.eval_div_b(float(t), pts)))
         assert np.max(vals) <= smooth.div_sup(float(t)) + 1e-8
+    assert smooth.div_sup is spec.div_sup
+
+
+def test_mollify_convolves_in_space_only():
+    # a time-dependent field is smoothed in x at the time of the evaluation,
+    # bit for bit the per-node space sum; the time rule is neither applied
+    # nor checked, so a defective one is accepted
+    spec = VelocityFieldSpec(
+        dimension=1,
+        eval_b=lambda t, x: t * t * np.sin(np.asarray(x, dtype=float)),
+        eval_div_b=lambda t, x: t * t * np.cos(np.asarray(x, dtype=float))[..., 0],
+        continuous=True, div_sup=lambda t: t * t, horizon=1.0, autonomous=False)
+    moll = make_mollifier(0.15, 1)
+    moll = dataclasses.replace(moll, time_weights=moll.time_weights * 1.01)
+    smooth = mollify(spec, moll)
+    pts = np.linspace(-2, 2, 21)[:, None]
+    offsets, weights = moll.space_offsets, moll.space_weights
+    for t in (0.0, 0.4, 1.0):
+        for fn, got in ((spec.eval_b, smooth.eval_b(t, pts)),
+                        (spec.eval_div_b, smooth.eval_div_b(t, pts))):
+            acc = weights[0] * fn(t, pts - moll.eps * offsets[0])
+            for q in range(1, offsets.shape[0]):
+                acc = acc + weights[q] * fn(t, pts - moll.eps * offsets[q])
+            assert np.array_equal(got, acc)
 
 
 def _full_tensor_rule(d, n=16):
