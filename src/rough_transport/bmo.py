@@ -5,12 +5,15 @@ sup over all balls is replaced by a dyadic-radius family on a coarse grid
 of centers, used consistently by every check. The abstract John-Nirenberg
 constants are replaced per exemplar by the fitted pair from the measured
 superlevel decay.
+
+A profile is never held as an array of its samples: it is a block sampler,
+and every statistic streams over blocks of ``_CHUNK`` cells.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,20 +26,38 @@ from .renormalization import TestFunctionPhiR
 from .weakform import GronwallBoundData, gronwall_constants
 
 
+# cells per block of a sweep, and at most per leaf of a ball's pairwise sum
+_CHUNK = 1 << 16
+_PAIRWISE_BLOCK = 128    # numpy sums at most this many floats without a split
+
+
 # ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BMOProfile:
-    """A compactly supported sample field with its ball-family statistics."""
+    """A compactly supported field, held as a block sampler, with its ball statistics.
+
+    ``sample(start, stop, out)`` writes the samples of cells start:stop into
+    ``out``; no sample is stored. Beside the per-ball statistics the profile
+    keeps what its first sweep saw: the mean over B_M and each block's
+    (min, max), from which the superlevel checks tell which blocks they must
+    sample at all.
+    """
 
     grid: CellGrid            # cells covering the box of B_2M
-    values: np.ndarray        # (N,), one sample per cell
+    sample: Callable          # sample(start, stop, out) writes cells start:stop
     M: float
     averages: np.ndarray      # per ball
     oscillations: np.ndarray  # per ball
     norm_star: float
+    core_runs: tuple          # index runs of the cells with |x| < M
+    core_mean: float          # np.mean of the samples in B_M, bit for bit
+    block: int                # cells per block of every sweep
+    block_min: np.ndarray     # per block
+    block_max: np.ndarray
+    vanishes_outside: bool    # every sample with |x| > M is zero
 
     @property
     def points(self):
@@ -51,46 +72,26 @@ class BMOProfile:
     def d(self):
         return self.grid.dimension
 
-    @cached_property
-    def _support(self):
-        """(index runs of the cells with |x| <= M, of the cells with |x| < M)."""
-        # for a float y, y <= M exactly when y < the next float above M
-        return tuple(self.grid.ball_runs([(0.0,) * self.d] * 2,
-                                         [np.nextafter(self.M, np.inf), self.M]))
+    def sampled_blocks(self, keep):
+        """(start, samples) of every block k with ``keep[k]``, in grid order.
 
-    @cached_property
-    def vanishes_outside(self):
-        """True when every sample outside B_M is zero; checked once."""
-        return bool(np.count_nonzero(self.values) == sum(
-            np.count_nonzero(self.values[a:b]) for a, b in self._support[0]))
-
-    @property
-    def support_values(self):
-        """Samples with |x| <= M in grid order; a view of ``values`` in 1-D."""
-        return _gather(self.values, self._support[0])
-
-    @cached_property
-    def core_values(self):
-        """Samples in B_M, the ball every decay check reads; a view in 1-D."""
-        core = _gather(self.values, self._support[1])
-        if core.size == 0:
-            raise EmptyBallError(f"B_M (M={self.M:g}) holds no cell")
-        return core
+        One block-sized buffer holds each block in turn.
+        """
+        n = self.grid.shape[0]
+        buf = np.empty(min(self.block, n))
+        for k in np.flatnonzero(keep).tolist():
+            start = k * self.block
+            out = buf[:min(start + self.block, n) - start]
+            self.sample(start, start + out.size, out)
+            yield start, out
 
 
-def _gather(values, runs):
-    """The samples of the index ``runs`` in grid order; one run is a view."""
-    if len(runs) == 1:
-        (a, b), = runs
-        return values[a:b]
-    if not runs:
-        return values[:0]
-    return np.concatenate([values[a:b] for a, b in runs])
-
-
-# cells per leaf of a ball's oscillation sum, and per chunk of the superlevel counts
-_CHUNK = 1 << 16
-_PAIRWISE_BLOCK = 128    # numpy sums at most this many floats without a split
+def _clip(runs, start, stop):
+    """The parts of the index ``runs`` (disjoint, in grid order) in cells start:stop."""
+    i = bisect_right(runs, start, key=lambda run: run[1])
+    while i < len(runs) and runs[i][0] < stop:
+        yield max(runs[i][0], start), min(runs[i][1], stop)
+        i += 1
 
 
 def _pairwise_sum(leaf_sum, n, start=0):
@@ -110,6 +111,95 @@ def _pairwise_sum(leaf_sum, n, start=0):
             + _pairwise_sum(leaf_sum, n - half, start + half))
 
 
+def _leaves(n):
+    """The (start, stop) leaves of ``_pairwise_sum``'s tree over n floats, in order."""
+    leaves = []
+    _pairwise_sum(lambda a, b: leaves.append((a, b)) or 0.0, n)
+    return leaves
+
+
+def _tree_sum(leaf_sums, n):
+    """``_pairwise_sum`` of n floats whose leaf sums are given in leaf order."""
+    sums = iter(leaf_sums)
+    return _pairwise_sum(lambda a, b: next(sums), n)
+
+
+def _leaf_plan(runs, n_cells, block):
+    """Per ball the leaves of its sum; per block the leaf pieces ending in it.
+
+    A ball's samples in grid order are its runs laid end to end, and
+    ``_pairwise_sum`` cuts that sequence into leaves of at most ``block``
+    samples. A piece is the part of one leaf in one run, (ball, leaf,
+    offset in the leaf, first cell, stop cell); each block lists the pieces
+    whose last cell it holds, in ball, leaf and run order.
+    """
+    leaves = [_leaves(sum(b - a for a, b in r)) for r in runs]
+    pieces = [[] for _ in range(-(-n_cells // block))]
+    for i, (r, ball_leaves) in enumerate(zip(runs, leaves)):
+        k = done = 0     # the run holding the next sample, and the samples before it
+        for j, (s, e) in enumerate(ball_leaves):
+            at = s
+            while at < e:
+                a, b = r[k]
+                take = min(e, done + b - a) - at
+                first = a + at - done
+                pieces[(first + take - 1) // block].append((i, j, at - s, first, first + take))
+                at += take
+                if at == done + b - a:
+                    k, done = k + 1, at
+    return leaves, pieces
+
+
+def _ball_sums(sample, n_cells, runs, block, centres=None, visit=None):
+    """Per ball, ``np.add.reduce`` of its samples in grid order, bit for bit.
+
+    With ``centres``, of |f - centres[i]| over ball i instead. One sweep
+    samples each block once, into a window that holds the previous block
+    and the current one. No leaf is longer than a block, so a leaf that
+    lies in one run is a view of the window in the block where it ends, and
+    is reduced there (in 1-D every leaf is); |f - centre| goes into one
+    block-sized scratch. A leaf over several runs (d >= 2) fills a buffer
+    of its own piece by piece as the sweep passes, and is reduced with its
+    last piece. The leaf sums then add up along ``_pairwise_sum``'s tree.
+    ``visit(start, samples)`` sees each block before any piece is read.
+    """
+    leaves, pieces = _leaf_plan(runs, n_cells, block)
+    width = min(block, n_cells)
+    window = np.empty(2 * width)
+    scratch = None if centres is None else np.empty(width)
+    sums = [[0.0] * len(ball_leaves) for ball_leaves in leaves]
+    partial = {}     # (ball, leaf) -> buffer of a leaf over several runs
+    for k, start in enumerate(range(0, n_cells, block)):
+        stop = min(start + block, n_cells)
+        if k:
+            window[:width] = window[width:]
+        cur = window[width:width + stop - start]
+        sample(start, stop, cur)
+        if visit is not None:
+            visit(start, cur)
+        shift = width - start                    # window[c + shift] holds cell c
+        for i, j, at, a, b in pieces[k]:
+            s, e = leaves[i][j]
+            src = window[a + shift:b + shift]
+            whole = b - a == e - s               # the leaf lies in this one run
+            if whole and centres is None:
+                leaf = src
+            else:
+                leaf = scratch if whole else partial.get((i, j))
+                if leaf is None:
+                    leaf = partial[(i, j)] = np.empty(e - s)
+                dst = leaf[at:at + b - a]
+                if centres is None:
+                    dst[:] = src
+                else:
+                    np.abs(np.subtract(src, centres[i], out=dst), out=dst)
+            if at + b - a == e - s:
+                sums[i][j] = float(np.add.reduce(leaf[:e - s]))
+                partial.pop((i, j), None)
+    return [_tree_sum(ball_sums, ball_leaves[-1][1])
+            for ball_sums, ball_leaves in zip(sums, leaves)]
+
+
 def default_ball_family(M, d):
     """Dyadic radii M 2^-k, k < 7, on a grid of 5^d centers inside B_M."""
     centers = tensor_points([np.linspace(-0.5 * M, 0.5 * M, 5)] * d)
@@ -117,71 +207,79 @@ def default_ball_family(M, d):
     return tuple((tuple(c), r) for c in centers for r in radii)
 
 
-def bmo_norm(values, M, ball_family, grid) -> BMOProfile:
+def bmo_norm(sample, M, ball_family, grid) -> BMOProfile:
     """Per-ball averages and mean oscillations; norm_star is the family max.
 
-    ``values`` holds one sample per cell of the ``CellGrid``. The samples
-    must be finite and vanish outside B_M (compact support hypothesis of
-    the decay lemma).
+    ``sample(start, stop, out)`` writes the samples of cells start:stop of
+    the ``CellGrid`` into ``out``; an array of one sample per cell is read
+    through such a sampler. The samples must be finite and vanish outside
+    B_M (compact support hypothesis of the decay lemma).
 
     Each ball's cells are exact index runs of the grid
-    (``CellGrid.ball_runs``), so no distance is computed per cell. A ball
-    with no cell raises before any mean is taken. Every average and mean
-    oscillation is ``np.mean`` of the ball's samples in grid order, and of
-    |sel - avg|, bit for bit (``_ball_statistics``).
+    (``CellGrid.ball_runs``), so no distance is computed per cell, and a
+    ball with no cell, B_M included, raises before any sample is read. Two
+    sweeps (``_ball_sums``) read the grid in blocks of ``_CHUNK`` cells,
+    each block once per sweep. The first gives each ball's average, the
+    mean over B_M and each block's (min, max), and checks that every sample
+    is finite (naming the first bad cell in grid order) and that the
+    samples vanish outside B_M; the second gives the oscillations. Every
+    average and mean oscillation is ``np.mean`` of the ball's samples in
+    grid order, and of |sel - avg|, bit for bit.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape[:1]:
-        raise ValueError(f"need one sample per cell, {grid.shape[0]}, not {values.shape}")
+    if not callable(sample):
+        values = np.asarray(sample, dtype=float)
+        if values.shape != grid.shape[:1]:
+            raise ValueError(f"need one sample per cell, {grid.shape[0]}, not {values.shape}")
+
+        def sample(start, stop, out):
+            out[:] = values[start:stop]
     if not ball_family:
         raise ValueError("ball_family must be nonempty")
-    # a NaN makes the max NaN and an inf makes the max or the min infinite,
-    # so no full-size mask is built unless a sample is bad
-    if values.size and not (np.isfinite(np.max(values)) and np.isfinite(np.min(values))):
-        i = int(np.argmin(np.isfinite(values)))
-        cell = np.unravel_index(i, (grid.cells_per_axis,) * grid.dimension)
-        raise NonFiniteProfileError(f"profile sample {values[i]} at "
-                                    f"x={grid.coordinate(cell).tolist()} is not finite")
-
-    averages, oscillations = _ball_statistics(values, ball_family, grid)
-    profile = BMOProfile(grid=grid, values=values, M=float(M), averages=averages,
-                         oscillations=oscillations, norm_star=float(np.max(oscillations)))
-    if not profile.vanishes_outside:
-        raise ValueError("profile must vanish outside B_M")
-    return profile
-
-
-def _ball_statistics(values, ball_family, grid):
-    """(averages, oscillations) per ball.
-
-    Each ball's samples ``sel`` are gathered once: in 1-D a ball is one run,
-    so ``sel`` is a view of the values; in d >= 2 it is a copy of the
-    ball's runs. The average is ``np.add.reduce(sel) / count``. The
-    oscillation sum runs along ``_pairwise_sum``'s leaves of at most
-    ``_CHUNK`` samples, each written as |leaf - avg| into one leaf-sized
-    scratch, so no |sel - avg| array of the ball's size is built.
-    """
-    runs = grid.ball_runs(*zip(*ball_family))
+    M, n = float(M), grid.shape[0]
+    block = max(_CHUNK, _PAIRWISE_BLOCK)
+    origin = (0.0,) * grid.dimension
+    # the closed and the open B_M: for a float y, y <= M exactly when y is
+    # below the next float above M
+    *runs, support, core = grid.ball_runs(
+        [c for c, _ in ball_family] + [origin] * 2,
+        [r for _, r in ball_family] + [np.nextafter(M, np.inf), M])
     for (center, radius), r in zip(ball_family, runs):
         if not r:
             raise EmptyBallError(f"ball at {center} radius {radius:g} holds no cell")
+    if not core:
+        raise EmptyBallError(f"B_M (M={M:g}) holds no cell")
+
+    lows, highs, leaks = [], [], []
+
+    def visit(start, cur):
+        low, high = np.min(cur), np.max(cur)
+        # a NaN makes the max NaN and an inf makes the max or the min infinite,
+        # so no mask is built unless a sample is bad
+        if not (np.isfinite(low) and np.isfinite(high)):
+            i = int(np.argmin(np.isfinite(cur)))
+            cell = np.unravel_index(start + i, (grid.cells_per_axis,) * grid.dimension)
+            raise NonFiniteProfileError(f"profile sample {cur[i]} at "
+                                        f"x={grid.coordinate(cell).tolist()} is not finite")
+        lows.append(low)
+        highs.append(high)
+        inside = sum(np.count_nonzero(cur[a - start:b - start])
+                     for a, b in _clip(support, start, start + cur.size))
+        if np.count_nonzero(cur) != inside:
+            leaks.append(start)
+
     counts = [sum(b - a for a, b in r) for r in runs]
-    scratch = np.empty(min(max(counts), max(_CHUNK, _PAIRWISE_BLOCK)))
-
-    averages = np.empty(len(ball_family))
-    oscillations = np.empty(len(ball_family))
-    for i, (r, count) in enumerate(zip(runs, counts)):
-        sel = _gather(values, r)
-        avg = float(np.add.reduce(sel)) / count
-
-        def oscillation(a, b):
-            dev = np.subtract(sel[a:b], avg, out=scratch[:b - a])
-            return float(np.add.reduce(np.abs(dev, out=dev)))
-
-        averages[i] = avg
-        oscillations[i] = _pairwise_sum(oscillation, count) / count
-        del sel          # freed before the next ball is gathered
-    return averages, oscillations
+    *sums, core_sum = _ball_sums(sample, n, runs + [core], block, visit=visit)
+    if leaks:
+        raise ValueError("profile must vanish outside B_M")
+    averages = [s / c for s, c in zip(sums, counts)]
+    oscillations = np.array([s / c for s, c in zip(
+        _ball_sums(sample, n, runs, block, centres=averages), counts)])
+    return BMOProfile(grid=grid, sample=sample, M=M, averages=np.array(averages),
+                      oscillations=oscillations, norm_star=float(np.max(oscillations)),
+                      core_runs=tuple(core),
+                      core_mean=core_sum / sum(b - a for a, b in core), block=block,
+                      block_min=np.array(lows), block_max=np.array(highs),
+                      vanishes_outside=True)
 
 
 # ---------------------------------------------------------------------------
@@ -202,25 +300,29 @@ def jn_decay_check(profile: BMOProfile, eta_grid) -> JNFit:
     """Fit measure{|f - (f)_{B_M}| > eta} to C Leb(B_M) exp(-c eta / ||f||*).
 
     All-empty superlevels report trivial decay; fewer than three nonempty
-    levels cannot be fitted. The B_M samples are read in chunks of
-    ``_CHUNK`` cells: one chunk-sized deviation scratch and one mask
-    serve every chunk and level, and the integer counts add up exactly.
+    levels cannot be fitted. Only the blocks that can reach a level are
+    sampled: rounding is monotone, so no sample of a block deviates from
+    the mean by more than the block's min or max does, and a block whose
+    bound is at most every level is skipped unread. In a sampled block the
+    B_M cells become |f - mean| in place, and the integer counts add up
+    exactly.
     """
     if profile.norm_star <= 0.0:
         raise ValueError("decay fit needs a nonconstant profile")
-    core = profile.core_values
-    avg = float(np.mean(core))
-    dev = np.empty(min(core.size, _CHUNK))
-    above = np.empty(dev.shape, dtype=bool)
-
+    avg = profile.core_mean
     etas = [float(e) for e in eta_grid]
+    reach = np.maximum(np.abs(profile.block_min - avg), np.abs(profile.block_max - avg))
+    above = np.empty(min(profile.block, profile.grid.shape[0]), dtype=bool)
+
     counts = [0] * len(etas)
-    for start in range(0, core.size, _CHUNK):
-        part = core[start:start + _CHUNK]
-        chunk = np.subtract(part, avg, out=dev[:part.size])
-        np.abs(chunk, out=chunk)
-        for k, e in enumerate(etas):
-            counts[k] += int(np.count_nonzero(np.greater(chunk, e, out=above[:part.size])))
+    for start, cur in profile.sampled_blocks(reach > min(etas, default=np.inf)):
+        live = [k for k, e in enumerate(etas) if reach[start // profile.block] > e]
+        for a, b in _clip(profile.core_runs, start, start + cur.size):
+            dev = cur[a - start:b - start]
+            np.subtract(dev, avg, out=dev)
+            np.abs(dev, out=dev)
+            for k in live:
+                counts[k] += int(np.count_nonzero(np.greater(dev, etas[k], out=above[:b - a])))
     measures = [float(c) * profile.cell_volume for c in counts]
     nonzero = [(e, m) for e, m in zip(etas, measures) if m > 0.0]
     if not nonzero:
@@ -255,38 +357,59 @@ class SuperlevelReport:
     r_squared: Optional[float]
 
 
+def _tail(profile, level):
+    """``np.sum`` of f - level over the samples f > level in grid order, bit for bit.
+
+    Only the blocks whose max exceeds the level are sampled. A first pass
+    counts their hits, which fixes the length of the gathered excess and so
+    its pairwise tree; a second passes each block's excess, in grid order,
+    through one leaf buffer, and reduces each leaf as it fills.
+    """
+    keep = profile.block_max > level
+    n = sum(int(np.count_nonzero(cur > level)) for _, cur in profile.sampled_blocks(keep))
+    if not n:
+        return 0.0
+    leaves = iter(_leaves(n))
+    s, e = next(leaves)
+    leaf = np.empty(min(profile.block, n))
+    sums, fill = [], 0
+    for _, cur in profile.sampled_blocks(keep):
+        excess = cur[cur > level]
+        np.subtract(excess, level, out=excess)
+        while excess.size:
+            take = min(excess.size, e - s - fill)
+            leaf[fill:fill + take] = excess[:take]
+            excess = excess[take:]
+            fill += take
+            if fill == e - s:
+                sums.append(float(np.add.reduce(leaf[:fill])))
+                fill = 0
+                s, e = next(leaves, (n, n))
+    return _tree_sum(sums, n)
+
+
 def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
     """Average bound and exponential tail decay for nonnegative profiles.
 
-    Only the cells with |x| <= M are read: ``bmo_norm`` verified that every
-    nonzero sample lies there, and no level is negative, so every sample
-    above a level does too. One support-sized mask serves the sign check
-    and every lambda, and no excess array of the support's size is built:
-    each tail gathers the samples above lambda norm_star in grid order and
-    subtracts the level from them in place. With gradual underflow,
-    f - s > 0 exactly when f > s, so the tail sums the same numbers in the
-    same order as ``np.sum(excess[excess > 0])`` with ``excess = f - s``
-    over the whole grid.
+    The sign check reads the block minima, and the average is the profile's
+    mean over B_M. ``bmo_norm`` verified that every nonzero sample lies in
+    the closed B_M, and no level is negative, so the samples above a level
+    lie there too; each tail samples only the blocks whose max exceeds its
+    level (``_tail``). With gradual underflow, f - s > 0 exactly when
+    f > s, so each tail sums the same numbers in the same order as
+    ``np.sum(excess[excess > 0])`` with ``excess = f - s`` over the whole
+    grid.
     """
     lambdas = [float(l) for l in lambda_list]
     if any(lam < 0.0 for lam in lambdas):
         raise ValueError("superlevel checks need nonnegative lambdas")
-    values = profile.support_values
-    above = np.empty(values.shape, dtype=bool)
-    if np.less(values, 0.0, out=above).any():
+    if np.min(profile.block_min) < 0.0:
         raise NegativeInputError("superlevel checks need a nonnegative profile")
     sigma = profile.norm_star
 
-    average = float(np.mean(profile.core_values))
+    average = profile.core_mean
     bound = 2.0 ** (profile.d + 1) * sigma
-
-    tails = []
-    for lam in lambdas:
-        level = lam * sigma
-        excess = values[np.greater(values, level, out=above)]
-        np.subtract(excess, level, out=excess)
-        tails.append(float(np.sum(excess)) * profile.cell_volume)
-        del excess       # freed before the next level gathers its own
+    tails = [_tail(profile, lam * sigma) * profile.cell_volume for lam in lambdas]
 
     noninc = all(b <= a + 1e-12 for a, b in zip(tails[:-1], tails[1:]))
     convex = True

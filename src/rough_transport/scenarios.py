@@ -243,29 +243,33 @@ _BMO_GRID_CELLS = 1 << 22     # resolves exp(-lambda sigma) superlevels at lambd
 
 
 def _log_core_samples(grid, M):
-    """log(1/|x|) on the cells of the 1-D ``grid`` with |x| < M, 0 elsewhere.
+    """A block sampler of log(1/|x|) on the cells of the 1-D ``grid`` with |x| < M, 0 elsewhere.
 
-    The cells with |x| < M are one run of the grid (``CellGrid.ball_runs``;
-    sqrt(x * x) is |x| in binary64 short of underflow, so it is the slice
-    -M < x < M). Their centres, then |x|, 1/|x| and the log are written
-    into that run of the result in place, and the cells at x = 0 get
-    log(1) = 0 through one run-sized bool mask; each sample is the same bits
-    as ``where(|x| < M, log(where(|x| > 0, 1/|x|, 1)), 0)`` over the full
-    grid of centres. The result starts as ``np.zeros`` (calloc'd) and no
-    pass writes outside the run, so the pages of the zero tail are never
-    touched and never count towards the resident set; ``zeros_like`` would
-    fill them all.
+    ``sample(start, stop, out)`` zeroes ``out`` and writes the part of the
+    core run in cells start:stop (the cells with |x| < M are one run of the
+    grid, ``CellGrid.ball_runs``; sqrt(x * x) is |x| in binary64 short of
+    underflow, so it is the slice -M < x < M). Their centres, then |x|, 1/|x|
+    and the log are written there in place, and the cells at x = 0 get
+    log(1) = 0 through one bool mask of the part; each centre has the bits
+    of its own index, so each sample is the same bits as
+    ``where(|x| < M, log(where(|x| > 0, 1/|x|, 1)), 0)`` over the full grid
+    of centres, whatever block it is sampled in.
     """
-    vals = np.zeros(grid.shape[0])
-    for lo, hi in grid.ball_runs([(0.0,)], [M])[0]:      # one run at most in 1-D
-        core = grid.axis(lo, hi, out=vals[lo:hi])
-        np.abs(core, out=core)
-        zero = core == 0.0
-        with np.errstate(divide="ignore"):
-            np.divide(1.0, core, out=core)
-        np.copyto(core, 1.0, where=zero)
-        np.log(core, out=core)
-    return vals
+    core = grid.ball_runs([(0.0,)], [M])[0]      # one run at most in 1-D
+
+    def sample(start, stop, out):
+        out.fill(0.0)
+        for lo, hi in core:
+            lo, hi = max(lo, start), min(hi, stop)
+            if lo < hi:
+                x = grid.axis(lo, hi, out=out[lo - start:hi - start])
+                np.abs(x, out=x)
+                zero = x == 0.0
+                with np.errstate(divide="ignore"):
+                    np.divide(1.0, x, out=x)
+                np.copyto(x, 1.0, where=zero)
+                np.log(x, out=x)
+    return sample
 
 
 @dataclass
@@ -357,9 +361,10 @@ class RunContext:
     def bmo_profile(self):
         """Sampled log(1/|x|) on B_1 over a fine grid covering B_2.
 
-        The log is taken on the cells of B_1 alone (``_log_core_samples``),
-        and no cell centre is stored: ``bmo_norm`` reads each of its 35
-        balls as an index run of the grid.
+        The profile holds a sampler, not the 2^22 samples: ``bmo_norm``
+        samples the grid block by block (``_log_core_samples`` takes the
+        log on the cells of B_1 alone) and reads each of its 35 balls as an
+        index run of the grid.
         """
         def build():
             M = 1.0
@@ -644,7 +649,7 @@ def _run_uniqueness_probe(ctx, quad_shape, quad_radius):
 
 def _run_bmo_norm(ctx):
     profile = ctx.bmo_profile()
-    avg = float(np.mean(profile.core_values))
+    avg = profile.core_mean
     avg_bound = 2.0 ** (profile.d + 1) * profile.norm_star
     avg_err = abs(avg - 1.0)
     return _result(avg_err <= 0.02 and avg <= avg_bound,

@@ -4,7 +4,6 @@ import dataclasses
 import inspect
 import math
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +23,7 @@ from rough_transport.representation import DensityRepresentation, make_quadratur
 from rough_transport.scenarios import _log_core_samples
 from rough_transport.weakform import gamma_trace
 
+import reference
 from conftest import damping, field, traced_bytes
 
 
@@ -104,7 +104,7 @@ def test_bmo_norm_keeps_the_names_the_tracer_binds():
     # test and break only a traced benchmark pass
     assert "ball_family" in inspect.signature(bmo_norm).parameters
     prof = _log_profile(n=1 << 12)
-    assert prof.points.shape[0] == prof.values.size == 1 << 12
+    assert prof.points.shape[0] == 1 << 12
 
 
 def _raises_empty_ball(values, points, center, radius):
@@ -143,17 +143,33 @@ def _where_log_samples(xs, M):
 
 
 def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _sampled(sample, n, step=None):
+    """Every sample of a block sampler, asked for in pieces of ``step`` cells."""
+    out = np.full(n, np.nan)
+    step = step or max(n, 1)
+    for start in range(0, n, step):
+        sample(start, min(start + step, n), out[start:start + step])
+    return out
 
 
 @pytest.mark.parametrize("n", [1, 3, 1025, 4097, 6, 1026, 4094, 1 << 12])
 @pytest.mark.parametrize("M", [1.0, 0.3])
 def test_log_core_samples_match_full_grid_formula(n, M):
     # odd n puts a centre at x = 0; n = 2 mod 4 puts centres at (or within an
-    # ulp of) |x| = M, the edge of the core run
+    # ulp of) |x| = M, the edge of the core run. Each sample has the same
+    # bits whatever piece of the grid it is asked for in, and as the array
+    # the sampler replaced
     xs = cell_centers(2.0 * M, n)
-    assert _same_bits(_log_core_samples(CellGrid(2.0 * M, n, 1), M),
-                      _where_log_samples(xs, M))
+    grid = CellGrid(2.0 * M, n, 1)
+    for step in (None, 7, 1000):
+        assert _same_bits(_sampled(_log_core_samples(grid, M), n, step),
+                          _where_log_samples(xs, M)), step
+    assert _same_bits(_sampled(_log_core_samples(grid, M), n),
+                      reference._log_core_samples(grid, M))
     if n % 2:
         assert np.any(xs == 0.0)
     if n % 4 == 2:
@@ -172,7 +188,7 @@ def test_log_core_samples_edges(M):
     hit = set()
     for n in (1, 2, 14, 74, 266):
         xs = cell_centers(2.0 * M, n)
-        got = _log_core_samples(CellGrid(2.0 * M, n, 1), M)
+        got = _sampled(_log_core_samples(CellGrid(2.0 * M, n, 1), M), n)
         assert _same_bits(got, _where_log_samples(xs, M))
         assert np.count_nonzero(got) == np.count_nonzero((np.abs(xs) < M) & (xs != 0.0))
         hit |= edges.intersection(xs.tolist())
@@ -294,15 +310,17 @@ def test_slab_statistics_match_full_grid_masks(d, half_cell, leaf, monkeypatch):
     averages, oscillations = _brute_force_statistics(values, family, points)
     assert np.array_equal(prof.averages, averages)
     assert np.array_equal(prof.oscillations, oscillations)
-    # the support check reads the runs of |x| <= M alone, against full-grid masks
+    # the support check and the B_M mean read the runs of |x| <= M and
+    # |x| < M alone, against full-grid masks
     radii = np.linalg.norm(points, axis=-1)
     assert prof.vanishes_outside
-    assert np.array_equal(prof.core_values, values[radii < 1.0])
-    assert np.array_equal(prof.support_values, values[radii <= 1.0])
+    assert np.array_equal(_run_mask(prof.core_runs, values.size), radii < 1.0)
+    assert _same_bits(prof.core_mean, np.mean(values[radii < 1.0]))
     # the sample outside B_1 nearest to it
     leaky = values.copy()
     leaky[np.argmin(np.where(radii > 1.0, radii, np.inf))] = 1.0
-    assert not dataclasses.replace(prof, values=leaky).vanishes_outside
+    with pytest.raises(ValueError, match="vanish outside B_M"):
+        bmo_norm(leaky, 1.0, family, grid)
 
 
 @pytest.mark.parametrize("grid", [CellGrid(2.0, 1026, 1), CellGrid(2.0125, 161, 2)],
@@ -317,32 +335,34 @@ def test_support_holds_the_sphere_and_the_core_does_not(grid):
     values[radii < 1.0] = 0.5
     prof = bmo_norm(values, 1.0, (((0.0,) * grid.dimension, 0.5),), grid)
     assert prof.vanishes_outside
-    assert prof.core_values.size == np.count_nonzero(radii < 1.0)
-    assert np.all(prof.core_values == 0.5)
-    assert np.count_nonzero(prof.support_values == 1.0) == np.count_nonzero(radii == 1.0)
-    assert grid.dimension > 1 or np.shares_memory(prof.core_values, prof.values)
+    assert np.array_equal(_run_mask(prof.core_runs, values.size), radii < 1.0)
+    assert prof.core_mean == 0.5
+    # above level 0 the tail reads every sample of the closed ball, the
+    # sphere's included
+    assert lemma52_checks(prof, [0.0]).tails == (
+        float(np.sum(values[values > 0.0])) * prof.cell_volume,)
 
 
 def test_support_checked_once_per_profile(monkeypatch):
-    # bmo_norm's own support check fills the flag that BadSplitError reads
-    prof = _log_profile(n=1 << 12)
-    assert prof.__dict__["vanishes_outside"] is True
-    # the support flag and the B_M samples share one norm pass over the slab
-    # |x_0| <= M; no norm runs over the full grid
+    # bmo_norm's first sweep fills the flag that BadSplitError reads, from
+    # index runs of the grid: no norm runs over the full grid
+    grid, xs = _grid_1d(n=1 << 12)
+    values = _log_samples(xs[:, None])
     passes = []
     norm = np.linalg.norm
 
     def counted(x, *args, **kwargs):
-        if np.shape(x)[0] == prof.points.shape[0]:
+        if np.shape(x)[0] == grid.shape[0]:
             passes.append(np.shape(x))
         return norm(x, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "norm", counted)
-    fresh = dataclasses.replace(prof)
-    assert fresh.vanishes_outside and fresh.core_values.size > 0
+    prof = bmo_norm(values, 1.0, default_ball_family(1.0, 1), grid)
+    assert prof.vanishes_outside is True
     assert passes == []
     monkeypatch.undo()
-    leaky = dataclasses.replace(prof, values=prof.values + 1.0)
-    assert not leaky.vanishes_outside
+    with pytest.raises(ValueError, match="vanish outside B_M"):
+        bmo_norm(values + 1.0, 1.0, default_ball_family(1.0, 1), grid)
+    leaky = dataclasses.replace(prof, vanishes_outside=False)
     spec = field("log_drift")
     fit = jn_decay_check(prof, [1.0 + 0.5 * k for k in range(7)])
     quad = make_quadrature(1, 2.0, 16, 1.0, 8)
@@ -352,11 +372,14 @@ def test_support_checked_once_per_profile(monkeypatch):
 
 
 def test_core_values_built_once():
-    # the B_M samples every decay check reads come from one cached mask
-    prof = _log_profile(n=1 << 12)
-    inside = np.linalg.norm(prof.grid.centers(), axis=-1) < prof.M
-    assert prof.core_values is prof.core_values
-    assert np.array_equal(prof.core_values, prof.values[inside])
+    # the B_M samples are summed once, in bmo_norm's first sweep: the mean
+    # is np.mean of them bit for bit, and the decay checks read it from the
+    # profile instead of sampling B_M again
+    grid, xs = _grid_1d(n=1 << 12)
+    values = _log_samples(xs[:, None])
+    prof = bmo_norm(values, 1.0, default_ball_family(1.0, 1), grid)
+    assert _same_bits(prof.core_mean, np.mean(values[np.abs(xs) < prof.M]))
+    assert lemma52_checks(prof, [9.0]).average == prof.core_mean
 
 
 # --- John-Nirenberg decay ----------------------------------------------------------
@@ -409,7 +432,7 @@ def test_jn_scaling_invariance():
 
 def test_tails_zero_above_max():
     prof = _log_profile()
-    fmax = float(np.max(prof.values))
+    fmax = float(np.max(prof.block_max))
     lam = (fmax + 1.0) / prof.norm_star
     rep = lemma52_checks(prof, [lam])
     assert rep.tails[0] == 0.0
@@ -439,13 +462,13 @@ def test_tails_match_full_size_excess(n):
     # the gathered tails against np.sum(excess[excess > 0]), bit for bit,
     # down to a level above every sample whose tail is empty
     grid, xs = _grid_1d(n=n)
-    prof = bmo_norm(_where_log_samples(xs, 1.0), 1.0, default_ball_family(1.0, 1),
-                    grid)
-    top = float(np.max(prof.values)) / prof.norm_star
+    values = _where_log_samples(xs, 1.0)
+    prof = bmo_norm(values, 1.0, default_ball_family(1.0, 1), grid)
+    top = float(np.max(values)) / prof.norm_star
     lambdas = [0.0, 0.5, 3.0, 9.0, top, 2.0 * top]
     rep = lemma52_checks(prof, lambdas)
     for lam, tail in zip(lambdas, rep.tails):
-        excess = prof.values - lam * prof.norm_star
+        excess = values - lam * prof.norm_star
         assert tail == float(np.sum(excess[excess > 0.0])) * prof.cell_volume
     assert rep.tails[-2] == rep.tails[-1] == 0.0
     assert rep.tails[0] > 0.0
@@ -474,10 +497,10 @@ def test_tails_reject_negative_lambda():
 
 
 def test_tails_reject_negative_input():
+    # bmo_norm takes a profile of either sign; the tails read its block minima
     grid, xs = _grid_1d()
     vals = np.where(np.abs(xs) < 1.0, -1.0, 0.0)
-    prof = bmo_norm(np.abs(vals), 1.0, default_ball_family(1.0, 1), grid)
-    object.__setattr__(prof, "values", vals)
+    prof = bmo_norm(vals, 1.0, default_ball_family(1.0, 1), grid)
     with pytest.raises(NegativeInputError):
         lemma52_checks(prof, [9.0])
 
@@ -560,84 +583,154 @@ def test_tau0_policy_window():
     assert choose_tau0(0.2, c_fit, 1.0) == 1.0
 
 
-# --- scratch memory -------------------------------------------------------------------
+# --- the streamed pipeline against the array one ----------------------------------------
 
-def _traced(fn):
-    """(result, peak traced bytes, bytes still held by the result)."""
-    tracemalloc.start()
+def _outcome(call, *args):
+    """call(*args), or the type and message of what it raised."""
     try:
-        result = fn()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak, held
+        return call(*args)
+    except Exception as exc:      # the references must raise the same errors
+        return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("M", [pytest.param(1.0, id="1.0"), pytest.param(0.5, id="0.5")])
-def test_bmo_norm_scratch_is_one_float_array(M):
-    # a 1-D ball is one run, read as a view of the values, and one float
-    # scratch of one leaf holds |sel - avg| for every leaf: beyond the
-    # inputs the peak stays within 8 bytes per cell of a leaf plus 64 KiB
-    # for the runs and the per-ball tables, far below the widest ball. No
-    # distance or bool array per cell is built, and the profile keeps no
-    # copy: its B_M samples are a view too
-    grid, xs = _grid_1d(n=1 << 20)
-    values = _where_log_samples(xs, M)
-    family = default_ball_family(1.0, 1)
-    widest = max(sum(b - a for a, b in r) for r in grid.ball_runs(*zip(*family)))
-    prof, peak, held = _traced(lambda: bmo_norm(values, M, family, grid))
-    assert np.shares_memory(prof.core_values, values)
-    assert 8 * widest > 4 * (8 * bmo._CHUNK + (1 << 16))
-    assert peak - held <= 8 * bmo._CHUNK + (1 << 16)
+def _nonempty_family(grid):
+    family = default_ball_family(1.0, grid.dimension)
+    return tuple(ball for ball, runs in zip(family, grid.ball_runs(*zip(*family))) if runs)
 
 
-def test_lemma52_scratch_is_one_mask():
-    # the cells with |x| <= M alone are read: one support-sized mask serves
-    # every lambda; the gathered positive excess is the only float array, the
-    # level is subtracted from it in place, and it is freed before the next,
-    # nearly as large, level gathers its own
-    prof = _log_profile(n=1 << 20)
-    support = prof.support_values.size
-    assert 2 * support <= prof.values.size + 2
-    lambdas = [0.0, 0.1, 1.0, 4.0, 1e6]
-    largest = int(np.count_nonzero(prof.values > 0.0))
-    rep, peak, held = _traced(lambda: lemma52_checks(prof, lambdas))
-    assert rep.tails[0] > 0.0 and rep.tails[-1] == 0.0
-    assert peak - held <= support + 8 * largest + (1 << 16)
+# _RUN_GRIDS, one grid smaller than one block, and one of three blocks whose
+# last is partial
+_STREAM_GRIDS = _RUN_GRIDS + [CellGrid(2.0, 1000, 1), CellGrid(2.0, (1 << 17) + 12345, 1)]
 
 
-def test_log_core_samples_scratch_is_one_core_mask():
-    # beyond the result, only the bool mask of the x = 0 cells is allocated:
-    # the centres, |x|, 1/|x| and the log are written into the core run in place
-    n, M = 1 << 20, 1.0
-    xs = cell_centers(2.0 * M, n)
-    core = int(np.count_nonzero(np.abs(xs) < M))
-    vals, kept, peak = traced_bytes(lambda: _log_core_samples(CellGrid(2.0 * M, n, 1), M))
-    assert kept >= vals.nbytes
-    assert peak <= vals.nbytes + core + core // 4
+@pytest.mark.parametrize("grid", _STREAM_GRIDS,
+                         ids=lambda g: f"{g.radius}-{g.cells_per_axis}-{g.dimension}")
+@pytest.mark.parametrize("block", [None, 136])
+def test_streamed_statistics_match_the_array_pipeline(grid, block, monkeypatch):
+    # every statistic of the block sweeps against the array pipeline they
+    # replaced, bit for bit. With 136-cell blocks every grid spans two
+    # blocks or more, and in d >= 2 many leaves span several runs and blocks
+    if block:
+        monkeypatch.setattr(bmo, "_CHUNK", block)
+    values = _log_samples(grid.centers())
+    family = _nonempty_family(grid)
+    prof = bmo_norm(values, 1.0, family, grid)
+    ref = reference.bmo_norm(values, 1.0, family, grid)
+    assert _same_bits(prof.averages, ref.averages)
+    assert _same_bits(prof.oscillations, ref.oscillations)
+    assert _same_bits(prof.norm_star, ref.norm_star)
+    assert _same_bits(prof.core_mean, np.mean(ref.core_values))
+    assert grid.shape[0] > prof.block or not block
+    etas = [0.25 * k for k in range(1, 17)]
+    assert _outcome(jn_decay_check, prof, etas) == _outcome(reference.jn_decay_check, ref, etas)
+    top = float(np.max(values)) / prof.norm_star
+    lambdas = [0.0, 0.5, 3.0, 9.0, 12.0, 16.0, top]
+    assert lemma52_checks(prof, lambdas) == reference.lemma52_checks(ref, lambdas)
 
 
-def test_jn_decay_check_reads_the_core_in_chunks():
-    # a 2^21-cell core: one chunk-sized deviation scratch and mask, not a
-    # core-sized |core - avg| array (16 MiB) and mask (2 MiB)
-    xs = cell_centers(1.0, 1 << 21)
-    prof = bmo_norm(_where_log_samples(xs, 1.0), 1.0, default_ball_family(1.0, 1),
-                    CellGrid(1.0, 1 << 21, 1))
-    assert prof.core_values.size == 1 << 21
+def test_default_profile_matches_the_array_pipeline():
+    # the scenario's 2^22-cell log profile, sampled block by block, against
+    # the array it replaced
+    grid, family = CellGrid(2.0, 1 << 22, 1), default_ball_family(1.0, 1)
+    prof = bmo_norm(_log_core_samples(grid, 1.0), 1.0, family, grid)
+    ref = reference.bmo_norm(reference._log_core_samples(grid, 1.0), 1.0, family, grid)
+    assert _same_bits(prof.averages, ref.averages)
+    assert _same_bits(prof.oscillations, ref.oscillations)
+    assert _same_bits(prof.core_mean, np.mean(ref.core_values))
     etas = [1.0 + 0.5 * k for k in range(7)]
-    fit, _, peak = traced_bytes(lambda: jn_decay_check(prof, etas))
-    assert peak <= 1 << 20
-    dev = np.abs(prof.core_values - np.mean(prof.core_values))
-    assert fit.measures == tuple(float(np.count_nonzero(dev > e)) * prof.cell_volume
-                                 for e in etas)
+    assert jn_decay_check(prof, etas) == reference.jn_decay_check(ref, etas)
+    lambdas = [9.0, 12.0, 16.0]
+    assert lemma52_checks(prof, lambdas) == reference.lemma52_checks(ref, lambdas)
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "negative", "outside", "empty_ball"])
+def test_streamed_errors_match_the_array_pipeline(case, monkeypatch):
+    # the same error with the same message: a bad sample reports the first
+    # bad cell in grid order, in an earlier block than a second one and
+    # ahead of a nonzero sample outside B_M
+    monkeypatch.setattr(bmo, "_CHUNK", 1000)
+    grid, xs = _grid_1d(n=1 << 12)
+    values = _log_samples(xs[:, None])
+    family = default_ball_family(1.0, 1)
+    if case in ("nan", "inf"):
+        values[[10, 1500, 3000]] = [1.0, getattr(np, case), np.nan]
+    elif case == "negative":
+        values = -values
+    elif case == "outside":
+        values[10] = 1.0
+    else:
+        family += (((0.0,), 1e-6),)
+
+    def run(norm, jn, tails):
+        prof = norm(values, 1.0, family, grid)
+        return jn(prof, [1.0, 1.5, 2.0]), tails(prof, [9.0])
+
+    got = _outcome(run, bmo_norm, jn_decay_check, lemma52_checks)
+    assert isinstance(got[0], type) and issubclass(got[0], Exception)
+    assert got == _outcome(run, reference.bmo_norm, reference.jn_decay_check,
+                           reference.lemma52_checks)
+
+
+# --- scratch memory and sampling -----------------------------------------------------
+
+def _default_profile(sample=None):
+    grid = CellGrid(2.0, 1 << 22, 1)
+    return bmo_norm(sample or _log_core_samples(grid, 1.0), 1.0,
+                    default_ball_family(1.0, 1), grid)
+
+
+def test_streamed_checks_hold_a_few_blocks():
+    # over the scenario's 2^22-cell profile, the norm, the John-Nirenberg
+    # counts and the tails together allocate at most 4 MB at peak: two
+    # sweep windows of two 2^16-cell blocks, one leaf scratch, and per-block
+    # summaries. The array pipeline held 32 MiB of samples
+    def checks():
+        prof = _default_profile()
+        return (prof, jn_decay_check(prof, [1.0 + 0.5 * k for k in range(7)]),
+                lemma52_checks(prof, [9.0, 12.0, 16.0]))
+    (prof, fit, rep), _, peak = traced_bytes(checks)
+    assert not fit.trivial and rep.tails[0] > 0.0
+    assert peak <= 4 << 20
+
+
+def test_sweeps_sample_each_block_once_and_skip_unreachable_blocks():
+    # bmo_norm's two sweeps sample every block once each, in grid order; the
+    # superlevel passes sample only the blocks that can reach a level
+    grid = CellGrid(2.0, 1 << 22, 1)
+    sample, calls = _log_core_samples(grid, 1.0), []
+
+    def counted(start, stop, out):
+        calls.append(start)
+        sample(start, stop, out)
+    prof = _default_profile(counted)
+    blocks = list(range(0, grid.shape[0], prof.block))
+    assert calls == blocks + blocks
+
+    calls.clear()
+    etas = [1.0 + 0.5 * k for k in range(7)]
+    jn_decay_check(prof, etas)
+    reach = np.maximum(np.abs(prof.block_min - prof.core_mean),
+                       np.abs(prof.block_max - prof.core_mean))
+    assert calls == [b for b, r in zip(blocks, reach) if r > min(etas)]
+    core = {b for b in blocks if any(True for _ in bmo._clip(prof.core_runs, b, b + prof.block))}
+    assert set(calls) < core and len(calls) <= 0.2 * len(core)
+
+    calls.clear()
+    lambdas = [9.0, 12.0, 16.0]
+    lemma52_checks(prof, lambdas)
+    # a count pass and a gather pass per level, over the centre blocks only
+    reached = [b for b, top in zip(blocks, prof.block_max)
+               if top > min(lambdas) * prof.norm_star]
+    assert 0 < len(reached) <= 2
+    assert sorted(calls) == sorted(reached * 2 * len(lambdas))
 
 
 def test_support_allocates_no_slab():
-    # the support check and the B_M samples read index runs of the grid: no
-    # radius table is built, and in 1-D the samples are a view of the values
-    prof = _log_profile(n=1 << 20)
-    fresh = dataclasses.replace(prof)
-    (vanishes, core), _, peak = traced_bytes(
-        lambda: (fresh.vanishes_outside, fresh.core_values))
-    assert vanishes and np.shares_memory(core, fresh.values)
-    assert peak <= 1 << 16
+    # the support check and the B_M mean read index runs of the grid: no
+    # radius table or per-cell mask is built, and a sweep holds its window
+    # of two blocks and one leaf scratch
+    grid = CellGrid(2.0, 1 << 20, 1)
+    sample = _log_core_samples(grid, 1.0)
+    prof, _, peak = traced_bytes(lambda: bmo_norm(sample, 1.0, (((0.0,), 1.0),), grid))
+    assert prof.vanishes_outside and prof.core_mean > 0.0
+    assert peak <= 3 * 8 * bmo._CHUNK + (1 << 17)
