@@ -11,7 +11,6 @@ and every statistic streams over blocks of ``_CHUNK`` cells.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -52,7 +51,7 @@ class BMOProfile:
     averages: np.ndarray      # per ball
     oscillations: np.ndarray  # per ball
     norm_star: float
-    core_runs: tuple          # index runs of the cells with |x| < M
+    core_run: tuple           # index run (start, stop) of the cells with |x| < M
     core_mean: float          # np.mean of the samples in B_M, bit for bit
     block: int                # cells per block of every sweep
     block_min: np.ndarray     # per block
@@ -86,12 +85,10 @@ class BMOProfile:
             yield start, out
 
 
-def _clip(runs, start, stop):
-    """The parts of the index ``runs`` (disjoint, in grid order) in cells start:stop."""
-    i = bisect_right(runs, start, key=lambda run: run[1])
-    while i < len(runs) and runs[i][0] < stop:
-        yield max(runs[i][0], start), min(runs[i][1], stop)
-        i += 1
+def _clip(run, start, stop):
+    """The part a:b of the index ``run`` (start, stop) in cells start:stop; a == b if none."""
+    a = min(max(run[0], start), stop)
+    return a, max(a, min(run[1], stop))
 
 
 def _pairwise_sum(leaf_sum, n, start=0):
@@ -124,51 +121,26 @@ def _tree_sum(leaf_sums, n):
     return _pairwise_sum(lambda a, b: next(sums), n)
 
 
-def _leaf_plan(runs, n_cells, block):
-    """Per ball the leaves of its sum; per block the leaf pieces ending in it.
-
-    A ball's samples in grid order are its runs laid end to end, and
-    ``_pairwise_sum`` cuts that sequence into leaves of at most ``block``
-    samples. A piece is the part of one leaf in one run, (ball, leaf,
-    offset in the leaf, first cell, stop cell); each block lists the pieces
-    whose last cell it holds, in ball, leaf and run order.
-    """
-    leaves = [_leaves(sum(b - a for a, b in r)) for r in runs]
-    pieces = [[] for _ in range(-(-n_cells // block))]
-    for i, (r, ball_leaves) in enumerate(zip(runs, leaves)):
-        k = done = 0     # the run holding the next sample, and the samples before it
-        for j, (s, e) in enumerate(ball_leaves):
-            at = s
-            while at < e:
-                a, b = r[k]
-                take = min(e, done + b - a) - at
-                first = a + at - done
-                pieces[(first + take - 1) // block].append((i, j, at - s, first, first + take))
-                at += take
-                if at == done + b - a:
-                    k, done = k + 1, at
-    return leaves, pieces
-
-
 def _ball_sums(sample, n_cells, runs, block, centres=None, visit=None):
-    """Per ball, ``np.add.reduce`` of its samples in grid order, bit for bit.
+    """Per ball run (start, stop), ``np.add.reduce`` of its samples, bit for bit.
 
     With ``centres``, of |f - centres[i]| over ball i instead. One sweep
     samples each block once, into a window that holds the previous block
-    and the current one. No leaf is longer than a block, so a leaf that
-    lies in one run is a view of the window in the block where it ends, and
-    is reduced there (in 1-D every leaf is); |f - centre| goes into one
-    block-sized scratch. A leaf over several runs (d >= 2) fills a buffer
-    of its own piece by piece as the sweep passes, and is reduced with its
-    last piece. The leaf sums then add up along ``_pairwise_sum``'s tree.
-    ``visit(start, samples)`` sees each block before any piece is read.
+    and the current one. ``_pairwise_sum`` cuts each run into leaves of at
+    most ``block`` cells, so a leaf is a view of the window in the block
+    where it ends, and is reduced there; |f - centre| goes into one
+    block-sized scratch. A ball's leaves end in grid order, so its leaf
+    sums are appended as the sweep passes and add up along the tree at the
+    end. ``visit(start, samples)`` sees each block before any leaf is read.
     """
-    leaves, pieces = _leaf_plan(runs, n_cells, block)
+    ends = [[] for _ in range(-(-n_cells // block))]    # per block, (ball, first, stop)
+    for i, (a, b) in enumerate(runs):
+        for s, e in _leaves(b - a):
+            ends[(a + e - 1) // block].append((i, a + s, a + e))
     width = min(block, n_cells)
     window = np.empty(2 * width)
     scratch = None if centres is None else np.empty(width)
-    sums = [[0.0] * len(ball_leaves) for ball_leaves in leaves]
-    partial = {}     # (ball, leaf) -> buffer of a leaf over several runs
+    sums = [[] for _ in runs]
     for k, start in enumerate(range(0, n_cells, block)):
         stop = min(start + block, n_cells)
         if k:
@@ -178,26 +150,13 @@ def _ball_sums(sample, n_cells, runs, block, centres=None, visit=None):
         if visit is not None:
             visit(start, cur)
         shift = width - start                    # window[c + shift] holds cell c
-        for i, j, at, a, b in pieces[k]:
-            s, e = leaves[i][j]
-            src = window[a + shift:b + shift]
-            whole = b - a == e - s               # the leaf lies in this one run
-            if whole and centres is None:
-                leaf = src
-            else:
-                leaf = scratch if whole else partial.get((i, j))
-                if leaf is None:
-                    leaf = partial[(i, j)] = np.empty(e - s)
-                dst = leaf[at:at + b - a]
-                if centres is None:
-                    dst[:] = src
-                else:
-                    np.abs(np.subtract(src, centres[i], out=dst), out=dst)
-            if at + b - a == e - s:
-                sums[i][j] = float(np.add.reduce(leaf[:e - s]))
-                partial.pop((i, j), None)
-    return [_tree_sum(ball_sums, ball_leaves[-1][1])
-            for ball_sums, ball_leaves in zip(sums, leaves)]
+        for i, a, b in ends[k]:
+            leaf = window[a + shift:b + shift]
+            if centres is not None:
+                leaf = np.abs(np.subtract(leaf, centres[i], out=scratch[:b - a]),
+                              out=scratch[:b - a])
+            sums[i].append(float(np.add.reduce(leaf)))
+    return [_tree_sum(leaf_sums, b - a) for leaf_sums, (a, b) in zip(sums, runs)]
 
 
 def default_ball_family(M, d):
@@ -211,11 +170,11 @@ def bmo_norm(sample, M, ball_family, grid) -> BMOProfile:
     """Per-ball averages and mean oscillations; norm_star is the family max.
 
     ``sample(start, stop, out)`` writes the samples of cells start:stop of
-    the ``CellGrid`` into ``out``; an array of one sample per cell is read
-    through such a sampler. The samples must be finite and vanish outside
-    B_M (compact support hypothesis of the decay lemma).
+    the 1-D ``CellGrid`` into ``out``; a grid of any other dimension raises
+    ``ValueError``. The samples must be finite and vanish outside B_M
+    (compact support hypothesis of the decay lemma).
 
-    Each ball's cells are exact index runs of the grid
+    Each ball's cells are one exact index run of the grid
     (``CellGrid.ball_runs``), so no distance is computed per cell, and a
     ball with no cell, B_M included, raises before any sample is read. Two
     sweeps (``_ball_sums``) read the grid in blocks of ``_CHUNK`` cells,
@@ -226,27 +185,19 @@ def bmo_norm(sample, M, ball_family, grid) -> BMOProfile:
     average and mean oscillation is ``np.mean`` of the ball's samples in
     grid order, and of |sel - avg|, bit for bit.
     """
-    if not callable(sample):
-        values = np.asarray(sample, dtype=float)
-        if values.shape != grid.shape[:1]:
-            raise ValueError(f"need one sample per cell, {grid.shape[0]}, not {values.shape}")
-
-        def sample(start, stop, out):
-            out[:] = values[start:stop]
     if not ball_family:
         raise ValueError("ball_family must be nonempty")
     M, n = float(M), grid.shape[0]
     block = max(_CHUNK, _PAIRWISE_BLOCK)
-    origin = (0.0,) * grid.dimension
     # the closed and the open B_M: for a float y, y <= M exactly when y is
     # below the next float above M
     *runs, support, core = grid.ball_runs(
-        [c for c, _ in ball_family] + [origin] * 2,
+        [c for c, _ in ball_family] + [(0.0,)] * 2,
         [r for _, r in ball_family] + [np.nextafter(M, np.inf), M])
-    for (center, radius), r in zip(ball_family, runs):
-        if not r:
+    for (center, radius), (a, b) in zip(ball_family, runs):
+        if a == b:
             raise EmptyBallError(f"ball at {center} radius {radius:g} holds no cell")
-    if not core:
+    if core[0] == core[1]:
         raise EmptyBallError(f"B_M (M={M:g}) holds no cell")
 
     lows, highs, leaks = [], [], []
@@ -257,27 +208,24 @@ def bmo_norm(sample, M, ball_family, grid) -> BMOProfile:
         # so no mask is built unless a sample is bad
         if not (np.isfinite(low) and np.isfinite(high)):
             i = int(np.argmin(np.isfinite(cur)))
-            cell = np.unravel_index(start + i, (grid.cells_per_axis,) * grid.dimension)
             raise NonFiniteProfileError(f"profile sample {cur[i]} at "
-                                        f"x={grid.coordinate(cell).tolist()} is not finite")
+                                        f"x={grid.coordinate([start + i]).tolist()} is not finite")
         lows.append(low)
         highs.append(high)
-        inside = sum(np.count_nonzero(cur[a - start:b - start])
-                     for a, b in _clip(support, start, start + cur.size))
-        if np.count_nonzero(cur) != inside:
+        a, b = _clip(support, start, start + cur.size)
+        if np.count_nonzero(cur) != np.count_nonzero(cur[a - start:b - start]):
             leaks.append(start)
 
-    counts = [sum(b - a for a, b in r) for r in runs]
     *sums, core_sum = _ball_sums(sample, n, runs + [core], block, visit=visit)
     if leaks:
         raise ValueError("profile must vanish outside B_M")
+    counts = [b - a for a, b in runs]
     averages = [s / c for s, c in zip(sums, counts)]
     oscillations = np.array([s / c for s, c in zip(
         _ball_sums(sample, n, runs, block, centres=averages), counts)])
     return BMOProfile(grid=grid, sample=sample, M=M, averages=np.array(averages),
                       oscillations=oscillations, norm_star=float(np.max(oscillations)),
-                      core_runs=tuple(core),
-                      core_mean=core_sum / sum(b - a for a, b in core), block=block,
+                      core_run=core, core_mean=core_sum / (core[1] - core[0]), block=block,
                       block_min=np.array(lows), block_max=np.array(highs),
                       vanishes_outside=True)
 
@@ -317,12 +265,12 @@ def jn_decay_check(profile: BMOProfile, eta_grid) -> JNFit:
     counts = [0] * len(etas)
     for start, cur in profile.sampled_blocks(reach > min(etas, default=np.inf)):
         live = [k for k, e in enumerate(etas) if reach[start // profile.block] > e]
-        for a, b in _clip(profile.core_runs, start, start + cur.size):
-            dev = cur[a - start:b - start]
-            np.subtract(dev, avg, out=dev)
-            np.abs(dev, out=dev)
-            for k in live:
-                counts[k] += int(np.count_nonzero(np.greater(dev, etas[k], out=above[:b - a])))
+        a, b = _clip(profile.core_run, start, start + cur.size)
+        dev = cur[a - start:b - start]
+        np.subtract(dev, avg, out=dev)
+        np.abs(dev, out=dev)
+        for k in live:
+            counts[k] += int(np.count_nonzero(np.greater(dev, etas[k], out=above[:dev.size])))
     measures = [float(c) * profile.cell_volume for c in counts]
     nonzero = [(e, m) for e, m in zip(etas, measures) if m > 0.0]
     if not nonzero:

@@ -100,36 +100,31 @@ class CellGrid:
         return tensor_points([self.axis()] * self.dimension)
 
     def ball_runs(self, centers, radii):
-        """Per ball, the cells with ``sqrt(sq_norms(x, center)) < radius`` as index runs.
+        """Per ball, the cells with ``sqrt(sq_norms(x, center)) < radius`` as one index run.
 
-        Returns, for each (center, radius) pair, the nonempty runs
-        [(start, stop), ...] of flat cell indices in grid order, one at most
-        per line of the last axis. Along such a line the rounded test is
-        monotone on either side of the centre: fl(x - c), its square, the
-        sum with the line's first d - 1 terms and sqrt are all monotone. So
-        the cells inside are one contiguous run, and bisection on the same
-        expression, in ``sq_norms``' coordinate and sum order, finds its
-        ends exactly, for every ball and line at once.
+        Returns, for each (center, radius) pair, the (start, stop) of its
+        flat cell indices, start == stop for a ball with no cell; a grid of
+        any dimension but 1 raises ``ValueError``. The rounded test is
+        monotone on either side of the centre: fl(x - c), its square and
+        sqrt all are. So the cells inside are one contiguous run, and
+        bisection on the same expression finds its ends exactly, for every
+        ball at once.
         """
-        n, d = self.cells_per_axis, self.dimension
-        c = np.asarray(centers, dtype=float).reshape(-1, 1, d)
-        r = np.asarray(radii, dtype=float).reshape(-1, 1)
-        # the first d - 1 terms of every ball and line; in 1-D, + 0.0 changes no bit
-        head = (sq_norms(tensor_points([self.axis()] * (d - 1)) - c[..., :-1])
-                if d > 1 else np.zeros(r.shape))
-        last = c[..., -1]
+        if self.dimension != 1:
+            raise ValueError(f"ball runs need a 1-D grid, not a {self.dimension}-D one")
+        n = self.cells_per_axis
+        c = np.asarray(centers, dtype=float).reshape(-1)
+        r = np.asarray(radii, dtype=float).reshape(-1)
 
         def inside(i):
-            t = self.coordinate(i) - last
-            return np.sqrt(head + t * t) < r
+            t = self.coordinate(i) - c
+            return np.sqrt(t * t) < r
 
-        first = np.zeros(head.shape, dtype=np.int64)
-        split = _first(lambda i: self.coordinate(i) >= last, first, first + n)
+        first = np.zeros(r.shape, dtype=np.int64)
+        split = _first(lambda i: self.coordinate(i) >= c, first, first + n)
         start = _first(inside, first, split)
         stop = _first(lambda i: ~inside(i), split, first + n)
-        line = np.arange(head.shape[1]) * n
-        return [list(zip((line + a)[a < b].tolist(), (line + b)[a < b].tolist()))
-                for a, b in zip(start, stop)]
+        return list(zip(start.tolist(), stop.tolist()))
 
 
 def _first(holds, lo, hi):

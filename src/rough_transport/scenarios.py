@@ -255,20 +255,19 @@ def _log_core_samples(grid, M):
     ``where(|x| < M, log(where(|x| > 0, 1/|x|, 1)), 0)`` over the full grid
     of centres, whatever block it is sampled in.
     """
-    core = grid.ball_runs([(0.0,)], [M])[0]      # one run at most in 1-D
+    (lo, hi), = grid.ball_runs([(0.0,)], [M])
 
     def sample(start, stop, out):
         out.fill(0.0)
-        for lo, hi in core:
-            lo, hi = max(lo, start), min(hi, stop)
-            if lo < hi:
-                x = grid.axis(lo, hi, out=out[lo - start:hi - start])
-                np.abs(x, out=x)
-                zero = x == 0.0
-                with np.errstate(divide="ignore"):
-                    np.divide(1.0, x, out=x)
-                np.copyto(x, 1.0, where=zero)
-                np.log(x, out=x)
+        a, b = max(lo, start), min(hi, stop)
+        if a < b:
+            x = grid.axis(a, b, out=out[a - start:b - start])
+            np.abs(x, out=x)
+            zero = x == 0.0
+            with np.errstate(divide="ignore"):
+                np.divide(1.0, x, out=x)
+            np.copyto(x, 1.0, where=zero)
+            np.log(x, out=x)
     return sample
 
 
@@ -676,7 +675,7 @@ def _run_superlevel_tails(ctx):
     strict = all(b < a for a, b in zip(rep.tails, rep.tails[1:]))
     # decay-lemma bound with the fitted constants standing in for C, c
     sigma = profile.norm_star
-    ball = 2.0 * profile.M if profile.d == 1 else math.pi * profile.M ** 2
+    ball = 2.0 * profile.M
     bounds = [fit.C_fit * ball * sigma / fit.c_fit * math.exp(-0.5 * fit.c_fit * lam)
               for lam in rep.lambdas]
     tails_bounded = all(t <= b for t, b in zip(rep.tails, bounds))

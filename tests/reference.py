@@ -9,7 +9,8 @@ in a ``FlowMap``, and against the cumulative trapezoids over its table.
 The BMO statistics stream a block sampler (``bmo.bmo_norm``); the array
 pipeline they replaced, which held one float per cell of the profile, is
 kept below as the bit-for-bit reference for the averages, oscillations,
-B_M mean, John-Nirenberg measures and superlevel tails.
+B_M mean, John-Nirenberg measures and superlevel tails, with
+``array_sampler``, which reads such an array through a block sampler.
 """
 
 from dataclasses import dataclass
@@ -179,39 +180,40 @@ class BMOProfile:
 
     @cached_property
     def _support(self):
-        """(index runs of the cells with |x| <= M, of the cells with |x| < M)."""
+        """(index run of the cells with |x| <= M, of the cells with |x| < M)."""
         # for a float y, y <= M exactly when y < the next float above M
-        return tuple(self.grid.ball_runs([(0.0,) * self.d] * 2,
+        return tuple(self.grid.ball_runs([(0.0,)] * 2,
                                          [np.nextafter(self.M, np.inf), self.M]))
 
     @cached_property
     def vanishes_outside(self):
         """True when every sample outside B_M is zero; checked once."""
-        return bool(np.count_nonzero(self.values) == sum(
-            np.count_nonzero(self.values[a:b]) for a, b in self._support[0]))
+        return bool(np.count_nonzero(self.values) == np.count_nonzero(self.support_values))
 
     @property
     def support_values(self):
-        """Samples with |x| <= M in grid order; a view of ``values`` in 1-D."""
-        return _gather(self.values, self._support[0])
+        """Samples with |x| <= M in grid order, a view of ``values``."""
+        a, b = self._support[0]
+        return self.values[a:b]
 
     @cached_property
     def core_values(self):
-        """Samples in B_M, the ball every decay check reads; a view in 1-D."""
-        core = _gather(self.values, self._support[1])
-        if core.size == 0:
+        """Samples in B_M, the ball every decay check reads, a view of ``values``."""
+        a, b = self._support[1]
+        if a == b:
             raise EmptyBallError(f"B_M (M={self.M:g}) holds no cell")
-        return core
+        return self.values[a:b]
 
 
-def _gather(values, runs):
-    """The samples of the index ``runs`` in grid order; one run is a view."""
-    if len(runs) == 1:
-        (a, b), = runs
-        return values[a:b]
-    if not runs:
-        return values[:0]
-    return np.concatenate([values[a:b] for a, b in runs])
+def array_sampler(values, grid):
+    """A block sampler for ``bmo.bmo_norm`` over ``values``, one sample per cell."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != grid.shape[:1]:
+        raise ValueError(f"need one sample per cell, {grid.shape[0]}, not {values.shape}")
+
+    def sample(start, stop, out):
+        out[:] = values[start:stop]
+    return sample
 
 
 def bmo_norm(values, M, ball_family, grid) -> BMOProfile:
@@ -221,7 +223,7 @@ def bmo_norm(values, M, ball_family, grid) -> BMOProfile:
     must be finite and vanish outside B_M (compact support hypothesis of
     the decay lemma).
 
-    Each ball's cells are exact index runs of the grid
+    Each ball's cells are one exact index run of the grid
     (``CellGrid.ball_runs``), so no distance is computed per cell. A ball
     with no cell raises before any mean is taken. Every average and mean
     oscillation is ``np.mean`` of the ball's samples in grid order, and of
@@ -251,24 +253,23 @@ def bmo_norm(values, M, ball_family, grid) -> BMOProfile:
 def _ball_statistics(values, ball_family, grid):
     """(averages, oscillations) per ball.
 
-    Each ball's samples ``sel`` are gathered once: in 1-D a ball is one run,
-    so ``sel`` is a view of the values; in d >= 2 it is a copy of the
-    ball's runs. The average is ``np.add.reduce(sel) / count``. The
+    Each ball is one run of the grid, so its samples ``sel`` are a view of
+    the values. The average is ``np.add.reduce(sel) / count``. The
     oscillation sum runs along ``_pairwise_sum``'s leaves of at most
     ``_CHUNK`` samples, each written as |leaf - avg| into one leaf-sized
     scratch, so no |sel - avg| array of the ball's size is built.
     """
     runs = grid.ball_runs(*zip(*ball_family))
-    for (center, radius), r in zip(ball_family, runs):
-        if not r:
+    for (center, radius), (a, b) in zip(ball_family, runs):
+        if a == b:
             raise EmptyBallError(f"ball at {center} radius {radius:g} holds no cell")
-    counts = [sum(b - a for a, b in r) for r in runs]
+    counts = [b - a for a, b in runs]
     scratch = np.empty(min(max(counts), max(_CHUNK, _PAIRWISE_BLOCK)))
 
     averages = np.empty(len(ball_family))
     oscillations = np.empty(len(ball_family))
-    for i, (r, count) in enumerate(zip(runs, counts)):
-        sel = _gather(values, r)
+    for i, ((start, stop), count) in enumerate(zip(runs, counts)):
+        sel = values[start:stop]
         avg = float(np.add.reduce(sel)) / count
 
         def oscillation(a, b):
@@ -277,7 +278,6 @@ def _ball_statistics(values, ball_family, grid):
 
         averages[i] = avg
         oscillations[i] = _pairwise_sum(oscillation, count) / count
-        del sel          # freed before the next ball is gathered
     return averages, oscillations
 
 
@@ -392,12 +392,12 @@ def _log_core_samples(grid, M):
     fill them all.
     """
     vals = np.zeros(grid.shape[0])
-    for lo, hi in grid.ball_runs([(0.0,)], [M])[0]:      # one run at most in 1-D
-        core = grid.axis(lo, hi, out=vals[lo:hi])
-        np.abs(core, out=core)
-        zero = core == 0.0
-        with np.errstate(divide="ignore"):
-            np.divide(1.0, core, out=core)
-        np.copyto(core, 1.0, where=zero)
-        np.log(core, out=core)
+    (lo, hi), = grid.ball_runs([(0.0,)], [M])
+    core = grid.axis(lo, hi, out=vals[lo:hi])
+    np.abs(core, out=core)
+    zero = core == 0.0
+    with np.errstate(divide="ignore"):
+        np.divide(1.0, core, out=core)
+    np.copyto(core, 1.0, where=zero)
+    np.log(core, out=core)
     return vals

@@ -27,6 +27,11 @@ import reference
 from conftest import damping, field, traced_bytes
 
 
+def _norm(values, M, ball_family, grid):
+    """``bmo_norm`` of an array of one sample per cell, read through a block sampler."""
+    return bmo_norm(reference.array_sampler(values, grid), M, ball_family, grid)
+
+
 def _grid_1d(M=1.0, n=1 << 18):
     """The n cells of [-2M, 2M] and their centres."""
     grid = CellGrid(2.0 * M, n, 1)
@@ -41,7 +46,7 @@ def _log_samples(points, M=1.0):
 
 def _log_profile(M=1.0, n=1 << 18):
     grid, xs = _grid_1d(M, n)
-    return bmo_norm(_log_samples(xs[:, None], M), M, default_ball_family(M, 1), grid)
+    return _norm(_log_samples(xs[:, None], M), M, default_ball_family(M, 1), grid)
 
 
 def test_norm_of_log_on_centred_balls_is_two_over_e():
@@ -50,8 +55,7 @@ def test_norm_of_log_on_centred_balls_is_two_over_e():
     # errors stay below 2.7e-5 and 2.1e-5
     grid, xs = _grid_1d(n=1 << 20)
     radii = [2.0 ** -k for k in range(5)]
-    prof = bmo_norm(_log_samples(xs[:, None]), 1.0, tuple(((0.0,), r) for r in radii),
-                    grid)
+    prof = _norm(_log_samples(xs[:, None]), 1.0, tuple(((0.0,), r) for r in radii), grid)
     assert np.max(np.abs(prof.oscillations - 2.0 / math.e)) <= 1e-4
     assert np.max(np.abs(prof.averages - (1.0 + np.log(1.0 / np.array(radii))))) <= 1e-4
 
@@ -64,8 +68,8 @@ def test_norm_constant_on_support_is_handled():
     fam = default_ball_family(1.0, 1)
     # restrict the family to balls inside B_1 so the support step is not seen
     fam = tuple((c, r) for c, r in fam if abs(c[0]) + r <= 1.0)
-    p1 = bmo_norm(base, 1.0, fam, grid)
-    p2 = bmo_norm(np.where(inside, base + 3.0, 0.0), 1.0, fam, grid)
+    p1 = _norm(base, 1.0, fam, grid)
+    p2 = _norm(np.where(inside, base + 3.0, 0.0), 1.0, fam, grid)
     assert p2.norm_star == pytest.approx(p1.norm_star, rel=1e-12)
 
 
@@ -73,7 +77,7 @@ def test_norm_zero_for_constant_field():
     grid, xs = _grid_1d()
     fam = tuple((c, r) for c, r in default_ball_family(1.0, 1)
                 if abs(c[0]) + r <= 1.0)
-    prof = bmo_norm(np.where(np.abs(xs) < 1.0, 2.5, 0.0), 1.0, fam, grid)
+    prof = _norm(np.where(np.abs(xs) < 1.0, 2.5, 0.0), 1.0, fam, grid)
     assert prof.norm_star == 0.0
 
 
@@ -81,7 +85,7 @@ def test_norm_indicator_half_oscillation():
     # symmetric ball at 0: average 1/2 and |f - 1/2| identically 1/2
     grid, xs = _grid_1d()
     vals = np.where((xs > 0.0) & (np.abs(xs) < 1.0), 1.0, 0.0)
-    prof = bmo_norm(vals, 1.0, (((0.0,), 0.5),), grid)
+    prof = _norm(vals, 1.0, (((0.0,), 0.5),), grid)
     assert prof.averages[0] == pytest.approx(0.5, abs=1e-12)
     assert prof.oscillations[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -89,13 +93,13 @@ def test_norm_indicator_half_oscillation():
 def test_norm_requires_compact_support():
     grid, xs = _grid_1d()
     with pytest.raises(ValueError):
-        bmo_norm(np.ones_like(xs), 1.0, (((0.0,), 1.0),), grid)
+        _norm(np.ones_like(xs), 1.0, (((0.0,), 1.0),), grid)
 
 
 def test_norm_needs_one_sample_per_cell():
     grid, xs = _grid_1d(n=64)
     with pytest.raises(ValueError, match="one sample per cell"):
-        bmo_norm(np.zeros(63), 1.0, (((0.0,), 1.0),), grid)
+        _norm(np.zeros(63), 1.0, (((0.0,), 1.0),), grid)
 
 
 def test_bmo_norm_keeps_the_names_the_tracer_binds():
@@ -114,7 +118,7 @@ def _raises_empty_ball(values, points, center, radius):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EmptyBallError, match=message):
-            bmo_norm(values, 1.0, ((center, radius),), points)
+            _norm(values, 1.0, ((center, radius),), points)
 
 
 def test_empty_ball_raises():
@@ -127,9 +131,6 @@ def test_empty_ball_raises():
 @pytest.mark.parametrize("points,center,radius", [
     # the centres +-0.5 lie at exactly the radius, which the strict test rejects
     (CellGrid(2.0, 4, 1), (0.0,), 0.5),
-    # the centre lies between the cells (0, 0) and (0, 1) of its line, each
-    # 0.5 away, so the line's bisection finds an empty run
-    (CellGrid(1.5, 3, 2), (0.0, 0.5), 0.25),
 ])
 def test_ball_with_nonempty_slab_and_no_cell_raises(points, center, radius):
     _raises_empty_ball(np.zeros(points.shape[0]), points, center, radius)
@@ -202,7 +203,7 @@ def test_norm_rejects_nonfinite_sample(bad):
     vals = _log_samples(xs[:, None])
     vals[1 << 10] = bad
     with pytest.raises(NonFiniteProfileError, match=re.escape(f"x={[float(xs[1 << 10])]}")):
-        bmo_norm(vals, 1.0, default_ball_family(1.0, 1), grid)
+        _norm(vals, 1.0, default_ball_family(1.0, 1), grid)
 
 
 def _brute_force_statistics(values, ball_family, points):
@@ -221,45 +222,58 @@ def _half_cell(family, grid):
     return tuple(((*c[:-1], c[-1] + 0.5 * grid.h), r) for c, r in family)
 
 
-def _run_mask(runs, size):
+def _run_mask(run, size):
     mask = np.zeros(size, dtype=bool)
-    for a, b in runs:
-        mask[a:b] = True
+    mask[slice(*run)] = True
     return mask
 
 
 # 2.0125 / 161 = 0.025 puts the centres at -2 + 0.025 i up to rounding, so
 # many lie on the ball boundaries, or an ulp off them
 _RUN_GRIDS = [CellGrid(2.0, 1 << 12, 1), CellGrid(2.0, 1 << 12 | 1, 1),
-              CellGrid(2.0125, 161, 1), CellGrid(2.0125, 161, 2), CellGrid(2.0, 64, 2),
-              CellGrid(2.0, 9, 3)]
+              CellGrid(2.0125, 161, 1)]
 
 
 @pytest.mark.parametrize("grid", _RUN_GRIDS,
                          ids=lambda g: f"{g.radius}-{g.cells_per_axis}-{g.dimension}")
 @pytest.mark.parametrize("half_cell", [False, True])
 def test_ball_runs_match_full_grid_masks(grid, half_cell):
-    # every ball of the family, and the closed and open B_1 the support check
-    # reads, against the full-grid mask of np.linalg.norm on the centres
-    family = default_ball_family(1.0, grid.dimension)
+    # every ball of the family, the closed and open B_1 the support check
+    # reads, and a ball no wider than an ulp, against the full-grid mask of
+    # np.linalg.norm on the centres
+    family = default_ball_family(1.0, 1)
     if half_cell:
         family = _half_cell(family, grid)
-    family += (((0.0,) * grid.dimension, 1.0),
-               ((0.0,) * grid.dimension, float(np.nextafter(1.0, 2.0))))
+    family += (((0.0,), 1.0), ((0.0,), float(np.nextafter(1.0, 2.0))),
+               ((0.0,), float(np.spacing(0.5))))
     points = grid.centers()
     assert grid.shape == points.shape
-    n = grid.cells_per_axis
-    close = 0
-    for (center, radius), runs in zip(family, grid.ball_runs(*zip(*family))):
+    close = empty = 0
+    for (center, radius), (a, b) in zip(family, grid.ball_runs(*zip(*family))):
         dist = np.linalg.norm(points - np.asarray(center), axis=-1)
-        assert np.array_equal(_run_mask(runs, points.shape[0]), dist < radius)
-        # nonempty, in grid order, one at most per line of the last axis
-        lines = [a // n for a, b in runs]
-        assert all(a < b and (b - 1) // n == a // n for a, b in runs)
-        assert lines == sorted(set(lines))
+        # one run per ball, start == stop when the ball holds no cell
+        assert 0 <= a <= b <= grid.shape[0]
+        assert np.array_equal(_run_mask((a, b), points.shape[0]), dist < radius)
+        empty += a == b
         close += int(np.count_nonzero(np.abs(dist - radius) <= 4.0 * np.spacing(radius)))
     if grid.radius == 2.0125 and not half_cell:
         assert close > 0
+    if grid.cells_per_axis % 2 == 0:
+        assert empty == 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_bmo_norm_and_ball_runs_reject_a_grid_that_is_not_1d(d):
+    # each ball is one index run only on a 1-D grid: a grid of any other
+    # dimension raises before a sample is read
+    grid = CellGrid(2.0, 8, d)
+    family = default_ball_family(1.0, d)
+    with pytest.raises(ValueError, match="1-D grid"):
+        grid.ball_runs(*zip(*family))
+    calls = []
+    with pytest.raises(ValueError, match="1-D grid"):
+        bmo_norm(lambda start, stop, out: calls.append(start), 1.0, family, grid)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", list(range(1, 10)) + [127, 128, 129, (1 << 16) - 1, 1 << 16,
@@ -278,34 +292,28 @@ def test_leafwise_sum_is_numpys_pairwise_sum(n):
     assert np.float64(total / n).view(np.int64) == np.mean(x).view(np.int64), message
 
 
-_SLAB_CASES = [(d, half_cell, leaf) for leaf in (None, 64, 136)
-               for d in (1, 2) for half_cell in (False, True)]
+_SLAB_CASES = [(half_cell, leaf) for leaf in (None, 64, 136) for half_cell in (False, True)]
 
 
-@pytest.mark.parametrize("d,half_cell,leaf", _SLAB_CASES,
-                         ids=[f"{d}-{h}" + (f"-leaf{leaf}" if leaf else "")
-                              for d, h, leaf in _SLAB_CASES])
-def test_slab_statistics_match_full_grid_masks(d, half_cell, leaf, monkeypatch):
-    # the ball runs give the per-ball masks bit for bit; the 2-D grid puts
-    # centres on ball boundaries up to rounding. With half_cell every ball
-    # centre moves by half a cell: onto cell centres in 1-D (where the
-    # family's centres lie on cell faces), between cells in 2-D. A small
-    # leaf splits every wide ball into many leaves, and in 2-D the lines of
-    # up to 80 cells cross leaf boundaries
-    if d == 1:
-        grid = CellGrid(2.0, 1 << 16, 1)
-    else:
-        grid = CellGrid(2.0125, 161, 2)
+@pytest.mark.parametrize("half_cell,leaf", _SLAB_CASES,
+                         ids=[f"1-{h}" + (f"-leaf{leaf}" if leaf else "")
+                              for h, leaf in _SLAB_CASES])
+def test_slab_statistics_match_full_grid_masks(half_cell, leaf, monkeypatch):
+    # the ball runs give the per-ball masks bit for bit (the ids keep the
+    # grid's dimension, 1). With half_cell every ball centre moves by half a
+    # cell, onto cell centres (where the family's centres lie on cell
+    # faces). A small leaf splits every wide ball into many leaves
+    grid = CellGrid(2.0, 1 << 16, 1)
     if leaf:
         monkeypatch.setattr(bmo, "_CHUNK", leaf)
     points = grid.centers()
     values = _log_samples(points)
-    family = default_ball_family(1.0, d)
+    family = default_ball_family(1.0, 1)
     if half_cell:
         family = _half_cell(family, grid)
-    prof = bmo_norm(values, 1.0, family, grid)
+    prof = _norm(values, 1.0, family, grid)
     if leaf:
-        widest = max(sum(b - a for a, b in r) for r in grid.ball_runs(*zip(*family)))
+        widest = max(b - a for a, b in grid.ball_runs(*zip(*family)))
         assert widest > 16 * leaf
     averages, oscillations = _brute_force_statistics(values, family, points)
     assert np.array_equal(prof.averages, averages)
@@ -314,17 +322,16 @@ def test_slab_statistics_match_full_grid_masks(d, half_cell, leaf, monkeypatch):
     # |x| < M alone, against full-grid masks
     radii = np.linalg.norm(points, axis=-1)
     assert prof.vanishes_outside
-    assert np.array_equal(_run_mask(prof.core_runs, values.size), radii < 1.0)
+    assert np.array_equal(_run_mask(prof.core_run, values.size), radii < 1.0)
     assert _same_bits(prof.core_mean, np.mean(values[radii < 1.0]))
     # the sample outside B_1 nearest to it
     leaky = values.copy()
     leaky[np.argmin(np.where(radii > 1.0, radii, np.inf))] = 1.0
     with pytest.raises(ValueError, match="vanish outside B_M"):
-        bmo_norm(leaky, 1.0, family, grid)
+        _norm(leaky, 1.0, family, grid)
 
 
-@pytest.mark.parametrize("grid", [CellGrid(2.0, 1026, 1), CellGrid(2.0125, 161, 2)],
-                         ids=["1d", "2d"])
+@pytest.mark.parametrize("grid", [CellGrid(2.0, 1026, 1)], ids=["1d"])
 def test_support_holds_the_sphere_and_the_core_does_not(grid):
     # a nonzero sample at |x| == M exactly lies in the support, so the profile
     # vanishes outside B_M, but not in the open ball the core reads
@@ -333,9 +340,9 @@ def test_support_holds_the_sphere_and_the_core_does_not(grid):
     assert np.any(radii == 1.0)
     values = np.where(radii <= 1.0, 1.0, 0.0)
     values[radii < 1.0] = 0.5
-    prof = bmo_norm(values, 1.0, (((0.0,) * grid.dimension, 0.5),), grid)
+    prof = _norm(values, 1.0, (((0.0,), 0.5),), grid)
     assert prof.vanishes_outside
-    assert np.array_equal(_run_mask(prof.core_runs, values.size), radii < 1.0)
+    assert np.array_equal(_run_mask(prof.core_run, values.size), radii < 1.0)
     assert prof.core_mean == 0.5
     # above level 0 the tail reads every sample of the closed ball, the
     # sphere's included
@@ -356,12 +363,12 @@ def test_support_checked_once_per_profile(monkeypatch):
             passes.append(np.shape(x))
         return norm(x, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "norm", counted)
-    prof = bmo_norm(values, 1.0, default_ball_family(1.0, 1), grid)
+    prof = _norm(values, 1.0, default_ball_family(1.0, 1), grid)
     assert prof.vanishes_outside is True
     assert passes == []
     monkeypatch.undo()
     with pytest.raises(ValueError, match="vanish outside B_M"):
-        bmo_norm(values + 1.0, 1.0, default_ball_family(1.0, 1), grid)
+        _norm(values + 1.0, 1.0, default_ball_family(1.0, 1), grid)
     leaky = dataclasses.replace(prof, vanishes_outside=False)
     spec = field("log_drift")
     fit = jn_decay_check(prof, [1.0 + 0.5 * k for k in range(7)])
@@ -377,7 +384,7 @@ def test_core_values_built_once():
     # profile instead of sampling B_M again
     grid, xs = _grid_1d(n=1 << 12)
     values = _log_samples(xs[:, None])
-    prof = bmo_norm(values, 1.0, default_ball_family(1.0, 1), grid)
+    prof = _norm(values, 1.0, default_ball_family(1.0, 1), grid)
     assert _same_bits(prof.core_mean, np.mean(values[np.abs(xs) < prof.M]))
     assert lemma52_checks(prof, [9.0]).average == prof.core_mean
 
@@ -400,7 +407,7 @@ def test_jn_log_exemplar():
 def test_jn_trivially_decayed():
     grid, xs = _grid_1d()
     vals = np.where(np.abs(xs) < 1.0, np.abs(xs), 0.0)
-    prof = bmo_norm(vals, 1.0, default_ball_family(1.0, 1), grid)
+    prof = _norm(vals, 1.0, default_ball_family(1.0, 1), grid)
     fit = jn_decay_check(prof, [5.0, 6.0, 7.0])
     assert fit.trivial
 
@@ -408,7 +415,7 @@ def test_jn_trivially_decayed():
 def test_jn_degenerate_fit():
     grid, xs = _grid_1d()
     vals = np.where((xs > 0.0) & (np.abs(xs) < 1.0), 1.0, 0.0)
-    prof = bmo_norm(vals, 1.0, (((0.0,), 1.0),), grid)
+    prof = _norm(vals, 1.0, (((0.0,), 1.0),), grid)
     # |f - 1/2| is identically 1/2 on B_1: only levels below 1/2 are nonempty
     with pytest.raises(DegenerateFitError):
         jn_decay_check(prof, [0.2, 0.4, 0.6, 0.8])
@@ -421,7 +428,7 @@ def test_jn_scaling_invariance():
     r = np.abs(xs)
     with np.errstate(divide="ignore"):
         vals = np.where(r < 1.0, 2.0 * np.log(np.where(r > 0.0, 1.0 / r, 1.0)), 0.0)
-    prof2 = bmo_norm(vals, 1.0, default_ball_family(1.0, 1), grid)
+    prof2 = _norm(vals, 1.0, default_ball_family(1.0, 1), grid)
     assert prof2.norm_star == pytest.approx(2.0 * prof1.norm_star, rel=1e-12)
     fit1 = jn_decay_check(prof1, [1.0 + 0.5 * k for k in range(7)])
     fit2 = jn_decay_check(prof2, [2.0 + 1.0 * k for k in range(7)])
@@ -463,7 +470,7 @@ def test_tails_match_full_size_excess(n):
     # down to a level above every sample whose tail is empty
     grid, xs = _grid_1d(n=n)
     values = _where_log_samples(xs, 1.0)
-    prof = bmo_norm(values, 1.0, default_ball_family(1.0, 1), grid)
+    prof = _norm(values, 1.0, default_ball_family(1.0, 1), grid)
     top = float(np.max(values)) / prof.norm_star
     lambdas = [0.0, 0.5, 3.0, 9.0, top, 2.0 * top]
     rep = lemma52_checks(prof, lambdas)
@@ -472,21 +479,6 @@ def test_tails_match_full_size_excess(n):
         assert tail == float(np.sum(excess[excess > 0.0])) * prof.cell_volume
     assert rep.tails[-2] == rep.tails[-1] == 0.0
     assert rep.tails[0] > 0.0
-
-
-def test_tails_match_full_size_excess_in_2d():
-    # the 2-D support is many runs, gathered in grid order: the same numbers
-    # in the same order as the full-grid excess
-    grid = CellGrid(2.0125, 161, 2)
-    points = grid.centers()
-    values = _log_samples(points)
-    prof = bmo_norm(values, 1.0, default_ball_family(1.0, 2), grid)
-    lambdas = [0.0, 0.5, 3.0]
-    rep = lemma52_checks(prof, lambdas)
-    for lam, tail in zip(lambdas, rep.tails):
-        excess = values - lam * prof.norm_star
-        assert tail == float(np.sum(excess[excess > 0.0])) * prof.cell_volume
-    assert rep.tails[-1] > 0.0
 
 
 def test_tails_reject_negative_lambda():
@@ -500,7 +492,7 @@ def test_tails_reject_negative_input():
     # bmo_norm takes a profile of either sign; the tails read its block minima
     grid, xs = _grid_1d()
     vals = np.where(np.abs(xs) < 1.0, -1.0, 0.0)
-    prof = bmo_norm(vals, 1.0, default_ball_family(1.0, 1), grid)
+    prof = _norm(vals, 1.0, default_ball_family(1.0, 1), grid)
     with pytest.raises(NegativeInputError):
         lemma52_checks(prof, [9.0])
 
@@ -594,8 +586,8 @@ def _outcome(call, *args):
 
 
 def _nonempty_family(grid):
-    family = default_ball_family(1.0, grid.dimension)
-    return tuple(ball for ball, runs in zip(family, grid.ball_runs(*zip(*family))) if runs)
+    family = default_ball_family(1.0, 1)
+    return tuple(ball for ball, (a, b) in zip(family, grid.ball_runs(*zip(*family))) if a < b)
 
 
 # _RUN_GRIDS, one grid smaller than one block, and one of three blocks whose
@@ -609,12 +601,12 @@ _STREAM_GRIDS = _RUN_GRIDS + [CellGrid(2.0, 1000, 1), CellGrid(2.0, (1 << 17) + 
 def test_streamed_statistics_match_the_array_pipeline(grid, block, monkeypatch):
     # every statistic of the block sweeps against the array pipeline they
     # replaced, bit for bit. With 136-cell blocks every grid spans two
-    # blocks or more, and in d >= 2 many leaves span several runs and blocks
+    # blocks or more, and many leaves start in the block before their last
     if block:
         monkeypatch.setattr(bmo, "_CHUNK", block)
     values = _log_samples(grid.centers())
     family = _nonempty_family(grid)
-    prof = bmo_norm(values, 1.0, family, grid)
+    prof = _norm(values, 1.0, family, grid)
     ref = reference.bmo_norm(values, 1.0, family, grid)
     assert _same_bits(prof.averages, ref.averages)
     assert _same_bits(prof.oscillations, ref.oscillations)
@@ -665,7 +657,7 @@ def test_streamed_errors_match_the_array_pipeline(case, monkeypatch):
         prof = norm(values, 1.0, family, grid)
         return jn(prof, [1.0, 1.5, 2.0]), tails(prof, [9.0])
 
-    got = _outcome(run, bmo_norm, jn_decay_check, lemma52_checks)
+    got = _outcome(run, _norm, jn_decay_check, lemma52_checks)
     assert isinstance(got[0], type) and issubclass(got[0], Exception)
     assert got == _outcome(run, reference.bmo_norm, reference.jn_decay_check,
                            reference.lemma52_checks)
@@ -712,7 +704,8 @@ def test_sweeps_sample_each_block_once_and_skip_unreachable_blocks():
     reach = np.maximum(np.abs(prof.block_min - prof.core_mean),
                        np.abs(prof.block_max - prof.core_mean))
     assert calls == [b for b, r in zip(blocks, reach) if r > min(etas)]
-    core = {b for b in blocks if any(True for _ in bmo._clip(prof.core_runs, b, b + prof.block))}
+    lo, hi = prof.core_run
+    core = {b for b in blocks if lo < b + prof.block and b < hi}
     assert set(calls) < core and len(calls) <= 0.2 * len(core)
 
     calls.clear()
