@@ -11,7 +11,7 @@ integral, never from spatial gradients.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -173,7 +173,8 @@ def backward_paths(field: VelocityFieldSpec, points: SeedGrid, anchors, counts,
     buffer ``sweep`` if given: path g takes steps of anchors[g] / counts[g]
     in rows g*N to (g+1)*N, and counts must not increase, so the moving
     rows form a prefix. A StepBlowupError names the seed and the physical
-    time, and a field that is not continuous raises ValueError.
+    time, and a field that is not continuous raises ValueError. Only
+    ``representation.pointwise_solution`` reads these paths.
     """
     if not field.continuous:
         raise ValueError("discontinuous field: mollify first")
@@ -501,12 +502,25 @@ def superlevel_escape(field: VelocityFieldSpec, seeds: SeedGrid, steps, r, R):
 
 
 def forward_backward_mismatch(field: VelocityFieldSpec, summary: ForwardSummary):
-    """max_i |X^{-1}(T, X(T, x_i)) - x_i|, reintegrated back in as many steps."""
+    """max_i |X^{-1}(T, X(T, x_i)) - x_i|, reintegrated back in as many steps.
+
+    The time-reversed field -b(T - s, .) on [0, T] is swept forward from the
+    arrivals in the time blocks of ``_forward_blocks``, keeping only each
+    block's last node: the steps are bit for bit those of the backward path
+    of ``backward_paths``, whose row 0 is X^{-1}(T, arrivals), without its
+    (steps+1, N, d) table. A StepBlowupError names the physical time.
+    """
     seeds = summary.seed_grid
     arrivals = seeds_from_points(summary.endpoints, seeds.cell_volume)
-    # row 0 of the one backward path is X^{-1}(T, arrivals)
-    inverse = backward_paths(field, arrivals, [float(summary.time_grid[-1])],
-                             [summary.steps])[0][0]
+    T = float(summary.time_grid[-1])
+    reversed_field = replace(field, horizon=T, eval_b=lambda s, y: -np.asarray(
+        field.eval_b(T - s, y), dtype=float))
+    try:
+        for _, nodes in _forward_blocks(reversed_field, arrivals, summary.steps):
+            inverse = nodes[-1].copy()
+            del nodes
+    except StepBlowupError as exc:      # the sweep's time s runs back from T
+        raise exc.renamed(exc.seed_index, T - exc.t) from exc
     return float(np.max(np.linalg.norm(inverse - seeds.points, axis=-1)))
 
 

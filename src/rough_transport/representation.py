@@ -90,11 +90,17 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
     ``block`` nodes per call into one (N, M+1) table.
 
     Each slice's two integrals repeat ``cumtrapz`` on its grid operation for
-    operation, through one reused scratch block. A slice keeps only the
-    largest |div integral| (checked against L as ``forward_summary`` does),
-    the final values and the paths its eta cut-off zeroes entirely. Raises
-    what ``forward_summary`` raises for the same fields, and
-    JacobianVanishedError for a JX that underflows or is not finite.
+    operation, through one reused scratch block, on the live rows only: the
+    rows whose sampled integrand has a nonzero (or NaN, or infinite) entry
+    on the sampled columns. Every other row sums ±0.0 terms from a 0.0
+    start, which gives +0.0, so it gets +0.0 without the sum; b = 0 or
+    c = 0, or c = 0 along whole paths, costs no cumulative sum at all. The
+    live rows are gathered once per sampling, and not at all when every row
+    is live. A slice keeps only the largest |div integral| (checked against
+    L as ``forward_summary`` does), the final values and the paths its eta
+    cut-off zeroes entirely. Raises what ``forward_summary`` raises for the
+    same fields, and JacobianVanishedError for a JX that underflows or is
+    not finite.
     """
     rows, n = nodes.shape[:2]
     # path nodes per field call and per scratch block: 1/16 of the budget
@@ -106,7 +112,8 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
     out = np.empty((len(grids), n))
 
     def sample(times, damped):
-        # the table's last len(times) columns, on the nodes of those times
+        # the table's last len(times) columns, on the nodes of those times;
+        # returns the live rows and their samples
         skip = rows - times.shape[0]
         for r in range(skip, rows, block):
             t, at = times[r - skip:r - skip + block], nodes[r:r + block]
@@ -116,44 +123,55 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
             else:
                 vals = sample_nodes(field.eval_div_b, field.autonomous, t, at)
             table[:, r:r + block] = vals.T
+        live = np.flatnonzero(np.any(table[:, skip:], axis=1))
+        return live, (table if live.size == n else table[live])
 
-    def path_integral(times):
-        # cumtrapz(table, times) on the slice's columns, into ``end``. A
-        # block's cumsum starts from the running value in its first column,
-        # which repeats the sequential sum bit for bit (up to the sign of a
-        # zero). Returns max |integral| over the nodes; a NaN gives NaN.
+    def path_integral(times, live, vals, track_worst):
+        # cumtrapz(vals, times) on the slice's columns, scattered into ``end``
+        # at the live rows. A block's cumsum starts from the running value in
+        # its first column, which repeats the sequential sum bit for bit (up
+        # to the sign of a zero). With ``track_worst``, returns max |integral|
+        # over the nodes (a NaN gives NaN); the dead rows' zeros never raise
+        # it above the 0.0 that starts every row.
         m = times.shape[0] - 1
-        v = table[:, rows - 1 - m:]
+        v = vals[:, rows - 1 - m:]
         half_dt = 0.5 * np.diff(times)
         end[:] = 0.0
+        if live.size == 0:
+            return 0.0
+        run = end if live.size == n else np.zeros(live.size)
         worst = 0.0
         for p in range(0, m, block):
             w = min(block, m - p)
-            acc = scratch[:n * (w + 1)].reshape(n, w + 1)
-            acc[:, 0] = end
+            acc = scratch[:live.size * (w + 1)].reshape(live.size, w + 1)
+            acc[:, 0] = run
             np.add(v[:, p + 1:p + w + 1], v[:, p:p + w], out=acc[:, 1:])
             np.multiply(half_dt[p:p + w], acc[:, 1:], out=acc[:, 1:])
             np.cumsum(acc, axis=-1, out=acc)
-            end[:] = acc[:, -1]
-            worst = np.maximum(worst, np.maximum(np.max(acc), -np.min(acc)))
+            run[:] = acc[:, -1]
+            if track_worst:
+                worst = np.maximum(worst, np.maximum(np.max(acc), -np.min(acc)))
+        if run is not end:
+            end[live] = run
         return float(worst)
 
-    sample(grids[0], damped=False)
+    live, vals = sample(grids[0], damped=False)
     for k, times in enumerate(grids):
-        _check_divergence(path_integral(times), _div_sup_integral(field, times))
+        _check_divergence(path_integral(times, live, vals, True),
+                          _div_sup_integral(field, times))
         out[k] = np.exp(end)
 
     if damping.autonomous:
-        sample(grids[0], damped=True)
+        live, vals = sample(grids[0], damped=True)
     for k, times in enumerate(grids):
         m = times.shape[0] - 1
         if not damping.autonomous:
-            sample(times, damped=True)
+            live, vals = sample(times, damped=True)
         _check_truncation(np.all(masked[:, rows - 1 - m:], axis=1), eta)
         jx_end = out[k]
         if np.any(jx_end <= 0.0) or not np.all(np.isfinite(jx_end)):
             raise JacobianVanishedError("nonpositive or non-finite Jacobian sample")
-        path_integral(times)
+        path_integral(times, live, vals, False)
         out[k] = np.asarray(u0(nodes[rows - 1 - m]), dtype=float) / jx_end * np.exp(end)
     return out
 
@@ -171,6 +189,9 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     step; each slice's values are bitwise u0(X^{-1}) / JX * exp(D) from
     the cumulative trapezoids of div b and c over the full table of its own
     backward map (the reference the tests keep in ``tests/reference.py``).
+    Only the paths along which div b, or c, is nonzero somewhere are
+    summed; the others take the integral 0.0 that their sum would give, so
+    the identity build (b = 0, c = 0) runs no cumulative sum at all.
     The identity build (step 1/256 for all 256 slices) takes one path;
     linear_expand's 48 slices of 1000 steps take 31.
 

@@ -576,6 +576,50 @@ def test_forward_backward_composition(linear_field):
                                      forward_summary(linear_field, grid, 1000)) <= 1e-10
 
 
+def _backward_mismatch(spec, fwd):
+    """forward_backward_mismatch read off row 0 of the one backward path."""
+    arrivals = seeds_from_points(fwd.endpoints, fwd.seed_grid.cell_volume)
+    inverse = backward_paths(spec, arrivals, [float(fwd.time_grid[-1])], [fwd.steps])[0][0]
+    return float(np.max(np.linalg.norm(inverse - fwd.seed_grid.points, axis=-1)))
+
+
+@pytest.mark.parametrize("case", ["linear_expand", "rotation", "time_dependent"])
+def test_forward_backward_mismatch_equals_the_backward_path_bitwise(case):
+    spec, grid, steps = {
+        "linear_expand": lambda: (field("linear_expand"), make_seed_grid(1.0, 512, 1), 1000),
+        "rotation": lambda: (field("rotation", d=2, T=np.pi / 2.0),
+                             make_seed_grid(1.0, 32, 2), 200),
+        "time_dependent": lambda: (_time_dependent_field(), make_seed_grid(1.0, 64, 1), 300),
+    }[case]()
+    fwd = forward_summary(spec, grid, steps)
+    assert forward_backward_mismatch(spec, fwd) == _backward_mismatch(spec, fwd)
+
+
+def test_forward_backward_mismatch_keeps_no_backward_path():
+    # the reversed sweep keeps one block at a time, not the (steps+1, N, d)
+    # path of 4.1 MB
+    spec = field("linear_expand")
+    fwd = forward_summary(spec, make_seed_grid(1.0, 512, 1), 1000)
+    mismatch, _, peak = traced_bytes(lambda: forward_backward_mismatch(spec, fwd))
+    assert mismatch <= 1e-10
+    assert peak < 1001 * 512 * 1 * 8
+
+
+@pytest.mark.parametrize("autonomous", [True, False])
+def test_forward_backward_mismatch_blowup_names_seed_and_physical_time(autonomous):
+    # b = 0 leaves the seeds in place up to T = 1/3; under the NaN field the
+    # sweep back from 0.45 meets the NaN at its first step of 1/9, at
+    # t = 2/9, as the backward path from the same arrivals does
+    spec = dataclasses.replace(_nan_right_of_half(), autonomous=autonomous)
+    fwd = forward_summary(field("zero", T=1.0 / 3.0), seeds_from_points([[0.2], [0.45]]), 3)
+    with pytest.raises(StepBlowupError) as want:
+        _backward_mismatch(spec, fwd)
+    with pytest.raises(StepBlowupError) as err:
+        forward_backward_mismatch(spec, fwd)
+    assert str(err.value) == str(want.value) == "trajectory 1 became non-finite at t=0.222222"
+    assert (err.value.seed_index, err.value.t) == (want.value.seed_index, want.value.t)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=2).flatmap(
     lambda d: st.lists(st.floats(min_value=-1.0, max_value=1.0),
@@ -605,7 +649,7 @@ def _reference_backward(spec, grid, anchors, counts):
 
 @pytest.mark.parametrize("field_id,anchors,counts", [
     ("linear_expand", [1.0, 2.0 / 3.0, 0.5, 1.0 / 3.0], [10, 7, 7, 3]),
-    ("linear_expand", [1.0], [64]),         # forward_backward_mismatch's one path
+    ("linear_expand", [1.0], [64]),
     ("time_dependent", [1.0, 0.25, 0.75], [12, 3, 9]),
 ], ids=["stacked", "one_anchor", "time_dependent"])
 def test_backward_paths_match_the_reference_bitwise(field_id, anchors, counts):

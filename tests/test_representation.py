@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rough_transport.errors import (AllTruncatedError, JacobianVanishedError,
-                                    NonFiniteDampingError)
+from rough_transport.errors import (AllTruncatedError, DivergenceUnboundedError,
+                                    JacobianVanishedError, NonFiniteDampingError)
 from rough_transport.fields import DampingFieldSpec, PointSingularity, VelocityFieldSpec
 from rough_transport.flow import forward_summary, make_seed_grid, seeds_from_points
 from rough_transport.numerics import CellGrid, stable_sum
@@ -368,6 +368,87 @@ def test_pointwise_solution_matches_per_slice_truncated():
     ref, truncated = _per_slice_reference(spec, dmp, u0, grid, times, 64, 0.05)
     assert truncated > 0
     assert np.array_equal(u, ref)
+
+
+# --- live rows: only a path whose integrand is nonzero is summed ---------------
+
+def _negative_zero_damping():
+    # c = 1 right of 0 and -0.0 left of it; b = x keeps each backward path
+    # on its side. The -0.0 terms summed from 0.0 give +0.0
+    return DampingFieldSpec(
+        eval_c=lambda t, x: np.where(np.asarray(x)[..., 0] > 0.0, 1.0, -0.0))
+
+
+def _time_dependent_core_damping():
+    # c = 1 + t on |x| < 1/2 and 0 outside: b = x pulls each backward path
+    # toward 0, so a slice's live rows depend on its own time grid
+    return DampingFieldSpec(
+        eval_c=lambda t, x: np.where(np.abs(np.asarray(x)[..., 0]) < 0.5, 1.0 + t, 0.0),
+        autonomous=False)
+
+
+_DEAD_ROW_BUILDS = {
+    # div b and c vanish outside B_1, so the rows of the box of radius 2
+    # outside it are dead in both passes
+    "compact_bump_box": lambda: (field("compact_bump"), damping("box_indicator")),
+    "negative_zero": lambda: (field("linear_expand"), _negative_zero_damping()),
+    "time_dependent_c": lambda: (field("linear_expand"), _time_dependent_core_damping()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DEAD_ROW_BUILDS))
+def test_pointwise_solution_with_dead_rows_matches_per_slice(case):
+    # u0 vanishes nowhere, so every row's integral reaches the result
+    spec, dmp = _DEAD_ROW_BUILDS[case]()
+    u0 = lambda x: np.exp(-np.sum(np.asarray(x) ** 2, axis=-1))  # noqa: E731
+    grid = make_seed_grid(2.0, 64, 1)
+    times = np.linspace(0.0, 1.0, 17)
+    u = pointwise_solution(spec, dmp, u0, grid, times, steps=128)
+    ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 128, 0.0)
+    assert np.array_equal(u, ref)
+
+
+def _cumsum_rows(monkeypatch):
+    """The row count of every 2-D np.cumsum call from now on."""
+    rows, real = [], np.cumsum
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            rows.append(np.shape(a)[0])
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np, "cumsum", counting)
+    return rows
+
+
+def test_pointwise_solution_sums_only_live_rows(monkeypatch):
+    grid = make_seed_grid(2.0, 64, 1)
+    times = np.linspace(0.0, 1.0, 17)
+    rows = _cumsum_rows(monkeypatch)
+    # the identity build, b = 0 and c = 0: no row is ever summed
+    u = pointwise_solution(field("zero"), damping("zero"), u0_fn("bump"), grid, times,
+                           steps=64)
+    assert rows == []
+    assert np.array_equal(u[-1], u0_fn("bump")(grid.points))
+    # c = 1 on B_1 with b = 0: only the paths that sit in B_1 are summed,
+    # and only in the damping pass
+    inside = int(np.count_nonzero(np.abs(grid.points[:, 0]) <= 1.0))
+    assert 0 < inside < grid.points.shape[0]
+    pointwise_solution(field("zero"), damping("box_indicator"), u0_fn("bump"), grid,
+                       times, steps=64)
+    assert rows and set(rows) == {inside}
+
+
+def test_pointwise_solution_nan_divergence_on_one_row_raises():
+    # b = 0 keeps the seeds in place; div b is NaN at the seed 0.375 only,
+    # so that row is live and its NaN integral fails the bound L = 0
+    zero = field("zero")
+    spec = dataclasses.replace(
+        zero, eval_div_b=lambda t, x: np.where(np.asarray(x)[..., 0] == 0.375, np.nan, 0.0))
+    grid = make_seed_grid(1.0, 8, 1)
+    assert np.any(grid.points[:, 0] == 0.375)
+    with pytest.raises(DivergenceUnboundedError):
+        pointwise_solution(spec, damping("zero"), u0_fn("bump"), grid,
+                           np.linspace(0.0, 1.0, 5), steps=16)
 
 
 def test_pointwise_solution_time_dependent():

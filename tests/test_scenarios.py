@@ -94,6 +94,20 @@ def test_damping_l1_mass_follows_the_horizon(T, tmp_path):
     assert result.values["compressibility_bound"] == pytest.approx(4.8 * T, rel=1e-15)
 
 
+def test_damping_l1_with_zero_mass_fails_and_says_why(tmp_path):
+    # c = 0 has no L1 mass to divide by: a FAIL row, not a ZeroDivisionError
+    report = run_scenario(resolve({"scenario_id": "counterexample_L1_damping",
+                                   "damping_id": "zero", "diagnostics": ["damping_l1"],
+                                   "output_dir": str(tmp_path)}))
+    result = report.results[0]
+    assert not result.passed
+    assert result.values["relative_error"] == float("inf")
+    assert result.values["discrete_l1"] == 0.0
+    assert "L1 mass is zero" in result.note
+    report.write(str(tmp_path))
+    assert "inf" in (tmp_path / "diagnostics.csv").read_text()
+
+
 def test_every_catalog_entry_is_a_scenario_default():
     # a catalog value that no scenario selects is code no default run reaches
     for catalog, key in ((scenarios.FIELD_CATALOG, "field_id"),
