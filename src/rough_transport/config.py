@@ -1,14 +1,18 @@
 """Configuration loading and validation for scenario runs.
 
 Configurations are JSON objects. Unknown keys are rejected at parse time
-(with an edit-distance-1 suggestion when one exists); invariant violations
-are collected and reported together in a single ValidationError.
+(with an edit-distance-1 suggestion when one exists). Every other key is
+judged by its rule in ``_RULES``; the violations are collected and reported
+together in a single ValidationError, one ``key: value reason`` line each.
 """
 
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
+from typing import Callable, NamedTuple
 
 from .errors import ParseError, ValidationError
+from .scenarios import DAMPING_CATALOG, FIELD_CATALOG, REGISTRY, U0_CATALOG
 
 GLOBAL_DEFAULTS = {
     "seeds_per_axis": 64,
@@ -75,114 +79,106 @@ def _suggest(key):
     return None
 
 
-def resolve(raw: dict) -> ScenarioConfig:
-    """Merge defaults (global, then scenario, then user) and validate."""
-    from .scenarios import DAMPING_CATALOG, FIELD_CATALOG, REGISTRY, U0_CATALOG
+def _number(v):
+    """The one meaning of "a number": a finite int or float that is not a bool.
 
+    NaN, +-inf and ints beyond the float range fail, in scalars and list
+    entries alike.
+    """
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _integer(v, least):
+    return _number(v) and isinstance(v, int) and v >= least
+
+
+def _listed(v, ok):
+    return isinstance(v, (list, tuple)) and len(v) > 0 and all(ok(x) for x in v)
+
+
+def _in(v, catalog):
+    return isinstance(v, str) and v in catalog
+
+
+class _Rule(NamedTuple):
+    test: Callable            # (value, scenario) -> whether the value is valid
+    reason: str               # formatted with the scenario as ``s``
+    coerce: Callable = lambda v: v
+
+
+def _numbers(above, what):
+    return _Rule(lambda v, s: _listed(v, lambda x: _number(x) and x > above),
+                 f"is not a nonempty list of {what}", lambda v: tuple(float(x) for x in v))
+
+
+_POSITIVE = _Rule(lambda v, s: _number(v) and v > 0, "is not a positive number", float)
+
+# One rule per key but scenario_id, in KNOWN_KEYS order. A field must build
+# the scenario's dimension: the factory's own output is the declaration.
+_RULES = {
+    "dimension": _Rule(lambda v, s: _number(v) and v == s.dimension,
+                       "is not the dimension {s.dimension} of scenario {s.scenario_id!r}", int),
+    "T": _POSITIVE,
+    "field_id": _Rule(lambda v, s: _in(v, FIELD_CATALOG)
+                      and FIELD_CATALOG[v](s.dimension, s.T).dimension == s.dimension,
+                      "not in the catalog of {s.dimension}-D fields"),
+    "damping_id": _Rule(lambda v, s: _in(v, DAMPING_CATALOG), "not in the catalog"),
+    "u0_id": _Rule(lambda v, s: _in(v, U0_CATALOG), "not in the catalog"),
+    "seeds_per_axis": _Rule(
+        lambda v, s: _integer(v, 1) or (_listed(v, lambda x: _integer(x, 1))
+                                        and len(v) == s.dimension),
+        "is not a positive integer or a list of {s.dimension} of them",
+        lambda v: v if isinstance(v, int) else tuple(v)),
+    "steps": _Rule(lambda v, s: _integer(v, 1), "is not a positive integer"),
+    "box_radius": _POSITIVE,
+    "delta_list": _numbers(0, "positive numbers"),
+    "r_list": _numbers(1, "numbers > 1"),
+    "lambda_list": _numbers(0, "positive numbers"),
+    "eps_list": _numbers(0, "positive numbers"),
+    "eta": _POSITIVE,
+    # numpy.random.default_rng takes no negative seed
+    "rng_seed": _Rule(lambda v, s: _integer(v, 0), "is not an integer >= 0"),
+    "output_dir": _Rule(lambda v, s: isinstance(v, str) and v != "", "is not a nonempty string"),
+    "diagnostics": _Rule(
+        lambda v, s: _listed(v, lambda x: x in s.diagnostics) and len(set(v)) == len(v),
+        "is not a nonempty list of distinct diagnostics of scenario "
+        "{s.scenario_id!r} (available: {s.diagnostics})", tuple),
+}
+
+
+def resolve(raw: dict) -> ScenarioConfig:
+    """Merge defaults (global, then scenario, then user) and judge each key by its rule."""
     unknown = [k for k in raw if k not in KNOWN_KEYS]
     if unknown:
-        key = unknown[0]
-        suggestion = _suggest(key)
+        suggestion = _suggest(unknown[0])
         hint = f"; did you mean {suggestion!r}?" if suggestion else ""
-        raise ParseError(f"unknown configuration key {key!r}{hint}",
+        raise ParseError(f"unknown configuration key {unknown[0]!r}{hint}",
                          suggestion=suggestion)
 
-    violations = []
     scenario_id = raw.get("scenario_id")
     if not scenario_id:
-        violations.append("scenario_id: missing")
         raise ValidationError("invalid configuration: scenario_id missing",
-                              violations)
-    if scenario_id not in REGISTRY:
-        violations.append(f"scenario_id: {scenario_id!r} not in the registry")
-        raise ValidationError(
-            f"invalid configuration: unknown scenario {scenario_id!r}", violations)
+                              ["scenario_id: missing"])
+    if not _in(scenario_id, REGISTRY):
+        raise ValidationError(f"invalid configuration: unknown scenario {scenario_id!r}",
+                              [f"scenario_id: {scenario_id!r} not in the registry"])
     scenario = REGISTRY[scenario_id]
+    merged = {**GLOBAL_DEFAULTS, "dimension": scenario.dimension, "T": scenario.T,
+              "field_id": scenario.field_id, "damping_id": scenario.damping_id,
+              "u0_id": scenario.u0_id, "diagnostics": scenario.diagnostics,
+              **scenario.defaults, **raw}
 
-    merged = dict(GLOBAL_DEFAULTS)
-    merged.update({
-        "dimension": scenario.dimension,
-        "T": scenario.T,
-        "field_id": scenario.field_id,
-        "damping_id": scenario.damping_id,
-        "u0_id": scenario.u0_id,
-        "diagnostics": list(scenario.diagnostics),
-    })
-    merged.update(scenario.defaults)
-    merged.update({k: v for k, v in raw.items() if k != "scenario_id"})
-
-    def positive(name, integer=False):
-        v = merged.get(name)
-        kind = (int,) if integer else (int, float)
-        if not isinstance(v, kind) or isinstance(v, bool) or v <= 0:
-            violations.append(f"{name}: must be a positive "
-                              f"{'integer' if integer else 'number'} (got {v!r})")
-            return False
-        return True
-
-    positive("T")
-    positive("steps", integer=True)
-    positive("box_radius")
-    positive("eta")
-
-    seeds = merged.get("seeds_per_axis")
-    if isinstance(seeds, (list, tuple)):
-        if not seeds or any(not isinstance(s, int) or s <= 0 for s in seeds):
-            violations.append(f"seeds_per_axis: entries must be positive integers (got {seeds!r})")
-        elif len(seeds) != scenario.dimension:
-            violations.append(f"seeds_per_axis: needs {scenario.dimension} entries (got {len(seeds)})")
+    violations = []
+    for key, rule in _RULES.items():
+        value = merged.get(key)
+        if rule.test(value, scenario):
+            merged[key] = rule.coerce(value)
         else:
-            merged["seeds_per_axis"] = tuple(seeds)
-    elif not isinstance(seeds, int) or isinstance(seeds, bool) or seeds <= 0:
-        violations.append(f"seeds_per_axis: must be a positive integer (got {seeds!r})")
-
-    if not isinstance(merged.get("rng_seed"), int) or isinstance(merged.get("rng_seed"), bool):
-        violations.append(f"rng_seed: must be an integer (got {merged.get('rng_seed')!r})")
-
-    for name, check in (("delta_list", lambda v: v > 0),
-                        ("eps_list", lambda v: v > 0),
-                        ("lambda_list", lambda v: v > 0),
-                        ("r_list", lambda v: v > 1)):
-        vals = merged.get(name)
-        if (not isinstance(vals, (list, tuple)) or not vals
-                or any(not isinstance(v, (int, float)) or not check(v) for v in vals)):
-            bound = "> 1" if name == "r_list" else "positive"
-            violations.append(f"{name}: must be a nonempty list of {bound} numbers (got {vals!r})")
-        else:
-            merged[name] = tuple(float(v) for v in vals)
-
-    if merged.get("dimension") != scenario.dimension:
-        violations.append(f"dimension: scenario {scenario_id!r} is "
-                          f"{scenario.dimension}-dimensional (got {merged.get('dimension')!r})")
-    if merged.get("field_id") not in FIELD_CATALOG:
-        violations.append(f"field_id: {merged.get('field_id')!r} not in the catalog")
-    if merged.get("damping_id") not in DAMPING_CATALOG:
-        violations.append(f"damping_id: {merged.get('damping_id')!r} not in the catalog")
-    if merged.get("u0_id") not in U0_CATALOG:
-        violations.append(f"u0_id: {merged.get('u0_id')!r} not in the catalog")
-
-    diags = merged.get("diagnostics")
-    if not isinstance(diags, (list, tuple)) or not diags:
-        violations.append(f"diagnostics: must be a nonempty list (got {diags!r})")
-    else:
-        bad = [d for d in diags if d not in scenario.diagnostics]
-        if bad:
-            violations.append(f"diagnostics: {bad!r} not offered by scenario "
-                              f"{scenario_id!r} (available: {list(scenario.diagnostics)})")
-        if len(set(diags)) != len(diags):
-            violations.append("diagnostics: entries must be unique")
-
-    if not isinstance(merged.get("output_dir"), str) or not merged.get("output_dir"):
-        violations.append(f"output_dir: must be a nonempty string (got {merged.get('output_dir')!r})")
-
+            violations.append(f"{key}: {value!r} " + rule.reason.format(s=scenario))
     if violations:
         raise ValidationError(
             "invalid configuration:\n  " + "\n  ".join(violations), violations)
-
-    merged.update(scenario_id=scenario_id, dimension=scenario.dimension,
-                  diagnostics=tuple(merged["diagnostics"]))
-    for name in ("T", "box_radius", "eta"):
-        merged[name] = float(merged[name])
     return ScenarioConfig(**{k: merged[k] for k in KNOWN_KEYS})
 
 

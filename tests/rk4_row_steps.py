@@ -7,13 +7,15 @@ wraps it and sums, over its calls, the step count of every row (a row of
 ``steps`` steps counts ``steps`` row-steps), while each named scenario (by
 default all of them) runs its diagnostics in this process. The counts do
 not depend on the host, so they pin the RK4 work of a change that should
-not move it. Not collected by pytest: the file name does not start with
-``test_``.
+not move it; the golden test in ``test_scenarios.py`` asserts them through
+the same wrapper, against ``BENCH_1.json``. Not collected by pytest: the
+file name does not start with ``test_``.
 """
 
 import json
 import sys
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -22,8 +24,9 @@ from rough_transport.config import resolve
 from rough_transport.scenarios import REGISTRY, run_scenario
 
 
-def row_steps(scenario_id):
-    """(row-steps over every ``_rk4_path`` call, whether every diagnostic passed)."""
+@contextmanager
+def counting_row_steps():
+    """Yield a one-item list that sums the row-steps of each ``_rk4_path`` call."""
     real, total = flow._rk4_path, [0]
 
     def counting(rhs, y0, h, steps, *args, **kwargs):
@@ -32,10 +35,15 @@ def row_steps(scenario_id):
 
     flow._rk4_path = counting
     try:
-        with tempfile.TemporaryDirectory() as out:
-            report = run_scenario(resolve({"scenario_id": scenario_id, "output_dir": out}))
+        yield total
     finally:
         flow._rk4_path = real
+
+
+def row_steps(scenario_id):
+    """(row-steps over every ``_rk4_path`` call, whether every diagnostic passed)."""
+    with counting_row_steps() as total, tempfile.TemporaryDirectory() as out:
+        report = run_scenario(resolve({"scenario_id": scenario_id, "output_dir": out}))
     return total[0], report.passed
 
 

@@ -1,15 +1,19 @@
 """Configuration ingestion, CLI behavior, artifact determinism."""
 
 import json
+import math
 import os
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rough_transport.cli import main
 from rough_transport.config import default_config, load_config, resolve
-from rough_transport.errors import ParseError, ValidationError
-from rough_transport.scenarios import REGISTRY, list_scenarios, run_scenario
+from rough_transport.errors import (ParseError, PipelineError, RoughTransportError,
+                                    ValidationError)
+from rough_transport.scenarios import FIELD_CATALOG, REGISTRY, list_scenarios, run_scenario
 
 
 def _write(tmp_path, payload, name="config.json"):
@@ -93,6 +97,105 @@ def test_default_config_roundtrip():
     for sid in REGISTRY:
         payload = default_config(sid)
         assert resolve(payload).scenario_id == sid
+
+
+# --- the config space: a config that validates runs, or fails typed ------------
+
+# zero and the two linear fields build any d; the others have one dimension
+FIXED_DIMENSION = {"rotation": 2, "shear": 2, "compact_bump": 1, "log_drift": 1}
+PAIRS = [(sid, fid) for sid in REGISTRY for fid in FIELD_CATALOG]
+CROSS_DIMENSION = [(sid, fid) for sid, fid in PAIRS
+                   if FIXED_DIMENSION.get(fid, REGISTRY[sid].dimension) != REGISTRY[sid].dimension]
+SAME_DIMENSION = [pair for pair in PAIRS if pair not in CROSS_DIMENSION]
+
+
+def test_cross_dimension_fields_are_rejected():
+    # a 2-D field in a 1-D scenario used to run as a 2-D scenario: a raw
+    # IndexError, minutes of work or gigabytes of seeds. resolve now refuses
+    # each such pair with one field_id violation, so nothing runs
+    assert (len(CROSS_DIMENSION), len(SAME_DIMENSION)) == (20, 50)
+    for sid, fid in CROSS_DIMENSION:
+        with pytest.raises(ValidationError) as err:
+            resolve({"scenario_id": sid, "field_id": fid})
+        d = REGISTRY[sid].dimension
+        assert err.value.violations == [f"field_id: {fid!r} not in the catalog of {d}-D fields"]
+
+
+def _non_finite_passes(report):
+    # a PASS must not rest on a NaN or inf judged against a finite bound
+    return [(r.name, metric, value) for r in report.results if r.passed
+            for metric, value in r.values.items()
+            if isinstance(value, float) and not math.isfinite(value)
+            and isinstance(r.thresholds.get(metric), float)
+            and math.isfinite(r.thresholds[metric])]
+
+
+def test_every_same_dimension_field_runs_to_verdicts_or_a_typed_error(tmp_path):
+    # the 50 (scenario, field) pairs that validate, made cheap: each ends in
+    # verdicts (PASS or FAIL), or in a PipelineError whose cause is typed;
+    # e.g. rotation with the discontinuous shear asks to be mollified first
+    typed = []
+    for sid, fid in SAME_DIMENSION:
+        cfg = resolve({"scenario_id": sid, "field_id": fid, "steps": 16,
+                       "seeds_per_axis": 16, "output_dir": str(tmp_path)})
+        try:
+            report = run_scenario(cfg)
+        except PipelineError as exc:
+            assert isinstance(exc.cause, (RoughTransportError, ValueError)), (sid, fid, exc)
+            typed.append((sid, fid))
+            continue
+        assert len(report.results) == len(cfg.diagnostics), (sid, fid)
+        assert _non_finite_passes(report) == [], (sid, fid)
+    assert ("rotation", "shear") in typed
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"scenario_id": "identity", "eta": NaN}', "eta"),
+    ('{"scenario_id": "identity", "T": Infinity}', "T"),
+    ('{"scenario_id": "identity", "box_radius": -Infinity}', "box_radius"),
+    ('{"scenario_id": "identity", "steps": true}', "steps"),
+    ('{"scenario_id": "identity", "dimension": true}', "dimension"),
+    ('{"scenario_id": "shear_bv", "seeds_per_axis": [true, 1024]}', "seeds_per_axis"),
+    ('{"scenario_id": "identity", "delta_list": [true]}', "delta_list"),
+    ('{"scenario_id": "identity", "r_list": [2.0, NaN]}', "r_list"),
+    ('{"scenario_id": "identity", "eps_list": [Infinity]}', "eps_list"),
+    ('{"scenario_id": "identity", "rng_seed": -5}', "rng_seed"),
+])
+def test_one_rule_for_numbers_rejects_nan_inf_bool_and_negative_seeds(text, key):
+    # a number is a finite int or float that is not a bool, for scalars and
+    # list entries alike; eta = NaN used to switch the singular cut-off off
+    with pytest.raises(ValidationError) as err:
+        resolve(json.loads(text))
+    (violation,) = err.value.violations
+    assert violation.startswith(f"{key}: ")
+
+
+def test_rng_seed_zero_is_a_seed():
+    assert resolve({"scenario_id": "identity", "rng_seed": 0}).rng_seed == 0
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(REGISTRY)),
+       st.sampled_from([k for k in default_config("identity") if k != "scenario_id"]),
+       JSON_VALUES)
+def test_any_json_value_resolves_to_finite_numbers_or_a_violation(sid, key, value):
+    # whatever JSON a key holds, resolve either names it in a violation or
+    # returns a config whose numbers are finite and not bools
+    try:
+        cfg = resolve({"scenario_id": sid, key: value})
+    except ValidationError as err:
+        assert any(v.startswith(f"{key}: ") for v in err.violations)
+        return
+    for name in ("T", "box_radius", "eta", "steps", "rng_seed", "seeds_per_axis",
+                 "delta_list", "r_list", "lambda_list", "eps_list"):
+        got = getattr(cfg, name)
+        for x in got if isinstance(got, tuple) else (got,):
+            assert not isinstance(x, bool) and math.isfinite(x), (name, x)
 
 
 # --- registry listing ----------------------------------------------------------

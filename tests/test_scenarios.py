@@ -1,7 +1,9 @@
 """Scenario runner loop: golden artifacts and runtime budgets."""
 
 import inspect
+import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -18,22 +20,55 @@ from rough_transport.representation import pointwise_solution
 from rough_transport.scenarios import REGISTRY, _check, build_context, run_scenario
 from rough_transport.weakform import gamma_trace, weak_residual
 
-GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+from golden_diff import GOLDEN_DIR, diff_scenario, listing
+from rk4_row_steps import counting_row_steps
+
 SRC_DIR = Path(scenarios.__file__).resolve().parents[1]
+BENCH_1 = Path(__file__).resolve().parents[1] / "BENCH_1.json"
 
 
 @pytest.mark.parametrize("scenario_id", list(REGISTRY))
 def test_default_run_matches_golden_artifacts(scenario_id, tmp_path):
     # the golden files were written with output_dir ".bench_out/<id>", which
-    # provenance.csv echoes; the report itself goes to tmp_path
+    # provenance.csv echoes; the report itself goes to tmp_path. A failure
+    # lists the changed cells; the bytes stay the verdict. The RK4 row-steps
+    # are host-independent counts, so the same run pins the scenario's RK4
+    # work (turning off pointwise_solution's step sharing multiplies
+    # identity's by 77 and keeps every verdict)
     cfg = resolve({"scenario_id": scenario_id,
                    "output_dir": f".bench_out/{scenario_id}"})
-    run_scenario(cfg).write(str(tmp_path))
+    with counting_row_steps() as row_steps:
+        report = run_scenario(cfg)
+    report.write(str(tmp_path))
     golden = GOLDEN_DIR / scenario_id
-    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(golden))
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(golden)), \
+        listing(diff_scenario(tmp_path, scenario_id))
     for name in sorted(os.listdir(golden)):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), \
-            f"{scenario_id}/{name} differs from the golden copy"
+            f"{scenario_id}/{name} differs from the golden copy:\n" \
+            + listing(diff_scenario(tmp_path, scenario_id))
+    assert row_steps[0] == json.loads(BENCH_1.read_text())["rk4_row_steps"][scenario_id]
+
+
+def test_golden_diff_lists_exactly_the_changed_cell_and_the_added_row(tmp_path):
+    run_dir = tmp_path / "identity"
+    shutil.copytree(GOLDEN_DIR / "identity", run_dir)
+    diagnostics = run_dir / "diagnostics.csv"
+    lines = diagnostics.read_text().splitlines(keepends=True)
+    assert lines[1] == "flow_identity,max_deviation,0,9.9999999999999998e-13,1\n"
+    lines[1] = "flow_identity,max_deviation,2.5e-13,9.9999999999999998e-13,1\n"
+    diagnostics.write_text("".join(lines))
+    energy = run_dir / "l2_energy.csv"
+    assert len(energy.read_text().splitlines()) == 66      # the header and 65 rows
+    with open(energy, "a") as fh:
+        fh.write("9,8,7\n")
+    changes = diff_scenario(run_dir, "identity")
+    assert [(c.file, c.kind, c.row, c.column, c.old, c.new) for c in changes] == [
+        ("diagnostics.csv", "cell", 2, "value", "0", "2.5e-13"),
+        ("l2_energy.csv", "added row", 67, "", "", "9,8,7")]
+    assert listing(changes).splitlines() == [
+        "identity/diagnostics.csv row 2 column value: 0 -> 2.5e-13 (abs 2.5e-13, rel inf)",
+        "identity/l2_energy.csv row 67 added row: 9,8,7"]
 
 
 @pytest.mark.parametrize("fn,name", [(pointwise_solution, "time_grid"),
