@@ -101,6 +101,14 @@ def _in(v, catalog):
     return isinstance(v, str) and v in catalog
 
 
+def _built(catalog, v, *args):
+    """Catalog entry ``v`` built for ``args``; None if absent or refused (by ValueError)."""
+    try:
+        return catalog[v](*args) if _in(v, catalog) else None
+    except ValueError:
+        return None
+
+
 class _Rule(NamedTuple):
     test: Callable            # (value, scenario) -> whether the value is valid
     reason: str               # formatted with the scenario as ``s``
@@ -114,17 +122,20 @@ def _numbers(above, what):
 
 _POSITIVE = _Rule(lambda v, s: _number(v) and v > 0, "is not a positive number", float)
 
-# One rule per key but scenario_id, in KNOWN_KEYS order. A field must build
-# the scenario's dimension: the factory's own output is the declaration.
+# One rule per key but scenario_id, in KNOWN_KEYS order. A catalog entry must
+# build the scenario's dimension: a field's own output is the declaration, and
+# a damping or an initial datum that reads only x_1 refuses d != 1.
 _RULES = {
     "dimension": _Rule(lambda v, s: _number(v) and v == s.dimension,
                        "is not the dimension {s.dimension} of scenario {s.scenario_id!r}", int),
     "T": _POSITIVE,
-    "field_id": _Rule(lambda v, s: _in(v, FIELD_CATALOG)
-                      and FIELD_CATALOG[v](s.dimension, s.T).dimension == s.dimension,
+    "field_id": _Rule(lambda v, s: getattr(_built(FIELD_CATALOG, v, s.dimension, s.T),
+                                           "dimension", None) == s.dimension,
                       "not in the catalog of {s.dimension}-D fields"),
-    "damping_id": _Rule(lambda v, s: _in(v, DAMPING_CATALOG), "not in the catalog"),
-    "u0_id": _Rule(lambda v, s: _in(v, U0_CATALOG), "not in the catalog"),
+    "damping_id": _Rule(lambda v, s: _built(DAMPING_CATALOG, v, s.dimension) is not None,
+                        "not in the catalog"),
+    "u0_id": _Rule(lambda v, s: _built(U0_CATALOG, v, s.dimension) is not None,
+                   "not in the catalog"),
     "seeds_per_axis": _Rule(
         lambda v, s: _integer(v, 1) or (_listed(v, lambda x: _integer(x, 1))
                                         and len(v) == s.dimension),

@@ -25,22 +25,6 @@ KERNEL_INTEGRAL_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# singular set descriptors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PointSingularity:
-    """An isolated point where a damping field is unbounded."""
-
-    point: tuple
-
-    def distance(self, x):
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(self.point, dtype=float)
-        return np.linalg.norm(x - p, axis=-1)
-
-
-# ---------------------------------------------------------------------------
 # core specs
 # ---------------------------------------------------------------------------
 
@@ -76,28 +60,27 @@ class VelocityFieldSpec:
 
 @dataclass(frozen=True)
 class DampingFieldSpec:
-    """Damping coefficient c(t, x), possibly unbounded on a singular set.
+    """Damping coefficient c(t, x), possibly unbounded at one singular point.
 
-    ``sup_c`` and ``l1_spatial`` are optional analytic profiles
-    t -> ||c(t,.)||_inf and t -> ||c(t,.)||_L1 used by the bounded-damping,
-    L1-mass and Gronwall diagnostics. Dampings declared ``autonomous`` must
-    not depend on t.
+    The damping carries its own cut-off: every sample of c reads it as zero
+    within ``eta`` of ``singular_point``, so a density and the residual that
+    tests it read the same c. ``sup_c`` and ``l1_spatial`` are optional
+    analytic profiles t -> ||c(t,.)||_inf and t -> ||c(t,.)||_L1 used by the
+    bounded-damping, L1-mass and Gronwall diagnostics. Dampings declared
+    ``autonomous`` must not depend on t.
     """
 
     eval_c: Callable
-    singular_set: tuple = ()
+    singular_point: Optional[tuple] = None
+    eta: float = 0.0
     sup_c: Optional[Callable] = None
     l1_spatial: Optional[Callable] = None
     autonomous: bool = True
     label: str = ""
 
-    def singular_distance(self, x):
-        """Distance from x (shape (..., d)) to the singular set; inf if empty."""
-        x = np.asarray(x, dtype=float)
-        if not self.singular_set:
-            return np.full(x.shape[:-1], np.inf)
-        dists = [s.distance(x) for s in self.singular_set]
-        return np.minimum.reduce(dists)
+    def __post_init__(self):
+        if not self.eta >= 0.0:      # NaN fails too
+            raise ValueError(f"eta must be nonnegative, not {self.eta!r}")
 
     def l1_profile(self, times):
         """||c(t, .)||_L1 on the time nodes; zero when no profile is declared."""
@@ -261,21 +244,20 @@ def sample_nodes(fn, autonomous, times, nodes):
                      for k, t in enumerate(times)])
 
 
-def sample_damping(damping: DampingFieldSpec, times, nodes, eta):
-    """c on the space-time nodes (K+1, ..., d), zeroed within eta of the singular set.
+def sample_damping(damping: DampingFieldSpec, times, nodes):
+    """c on the space-time nodes (K+1, ..., d), zeroed within eta of the singular point.
 
     The cut-off is the almost-everywhere reading of the damping path
     integral. Returns (values, mask), where mask marks the zeroed nodes.
     Raises NonFiniteDampingError if c is NaN or infinite at a kept node.
     """
-    if eta < 0.0:
-        raise ValueError("eta must be nonnegative")
-    mask = (damping.singular_distance(nodes) <= eta if damping.singular_set
-            else np.zeros(nodes.shape[:-1], dtype=bool))
+    point = damping.singular_point
+    mask = (np.linalg.norm(nodes - np.asarray(point, dtype=float), axis=-1) <= damping.eta
+            if point is not None else np.zeros(nodes.shape[:-1], dtype=bool))
     if not np.any(mask):
         vals = sample_nodes(damping.eval_c, damping.autonomous, times, nodes)
     else:
-        # gather the kept nodes only: c may be undefined on the singular set
+        # gather the kept nodes only: c may be undefined at the singular point
         vals = np.zeros(mask.shape)
         rows = [(..., times[0])] if damping.autonomous else enumerate(times)
         for k, t in rows:
@@ -287,7 +269,7 @@ def sample_damping(damping: DampingFieldSpec, times, nodes, eta):
         at = tuple(np.argwhere(bad)[0])
         raise NonFiniteDampingError(
             f"damping c = {vals[at]} at t={float(times[at[0]]):.6g}, "
-            f"x={nodes[at].tolist()}, outside eta={eta:g} of the singular set"
+            f"x={nodes[at].tolist()}, outside eta={damping.eta:g} of the singular point"
         )
     return vals, mask
 

@@ -233,12 +233,12 @@ def _check_divergence(dpi, L):
             )
 
 
-def _check_truncation(all_cut, eta):
-    """Raise AllTruncatedError for the first path whose every node is cut off."""
+def _check_truncation(all_cut, damping):
+    """Raise AllTruncatedError for the first path whose every node ``damping`` cuts off."""
     if np.any(all_cut):
         raise AllTruncatedError(
             f"every node of trajectory {int(np.argmax(all_cut))} lies within "
-            f"eta={eta:g} of the singular set"
+            f"eta={damping.eta:g} of the singular point"
         )
 
 
@@ -344,14 +344,14 @@ class ForwardSummary:
 
 
 def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
-                    damping: DampingFieldSpec = None, eta=0.0) -> ForwardSummary:
+                    damping: DampingFieldSpec = None) -> ForwardSummary:
     """One forward RK4 sweep over ``seeds`` on [0, horizon], reduced block by block.
 
     Each block of ``_forward_blocks`` samples div b on its nodes, continues
     the cumulative trapezoid of div b from the previous block's last
     column, checks it against L and exponentiates it in place, then folds
     into the reductions. Given a ``damping``, each block also samples c
-    with the eta cut-off of ``sample_damping`` and continues the trapezoid
+    with its own eta cut-off (``sample_damping``) and continues the trapezoid
     of c the same way; a seed whose every node is cut off raises
     AllTruncatedError after the sweep. Every value is bit for bit the
     reduction of the cumulative trapezoids over the full trajectory table
@@ -398,7 +398,7 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
         worst = np.maximum(worst, [disp, forward, inverse])
         if damping is not None:
             # D continues from its running value as div b's integral does
-            cvals, cut = sample_damping(damping, time_grid[block], nodes, eta)
+            cvals, cut = sample_damping(damping, time_grid[block], nodes)
             all_cut &= np.all(cut, axis=0)
             np.add(cvals[1:], cvals[:-1], out=diff)
             np.multiply(half_dt[steps_k], diff, out=diff)
@@ -408,7 +408,7 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
         endpoints = nodes[-1].copy()
         # drop the block before the next one is built
         del nodes, divs
-    _check_truncation(all_cut, eta)
+    _check_truncation(all_cut, damping)
     return ForwardSummary(seed_grid=seeds, time_grid=time_grid, steps=steps,
                           endpoints=endpoints, jx_end=np.exp(dpi_end),
                           damping_end=damping_end, L=L,

@@ -3,8 +3,9 @@
 The pointwise form evaluates u0(X^{-1}) / JX(X^{-1}) * exp(damping path
 integral) on fixed grid points by tracing each evaluation node back to
 time zero; the pushforward form transports weighted particles forward and
-deposits them on a target grid. A truncation radius eta around the damping
-singular set implements the almost-everywhere reading of the path integral.
+deposits them on a target grid. The damping's own truncation radius eta
+around its singular point implements the almost-everywhere reading of the
+path integral.
 A DensityRepresentation carries the space-time quadrature whose nodes it
 is sampled on.
 """
@@ -79,7 +80,7 @@ class DensityRepresentation:
 
 
 def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
-                      nodes, grids, eta):
+                      nodes, grids):
     """u at the anchors of the backward slices along one path, (len(grids), N).
 
     ``nodes`` (M+1, N, d) holds the path on ``grids[0]``, the time grid of
@@ -97,10 +98,10 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
     c = 0, or c = 0 along whole paths, costs no cumulative sum at all. The
     live rows are gathered once per sampling, and not at all when every row
     is live. A slice keeps only the largest |div integral| (checked against
-    L as ``forward_summary`` does), the final values and the paths its eta
-    cut-off zeroes entirely. Raises what ``forward_summary`` raises for the
-    same fields, and JacobianVanishedError for a JX that underflows or is
-    not finite.
+    L as ``forward_summary`` does), the final values and the paths the
+    damping's eta cut-off zeroes entirely. Raises what ``forward_summary``
+    raises for the same fields, and JacobianVanishedError for a JX that
+    underflows or is not finite.
     """
     rows, n = nodes.shape[:2]
     # path nodes per field call and per scratch block: 1/16 of the budget
@@ -118,7 +119,7 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
         for r in range(skip, rows, block):
             t, at = times[r - skip:r - skip + block], nodes[r:r + block]
             if damped:
-                vals, mask = sample_damping(damping, t, at, eta)
+                vals, mask = sample_damping(damping, t, at)
                 masked[:, r:r + block] = mask.T
             else:
                 vals = sample_nodes(field.eval_div_b, field.autonomous, t, at)
@@ -167,7 +168,7 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
         m = times.shape[0] - 1
         if not damping.autonomous:
             live, vals = sample(times, damped=True)
-        _check_truncation(np.all(masked[:, rows - 1 - m:], axis=1), eta)
+        _check_truncation(np.all(masked[:, rows - 1 - m:], axis=1), damping)
         jx_end = out[k]
         if np.any(jx_end <= 0.0) or not np.all(np.isfinite(jx_end)):
             raise JacobianVanishedError("nonpositive or non-finite Jacobian sample")
@@ -177,7 +178,7 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
 
 
 def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
-                       points: SeedGrid, time_grid, steps, eta=0.0) -> np.ndarray:
+                       points: SeedGrid, time_grid, steps) -> np.ndarray:
     """u(t_k, x_i) on a fixed grid from backward characteristics, shape (K+1, N).
 
     The characteristics through (t_k, x_i) differ for each t_k, so each
@@ -244,7 +245,7 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
         for group, path in zip(chunk, paths):
             grids = [np.linspace(0.0, anchors[s], counts[s] + 1) for s in group]
             vals[[1 + s for s in group]] = _represent_slices(u0, field, damping, path,
-                                                             grids, eta)
+                                                             grids)
     return vals
 
 

@@ -20,9 +20,8 @@ from . import __version__
 from .bmo import (bmo_gronwall_family, bmo_norm, default_ball_family, jn_decay_check,
                   lemma52_checks)
 from .errors import PipelineError, RoughTransportError
-from .fields import (DampingFieldSpec, PointSingularity, VelocityFieldSpec,
-                     check_divergence_consistency, growth_split, make_mollifier,
-                     mollify)
+from .fields import (DampingFieldSpec, VelocityFieldSpec, check_divergence_consistency,
+                     growth_split, make_mollifier, mollify)
 from .flow import (change_of_variables_residual, compressibility_estimate,
                    flow_convergence_study, forward_backward_mismatch, forward_summary,
                    make_seed_grid, seeds_from_points, superlevel_escape)
@@ -192,7 +191,10 @@ def _damping_box(d):
 
 
 def _damping_inv_sqrt(d):
-    # |x|^(-1/2) on 0 < |x| <= 1 (d = 1); spatial L1 mass is 4 at every t
+    # |x|^(-1/2) on 0 < |x| <= 1; spatial L1 mass is 4 at every t
+    if d != 1:
+        raise ValueError(f"inv_sqrt reads only x_1: defined for d = 1, not d = {d}")
+
     def eval_c(t, x):
         r = np.abs(np.asarray(x, dtype=float)[..., 0])
         out = np.zeros(r.shape)
@@ -201,7 +203,7 @@ def _damping_inv_sqrt(d):
         return out
 
     return DampingFieldSpec(eval_c=eval_c,
-                            singular_set=(PointSingularity((0.0,)),),
+                            singular_point=(0.0,),
                             l1_spatial=lambda t: 4.0,
                             label="inv_sqrt")
 
@@ -223,6 +225,9 @@ def _u0_bump(d):
 
 
 def _u0_indicator_unit(d):
+    if d != 1:
+        raise ValueError(f"indicator_unit reads only x_1: defined for d = 1, not d = {d}")
+
     def u0(x):
         s = np.asarray(x, dtype=float)[..., 0]
         return ((s > 0.0) & (s < 1.0)).astype(float)
@@ -336,8 +341,7 @@ class RunContext:
             quad = make_quadrature(self.d, radius, n_space, self.field.horizon, n_time)
             grid = seeds_from_points(quad.points, quad.cell_volume)
             return DensityRepresentation(quad, pointwise_solution(
-                self.field, self.damping, self.u0, grid, quad.times, steps,
-                eta=self.cfg.eta))
+                self.field, self.damping, self.u0, grid, quad.times, steps))
         return self._memo(("density", n_space, n_time, radius, steps), build)
 
     def twin_difference(self, quad_shape, radius):
@@ -441,7 +445,7 @@ def _run_change_of_variables(ctx, phi, tol):
 def _run_weak_residual(ctx, n_space, n_time, tol, phi_radius):
     rep = weak_residual(ctx.density(n_space, n_time), make_beta_arctan(1.0),
                         compact_space_time(ctx.d, ctx.field.horizon, phi_radius),
-                        ctx.field, ctx.damping, ctx.u0, eta=ctx.cfg.eta)
+                        ctx.field, ctx.damping, ctx.u0)
     art = Artifact("weak_residual.csv", ("h", "tau", "residual"), rep.history)
     return _check({"residual": (rep.residual, tol)}, artifacts=(art,))
 
@@ -542,7 +546,7 @@ def _run_weak_refinement(ctx, ladder, phi_radius):
     rep = weak_residual_study([ctx.density(ns, nt) for ns, nt in ladder],
                               make_beta_arctan(1.0),
                               compact_space_time(ctx.d, ctx.field.horizon, phi_radius),
-                              ctx.field, ctx.damping, ctx.u0, eta=ctx.cfg.eta)
+                              ctx.field, ctx.damping, ctx.u0)
     ok = rep.order is not None and rep.order >= 1.9
     art = Artifact("weak_residual_refinement.csv", ("h", "tau", "residual"),
                    rep.history)
@@ -569,8 +573,9 @@ def _run_integrability(ctx, etas, expected_verdict, min_growth=None):
 
 def _run_damping_l1(ctx):
     c = ctx.damping
+    # the L1 mass is that of |c| itself, read with no cut-off
     fwd = forward_summary(ctx.field, make_seed_grid(1.0, 1024, 1), 16,
-                          damping=replace(c, eval_c=lambda t, x: np.abs(c.eval_c(t, x))))
+                          damping=replace(c, eval_c=lambda t, x: np.abs(c.eval_c(t, x)), eta=0.0))
     total = float(np.sum(fwd.damping_end)) * fwd.seed_grid.cell_volume
     mass = trapz(c.l1_profile(fwd.time_grid), fwd.time_grid)
     bound = 1.0 * mass * 1.2   # C(X) = 1 for b = 0
@@ -608,7 +613,7 @@ def _run_gronwall_matrix(ctx, quad_shape, quad_radius, check_delta_independent=F
         beta = _certified_beta_log(delta)
         for R in ctx.cfg.r_list:
             phi_R, data = bounds[R]
-            trace = gamma_trace(u, beta, phi_R, ctx.field, ctx.damping, ctx.cfg.eta)
+            trace = gamma_trace(u, beta, phi_R, ctx.field, ctx.damping)
             bound = data.bound(delta)
             rows.append((delta, R, float(np.max(trace.values)), bound))
             all_ok = all_ok and data.holds(trace, delta)
@@ -699,7 +704,7 @@ def _run_bmo_gronwall(ctx):
     phi_R = make_phi_R(ctx.cfg.r_list[0], ctx.d)
     # Gamma depends on (delta, R) alone: one trace per delta serves every lambda
     traces = {delta: gamma_trace(u, _certified_beta_log(delta), phi_R, ctx.field,
-                                 ctx.damping, ctx.cfg.eta)
+                                 ctx.damping)
               for delta in ctx.cfg.delta_list}
     family = bmo_gronwall_family(ctx.cfg.lambda_list, ctx.bmo_profile(), ctx.jn_fit(),
                                  ctx.growth(), ctx.damping, phi_R, u.times)
@@ -899,7 +904,7 @@ RUNTIME_BUDGET_S = {
 def build_context(cfg) -> RunContext:
     scenario = REGISTRY[cfg.scenario_id]
     field = FIELD_CATALOG[cfg.field_id](scenario.dimension, cfg.T)
-    damping = DAMPING_CATALOG[cfg.damping_id](scenario.dimension)
+    damping = replace(DAMPING_CATALOG[cfg.damping_id](scenario.dimension), eta=cfg.eta)
     u0 = U0_CATALOG[cfg.u0_id](scenario.dimension)
     return RunContext(cfg=cfg, field=field, damping=damping, u0=u0)
 

@@ -26,7 +26,7 @@ from .renormalization import Renormalizer, TestFunctionPhiR
 from .representation import DensityRepresentation
 
 
-def _field_tables(field, damping, quad, eta=0.0):
+def _field_tables(field, damping, quad):
     """b, div b and the cut-off c on the space-time nodes, one row per time node.
 
     What does not depend on time is sampled on one row of points, at the
@@ -39,7 +39,7 @@ def _field_tables(field, damping, quad, eta=0.0):
     at_b, at_c = nodes(field.autonomous), nodes(damping.autonomous)
     return (sample_nodes(field.eval_b, field.autonomous, *at_b),
             sample_nodes(field.eval_div_b, field.autonomous, *at_b),
-            sample_damping(damping, *at_c, eta)[0])
+            sample_damping(damping, *at_c)[0])
 
 
 def _tested_sum(flux, phiv, bu, ubp, div, c):
@@ -62,8 +62,8 @@ class WeakResidualReport:
 
 
 def weak_residual(quad: DensityRepresentation, beta: Renormalizer, phi,
-                  field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
-                  eta=0.0) -> WeakResidualReport:
+                  field: VelocityFieldSpec, damping: DampingFieldSpec,
+                  u0) -> WeakResidualReport:
     """Quadrature value of the renormalized weak form (zero for solutions).
 
     ``quad`` is the density u; its quadrature supplies every node. (The
@@ -71,8 +71,8 @@ def weak_residual(quad: DensityRepresentation, beta: Renormalizer, phi,
     quadrature nodes from ``quad.times`` and ``quad.points``.) ``phi`` is a
     space-time test function with analytic dt/grad, compactly supported in
     [0, T) x B_rho with rho at most the box radius (infinite support raises
-    SupportOverflowError). Singular damping values are truncated within
-    eta, matching the solution-side policy.
+    SupportOverflowError). The damping is read with its own eta cut-off,
+    as the density that is tested reads it.
     """
     u, quad = quad.values, quad.quad
     if not phi.support_radius <= quad.radius:
@@ -80,7 +80,7 @@ def weak_residual(quad: DensityRepresentation, beta: Renormalizer, phi,
             f"phi support radius {phi.support_radius:g} exceeds the quadrature box "
             f"radius {quad.radius:g}"
         )
-    bvals, divvals, cvals = _field_tables(field, damping, quad, eta)
+    bvals, divvals, cvals = _field_tables(field, damping, quad)
 
     bu = np.asarray(beta.beta(u), dtype=float)
     ubp = u * np.asarray(beta.beta_prime(u), dtype=float)
@@ -101,15 +101,14 @@ def weak_residual(quad: DensityRepresentation, beta: Renormalizer, phi,
                               history=((quad.h, quad.tau, residual),))
 
 
-def weak_residual_study(densities, beta, phi, field, damping, u0,
-                        eta=0.0) -> WeakResidualReport:
+def weak_residual_study(densities, beta, phi, field, damping, u0) -> WeakResidualReport:
     """Residuals over a strictly refining ladder of densities with an order estimate."""
     hs = [u.quad.h for u in densities]
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("quadrature ladder must be strictly refining")
     history = []
     for u in densities:
-        rep = weak_residual(u, beta, phi, field, damping, u0, eta)
+        rep = weak_residual(u, beta, phi, field, damping, u0)
         history.append((u.quad.h, u.quad.tau, rep.residual))
     # the ladder is indexed by the spatial spacing (tau may refine more slowly
     # or stay fixed when the time error is already at its floor)
@@ -134,7 +133,7 @@ class GammaTrace:
 
 
 def gamma_trace(quad: DensityRepresentation, beta: Renormalizer, phi_space,
-                field: VelocityFieldSpec, damping: DampingFieldSpec, eta) -> GammaTrace:
+                field: VelocityFieldSpec, damping: DampingFieldSpec) -> GammaTrace:
     """Trace Gamma(t) with the tested-equation right-hand side.
 
     ``quad`` is the density u, named as in ``weak_residual``. The
@@ -142,7 +141,7 @@ def gamma_trace(quad: DensityRepresentation, beta: Renormalizer, phi_space,
     Gamma against the trapezoid average of the right-hand side.
     """
     u, quad = quad.values, quad.quad
-    bvals, divvals, cvals = _field_tables(field, damping, quad, eta)
+    bvals, divvals, cvals = _field_tables(field, damping, quad)
 
     phiv = np.asarray(phi_space(quad.points), dtype=float)
     gphi = np.asarray(phi_space.grad(quad.points), dtype=float)
@@ -172,7 +171,7 @@ def l2_energy_diagnostic(u: DensityRepresentation, field: VelocityFieldSpec,
     Envelope: E(0) exp( int_0^t 2||c||_inf + ||div b||_inf ). Returns
     (times, curve, envelope); the caller judges the curve against it.
     """
-    if damping.singular_set:
+    if damping.singular_point is not None:
         raise UnboundedDampingError("l2 diagnostic requires bounded damping")
     if damping.sup_c is None:
         raise ValueError("damping needs a sup_c profile for the L2 envelope")

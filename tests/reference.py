@@ -133,19 +133,19 @@ class DampingAccumulator:
     total_l1: float              # discrete integral of |c along X| dx dt
 
 
-def damping_integral(damping: DampingFieldSpec, flow: FlowMap, eta) -> DampingAccumulator:
+def damping_integral(damping: DampingFieldSpec, flow: FlowMap) -> DampingAccumulator:
     """Trapezoid-in-time damping integral along every stored characteristic.
 
-    c is set to zero whenever the trajectory is within eta of the singular
-    set. Raises AllTruncatedError if some trajectory had every node
-    excluded (seed effectively on the singular set).
+    c is set to zero whenever the trajectory is within the damping's eta of
+    its singular point. Raises AllTruncatedError if some trajectory had
+    every node excluded (seed effectively at the singular point).
     """
     times = flow.time_grid
     cvals, masked = sample_damping(damping, times,
-                                   np.moveaxis(flow.trajectories, 1, 0), eta)
+                                   np.moveaxis(flow.trajectories, 1, 0))
     cvals = cvals.T
     truncated = masked.sum(axis=0)
-    _check_truncation(truncated == times.shape[0], eta)
+    _check_truncation(truncated == times.shape[0], damping)
     total_l1 = (float(np.sum(cumtrapz(np.abs(cvals), times)[:, -1]))
                 * flow.seed_grid.cell_volume)
     return DampingAccumulator(flow=flow, values=cumtrapz(cvals, times),

@@ -511,7 +511,7 @@ def test_bmo_gronwall_zero_solution():
     growth = growth_split(spec, rng=np.random.default_rng(0))
     phi_R = make_phi_R(2.0, 1)
     trace = gamma_trace(_zero_density(quad), make_beta_log(1e-2), phi_R, spec,
-                        damping("zero"), 0.0)
+                        damping("zero"))
     data, = bmo_gronwall_family([9.0], prof, fit, growth, damping("zero"), phi_R,
                                 quad.times)
     assert data.holds(trace, 1e-2)

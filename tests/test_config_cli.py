@@ -13,7 +13,8 @@ from rough_transport.cli import main
 from rough_transport.config import default_config, load_config, resolve
 from rough_transport.errors import (ParseError, PipelineError, RoughTransportError,
                                     ValidationError)
-from rough_transport.scenarios import FIELD_CATALOG, REGISTRY, list_scenarios, run_scenario
+from rough_transport.scenarios import (DAMPING_CATALOG, FIELD_CATALOG, REGISTRY, U0_CATALOG,
+                                      list_scenarios, run_scenario)
 
 
 def _write(tmp_path, payload, name="config.json"):
@@ -119,6 +120,33 @@ def test_cross_dimension_fields_are_rejected():
             resolve({"scenario_id": sid, "field_id": fid})
         d = REGISTRY[sid].dimension
         assert err.value.violations == [f"field_id: {fid!r} not in the catalog of {d}-D fields"]
+
+
+# the damping and the initial datum that read only x_1 build d = 1 alone; the
+# others build any d
+CATALOGS = {"damping_id": DAMPING_CATALOG, "u0_id": U0_CATALOG}
+ONE_DIMENSIONAL = {("damping_id", "inv_sqrt"), ("u0_id", "indicator_unit")}
+ENTRY_PAIRS = [(sid, key, eid) for sid in REGISTRY for key in CATALOGS for eid in CATALOGS[key]]
+CROSS_DIMENSION_ENTRIES = [(sid, key, eid) for sid, key, eid in ENTRY_PAIRS
+                           if (key, eid) in ONE_DIMENSIONAL and REGISTRY[sid].dimension != 1]
+
+
+def test_cross_dimension_dampings_and_data_are_rejected():
+    # inv_sqrt and indicator_unit read only x_1, so in rotation and shear_bv
+    # they used to run as slabs and end in verdicts; their factories now
+    # refuse d = 2, and resolve refuses each pair with one violation
+    assert CROSS_DIMENSION_ENTRIES == [
+        ("rotation", "damping_id", "inv_sqrt"), ("rotation", "u0_id", "indicator_unit"),
+        ("shear_bv", "damping_id", "inv_sqrt"), ("shear_bv", "u0_id", "indicator_unit")]
+    for sid, key, eid in CROSS_DIMENSION_ENTRIES:
+        with pytest.raises(ValueError, match="d = 1"):
+            CATALOGS[key][eid](REGISTRY[sid].dimension)
+        with pytest.raises(ValidationError) as err:
+            resolve({"scenario_id": sid, key: eid})
+        assert err.value.violations == [f"{key}: {eid!r} not in the catalog"]
+    for sid, key, eid in ENTRY_PAIRS:
+        if (sid, key, eid) not in CROSS_DIMENSION_ENTRIES:
+            assert getattr(resolve({"scenario_id": sid, key: eid}), key) == eid
 
 
 def _non_finite_passes(report):

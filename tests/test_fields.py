@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rough_transport.errors import BadKernelError, SplitViolationError
-from rough_transport.fields import (VelocityFieldSpec, check_divergence_consistency,
+from rough_transport.fields import (DampingFieldSpec, VelocityFieldSpec,
+                                    check_divergence_consistency,
                                     growth_split, make_mollifier, mollify)
 from rough_transport.flow import forward_summary, make_seed_grid
 from rough_transport.numerics import gauss_legendre
@@ -68,10 +69,20 @@ def test_damping_finite_off_singular_set(damping_id):
     dmp = damping(damping_id)
     rng = np.random.default_rng(11)
     xs = rng.uniform(-2.0, 2.0, size=(500, 1))
-    if dmp.singular_set:
-        xs = xs[dmp.singular_distance(xs) > 0.0]
+    if dmp.singular_point is not None:
+        xs = xs[np.linalg.norm(xs - np.asarray(dmp.singular_point), axis=-1) > 0.0]
     vals = np.asarray(dmp.eval_c(0.5, xs), dtype=float)
     assert np.all(np.isfinite(vals))
+
+
+@pytest.mark.parametrize("eta", [-1.0, float("nan")])
+def test_damping_rejects_a_negative_or_nan_cut_off(eta):
+    # a NaN eta would switch the cut-off off, since |x - p| <= nan never holds
+    with pytest.raises(ValueError, match="eta must be nonnegative"):
+        DampingFieldSpec(eval_c=lambda t, x: np.ones(np.shape(x)[:-1]),
+                         singular_point=(0.0,), eta=eta)
+    with pytest.raises(ValueError, match="eta must be nonnegative"):
+        dataclasses.replace(damping("inv_sqrt"), eta=eta)
 
 
 # --- mollification -----------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from rough_transport.errors import (AllTruncatedError, DivergenceUnboundedError,
                                     JacobianVanishedError, NonFiniteDampingError)
-from rough_transport.fields import DampingFieldSpec, PointSingularity, VelocityFieldSpec
+from rough_transport.fields import DampingFieldSpec, VelocityFieldSpec
 from rough_transport.flow import forward_summary, make_seed_grid, seeds_from_points
 from rough_transport.numerics import CellGrid, stable_sum
 from rough_transport import flow, representation
@@ -48,8 +48,8 @@ def test_damping_integral_inv_sqrt_mass():
     errors = []
     for cells in (128, 256, 512, 1024):
         grid = make_seed_grid(1.0, cells, 1)
-        fwd = forward_summary(field("zero"), grid, 8, damping=damping("inv_sqrt"),
-                              eta=1e-12)
+        fwd = forward_summary(field("zero"), grid, 8,
+                              damping=dataclasses.replace(damping("inv_sqrt"), eta=1e-12))
         total_l1 = float(np.sum(fwd.damping_end)) * grid.cell_volume
         errors.append(abs(total_l1 - 4.0) / 4.0)
     assert errors[-1] <= 0.02
@@ -61,7 +61,7 @@ def test_damping_integral_inv_sqrt_mass():
 def test_damping_integral_keeps_one_table():
     # the L1 mass is summed on the way: only the values table outlives the call
     _, fl, table = long_linear_flow()
-    acc, kept, _ = traced_bytes(lambda: damping_integral(damping("box_indicator"), fl, 0.0))
+    acc, kept, _ = traced_bytes(lambda: damping_integral(damping("box_indicator"), fl))
     assert acc.total_l1 > 0.0
     assert kept <= 1.1 * table
 
@@ -70,7 +70,7 @@ def test_damping_integral_counts_truncated_nodes():
     # contraction drags seeds into the eta-ball partway through the window
     spec = field("linear_contract")
     fl = integrate_flow(spec, seeds_from_points([[0.3], [0.9]]), 32, "forward")
-    acc = damping_integral(damping("inv_sqrt"), fl, eta=0.15)
+    acc = damping_integral(dataclasses.replace(damping("inv_sqrt"), eta=0.15), fl)
     assert 0 < acc.truncated_nodes[0] < fl.time_grid.size
     assert acc.truncated_nodes[1] < acc.truncated_nodes[0]
 
@@ -79,7 +79,7 @@ def test_damping_integral_all_truncated():
     spec = field("zero")
     fl = integrate_flow(spec, seeds_from_points([[0.0]]), 4, "forward")
     with pytest.raises(AllTruncatedError):
-        damping_integral(damping("inv_sqrt"), fl, eta=0.5)
+        damping_integral(dataclasses.replace(damping("inv_sqrt"), eta=0.5), fl)
 
 
 def _time_dependent_damping():
@@ -89,13 +89,13 @@ def _time_dependent_damping():
         autonomous=False)
 
 
-# c and eta; b = -x carries the seeds across the unit ball's boundary, and
-# the two innermost, at +-0.023, into the eta-ball around the inv_sqrt
-# singularity from t = 0.85 on
+# b = -x carries the seeds across the unit ball's boundary, and the two
+# innermost, at +-0.023, into the eta-ball around the inv_sqrt singularity
+# from t = 0.85 on
 _DAMPINGS = {
-    "box_indicator": lambda: (damping("box_indicator"), 0.0),
-    "inv_sqrt": lambda: (damping("inv_sqrt"), 1e-2),
-    "time_dependent": lambda: (_time_dependent_damping(), 0.0),
+    "box_indicator": lambda: damping("box_indicator"),
+    "inv_sqrt": lambda: dataclasses.replace(damping("inv_sqrt"), eta=1e-2),
+    "time_dependent": _time_dependent_damping,
 }
 
 
@@ -104,13 +104,13 @@ def test_forward_summary_damping_end_bitwise_equals_reference(case, monkeypatch)
     # the default budget takes the sweep in one block, 64 KiB in 29 blocks
     # of 7 steps and a last one of 4
     spec, grid, steps = field("linear_contract"), make_seed_grid(1.5, 64, 1), 200
-    dmp, eta = _DAMPINGS[case]()
-    acc = damping_integral(dmp, integrate_flow(spec, grid, steps, "forward"), eta)
+    dmp = _DAMPINGS[case]()
+    acc = damping_integral(dmp, integrate_flow(spec, grid, steps, "forward"))
     if case == "inv_sqrt":      # the cut-off bites partway along some paths
         assert 0 < np.max(acc.truncated_nodes) < steps + 1
     for budget in (flow._CHUNK_BYTES, 1 << 16):
         monkeypatch.setattr(flow, "_CHUNK_BYTES", budget)
-        fwd = forward_summary(spec, grid, steps, damping=dmp, eta=eta)
+        fwd = forward_summary(spec, grid, steps, damping=dmp)
         assert np.array_equal(fwd.damping_end, acc.values[:, -1]), budget
 
 
@@ -121,12 +121,11 @@ def test_forward_summary_all_truncated_names_the_seed(budget, monkeypatch):
     # entirely only when every block cuts it, here of one step each
     if budget is not None:
         monkeypatch.setattr(flow, "_CHUNK_BYTES", budget)
-    spec, dmp = field("linear_contract"), damping("inv_sqrt")
+    spec = field("linear_contract")
+    dmp = dataclasses.replace(damping("inv_sqrt"), eta=0.15)
     with pytest.raises(AllTruncatedError, match="trajectory 1 "):
-        forward_summary(spec, seeds_from_points([[0.9], [0.1], [0.3]]), 32,
-                        damping=dmp, eta=0.15)
-    fwd = forward_summary(spec, seeds_from_points([[0.9], [0.3]]), 32, damping=dmp,
-                          eta=0.15)
+        forward_summary(spec, seeds_from_points([[0.9], [0.1], [0.3]]), 32, damping=dmp)
+    fwd = forward_summary(spec, seeds_from_points([[0.9], [0.3]]), 32, damping=dmp)
     assert np.all(fwd.damping_end > 0.0)
 
 
@@ -173,22 +172,22 @@ def test_pointwise_solution_linear_expand_matches_closed_form():
     assert np.max(np.abs(vals - exact)) <= 1e-10
 
 
-def _nan_damping(singular_set=()):
+def _nan_damping(singular_point=None, eta=0.0):
     # c = 1, but NaN for x > 0.5
     return DampingFieldSpec(
         eval_c=lambda t, x: np.where(np.asarray(x)[..., 0] > 0.5, np.nan, 1.0),
-        singular_set=singular_set)
+        singular_point=singular_point, eta=eta)
 
 
 def test_damping_integral_rejects_nan_damping():
     _, fl = _identity_flow(steps=8, cells=8)
     with pytest.raises(NonFiniteDampingError):
-        damping_integral(_nan_damping(), fl, eta=0.0)
+        damping_integral(_nan_damping(), fl)
     # NaN inside the cut-off is never read: eta = 0.25 around 0.75 covers the
     # NaN region (0.5, 1], which x = 0.6 e^{-t} leaves at t = log 1.2
     fl = integrate_flow(field("linear_contract"), seeds_from_points([[0.6], [0.2]]),
                         32, "forward")
-    acc = damping_integral(_nan_damping((PointSingularity((0.75,)),)), fl, eta=0.25)
+    acc = damping_integral(_nan_damping((0.75,), eta=0.25), fl)
     assert np.all(np.isfinite(acc.values))
     assert 0 < acc.truncated_nodes[0] < 32 and acc.truncated_nodes[1] == 0
 
@@ -199,9 +198,9 @@ def test_forward_summary_rejects_nan_damping():
                         damping=_nan_damping())
     # the NaN region the cut-off covers is never read, as in the reference
     spec, seeds = field("linear_contract"), seeds_from_points([[0.6], [0.2]])
-    dmp = _nan_damping((PointSingularity((0.75,)),))
-    fwd = forward_summary(spec, seeds, 32, damping=dmp, eta=0.25)
-    acc = damping_integral(dmp, integrate_flow(spec, seeds, 32, "forward"), eta=0.25)
+    dmp = _nan_damping((0.75,), eta=0.25)
+    fwd = forward_summary(spec, seeds, 32, damping=dmp)
+    acc = damping_integral(dmp, integrate_flow(spec, seeds, 32, "forward"))
     assert np.all(np.isfinite(fwd.damping_end))
     assert np.array_equal(fwd.damping_end, acc.values[:, -1])
 
@@ -227,7 +226,7 @@ def test_pointwise_solution_two_builds_bitwise_equal(monkeypatch):
     assert np.array_equal(results[0], results[1])
 
 
-def _per_slice_reference(spec, dmp, u0, grid, times, steps, eta):
+def _per_slice_reference(spec, dmp, u0, grid, times, steps):
     """pointwise_solution composed slice by slice from the public steps.
 
     Each slice integrates its own backward flow, builds the full Jacobian and
@@ -240,7 +239,7 @@ def _per_slice_reference(spec, dmp, u0, grid, times, steps, eta):
         sub_steps = max(1, int(round(steps * t / spec.horizon)))
         back = integrate_flow(spec, grid, sub_steps, "backward", anchor_time=t)
         jx = jacobian(spec, back).jx[:, -1]
-        acc = damping_integral(dmp, back, eta)
+        acc = damping_integral(dmp, back)
         truncated += int(np.sum(acc.truncated_nodes))
         vals.append(np.asarray(u0(back.inverse_samples), dtype=float) / jx
                     * np.exp(acc.values[:, -1]))
@@ -259,7 +258,7 @@ def test_pointwise_solution_matches_per_slice_composition(monkeypatch):
     times = np.linspace(0.0, 1.0, 49)
     assert 1001 * 64 * 48 * 8 > 4 * representation._CHUNK_BYTES
     u = pointwise_solution(spec, dmp, u0, grid, times, steps=1000)
-    ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 1000, 0.0)
+    ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 1000)
     assert np.array_equal(u, ref)
 
 
@@ -305,8 +304,9 @@ def test_pointwise_solution_independent_of_chunk_size(monkeypatch, field_id, rad
     results = []
     for mib in (1, 8, 64):
         monkeypatch.setattr(representation, "_CHUNK_BYTES", mib << 20)
-        results.append(pointwise_solution(spec, damping("inv_sqrt"), u0_fn("bump"),
-                                          grid, times, steps, eta=1e-3))
+        results.append(pointwise_solution(
+            spec, dataclasses.replace(damping("inv_sqrt"), eta=1e-3), u0_fn("bump"),
+            grid, times, steps))
     assert all(np.array_equal(results[0], u) for u in results[1:])
 
 
@@ -314,13 +314,13 @@ def test_pointwise_solution_matches_per_slice_on_one_shared_path():
     # every slice steps by h = (k/64) / (4k) = 1/256, so all 64 slices are
     # prefixes of one backward path; b = x pulls it into the eta-ball
     spec = field("linear_expand")
-    dmp = damping("inv_sqrt")
+    dmp = dataclasses.replace(damping("inv_sqrt"), eta=0.05)
     u0 = u0_fn("bump")
     grid = make_seed_grid(1.0, 16, 1)
     times = np.linspace(0.0, 1.0, 65)
     assert {t / round(256 * t) for t in times[1:]} == {1.0 / 256}
-    u = pointwise_solution(spec, dmp, u0, grid, times, steps=256, eta=0.05)
-    ref, truncated = _per_slice_reference(spec, dmp, u0, grid, times, 256, 0.05)
+    u = pointwise_solution(spec, dmp, u0, grid, times, steps=256)
+    ref, truncated = _per_slice_reference(spec, dmp, u0, grid, times, 256)
     assert truncated > 0
     assert np.array_equal(u, ref)
 
@@ -352,20 +352,20 @@ def test_pointwise_solution_all_truncated_on_short_slices_of_a_shared_path():
     # it entirely while every longer slice of the same path does not
     seeds = seeds_from_points([[0.04], [0.5]])
     with pytest.raises(AllTruncatedError, match="trajectory 0 "):
-        pointwise_solution(field("linear_contract"), damping("inv_sqrt"),
-                           u0_fn("bump"), seeds, np.linspace(0.0, 1.0, 9), steps=64,
-                           eta=0.05)
+        pointwise_solution(field("linear_contract"),
+                           dataclasses.replace(damping("inv_sqrt"), eta=0.05),
+                           u0_fn("bump"), seeds, np.linspace(0.0, 1.0, 9), steps=64)
 
 
 def test_pointwise_solution_matches_per_slice_truncated():
     # b = x pulls the backward paths into the eta-ball around the singularity
     spec = field("linear_expand")
-    dmp = damping("inv_sqrt")
+    dmp = dataclasses.replace(damping("inv_sqrt"), eta=0.05)
     u0 = u0_fn("bump")
     grid = make_seed_grid(1.0, 16, 1)
     times = np.linspace(0.0, 1.0, 9)
-    u = pointwise_solution(spec, dmp, u0, grid, times, steps=64, eta=0.05)
-    ref, truncated = _per_slice_reference(spec, dmp, u0, grid, times, 64, 0.05)
+    u = pointwise_solution(spec, dmp, u0, grid, times, steps=64)
+    ref, truncated = _per_slice_reference(spec, dmp, u0, grid, times, 64)
     assert truncated > 0
     assert np.array_equal(u, ref)
 
@@ -404,7 +404,7 @@ def test_pointwise_solution_with_dead_rows_matches_per_slice(case):
     grid = make_seed_grid(2.0, 64, 1)
     times = np.linspace(0.0, 1.0, 17)
     u = pointwise_solution(spec, dmp, u0, grid, times, steps=128)
-    ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 128, 0.0)
+    ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 128)
     assert np.array_equal(u, ref)
 
 
@@ -468,7 +468,7 @@ def test_pointwise_solution_time_dependent():
     u = pointwise_solution(spec, dmp, u0, grid, times, steps=200)
     exact = np.array([u0(grid.points * math.exp(-t * t / 2.0)) for t in times])
     assert u == pytest.approx(exact, rel=1e-8)
-    ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 200, 0.0)
+    ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 200)
     assert np.array_equal(u, ref)
 
 
@@ -482,7 +482,7 @@ def test_pointwise_solution_batches_autonomous_b_with_time_dependent_c(monkeypat
     u0 = u0_fn("bump")
     grid = make_seed_grid(1.0, 32, 1)
     times = np.linspace(0.0, 1.0, 9)
-    ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 200, 0.0)
+    ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 200)
 
     sweeps = []
     real = flow._rk4_path
@@ -606,7 +606,7 @@ def test_pushforward_stays_within_the_block_budget_and_matches_full_tables():
                                       target))
     assert peak <= 2 * flow._CHUNK_BYTES + 64 * grid.points.shape[0]
     fl = integrate_flow(spec, grid, 200, "forward")
-    weights = (u0(grid.points) * np.exp(damping_integral(dmp, fl, 0.0).values[:, -1])
+    weights = (u0(grid.points) * np.exp(damping_integral(dmp, fl).values[:, -1])
                * grid.cell_volume)
     ref, deposited = _cic_deposit(fl.trajectories[:, -1], weights, target)
     assert np.array_equal(values, ref.ravel() / target.cell_volume)

@@ -15,6 +15,7 @@ import pytest
 from rough_transport import renormalization, scenarios
 from rough_transport.config import resolve
 from rough_transport.errors import InadmissibleRenormalizerError, PipelineError
+from rough_transport.flow import forward_summary
 from rough_transport.renormalization import AdmissibilityReport
 from rough_transport.representation import pointwise_solution
 from rough_transport.scenarios import REGISTRY, _check, build_context, run_scenario
@@ -105,7 +106,7 @@ def test_default_run_verifies_growth_split_once(scenario_id, tmp_path, monkeypat
             calls[name] += 1
             if name == "gamma_trace":
                 bound = inspect.signature(fn).bind(*args, **kwargs)
-                trace_etas.append(bound.arguments.get("eta"))
+                trace_etas.append(bound.arguments["damping"].eta)
             return fn(*args, **kwargs)
         return counted
     for name in calls:
@@ -127,6 +128,34 @@ def test_damping_l1_mass_follows_the_horizon(T, tmp_path):
     result = report.results[0]
     assert result.passed, result.values
     assert result.values["compressibility_bound"] == pytest.approx(4.8 * T, rel=1e-15)
+
+
+def test_run_context_damping_carries_the_configured_cut_off(tmp_path):
+    # the density, the weak residual and the Gamma traces all read the
+    # damping the context builds, so they read one cut-off
+    cfg = resolve({"scenario_id": "counterexample_L1_damping", "eta": 0.25,
+                   "output_dir": str(tmp_path)})
+    ctx = build_context(cfg)
+    assert ctx.damping.eta == cfg.eta == 0.25
+    assert ctx.damping.singular_point == (0.0,)
+
+
+def test_damping_l1_reads_c_with_no_cut_off(tmp_path, monkeypatch):
+    # the L1 mass of |x|^(-1/2) on B_1 is 4; a cut-off of 0.25 would drop the
+    # 4 sqrt(0.25) = 2 inside it and fail the 2 % check by far
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["damping"].eta)
+        return forward_summary(*args, **kwargs)
+    monkeypatch.setattr(scenarios, "forward_summary", recording)
+    report = run_scenario(resolve({"scenario_id": "counterexample_L1_damping", "eta": 0.25,
+                                   "diagnostics": ["damping_l1"],
+                                   "output_dir": str(tmp_path)}))
+    result = report.results[0]
+    assert seen == [0.0]
+    assert result.passed, result.values
+    assert result.values["relative_error"] <= 0.02
 
 
 def test_damping_l1_with_zero_mass_fails_and_says_why(tmp_path):

@@ -142,7 +142,7 @@ def test_weak_residual_matches_gamma_trace_identity():
 
     rep = weak_residual(u, beta, phi, spec, dmp, u0)
 
-    trace = gamma_trace(u, beta, phi.space, spec, dmp, 0.0)
+    trace = gamma_trace(u, beta, phi.space, spec, dmp)
     eta = phi.window(quad.times)
     eta_prime = phi.window.prime(quad.times)
     tw = quad.time_weights
@@ -197,7 +197,7 @@ def test_weak_form_matches_per_time_node_loop(d, autonomous):
     beta, phi, u0 = make_beta_arctan(1.0), compact_space_time(d, 1.0, 1.5), u0_fn("bump", d)
     residual, rhs = _per_node_reference(u, beta, phi, spec, dmp, u0)
     assert weak_residual(u, beta, phi, spec, dmp, u0).residual == residual
-    assert np.array_equal(gamma_trace(u, beta, phi.space, spec, dmp, 0.0).rhs, rhs)
+    assert np.array_equal(gamma_trace(u, beta, phi.space, spec, dmp).rhs, rhs)
 
 
 # --- Gamma traces ----------------------------------------------------------------
@@ -206,7 +206,7 @@ def test_gamma_trace_zero_density():
     spec, dmp = field("zero", T=1.0), damping("zero")
     quad = make_quadrature(1, 2.0, 64, 1.0, 32)
     u = _zeros(quad)
-    trace = gamma_trace(u, make_beta_arctan(1.0), make_phi_R(2.0, 1), spec, dmp, 0.0)
+    trace = gamma_trace(u, make_beta_arctan(1.0), make_phi_R(2.0, 1), spec, dmp)
     assert np.all(trace.values == 0.0)
     assert np.all(trace.rhs == 0.0)
 
@@ -218,14 +218,14 @@ def test_gamma_trace_rejects_nan_damping():
     quad = make_quadrature(1, 2.0, 16, 1.0, 8)
     u = _zeros(quad)
     with pytest.raises(NonFiniteDampingError):
-        gamma_trace(u, make_beta_arctan(1.0), make_phi_R(2.0, 1), spec, dmp, 0.0)
+        gamma_trace(u, make_beta_arctan(1.0), make_phi_R(2.0, 1), spec, dmp)
 
 
 def test_gamma_trace_constant_solution():
     spec, dmp, u0 = field("zero", T=1.0), damping("zero"), u0_fn("bump")
     quad = make_quadrature(1, 2.0, 128, 1.0, 64)
     u = _solution_on(quad, spec, dmp, u0, steps=8)
-    trace = gamma_trace(u, make_beta_arctan(1.0), make_phi_R(2.0, 1), spec, dmp, 0.0)
+    trace = gamma_trace(u, make_beta_arctan(1.0), make_phi_R(2.0, 1), spec, dmp)
     dgamma = np.abs(np.diff(trace.values) / np.diff(trace.times))
     assert np.max(dgamma) <= 1e-8
     assert trace.consistency <= 1e-8
@@ -236,7 +236,7 @@ def test_gamma_trace_nonnegative_for_nonnegative_renormalizer():
     spec, dmp, u0 = field("linear_expand"), damping("zero"), u0_fn("bump")
     quad = make_quadrature(1, 3.0, 64, 1.0, 16)
     u = _solution_on(quad, spec, dmp, u0, steps=32)
-    trace = gamma_trace(u, make_beta_log(1e-3), make_phi_R(2.0, 1), spec, dmp, 0.0)
+    trace = gamma_trace(u, make_beta_log(1e-3), make_phi_R(2.0, 1), spec, dmp)
     assert np.all(trace.values >= 0.0)
 
 
@@ -248,7 +248,7 @@ def test_gamma_trace_consistency_second_order():
         quad = make_quadrature(1, 3.0, n, 1.0, n)
         u = _solution_on(quad, spec, dmp, u0, steps=max(64, n))
         trace = gamma_trace(u, make_beta_arctan(1.0), make_phi_R(2.0, 1),
-                            spec, dmp, 0.0)
+                            spec, dmp)
         cons.append(trace.consistency)
     assert cons[-1] < cons[0]
     assert np.log2(cons[0] / cons[-1]) / 2.0 >= 1.7
@@ -286,6 +286,21 @@ def test_l2_energy_contractive_flow():
     assert np.max(np.abs(curve - expected)) <= 1e-3 * curve[0]
 
 
+def test_l2_energy_curve_and_envelope_match_closed_forms():
+    # b = x, c = 0 in 1-D: u(t, x) = u0(x e^{-t}) e^{-t}, so the energy is
+    # e^{-t} E0 on the whole line, and the box of radius 3 holds the support
+    # of u0 (radius 0.8) stretched by e. Declaring sup_c(t) = t, a true bound
+    # on c = 0, makes the envelope's rate 2t + 1, whose trapezoid is exact:
+    # the envelope is E0 exp(t + t^2). A left-Riemann cumtrapz moves it by 6 %
+    spec, u0 = field("linear_expand"), u0_fn("bump")
+    dmp = dataclasses.replace(damping("zero"), sup_c=lambda t: t)
+    quad = make_quadrature(1, 3.0, 256, 1.0, 16)
+    u = _solution_on(quad, spec, dmp, u0, steps=256)
+    times, curve, envelope = l2_energy_diagnostic(u, spec, dmp)
+    assert np.max(np.abs(curve - curve[0] * np.exp(-times))) <= 1e-9 * curve[0]
+    assert np.max(np.abs(envelope - curve[0] * np.exp(times + times**2))) <= 1e-14 * curve[0]
+
+
 def test_l2_energy_rejects_singular_damping():
     spec, dmp, u0 = field("zero", T=1.0), damping("inv_sqrt"), u0_fn("bump")
     quad = make_quadrature(1, 2.0, 32, 1.0, 8)
@@ -299,7 +314,7 @@ def test_l2_energy_rejects_singular_damping():
 def _log_gronwall(u, delta, R, spec, dmp, growth):
     """(Gamma trace, plain Gronwall constants) at (delta, R)."""
     phi_R = make_phi_R(R, u.quad.d)
-    trace = gamma_trace(u, make_beta_log(delta), phi_R, spec, dmp, 0.0)
+    trace = gamma_trace(u, make_beta_log(delta), phi_R, spec, dmp)
     return trace, gronwall_constants(profile(spec.div_sup, u.times), dmp, growth,
                                      phi_R, u.times)
 
