@@ -305,18 +305,27 @@ class SuperlevelReport:
     r_squared: Optional[float]
 
 
-def _tail(profile, level):
-    """``np.sum`` of f - level over the samples f > level in grid order, bit for bit.
+def _hit_counts(profile, levels):
+    """Samples above each level, from one pass over the blocks above any of them."""
+    counts = [0] * len(levels)
+    keep = np.any(profile.block_max[:, None] > np.array(levels, dtype=float), axis=1)
+    for _, cur in profile.sampled_blocks(keep):
+        for i, level in enumerate(levels):
+            counts[i] += int(np.count_nonzero(cur > level))
+    return counts
 
-    Only the blocks whose max exceeds the level are sampled. A first pass
-    counts their hits, which fixes the length of the gathered excess and so
-    its pairwise tree; a second passes each block's excess, in grid order,
-    through one leaf buffer, and reduces each leaf as it fills.
+
+def _tail(profile, level, n):
+    """``np.sum`` of f - level over the n samples f > level in grid order, bit for bit.
+
+    Only the blocks whose max exceeds the level are sampled. The hit count
+    n (``_hit_counts``) fixes the length of the gathered excess and so its
+    pairwise tree; each block's excess passes, in grid order, through one
+    leaf buffer, and each leaf is reduced as it fills.
     """
-    keep = profile.block_max > level
-    n = sum(int(np.count_nonzero(cur > level)) for _, cur in profile.sampled_blocks(keep))
     if not n:
         return 0.0
+    keep = profile.block_max > level
     leaves = iter(_leaves(n))
     s, e = next(leaves)
     leaf = np.empty(min(profile.block, n))
@@ -342,8 +351,9 @@ def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
     The sign check reads the block minima, and the average is the profile's
     mean over B_M. ``bmo_norm`` verified that every nonzero sample lies in
     the closed B_M, and no level is negative, so the samples above a level
-    lie there too; each tail samples only the blocks whose max exceeds its
-    level (``_tail``). With gradual underflow, f - s > 0 exactly when
+    lie there too. One pass over the blocks above any level counts the hits
+    of every level (``_hit_counts``); each tail then gathers only the blocks
+    whose max exceeds its level (``_tail``). With gradual underflow, f - s > 0 exactly when
     f > s, so each tail sums the same numbers in the same order as
     ``np.sum(excess[excess > 0])`` with ``excess = f - s`` over the whole
     grid.
@@ -357,7 +367,9 @@ def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
 
     average = profile.core_mean
     bound = 2.0 ** (profile.d + 1) * sigma
-    tails = [_tail(profile, lam * sigma) * profile.cell_volume for lam in lambdas]
+    levels = [lam * sigma for lam in lambdas]
+    tails = [_tail(profile, level, n) * profile.cell_volume
+             for level, n in zip(levels, _hit_counts(profile, levels))]
 
     noninc = all(b <= a + 1e-12 for a, b in zip(tails[:-1], tails[1:]))
     convex = True

@@ -133,9 +133,9 @@ _RULES = {
                                            "dimension", None) == s.dimension,
                       "not in the catalog of {s.dimension}-D fields"),
     "damping_id": _Rule(lambda v, s: _built(DAMPING_CATALOG, v, s.dimension) is not None,
-                        "not in the catalog"),
+                        "not in the catalog of {s.dimension}-D dampings"),
     "u0_id": _Rule(lambda v, s: _built(U0_CATALOG, v, s.dimension) is not None,
-                   "not in the catalog"),
+                   "not in the catalog of {s.dimension}-D initial data"),
     "seeds_per_axis": _Rule(
         lambda v, s: _integer(v, 1) or (_listed(v, lambda x: _integer(x, 1))
                                         and len(v) == s.dimension),

@@ -11,6 +11,11 @@ pipeline they replaced, which held one float per cell of the profile, is
 kept below as the bit-for-bit reference for the averages, oscillations,
 B_M mean, John-Nirenberg measures and superlevel tails, with
 ``array_sampler``, which reads such an array through a block sampler.
+
+``mollify`` shifts its points coordinate-major and re-shifts only the
+coordinates whose kernel offset changed; ``space_conv``, the per-node loop
+it replaced, shifts every coordinate of every node and is kept as its
+bit-for-bit reference.
 """
 
 from dataclasses import dataclass
@@ -22,8 +27,8 @@ from rough_transport.bmo import (_CHUNK, _PAIRWISE_BLOCK, JNFit, SuperlevelRepor
                                  _pairwise_sum)
 from rough_transport.errors import (DegenerateFitError, EmptyBallError, NegativeInputError,
                                     NonFiniteProfileError, StepBlowupError)
-from rough_transport.fields import (DampingFieldSpec, VelocityFieldSpec, sample_damping,
-                                    sample_nodes)
+from rough_transport.fields import (DampingFieldSpec, MollifierSpec, VelocityFieldSpec,
+                                    sample_damping, sample_nodes)
 from rough_transport.flow import (ESCAPE_FACTOR, SeedGrid, _check_divergence,
                                   _check_truncation, _div_sup_integral, _rk4_path)
 from rough_transport.numerics import CellGrid, ball_volume, cumtrapz, log_linear_fit
@@ -401,3 +406,29 @@ def _log_core_samples(grid, M):
     np.copyto(core, 1.0, where=zero)
     np.log(core, out=core)
     return vals
+
+
+def space_conv(fun, moll: MollifierSpec, t, x):
+    """``mollify``'s space convolution of ``fun`` at (t, x), one node at a time.
+
+    Every coordinate of every kernel node is shifted, in the (..., d) layout
+    of ``x``, and the weighted values are summed left to right in place. A
+    (d,) point gives a 0-d value to the first product, which numpy returns
+    as a scalar, so a scalar-valued ``fun`` needs (N, d) points here.
+    """
+    eoffset_rows = (moll.eps * moll.space_offsets).tolist()
+    sweights = moll.space_weights
+    x = np.asarray(x, dtype=float)
+    shifted = np.empty(x.shape)
+    columns = [(x[..., j], shifted[..., j]) for j in range(x.shape[-1])]
+    acc = tmp = None
+    for q, offset in enumerate(eoffset_rows):
+        for (xj, sj), oj in zip(columns, offset):
+            np.subtract(xj, oj, out=sj)
+        val = np.asarray(fun(t, shifted), dtype=float)
+        if acc is None:
+            acc = sweights[q] * val
+            tmp = np.empty(acc.shape)
+        else:
+            np.add(acc, np.multiply(sweights[q], val, out=tmp), out=acc)
+    return acc

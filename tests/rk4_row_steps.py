@@ -1,27 +1,33 @@
-"""RK4 row-steps per scenario at default configurations, as JSON.
+"""RK4 row-steps and base-field evaluations per scenario, as JSON.
 
     PYTHONPATH=src python3 tests/rk4_row_steps.py [SCENARIO ...]
 
 Every characteristic sweep runs through ``flow._rk4_path``; this script
 wraps it and sums, over its calls, the step count of every row (a row of
 ``steps`` steps counts ``steps`` row-steps), while each named scenario (by
-default all of them) runs its diagnostics in this process. The counts do
-not depend on the host, so they pin the RK4 work of a change that should
-not move it; the golden test in ``test_scenarios.py`` asserts them through
-the same wrapper, against ``BENCH_1.json``. Not collected by pytest: the
-file name does not start with ``test_``.
+default all of them) runs its diagnostics in this process. It also wraps
+the scenario's entry of ``scenarios.FIELD_CATALOG`` and counts the calls of
+the built field's ``eval_b`` and ``eval_div_b`` and the points they are
+given (a (..., d) array counts its leading size), before any mollification.
+The counts do not depend on the host, so they pin the RK4 and field work
+of a change that should not move it; the golden test in
+``test_scenarios.py`` asserts them through the same wrappers, against
+``BENCH_1.json`` and ``BENCH_2.json``. Not collected by pytest: the file
+name does not start with ``test_``.
 """
 
 import json
+import math
 import sys
 import tempfile
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
 from rough_transport import flow
 from rough_transport.config import resolve
-from rough_transport.scenarios import REGISTRY, run_scenario
+from rough_transport.scenarios import FIELD_CATALOG, REGISTRY, run_scenario
 
 
 @contextmanager
@@ -40,18 +46,46 @@ def counting_row_steps():
         flow._rk4_path = real
 
 
-def row_steps(scenario_id):
-    """(row-steps over every ``_rk4_path`` call, whether every diagnostic passed)."""
-    with counting_row_steps() as total, tempfile.TemporaryDirectory() as out:
+@contextmanager
+def counting_field_evals(field_id):
+    """Yield {"eval_b": [calls, points], "eval_div_b": [calls, points]} of a catalog field."""
+    real = FIELD_CATALOG[field_id]
+    counts = {"eval_b": [0, 0], "eval_div_b": [0, 0]}
+
+    def counted(fn, tally):
+        def call(t, x):
+            tally[0] += 1
+            tally[1] += math.prod(np.shape(x)[:-1])
+            return fn(t, x)
+        return call
+
+    def build(d, T):
+        spec = real(d, T)
+        return replace(spec, eval_b=counted(spec.eval_b, counts["eval_b"]),
+                       eval_div_b=counted(spec.eval_div_b, counts["eval_div_b"]))
+
+    FIELD_CATALOG[field_id] = build
+    try:
+        yield counts
+    finally:
+        FIELD_CATALOG[field_id] = real
+
+
+def work_counts(scenario_id):
+    """(RK4 row-steps, base-field evaluations, whether every diagnostic passed)."""
+    with (counting_row_steps() as total,
+          counting_field_evals(REGISTRY[scenario_id].field_id) as evals,
+          tempfile.TemporaryDirectory() as out):
         report = run_scenario(resolve({"scenario_id": scenario_id, "output_dir": out}))
-    return total[0], report.passed
+    return total[0], evals, report.passed
 
 
 def main(argv):
-    counts, passed = {}, {}
+    counts, evals, passed = {}, {}, {}
     for sid in argv or list(REGISTRY):
-        counts[sid], passed[sid] = row_steps(sid)
-    print(json.dumps({"rk4_row_steps": counts, "passed": passed}, indent=2))
+        counts[sid], evals[sid], passed[sid] = work_counts(sid)
+    print(json.dumps({"rk4_row_steps": counts, "base_field_evals": evals,
+                      "passed": passed}, indent=2))
     return 0 if all(passed.values()) else 1
 
 

@@ -711,11 +711,15 @@ def test_sweeps_sample_each_block_once_and_skip_unreachable_blocks():
     calls.clear()
     lambdas = [9.0, 12.0, 16.0]
     lemma52_checks(prof, lambdas)
-    # a count pass and a gather pass per level, over the centre blocks only
-    reached = [b for b, top in zip(blocks, prof.block_max)
-               if top > min(lambdas) * prof.norm_star]
+    # one count pass for every level, then a gather pass per level, each in
+    # grid order over the centre blocks that reach its level only
+    def reaching(lam):
+        return [b for b, top in zip(blocks, prof.block_max) if top > lam * prof.norm_star]
+    reached = reaching(min(lambdas))
     assert 0 < len(reached) <= 2
-    assert sorted(calls) == sorted(reached * 2 * len(lambdas))
+    assert calls == reached + [b for lam in lambdas for b in reaching(lam)]
+    # a count pass per level would take len(reached) * 2 * len(lambdas)
+    assert len(calls) == len(reached) * (1 + len(lambdas))
 
 
 def test_support_allocates_no_slab():

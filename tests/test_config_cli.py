@@ -76,7 +76,7 @@ def test_null_u0_id_rejected(tmp_path):
     # every runner may read u0, so a null initial datum is a catalog violation
     with pytest.raises(ValidationError) as err:
         resolve({"scenario_id": "identity", "u0_id": None})
-    assert err.value.violations == ["u0_id: None not in the catalog"]
+    assert err.value.violations == ["u0_id: None not in the catalog of 1-D initial data"]
     assert main(["run", _write(tmp_path, {"scenario_id": "identity",
                                           "u0_id": None})]) == 2
 
@@ -125,6 +125,7 @@ def test_cross_dimension_fields_are_rejected():
 # the damping and the initial datum that read only x_1 build d = 1 alone; the
 # others build any d
 CATALOGS = {"damping_id": DAMPING_CATALOG, "u0_id": U0_CATALOG}
+KINDS = {"damping_id": "dampings", "u0_id": "initial data"}
 ONE_DIMENSIONAL = {("damping_id", "inv_sqrt"), ("u0_id", "indicator_unit")}
 ENTRY_PAIRS = [(sid, key, eid) for sid in REGISTRY for key in CATALOGS for eid in CATALOGS[key]]
 CROSS_DIMENSION_ENTRIES = [(sid, key, eid) for sid, key, eid in ENTRY_PAIRS
@@ -143,7 +144,7 @@ def test_cross_dimension_dampings_and_data_are_rejected():
             CATALOGS[key][eid](REGISTRY[sid].dimension)
         with pytest.raises(ValidationError) as err:
             resolve({"scenario_id": sid, key: eid})
-        assert err.value.violations == [f"{key}: {eid!r} not in the catalog"]
+        assert err.value.violations == [f"{key}: {eid!r} not in the catalog of 2-D {KINDS[key]}"]
     for sid, key, eid in ENTRY_PAIRS:
         if (sid, key, eid) not in CROSS_DIMENSION_ENTRIES:
             assert getattr(resolve({"scenario_id": sid, key: eid}), key) == eid

@@ -18,6 +18,7 @@ from rough_transport.testfunctions import compact_space_time
 from rough_transport.weakform import weak_residual
 
 from conftest import damping, field, unit_damping
+from reference import space_conv
 
 
 def test_zero_field_values():
@@ -233,11 +234,12 @@ def test_mollified_shear_matches_per_node_sum():
 def test_mollifier_sum_survives_aliased_field_values(kind):
     # the convolution reuses one buffer for the shifted points and sums in
     # place; a field that hands back that buffer or one array of its own
-    # must still give the plain per-node sum, and its array stays untouched
+    # must still give the plain per-node sum and the reference loop's bits,
+    # and neither the caller's points nor the field's array is written to
     d, eps = 2, 0.1
     pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(40, d))
     cached = np.random.default_rng(6).normal(size=pts.shape)
-    kept = cached.copy()
+    kept, pts_kept = cached.copy(), pts.copy()
     base = (lambda t, x: x) if kind == "returns_input" else (lambda t, x: cached)
     spec = VelocityFieldSpec(dimension=d, eval_b=base,
                              eval_div_b=lambda t, x: np.zeros(x.shape[:-1]),
@@ -251,7 +253,63 @@ def test_mollifier_sum_survives_aliased_field_values(kind):
     for q in range(1, offsets.shape[0]):
         acc = acc + weights[q] * np.array(base(0.5, pts - eps * offsets[q]))
     assert np.array_equal(got, acc)
-    assert np.array_equal(cached, kept)
+    assert got.tobytes() == space_conv(base, moll, 0.5, pts).tobytes()
+    assert got.flags.c_contiguous
+    assert not np.shares_memory(got, pts) and not np.shares_memory(got, cached)
+    assert np.array_equal(cached, kept) and np.array_equal(pts, pts_kept)
+
+
+# the catalog fields a mollifier can smooth, at the dimension they build
+MOLLIFIED_FIELDS = [("shear", 2), ("rotation", 2), ("linear_expand", 1),
+                    ("compact_bump", 1), ("log_drift", 1)]
+
+
+@pytest.mark.parametrize("lead", [(), (64,), (5, 64)], ids=["d", "N_d", "K1_N_d"])
+@pytest.mark.parametrize("field_id,d", MOLLIFIED_FIELDS)
+def test_space_conv_matches_the_reference_loop_bit_for_bit(field_id, d, lead):
+    # the coordinate-major shifts, with the unchanged coordinates left in
+    # place, give the per-node loop's bits for (d,), (N, d) and (K+1, N, d)
+    # points, on both convolved callables, in a C-contiguous result. Points
+    # on the lattice of the mollifier's offsets hit the fields' kinks and
+    # jumps (y = 0 of the shear, |x| = 1, x = 0 of log_drift) exactly
+    moll = make_mollifier(0.1, d)
+    base = field(field_id, d=d)
+    smooth = mollify(base, moll)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1.5, 1.5, size=lead + (d,))
+    if lead:
+        x.reshape(-1, d)[:16] = 0.1 * moll.space_offsets[:16]
+    for fn, conv in ((base.eval_b, smooth.eval_b), (base.eval_div_b, smooth.eval_div_b)):
+        got = conv(0.5, x)
+        # the reference's scalar first product breaks a 0-d value, so it
+        # reads a (d,) point as a one-point batch
+        want = space_conv(fn, moll, 0.5, np.atleast_2d(x))
+        assert got.shape == np.shape(fn(0.5, x))
+        assert got.tobytes() == want.tobytes()
+        assert isinstance(got, np.ndarray) and got.flags.c_contiguous
+
+
+def test_space_conv_reshifts_a_coordinate_when_its_offset_flips_the_sign_of_zero():
+    # 0.0 == -0.0, yet -0.0 - 0.0 is -0.0 and -0.0 - (-0.0) is 0.0: a shift
+    # skipped because the offsets compare equal would hand the field the
+    # previous node's zero, and copysign reads its sign
+    moll0 = make_mollifier(1.0, 2)
+    moll = dataclasses.replace(
+        moll0,
+        space_offsets=np.array([[0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [-0.0, 0.0]]),
+        space_weights=np.array([0.125, 0.25, 0.5, 0.125]))
+    spec = VelocityFieldSpec(
+        dimension=2, eval_b=lambda t, x: np.copysign(1.0, x),
+        eval_div_b=lambda t, x: np.copysign(1.0, x[..., 0]) + 2.0 * np.copysign(1.0, x[..., 1]),
+        continuous=True, div_sup=lambda t: 0.0, horizon=1.0)
+    smooth = mollify(spec, moll)
+    x = np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
+    b = smooth.eval_b(0.0, x)
+    div = smooth.eval_div_b(0.0, x)
+    assert b.tobytes() == space_conv(spec.eval_b, moll, 0.0, x).tobytes()
+    assert div.tobytes() == space_conv(spec.eval_div_b, moll, 0.0, x).tobytes()
+    # at (-0, -0) the shifted points are (-0, -0), (-0, 0), (0, 0), (0, -0)
+    assert b[0].tolist() == [-0.125 - 0.25 + 0.5 + 0.125, -0.125 + 0.25 + 0.5 - 0.125]
 
 
 def test_mollified_field_is_tagged_smooth(shear_field):

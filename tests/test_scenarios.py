@@ -22,10 +22,11 @@ from rough_transport.scenarios import REGISTRY, _check, build_context, run_scena
 from rough_transport.weakform import gamma_trace, weak_residual
 
 from golden_diff import GOLDEN_DIR, diff_scenario, listing
-from rk4_row_steps import counting_row_steps
+from rk4_row_steps import counting_field_evals, counting_row_steps
 
 SRC_DIR = Path(scenarios.__file__).resolve().parents[1]
 BENCH_1 = Path(__file__).resolve().parents[1] / "BENCH_1.json"
+BENCH_2 = BENCH_1.with_name("BENCH_2.json")
 
 
 @pytest.mark.parametrize("scenario_id", list(REGISTRY))
@@ -33,12 +34,14 @@ def test_default_run_matches_golden_artifacts(scenario_id, tmp_path):
     # the golden files were written with output_dir ".bench_out/<id>", which
     # provenance.csv echoes; the report itself goes to tmp_path. A failure
     # lists the changed cells; the bytes stay the verdict. The RK4 row-steps
-    # are host-independent counts, so the same run pins the scenario's RK4
-    # work (turning off pointwise_solution's step sharing multiplies
-    # identity's by 77 and keeps every verdict)
+    # and the base field's calls and points are host-independent counts, so
+    # the same run pins the scenario's RK4 and field work (turning off
+    # pointwise_solution's step sharing multiplies identity's row-steps by
+    # 77 and keeps every verdict; shear_bv's field work is its mollified
+    # convolutions)
     cfg = resolve({"scenario_id": scenario_id,
                    "output_dir": f".bench_out/{scenario_id}"})
-    with counting_row_steps() as row_steps:
+    with counting_row_steps() as row_steps, counting_field_evals(cfg.field_id) as evals:
         report = run_scenario(cfg)
     report.write(str(tmp_path))
     golden = GOLDEN_DIR / scenario_id
@@ -49,6 +52,7 @@ def test_default_run_matches_golden_artifacts(scenario_id, tmp_path):
             f"{scenario_id}/{name} differs from the golden copy:\n" \
             + listing(diff_scenario(tmp_path, scenario_id))
     assert row_steps[0] == json.loads(BENCH_1.read_text())["rk4_row_steps"][scenario_id]
+    assert evals == json.loads(BENCH_2.read_text())["base_field_evals"][scenario_id]
 
 
 def test_golden_diff_lists_exactly_the_changed_cell_and_the_added_row(tmp_path):
