@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (BadSplitError, DegenerateFitError, EmptyBallError,
                      LambdaTooSmallError, NegativeInputError,
                      NonFiniteProfileError)
-from .fields import DampingFieldSpec, GrowthSplit
+from .fields import DampingFieldSpec, VelocityFieldSpec
 from .numerics import CellGrid, ball_volume, log_linear_fit, tensor_points, trapz
 from .renormalization import TestFunctionPhiR
 from .weakform import GronwallBoundData, gronwall_constants
@@ -248,29 +248,26 @@ def jn_decay_check(profile: BMOProfile, eta_grid) -> JNFit:
     """Fit measure{|f - (f)_{B_M}| > eta} to C Leb(B_M) exp(-c eta / ||f||*).
 
     All-empty superlevels report trivial decay; fewer than three nonempty
-    levels cannot be fitted. Only the blocks that can reach a level are
-    sampled: rounding is monotone, so no sample of a block deviates from
-    the mean by more than the block's min or max does, and a block whose
-    bound is at most every level is skipped unread. In a sampled block the
-    B_M cells become |f - mean| in place, and the integer counts add up
-    exactly.
+    levels cannot be fitted. The superlevels are counted by ``_hit_counts``,
+    bounding each block by its reach: rounding is monotone, so no sample of
+    a block deviates from the mean by more than the block's min or max
+    does, and a block whose reach is at most every level is skipped unread.
+    In a sampled block the B_M cells become |f - mean| in place, and the
+    integer counts add up exactly.
     """
     if profile.norm_star <= 0.0:
         raise ValueError("decay fit needs a nonconstant profile")
     avg = profile.core_mean
     etas = [float(e) for e in eta_grid]
     reach = np.maximum(np.abs(profile.block_min - avg), np.abs(profile.block_max - avg))
-    above = np.empty(min(profile.block, profile.grid.shape[0]), dtype=bool)
 
-    counts = [0] * len(etas)
-    for start, cur in profile.sampled_blocks(reach > min(etas, default=np.inf)):
-        live = [k for k, e in enumerate(etas) if reach[start // profile.block] > e]
+    def deviation(start, cur):
         a, b = _clip(profile.core_run, start, start + cur.size)
         dev = cur[a - start:b - start]
         np.subtract(dev, avg, out=dev)
-        np.abs(dev, out=dev)
-        for k in live:
-            counts[k] += int(np.count_nonzero(np.greater(dev, etas[k], out=above[:dev.size])))
+        return np.abs(dev, out=dev)
+
+    counts = _hit_counts(profile, etas, reach, deviation)
     measures = [float(c) * profile.cell_volume for c in counts]
     nonzero = [(e, m) for e, m in zip(etas, measures) if m > 0.0]
     if not nonzero:
@@ -305,13 +302,22 @@ class SuperlevelReport:
     r_squared: Optional[float]
 
 
-def _hit_counts(profile, levels):
-    """Samples above each level, from one pass over the blocks above any of them."""
+def _hit_counts(profile, levels, bound=None, value=None):
+    """Values above each level, from one pass over the blocks that can reach any of them.
+
+    ``bound`` holds an upper bound of each block's values, the block maxima
+    by default, and a block counts only the levels below its bound.
+    ``value(start, samples)`` maps a sampled block to the values it counts,
+    the samples themselves by default.
+    """
+    bound = profile.block_max if bound is None else bound
     counts = [0] * len(levels)
-    keep = np.any(profile.block_max[:, None] > np.array(levels, dtype=float), axis=1)
-    for _, cur in profile.sampled_blocks(keep):
+    for start, cur in profile.sampled_blocks(bound > min(levels, default=np.inf)):
+        top = bound[start // profile.block]
+        vals = cur if value is None else value(start, cur)
         for i, level in enumerate(levels):
-            counts[i] += int(np.count_nonzero(cur > level))
+            if top > level:
+                counts[i] += int(np.count_nonzero(vals > level))
     return counts
 
 
@@ -421,7 +427,7 @@ def choose_tau0(sigma, c_fit, horizon):
     return 0.5 * (lo_t + hi_t)
 
 
-def bmo_gronwall_family(lambdas, profile: BMOProfile, jn: JNFit, growth: GrowthSplit,
+def bmo_gronwall_family(lambdas, profile: BMOProfile, jn: JNFit, growth: VelocityFieldSpec,
                         damping: DampingFieldSpec, phi_R: TestFunctionPhiR,
                         times) -> list[GronwallBoundData]:
     """Constants of the lambda-family Gronwall bound on [0, tau0], one per lambda.

@@ -48,7 +48,7 @@ class VelocityFieldSpec:
     autonomous: bool = True
     growth_b1: Optional[Callable] = None        # (t, x) -> nonnegative
     growth_b2: Optional[Callable] = None        # t -> nonnegative
-    growth_b1_tail: Optional[Callable] = None   # (t, R) -> L1 norm of b1 outside B_R
+    growth_b1_tail: Optional[Callable] = None   # (t, R) -> L1 norm of b1 outside B_R; None is 0
     label: str = ""
 
     def __post_init__(self):
@@ -87,23 +87,6 @@ class DampingFieldSpec:
         if self.l1_spatial is None:
             return np.zeros_like(times)
         return profile(self.l1_spatial, times)
-
-
-@dataclass(frozen=True)
-class GrowthSplit:
-    """Nonnegative pair with |b(t,x)|/(1+|x|) <= b1(t,x) + b2(t).
-
-    ``b1_tail_l1(t, R)`` returns the L1 norm of b1(t, .) outside the ball of
-    radius R; it feeds the localization constant C_R of the logarithmic
-    Gronwall bound and must vanish as R grows.
-    """
-
-    b1: Callable
-    b2: Callable
-    b1_tail_l1: Callable
-
-
-ZERO_TAIL = lambda t, R: 0.0  # noqa: E731  (shared trivial tail)
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +274,16 @@ def sample_damping(damping: DampingFieldSpec, times, nodes):
 # operations
 # ---------------------------------------------------------------------------
 
-def growth_split(spec: VelocityFieldSpec, rng=None) -> GrowthSplit:
-    """Return the field's declared growth split, verified on random samples.
+def growth_split(spec: VelocityFieldSpec, rng=None) -> VelocityFieldSpec:
+    """Return the field once its declared growth split holds on random samples.
 
     The scenario author supplies b1, b2 with the field; this operation
     checks |b(t,x)|/(1+|x|) <= b1(t,x) + b2(t) + 1e-12 on 10 000 uniform
     points of [0, T] x [-10, 10]^d and raises SplitViolationError with a
-    witness otherwise.
+    witness otherwise. The split is read from the field itself:
+    ``growth_b1_tail(t, R)``, the L1 norm of b1(t, .) outside B_R, feeds the
+    localization constant C_R of the logarithmic Gronwall bound, and a field
+    that declares none has a zero tail.
     """
     if spec.growth_b1 is None or spec.growth_b2 is None:
         raise ValueError(f"field {spec.label!r} declares no growth split")
@@ -320,8 +306,7 @@ def growth_split(spec: VelocityFieldSpec, rng=None) -> GrowthSplit:
             f"|b|/(1+|x|)={lhs[i]:.6g} > b1+b2={rhs[i]:.6g}",
             t=float(ts[i]), x=xs[i].copy(), lhs=float(lhs[i]), rhs=float(rhs[i]),
         )
-    tail = spec.growth_b1_tail if spec.growth_b1_tail is not None else ZERO_TAIL
-    return GrowthSplit(b1=spec.growth_b1, b2=spec.growth_b2, b1_tail_l1=tail)
+    return spec
 
 
 def check_divergence_consistency(spec: VelocityFieldSpec, rng=None, sample_radius=2.0):

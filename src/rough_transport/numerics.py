@@ -33,20 +33,19 @@ def tensor_points(axes):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def sq_norms(x, center=None, out=None):
-    """|x - center|^2 over the last axis of ``x`` (..., d), into ``out`` if given.
+def sq_norms(x, out=None):
+    """|x|^2 over the last axis of ``x`` (..., d), into ``out`` if given.
 
     The squares are summed one coordinate at a time, in coordinate order:
     one pass over all points per coordinate, where a reduction over the
     length-d axis runs numpy's inner loop over just d = 1 or 2 items per
     point, several times slower. numpy's ``add.reduce`` also sums fewer
     than 8 items left to right, so for d < 8 the result equals
-    ``np.sum((x - center) ** 2, -1)`` bit for bit, and its sqrt equals
-    ``np.linalg.norm(x - center, axis=-1)``.
+    ``np.sum(x ** 2, -1)`` bit for bit, and its sqrt equals
+    ``np.linalg.norm(x, axis=-1)``.
 
-    Coordinate 0 is shifted and squared in ``out`` itself, and every later
-    coordinate in one scratch array, so a 1-D call with ``out`` allocates
-    nothing.
+    Coordinate 0 is squared in ``out`` itself, and every later coordinate
+    in one scratch array, so a 1-D call with ``out`` allocates nothing.
     """
     x = np.asarray(x, dtype=float)
     if out is None:
@@ -54,10 +53,7 @@ def sq_norms(x, center=None, out=None):
     tmp = None
     for j in range(x.shape[-1]):
         xj = x[..., j]
-        dst = out if j == 0 else tmp
-        if center is not None:
-            xj = dst = np.subtract(xj, center[j], out=dst)
-        dst = np.multiply(xj, xj, out=dst)
+        dst = np.multiply(xj, xj, out=out if j == 0 else tmp)
         if j > 0:
             np.add(out, dst, out=out)
             tmp = dst
@@ -100,7 +96,7 @@ class CellGrid:
         return tensor_points([self.axis()] * self.dimension)
 
     def ball_runs(self, centers, radii):
-        """Per ball, the cells with ``sqrt(sq_norms(x, center)) < radius`` as one index run.
+        """Per ball, the cells with ``sqrt(t * t) < radius``, t = x - center, as one index run.
 
         Returns, for each (center, radius) pair, the (start, stop) of its
         flat cell indices, start == stop for a ball with no cell; a grid of

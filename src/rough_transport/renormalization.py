@@ -99,44 +99,31 @@ def standard_sweep():
     return sweep
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    bounded_ok: bool
-    rbeta_prime_ok: bool
-    zero_ok: bool
-    derivative_ok: bool
-    witnesses: dict
-
-    @property
-    def passed(self):
-        return self.bounded_ok and self.rbeta_prime_ok and self.zero_ok and self.derivative_ok
-
-
-def check_admissible(ren: Renormalizer) -> AdmissibilityReport:
+def check_admissible(ren: Renormalizer) -> dict:
     """Evaluate the three admissibility conditions on the standard sweep.
 
-    Boundedness and the weighted-derivative bound are checked against the
-    stored sup values. C^1 is proxied by central finite differences of beta
-    against beta_prime on about 2000 sweep points with |r| <= 1e3; the step
-    1e-5 |r| stays below the sqrt(delta) scale on which beta_delta bends.
+    Returns the witnesses of the failed conditions, {condition: (r, value)}
+    under the keys "bounded", "rbeta_prime", "zero" and "derivative"; the
+    dict is empty when beta is admissible. Boundedness and the
+    weighted-derivative bound are checked against the stored sup values.
+    C^1 is proxied by central finite differences of beta against beta_prime
+    on about 2000 sweep points with |r| <= 1e3; the step 1e-5 |r| stays
+    below the sqrt(delta) scale on which beta_delta bends.
     """
     sweep = standard_sweep()
     witnesses = {}
 
     bvals = np.asarray(ren.beta(sweep), dtype=float)
-    bounded_ok = holds_below(np.abs(bvals), ren.sup_beta, 1e-12)
-    if not bounded_ok:
+    if not holds_below(np.abs(bvals), ren.sup_beta, 1e-12):
         i = int(np.argmax(np.abs(bvals)))
         witnesses["bounded"] = (float(sweep[i]), float(bvals[i]))
 
     rb = sweep * np.asarray(ren.beta_prime(sweep), dtype=float)
-    rbeta_ok = holds_below(np.abs(rb), ren.sup_rbeta_prime, 1e-12)
-    if not rbeta_ok:
+    if not holds_below(np.abs(rb), ren.sup_rbeta_prime, 1e-12):
         i = int(np.argmax(np.abs(rb)))
         witnesses["rbeta_prime"] = (float(sweep[i]), float(rb[i]))
 
-    zero_ok = abs(float(ren.beta(0.0))) <= 1e-15
-    if not zero_ok:
+    if not abs(float(ren.beta(0.0))) <= 1e-15:
         witnesses["zero"] = (0.0, float(ren.beta(0.0)))
 
     near = np.abs(sweep) <= 1e3
@@ -145,22 +132,18 @@ def check_admissible(ren: Renormalizer) -> AdmissibilityReport:
     fd = (np.asarray(ren.beta(sub + h)) - np.asarray(ren.beta(sub - h))) / (2.0 * h)
     exact = np.asarray(ren.beta_prime(sub), dtype=float)
     err = np.abs(fd - exact) / (1.0 + np.abs(exact))
-    derivative_ok = bool(np.max(err) <= 1e-6)
-    if not derivative_ok:
+    if not np.max(err) <= 1e-6:
         i = int(np.argmax(err))
         witnesses["derivative"] = (float(sub[i]), float(err[i]))
-
-    return AdmissibilityReport(bounded_ok=bounded_ok, rbeta_prime_ok=rbeta_ok,
-                               zero_ok=zero_ok, derivative_ok=derivative_ok,
-                               witnesses=witnesses)
+    return witnesses
 
 
 def _certified(ren: Renormalizer) -> Renormalizer:
     """ren once check_admissible passes; else the failed conditions and witnesses."""
-    report = check_admissible(ren)
-    if not report.passed:
+    witnesses = check_admissible(ren)
+    if witnesses:
         raise InadmissibleRenormalizerError(f"{ren.label} is not admissible; failed "
-                                            f"condition: (r, value) {report.witnesses}")
+                                            f"condition: (r, value) {witnesses}")
     return ren
 
 

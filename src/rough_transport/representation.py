@@ -86,9 +86,9 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
     ``nodes`` (M+1, N, d) holds the path on ``grids[0]``, the time grid of
     its longest slice. Slice k, on ``grids[k]`` = linspace(0, a_k, m_k + 1),
     is its last m_k + 1 nodes, so X^{-1}(a_k, seeds) is row M - m_k. Only an
-    autonomous b lets slices share a path. div b, and an autonomous c, are
-    sampled once on the path, a time-dependent c on each slice's own grid,
-    ``block`` nodes per call into one (N, M+1) table.
+    autonomous b and c let slices share a path. div b and c are each
+    sampled once on the path, ``block`` nodes per call into one (N, M+1)
+    table.
 
     Each slice's two integrals repeat ``cumtrapz`` on its grid operation for
     operation, through one reused scratch block, on the live rows only: the
@@ -112,19 +112,17 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
     end = np.empty(n)
     out = np.empty((len(grids), n))
 
-    def sample(times, damped):
-        # the table's last len(times) columns, on the nodes of those times;
-        # returns the live rows and their samples
-        skip = rows - times.shape[0]
-        for r in range(skip, rows, block):
-            t, at = times[r - skip:r - skip + block], nodes[r:r + block]
+    def sample(damped):
+        # the table on the path's nodes; returns the live rows and their samples
+        for r in range(0, rows, block):
+            t, at = grids[0][r:r + block], nodes[r:r + block]
             if damped:
                 vals, mask = sample_damping(damping, t, at)
                 masked[:, r:r + block] = mask.T
             else:
                 vals = sample_nodes(field.eval_div_b, field.autonomous, t, at)
             table[:, r:r + block] = vals.T
-        live = np.flatnonzero(np.any(table[:, skip:], axis=1))
+        live = np.flatnonzero(np.any(table, axis=1))
         return live, (table if live.size == n else table[live])
 
     def path_integral(times, live, vals, track_worst):
@@ -156,18 +154,15 @@ def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
             end[live] = run
         return float(worst)
 
-    live, vals = sample(grids[0], damped=False)
+    live, vals = sample(damped=False)
     for k, times in enumerate(grids):
         _check_divergence(path_integral(times, live, vals, True),
                           _div_sup_integral(field, times))
         out[k] = np.exp(end)
 
-    if damping.autonomous:
-        live, vals = sample(grids[0], damped=True)
+    live, vals = sample(damped=True)
     for k, times in enumerate(grids):
         m = times.shape[0] - 1
-        if not damping.autonomous:
-            live, vals = sample(times, damped=True)
         _check_truncation(np.all(masked[:, rows - 1 - m:], axis=1), damping)
         jx_end = out[k]
         if np.any(jx_end <= 0.0) or not np.all(np.isfinite(jx_end)):
@@ -184,12 +179,13 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     The characteristics through (t_k, x_i) differ for each t_k, so each
     slice follows its own backward path, t_k -> 0 in m_k steps; the step
     size is kept near horizon/steps by scaling m_k with t_k. The t = 0
-    slice is u0 on the nose. With b autonomous, the path from x_i depends
-    only on the step t_k / m_k, so slices whose steps are bitwise equal
-    follow prefixes of one path, integrated and sampled once per distinct
-    step; each slice's values are bitwise u0(X^{-1}) / JX * exp(D) from
-    the cumulative trapezoids of div b and c over the full table of its own
-    backward map (the reference the tests keep in ``tests/reference.py``).
+    slice is u0 on the nose. With b and c autonomous, the path from x_i
+    and the samples along it depend only on the step t_k / m_k, so slices
+    whose steps are bitwise equal follow prefixes of one path, integrated
+    and sampled once per distinct step; each slice's values are bitwise
+    u0(X^{-1}) / JX * exp(D) from the cumulative trapezoids of div b and c
+    over the full table of its own backward map (the reference the tests
+    keep in ``tests/reference.py``).
     Only the paths along which div b, or c, is nonzero somewhere are
     summed; the others take the integral 0.0 that their sum would give, so
     the identity build (b = 0, c = 0) runs no cumulative sum at all.
@@ -205,9 +201,8 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     whether the next one fit where the last was freed turned on where
     small objects had landed in the heap, so the peak RSS of the
     ``linear_expand`` build moved by about 5 MB between runs of the same
-    code. When b depends on
-    time, every slice is its own path and chunk. A c that depends on time
-    is sampled per slice on that slice's own time grid.
+    code. When b or c depends on time, every slice is its own path and
+    chunk.
     """
     time_grid = np.asarray(time_grid, dtype=float)
     if time_grid[0] != 0.0:
@@ -222,7 +217,7 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     vals[0] = np.asarray(u0(x), dtype=float)
 
     counts = [max(1, int(round(steps * t / horizon))) for t in anchors]
-    batch = field.autonomous
+    batch = field.autonomous and damping.autonomous
     # slices that share a path, each longest first, the longest paths first
     shared = {}
     for s, h in sorted(enumerate(np.divide(anchors, counts)), key=lambda sh: -counts[sh[0]]):
@@ -238,7 +233,7 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
         else:
             chunks.append([group])
     sweep = np.empty(max((counts[c[0][0]] + 1) * len(c) * x.size for c in chunks)
-                     if batch and chunks else 0)
+                     if field.autonomous and chunks else 0)
     for chunk in chunks:
         paths = backward_paths(field, points, [anchors[g[0]] for g in chunk],
                                [counts[g[0]] for g in chunk], sweep)

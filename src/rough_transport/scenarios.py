@@ -320,7 +320,7 @@ class RunContext:
             self.field, self.seed_grid(), self.cfg.steps))
 
     def growth(self):
-        """The field's growth split, verified once per run on the run's rng.
+        """The field, once its growth split is verified, once per run on the run's rng.
 
         Its samples are the first read of ``rng`` in each of the three
         Gronwall scenarios, the only runs that draw; ``_run_growth_split``'s
@@ -328,38 +328,38 @@ class RunContext:
         """
         return self._memo("growth", lambda: growth_split(self.field, rng=self.rng))
 
-    def density(self, n_space, n_time, radius=None, steps=None):
+    def density(self, n_space, n_time, steps=None):
         """The pointwise representation on the nodes of its own quadrature.
 
-        ``radius`` defaults to the box radius and ``steps`` to the configured
-        ODE step count.
+        The quadrature covers the box of ``cfg.box_radius``; ``steps``
+        defaults to the configured ODE step count.
         """
-        radius = self.cfg.box_radius if radius is None else radius
         steps = self.cfg.steps if steps is None else steps
 
         def build():
-            quad = make_quadrature(self.d, radius, n_space, self.field.horizon, n_time)
+            quad = make_quadrature(self.d, self.cfg.box_radius, n_space,
+                                   self.field.horizon, n_time)
             grid = seeds_from_points(quad.points, quad.cell_volume)
             return DensityRepresentation(quad, pointwise_solution(
                 self.field, self.damping, self.u0, grid, quad.times, steps))
-        return self._memo(("density", n_space, n_time, radius, steps), build)
+        return self._memo(("density", n_space, n_time, steps), build)
 
-    def twin_difference(self, quad_shape, radius):
+    def twin_difference(self, quad_shape):
         """Zero-datum density: the scenario at steps minus 2 steps."""
         def build():
-            coarse = self.density(*quad_shape, radius)
-            fine = self.density(*quad_shape, radius, steps=2 * self.cfg.steps)
+            coarse = self.density(*quad_shape)
+            fine = self.density(*quad_shape, steps=2 * self.cfg.steps)
             return DensityRepresentation(coarse.quad, coarse.values - fine.values)
-        return self._memo(("twin", quad_shape, radius), build)
+        return self._memo(("twin", quad_shape), build)
 
-    def gronwall_bound(self, quad_shape, radius, R):
+    def gronwall_bound(self, quad_shape, R):
         """(phi_R, plain Gronwall constants) on the twin-difference quadrature."""
         def build():
-            times = self.twin_difference(quad_shape, radius).times
+            times = self.twin_difference(quad_shape).times
             phi_R = make_phi_R(R, self.d)
             return phi_R, gronwall_constants(profile(self.field.div_sup, times),
                                              self.damping, self.growth(), phi_R, times)
-        return self._memo(("gronwall", quad_shape, radius, R), build)
+        return self._memo(("gronwall", quad_shape, R), build)
 
     def bmo_profile(self):
         """Sampled log(1/|x|) on B_1 over a fine grid covering B_2.
@@ -603,9 +603,9 @@ def _skip_weak_form(ctx):
 _certified_beta_log = lru_cache(maxsize=None)(make_beta_log)
 
 
-def _run_gronwall_matrix(ctx, quad_shape, quad_radius, check_delta_independent=False):
-    u = ctx.twin_difference(quad_shape, quad_radius)
-    bounds = {R: ctx.gronwall_bound(quad_shape, quad_radius, R) for R in ctx.cfg.r_list}
+def _run_gronwall_matrix(ctx, quad_shape, check_delta_independent=False):
+    u = ctx.twin_difference(quad_shape)
+    bounds = {R: ctx.gronwall_bound(quad_shape, R) for R in ctx.cfg.r_list}
     rows = []
     trace_rows = []
     all_ok = True
@@ -634,12 +634,12 @@ def _run_gronwall_matrix(ctx, quad_shape, quad_radius, check_delta_independent=F
     return _check(metrics, artifacts=(art, art_trace))
 
 
-def _run_uniqueness_probe(ctx, quad_shape, quad_radius):
-    """Superlevel {arctan(u)^2 > 1e-8} on B_R0, R0 = 0.9 quad_radius."""
-    u = ctx.twin_difference(quad_shape, quad_radius)
-    _, data = ctx.gronwall_bound(quad_shape, quad_radius, max(ctx.cfg.r_list))
+def _run_uniqueness_probe(ctx, quad_shape):
+    """Superlevel {arctan(u)^2 > 1e-8} on B_R0, R0 = 0.9 box_radius."""
+    u = ctx.twin_difference(quad_shape)
+    _, data = ctx.gronwall_bound(quad_shape, max(ctx.cfg.r_list))
     deltas = [10.0 ** (-k) for k in range(2, 13, 2)]
-    rep = uniqueness_probe(u, 1e-8, 0.9 * quad_radius, deltas, data)
+    rep = uniqueness_probe(u, 1e-8, 0.9 * ctx.cfg.box_radius, deltas, data)
     ok = rep.verdict == "forces u=0" and all(h for _, _, h in rep.delta_table)
     art = Artifact("uniqueness_probe.csv", ("delta", "rhs_bound", "holds"),
                    rep.delta_table)
@@ -700,7 +700,7 @@ def _run_superlevel_tails(ctx):
 
 
 def _run_bmo_gronwall(ctx):
-    u = ctx.twin_difference((96, 32), 2.0)
+    u = ctx.twin_difference((96, 32))
     phi_R = make_phi_R(ctx.cfg.r_list[0], ctx.d)
     # Gamma depends on (delta, R) alone: one trace per delta serves every lambda
     traces = {delta: gamma_trace(u, _certified_beta_log(delta), phi_R, ctx.field,
@@ -821,7 +821,7 @@ REGISTRY = {s.scenario_id: s for s in (
         runners={
             "growth_split": _run_growth_split,
             "gronwall_log": lambda ctx: _run_gronwall_matrix(
-                ctx, (96, 32), 2.0, check_delta_independent=True),
+                ctx, (96, 32), check_delta_independent=True),
         }),
     Scenario(
         scenario_id="damping_bounded",
@@ -857,8 +857,8 @@ REGISTRY = {s.scenario_id: s for s in (
         defaults={"box_radius": 3.0, "steps": 96,
                   "delta_list": [1e-2, 1e-4, 1e-6], "r_list": [2.0, 4.0, 8.0]},
         runners={
-            "gronwall_log": lambda ctx: _run_gronwall_matrix(ctx, (96, 48), 3.0),
-            "uniqueness_probe": lambda ctx: _run_uniqueness_probe(ctx, (96, 48), 3.0),
+            "gronwall_log": lambda ctx: _run_gronwall_matrix(ctx, (96, 48)),
+            "uniqueness_probe": lambda ctx: _run_uniqueness_probe(ctx, (96, 48)),
         }),
     Scenario(
         scenario_id="bmo_divergence_log",

@@ -19,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SupportOverflowError, UnboundedDampingError
-from .fields import (DampingFieldSpec, GrowthSplit, VelocityFieldSpec, sample_damping,
-                     sample_nodes)
+from .fields import DampingFieldSpec, VelocityFieldSpec, sample_damping, sample_nodes
 from .numerics import cumtrapz, holds_below, order_estimate, profile, stable_sum, trapz
 from .renormalization import Renormalizer, TestFunctionPhiR
 from .representation import DensityRepresentation
@@ -217,27 +216,32 @@ class GronwallBoundData:
         return holds_below(self.window(trace), self.bound(delta), GRONWALL_SLACK)
 
 
-def gronwall_constants(rate, damping: DampingFieldSpec, growth: GrowthSplit,
+def gronwall_constants(rate, damping: DampingFieldSpec, growth: VelocityFieldSpec,
                        phi_R: TestFunctionPhiR, times, decay=None,
                        tau0=None) -> GronwallBoundData:
     """A = int rate + (d+1) b2, B_R = int ||c||_1 + rate ||phi_R||_1 + decay,
     C_R = (d+1) int ||b1||_{L1(B_R^c)} and D = int decay, by trapezoids.
 
+    ``growth`` is the field whose split ``growth_split`` verified; its b2
+    and b1 tail are read from it, and a field with no tail has C_R = 0.
     ``rate`` samples ||div b||_inf on ``times`` for the plain bound, or
     d1 + lambda ||d2||_* for the BMO family, whose ``decay`` samples
     C e^{-c lambda} ||d2||_*; ``tau0`` ends the window, at the last node by default.
     """
     times = np.asarray(times, dtype=float)
     d = phi_R.d
-    b2 = profile(growth.b2, times)
-    a = rate + (d + 1) * b2
+
+    def c_R(R):
+        if growth.growth_b1_tail is None:
+            return 0.0
+        return trapz((d + 1) * profile(growth.growth_b1_tail, times, R), times)
+
+    a = rate + (d + 1) * profile(growth.growth_b2, times)
     b_R = damping.l1_profile(times) + rate * phi_R.l1_norm
     if decay is not None:
         b_R = b_R + decay
-    c_R = (d + 1) * profile(growth.b1_tail_l1, times, phi_R.R)
-    c_limit = (d + 1) * profile(growth.b1_tail_l1, times, 1e18)
     return GronwallBoundData(A=trapz(a, times), B_R=trapz(b_R, times),
-                             C_R=trapz(c_R, times), C_R_limit=trapz(c_limit, times),
+                             C_R=c_R(phi_R.R), C_R_limit=c_R(1e18),
                              D=0.0 if decay is None else trapz(decay, times),
                              tau0=float(times[-1]) if tau0 is None else tau0)
 

@@ -319,24 +319,27 @@ def test_mollified_field_is_tagged_smooth(shear_field):
 # --- growth splits -----------------------------------------------------------
 
 def test_growth_split_zero_field():
-    split = growth_split(field("zero"), rng=np.random.default_rng(1))
-    assert split.b2(0.3) == 0.0
-    assert np.all(np.asarray(split.b1(0.0, np.zeros((4, 1)))) == 0.0)
+    spec = field("zero")
+    split = growth_split(spec, rng=np.random.default_rng(1))
+    assert split is spec            # the split is read from the field itself
+    assert split.growth_b2(0.3) == 0.0
+    assert np.all(np.asarray(split.growth_b1(0.0, np.zeros((4, 1)))) == 0.0)
+    assert split.growth_b1_tail is None     # no tail: C_R reads 0
 
 
 def test_growth_split_linear_field():
     # |x|/(1+|x|) <= 1, so b1 = 0 and b2 = 1 works
     split = growth_split(field("linear_expand"), rng=np.random.default_rng(2))
-    assert split.b2(0.5) == 1.0
+    assert split.growth_b2(0.5) == 1.0
 
 
 def test_growth_split_compact_field():
     split = growth_split(field("compact_bump"), rng=np.random.default_rng(3))
     x = np.array([[0.5], [1.5]])
-    assert tuple(split.b1(0.0, x)) == (1.0, 0.0)
-    assert split.b2(0.1) == 0.0
-    assert split.b1_tail_l1(0.0, 8.0) == 0.0
-    assert split.b1_tail_l1(0.0, 0.5) == pytest.approx(1.0)
+    assert tuple(split.growth_b1(0.0, x)) == (1.0, 0.0)
+    assert split.growth_b2(0.1) == 0.0
+    assert split.growth_b1_tail(0.0, 8.0) == 0.0
+    assert split.growth_b1_tail(0.0, 0.5) == pytest.approx(1.0)
 
 
 def test_growth_split_violation_has_witness():

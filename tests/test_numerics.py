@@ -35,17 +35,17 @@ def _same_bits(a, b):
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("lead", [(257,), (9, 17)])
 @pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("centered", [False, True])
-def test_sq_norms_bitwise_equal_to_numpy(lead, d, centered):
+@pytest.mark.parametrize("into_out", [False, True])
+def test_sq_norms_bitwise_equal_to_numpy(lead, d, into_out):
     x = _samples(lead + (d,), seed=d)
-    c = _samples((d,), seed=10 + d) if centered else None
-    diff = x - c if centered else x
-    got = sq_norms(x, c)
-    assert _same_bits(got, np.sum(diff ** 2, -1))
-    assert _same_bits(np.sqrt(got), np.linalg.norm(diff, axis=-1))
-    if not centered:   # the data reach NaN, overflow and underflow
-        assert np.isnan(got).any() and np.isinf(got).any()
-        assert np.any((got == 0.0) & np.any(x != 0.0, axis=-1))
+    out = np.full(lead, 5.0) if into_out else None
+    got = sq_norms(x, out=out)
+    assert out is None or got is out
+    assert _same_bits(got, np.sum(x ** 2, -1))
+    assert _same_bits(np.sqrt(got), np.linalg.norm(x, axis=-1))
+    # the data reach NaN, overflow and underflow
+    assert np.isnan(got).any() and np.isinf(got).any()
+    assert np.any((got == 0.0) & np.any(x != 0.0, axis=-1))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -57,8 +57,6 @@ def test_sq_norms_fills_out_and_leaves_input(d):
     out = np.full(64, 5.0)
     assert sq_norms(x, out=out) is out
     assert _same_bits(out, np.sum(x ** 2, -1))
-    assert _same_bits(x, kept)
-    assert _same_bits(sq_norms(x, np.ones(d), out=out), np.sum((x - 1.0) ** 2, -1))
     assert _same_bits(x, kept)
 
 

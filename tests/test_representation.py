@@ -472,9 +472,9 @@ def test_pointwise_solution_time_dependent():
     assert np.array_equal(u, ref)
 
 
-def test_pointwise_solution_batches_autonomous_b_with_time_dependent_c(monkeypatch):
-    # the shared sweep integrates only b; c = 1 + t is sampled per slice on
-    # that slice's own time grid, so the batched build stays bitwise exact
+def test_pointwise_solution_sweeps_each_slice_alone_with_time_dependent_c(monkeypatch):
+    # c = 1 + t is sampled along each slice's own path on its own time grid,
+    # so the build stays bitwise exact
     spec = field("linear_expand")
     dmp = DampingFieldSpec(
         eval_c=lambda t, x: np.full(np.asarray(x).shape[:-1], 1.0 + t),
@@ -493,9 +493,9 @@ def test_pointwise_solution_batches_autonomous_b_with_time_dependent_c(monkeypat
     monkeypatch.setattr(flow, "_rk4_path", counting)
     u = pointwise_solution(spec, dmp, u0, grid, times, steps=200)
     assert np.array_equal(u, ref)
-    # all 8 slices step by 1/200, so an autonomous b takes one batched sweep
-    # of one path, not one sweep per slice
-    assert sweeps == [(32, 1)]
+    # all 8 slices step by 1/200, but only an autonomous b and c let slices
+    # share a path: a c that depends on time takes one sweep per slice
+    assert sweeps == [(32, 1)] * 8
 
 
 def test_pointwise_solution_initial_slice_exact():

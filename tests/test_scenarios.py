@@ -16,7 +16,6 @@ from rough_transport import renormalization, scenarios
 from rough_transport.config import resolve
 from rough_transport.errors import InadmissibleRenormalizerError, PipelineError
 from rough_transport.flow import forward_summary
-from rough_transport.renormalization import AdmissibilityReport
 from rough_transport.representation import pointwise_solution
 from rough_transport.scenarios import REGISTRY, _check, build_context, run_scenario
 from rough_transport.weakform import gamma_trace, weak_residual
@@ -196,9 +195,29 @@ def test_zero_gronwall_bound_passes(tmp_path):
     assert result.values["worst_gamma_over_bound"] == 0.0
 
 
+@pytest.mark.parametrize("scenario_id,radius", [("twin_difference_gronwall", 2.5),
+                                                ("compact_support_b", 1.5),
+                                                ("bmo_divergence_log", 1.5)])
+def test_gronwall_quadrature_covers_the_configured_box(scenario_id, radius, tmp_path,
+                                                       monkeypatch):
+    # the twin-difference quadrature is built on box_radius, and every
+    # verdict still passes on that box
+    radii = []
+    real = scenarios.make_quadrature
+
+    def recording(dimension, r, *args):
+        radii.append(r)
+        return real(dimension, r, *args)
+    monkeypatch.setattr(scenarios, "make_quadrature", recording)
+    report = run_scenario(resolve({"scenario_id": scenario_id, "box_radius": radius,
+                                   "output_dir": str(tmp_path)}))
+    assert [(r.name, r.passed) for r in report.results] == [
+        (name, True) for name in REGISTRY[scenario_id].diagnostics]
+    assert radii and set(radii) == {radius}
+
+
 def test_inadmissible_beta_is_a_pipeline_error(tmp_path, monkeypatch):
-    failing = AdmissibilityReport(bounded_ok=False, rbeta_prime_ok=True, zero_ok=True,
-                                  derivative_ok=True, witnesses={"bounded": (1.0, 9.0)})
+    failing = {"bounded": (1.0, 9.0)}
     monkeypatch.setattr(renormalization, "check_admissible", lambda ren: failing)
     cfg = resolve({"scenario_id": "compact_support_b", "diagnostics": ["gronwall_log"],
                    "output_dir": str(tmp_path)})
