@@ -2,8 +2,9 @@
 
 Every trajectory is integrated here, with fixed-step classical RK4. The
 forward sweep over a seed grid is taken in time blocks, and every forward
-Lagrangian quantity, the damping integral included, is read from its
-ForwardSummary of per-seed reductions: no full trajectory table is kept.
+Lagrangian quantity, the damping integral and the superlevel escape counts
+included, is read from its ForwardSummary of per-seed reductions: no full
+trajectory table is kept.
 Backward paths trace the characteristics through (anchor, point) back to
 t = 0 on the physical time grid, so their first row holds the inverse-flow
 samples. Jacobians come from the exponential of the divergence path
@@ -282,14 +283,14 @@ def _ode_residual(y, rate, dt, diff, mean):
 _CHUNK_BYTES = 8 << 20     # path and table bytes per block of a chunked sweep
 
 
-def _forward_blocks(field: VelocityFieldSpec, seeds: SeedGrid, steps, rows=slice(None)):
-    """The forward RK4 path of ``seeds.points[rows]`` over [0, horizon], in time blocks.
+def _forward_blocks(field: VelocityFieldSpec, seeds: SeedGrid, steps):
+    """The forward RK4 path of ``seeds`` over [0, horizon], in time blocks.
 
-    Yields (k0, nodes), nodes (m+1, n, d) holding path nodes k0 to k0 + m.
+    Yields (k0, nodes), nodes (m+1, N, d) holding path nodes k0 to k0 + m.
     Each block starts from the last node of the one before and is released
     before the next is built; its steps are bit for bit those of one sweep
     from time 0, as in the full-table reference of ``tests/reference.py``.
-    One (m+1, n) float table takes at most 1/16 of ``_CHUNK_BYTES``, as in
+    One (m+1, N) float table takes at most 1/16 of ``_CHUNK_BYTES``, as in
     the blocks of ``pointwise_solution``, and m is at least 1: the path and
     up to 16 - d tables of the caller fit in the budget, and each table
     stays small enough for the elementwise passes over it to run in cache.
@@ -298,7 +299,7 @@ def _forward_blocks(field: VelocityFieldSpec, seeds: SeedGrid, steps, rows=slice
         raise ValueError("discontinuous field: mollify first")
     if steps < 1:
         raise ValueError("steps must be a positive integer")
-    y = seeds.points[rows]
+    y = seeds.points
     m = max(1, (_CHUNK_BYTES >> 4) // (8 * y.shape[0]) - 1)
     rhs = lambda t, y: np.asarray(field.eval_b(t, y), dtype=float)  # noqa: E731
     escape = ESCAPE_FACTOR * max(seeds.bounding_radius, 1.0)
@@ -317,8 +318,9 @@ class ForwardSummary:
     No (N, K+1) table is kept: the flow's end points, JX at the end time,
     the damping integral D at the end time, the bound L, the largest
     coordinate displacement |X - x0|, per time node the smallest and
-    largest JX over the seeds, and the largest residuals of the Jacobian
-    ODE and of its reciprocal.
+    largest JX over the seeds and, only when the sweep was asked for them,
+    the largest residuals of the Jacobian ODE and of its reciprocal and
+    the superlevel escape measures; a reduction not asked for is None.
     """
 
     seed_grid: SeedGrid
@@ -331,7 +333,8 @@ class ForwardSummary:
     max_displacement: float        # max over seeds, nodes and coordinates
     jx_min: np.ndarray             # (K+1,)
     jx_max: np.ndarray             # (K+1,)
-    residuals: JacobianOdeResiduals
+    residuals: JacobianOdeResiduals    # None unless residuals=True
+    escaped: np.ndarray            # one measure per radius; None without escape
 
     def jx_deviation(self, expected):
         """max over seeds and nodes of |JX - expected|, a scalar or one value per node.
@@ -344,7 +347,8 @@ class ForwardSummary:
 
 
 def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
-                    damping: DampingFieldSpec = None) -> ForwardSummary:
+                    damping: DampingFieldSpec = None, *, escape=None,
+                    residuals=False) -> ForwardSummary:
     """One forward RK4 sweep over ``seeds`` on [0, horizon], reduced block by block.
 
     Each block of ``_forward_blocks`` samples div b on its nodes, continues
@@ -355,16 +359,32 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
     of c the same way; a seed whose every node is cut off raises
     AllTruncatedError after the sweep. Every value is bit for bit the
     reduction of the cumulative trapezoids over the full trajectory table
-    of the reference in ``tests/reference.py``, and the residuals are those
-    of the Jacobian ODE and its reciprocal along that table. Raises what
-    the sampled fields raise; the divergence bound is checked before JX is
-    formed.
+    of the reference in ``tests/reference.py``. Raises what the sampled
+    fields raise; the divergence bound is checked before JX is formed.
+
+    Two reductions are folded only when asked for, and are None otherwise.
+    ``residuals=True`` takes the largest residuals of the Jacobian ODE and
+    of its reciprocal along that table. ``escape=(r, R)`` takes the
+    superlevel escape measure cell_volume * #{i : |x_i| < r, |X(t, x_i)| > R},
+    maximized over the nodes, for each radius of ``R``: an array of radii
+    gives its shape, a scalar a float. Each block's node norms are taken
+    in a scratch table with the seeds outside B_r masked, so no block is
+    copied; the sweep covers every seed, so a StepBlowupError may name a
+    seed outside B_r.
     """
     time_grid = np.linspace(0.0, field.horizon, steps + 1)
     dt = np.diff(time_grid)[:, None]
     half_dt = 0.5 * dt
     L = _div_sup_integral(field, time_grid)
     x0 = seeds.points
+    if escape is not None:
+        r, radii = escape[0], np.asarray(escape[1], dtype=float)
+        if seeds.bounding_radius < r:
+            raise ValueError(f"seed grid (radius {seeds.bounding_radius:g}) "
+                             f"does not cover B_{r:g}")
+        outside = ~(np.sqrt(sq_norms(x0)) < r)
+        # escaped count per radius, maximized over the time nodes
+        counts = np.zeros(radii.size, dtype=int)
     jx_min, jx_max = np.empty(steps + 1), np.empty(steps + 1)
     dpi_end, damping_end = np.zeros(x0.shape[0]), np.zeros(x0.shape[0])
     all_cut = np.full(x0.shape[0], damping is not None)    # without c, nothing is cut
@@ -390,12 +410,23 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
         jx_min[block], jx_max[block] = np.min(jx, axis=1), np.max(jx, axis=1)
         disp = max(_max_abs(np.subtract(nodes[..., j], x0[:, j], out=rate))
                    for j in range(x0.shape[1]))
-        # JX' = JX div b, then (1/JX)' = -(1/JX) div b with 1/JX in JX's place
-        forward = _ode_residual(jx, np.multiply(jx, divs, out=rate), dt[steps_k], diff, mean)
-        inv = np.divide(1.0, jx, out=jx)
-        inverse = _ode_residual(inv, np.multiply(np.negative(inv, out=rate), divs, out=rate),
-                                dt[steps_k], diff, mean)
-        worst = np.maximum(worst, [disp, forward, inverse])
+        worst[0] = np.maximum(worst[0], disp)
+        if escape is not None:
+            norms = np.sqrt(sq_norms(nodes, out=rate), out=rate)
+            np.copyto(norms, -np.inf, where=outside)     # -inf exceeds no radius
+            top = np.max(norms)
+            for j, R_j in enumerate(radii.flat):
+                if R_j < top:    # a radius at or above every norm counts none
+                    counts[j] = max(counts[j],
+                                    np.max(np.count_nonzero(norms > R_j, axis=1)))
+        if residuals:
+            # JX' = JX div b, then (1/JX)' = -(1/JX) div b with 1/JX in JX's place
+            forward = _ode_residual(jx, np.multiply(jx, divs, out=rate), dt[steps_k],
+                                    diff, mean)
+            inv = np.divide(1.0, jx, out=jx)
+            inverse = _ode_residual(inv, np.multiply(np.negative(inv, out=rate), divs,
+                                                     out=rate), dt[steps_k], diff, mean)
+            worst[1:] = np.maximum(worst[1:], [forward, inverse])
         if damping is not None:
             # D continues from its running value as div b's integral does
             cvals, cut = sample_damping(damping, time_grid[block], nodes)
@@ -409,11 +440,17 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
         # drop the block before the next one is built
         del nodes, divs
     _check_truncation(all_cut, damping)
+    escaped = None
+    if escape is not None:
+        measures = counts.astype(float) * seeds.cell_volume
+        escaped = float(measures[0]) if radii.ndim == 0 else measures.reshape(radii.shape)
     return ForwardSummary(seed_grid=seeds, time_grid=time_grid, steps=steps,
                           endpoints=endpoints, jx_end=np.exp(dpi_end),
                           damping_end=damping_end, L=L,
                           max_displacement=float(worst[0]), jx_min=jx_min, jx_max=jx_max,
-                          residuals=JacobianOdeResiduals(float(worst[1]), float(worst[2])))
+                          residuals=(JacobianOdeResiduals(float(worst[1]), float(worst[2]))
+                                     if residuals else None),
+                          escaped=escaped)
 
 
 # ---------------------------------------------------------------------------
@@ -470,35 +507,6 @@ def compressibility_estimate(summary: ForwardSummary):
         vols = vols * widths.reshape(shape)
     density = counts * seeds.cell_volume / vols
     return float(np.max(density))
-
-
-def superlevel_escape(field: VelocityFieldSpec, seeds: SeedGrid, steps, r, R):
-    """cell_volume * #{i : |x_i| < r, |X(t, x_i)| > R}, maximized over t.
-
-    Only the seeds inside B_r are integrated, in the time blocks of
-    ``forward_summary``; each block counts its escaped seeds per node, so
-    no trajectory is kept. ``R`` may be an array of radii, all counted in
-    the one sweep; the result then has its shape. A scalar ``R`` gives a
-    float.
-    """
-    if seeds.bounding_radius < r:
-        raise ValueError(f"seed grid (radius {seeds.bounding_radius:g}) does not cover B_{r:g}")
-    inside = np.sqrt(sq_norms(seeds.points)) < r
-    radii = np.asarray(R, dtype=float)
-    # escaped count per radius, maximized over the time nodes
-    escaped = np.zeros(radii.size, dtype=int)
-    if np.any(inside):
-        try:
-            for _, nodes in _forward_blocks(field, seeds, steps, inside):
-                norms = np.sqrt(sq_norms(nodes))        # (m+1, n)
-                for j, R_j in enumerate(radii.ravel()):
-                    escaped[j] = max(escaped[j],
-                                     np.max(np.count_nonzero(norms > R_j, axis=1)))
-                del nodes, norms
-        except StepBlowupError as exc:    # row i integrates the i-th inside seed
-            raise exc.renamed(int(np.flatnonzero(inside)[exc.seed_index])) from exc
-    measures = escaped.astype(float) * seeds.cell_volume
-    return float(measures[0]) if radii.ndim == 0 else measures.reshape(radii.shape)
 
 
 def forward_backward_mismatch(field: VelocityFieldSpec, summary: ForwardSummary):

@@ -10,7 +10,7 @@ all mirrored into CSV artifacts.
 import math
 import resource
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -24,7 +24,7 @@ from .fields import (DampingFieldSpec, VelocityFieldSpec, check_divergence_consi
                      growth_split, make_mollifier, mollify)
 from .flow import (change_of_variables_residual, compressibility_estimate,
                    flow_convergence_study, forward_backward_mismatch, forward_summary,
-                   make_seed_grid, seeds_from_points, superlevel_escape)
+                   make_seed_grid, seeds_from_points)
 from .numerics import CellGrid, ball_volume, profile, trapz
 from .renormalization import make_beta_arctan, make_beta_log, make_phi_R
 from .report import Artifact, DiagnosticResult, RunReport
@@ -291,6 +291,7 @@ class RunContext:
     field: VelocityFieldSpec
     damping: DampingFieldSpec
     u0: Callable
+    forward_reads: dict                # the selected diagnostics' declared reads
     _cache: dict = None
 
     def __post_init__(self):
@@ -314,10 +315,19 @@ class RunContext:
         return self._memo("seeds", lambda: make_seed_grid(
             self.cfg.box_radius, self.cfg.seeds_per_axis, self.d))
 
-    def forward(self):
-        """The forward flow's reductions on the seed grid; no (N, K+1) table."""
+    def forward(self, *reads):
+        """The forward flow's reductions on the seed grid; no (N, K+1) table.
+
+        The one memoised sweep folds the optional reductions in
+        ``forward_reads``; a caller names those it reads in ``reads``, and
+        one that is not declared raises KeyError.
+        """
+        missing = [r for r in reads if r not in self.forward_reads]
+        if missing:
+            raise KeyError(f"forward reads {missing} are not declared in the "
+                           f"forward_reads of scenario {self.cfg.scenario_id!r}")
         return self._memo("forward", lambda: forward_summary(
-            self.field, self.seed_grid(), self.cfg.steps))
+            self.field, self.seed_grid(), self.cfg.steps, **self.forward_reads))
 
     def growth(self):
         """The field, once its growth split is verified, once per run on the run's rng.
@@ -409,14 +419,19 @@ def _run_flow_identity(ctx):
 
 
 def _run_jacobian_unit(ctx):
-    fwd = ctx.forward()
+    fwd = ctx.forward("residuals")
     return _check({"max_jx_deviation": (fwd.jx_deviation(1.0), 1e-13),
                    "ode_residual": (fwd.residuals.worst, 1e-12)})
 
 
-def _run_superlevel(ctx, r, R):
-    radii = np.linspace(R, 2.0 * R, 5)      # radii[0] == R exactly
-    measures = superlevel_escape(ctx.field, ctx.seed_grid(), ctx.cfg.steps, r, radii)
+def _superlevel_reads(r, R):
+    """The superlevel escape of B_r at five radii from R to 2R, for ``forward_reads``."""
+    return {"escape": (r, np.linspace(R, 2.0 * R, 5))}     # radii[0] == R exactly
+
+
+def _run_superlevel(ctx):
+    measures = ctx.forward("escape").escaped
+    _, radii = ctx.forward_reads["escape"]
     esc = float(measures[0])
     ladder = [(float(rr), float(m)) for rr, m in zip(radii, measures)]
     mono = all(b[1] <= a[1] for a, b in zip(ladder, ladder[1:]))
@@ -481,8 +496,9 @@ def _run_jacobian_profile(ctx, rate):
 
 
 def _run_jacobian_ode(ctx):
-    r1 = ctx.forward().residuals.worst
-    r2 = forward_summary(ctx.field, ctx.seed_grid(), 2 * ctx.cfg.steps).residuals.worst
+    r1 = ctx.forward("residuals").residuals.worst
+    r2 = forward_summary(ctx.field, ctx.seed_grid(), 2 * ctx.cfg.steps,
+                         residuals=True).residuals.worst
     halved = r2 <= max(0.55 * r1, 1e-12)
     return _result(r1 <= 1e-3 and halved,
                    {"residual": r1, "residual_refined": r2},
@@ -741,6 +757,9 @@ class Scenario:
     u0_id: str
     defaults: dict
     runners: dict              # diagnostic name -> runner(ctx), in run order
+    # diagnostic name -> the optional forward_summary reductions its runner
+    # reads from ctx.forward(), as keywords; the one sweep folds no others
+    forward_reads: dict = dataclass_field(default_factory=dict)
 
     @property
     def diagnostics(self):
@@ -758,11 +777,13 @@ REGISTRY = {s.scenario_id: s for s in (
             "change_of_variables": lambda ctx: _run_change_of_variables(
                 ctx, gaussian(ctx.d, 0.3), 1e-6),
             "compressibility": lambda ctx: _run_compressibility(ctx, 1.0),
-            "superlevel": lambda ctx: _run_superlevel(ctx, 1.0, 1.5),
+            "superlevel": _run_superlevel,
             "weak_residual": lambda ctx: _run_weak_residual(
                 ctx, n_space=256, n_time=256, tol=1e-6, phi_radius=1.5),
             "l2_energy": lambda ctx: _run_l2_energy(ctx, 128, 64),
-        }),
+        },
+        forward_reads={"jacobian_unit": {"residuals": True},
+                       "superlevel": _superlevel_reads(1.0, 1.5)}),
     Scenario(
         scenario_id="linear_expand", description="b(x) = x: exponential dilation",
         dimension=1, T=1.0, field_id="linear_expand", damping_id="zero",
@@ -775,11 +796,12 @@ REGISTRY = {s.scenario_id: s for s in (
             "jacobian_ode": _run_jacobian_ode,
             "change_of_variables": lambda ctx: _run_change_of_variables(
                 ctx, bump(1, 1.0), 1e-5),
-            "superlevel": lambda ctx: _run_superlevel(
-                ctx, 0.5, 0.5 * math.e + 0.01),
+            "superlevel": _run_superlevel,
             "forward_backward": _run_forward_backward,
             "l2_energy": lambda ctx: _run_l2_energy(ctx, 128, 48),
-        }),
+        },
+        forward_reads={"jacobian_ode": {"residuals": True},
+                       "superlevel": _superlevel_reads(0.5, 0.5 * math.e + 0.01)}),
     Scenario(
         scenario_id="linear_contract", description="b(x) = -x: contraction onto 0",
         dimension=1, T=1.0, field_id="linear_contract", damping_id="zero",
@@ -800,8 +822,9 @@ REGISTRY = {s.scenario_id: s for s in (
             "compressibility": lambda ctx: _run_compressibility(ctx, 1.0),
             "change_of_variables": lambda ctx: _run_change_of_variables(
                 ctx, bump(2, 0.8), 1e-6),
-            "superlevel": lambda ctx: _run_superlevel(ctx, 0.9, 1.45),
-        }),
+            "superlevel": _run_superlevel,
+        },
+        forward_reads={"superlevel": _superlevel_reads(0.9, 1.45)}),
     Scenario(
         scenario_id="shear_bv", description="b = (sign(y), 0): BV shear layer",
         dimension=2, T=1.0, field_id="shear", damping_id="zero", u0_id="bump",
@@ -906,7 +929,10 @@ def build_context(cfg) -> RunContext:
     field = FIELD_CATALOG[cfg.field_id](scenario.dimension, cfg.T)
     damping = replace(DAMPING_CATALOG[cfg.damping_id](scenario.dimension), eta=cfg.eta)
     u0 = U0_CATALOG[cfg.u0_id](scenario.dimension)
-    return RunContext(cfg=cfg, field=field, damping=damping, u0=u0)
+    reads = {}
+    for name in cfg.diagnostics:
+        reads.update(scenario.forward_reads.get(name, {}))
+    return RunContext(cfg=cfg, field=field, damping=damping, u0=u0, forward_reads=reads)
 
 
 def run_scenario(cfg) -> RunReport:

@@ -11,9 +11,10 @@ the built field's ``eval_b`` and ``eval_div_b`` and the points they are
 given (a (..., d) array counts its leading size), before any mollification.
 The counts do not depend on the host, so they pin the RK4 and field work
 of a change that should not move it; the golden test in
-``test_scenarios.py`` asserts them through the same wrappers, against
-``BENCH_1.json`` and ``BENCH_2.json``. Not collected by pytest: the file
-name does not start with ``test_``.
+``test_scenarios.py`` asserts both through the same wrappers, as
+equalities, against the ``rk4_row_steps`` and ``base_field_evals`` of
+``BENCH_3.json``. Not collected by pytest: the file name does not start
+with ``test_``.
 """
 
 import json

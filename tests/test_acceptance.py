@@ -71,7 +71,7 @@ def test_criterion_02_jacobian_identity():
         grid = make_seed_grid(1.0, 8 if d == 1 else (8, 8), d)
 
         def worst(steps):
-            return forward_summary(spec, grid, steps).residuals.worst
+            return forward_summary(spec, grid, steps, residuals=True).residuals.worst
 
         r1, r2 = worst(1000), worst(2000)
         results[name] = (r1, r2, r1 <= 1e-3 and r2 <= max(0.55 * r1, 1e-12))

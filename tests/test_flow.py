@@ -16,7 +16,7 @@ from rough_transport.fields import VelocityFieldSpec, sample_nodes
 from rough_transport.flow import (_rk4_path, backward_paths, change_of_variables_residual,
                                   compressibility_estimate, flow_convergence_study,
                                   forward_backward_mismatch, forward_summary,
-                                  make_seed_grid, seeds_from_points, superlevel_escape)
+                                  make_seed_grid, seeds_from_points)
 from rough_transport.numerics import order_estimate, sq_norms
 from rough_transport.representation import pointwise_solution
 from rough_transport.scenarios import run_scenario
@@ -63,7 +63,8 @@ def test_nonsmooth_requires_optin(shear_field):
 
 _RK4_DRIVERS = {
     "forward_summary": lambda spec, grid: forward_summary(spec, grid, 8),
-    "superlevel_escape": lambda spec, grid: superlevel_escape(spec, grid, 8, 0.5, 2.0),
+    "forward_summary_escape": lambda spec, grid: forward_summary(spec, grid, 8,
+                                                                 escape=(0.5, 2.0)),
     "backward_paths": lambda spec, grid: backward_paths(spec, grid, [1.0], [8]),
     "pointwise_solution": lambda spec, grid: pointwise_solution(
         spec, damping("zero", spec.dimension), u0_fn("bump", spec.dimension), grid,
@@ -77,7 +78,7 @@ def test_rk4_drivers_refuse_a_discontinuous_field(driver):
     # while the continuous (log-Lipschitz) log_drift runs as it is
     with pytest.raises(ValueError, match="discontinuous"):
         _RK4_DRIVERS[driver](field("shear", d=2), make_seed_grid(1.0, 4, 2))
-    if driver in ("forward_summary", "backward_paths"):
+    if driver in ("forward_summary", "forward_summary_escape", "backward_paths"):
         _RK4_DRIVERS[driver](field("log_drift"), make_seed_grid(1.0, 8, 1))
 
 
@@ -166,12 +167,17 @@ def test_step_blowup_message_names_the_grid_seed_of_superlevel_escape():
         eval_b=lambda t, x: np.asarray(x, dtype=float) ** 3,
         eval_div_b=lambda t, x: 3.0 * np.asarray(x)[..., 0] ** 2,
         continuous=True, div_sup=lambda t: float("inf"), horizon=10.0)
-    # only seeds 1 and 2 lie inside B_2.5; seed 2 escapes
+    # only seeds 1 and 2 lie inside B_2.5, but the superlevel counts fold
+    # into the sweep of the whole grid: seed 0 at x = 3 escapes first
+    # (x' = x^3 blows up at 1/(2 x0^2)), before seed 2 does at t = 0.15
+    seeds = seeds_from_points([[3.0], [0.1], [2.0]])
     with pytest.raises(StepBlowupError) as err:
-        superlevel_escape(cubic, seeds_from_points([[3.0], [0.1], [2.0]]), 400, 2.5, 5.0)
-    assert err.value.seed_index == 2
-    assert str(err.value).startswith("trajectory 2 escaped ")
-    assert str(err.value).endswith(" at t=0.15")
+        forward_summary(cubic, seeds, 400, escape=(2.5, 5.0))
+    assert err.value.seed_index == 0
+    assert str(err.value) == "trajectory 0 escaped (|X|=8.78e+09 > 3e+03) at t=0.075"
+    with pytest.raises(StepBlowupError) as whole:
+        integrate_flow(cubic, seeds, 400, "forward")
+    assert str(err.value) == str(whole.value)
 
 
 # --- the RK4 kernel -----------------------------------------------------------
@@ -361,7 +367,7 @@ def test_jacobian_rejects_nan_divergence(zero_field):
 
 def test_forward_summary_ode_residual_zero_field(zero_field):
     grid = make_seed_grid(1.0, 8, 1)
-    res = forward_summary(zero_field, grid, 20).residuals
+    res = forward_summary(zero_field, grid, 20, residuals=True).residuals
     assert res.forward == 0.0 and res.inverse == 0.0
 
 
@@ -369,7 +375,7 @@ def test_forward_summary_ode_residual_halves(linear_field):
     grid = make_seed_grid(1.0, 4, 1)
 
     def worst(steps):
-        return forward_summary(linear_field, grid, steps).residuals
+        return forward_summary(linear_field, grid, steps, residuals=True).residuals
 
     r1 = worst(1000)
     r2 = worst(2000)
@@ -426,7 +432,8 @@ def test_jacobian_keeps_one_table():
 def test_forward_summary_ode_residual_frees_forward_temporaries():
     # the residuals are reduced block by block, so no full table is built
     spec, fl, table = long_linear_flow()
-    res, _, peak = traced_bytes(lambda: forward_summary(spec, fl.seed_grid, 2000).residuals)
+    res, _, peak = traced_bytes(lambda: forward_summary(spec, fl.seed_grid, 2000,
+                                                        residuals=True).residuals)
     assert res.worst < 1e-6
     assert peak <= 5.5 * table
 
@@ -509,21 +516,28 @@ def test_compressibility_rotation(rotation_field):
                - 1.0) <= 0.1
 
 
+def _escaped(spec, grid, steps, r, R):
+    """The superlevel escape measures that forward_summary folds into its sweep."""
+    return forward_summary(spec, grid, steps, escape=(r, R)).escaped
+
+
 def test_superlevel_zero_field(zero_field):
     grid = make_seed_grid(1.0, 64, 1)
-    assert superlevel_escape(zero_field, grid, 8, 1.0, 1.1) == 0.0
+    assert _escaped(zero_field, grid, 8, 1.0, 1.1) == 0.0
+    with pytest.raises(ValueError, match="does not cover B_1.5"):
+        _escaped(zero_field, grid, 8, 1.5, 2.0)
 
 
 def test_superlevel_linear_growth_bound(linear_field):
     # |X(t, x)| <= e^T |x|, so nothing from B_r escapes past r e^T
     grid = make_seed_grid(1.0, 512, 1)
-    assert superlevel_escape(linear_field, grid, 200, 1.0, math.e + 0.01) == 0.0
-    assert superlevel_escape(linear_field, grid, 200, 0.5, 0.5 * math.e + 0.01) == 0.0
+    assert _escaped(linear_field, grid, 200, 1.0, math.e + 0.01) == 0.0
+    assert _escaped(linear_field, grid, 200, 0.5, 0.5 * math.e + 0.01) == 0.0
 
 
 def test_superlevel_rotation_norm_preserving(rotation_field):
     grid = make_seed_grid(1.0, 64, 2)
-    assert superlevel_escape(rotation_field, grid, 100, 1.0, 1.42) == 0.0
+    assert _escaped(rotation_field, grid, 100, 1.0, 1.42) == 0.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -532,8 +546,8 @@ def test_superlevel_rotation_norm_preserving(rotation_field):
 def test_superlevel_nonincreasing_in_R(r_low, bump_R):
     spec = field("linear_expand")
     grid = make_seed_grid(1.0, 64, 1)
-    a = superlevel_escape(spec, grid, 32, 0.9, r_low)
-    b = superlevel_escape(spec, grid, 32, 0.9, r_low + bump_R)
+    a = _escaped(spec, grid, 32, 0.9, r_low)
+    b = _escaped(spec, grid, 32, 0.9, r_low + bump_R)
     assert b <= a
 
 
@@ -542,7 +556,7 @@ def test_superlevel_radii_in_one_pass(linear_field):
     grid = make_seed_grid(1.0, 64, 1)
 
     def escape(r, R):
-        return superlevel_escape(linear_field, grid, 32, r, R)
+        return _escaped(linear_field, grid, 32, r, R)
     radii = np.linspace(0.3, 3.0, 12)
     for r in (0.9, 0.01):            # no seed lies inside B_0.01
         ladder = escape(r, radii)
@@ -563,7 +577,7 @@ def test_superlevel_rotation_matches_norm_formula(rotation_field):
     radii = np.array([0.1, 0.35, top, np.nextafter(top, 0.0), 1.2])
     expected = np.max(np.sum(np.linalg.norm(traj, axis=-1)[..., None] > radii, axis=0),
                       axis=0) * fl.seed_grid.cell_volume
-    got = superlevel_escape(rotation_field, fl.seed_grid, 40, r, radii)
+    got = _escaped(rotation_field, fl.seed_grid, 40, r, radii)
     assert np.array_equal(got, expected)
     assert got[2] == 0.0 and got[3] > 0.0
     assert got[1] > 0.0 and got[4] == 0.0
@@ -743,14 +757,14 @@ def _full_table_reductions(spec, grid, steps, r, radii):
 
 @pytest.mark.parametrize("case", sorted(_FORWARD_CASES))
 def test_forward_summary_bitwise_equals_full_table_reductions(case, monkeypatch):
-    # every reduction, and the superlevel ladder, at every block size
+    # every reduction, the superlevel ladder included, at every block size
     spec, grid, steps = _FORWARD_CASES[case]()
     r, radii = 0.9, np.linspace(0.5, 1.5, 5)
     ref = _full_table_reductions(spec, grid, steps, r, radii)
     assert np.any(ref["ladder"] > 0.0)
     for budget in _BUDGETS:
         monkeypatch.setattr(flow, "_CHUNK_BYTES", budget)
-        fwd = forward_summary(spec, grid, steps)
+        fwd = forward_summary(spec, grid, steps, escape=(r, radii), residuals=True)
         for key in ("endpoints", "jx_end", "jx_min", "jx_max"):
             assert np.array_equal(getattr(fwd, key), ref[key]), (budget, key)
         assert fwd.L == ref["L"] and fwd.max_displacement == ref["max_displacement"]
@@ -758,7 +772,7 @@ def test_forward_summary_bitwise_equals_full_table_reductions(case, monkeypatch)
         assert fwd.residuals.inverse == ref["inverse"]
         # the per-node extremes give max |JX - e_k| exactly
         assert fwd.jx_deviation(np.exp(fwd.time_grid)) == ref["deviation"]
-        assert np.array_equal(superlevel_escape(spec, grid, steps, r, radii), ref["ladder"])
+        assert np.array_equal(fwd.escaped, ref["ladder"])
 
 
 def test_forward_summary_escape_in_later_block_matches_integrate_flow(monkeypatch):
@@ -779,12 +793,19 @@ def test_forward_summary_escape_in_later_block_matches_integrate_flow(monkeypatc
             forward_summary(cubic, seeds, 400)
         assert str(err.value) == str(whole.value)
         assert err.value.seed_index == whole.value.seed_index == 1
-    # superlevel integrates the seeds inside B_r alone and names the seed
-    # by its index in the grid
+    # the superlevel counts fold into the sweep of the whole grid, so the
+    # error names the first seed to escape, inside B_r or not: seed 0 at
+    # x = 3 lies outside B_2.5 and escapes before seed 2 does at t = 0.15
     seeds = seeds_from_points([[3.0], [0.1], [2.0]])
-    with pytest.raises(StepBlowupError) as err:
-        superlevel_escape(cubic, seeds, 400, 2.5, 5.0)
-    assert err.value.seed_index == 2
+    with pytest.raises(StepBlowupError) as whole:
+        integrate_flow(cubic, seeds, 400, "forward")
+    for budget in (1, 16 * 8 * 3 * 3):
+        monkeypatch.setattr(flow, "_CHUNK_BYTES", budget)
+        with pytest.raises(StepBlowupError) as err:
+            forward_summary(cubic, seeds, 400, escape=(2.5, 5.0))
+        assert err.value.seed_index == whole.value.seed_index == 0
+        assert str(err.value) == str(whole.value)
+        assert str(err.value).endswith(" at t=0.075")
 
 
 def test_forward_reads_of_rotation_stay_within_the_block_budget(tmp_path):

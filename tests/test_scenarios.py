@@ -1,5 +1,6 @@
 """Scenario runner loop: golden artifacts and runtime budgets."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -15,17 +16,17 @@ import pytest
 from rough_transport import renormalization, scenarios
 from rough_transport.config import resolve
 from rough_transport.errors import InadmissibleRenormalizerError, PipelineError
-from rough_transport.flow import forward_summary
+from rough_transport.flow import forward_summary, make_seed_grid
 from rough_transport.representation import pointwise_solution
 from rough_transport.scenarios import REGISTRY, _check, build_context, run_scenario
 from rough_transport.weakform import gamma_trace, weak_residual
 
+from conftest import field
 from golden_diff import GOLDEN_DIR, diff_scenario, listing
 from rk4_row_steps import counting_field_evals, counting_row_steps
 
 SRC_DIR = Path(scenarios.__file__).resolve().parents[1]
-BENCH_1 = Path(__file__).resolve().parents[1] / "BENCH_1.json"
-BENCH_2 = BENCH_1.with_name("BENCH_2.json")
+BENCH_3 = Path(__file__).resolve().parents[1] / "BENCH_3.json"
 
 
 @pytest.mark.parametrize("scenario_id", list(REGISTRY))
@@ -50,8 +51,9 @@ def test_default_run_matches_golden_artifacts(scenario_id, tmp_path):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), \
             f"{scenario_id}/{name} differs from the golden copy:\n" \
             + listing(diff_scenario(tmp_path, scenario_id))
-    assert row_steps[0] == json.loads(BENCH_1.read_text())["rk4_row_steps"][scenario_id]
-    assert evals == json.loads(BENCH_2.read_text())["base_field_evals"][scenario_id]
+    pins = json.loads(BENCH_3.read_text())
+    assert row_steps[0] == pins["rk4_row_steps"][scenario_id]
+    assert evals == pins["base_field_evals"][scenario_id]
 
 
 def test_golden_diff_lists_exactly_the_changed_cell_and_the_added_row(tmp_path):
@@ -173,6 +175,40 @@ def test_damping_l1_with_zero_mass_fails_and_says_why(tmp_path):
     assert "L1 mass is zero" in result.note
     report.write(str(tmp_path))
     assert "inf" in (tmp_path / "diagnostics.csv").read_text()
+
+
+# the optional forward_summary reductions that each runner reads from ctx.forward()
+RUNNER_READS = {"jacobian_unit": {"residuals"}, "jacobian_ode": {"residuals"},
+                "superlevel": {"escape"}}
+
+
+def test_every_scenario_declares_exactly_the_forward_reads_of_its_runners():
+    # the one memoised sweep folds what the registry declares and nothing
+    # else, so a declaration too many costs a reduction no runner reads
+    for sid, s in REGISTRY.items():
+        declared = {name: set(keywords) for name, keywords in s.forward_reads.items()}
+        assert declared == {name: RUNNER_READS[name] for name in s.runners
+                            if name in RUNNER_READS}, sid
+
+
+@pytest.mark.parametrize("scenario_id,name", [("identity", "jacobian_unit"),
+                                              ("linear_expand", "jacobian_ode"),
+                                              ("identity", "superlevel")])
+def test_an_undeclared_forward_read_raises(scenario_id, name, tmp_path, monkeypatch):
+    # a reduction the caller does not ask for is None, never a zero that
+    # would pass a check, and a runner whose read the scenario does not
+    # declare raises rather than judging a reduction the sweep never took
+    fwd = forward_summary(field("linear_expand"), make_seed_grid(1.0, 8, 1), 4)
+    assert fwd.residuals is None and fwd.escaped is None
+    cfg = resolve({"scenario_id": scenario_id, "diagnostics": [name],
+                   "output_dir": str(tmp_path)})
+    assert run_scenario(cfg).results[0].passed
+    scenario = REGISTRY[scenario_id]
+    reads = {n: kw for n, kw in scenario.forward_reads.items() if n != name}
+    monkeypatch.setitem(REGISTRY, scenario_id,
+                        dataclasses.replace(scenario, forward_reads=reads))
+    with pytest.raises(KeyError, match="not declared"):
+        run_scenario(cfg)
 
 
 def test_every_catalog_entry_is_a_scenario_default():

@@ -359,6 +359,22 @@ def test_gronwall_constants_hand_computed():
         assert data.C_R == 0.0 and data.C_R_limit == 0.0
 
 
+def test_gronwall_constants_of_compact_support_b_match_closed_forms():
+    # compact_bump: div b = -6 s (1 - s^2)^2 peaks in modulus at s = 1/sqrt(5),
+    # so A = ||div b||_inf = 96 / (25 sqrt 5) over [0, 1] (b2 = 0), and with
+    # c = 0 and ||phi_R||_1 = 1.5 R, B_R = 12 A at R = 8, past the support
+    # of b1, where C_R = 0
+    spec, dmp = field("compact_bump"), damping("zero")
+    growth = growth_split(spec, rng=np.random.default_rng(0))
+    times = np.linspace(0.0, 1.0, 33)
+    data = gronwall_constants(profile(spec.div_sup, times), dmp, growth,
+                              make_phi_R(8.0, 1), times)
+    A = 96.0 / (25.0 * math.sqrt(5.0))
+    assert data.A == pytest.approx(A, rel=1e-14)
+    assert data.B_R == pytest.approx(12.0 * A, rel=1e-14)
+    assert data.C_R == 0.0
+
+
 def test_gronwall_bound_delta_slope_inside_the_support_of_b1():
     # compact_bump's b1 reaches outside B_0.5, where C_R = 2; between two
     # deltas the bound moves by exp(A) C_R times the change of the log term
