@@ -19,7 +19,7 @@ import numpy as np
 from .errors import (BadSplitError, DegenerateFitError, EmptyBallError,
                      LambdaTooSmallError, NegativeInputError,
                      NonFiniteProfileError)
-from .fields import DampingFieldSpec, VelocityFieldSpec
+from .fields import DampingFieldSpec, VelocityFieldSpec, sample_nodes
 from .numerics import CellGrid, ball_volume, log_linear_fit, tensor_points, trapz
 from .renormalization import TestFunctionPhiR
 from .weakform import GronwallBoundData, gronwall_constants
@@ -427,13 +427,43 @@ def choose_tau0(sigma, c_fit, horizon):
     return 0.5 * (lo_t + hi_t)
 
 
+_SPLIT_CELLS = 256      # cells of the profile on which the split is checked
+
+
+def _check_split(profile: BMOProfile, field: VelocityFieldSpec, times):
+    """Raise BadSplitError unless |div b| <= d1 + d2 on a fixed strided subset of cells.
+
+    d1 = 0 and d2 is the ``profile``; the slack is 1e-12, absolute. The
+    subset is every (cells // 256)th cell of the profile's grid from cell
+    0, each sampled alone, so the check costs a few ms: sampling every cell
+    would take about as long as ``bmo_norm``'s sweeps. div b is sampled
+    there at ``times[0]``, or at every time when b depends on time; the
+    error names the worst cell (a NaN is worst).
+    """
+    grid = profile.grid
+    cells = np.arange(0, grid.shape[0], max(1, grid.shape[0] // _SPLIT_CELLS))
+    d2 = np.empty(cells.size)
+    for j, i in enumerate(cells.tolist()):
+        profile.sample(i, i + 1, d2[j:j + 1])
+    x = grid.coordinate(cells)[:, None]      # a profile's grid is 1-D
+    ts = times[:1] if field.autonomous else times
+    div = sample_nodes(field.eval_div_b, field.autonomous, ts,
+                       np.broadcast_to(x, ts.shape + x.shape))
+    excess = np.abs(div) - d2
+    k, j = np.unravel_index(np.argmax(excess), excess.shape)
+    if not excess[k, j] <= 1e-12:
+        raise BadSplitError(f"|div b| = {abs(div[k, j]):.6g} exceeds d1 + d2 = {d2[j]:.6g} "
+                            f"at x={x[j].tolist()}, t={ts[k]:g}")
+
+
 def bmo_gronwall_family(lambdas, profile: BMOProfile, jn: JNFit, growth: VelocityFieldSpec,
                         damping: DampingFieldSpec, phi_R: TestFunctionPhiR,
                         times) -> list[GronwallBoundData]:
     """Constants of the lambda-family Gronwall bound on [0, tau0], one per lambda.
 
-    |div b| <= d2, the compactly supported, time-independent ``profile``,
-    and the fitted (C, c) of ``jn`` replace the abstract decay constants.
+    |div b| <= d2, the compactly supported, time-independent ``profile``
+    (``_check_split`` checks it for the field ``growth`` first), and the
+    fitted (C, c) of ``jn`` replace the abstract decay constants.
     tau0 does not depend on lambda: it is chosen once, so that the integral
     of sigma = ||d2||_* stays below c / 2, which makes exp(A) D decay in
     lambda. The rate is lambda sigma and the decay C e^{-c lambda} sigma.
@@ -444,6 +474,7 @@ def bmo_gronwall_family(lambdas, profile: BMOProfile, jn: JNFit, growth: Velocit
             raise LambdaTooSmallError(f"lambda={lam:g} must exceed 2^(d+2)={2.0**(d+2):g}")
     if not profile.vanishes_outside:
         raise BadSplitError("d2 is not compactly supported in B_M")
+    _check_split(profile, growth, times)
 
     tau0 = choose_tau0(profile.norm_star, jn.c_fit, float(times[-1]))
     times = times[times <= tau0 + 1e-12]

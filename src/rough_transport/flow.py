@@ -4,11 +4,12 @@ Every trajectory is integrated here, with fixed-step classical RK4. The
 forward sweep over a seed grid is taken in time blocks, and every forward
 Lagrangian quantity, the damping integral and the superlevel escape counts
 included, is read from its ForwardSummary of per-seed reductions: no full
-trajectory table is kept.
-Backward paths trace the characteristics through (anchor, point) back to
-t = 0 on the physical time grid, so their first row holds the inverse-flow
-samples. Jacobians come from the exponential of the divergence path
-integral, never from spatial gradients.
+trajectory table is kept. The backward pass traces the characteristics
+through (anchor, point) back to t = 0 on the physical time grid and
+reduces each slice to the inverse-flow sample X^{-1}, JX and the damping
+integral D at its anchor (``backward_summary``), which the pointwise
+representation formula composes. Jacobians come from the exponential of
+the divergence path integral, never from spatial gradients.
 """
 
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (AllTruncatedError, DivergenceUnboundedError, DomainTooSmallError,
-                     StepBlowupError)
+                     JacobianVanishedError, StepBlowupError)
 from .fields import (DampingFieldSpec, VelocityFieldSpec, make_mollifier, mollify,
                      sample_damping, sample_nodes)
 from .numerics import (cell_centers, profile, sq_norms, stable_sum, tensor_points,
@@ -76,7 +77,7 @@ def seeds_from_points(points, cell_volume=1.0):
 
 
 # ---------------------------------------------------------------------------
-# the RK4 kernel and the backward paths
+# the RK4 kernel
 # ---------------------------------------------------------------------------
 
 ESCAPE_FACTOR = 1e3    # escape radius in units of max(seed radius, 1)
@@ -95,14 +96,14 @@ def _rk4_path(rhs, y0, h, steps, escape_radius, first=0, out=None):
     at its nodes 0 to steps[i] only, ``[:steps[i] + 1, i]``; the nodes past
     its last step are left as they were. The array is the only large
     allocation, (max steps + 1) * rows * d * 8 bytes, and is written into
-    ``out`` instead when given. ``pointwise_solution`` and the forward
-    blocks size their sweeps so that this array and the tables read from
-    it stay within ``_CHUNK_BYTES``; the forward blocks release each one
-    before the next is built, and ``pointwise_solution`` writes all of its
-    sweeps into one buffer. A path continued from step ``first`` takes
-    the stage times (first + k) * h, so it repeats bit for bit the steps of
-    one sweep from time 0. Raises StepBlowupError as soon as any
-    trajectory norm exceeds ``escape_radius`` or is not finite.
+    ``out`` instead when given. ``backward_summary`` and the forward blocks
+    size their sweeps so that this array and the tables read from it stay
+    within ``_CHUNK_BYTES``; the forward blocks release each one before the
+    next is built, and ``backward_summary`` writes all of its sweeps into
+    one buffer. A path continued from step ``first`` takes the stage times
+    (first + k) * h, so it repeats bit for bit the steps of one sweep from
+    time 0. Raises StepBlowupError as soon as any trajectory norm exceeds
+    ``escape_radius`` or is not finite.
 
     Each step performs the textbook operations in the textbook order,
     y + (h/6) * (((k1 + 2 k2) + 2 k3) + k4) with stage points y + (h/2) k,
@@ -159,50 +160,6 @@ def _rk4_path(rhs, y0, h, steps, escape_radius, first=0, out=None):
                     if np.isfinite(norms[i]) else "became non-finite")
             raise StepBlowupError(i, what, at)
     return out
-
-
-def backward_paths(field: VelocityFieldSpec, points: SeedGrid, anchors, counts,
-                   sweep=None):
-    """Backward paths from ``points`` at anchors[g] in counts[g] steps.
-
-    Path g is (counts[g] + 1, N, d) on the grid linspace(0, anchors[g],
-    counts[g] + 1), so its row 0 is X^{-1}(anchors[g], points): -b is
-    integrated in the time s = anchor - t and the sweep reversed, bit for
-    bit as in the full-table reference of ``tests/reference.py``. A
-    time-dependent b takes one sweep per path. With b independent of time
-    the paths are views of one sweep, written into the front of the flat
-    buffer ``sweep`` if given: path g takes steps of anchors[g] / counts[g]
-    in rows g*N to (g+1)*N, and counts must not increase, so the moving
-    rows form a prefix. A StepBlowupError names the seed and the physical
-    time, and a field that is not continuous raises ValueError. Only
-    ``representation.pointwise_solution`` reads these paths.
-    """
-    if not field.continuous:
-        raise ValueError("discontinuous field: mollify first")
-    x = points.points
-    n = x.shape[0]
-    escape = ESCAPE_FACTOR * max(points.bounding_radius, 1.0)
-    if not field.autonomous:
-        paths = []
-        for a, m in zip(anchors, counts):
-            rhs = lambda s, y: -np.asarray(field.eval_b(a - s, y), dtype=float)  # noqa: E731
-            try:
-                paths.append(_rk4_path(rhs, x, a / m, m, escape)[::-1])
-            except StepBlowupError as exc:    # the sweep's time runs back from a
-                raise exc.renamed(exc.seed_index, a - exc.t) from exc
-        return paths
-    rhs = lambda s, y: -np.asarray(field.eval_b(0.0, y), dtype=float)  # noqa: E731
-    y0 = np.tile(x, (len(anchors), 1))
-    out = (None if sweep is None else
-           sweep[:(counts[0] + 1) * y0.size].reshape((counts[0] + 1,) + y0.shape))
-    try:
-        path = _rk4_path(rhs, y0, np.repeat(np.divide(anchors, counts), n),
-                         np.repeat(counts, n), escape, out=out)
-    except StepBlowupError as exc:
-        # row i integrates seed i mod N back from anchors[i // N]
-        raise exc.renamed(exc.seed_index % n, anchors[exc.seed_index // n] - exc.t) from exc
-    # sweep node j sits at time anchor - j h; reversed, rows run 0 -> anchor
-    return [path[m::-1, g * n:(g + 1) * n] for g, m in enumerate(counts)]
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +248,8 @@ def _forward_blocks(field: VelocityFieldSpec, seeds: SeedGrid, steps):
     before the next is built; its steps are bit for bit those of one sweep
     from time 0, as in the full-table reference of ``tests/reference.py``.
     One (m+1, N) float table takes at most 1/16 of ``_CHUNK_BYTES``, as in
-    the blocks of ``pointwise_solution``, and m is at least 1: the path and
-    up to 16 - d tables of the caller fit in the budget, and each table
+    ``backward_summary``'s sampling blocks, and m is at least 1: the path
+    and up to 16 - d tables of the caller fit in the budget, and each table
     stays small enough for the elementwise passes over it to run in cache.
     """
     if not field.continuous:
@@ -454,6 +411,162 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
 
 
 # ---------------------------------------------------------------------------
+# the backward pass, slice by slice
+# ---------------------------------------------------------------------------
+
+def _sample_path(field, damping, grid, nodes, block, table, masked=None):
+    """div b, or c when ``masked`` is given, on a path's nodes: (live rows, their samples).
+
+    ``nodes`` (M+1, N, d) is sampled on ``grid``, ``block`` nodes per call,
+    into the (N, M+1) ``table``; c goes through the damping's eta cut-off,
+    whose mask goes to ``masked``. The live rows are those whose samples
+    hold a nonzero (or NaN, or infinite) entry, gathered once, and not at
+    all when every row is live.
+    """
+    for r in range(0, nodes.shape[0], block):
+        t, at = grid[r:r + block], nodes[r:r + block]
+        if masked is None:
+            vals = sample_nodes(field.eval_div_b, field.autonomous, t, at)
+        else:
+            vals, mask = sample_damping(damping, t, at)
+            masked[:, r:r + block] = mask.T
+        table[:, r:r + block] = vals.T
+    live = np.flatnonzero(np.any(table, axis=1))
+    return live, (table if live.size == table.shape[0] else table[live])
+
+
+def _path_integral(vals, times, live, block, scratch, end, track_worst):
+    """cumtrapz of a slice's samples on ``times``, its end scattered into ``end``.
+
+    The slice is the last len(times) columns of ``vals``, the samples of
+    the ``live`` rows. A block's cumsum, in ``scratch``, starts from the
+    running value in its first column, which repeats the sequential sum
+    bit for bit (up to the sign of a zero). Every row not live sums ±0.0
+    terms from a 0.0 start, which gives +0.0, so it gets +0.0 without the
+    sum. With ``track_worst``, returns max |integral| over the nodes (a NaN
+    gives NaN); the dead rows' zeros never raise it above the 0.0 that
+    starts every row.
+    """
+    m, n = times.shape[0] - 1, end.shape[0]
+    v = vals[:, vals.shape[1] - 1 - m:]
+    half_dt = 0.5 * np.diff(times)
+    end[:] = 0.0
+    if live.size == 0:
+        return 0.0
+    run = end if live.size == n else np.zeros(live.size)
+    worst = 0.0
+    for p in range(0, m, block):
+        w = min(block, m - p)
+        acc = scratch[:live.size * (w + 1)].reshape(live.size, w + 1)
+        acc[:, 0] = run
+        np.add(v[:, p + 1:p + w + 1], v[:, p:p + w], out=acc[:, 1:])
+        np.multiply(half_dt[p:p + w], acc[:, 1:], out=acc[:, 1:])
+        np.cumsum(acc, axis=-1, out=acc)
+        run[:] = acc[:, -1]
+        if track_worst:
+            worst = np.maximum(worst, np.maximum(np.max(acc), -np.min(acc)))
+    if run is not end:
+        end[live] = run
+    return float(worst)
+
+
+def backward_summary(field: VelocityFieldSpec, damping: DampingFieldSpec, points: SeedGrid,
+                     anchors, counts):
+    """X^{-1}, JX and D of ``points`` at each anchor, from backward RK4 paths.
+
+    Slice k runs on the grid linspace(0, anchors[k], counts[k] + 1): -b is
+    integrated in the time s = anchor - t and the sweep reversed, so its
+    first node is X^{-1}(anchors[k], points). Yields (k, X^{-1}, JX, D) once
+    per slice, of shapes (N, d), (N,) and (N,), as views valid until the
+    next item: the exp of the cumulative trapezoid of div b and that of c
+    with the damping's eta cut-off, at the anchor, bit for bit as over the
+    full table of the slice's own backward map in ``tests/reference.py``.
+
+    With b and c autonomous, the path from x_i and the samples along it
+    depend only on the step anchors[k] / counts[k], so slices whose steps
+    are bitwise equal are the last counts[k] + 1 nodes of one path,
+    integrated and sampled once per distinct step. When b or c depends on
+    time, every slice is its own path and chunk, and a time-dependent b
+    takes a float step, so the field gets a float time. The paths come from
+    chunked sweeps, longest first. A chunk stacks paths, path g in sweep
+    rows g*N to (g+1)*N with its own step, while its sweep, rows * (longest
+    step count + 1) * d * 8 bytes, plus the (longest step count + 1) * N * 8
+    byte sample table of its longest path stays within ``_CHUNK_BYTES``
+    (8 MiB); a path longer than that forms a chunk alone. Every chunk writes
+    its sweep into one buffer, sized to the largest and allocated once: with
+    a fresh sweep per chunk, whether the next one fit where the last was
+    freed turned on where small objects had landed in the heap, so the peak
+    RSS of the ``linear_expand`` build moved by about 5 MB between runs.
+
+    div b and c are each sampled once per path (``_sample_path``), and each
+    slice's integrals sum its live rows only (``_path_integral``), so b = 0
+    or c = 0, or c = 0 along whole paths, costs no cumulative sum at all. A
+    slice keeps only the largest |div integral|, checked against L as
+    ``forward_summary`` does, the final values and the paths the cut-off
+    zeroes entirely (AllTruncatedError). A StepBlowupError names the seed
+    and the physical time; a JX that underflows or is not finite raises
+    JacobianVanishedError, and a field that is not continuous ValueError.
+    """
+    if not field.continuous:
+        raise ValueError("discontinuous field: mollify first")
+    x = points.points
+    n = x.shape[0]
+    escape = ESCAPE_FACTOR * max(points.bounding_radius, 1.0)
+    batch = field.autonomous and damping.autonomous
+    # slices that share a path, each longest first, the longest paths first
+    shared = {}
+    for s, h in sorted(enumerate(np.divide(anchors, counts)), key=lambda sh: -counts[sh[0]]):
+        shared.setdefault(h if batch else s, []).append(s)
+    chunks = []
+    for group in shared.values():
+        # a chunk's first path is its longest: it sets the sweep length and
+        # the size of the one sample table alive beside the sweep
+        if (batch and chunks and (counts[chunks[-1][0][0]] + 1) * n * 8
+                * (x.shape[1] * (len(chunks[-1]) + 1) + 1) <= _CHUNK_BYTES):
+            chunks[-1].append(group)
+        else:
+            chunks.append([group])
+    sweep = np.empty(max(((counts[c[0][0]] + 1) * len(c) * x.size for c in chunks),
+                         default=0))
+    # path nodes per field call and per scratch block: 1/16 of the budget
+    block = max(1, (_CHUNK_BYTES >> 4) // (8 * n))
+    scratch, end = np.empty(n * (block + 1)), np.empty(n)
+    for chunk in chunks:
+        a, m = [anchors[g[0]] for g in chunk], [counts[g[0]] for g in chunk]
+        h = np.repeat(np.divide(a, m), n) if field.autonomous else a[0] / m[0]
+        rhs = lambda s, y: -np.asarray(  # noqa: E731
+            field.eval_b(0.0 if field.autonomous else a[0] - s, y), dtype=float)
+        shape = (m[0] + 1, len(chunk) * n, x.shape[1])
+        try:
+            path = _rk4_path(rhs, np.tile(x, (len(chunk), 1)), h, np.repeat(m, n), escape,
+                             out=sweep[:math.prod(shape)].reshape(shape))
+        except StepBlowupError as exc:
+            # row i integrates seed i mod N back from a[i // N]
+            raise exc.renamed(exc.seed_index % n, a[exc.seed_index // n] - exc.t) from exc
+        del h    # freed before the slices allocate, as the tiled start points are
+        for g, group in enumerate(chunk):
+            # sweep node j sits at time anchor - j h; reversed, rows run 0 -> anchor
+            nodes, rows = path[m[g]::-1, g * n:(g + 1) * n], m[g] + 1
+            grids = [np.linspace(0.0, anchors[s], counts[s] + 1) for s in group]
+            table = np.empty((n, rows))     # samples along the path, time contiguous
+            masked = np.empty((n, rows), dtype=bool)
+            jx = np.empty((len(group), n))
+            live, vals = _sample_path(field, damping, grids[0], nodes, block, table)
+            for j, times in enumerate(grids):
+                _check_divergence(_path_integral(vals, times, live, block, scratch, end, True),
+                                  _div_sup_integral(field, times))
+                np.exp(end, out=jx[j])
+            live, vals = _sample_path(field, damping, grids[0], nodes, block, table, masked)
+            for j, s in enumerate(group):
+                first = rows - 1 - counts[s]
+                _check_truncation(np.all(masked[:, first:], axis=1), damping)
+                if np.any(jx[j] <= 0.0) or not np.all(np.isfinite(jx[j])):
+                    raise JacobianVanishedError("nonpositive or non-finite Jacobian sample")
+                _path_integral(vals, grids[j], live, block, scratch, end, False)
+                yield s, nodes[first], jx[j], end
+
+
+# ---------------------------------------------------------------------------
 # integral identities
 # ---------------------------------------------------------------------------
 
@@ -515,8 +628,8 @@ def forward_backward_mismatch(field: VelocityFieldSpec, summary: ForwardSummary)
     The time-reversed field -b(T - s, .) on [0, T] is swept forward from the
     arrivals in the time blocks of ``_forward_blocks``, keeping only each
     block's last node: the steps are bit for bit those of the backward path
-    of ``backward_paths``, whose row 0 is X^{-1}(T, arrivals), without its
-    (steps+1, N, d) table. A StepBlowupError names the physical time.
+    of ``backward_summary``, whose X^{-1} is that of the arrivals at T,
+    without its (steps+1, N, d) table. A StepBlowupError names the physical time.
     """
     seeds = summary.seed_grid
     arrivals = seeds_from_points(summary.endpoints, seeds.cell_volume)

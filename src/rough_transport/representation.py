@@ -1,11 +1,11 @@
 """Candidate solutions built from the flow by the two representation formulas.
 
 The pointwise form evaluates u0(X^{-1}) / JX(X^{-1}) * exp(damping path
-integral) on fixed grid points by tracing each evaluation node back to
-time zero; the pushforward form transports weighted particles forward and
-deposits them on a target grid. The damping's own truncation radius eta
-around its singular point implements the almost-everywhere reading of the
-path integral.
+integral) on fixed grid points from what ``flow.backward_summary`` yields
+when it traces each evaluation node back to time zero; the pushforward
+form transports weighted particles forward and deposits them on a target
+grid. The damping's own truncation radius eta around its singular point
+implements the almost-everywhere reading of the path integral.
 A DensityRepresentation carries the space-time quadrature whose nodes it
 is sampled on.
 """
@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import JacobianVanishedError
-from .fields import DampingFieldSpec, VelocityFieldSpec, sample_damping, sample_nodes
-from .flow import (_CHUNK_BYTES, ForwardSummary, SeedGrid, _check_divergence,
-                   _check_truncation, _div_sup_integral, backward_paths)
+from .fields import DampingFieldSpec, VelocityFieldSpec
+from .flow import ForwardSummary, SeedGrid, backward_summary
 from .numerics import (CellGrid, cell_centers, gl_nodes, stable_sum, tensor_points,
                        trapezoid_weights)
 
@@ -79,99 +77,6 @@ class DensityRepresentation:
         return self.quad.points
 
 
-def _represent_slices(u0, field: VelocityFieldSpec, damping: DampingFieldSpec,
-                      nodes, grids):
-    """u at the anchors of the backward slices along one path, (len(grids), N).
-
-    ``nodes`` (M+1, N, d) holds the path on ``grids[0]``, the time grid of
-    its longest slice. Slice k, on ``grids[k]`` = linspace(0, a_k, m_k + 1),
-    is its last m_k + 1 nodes, so X^{-1}(a_k, seeds) is row M - m_k. Only an
-    autonomous b and c let slices share a path. div b and c are each
-    sampled once on the path, ``block`` nodes per call into one (N, M+1)
-    table.
-
-    Each slice's two integrals repeat ``cumtrapz`` on its grid operation for
-    operation, through one reused scratch block, on the live rows only: the
-    rows whose sampled integrand has a nonzero (or NaN, or infinite) entry
-    on the sampled columns. Every other row sums ±0.0 terms from a 0.0
-    start, which gives +0.0, so it gets +0.0 without the sum; b = 0 or
-    c = 0, or c = 0 along whole paths, costs no cumulative sum at all. The
-    live rows are gathered once per sampling, and not at all when every row
-    is live. A slice keeps only the largest |div integral| (checked against
-    L as ``forward_summary`` does), the final values and the paths the
-    damping's eta cut-off zeroes entirely. Raises what ``forward_summary``
-    raises for the same fields, and JacobianVanishedError for a JX that
-    underflows or is not finite.
-    """
-    rows, n = nodes.shape[:2]
-    # path nodes per field call and per scratch block: 1/16 of the budget
-    block = max(1, (_CHUNK_BYTES >> 4) // (8 * n))
-    table = np.empty((n, rows))     # samples along the path, time contiguous
-    masked = np.empty((n, rows), dtype=bool)
-    scratch = np.empty(n * (block + 1))
-    end = np.empty(n)
-    out = np.empty((len(grids), n))
-
-    def sample(damped):
-        # the table on the path's nodes; returns the live rows and their samples
-        for r in range(0, rows, block):
-            t, at = grids[0][r:r + block], nodes[r:r + block]
-            if damped:
-                vals, mask = sample_damping(damping, t, at)
-                masked[:, r:r + block] = mask.T
-            else:
-                vals = sample_nodes(field.eval_div_b, field.autonomous, t, at)
-            table[:, r:r + block] = vals.T
-        live = np.flatnonzero(np.any(table, axis=1))
-        return live, (table if live.size == n else table[live])
-
-    def path_integral(times, live, vals, track_worst):
-        # cumtrapz(vals, times) on the slice's columns, scattered into ``end``
-        # at the live rows. A block's cumsum starts from the running value in
-        # its first column, which repeats the sequential sum bit for bit (up
-        # to the sign of a zero). With ``track_worst``, returns max |integral|
-        # over the nodes (a NaN gives NaN); the dead rows' zeros never raise
-        # it above the 0.0 that starts every row.
-        m = times.shape[0] - 1
-        v = vals[:, rows - 1 - m:]
-        half_dt = 0.5 * np.diff(times)
-        end[:] = 0.0
-        if live.size == 0:
-            return 0.0
-        run = end if live.size == n else np.zeros(live.size)
-        worst = 0.0
-        for p in range(0, m, block):
-            w = min(block, m - p)
-            acc = scratch[:live.size * (w + 1)].reshape(live.size, w + 1)
-            acc[:, 0] = run
-            np.add(v[:, p + 1:p + w + 1], v[:, p:p + w], out=acc[:, 1:])
-            np.multiply(half_dt[p:p + w], acc[:, 1:], out=acc[:, 1:])
-            np.cumsum(acc, axis=-1, out=acc)
-            run[:] = acc[:, -1]
-            if track_worst:
-                worst = np.maximum(worst, np.maximum(np.max(acc), -np.min(acc)))
-        if run is not end:
-            end[live] = run
-        return float(worst)
-
-    live, vals = sample(damped=False)
-    for k, times in enumerate(grids):
-        _check_divergence(path_integral(times, live, vals, True),
-                          _div_sup_integral(field, times))
-        out[k] = np.exp(end)
-
-    live, vals = sample(damped=True)
-    for k, times in enumerate(grids):
-        m = times.shape[0] - 1
-        _check_truncation(np.all(masked[:, rows - 1 - m:], axis=1), damping)
-        jx_end = out[k]
-        if np.any(jx_end <= 0.0) or not np.all(np.isfinite(jx_end)):
-            raise JacobianVanishedError("nonpositive or non-finite Jacobian sample")
-        path_integral(times, live, vals, False)
-        out[k] = np.asarray(u0(nodes[rows - 1 - m]), dtype=float) / jx_end * np.exp(end)
-    return out
-
-
 def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
                        points: SeedGrid, time_grid, steps) -> np.ndarray:
     """u(t_k, x_i) on a fixed grid from backward characteristics, shape (K+1, N).
@@ -179,30 +84,11 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     The characteristics through (t_k, x_i) differ for each t_k, so each
     slice follows its own backward path, t_k -> 0 in m_k steps; the step
     size is kept near horizon/steps by scaling m_k with t_k. The t = 0
-    slice is u0 on the nose. With b and c autonomous, the path from x_i
-    and the samples along it depend only on the step t_k / m_k, so slices
-    whose steps are bitwise equal follow prefixes of one path, integrated
-    and sampled once per distinct step; each slice's values are bitwise
-    u0(X^{-1}) / JX * exp(D) from the cumulative trapezoids of div b and c
-    over the full table of its own backward map (the reference the tests
-    keep in ``tests/reference.py``).
-    Only the paths along which div b, or c, is nonzero somewhere are
-    summed; the others take the integral 0.0 that their sum would give, so
-    the identity build (b = 0, c = 0) runs no cumulative sum at all.
-    The identity build (step 1/256 for all 256 slices) takes one path;
-    linear_expand's 48 slices of 1000 steps take 31.
-
-    The paths come from chunked sweeps, longest first. A chunk stacks
-    paths while its sweep, rows * (longest step count + 1) * d * 8 bytes,
-    plus the (longest step count + 1) * N * 8 byte sample table of its
-    longest path stays within ``_CHUNK_BYTES`` (8 MiB); a path longer than
-    that forms a chunk alone. Every chunk writes its sweep into one buffer,
-    sized to the largest and allocated once: with a fresh sweep per chunk,
-    whether the next one fit where the last was freed turned on where
-    small objects had landed in the heap, so the peak RSS of the
-    ``linear_expand`` build moved by about 5 MB between runs of the same
-    code. When b or c depends on time, every slice is its own path and
-    chunk.
+    slice is u0 on the nose, and slice k is u0(X^{-1}) / JX * exp(D) from
+    ``flow.backward_summary``, which shares paths between slices and sizes
+    their sweeps: the identity build (step 1/256 for all 256 slices) takes
+    one path and no cumulative sum, linear_expand's 48 slices of 1000 steps
+    take 31 paths.
     """
     time_grid = np.asarray(time_grid, dtype=float)
     if time_grid[0] != 0.0:
@@ -211,36 +97,11 @@ def pointwise_solution(field: VelocityFieldSpec, damping: DampingFieldSpec, u0,
     anchors = [float(t) for t in time_grid[1:]]
     if not all(0.0 < t <= horizon for t in anchors):
         raise ValueError("evaluation times must lie in (0, horizon]")
-    x = points.points
-    n = x.shape[0]
-    vals = np.empty((time_grid.shape[0], n))
-    vals[0] = np.asarray(u0(x), dtype=float)
-
+    vals = np.empty((time_grid.shape[0], points.points.shape[0]))
+    vals[0] = np.asarray(u0(points.points), dtype=float)
     counts = [max(1, int(round(steps * t / horizon))) for t in anchors]
-    batch = field.autonomous and damping.autonomous
-    # slices that share a path, each longest first, the longest paths first
-    shared = {}
-    for s, h in sorted(enumerate(np.divide(anchors, counts)), key=lambda sh: -counts[sh[0]]):
-        shared.setdefault(h if batch else s, []).append(s)
-    node_bytes = n * 8                  # one float64 for every point
-    chunks = []
-    for group in shared.values():
-        # a chunk's first path is its longest: it sets the sweep length and
-        # the size of the one sample table alive beside the sweep
-        if (batch and chunks and (counts[chunks[-1][0][0]] + 1) * node_bytes
-                * (x.shape[1] * (len(chunks[-1]) + 1) + 1) <= _CHUNK_BYTES):
-            chunks[-1].append(group)
-        else:
-            chunks.append([group])
-    sweep = np.empty(max((counts[c[0][0]] + 1) * len(c) * x.size for c in chunks)
-                     if field.autonomous and chunks else 0)
-    for chunk in chunks:
-        paths = backward_paths(field, points, [anchors[g[0]] for g in chunk],
-                               [counts[g[0]] for g in chunk], sweep)
-        for group, path in zip(chunk, paths):
-            grids = [np.linspace(0.0, anchors[s], counts[s] + 1) for s in group]
-            vals[[1 + s for s in group]] = _represent_slices(u0, field, damping, path,
-                                                             grids)
+    for k, inverse, jx, dmp in backward_summary(field, damping, points, anchors, counts):
+        vals[1 + k] = np.asarray(u0(inverse), dtype=float) / jx * np.exp(dmp)
     return vals
 
 

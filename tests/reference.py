@@ -1,10 +1,11 @@
 """Full-size references: every node of every path, every sample of a profile.
 
 The package reads each forward quantity from one blocked sweep
-(``forward_summary``) and each backward one from shared paths
-(``backward_paths``, read by ``pointwise_solution``); the tests compare
-both bit for bit against one ``integrate_flow`` sweep per map, kept whole
-in a ``FlowMap``, and against the cumulative trapezoids over its table.
+(``forward_summary``) and each backward one, X^{-1}, JX and D per slice,
+from shared paths (``backward_summary``, read by ``pointwise_solution``);
+the tests compare both bit for bit against one ``integrate_flow`` sweep
+per map, kept whole in a ``FlowMap``, and against the cumulative
+trapezoids over its table.
 
 The BMO statistics stream a block sampler (``bmo.bmo_norm``); the array
 pipeline they replaced, which held one float per cell of the profile, is

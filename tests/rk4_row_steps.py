@@ -13,14 +13,19 @@ The counts do not depend on the host, so they pin the RK4 and field work
 of a change that should not move it; the golden test in
 ``test_scenarios.py`` asserts both through the same wrappers, as
 equalities, against the ``rk4_row_steps`` and ``base_field_evals`` of
-``BENCH_3.json``. Not collected by pytest: the file name does not start
-with ``test_``.
+``BENCH_4.json``. First, before any scenario has filled a cache, it
+takes the tracemalloc peak above the start level of each diagnostic of
+``TRACED_DIAGNOSTICS``, run alone and in that order, which
+``test_scenarios.py`` bounds: unlike the peak RSS, it does not move with
+code layout. Not collected by pytest: the file name does not start with
+``test_``.
 """
 
 import json
 import math
 import sys
 import tempfile
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -81,12 +86,35 @@ def work_counts(scenario_id):
     return total[0], evals, report.passed
 
 
+# the diagnostics that set the traced peaks of the backward builds
+TRACED_DIAGNOSTICS = (("identity", "weak_residual"), ("linear_expand", "l2_energy"),
+                      ("damping_bounded", "weak_residual_refinement"),
+                      ("twin_difference_gronwall", "gronwall_log"))
+
+
+def traced_peak(scenario_id, diagnostic):
+    """(tracemalloc peak above the start level in bytes, passed) of one diagnostic run alone."""
+    with tempfile.TemporaryDirectory() as out:
+        cfg = resolve({"scenario_id": scenario_id, "output_dir": out,
+                       "diagnostics": [diagnostic]})
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = run_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak - start, report.passed
+
+
 def main(argv):
-    counts, evals, passed = {}, {}, {}
+    counts, evals, passed, peaks = {}, {}, {}, {}
+    for sid, name in TRACED_DIAGNOSTICS:
+        peaks[f"{sid}/{name}"], passed[f"{sid}/{name}"] = traced_peak(sid, name)
     for sid in argv or list(REGISTRY):
         counts[sid], evals[sid], passed[sid] = work_counts(sid)
     print(json.dumps({"rk4_row_steps": counts, "base_field_evals": evals,
-                      "passed": passed}, indent=2))
+                      "traced_peak_bytes": peaks, "passed": passed}, indent=2))
     return 0 if all(passed.values()) else 1
 
 

@@ -13,7 +13,7 @@ from rough_transport.config import resolve
 from rough_transport.errors import (DivergenceUnboundedError, DomainTooSmallError,
                                     StepBlowupError)
 from rough_transport.fields import VelocityFieldSpec, sample_nodes
-from rough_transport.flow import (_rk4_path, backward_paths, change_of_variables_residual,
+from rough_transport.flow import (_rk4_path, backward_summary, change_of_variables_residual,
                                   compressibility_estimate, flow_convergence_study,
                                   forward_backward_mismatch, forward_summary,
                                   make_seed_grid, seeds_from_points)
@@ -23,7 +23,7 @@ from rough_transport.scenarios import run_scenario
 from rough_transport.testfunctions import bump, gaussian
 
 from conftest import damping, field, long_linear_flow, traced_bytes, u0_fn
-from reference import integrate_flow, jacobian
+from reference import damping_integral, integrate_flow, jacobian
 
 
 def test_identity_flow(zero_field):
@@ -65,7 +65,8 @@ _RK4_DRIVERS = {
     "forward_summary": lambda spec, grid: forward_summary(spec, grid, 8),
     "forward_summary_escape": lambda spec, grid: forward_summary(spec, grid, 8,
                                                                  escape=(0.5, 2.0)),
-    "backward_paths": lambda spec, grid: backward_paths(spec, grid, [1.0], [8]),
+    "backward_summary": lambda spec, grid: list(backward_summary(
+        spec, damping("zero", spec.dimension), grid, [1.0], [8])),
     "pointwise_solution": lambda spec, grid: pointwise_solution(
         spec, damping("zero", spec.dimension), u0_fn("bump", spec.dimension), grid,
         [0.0, 0.5, 1.0], 8),
@@ -78,7 +79,7 @@ def test_rk4_drivers_refuse_a_discontinuous_field(driver):
     # while the continuous (log-Lipschitz) log_drift runs as it is
     with pytest.raises(ValueError, match="discontinuous"):
         _RK4_DRIVERS[driver](field("shear", d=2), make_seed_grid(1.0, 4, 2))
-    if driver in ("forward_summary", "forward_summary_escape", "backward_paths"):
+    if driver in ("forward_summary", "forward_summary_escape", "backward_summary"):
         _RK4_DRIVERS[driver](field("log_drift"), make_seed_grid(1.0, 8, 1))
 
 
@@ -591,9 +592,10 @@ def test_forward_backward_composition(linear_field):
 
 
 def _backward_mismatch(spec, fwd):
-    """forward_backward_mismatch read off row 0 of the one backward path."""
+    """forward_backward_mismatch read off the X^{-1} of the one backward slice."""
     arrivals = seeds_from_points(fwd.endpoints, fwd.seed_grid.cell_volume)
-    inverse = backward_paths(spec, arrivals, [float(fwd.time_grid[-1])], [fwd.steps])[0][0]
+    _, inverse, _, _ = next(backward_summary(spec, damping("zero", spec.dimension), arrivals,
+                                             [float(fwd.time_grid[-1])], [fwd.steps]))
     return float(np.max(np.linalg.norm(inverse - fwd.seed_grid.points, axis=-1)))
 
 
@@ -655,44 +657,56 @@ def test_linear_field_jacobian_and_inverse(entries):
 
 # --- the backward paths --------------------------------------------------------
 
-def _reference_backward(spec, grid, anchors, counts):
-    """Each backward path from the full-table reference, node-major like backward_paths."""
-    return [np.moveaxis(integrate_flow(spec, grid, m, "backward", anchor_time=a)
-                        .trajectories, 1, 0) for a, m in zip(anchors, counts)]
-
-
 @pytest.mark.parametrize("field_id,anchors,counts", [
     ("linear_expand", [1.0, 2.0 / 3.0, 0.5, 1.0 / 3.0], [10, 7, 7, 3]),
     ("linear_expand", [1.0], [64]),
+    ("linear_expand", [0.25, 1.0, 0.5], [2, 8, 4]),
     ("time_dependent", [1.0, 0.25, 0.75], [12, 3, 9]),
-], ids=["stacked", "one_anchor", "time_dependent"])
-def test_backward_paths_match_the_reference_bitwise(field_id, anchors, counts):
+], ids=["stacked", "one_anchor", "shared", "time_dependent"])
+def test_backward_paths_match_the_reference_bitwise(field_id, anchors, counts, monkeypatch):
+    # each slice's X^{-1}, JX and D against the full tables of its own
+    # backward map; "stacked" takes four paths in one sweep, "shared" three
+    # slices on one path of steps 1/8. At a 1-byte budget every path is a
+    # chunk of its own, and every chunk still sweeps into the one buffer
+    # that holds X^{-1}. Each yielded view is copied before the next item,
+    # which may overwrite it
     spec = _time_dependent_field() if field_id == "time_dependent" else field(field_id)
     grid = make_seed_grid(1.0, 16, 1)
-    ref = _reference_backward(spec, grid, anchors, counts)
-    got = flow.backward_paths(spec, grid, anchors, counts)
-    assert len(got) == len(ref)
-    for path, want in zip(got, ref):
-        assert np.array_equal(path, want)
-    if spec.autonomous:
-        # written into a caller's buffer, the sweep gives the same paths
-        sweep = np.empty(2 * (counts[0] + 1) * len(anchors) * grid.points.size)
-        for path, want in zip(flow.backward_paths(spec, grid, anchors, counts, sweep), ref):
-            assert np.shares_memory(path, sweep)
-            assert np.array_equal(path, want)
+    dmp = damping("box_indicator")
+    want = []
+    for a, m in zip(anchors, counts):
+        back = integrate_flow(spec, grid, m, "backward", anchor_time=a)
+        want.append((back.inverse_samples, jacobian(spec, back).jx[:, -1],
+                     damping_integral(dmp, back).values[:, -1]))
+        assert np.any(want[-1][2] != 0.0)
+    for budget in (flow._CHUNK_BYTES, 1):
+        monkeypatch.setattr(flow, "_CHUNK_BYTES", budget)
+        got, buffers = {}, []
+        for k, *item in backward_summary(spec, dmp, grid, anchors, counts):
+            got[k] = tuple(view.copy() for view in item)
+            buffers.append(item[0])
+            while buffers[-1].base is not None:
+                buffers[-1] = buffers[-1].base
+        assert sorted(got) == list(range(len(anchors)))
+        assert all(b is buffers[0] for b in buffers)
+        for k, ref in enumerate(want):
+            for view, expected in zip(got[k], ref):
+                assert np.array_equal(view, expected), (budget, k)
 
 
 @pytest.mark.parametrize("autonomous", [True, False])
 def test_backward_paths_blowup_names_seed_and_physical_time(autonomous):
     # the path from 0.45 back from t = 1/3 meets the NaN at its first step
-    # of 1/9, at t = 2/9; the path back from t = 1 (steps of 0.1), or
-    # from t = 0.05 in one step, is still finite then. Stacked, the failing
-    # row is 3 = path 1 x 2 seeds + seed 1
+    # of 1/9, at t = 2/9; the path back from t = 1 (steps of 0.1) is still
+    # finite then. Stacked, the failing row is 3 = path 1 x 2 seeds + seed 1.
+    # A time-dependent b sweeps each path as a chunk of its own, the longest
+    # first: the path back from 1/3 before the one step back from 0.05
     spec = dataclasses.replace(_nan_right_of_half(), autonomous=autonomous)
     anchors, counts = (([1.0, 1.0 / 3.0], [10, 3]) if autonomous
                        else ([0.05, 1.0 / 3.0], [1, 3]))
     with pytest.raises(StepBlowupError) as err:
-        flow.backward_paths(spec, seeds_from_points([[0.2], [0.45]]), anchors, counts)
+        list(backward_summary(spec, damping("zero"), seeds_from_points([[0.2], [0.45]]),
+                              anchors, counts))
     assert err.value.seed_index == 1
     assert err.value.t == pytest.approx(2.0 / 9.0, rel=1e-15)
     assert str(err.value) == "trajectory 1 became non-finite at t=0.222222"

@@ -2,7 +2,9 @@
 
 The check reads each module with the standard ``ast`` module, so a
 deletion that leaves an import behind (a ``Callable`` or a ``dataclass``
-nobody reads any more) fails here.
+nobody reads any more) fails here. A second check keeps each module's
+private names its own: no module imports a ``_``-prefixed name (a dunder
+aside) from a sibling module.
 """
 
 import ast
@@ -40,3 +42,24 @@ def test_unused_import_check_flags_a_leftover():
 def test_src_module_uses_every_import(module):
     source = (SRC / module).read_text()
     assert unused_imports(source, REEXPORTS.get(module, ())) == [], module
+
+
+def private_imports(source):
+    """The ``_``-prefixed names, dunders aside, that ``source`` imports from its package."""
+    return sorted(a.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level or (node.module or "").startswith("rough_transport"))
+                  for a in node.names
+                  if a.name.startswith("_")
+                  and not (a.name.startswith("__") and a.name.endswith("__")))
+
+
+def test_private_import_check_flags_a_sibling_private_name():
+    source = ("from . import __version__\nfrom .flow import _CHUNK_BYTES, SeedGrid\n"
+              "from rough_transport.bmo import _CHUNK\nfrom numpy import _NoValue\n")
+    assert private_imports(source) == ["_CHUNK", "_CHUNK_BYTES"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_src_module_imports_no_private_name_of_a_sibling(module):
+    assert private_imports((SRC / module).read_text()) == [], module

@@ -13,10 +13,10 @@ from rough_transport.fields import DampingFieldSpec, VelocityFieldSpec
 from rough_transport.flow import forward_summary, make_seed_grid, seeds_from_points
 from rough_transport.numerics import CellGrid, stable_sum
 from rough_transport import flow, representation
-from rough_transport.representation import (_CHUNK_BYTES, DensityRepresentation,
-                                            _cic_deposit, integrability_probe,
-                                            make_quadrature, pointwise_solution,
-                                            represent_pushforward)
+from rough_transport.flow import _CHUNK_BYTES
+from rough_transport.representation import (DensityRepresentation, _cic_deposit,
+                                            integrability_probe, make_quadrature,
+                                            pointwise_solution, represent_pushforward)
 from conftest import damping, field, long_linear_flow, traced_bytes, u0_fn, unit_damping
 from reference import damping_integral, integrate_flow, jacobian
 
@@ -250,13 +250,13 @@ def test_pointwise_solution_matches_per_slice_composition(monkeypatch):
     # slice k takes round(1000 k / 48) steps, so step counts grow unevenly by
     # 20 or 21; at a 2 MiB budget the slices fill several chunks of several
     # slices each (the 8 MiB default would need a 4x larger problem)
-    monkeypatch.setattr(representation, "_CHUNK_BYTES", 1 << 21)
+    monkeypatch.setattr(flow, "_CHUNK_BYTES", 1 << 21)
     spec = field("linear_expand")
     dmp = damping("box_indicator")
     u0 = u0_fn("bump")
     grid = make_seed_grid(1.0, 64, 1)
     times = np.linspace(0.0, 1.0, 49)
-    assert 1001 * 64 * 48 * 8 > 4 * representation._CHUNK_BYTES
+    assert 1001 * 64 * 48 * 8 > 4 * flow._CHUNK_BYTES
     u = pointwise_solution(spec, dmp, u0, grid, times, steps=1000)
     ref, _ = _per_slice_reference(spec, dmp, u0, grid, times, 1000)
     assert np.array_equal(u, ref)
@@ -303,7 +303,7 @@ def test_pointwise_solution_independent_of_chunk_size(monkeypatch, field_id, rad
     times = np.linspace(0.0, 1.0, n_time + 1)
     results = []
     for mib in (1, 8, 64):
-        monkeypatch.setattr(representation, "_CHUNK_BYTES", mib << 20)
+        monkeypatch.setattr(flow, "_CHUNK_BYTES", mib << 20)
         results.append(pointwise_solution(
             spec, dataclasses.replace(damping("inv_sqrt"), eta=1e-3), u0_fn("bump"),
             grid, times, steps))

@@ -15,7 +15,7 @@ import pytest
 
 from rough_transport import renormalization, scenarios
 from rough_transport.config import resolve
-from rough_transport.errors import InadmissibleRenormalizerError, PipelineError
+from rough_transport.errors import BadSplitError, InadmissibleRenormalizerError, PipelineError
 from rough_transport.flow import forward_summary, make_seed_grid
 from rough_transport.representation import pointwise_solution
 from rough_transport.scenarios import REGISTRY, _check, build_context, run_scenario
@@ -23,10 +23,11 @@ from rough_transport.weakform import gamma_trace, weak_residual
 
 from conftest import field
 from golden_diff import GOLDEN_DIR, diff_scenario, listing
-from rk4_row_steps import counting_field_evals, counting_row_steps
+from rk4_row_steps import (TRACED_DIAGNOSTICS, counting_field_evals, counting_row_steps,
+                           traced_peak)
 
 SRC_DIR = Path(scenarios.__file__).resolve().parents[1]
-BENCH_3 = Path(__file__).resolve().parents[1] / "BENCH_3.json"
+BENCH_4 = Path(__file__).resolve().parents[1] / "BENCH_4.json"
 
 
 @pytest.mark.parametrize("scenario_id", list(REGISTRY))
@@ -51,7 +52,7 @@ def test_default_run_matches_golden_artifacts(scenario_id, tmp_path):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), \
             f"{scenario_id}/{name} differs from the golden copy:\n" \
             + listing(diff_scenario(tmp_path, scenario_id))
-    pins = json.loads(BENCH_3.read_text())
+    pins = json.loads(BENCH_4.read_text())
     assert row_steps[0] == pins["rk4_row_steps"][scenario_id]
     assert evals == pins["base_field_evals"][scenario_id]
 
@@ -262,6 +263,37 @@ def test_inadmissible_beta_is_a_pipeline_error(tmp_path, monkeypatch):
     assert err.value.stage == "gronwall_log"
     assert isinstance(err.value.cause, InadmissibleRenormalizerError)
     assert "'bounded': (1.0, 9.0)" in str(err.value)
+
+
+@pytest.mark.parametrize("field_id", ["log_drift", "zero", "linear_expand", "compact_bump"])
+def test_bmo_gronwall_checks_the_split_against_the_scenario_field(field_id, tmp_path):
+    # d2 is log(1/|x|) on B_1: log_drift's divergence equals it to rounding
+    # and zero's lies under it, while linear_expand's (div b = 1) and
+    # compact_bump's exceed it by 1.0 and 1.01, and passed every verdict
+    # of the scenario before the split was checked
+    cfg = resolve({"scenario_id": "bmo_divergence_log", "field_id": field_id,
+                   "diagnostics": ["bmo_gronwall"], "output_dir": str(tmp_path)})
+    if field_id in ("log_drift", "zero"):
+        assert run_scenario(cfg).passed
+        return
+    with pytest.raises(PipelineError) as err:
+        run_scenario(cfg)
+    assert err.value.stage == "bmo_gronwall"
+    assert isinstance(err.value.cause, BadSplitError)
+    assert "exceeds d1 + d2" in str(err.value)
+
+
+@pytest.mark.parametrize("scenario_id,diagnostic", TRACED_DIAGNOSTICS)
+def test_traced_peak_of_the_backward_builds_stays_recorded(scenario_id, diagnostic):
+    # the peak RSS moves by about 0.5 MB with code layout alone; the
+    # tracemalloc peak counts numpy's buffers, so it pins the density
+    # builds' sweep buffer and tables. The recorded peaks are the largest
+    # over ten processes, which spread by at most 8.5 KB; the slack is
+    # twice that
+    pins = json.loads(BENCH_4.read_text())["traced_peak_bytes"]
+    peak, passed = traced_peak(scenario_id, diagnostic)
+    assert passed
+    assert peak <= pins["recorded"][f"{scenario_id}/{diagnostic}"] + pins["slack"], peak
 
 
 def test_gronwall_scenarios_certify_each_log_beta_once(tmp_path, monkeypatch):
