@@ -240,18 +240,18 @@ class JNFit:
     c_fit: float
     etas: tuple
     measures: tuple
-    trivial: bool = False
     r_squared: Optional[float] = None
 
 
 def jn_decay_check(profile: BMOProfile, eta_grid) -> JNFit:
     """Fit measure{|f - (f)_{B_M}| > eta} to C Leb(B_M) exp(-c eta / ||f||*).
 
-    All-empty superlevels report trivial decay; fewer than three nonempty
-    levels cannot be fitted. The superlevels are counted by ``_hit_counts``,
-    bounding each block by its reach: rounding is monotone, so no sample of
-    a block deviates from the mean by more than the block's min or max
-    does, and a block whose reach is at most every level is skipped unread.
+    All-empty superlevels report trivial decay (C_fit = 0, c_fit = inf);
+    fewer than three nonempty levels cannot be fitted. The superlevels are
+    counted by ``_hit_counts``, bounding each block by its reach: rounding
+    is monotone, so no sample of a block deviates from the mean by more
+    than the block's min or max does, and a block whose reach is at most
+    every level is skipped unread.
     In a sampled block the B_M cells become |f - mean| in place, and the
     integer counts add up exactly.
     """
@@ -272,7 +272,7 @@ def jn_decay_check(profile: BMOProfile, eta_grid) -> JNFit:
     nonzero = [(e, m) for e, m in zip(etas, measures) if m > 0.0]
     if not nonzero:
         return JNFit(C_fit=0.0, c_fit=float("inf"), etas=tuple(etas),
-                     measures=tuple(measures), trivial=True)
+                     measures=tuple(measures))
     if len(nonzero) < 3:
         raise DegenerateFitError(
             f"only {len(nonzero)} nonempty superlevels; need at least 3 for the fit"

@@ -282,7 +282,6 @@ class ForwardSummary:
 
     seed_grid: SeedGrid
     time_grid: np.ndarray          # (K+1,), 0 = t_0 < ... < t_K = horizon
-    steps: int
     endpoints: np.ndarray          # (N, d), X(T, seeds)
     jx_end: np.ndarray             # (N,), JX(T, seeds)
     damping_end: np.ndarray        # (N,), D(T, seeds); zero without a damping
@@ -291,7 +290,7 @@ class ForwardSummary:
     jx_min: np.ndarray             # (K+1,)
     jx_max: np.ndarray             # (K+1,)
     residuals: JacobianOdeResiduals    # None unless residuals=True
-    escaped: np.ndarray            # one measure per radius; None without escape
+    escaped: np.ndarray            # (radii,), one measure per radius; None without escape
 
     def jx_deviation(self, expected):
         """max over seeds and nodes of |JX - expected|, a scalar or one value per node.
@@ -323,8 +322,8 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
     ``residuals=True`` takes the largest residuals of the Jacobian ODE and
     of its reciprocal along that table. ``escape=(r, R)`` takes the
     superlevel escape measure cell_volume * #{i : |x_i| < r, |X(t, x_i)| > R},
-    maximized over the nodes, for each radius of ``R``: an array of radii
-    gives its shape, a scalar a float. Each block's node norms are taken
+    maximized over the nodes, for each radius of ``R``, as a 1-D array
+    (one entry for a scalar R). Each block's node norms are taken
     in a scratch table with the seeds outside B_r masked, so no block is
     copied; the sweep covers every seed, so a StepBlowupError may name a
     seed outside B_r.
@@ -397,17 +396,14 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
         # drop the block before the next one is built
         del nodes, divs
     _check_truncation(all_cut, damping)
-    escaped = None
-    if escape is not None:
-        measures = counts.astype(float) * seeds.cell_volume
-        escaped = float(measures[0]) if radii.ndim == 0 else measures.reshape(radii.shape)
-    return ForwardSummary(seed_grid=seeds, time_grid=time_grid, steps=steps,
+    return ForwardSummary(seed_grid=seeds, time_grid=time_grid,
                           endpoints=endpoints, jx_end=np.exp(dpi_end),
                           damping_end=damping_end, L=L,
                           max_displacement=float(worst[0]), jx_min=jx_min, jx_max=jx_max,
                           residuals=(JacobianOdeResiduals(float(worst[1]), float(worst[2]))
                                      if residuals else None),
-                          escaped=escaped)
+                          escaped=(None if escape is None
+                                   else counts.astype(float) * seeds.cell_volume))
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +633,8 @@ def forward_backward_mismatch(field: VelocityFieldSpec, summary: ForwardSummary)
     reversed_field = replace(field, horizon=T, eval_b=lambda s, y: -np.asarray(
         field.eval_b(T - s, y), dtype=float))
     try:
-        for _, nodes in _forward_blocks(reversed_field, arrivals, summary.steps):
+        for _, nodes in _forward_blocks(reversed_field, arrivals,
+                                        summary.time_grid.size - 1):
             inverse = nodes[-1].copy()
             del nodes
     except StepBlowupError as exc:      # the sweep's time s runs back from T

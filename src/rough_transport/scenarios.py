@@ -25,15 +25,14 @@ from .fields import (DampingFieldSpec, VelocityFieldSpec, check_divergence_consi
 from .flow import (change_of_variables_residual, compressibility_estimate,
                    flow_convergence_study, forward_backward_mismatch, forward_summary,
                    make_seed_grid, seeds_from_points)
-from .numerics import CellGrid, ball_volume, profile, trapz
+from .numerics import CellGrid, ball_volume, order_estimate, profile, trapz
 from .renormalization import make_beta_arctan, make_beta_log, make_phi_R
 from .report import Artifact, DiagnosticResult, RunReport
 from .representation import (DensityRepresentation, integrability_probe,
                              make_quadrature, pointwise_solution)
 from .testfunctions import bump, compact_space_time, gaussian
 from .weakform import (GRONWALL_SLACK, gamma_trace, gronwall_constants,
-                       l2_energy_diagnostic, uniqueness_probe, weak_residual,
-                       weak_residual_study)
+                       l2_energy_diagnostic, uniqueness_probe, weak_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +456,22 @@ def _run_change_of_variables(ctx, phi, tol):
     return _check({"residual": (res, tol)})
 
 
+def _weak_rows(ctx, ladder, phi_radius):
+    """(h, tau, arctan weak residual) per density of a strictly refining ladder."""
+    densities = [ctx.density(ns, nt) for ns, nt in ladder]
+    if any(b.quad.h >= a.quad.h for a, b in zip(densities, densities[1:])):
+        raise ValueError("quadrature ladder must be strictly refining")
+    beta = make_beta_arctan(1.0)
+    phi = compact_space_time(ctx.d, ctx.field.horizon, phi_radius)
+    return tuple((u.quad.h, u.quad.tau,
+                  weak_residual(u, beta, phi, ctx.field, ctx.damping, ctx.u0))
+                 for u in densities)
+
+
 def _run_weak_residual(ctx, n_space, n_time, tol, phi_radius):
-    rep = weak_residual(ctx.density(n_space, n_time), make_beta_arctan(1.0),
-                        compact_space_time(ctx.d, ctx.field.horizon, phi_radius),
-                        ctx.field, ctx.damping, ctx.u0)
-    art = Artifact("weak_residual.csv", ("h", "tau", "residual"), rep.history)
-    return _check({"residual": (rep.residual, tol)}, artifacts=(art,))
+    rows = _weak_rows(ctx, [(n_space, n_time)], phi_radius)
+    art = Artifact("weak_residual.csv", ("h", "tau", "residual"), rows)
+    return _check({"residual": (rows[0][2], tol)}, artifacts=(art,))
 
 
 def _run_l2_energy(ctx, n_space, n_time):
@@ -558,17 +567,17 @@ def _run_representation_exact(ctx):
 
 
 def _run_weak_refinement(ctx, ladder, phi_radius):
-    """Weak residuals over the ladder fall at order 2, less 0.1 of slack."""
-    rep = weak_residual_study([ctx.density(ns, nt) for ns, nt in ladder],
-                              make_beta_arctan(1.0),
-                              compact_space_time(ctx.d, ctx.field.horizon, phi_radius),
-                              ctx.field, ctx.damping, ctx.u0)
-    ok = rep.order is not None and rep.order >= 1.9
-    art = Artifact("weak_residual_refinement.csv", ("h", "tau", "residual"),
-                   rep.history)
-    return _result(ok,
-                   {"estimated_order": rep.order or float("nan"),
-                    "final_residual": rep.residual},
+    """Weak residuals over the ladder fall at order 2, less 0.1 of slack.
+
+    The order is fitted against the spatial spacing h alone: tau may refine
+    more slowly, or stay fixed where the time error is at its floor.
+    """
+    rows = _weak_rows(ctx, ladder, phi_radius)
+    order = order_estimate([row[0] for row in rows], [row[2] for row in rows])
+    art = Artifact("weak_residual_refinement.csv", ("h", "tau", "residual"), rows)
+    return _result(order >= 1.9,
+                   {"estimated_order": order or float("nan"),
+                    "final_residual": rows[-1][2]},
                    {"estimated_order": 1.9,
                     "final_residual": float("inf")}, artifacts=(art,))
 
@@ -673,7 +682,7 @@ def _run_bmo_norm(ctx):
     profile = ctx.bmo_profile()
     avg = profile.core_mean
     avg_bound = 2.0 ** (profile.d + 1) * profile.norm_star
-    avg_err = abs(avg - 1.0)
+    avg_err = abs(avg - 1.0 / profile.d)   # the average of log(1/|x|) over B_1
     return _result(avg_err <= 0.02 and avg <= avg_bound,
                    {"average_B1": avg, "average_abs_error": avg_err,
                     "norm_star": profile.norm_star, "average_bound": avg_bound},

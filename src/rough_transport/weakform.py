@@ -14,13 +14,12 @@ assembles from the divergence sup profile, growth split and damping L1 profile.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import SupportOverflowError, UnboundedDampingError
 from .fields import DampingFieldSpec, VelocityFieldSpec, sample_damping, sample_nodes
-from .numerics import cumtrapz, holds_below, order_estimate, profile, stable_sum, trapz
+from .numerics import cumtrapz, holds_below, profile, stable_sum, trapz
 from .renormalization import Renormalizer, TestFunctionPhiR
 from .representation import DensityRepresentation
 
@@ -53,16 +52,8 @@ def _tested_sum(flux, phiv, bu, ubp, div, c):
 # weak residual
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeakResidualReport:
-    residual: float
-    history: tuple = ()            # (h, tau, residual) triples, strictly refining
-    order: Optional[float] = None
-
-
 def weak_residual(quad: DensityRepresentation, beta: Renormalizer, phi,
-                  field: VelocityFieldSpec, damping: DampingFieldSpec,
-                  u0) -> WeakResidualReport:
+                  field: VelocityFieldSpec, damping: DampingFieldSpec, u0) -> float:
     """Quadrature value of the renormalized weak form (zero for solutions).
 
     ``quad`` is the density u; its quadrature supplies every node. (The
@@ -93,28 +84,7 @@ def weak_residual(quad: DensityRepresentation, beta: Renormalizer, phi,
             + np.sum(np.asarray(phi.grad(t, quad.points), dtype=float) * bvals, axis=-1))
     phiv = np.asarray(phi(t, quad.points), dtype=float)
     tested = _tested_sum(flux, phiv, bu, ubp, divvals, cvals)
-    pieces = [initial, *(quad.time_weights * tested * quad.cell_volume)]
-
-    residual = abs(stable_sum(pieces))
-    return WeakResidualReport(residual=residual,
-                              history=((quad.h, quad.tau, residual),))
-
-
-def weak_residual_study(densities, beta, phi, field, damping, u0) -> WeakResidualReport:
-    """Residuals over a strictly refining ladder of densities with an order estimate."""
-    hs = [u.quad.h for u in densities]
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("quadrature ladder must be strictly refining")
-    history = []
-    for u in densities:
-        rep = weak_residual(u, beta, phi, field, damping, u0)
-        history.append((u.quad.h, u.quad.tau, rep.residual))
-    # the ladder is indexed by the spatial spacing (tau may refine more slowly
-    # or stay fixed when the time error is already at its floor)
-    order = order_estimate([row[0] for row in history],
-                           [row[2] for row in history])
-    return WeakResidualReport(residual=history[-1][2], history=tuple(history),
-                              order=order)
+    return abs(stable_sum([initial, *(quad.time_weights * tested * quad.cell_volume)]))
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +158,6 @@ def l2_energy_diagnostic(u: DensityRepresentation, field: VelocityFieldSpec,
 GRONWALL_SLACK = 0.1     # relative discretization slack of every Gronwall bound
 
 
-def log_gronwall_bound(A, B, C, delta):
-    """exp(A) (B + log(1 + pi^2/(4 delta)) C), the logarithmic Gronwall bound."""
-    return math.exp(A) * (B + math.log1p(math.pi ** 2 / (4.0 * delta)) * C)
-
-
 @dataclass(frozen=True)
 class GronwallBoundData:
     """Constants of the localized logarithmic Gronwall estimate."""
@@ -205,7 +170,9 @@ class GronwallBoundData:
     tau0: float                # the bound covers the time nodes up to tau0
 
     def bound(self, delta):
-        return log_gronwall_bound(self.A, self.B_R, self.C_R + self.D, delta)
+        """exp(A) (B_R + log(1 + pi^2/(4 delta)) (C_R + D)), the logarithmic bound."""
+        return math.exp(self.A) * (
+            self.B_R + math.log1p(math.pi ** 2 / (4.0 * delta)) * (self.C_R + self.D))
 
     def window(self, trace: GammaTrace):
         """Gamma on the time nodes up to tau0."""

@@ -314,7 +314,7 @@ def jn_decay_check(profile: BMOProfile, eta_grid) -> JNFit:
     nonzero = [(e, m) for e, m in zip(etas, measures) if m > 0.0]
     if not nonzero:
         return JNFit(C_fit=0.0, c_fit=float("inf"), etas=tuple(etas),
-                     measures=tuple(measures), trivial=True)
+                     measures=tuple(measures))
     if len(nonzero) < 3:
         raise DegenerateFitError(
             f"only {len(nonzero)} nonempty superlevels; need at least 3 for the fit"

@@ -148,7 +148,7 @@ def test_criterion_06_representation_and_weak_residual():
         g = seeds_from_points(q.points, q.cell_volume)
         uu = DensityRepresentation(q, pointwise_solution(spec, dmp, u0, g, q.times,
                                                          steps=32))
-        errs.append(weak_residual(uu, beta, phi, spec, dmp, u0).residual)
+        errs.append(weak_residual(uu, beta, phi, spec, dmp, u0))
     order = order_estimate([1.0 / nt for _, nt in ladders], errs)
     ok = dev <= 1e-12 and order >= 2.0 - ORDER_MARGIN and errs[-1] < errs[0]
     announce(6, "representation exact to 1e-12; weak residual order >= 2",
@@ -198,7 +198,7 @@ def test_criterion_09_uniqueness_probe_and_tamper():
     u_bad = DensityRepresentation(quad, vals)
     phi = compact_space_time(1, 1.0, space_radius=1.5)
     res = weak_residual(u_bad, make_beta_arctan(1.0), phi, spec, dmp,
-                        lambda x: np.zeros(np.asarray(x).shape[:-1])).residual
+                        lambda x: np.zeros(np.asarray(x).shape[:-1]))
     floor = 0.1 * 0.75 * phi.space.reference_integral   # the window integrates to 0.75 T
     ok = probe.passed and probe.values["verdict_forces_zero"] and res > floor
     announce(9, "twin difference forces u=0; tampered fixture flagged by weak residual",

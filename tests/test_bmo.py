@@ -409,7 +409,7 @@ def test_jn_trivially_decayed():
     vals = np.where(np.abs(xs) < 1.0, np.abs(xs), 0.0)
     prof = _norm(vals, 1.0, default_ball_family(1.0, 1), grid)
     fit = jn_decay_check(prof, [5.0, 6.0, 7.0])
-    assert fit.trivial
+    assert all(m == 0.0 for m in fit.measures)
 
 
 def test_jn_degenerate_fit():
@@ -681,7 +681,7 @@ def test_streamed_checks_hold_a_few_blocks():
         return (prof, jn_decay_check(prof, [1.0 + 0.5 * k for k in range(7)]),
                 lemma52_checks(prof, [9.0, 12.0, 16.0]))
     (prof, fit, rep), _, peak = traced_bytes(checks)
-    assert not fit.trivial and rep.tails[0] > 0.0
+    assert any(m > 0.0 for m in fit.measures) and rep.tails[0] > 0.0
     assert peak <= 4 << 20
 
 
