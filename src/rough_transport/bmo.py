@@ -291,9 +291,6 @@ def jn_decay_check(profile: BMOProfile, eta_grid) -> JNFit:
 
 @dataclass(frozen=True)
 class SuperlevelReport:
-    average: float
-    average_bound: float          # 2^(d+1) norm_star
-    average_ok: bool
     lambdas: tuple
     tails: tuple                  # T(lambda) = integral (f - lambda norm_star)_+
     nonincreasing: bool
@@ -352,14 +349,14 @@ def _tail(profile, level, n):
 
 
 def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
-    """Average bound and exponential tail decay for nonnegative profiles.
+    """Exponential tail decay for nonnegative profiles.
 
-    The sign check reads the block minima, and the average is the profile's
-    mean over B_M. ``bmo_norm`` verified that every nonzero sample lies in
-    the closed B_M, and no level is negative, so the samples above a level
-    lie there too. One pass over the blocks above any level counts the hits
-    of every level (``_hit_counts``); each tail then gathers only the blocks
-    whose max exceeds its level (``_tail``). With gradual underflow, f - s > 0 exactly when
+    The sign check reads the block minima. ``bmo_norm`` verified that
+    every nonzero sample lies in the closed B_M, and no level is negative,
+    so the samples above a level lie there too. One pass over the blocks
+    above any level counts the hits of every level (``_hit_counts``); each
+    tail then gathers only the blocks whose max exceeds its level
+    (``_tail``). With gradual underflow, f - s > 0 exactly when
     f > s, so each tail sums the same numbers in the same order as
     ``np.sum(excess[excess > 0])`` with ``excess = f - s`` over the whole
     grid.
@@ -370,9 +367,6 @@ def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
     if np.min(profile.block_min) < 0.0:
         raise NegativeInputError("superlevel checks need a nonnegative profile")
     sigma = profile.norm_star
-
-    average = profile.core_mean
-    bound = 2.0 ** (profile.d + 1) * sigma
     levels = [lam * sigma for lam in lambdas]
     tails = [_tail(profile, level, n) * profile.cell_volume
              for level, n in zip(levels, _hit_counts(profile, levels))]
@@ -393,9 +387,7 @@ def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
                                       [t for _, t in positive])
         slope = float(slope)
 
-    return SuperlevelReport(average=average, average_bound=bound,
-                            average_ok=average <= bound + 1e-12,
-                            lambdas=tuple(lambdas), tails=tuple(tails),
+    return SuperlevelReport(lambdas=tuple(lambdas), tails=tuple(tails),
                             nonincreasing=noninc, convex=convex,
                             log_slope=slope, r_squared=r2)
 

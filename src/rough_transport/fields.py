@@ -36,7 +36,11 @@ class VelocityFieldSpec:
     such as the BV shear, must be mollified first. ``div_sup(t)`` bounds
     the spatial sup of |div b(t, .)|; its time integral is the constant L
     controlling the Jacobian between exp(-L) and exp(L). Fields declared
-    ``autonomous`` must not depend on t.
+    ``autonomous`` must not depend on t. ``reads`` lists, in increasing
+    order, the coordinates of x that ``eval_b`` and ``eval_div_b`` depend
+    on; None means all of them. It is the spatial counterpart of
+    ``autonomous``: ``mollify`` reuses a convolution when those coordinates
+    repeat.
     """
 
     dimension: int
@@ -46,6 +50,7 @@ class VelocityFieldSpec:
     div_sup: Callable            # t -> float (may be inf for BMO-type fields)
     horizon: float
     autonomous: bool = True
+    reads: Optional[tuple] = None               # coordinates of x read; None is all
     growth_b1: Optional[Callable] = None        # (t, x) -> nonnegative
     growth_b2: Optional[Callable] = None        # t -> nonnegative
     growth_b1_tail: Optional[Callable] = None   # (t, R) -> L1 norm of b1 outside B_R; None is 0
@@ -56,6 +61,13 @@ class VelocityFieldSpec:
             raise ValueError("dimension must be a positive integer")
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
+        reads = self.reads
+        if reads is not None and not (
+                isinstance(reads, tuple)
+                and all(type(j) is int and 0 <= j < self.dimension for j in reads)
+                and list(reads) == sorted(set(reads))):
+            raise ValueError(f"reads must be None or a strictly increasing tuple of "
+                             f"coordinates in [0, {self.dimension}), not {reads!r}")
 
 
 @dataclass(frozen=True)
@@ -164,6 +176,14 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
     bounded by the sup of |div b|, so it bounds the smoothed divergence.
     Both callables return C-contiguous arrays; a (d,) point gives a (d,)
     velocity and a 0-d divergence.
+
+    A field that declares ``reads`` gives the same sum wherever those
+    coordinates repeat, since each shifted point keeps the unread ones out
+    of the field. Each callable then keeps its last result, keyed by t
+    (None for an autonomous field), the shape of x and the bytes of
+    ``x[..., reads]``, and returns that array, read-only, on a repeat: an
+    RK4 sweep of the shear, whose y never moves, convolves once instead of
+    once per stage. A field without ``reads`` convolves on every call.
     """
     if moll.dimension != spec.dimension:
         raise ValueError("mollifier dimension does not match the field")
@@ -212,10 +232,26 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
                 np.add(acc, np.multiply(w, val, out=tmp), out=acc)
         return acc
 
+    def _convolved(fun):
+        if spec.reads is None:
+            return lambda t, x: _space_conv(fun, t, x)
+        reads, memo = list(spec.reads), [None, None]
+
+        def conv(t, x):
+            x = np.asarray(x, dtype=float)
+            tk = None if spec.autonomous else (np.shape(t), np.asarray(t, float).tobytes())
+            key = (tk, x.shape, x[..., reads].tobytes())
+            if key != memo[0]:
+                val = _space_conv(fun, t, x)
+                val.flags.writeable = False
+                memo[:] = key, val
+            return memo[1]
+        return conv
+
     return replace(
         spec,
-        eval_b=lambda t, x: _space_conv(spec.eval_b, t, x),
-        eval_div_b=lambda t, x: _space_conv(spec.eval_div_b, t, x),
+        eval_b=_convolved(spec.eval_b),
+        eval_div_b=_convolved(spec.eval_div_b),
         continuous=True,
         growth_b1=None,
         growth_b2=None,

@@ -93,7 +93,7 @@ def _field_shear(T):
         eval_div_b=lambda t, x: _zeros_like_scalar(x),
         continuous=False, div_sup=lambda t: 0.0, horizon=T,
         growth_b1=lambda t, x: _zeros_like_scalar(x),
-        growth_b2=lambda t: 1.0, label="shear")
+        growth_b2=lambda t: 1.0, reads=(1,), label="shear")
 
 
 _COMPACT_DIV_SUP = 96.0 / (25.0 * math.sqrt(5.0))   # max |6x(1-x^2)^2| on [-1, 1]
@@ -641,9 +641,9 @@ def _run_gronwall_matrix(ctx, quad_shape, check_delta_independent=False):
             trace = gamma_trace(u, beta, phi_R, ctx.field, ctx.damping)
             bound = data.bound(delta)
             rows.append((delta, R, float(np.max(trace.values)), bound))
-            all_ok = all_ok and data.holds(trace, delta)
+            all_ok = all_ok and data.holds(trace.values, u.times, delta)
             trace_rows = trace_rows or [(float(t), float(g), float(r), bound) for t, g, r
-                                        in zip(trace.times, trace.values, trace.rhs)]
+                                        in zip(u.times, trace.values, trace.rhs)]
     worst = max(g / max(b, 1e-300) for _, _, g, b in rows)
     metrics = {"worst_gamma_over_bound": (worst, 1.0 + GRONWALL_SLACK),
                "all_bounds_hold": (all_ok, True)}
@@ -678,10 +678,15 @@ def _run_uniqueness_probe(ctx, quad_shape):
 
 # --- BMO scenario runners ----------------------------------------------------
 
+def _average_bound(profile):
+    """2^(d+1) norm_star, the decay lemma's bound on the average over B_M."""
+    return 2.0 ** (profile.d + 1) * profile.norm_star
+
+
 def _run_bmo_norm(ctx):
     profile = ctx.bmo_profile()
     avg = profile.core_mean
-    avg_bound = 2.0 ** (profile.d + 1) * profile.norm_star
+    avg_bound = _average_bound(profile)
     avg_err = abs(avg - 1.0 / profile.d)   # the average of log(1/|x|) over B_1
     return _result(avg_err <= 0.02 and avg <= avg_bound,
                    {"average_B1": avg, "average_abs_error": avg_err,
@@ -711,16 +716,17 @@ def _run_superlevel_tails(ctx):
     bounds = [fit.C_fit * ball * sigma / fit.c_fit * math.exp(-0.5 * fit.c_fit * lam)
               for lam in rep.lambdas]
     tails_bounded = all(t <= b for t, b in zip(rep.tails, bounds))
-    ok = (rep.average_ok and rep.nonincreasing and strict and rep.convex
+    avg, avg_bound = profile.core_mean, _average_bound(profile)
+    ok = (avg <= avg_bound + 1e-12 and rep.nonincreasing and strict and rep.convex
           and tails_bounded
           and (rep.log_slope or 0.0) < 0.0 and (rep.r_squared or 0.0) >= 0.95)
     art = Artifact("superlevel_tails.csv", ("lambda", "tail_integral", "bound"),
                    tuple(zip(rep.lambdas, rep.tails, bounds)))
     return _result(ok,
-                   {"average": rep.average, "average_bound": rep.average_bound,
+                   {"average": avg, "average_bound": avg_bound,
                     "log_slope": rep.log_slope or float("nan"),
                     "r_squared": rep.r_squared or float("nan")},
-                   {"average": rep.average_bound, "log_slope": 0.0,
+                   {"average": avg_bound, "log_slope": 0.0,
                     "r_squared": 0.95}, artifacts=(art,))
 
 
@@ -728,8 +734,8 @@ def _run_bmo_gronwall(ctx):
     u = ctx.twin_difference((96, 32))
     phi_R = make_phi_R(ctx.cfg.r_list[0], ctx.d)
     # Gamma depends on (delta, R) alone: one trace per delta serves every lambda
-    traces = {delta: gamma_trace(u, _certified_beta_log(delta), phi_R, ctx.field,
-                                 ctx.damping)
+    gammas = {delta: gamma_trace(u, _certified_beta_log(delta), phi_R, ctx.field,
+                                 ctx.damping).values
               for delta in ctx.cfg.delta_list}
     family = bmo_gronwall_family(ctx.cfg.lambda_list, ctx.bmo_profile(), ctx.jn_fit(),
                                  ctx.growth(), ctx.damping, phi_R, u.times)
@@ -739,9 +745,9 @@ def _run_bmo_gronwall(ctx):
     for lam, data in zip(ctx.cfg.lambda_list, family):
         expA_D[lam] = math.exp(data.A) * data.D
         for delta in ctx.cfg.delta_list:
-            rows.append((lam, delta, float(np.max(data.window(traces[delta]))),
+            rows.append((lam, delta, float(np.max(data.window(gammas[delta], u.times))),
                          data.bound(delta), expA_D[lam], data.tau0))
-            all_ok = all_ok and data.holds(traces[delta], delta)
+            all_ok = all_ok and data.holds(gammas[delta], u.times, delta)
     lams = sorted(expA_D)
     decay = all(expA_D[b] < expA_D[a] for a, b in zip(lams, lams[1:]))
     art = Artifact("bmo_gronwall.csv",

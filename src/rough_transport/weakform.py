@@ -93,9 +93,11 @@ def weak_residual(quad: DensityRepresentation, beta: Renormalizer, phi,
 
 @dataclass(frozen=True)
 class GammaTrace:
-    """Gamma(t_k) = sum phi(x_i) beta(u(t_k, x_i)) cell_vol, with its rhs."""
+    """Gamma(t_k) = sum phi(x_i) beta(u(t_k, x_i)) cell_vol, with its rhs.
 
-    times: np.ndarray
+    Both are read on the density's time nodes, ``quad.times``.
+    """
+
     values: np.ndarray
     rhs: np.ndarray
     consistency: float
@@ -125,8 +127,7 @@ def gamma_trace(quad: DensityRepresentation, beta: Renormalizer, phi_space,
     dq = np.diff(gamma) / np.diff(quad.times)
     mid = 0.5 * (rhs[1:] + rhs[:-1])
     consistency = float(np.max(np.abs(dq - mid))) if dq.size else 0.0
-    return GammaTrace(times=quad.times.copy(), values=gamma, rhs=rhs,
-                      consistency=consistency)
+    return GammaTrace(values=gamma, rhs=rhs, consistency=consistency)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +175,13 @@ class GronwallBoundData:
         return math.exp(self.A) * (
             self.B_R + math.log1p(math.pi ** 2 / (4.0 * delta)) * (self.C_R + self.D))
 
-    def window(self, trace: GammaTrace):
-        """Gamma on the time nodes up to tau0."""
-        return trace.values[trace.times <= self.tau0 + 1e-12]
+    def window(self, gamma, times):
+        """Gamma, sampled on ``times``, on the time nodes up to tau0."""
+        return gamma[times <= self.tau0 + 1e-12]
 
-    def holds(self, trace: GammaTrace, delta):
+    def holds(self, gamma, times, delta):
         """Gamma <= bound(delta) on [0, tau0], up to the factor 1 + GRONWALL_SLACK."""
-        return holds_below(self.window(trace), self.bound(delta), GRONWALL_SLACK)
+        return holds_below(self.window(gamma, times), self.bound(delta), GRONWALL_SLACK)
 
 
 def gronwall_constants(rate, damping: DampingFieldSpec, growth: VelocityFieldSpec,

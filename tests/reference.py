@@ -14,9 +14,11 @@ B_M mean, John-Nirenberg measures and superlevel tails, with
 ``array_sampler``, which reads such an array through a block sampler.
 
 ``mollify`` shifts its points coordinate-major and re-shifts only the
-coordinates whose kernel offset changed; ``space_conv``, the per-node loop
-it replaced, shifts every coordinate of every node and is kept as its
-bit-for-bit reference.
+coordinates whose kernel offset changed, and for a field that declares
+``reads`` it hands back its last sum when t, the shape and the read
+coordinates repeat; ``space_conv``, the per-node loop it replaced, shifts
+every coordinate of every node on every call and is kept as its bit-for-bit
+reference.
 """
 
 from dataclasses import dataclass
@@ -328,7 +330,7 @@ def jn_decay_check(profile: BMOProfile, eta_grid) -> JNFit:
 
 
 def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
-    """Average bound and exponential tail decay for nonnegative profiles.
+    """Exponential tail decay for nonnegative profiles.
 
     Only the cells with |x| <= M are read: ``bmo_norm`` verified that every
     nonzero sample lies there, and no level is negative, so every sample
@@ -348,9 +350,6 @@ def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
     if np.less(values, 0.0, out=above).any():
         raise NegativeInputError("superlevel checks need a nonnegative profile")
     sigma = profile.norm_star
-
-    average = float(np.mean(profile.core_values))
-    bound = 2.0 ** (profile.d + 1) * sigma
 
     tails = []
     for lam in lambdas:
@@ -376,9 +375,7 @@ def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
                                       [t for _, t in positive])
         slope = float(slope)
 
-    return SuperlevelReport(average=average, average_bound=bound,
-                            average_ok=average <= bound + 1e-12,
-                            lambdas=tuple(lambdas), tails=tuple(tails),
+    return SuperlevelReport(lambdas=tuple(lambdas), tails=tuple(tails),
                             nonincreasing=noninc, convex=convex,
                             log_slope=slope, r_squared=r2)
 

@@ -13,7 +13,7 @@ The counts do not depend on the host, so they pin the RK4 and field work
 of a change that should not move it; the golden test in
 ``test_scenarios.py`` asserts both through the same wrappers, as
 equalities, against the ``rk4_row_steps`` and ``base_field_evals`` of
-``BENCH_4.json``. First, before any scenario has filled a cache, it
+``BENCH_5.json``. First, before any scenario has filled a cache, it
 takes the tracemalloc peak above the start level of each diagnostic of
 ``TRACED_DIAGNOSTICS``, run alone and in that order, which
 ``test_scenarios.py`` bounds: unlike the peak RSS, it does not move with
@@ -86,10 +86,12 @@ def work_counts(scenario_id):
     return total[0], evals, report.passed
 
 
-# the diagnostics that set the traced peaks of the backward builds
+# the diagnostics that set the traced peaks of the backward builds, then the
+# mollified forward sweeps, whose convolution memos hold a node block each
 TRACED_DIAGNOSTICS = (("identity", "weak_residual"), ("linear_expand", "l2_energy"),
                       ("damping_bounded", "weak_residual_refinement"),
-                      ("twin_difference_gronwall", "gronwall_log"))
+                      ("twin_difference_gronwall", "gronwall_log"),
+                      ("shear_bv", "flow_convergence"))
 
 
 def traced_peak(scenario_id, diagnostic):

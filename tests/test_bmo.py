@@ -386,7 +386,6 @@ def test_core_values_built_once():
     values = _log_samples(xs[:, None])
     prof = _norm(values, 1.0, default_ball_family(1.0, 1), grid)
     assert _same_bits(prof.core_mean, np.mean(values[np.abs(xs) < prof.M]))
-    assert lemma52_checks(prof, [9.0]).average == prof.core_mean
 
 
 # --- John-Nirenberg decay ----------------------------------------------------------
@@ -448,9 +447,8 @@ def test_tails_zero_above_max():
 def test_average_bound_log_exemplar():
     # analytic average of log(1/|x|) over B_1 is 1; bound is 2^(d+1) norm_star
     prof = _log_profile()
-    rep = lemma52_checks(prof, [9.0, 12.0, 16.0])
-    assert rep.average == pytest.approx(1.0, rel=2e-2)
-    assert rep.average_ok
+    assert prof.core_mean == pytest.approx(1.0, rel=2e-2)
+    assert prof.core_mean <= 2.0 ** (prof.d + 1) * prof.norm_star
 
 
 def test_tail_integral_closed_form():
@@ -514,7 +512,7 @@ def test_bmo_gronwall_zero_solution():
                         damping("zero"))
     data, = bmo_gronwall_family([9.0], prof, fit, growth, damping("zero"), phi_R,
                                 quad.times)
-    assert data.holds(trace, 1e-2)
+    assert data.holds(trace.values, quad.times, 1e-2)
     assert np.all(trace.values == 0.0)
     assert data.tau0 < 1.0     # the policy clips the window
     # assembled constants match the closed forms for this autonomous split

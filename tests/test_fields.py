@@ -13,7 +13,7 @@ from rough_transport.flow import forward_summary, make_seed_grid
 from rough_transport.numerics import gauss_legendre
 from rough_transport.renormalization import make_beta_arctan
 from rough_transport.representation import DensityRepresentation, make_quadrature
-from rough_transport.scenarios import DAMPING_CATALOG
+from rough_transport.scenarios import DAMPING_CATALOG, FIELD_CATALOG
 from rough_transport.testfunctions import compact_space_time
 from rough_transport.weakform import weak_residual
 
@@ -314,6 +314,163 @@ def test_space_conv_reshifts_a_coordinate_when_its_offset_flips_the_sign_of_zero
 
 def test_mollified_field_is_tagged_smooth(shear_field):
     assert mollify(shear_field, make_mollifier(0.1, 2)).continuous
+
+
+# --- declared coordinates and the convolution memo ---------------------------
+
+def _plane_field(eval_b, eval_div_b, **kw):
+    return VelocityFieldSpec(dimension=2, eval_b=eval_b, eval_div_b=eval_div_b,
+                             continuous=True, div_sup=lambda t: 0.0, horizon=1.0, **kw)
+
+
+def _zero_div(t, x):
+    return np.zeros(np.shape(x)[:-1])
+
+
+@pytest.mark.parametrize("reads", [(2,), (1, 0), (-1,), (1, 1), [1], (1.0,), (True,)])
+def test_field_refuses_a_malformed_reads_declaration(reads):
+    with pytest.raises(ValueError, match="reads"):
+        _plane_field(lambda t, x: x, _zero_div, reads=reads)
+
+
+@pytest.mark.parametrize("reads", [None, (), (0,), (1,), (0, 1)])
+def test_field_accepts_a_well_formed_reads_declaration(reads):
+    assert _plane_field(lambda t, x: x, _zero_div, reads=reads).reads == reads
+
+
+# the unread coordinates are shifted by, and also set to, each of these
+UNREAD_MOVES = (0.0, -0.0, 1e3, -1e3, 0.375, -2.5)
+
+
+def _declaration_holds(spec, points, times=(0.0, 0.5, 1.0)):
+    """True when b and div b keep their bits as the unread coordinates move."""
+    unread = [j for j in range(spec.dimension) if j not in spec.reads]
+    for t in times:
+        want = [np.asarray(fn(t, points), dtype=float).tobytes()
+                for fn in (spec.eval_b, spec.eval_div_b)]
+        for s in UNREAD_MOVES:
+            shifted, pinned = points.copy(), points.copy()
+            shifted[..., unread] += s
+            pinned[..., unread] = s
+            for x in (shifted, pinned):
+                got = [np.asarray(fn(t, x), dtype=float).tobytes()
+                       for fn in (spec.eval_b, spec.eval_div_b)]
+                if got != want:
+                    return False
+    return True
+
+
+def _declaration_points(d):
+    # random points, then points on the axes and the shear's jump line, with
+    # both signs of zero
+    pts = np.random.default_rng(13).uniform(-2.0, 2.0, size=(64, d))
+    edges = np.array([[0.0, 0.0], [-0.0, -0.0], [0.7, 0.0], [-0.7, -0.0],
+                      [0.0, 1e-300], [1e3, -0.5]])
+    return np.concatenate([pts, np.resize(edges, (edges.shape[0], d))])
+
+
+def _declaring_catalog_fields():
+    found = {}
+    for field_id, build in sorted(FIELD_CATALOG.items()):
+        for d in (1, 2):
+            spec = build(d, 1.0)
+            if spec.reads is not None:
+                found[(field_id, spec.dimension)] = spec
+    return found
+
+
+DECLARING_FIELDS = _declaring_catalog_fields()
+
+
+def test_the_shear_declares_that_it_reads_only_y():
+    assert DECLARING_FIELDS[("shear", 2)].reads == (1,)
+
+
+@pytest.mark.parametrize("field_id,d", sorted(DECLARING_FIELDS))
+def test_every_catalog_reads_declaration_is_true(field_id, d):
+    # a field that reads a coordinate it does not declare would hand the
+    # mollifier's memo a stale convolution
+    assert _declaration_holds(DECLARING_FIELDS[(field_id, d)], _declaration_points(d))
+
+
+@pytest.mark.parametrize("liar", ["b", "div_b"])
+def test_a_false_reads_declaration_fails_the_check(liar):
+    # declares (1,), yet b or div b also reads x
+    def eval_b(t, x):
+        out = np.zeros(np.shape(x))
+        out[..., 0] = np.sign(x[..., 1]) + (1e-3 * x[..., 0] if liar == "b" else 0.0)
+        return out
+
+    def eval_div_b(t, x):
+        return 1e-3 * x[..., 0] if liar == "div_b" else _zero_div(t, x)
+    spec = _plane_field(eval_b, eval_div_b, reads=(1,))
+    assert not _declaration_holds(spec, _declaration_points(2))
+
+
+def _counted(spec, calls):
+    return dataclasses.replace(spec, eval_b=_counting(spec.eval_b, calls, "b"),
+                               eval_div_b=_counting(spec.eval_div_b, calls, "div"))
+
+
+def _convolve(smooth, base, moll, calls, t, x, misses):
+    """Both mollified callables at (t, x): the reference loop's bits, 144 calls a miss."""
+    calls.update(b=0, div=0)
+    b, div = smooth.eval_b(t, x), smooth.eval_div_b(t, x)
+    assert calls == {"b": 144 * misses, "div": 144 * misses}
+    assert b.tobytes() == space_conv(base.eval_b, moll, t, x).tobytes()
+    assert div.tobytes() == space_conv(base.eval_div_b, moll, t, x).tobytes()
+    return b, div
+
+
+def test_mollified_shear_convolves_once_per_distinct_y():
+    calls = {"b": 0, "div": 0}
+    base = field("shear", d=2)
+    moll = make_mollifier(0.1, 2)
+    smooth = mollify(_counted(base, calls), moll)
+    pts = _declaration_points(2)
+    b, div = _convolve(smooth, base, moll, calls, 0.5, pts, misses=1)
+    x_moved = pts.copy()
+    x_moved[:, 0] += 0.25
+    assert _convolve(smooth, base, moll, calls, 0.5, x_moved, misses=0)[0] is b
+    # the shear is autonomous: another time reads the same convolution
+    _convolve(smooth, base, moll, calls, 0.9, pts, misses=0)
+    y_moved = pts.copy()
+    y_moved[:, 1] += 0.25
+    _convolve(smooth, base, moll, calls, 0.5, y_moved, misses=1)
+    _convolve(smooth, base, moll, calls, 0.5, y_moved.reshape(5, 14, 2), misses=1)
+    # what a hit hands back is the stored array, so no caller may write to it
+    for out in (b, div):
+        with pytest.raises(ValueError):
+            out[0] = 1.0
+
+
+def test_memo_of_a_time_dependent_field_keys_on_t():
+    calls = {"b": 0, "div": 0}
+
+    def eval_b(t, x):
+        out = np.zeros(np.shape(x))
+        out[..., 0] = t * np.sign(x[..., 1])
+        return out
+    base = _plane_field(eval_b, _zero_div, reads=(1,), autonomous=False)
+    moll = make_mollifier(0.1, 2)
+    smooth = mollify(_counted(base, calls), moll)
+    pts = _declaration_points(2)
+    _convolve(smooth, base, moll, calls, 0.5, pts, misses=1)
+    x_moved = pts.copy()
+    x_moved[:, 0] += 3.0
+    _convolve(smooth, base, moll, calls, 0.5, x_moved, misses=0)
+    _convolve(smooth, base, moll, calls, 0.75, pts, misses=1)
+    _convolve(smooth, base, moll, calls, 0.75, pts, misses=0)
+
+
+def test_mollified_field_without_reads_convolves_on_every_call():
+    calls = {"b": 0, "div": 0}
+    base = dataclasses.replace(field("shear", d=2), reads=None)
+    moll = make_mollifier(0.1, 2)
+    smooth = mollify(_counted(base, calls), moll)
+    pts = _declaration_points(2)
+    for _ in range(2):
+        _convolve(smooth, base, moll, calls, 0.5, pts, misses=1)
 
 
 # --- growth splits -----------------------------------------------------------

@@ -27,7 +27,7 @@ from rk4_row_steps import (TRACED_DIAGNOSTICS, counting_field_evals, counting_ro
                            traced_peak)
 
 SRC_DIR = Path(scenarios.__file__).resolve().parents[1]
-BENCH_4 = Path(__file__).resolve().parents[1] / "BENCH_4.json"
+BENCH_5 = Path(__file__).resolve().parents[1] / "BENCH_5.json"
 
 
 @pytest.mark.parametrize("scenario_id", list(REGISTRY))
@@ -39,7 +39,7 @@ def test_default_run_matches_golden_artifacts(scenario_id, tmp_path):
     # the same run pins the scenario's RK4 and field work (turning off
     # pointwise_solution's step sharing multiplies identity's row-steps by
     # 77 and keeps every verdict; shear_bv's field work is its mollified
-    # convolutions)
+    # convolutions, one per distinct y column of the sweep's points)
     cfg = resolve({"scenario_id": scenario_id,
                    "output_dir": f".bench_out/{scenario_id}"})
     with counting_row_steps() as row_steps, counting_field_evals(cfg.field_id) as evals:
@@ -52,7 +52,7 @@ def test_default_run_matches_golden_artifacts(scenario_id, tmp_path):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), \
             f"{scenario_id}/{name} differs from the golden copy:\n" \
             + listing(diff_scenario(tmp_path, scenario_id))
-    pins = json.loads(BENCH_4.read_text())
+    pins = json.loads(BENCH_5.read_text())
     assert row_steps[0] == pins["rk4_row_steps"][scenario_id]
     assert evals == pins["base_field_evals"][scenario_id]
 
@@ -287,10 +287,10 @@ def test_bmo_gronwall_checks_the_split_against_the_scenario_field(field_id, tmp_
 def test_traced_peak_of_the_backward_builds_stays_recorded(scenario_id, diagnostic):
     # the peak RSS moves by about 0.5 MB with code layout alone; the
     # tracemalloc peak counts numpy's buffers, so it pins the density
-    # builds' sweep buffer and tables. The recorded peaks are the largest
-    # over ten processes, which spread by at most 8.5 KB; the slack is
-    # twice that
-    pins = json.loads(BENCH_4.read_text())["traced_peak_bytes"]
+    # builds' sweep buffer and tables, and the mollified sweeps' convolution
+    # memos. The recorded peaks are the largest over ten processes, which
+    # spread by at most 8.5 KB; the slack is twice that
+    pins = json.loads(BENCH_5.read_text())["traced_peak_bytes"]
     peak, passed = traced_peak(scenario_id, diagnostic)
     assert passed
     assert peak <= pins["recorded"][f"{scenario_id}/{diagnostic}"] + pins["slack"], peak
