@@ -12,7 +12,7 @@ and every statistic streams over blocks of ``_CHUNK`` cells.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class BMOProfile:
     block: int                # cells per block of every sweep
     block_min: np.ndarray     # per block
     block_max: np.ndarray
-    vanishes_outside: bool    # every sample with |x| > M is zero
 
     @property
     def points(self):
@@ -226,8 +225,7 @@ def bmo_norm(sample, M, ball_family, grid) -> BMOProfile:
     return BMOProfile(grid=grid, sample=sample, M=M, averages=np.array(averages),
                       oscillations=oscillations, norm_star=float(np.max(oscillations)),
                       core_run=core, core_mean=core_sum / (core[1] - core[0]), block=block,
-                      block_min=np.array(lows), block_max=np.array(highs),
-                      vanishes_outside=True)
+                      block_min=np.array(lows), block_max=np.array(highs))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +238,7 @@ class JNFit:
     c_fit: float
     etas: tuple
     measures: tuple
-    r_squared: Optional[float] = None
+    r_squared: float = float("nan")     # nan when no fit is made
 
 
 def jn_decay_check(profile: BMOProfile, eta_grid) -> JNFit:
@@ -295,8 +293,8 @@ class SuperlevelReport:
     tails: tuple                  # T(lambda) = integral (f - lambda norm_star)_+
     nonincreasing: bool
     convex: bool
-    log_slope: Optional[float]
-    r_squared: Optional[float]
+    log_slope: float              # nan, as r_squared, when no fit is made
+    r_squared: float
 
 
 def _hit_counts(profile, levels, bound=None, value=None):
@@ -381,7 +379,7 @@ def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
             convex = False
 
     positive = [(l, t) for l, t in zip(lambdas, tails) if t > 0.0]
-    slope = r2 = None
+    slope = r2 = float("nan")
     if len(positive) >= 2:
         slope, _, r2 = log_linear_fit([l for l, _ in positive],
                                       [t for _, t in positive])
@@ -464,8 +462,6 @@ def bmo_gronwall_family(lambdas, profile: BMOProfile, jn: JNFit, growth: Velocit
     for lam in lambdas:
         if lam <= 2.0 ** (d + 2):
             raise LambdaTooSmallError(f"lambda={lam:g} must exceed 2^(d+2)={2.0**(d+2):g}")
-    if not profile.vanishes_outside:
-        raise BadSplitError("d2 is not compactly supported in B_M")
     _check_split(profile, growth, times)
 
     tau0 = choose_tau0(profile.norm_star, jn.c_fit, float(times[-1]))

@@ -39,8 +39,8 @@ class VelocityFieldSpec:
     ``autonomous`` must not depend on t. ``reads`` lists, in increasing
     order, the coordinates of x that ``eval_b`` and ``eval_div_b`` depend
     on; None means all of them. It is the spatial counterpart of
-    ``autonomous``: ``mollify`` reuses a convolution when those coordinates
-    repeat.
+    ``autonomous``: ``mollify`` shifts only those coordinates, and reuses a
+    convolution when they repeat.
     """
 
     dimension: int
@@ -177,13 +177,15 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
     Both callables return C-contiguous arrays; a (d,) point gives a (d,)
     velocity and a 0-d divergence.
 
-    A field that declares ``reads`` gives the same sum wherever those
-    coordinates repeat, since each shifted point keeps the unread ones out
-    of the field. Each callable then keeps its last result, keyed by t
-    (None for an autonomous field), the shape of x and the bytes of
-    ``x[..., reads]``, and returns that array, read-only, on a repeat: an
-    RK4 sweep of the shear, whose y never moves, convolves once instead of
-    once per stage. A field without ``reads`` convolves on every call.
+    Each kernel node shifts only the coordinates in ``reads``, or all of
+    them when it is None; the field does not depend on the others, so the
+    sum keeps its bits, and it is the same wherever the read coordinates
+    repeat. A field that declares ``reads`` therefore keeps each callable's
+    last result, keyed by t (None for an autonomous field), the shape of x
+    and the bytes of ``x[..., reads]``, and returns that array, read-only,
+    on a repeat: an RK4 sweep of the shear, whose y never moves, convolves
+    once instead of once per stage. A field without ``reads`` convolves on
+    every call.
     """
     if moll.dimension != spec.dimension:
         raise ValueError("mollifier dimension does not match the field")
@@ -194,17 +196,9 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
         )
 
     eps = moll.eps
-    eoffsets = eps * moll.space_offsets
-    # the tensor rule stores its nodes in "ij" order, so in 2-D the first
-    # offset changes only once per row of the rule: each node lists just the
-    # coordinates whose offset differs, bit for bit, from the previous
-    # node's (0.0 == -0.0, yet x - 0.0 and x - (-0.0) differ at x = -0.0)
-    bits = eoffsets.view(np.int64)
-    changed = np.ones(bits.shape, dtype=bool)
-    changed[1:] = bits[1:] != bits[:-1]
-    nodes = [(w, [(j, oj) for j, oj in enumerate(row) if flags[j]])
-             for w, row, flags in zip(moll.space_weights.tolist(), eoffsets.tolist(),
-                                      changed.tolist())]
+    cols = list(range(spec.dimension) if spec.reads is None else spec.reads)
+    nodes = list(zip(moll.space_weights.tolist(),
+                     (eps * moll.space_offsets[:, cols]).tolist()))
 
     def _space_conv(fun, t, x):
         # accumulate per kernel node, in the same left-to-right order: batching
@@ -213,17 +207,18 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
         # Xeon), as the blocks leave cache and a broadcast shift runs numpy's
         # inner loop over d items. The points are held coordinate-major, so
         # each shift is one contiguous subtract of a column, and fun reads a
-        # (..., d) view of that buffer. What fun returns is only read, so a
-        # field that returns its input or a cached array is safe; the sum is
-        # allocated C-contiguous whatever layout fun returns
-        xt = np.moveaxis(np.asarray(x, dtype=float), -1, 0).copy()
-        buf = np.empty(xt.shape)
+        # (..., d) view of that buffer. Only the read coordinates are shifted;
+        # the others keep the input's values, which fun does not depend on.
+        # What fun returns is only read, so a field that returns its input or
+        # a cached array is safe; the sum is allocated C-contiguous whatever
+        # layout fun returns
+        buf = np.moveaxis(np.asarray(x, dtype=float), -1, 0).copy()
         shifted = np.moveaxis(buf, 0, -1)
-        columns = [(xt[j, ...], buf[j, ...]) for j in range(xt.shape[0])]
+        columns = [(buf[j, ...].copy(), buf[j, ...]) for j in cols]
         acc = tmp = None
-        for w, shifts in nodes:
-            for j, oj in shifts:
-                np.subtract(columns[j][0], oj, out=columns[j][1])
+        for w, offsets in nodes:
+            for (xj, sj), oj in zip(columns, offsets):
+                np.subtract(xj, oj, out=sj)
             val = np.asarray(fun(t, shifted), dtype=float)
             if acc is None:
                 acc = np.multiply(w, val, out=np.empty(val.shape))
@@ -235,12 +230,12 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
     def _convolved(fun):
         if spec.reads is None:
             return lambda t, x: _space_conv(fun, t, x)
-        reads, memo = list(spec.reads), [None, None]
+        memo = [None, None]
 
         def conv(t, x):
             x = np.asarray(x, dtype=float)
             tk = None if spec.autonomous else (np.shape(t), np.asarray(t, float).tobytes())
-            key = (tk, x.shape, x[..., reads].tobytes())
+            key = (tk, x.shape, x[..., cols].tobytes())
             if key != memo[0]:
                 val = _space_conv(fun, t, x)
                 val.flags.writeable = False

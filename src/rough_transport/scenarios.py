@@ -576,7 +576,7 @@ def _run_weak_refinement(ctx, ladder, phi_radius):
     order = order_estimate([row[0] for row in rows], [row[2] for row in rows])
     art = Artifact("weak_residual_refinement.csv", ("h", "tau", "residual"), rows)
     return _result(order >= 1.9,
-                   {"estimated_order": order or float("nan"),
+                   {"estimated_order": order,
                     "final_residual": rows[-1][2]},
                    {"estimated_order": 1.9,
                     "final_residual": float("inf")}, artifacts=(art,))
@@ -696,12 +696,12 @@ def _run_bmo_norm(ctx):
 
 def _run_jn_decay(ctx):
     fit = ctx.jn_fit()
-    ok = fit.c_fit > 0.0 and (fit.r_squared or 0.0) >= 0.95
+    ok = fit.c_fit > 0.0 and fit.r_squared >= 0.95
     art = Artifact("jn_decay.csv", ("eta", "superlevel_measure"),
                    tuple(zip(fit.etas, fit.measures)))
     return _result(ok,
                    {"c_fit": fit.c_fit, "C_fit": fit.C_fit,
-                    "r_squared": fit.r_squared or float("nan")},
+                    "r_squared": fit.r_squared},
                    {"c_fit": 0.0, "r_squared": 0.95}, artifacts=(art,))
 
 
@@ -719,13 +719,12 @@ def _run_superlevel_tails(ctx):
     avg, avg_bound = profile.core_mean, _average_bound(profile)
     ok = (avg <= avg_bound + 1e-12 and rep.nonincreasing and strict and rep.convex
           and tails_bounded
-          and (rep.log_slope or 0.0) < 0.0 and (rep.r_squared or 0.0) >= 0.95)
+          and rep.log_slope < 0.0 and rep.r_squared >= 0.95)
     art = Artifact("superlevel_tails.csv", ("lambda", "tail_integral", "bound"),
                    tuple(zip(rep.lambdas, rep.tails, bounds)))
     return _result(ok,
                    {"average": avg, "average_bound": avg_bound,
-                    "log_slope": rep.log_slope or float("nan"),
-                    "r_squared": rep.r_squared or float("nan")},
+                    "log_slope": rep.log_slope, "r_squared": rep.r_squared},
                    {"average": avg_bound, "log_slope": 0.0,
                     "r_squared": 0.95}, artifacts=(art,))
 

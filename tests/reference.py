@@ -369,7 +369,7 @@ def lemma52_checks(profile: BMOProfile, lambda_list) -> SuperlevelReport:
             convex = False
 
     positive = [(l, t) for l, t in zip(lambdas, tails) if t > 0.0]
-    slope = r2 = None
+    slope = r2 = float("nan")
     if len(positive) >= 2:
         slope, _, r2 = log_linear_fit([l for l, _ in positive],
                                       [t for _, t in positive])

@@ -1,6 +1,5 @@
 """Mean oscillation norms, John-Nirenberg decay, the BMO Gronwall bound."""
 
-import dataclasses
 import inspect
 import math
 import re
@@ -13,9 +12,9 @@ from rough_transport import bmo
 from rough_transport.bmo import (bmo_gronwall_family, bmo_norm, choose_tau0,
                                  default_ball_family, jn_decay_check,
                                  lemma52_checks)
-from rough_transport.errors import (BadSplitError, DegenerateFitError,
-                                    EmptyBallError, LambdaTooSmallError,
-                                    NegativeInputError, NonFiniteProfileError)
+from rough_transport.errors import (DegenerateFitError, EmptyBallError,
+                                    LambdaTooSmallError, NegativeInputError,
+                                    NonFiniteProfileError)
 from rough_transport.fields import growth_split
 from rough_transport.numerics import CellGrid, cell_centers
 from rough_transport.renormalization import make_beta_log, make_phi_R
@@ -321,7 +320,6 @@ def test_slab_statistics_match_full_grid_masks(half_cell, leaf, monkeypatch):
     # the support check and the B_M mean read the runs of |x| <= M and
     # |x| < M alone, against full-grid masks
     radii = np.linalg.norm(points, axis=-1)
-    assert prof.vanishes_outside
     assert np.array_equal(_run_mask(prof.core_run, values.size), radii < 1.0)
     assert _same_bits(prof.core_mean, np.mean(values[radii < 1.0]))
     # the sample outside B_1 nearest to it
@@ -341,7 +339,6 @@ def test_support_holds_the_sphere_and_the_core_does_not(grid):
     values = np.where(radii <= 1.0, 1.0, 0.0)
     values[radii < 1.0] = 0.5
     prof = _norm(values, 1.0, (((0.0,), 0.5),), grid)
-    assert prof.vanishes_outside
     assert np.array_equal(_run_mask(prof.core_run, values.size), radii < 1.0)
     assert prof.core_mean == 0.5
     # above level 0 the tail reads every sample of the closed ball, the
@@ -351,8 +348,9 @@ def test_support_holds_the_sphere_and_the_core_does_not(grid):
 
 
 def test_support_checked_once_per_profile(monkeypatch):
-    # bmo_norm's first sweep fills the flag that BadSplitError reads, from
-    # index runs of the grid: no norm runs over the full grid
+    # bmo_norm's first sweep checks that the profile vanishes outside B_M
+    # from index runs of the grid: no norm runs over the full grid, and a
+    # profile that leaks is refused
     grid, xs = _grid_1d(n=1 << 12)
     values = _log_samples(xs[:, None])
     passes = []
@@ -363,19 +361,11 @@ def test_support_checked_once_per_profile(monkeypatch):
             passes.append(np.shape(x))
         return norm(x, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "norm", counted)
-    prof = _norm(values, 1.0, default_ball_family(1.0, 1), grid)
-    assert prof.vanishes_outside is True
+    _norm(values, 1.0, default_ball_family(1.0, 1), grid)
     assert passes == []
     monkeypatch.undo()
     with pytest.raises(ValueError, match="vanish outside B_M"):
         _norm(values + 1.0, 1.0, default_ball_family(1.0, 1), grid)
-    leaky = dataclasses.replace(prof, vanishes_outside=False)
-    spec = field("log_drift")
-    fit = jn_decay_check(prof, [1.0 + 0.5 * k for k in range(7)])
-    quad = make_quadrature(1, 2.0, 16, 1.0, 8)
-    with pytest.raises(BadSplitError):
-        bmo_gronwall_family([9.0], leaky, fit, growth_split(spec), damping("zero"),
-                            make_phi_R(2.0, 1), quad.times)
 
 
 def test_core_values_built_once():
@@ -727,5 +717,5 @@ def test_support_allocates_no_slab():
     grid = CellGrid(2.0, 1 << 20, 1)
     sample = _log_core_samples(grid, 1.0)
     prof, _, peak = traced_bytes(lambda: bmo_norm(sample, 1.0, (((0.0,), 1.0),), grid))
-    assert prof.vanishes_outside and prof.core_mean > 0.0
+    assert prof.core_mean > 0.0
     assert peak <= 3 * 8 * bmo._CHUNK + (1 << 17)

@@ -267,7 +267,7 @@ MOLLIFIED_FIELDS = [("shear", 2), ("rotation", 2), ("linear_expand", 1),
 @pytest.mark.parametrize("lead", [(), (64,), (5, 64)], ids=["d", "N_d", "K1_N_d"])
 @pytest.mark.parametrize("field_id,d", MOLLIFIED_FIELDS)
 def test_space_conv_matches_the_reference_loop_bit_for_bit(field_id, d, lead):
-    # the coordinate-major shifts, with the unchanged coordinates left in
+    # the coordinate-major shifts, with the unread coordinates left in
     # place, give the per-node loop's bits for (d,), (N, d) and (K+1, N, d)
     # points, on both convolved callables, in a C-contiguous result. Points
     # on the lattice of the mollifier's offsets hit the fields' kinks and
@@ -290,9 +290,9 @@ def test_space_conv_matches_the_reference_loop_bit_for_bit(field_id, d, lead):
 
 
 def test_space_conv_reshifts_a_coordinate_when_its_offset_flips_the_sign_of_zero():
-    # 0.0 == -0.0, yet -0.0 - 0.0 is -0.0 and -0.0 - (-0.0) is 0.0: a shift
-    # skipped because the offsets compare equal would hand the field the
-    # previous node's zero, and copysign reads its sign
+    # 0.0 == -0.0, yet -0.0 - 0.0 is -0.0 and -0.0 - (-0.0) is 0.0, and
+    # copysign reads the sign: a field without ``reads`` has every coordinate
+    # shifted afresh at every node, so each node hands it its own zero
     moll0 = make_mollifier(1.0, 2)
     moll = dataclasses.replace(
         moll0,
@@ -325,6 +325,33 @@ def _plane_field(eval_b, eval_div_b, **kw):
 
 def _zero_div(t, x):
     return np.zeros(np.shape(x)[:-1])
+
+
+@pytest.mark.parametrize("lead", [(), (48,)], ids=["d", "N_d"])
+def test_space_conv_shifts_only_the_declared_coordinates(lead):
+    # a field that declares reads=(1,) and depends on y alone receives, at
+    # every kernel node of both callables, the input's x column bit for bit:
+    # only y is shifted, and the sums keep the reference loop's bits
+    seen = []
+
+    def spy(value):
+        def fn(t, x):
+            seen.append(x[..., 0].copy())
+            return value(x[..., 1])
+        return fn
+
+    def eval_b(y):
+        return np.stack([np.sign(y), np.zeros(np.shape(y))], axis=-1)
+    spec = _plane_field(spy(eval_b), spy(lambda y: np.cos(y)), reads=(1,))
+    moll = make_mollifier(0.1, 2)
+    smooth = mollify(spec, moll)
+    x = np.random.default_rng(17).uniform(-1.0, 1.0, size=lead + (2,))
+    got = [smooth.eval_b(0.5, x), smooth.eval_div_b(0.5, x)]
+    assert len(seen) == 2 * moll.space_offsets.shape[0] == 288
+    assert all(col.tobytes() == x[..., 0].tobytes() for col in seen)
+    want = [space_conv(fn, moll, 0.5, np.atleast_2d(x))
+            for fn in (spec.eval_b, spec.eval_div_b)]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 @pytest.mark.parametrize("reads", [(2,), (1, 0), (-1,), (1, 1), [1], (1.0,), (True,)])

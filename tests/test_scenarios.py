@@ -323,6 +323,30 @@ def test_peak_rss_follows_each_runner_and_stays_out_of_the_csv(tmp_path):
     assert "rss" not in (tmp_path / "diagnostics.csv").read_text()
 
 
+def test_a_fit_of_exactly_zero_is_recorded_as_zero(tmp_path, monkeypatch):
+    # an order, R^2 or log-slope of 0.0 is a measurement: its row records
+    # 0, not nan, and every one of these verdicts fails on it
+    jn_fit, tails = scenarios.jn_decay_check, scenarios.lemma52_checks
+    monkeypatch.setattr(scenarios, "order_estimate", lambda scales, errors: 0.0)
+    monkeypatch.setattr(scenarios, "jn_decay_check",
+                        lambda *a: dataclasses.replace(jn_fit(*a), r_squared=0.0))
+    monkeypatch.setattr(scenarios, "lemma52_checks", lambda *a: dataclasses.replace(
+        tails(*a), log_slope=0.0, r_squared=0.0))
+    recorded = {}
+    for sid, names in (("damping_bounded", ["weak_residual_refinement"]),
+                       ("bmo_divergence_log", ["jn_decay", "superlevel_tails"])):
+        report = run_scenario(resolve({"scenario_id": sid, "diagnostics": names,
+                                       "output_dir": str(tmp_path / sid)}))
+        assert not any(r.passed for r in report.results)
+        report.write(str(tmp_path / sid))
+        lines = (tmp_path / sid / "diagnostics.csv").read_text().splitlines()[1:]
+        recorded.update({tuple(cells[:2]): cells[2]
+                         for cells in (line.split(",") for line in lines)})
+    zeros = [("weak_residual_refinement", "estimated_order"), ("jn_decay", "r_squared"),
+             ("superlevel_tails", "log_slope"), ("superlevel_tails", "r_squared")]
+    assert [recorded[key] for key in zeros] == ["0"] * 4
+
+
 def test_runtime_budget_folds_into_verdict(tmp_path, monkeypatch):
     cfg = resolve({"scenario_id": "counterexample_L1_damping",
                    "diagnostics": ["integrability_probe"],
