@@ -40,7 +40,12 @@ class VelocityFieldSpec:
     order, the coordinates of x that ``eval_b`` and ``eval_div_b`` depend
     on; None means all of them. It is the spatial counterpart of
     ``autonomous``: ``mollify`` shifts only those coordinates, and reuses a
-    convolution when they repeat.
+    convolution when they repeat. ``div_reads`` declares the same for
+    ``eval_div_b`` alone, within ``reads``; None means it reads what
+    ``reads`` says. A divergence that reads no coordinate, ``()``, is
+    constant in x, as for b = 0, b = +-x, the rotation and the BV shear: the
+    Jacobian exp(int div b(s, X(s, x)) ds) is then the same for every seed,
+    and the flow and mollifier evaluate it at one point.
     """
 
     dimension: int
@@ -51,6 +56,7 @@ class VelocityFieldSpec:
     horizon: float
     autonomous: bool = True
     reads: Optional[tuple] = None               # coordinates of x read; None is all
+    div_reads: Optional[tuple] = None           # those eval_div_b reads; None is reads
     growth_b1: Optional[Callable] = None        # (t, x) -> nonnegative
     growth_b2: Optional[Callable] = None        # t -> nonnegative
     growth_b1_tail: Optional[Callable] = None   # (t, R) -> L1 norm of b1 outside B_R; None is 0
@@ -61,13 +67,23 @@ class VelocityFieldSpec:
             raise ValueError("dimension must be a positive integer")
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
-        reads = self.reads
-        if reads is not None and not (
-                isinstance(reads, tuple)
-                and all(type(j) is int and 0 <= j < self.dimension for j in reads)
-                and list(reads) == sorted(set(reads))):
-            raise ValueError(f"reads must be None or a strictly increasing tuple of "
-                             f"coordinates in [0, {self.dimension}), not {reads!r}")
+        for name in ("reads", "div_reads"):
+            reads = getattr(self, name)
+            if reads is not None and not (
+                    isinstance(reads, tuple)
+                    and all(type(j) is int and 0 <= j < self.dimension for j in reads)
+                    and list(reads) == sorted(set(reads))):
+                raise ValueError(f"{name} must be None or a strictly increasing tuple of "
+                                 f"coordinates in [0, {self.dimension}), not {reads!r}")
+        if (self.div_reads is not None and self.reads is not None
+                and not set(self.div_reads) <= set(self.reads)):
+            raise ValueError(f"div_reads {self.div_reads!r} must lie within "
+                             f"reads {self.reads!r}")
+
+    @property
+    def divergence_reads(self):
+        """The coordinates ``eval_div_b`` reads: ``div_reads``, else ``reads``; None is all."""
+        return self.reads if self.div_reads is None else self.div_reads
 
 
 @dataclass(frozen=True)
@@ -177,15 +193,19 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
     Both callables return C-contiguous arrays; a (d,) point gives a (d,)
     velocity and a 0-d divergence.
 
-    Each kernel node shifts only the coordinates in ``reads``, or all of
-    them when it is None; the field does not depend on the others, so the
+    Each kernel node shifts only the coordinates the callable reads:
+    ``reads`` for ``eval_b``, ``divergence_reads`` for ``eval_div_b``, all of
+    them when that is None. The field does not depend on the others, so the
     sum keeps its bits, and it is the same wherever the read coordinates
-    repeat. A field that declares ``reads`` therefore keeps each callable's
-    last result, keyed by t (None for an autonomous field), the shape of x
-    and the bytes of ``x[..., reads]``, and returns that array, read-only,
-    on a repeat: an RK4 sweep of the shear, whose y never moves, convolves
-    once instead of once per stage. A field without ``reads`` convolves on
-    every call.
+    repeat. A callable with a declaration therefore keeps its last result,
+    keyed by t (None for an autonomous field), the shape of x and the bytes
+    of the read coordinates, and returns that array, read-only, on a
+    repeat: an RK4 sweep of the shear, whose y never moves, convolves once
+    instead of once per stage. A callable that reads no coordinate is
+    constant in x: it is convolved at one point, the origin, keyed by t
+    alone, and that value is filled to x's shape, with the bits of the sum
+    at every point. A callable without a declaration convolves on every
+    call.
     """
     if moll.dimension != spec.dimension:
         raise ValueError("mollifier dimension does not match the field")
@@ -196,11 +216,9 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
         )
 
     eps = moll.eps
-    cols = list(range(spec.dimension) if spec.reads is None else spec.reads)
-    nodes = list(zip(moll.space_weights.tolist(),
-                     (eps * moll.space_offsets[:, cols]).tolist()))
+    origin = np.zeros(spec.dimension)
 
-    def _space_conv(fun, t, x):
+    def _space_conv(fun, t, x, cols, nodes):
         # accumulate per kernel node, in the same left-to-right order: batching
         # the nodes into (Q, N, d) or 8-72-node blocks was measured slower
         # (1.8-4.6 ms against 1.6 ms per (2048, 2) velocity call on a 2-CPU
@@ -227,26 +245,31 @@ def mollify(spec: VelocityFieldSpec, moll: MollifierSpec) -> VelocityFieldSpec:
                 np.add(acc, np.multiply(w, val, out=tmp), out=acc)
         return acc
 
-    def _convolved(fun):
-        if spec.reads is None:
-            return lambda t, x: _space_conv(fun, t, x)
-        memo = [None, None]
+    def _convolved(fun, reads):
+        cols = list(range(spec.dimension) if reads is None else reads)
+        nodes = list(zip(moll.space_weights.tolist(),
+                         (eps * moll.space_offsets[:, cols]).tolist()))
+        if reads is None:
+            return lambda t, x: _space_conv(fun, t, x, cols, nodes)
+        memo = [(None, None)]      # (key, sum), read and replaced as one item
 
         def conv(t, x):
             x = np.asarray(x, dtype=float)
             tk = None if spec.autonomous else (np.shape(t), np.asarray(t, float).tobytes())
-            key = (tk, x.shape, x[..., cols].tobytes())
-            if key != memo[0]:
-                val = _space_conv(fun, t, x)
+            key = (tk, x.shape, x[..., cols].tobytes()) if cols else (tk,)
+            last, val = memo[0]
+            if key != last:
+                # the local val is returned, whatever another caller stores since
+                val = _space_conv(fun, t, x if cols else origin, cols, nodes)
                 val.flags.writeable = False
-                memo[:] = key, val
-            return memo[1]
+                memo[0] = key, val
+            return val if cols else np.full(x.shape[:-1] + val.shape, val)
         return conv
 
     return replace(
         spec,
-        eval_b=_convolved(spec.eval_b),
-        eval_div_b=_convolved(spec.eval_div_b),
+        eval_b=_convolved(spec.eval_b, spec.reads),
+        eval_div_b=_convolved(spec.eval_div_b, spec.divergence_reads),
         continuous=True,
         growth_b1=None,
         growth_b2=None,

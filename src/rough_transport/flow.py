@@ -273,11 +273,11 @@ class ForwardSummary:
     """The reductions of one forward flow that the diagnostics read.
 
     No (N, K+1) table is kept: the flow's end points, JX at the end time,
-    the damping integral D at the end time, the bound L, the largest
-    coordinate displacement |X - x0|, per time node the smallest and
-    largest JX over the seeds and, only when the sweep was asked for them,
-    the largest residuals of the Jacobian ODE and of its reciprocal and
-    the superlevel escape measures; a reduction not asked for is None.
+    the damping integral D at the end time, the bound L, per time node the
+    smallest and largest JX over the seeds and, only when the sweep was
+    asked for them, the largest coordinate displacement |X - x0|, the
+    largest residuals of the Jacobian ODE and of its reciprocal and the
+    superlevel escape measures; a reduction not asked for is None.
     """
 
     seed_grid: SeedGrid
@@ -286,7 +286,7 @@ class ForwardSummary:
     jx_end: np.ndarray             # (N,), JX(T, seeds)
     damping_end: np.ndarray        # (N,), D(T, seeds); zero without a damping
     L: float
-    max_displacement: float        # max over seeds, nodes and coordinates
+    max_displacement: float        # max over seeds, nodes and coordinates; None unless asked
     jx_min: np.ndarray             # (K+1,)
     jx_max: np.ndarray             # (K+1,)
     residuals: JacobianOdeResiduals    # None unless residuals=True
@@ -304,7 +304,7 @@ class ForwardSummary:
 
 def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
                     damping: DampingFieldSpec = None, *, escape=None,
-                    residuals=False) -> ForwardSummary:
+                    residuals=False, displacement=False) -> ForwardSummary:
     """One forward RK4 sweep over ``seeds`` on [0, horizon], reduced block by block.
 
     Each block of ``_forward_blocks`` samples div b on its nodes, continues
@@ -318,7 +318,14 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
     of the reference in ``tests/reference.py``. Raises what the sampled
     fields raise; the divergence bound is checked before JX is formed.
 
-    Two reductions are folded only when asked for, and are None otherwise.
+    A field whose divergence reads no coordinate (``divergence_reads`` is
+    ``()``) has one JX for every seed: div b is sampled on the first seed's
+    column of each block only, and the trapezoid, the bound check, the exp,
+    the extremes and the residuals run on that (m+1, 1) column, whose end
+    value fills ``jx_end``. The damping and escape folds stay per seed.
+
+    Three reductions are folded only when asked for, and are None otherwise.
+    ``displacement=True`` takes the largest coordinate displacement.
     ``residuals=True`` takes the largest residuals of the Jacobian ODE and
     of its reciprocal along that table. ``escape=(r, R)`` takes the
     superlevel escape measure cell_volume * #{i : |x_i| < r, |X(t, x_i)| > R},
@@ -333,6 +340,8 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
     half_dt = 0.5 * dt
     L = _div_sup_integral(field, time_grid)
     x0 = seeds.points
+    n = x0.shape[0]
+    width = 1 if field.divergence_reads == () else n     # JX columns folded
     if escape is not None:
         r, radii = escape[0], np.asarray(escape[1], dtype=float)
         if seeds.bounding_radius < r:
@@ -342,17 +351,21 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
         # escaped count per radius, maximized over the time nodes
         counts = np.zeros(radii.size, dtype=int)
     jx_min, jx_max = np.empty(steps + 1), np.empty(steps + 1)
-    dpi_end, damping_end = np.zeros(x0.shape[0]), np.zeros(x0.shape[0])
-    all_cut = np.full(x0.shape[0], damping is not None)    # without c, nothing is cut
+    dpi_end, damping_end = np.zeros(width), np.zeros(n)
+    all_cut = np.full(n, damping is not None)    # without c, nothing is cut
     worst = np.zeros(3)          # displacement, forward and inverse residuals
     for k0, nodes in _forward_blocks(field, seeds, steps):
         if k0 == 0:              # the first block is the longest
             scratch = np.empty((4,) + nodes.shape[:2])
+            # the divergence folds' four tables, on one column of their own
+            # when JX does not depend on the seed
+            columns = scratch if width == n else np.empty((4, nodes.shape[0], width))
         m = nodes.shape[0] - 1
         block, steps_k = slice(k0, k0 + m + 1), slice(k0, k0 + m)
-        jx, rate = scratch[0, :m + 1], scratch[1, :m + 1]
-        diff, mean = scratch[2, :m], scratch[3, :m]
-        divs = sample_nodes(field.eval_div_b, field.autonomous, time_grid[block], nodes)
+        jx, rate = columns[0, :m + 1], columns[1, :m + 1]
+        diff, mean = columns[2, :m], columns[3, :m]
+        divs = sample_nodes(field.eval_div_b, field.autonomous, time_grid[block],
+                            nodes[:, :width])
         # cumtrapz's increments (0.5 * dt) * (v[k+1] + v[k]), summed in order
         # from the running value, row by row (a cumsum down the rows is slower)
         jx[0] = dpi_end
@@ -364,17 +377,6 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
         dpi_end[:] = jx[-1]
         np.exp(jx, out=jx)
         jx_min[block], jx_max[block] = np.min(jx, axis=1), np.max(jx, axis=1)
-        disp = max(_max_abs(np.subtract(nodes[..., j], x0[:, j], out=rate))
-                   for j in range(x0.shape[1]))
-        worst[0] = np.maximum(worst[0], disp)
-        if escape is not None:
-            norms = np.sqrt(sq_norms(nodes, out=rate), out=rate)
-            np.copyto(norms, -np.inf, where=outside)     # -inf exceeds no radius
-            top = np.max(norms)
-            for j, R_j in enumerate(radii.flat):
-                if R_j < top:    # a radius at or above every norm counts none
-                    counts[j] = max(counts[j],
-                                    np.max(np.count_nonzero(norms > R_j, axis=1)))
         if residuals:
             # JX' = JX div b, then (1/JX)' = -(1/JX) div b with 1/JX in JX's place
             forward = _ode_residual(jx, np.multiply(jx, divs, out=rate), dt[steps_k],
@@ -383,6 +385,20 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
             inverse = _ode_residual(inv, np.multiply(np.negative(inv, out=rate), divs,
                                                      out=rate), dt[steps_k], diff, mean)
             worst[1:] = np.maximum(worst[1:], [forward, inverse])
+        # the per-seed folds, in scratch tables the divergence folds are done with
+        rate, diff = scratch[1, :m + 1], scratch[2, :m]
+        if displacement:
+            disp = max(_max_abs(np.subtract(nodes[..., j], x0[:, j], out=rate))
+                       for j in range(x0.shape[1]))
+            worst[0] = np.maximum(worst[0], disp)
+        if escape is not None:
+            norms = np.sqrt(sq_norms(nodes, out=rate), out=rate)
+            np.copyto(norms, -np.inf, where=outside)     # -inf exceeds no radius
+            top = np.max(norms)
+            for j, R_j in enumerate(radii.flat):
+                if R_j < top:    # a radius at or above every norm counts none
+                    counts[j] = max(counts[j],
+                                    np.max(np.count_nonzero(norms > R_j, axis=1)))
         if damping is not None:
             # D continues from its running value as div b's integral does
             cvals, cut = sample_damping(damping, time_grid[block], nodes)
@@ -397,9 +413,11 @@ def forward_summary(field: VelocityFieldSpec, seeds: SeedGrid, steps,
         del nodes, divs
     _check_truncation(all_cut, damping)
     return ForwardSummary(seed_grid=seeds, time_grid=time_grid,
-                          endpoints=endpoints, jx_end=np.exp(dpi_end),
+                          endpoints=endpoints,
+                          jx_end=np.repeat(np.exp(dpi_end), n // width),
                           damping_end=damping_end, L=L,
-                          max_displacement=float(worst[0]), jx_min=jx_min, jx_max=jx_max,
+                          max_displacement=float(worst[0]) if displacement else None,
+                          jx_min=jx_min, jx_max=jx_max,
                           residuals=(JacobianOdeResiduals(float(worst[1]), float(worst[2]))
                                      if residuals else None),
                           escaped=(None if escape is None
@@ -497,6 +515,9 @@ def backward_summary(field: VelocityFieldSpec, damping: DampingFieldSpec, points
     div b and c are each sampled once per path (``_sample_path``), and each
     slice's integrals sum its live rows only (``_path_integral``), so b = 0
     or c = 0, or c = 0 along whole paths, costs no cumulative sum at all. A
+    divergence that reads no coordinate (``divergence_reads`` is ``()``) is
+    sampled and integrated on the first row alone, whose JX fills every row;
+    the damping path stays per row. A
     slice keeps only the largest |div integral|, checked against L as
     ``forward_summary`` does, the final values and the paths the cut-off
     zeroes entirely (AllTruncatedError). A StepBlowupError names the seed
@@ -527,6 +548,7 @@ def backward_summary(field: VelocityFieldSpec, damping: DampingFieldSpec, points
     # path nodes per field call and per scratch block: 1/16 of the budget
     block = max(1, (_CHUNK_BYTES >> 4) // (8 * n))
     scratch, end = np.empty(n * (block + 1)), np.empty(n)
+    width = 1 if field.divergence_reads == () else n     # rows of div b sampled
     for chunk in chunks:
         a, m = [anchors[g[0]] for g in chunk], [counts[g[0]] for g in chunk]
         h = np.repeat(np.divide(a, m), n) if field.autonomous else a[0] / m[0]
@@ -547,11 +569,14 @@ def backward_summary(field: VelocityFieldSpec, damping: DampingFieldSpec, points
             table = np.empty((n, rows))     # samples along the path, time contiguous
             masked = np.empty((n, rows), dtype=bool)
             jx = np.empty((len(group), n))
-            live, vals = _sample_path(field, damping, grids[0], nodes, block, table)
+            live, vals = _sample_path(field, damping, grids[0], nodes[:, :width], block,
+                                      table[:width])
             for j, times in enumerate(grids):
-                _check_divergence(_path_integral(vals, times, live, block, scratch, end, True),
+                _check_divergence(_path_integral(vals, times, live, block, scratch,
+                                                 end[:width], True),
                                   _div_sup_integral(field, times))
-                np.exp(end, out=jx[j])
+                np.exp(end[:width], out=jx[j, :width])
+            jx[:, width:] = jx[:, :1]     # JX is row 0's on every row it was not taken on
             live, vals = _sample_path(field, damping, grids[0], nodes, block, table, masked)
             for j, s in enumerate(group):
                 first = rows - 1 - counts[s]

@@ -50,7 +50,7 @@ def _field_zero(d, T):
         eval_div_b=lambda t, x: _zeros_like_scalar(x),
         continuous=True, div_sup=lambda t: 0.0, horizon=T,
         growth_b1=lambda t, x: _zeros_like_scalar(x),
-        growth_b2=lambda t: 0.0, label="zero")
+        growth_b2=lambda t: 0.0, div_reads=(), label="zero")
 
 
 def _field_linear(d, T, sign):
@@ -60,7 +60,7 @@ def _field_linear(d, T, sign):
         eval_div_b=lambda t, x: np.full(np.asarray(x).shape[:-1], sign * d),
         continuous=True, div_sup=lambda t: float(abs(sign) * d), horizon=T,
         growth_b1=lambda t, x: _zeros_like_scalar(x),
-        growth_b2=lambda t: 1.0,
+        growth_b2=lambda t: 1.0, div_reads=(),
         label="linear_expand" if sign > 0 else "linear_contract")
 
 
@@ -77,7 +77,7 @@ def _field_rotation(T):
         eval_div_b=lambda t, x: _zeros_like_scalar(x),
         continuous=True, div_sup=lambda t: 0.0, horizon=T,
         growth_b1=lambda t, x: _zeros_like_scalar(x),
-        growth_b2=lambda t: 1.0, label="rotation")
+        growth_b2=lambda t: 1.0, div_reads=(), label="rotation")
 
 
 def _field_shear(T):
@@ -93,7 +93,7 @@ def _field_shear(T):
         eval_div_b=lambda t, x: _zeros_like_scalar(x),
         continuous=False, div_sup=lambda t: 0.0, horizon=T,
         growth_b1=lambda t, x: _zeros_like_scalar(x),
-        growth_b2=lambda t: 1.0, reads=(1,), label="shear")
+        growth_b2=lambda t: 1.0, reads=(1,), div_reads=(), label="shear")
 
 
 _COMPACT_DIV_SUP = 96.0 / (25.0 * math.sqrt(5.0))   # max |6x(1-x^2)^2| on [-1, 1]
@@ -414,7 +414,7 @@ def _check(metrics, artifacts=()):
 # ---------------------------------------------------------------------------
 
 def _run_flow_identity(ctx):
-    return _check({"max_deviation": (ctx.forward().max_displacement, 1e-12)})
+    return _check({"max_deviation": (ctx.forward("displacement").max_displacement, 1e-12)})
 
 
 def _run_jacobian_unit(ctx):
@@ -796,7 +796,8 @@ REGISTRY = {s.scenario_id: s for s in (
                 ctx, n_space=256, n_time=256, tol=1e-6, phi_radius=1.5),
             "l2_energy": lambda ctx: _run_l2_energy(ctx, 128, 64),
         },
-        forward_reads={"jacobian_unit": {"residuals": True},
+        forward_reads={"flow_identity": {"displacement": True},
+                       "jacobian_unit": {"residuals": True},
                        "superlevel": _superlevel_reads(1.0, 1.5)}),
     Scenario(
         scenario_id="linear_expand", description="b(x) = x: exponential dilation",

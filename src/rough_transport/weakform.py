@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SupportOverflowError, UnboundedDampingError
+from .errors import DivergenceUnboundedError, SupportOverflowError, UnboundedDampingError
 from .fields import DampingFieldSpec, VelocityFieldSpec, sample_damping, sample_nodes
 from .numerics import cumtrapz, holds_below, profile, stable_sum, trapz
 from .renormalization import Renormalizer, TestFunctionPhiR
@@ -195,9 +195,25 @@ def gronwall_constants(rate, damping: DampingFieldSpec, growth: VelocityFieldSpe
     ``rate`` samples ||div b||_inf on ``times`` for the plain bound, or
     d1 + lambda ||d2||_* for the BMO family, whose ``decay`` samples
     C e^{-c lambda} ||d2||_*; ``tau0`` ends the window, at the last node by default.
+
+    The hypothesis: Gamma(t) = int phi_R beta(u) is differentiated along
+    the equation, where div b enters through phi_R div b (beta(u) -
+    u beta'(u)). The estimate bounds that term by the rate
+    ||div b(t, .)||_inf times Gamma and times ||phi_R||_1, and Gronwall's
+    lemma integrates the rate in time, so the plain bound needs
+    int_0^T ||div b(t, .)||_inf dt finite: div b in L^1(0, T; L^inf), as in
+    DiPerna-Lions. Without it A and B_R are infinite, and the bound holds
+    for every Gamma, so it judges nothing. A rate whose trapezoid is not
+    finite raises DivergenceUnboundedError, naming the field; a divergence
+    that is unbounded but in BMO takes the BMO family's rate instead.
     """
     times = np.asarray(times, dtype=float)
     d = phi_R.d
+    rate_integral = trapz(rate, times)
+    if not math.isfinite(rate_integral):
+        raise DivergenceUnboundedError(
+            f"the Gronwall rate of field {growth.label!r} integrates to {rate_integral!r}; "
+            "the logarithmic bound needs int ||div b||_inf dt finite")
 
     def c_R(R):
         if growth.growth_b1_tail is None:

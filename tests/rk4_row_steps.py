@@ -13,7 +13,7 @@ The counts do not depend on the host, so they pin the RK4 and field work
 of a change that should not move it; the golden test in
 ``test_scenarios.py`` asserts both through the same wrappers, as
 equalities, against the ``rk4_row_steps`` and ``base_field_evals`` of
-``BENCH_5.json``. First, before any scenario has filled a cache, it
+``BENCH_6.json``. First, before any scenario has filled a cache, it
 takes the tracemalloc peak above the start level of each diagnostic of
 ``TRACED_DIAGNOSTICS``, run alone and in that order, which
 ``test_scenarios.py`` bounds: unlike the peak RSS, it does not move with

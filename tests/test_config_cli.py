@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from rough_transport.cli import main
 from rough_transport.config import default_config, load_config, resolve
-from rough_transport.errors import (ParseError, PipelineError, RoughTransportError,
-                                    ValidationError)
+from rough_transport.errors import (DivergenceUnboundedError, ParseError, PipelineError,
+                                    RoughTransportError, ValidationError)
 from rough_transport.scenarios import (DAMPING_CATALOG, FIELD_CATALOG, REGISTRY, U0_CATALOG,
                                       list_scenarios, run_scenario)
 
@@ -176,6 +176,23 @@ def test_every_same_dimension_field_runs_to_verdicts_or_a_typed_error(tmp_path):
         assert len(report.results) == len(cfg.diagnostics), (sid, fid)
         assert _non_finite_passes(report) == [], (sid, fid)
     assert ("rotation", "shear") in typed
+
+
+@pytest.mark.parametrize("scenario_id", ["twin_difference_gronwall", "compact_support_b"])
+def test_a_plain_gronwall_bound_on_an_unbounded_divergence_raises(scenario_id, tmp_path):
+    # log_drift's div_sup is inf, so A = B_R = inf and the plain bound would
+    # hold for any Gamma: gronwall_log used to PASS on twin_difference_gronwall
+    # with worst_gamma_over_bound 0.0, and to FAIL on compact_support_b only
+    # through inf - inf = nan. It now raises at the cross-product test's
+    # cheap config, before any verdict
+    cfg = resolve({"scenario_id": scenario_id, "field_id": "log_drift", "steps": 16,
+                   "seeds_per_axis": 16, "diagnostics": ["gronwall_log"],
+                   "output_dir": str(tmp_path)})
+    with pytest.raises(PipelineError) as err:
+        run_scenario(cfg)
+    assert err.value.stage == "gronwall_log"
+    assert isinstance(err.value.cause, DivergenceUnboundedError)
+    assert "'log_drift'" in str(err.value)
 
 
 @pytest.mark.parametrize("text,key", [

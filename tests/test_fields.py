@@ -187,21 +187,22 @@ def _full_tensor_rule(d, n=16):
     return offsets, svals / np.sum(svals)
 
 
-def _assert_full_rule_sums(spec, eps, calls, kept):
+def _assert_full_rule_sums(spec, eps, calls, kept, div_kept=None):
     # one evaluation calls each base field once per kept node, and gives bit
     # for bit the plain per-node sum over the full tensor rule, both on a
     # list of points (N, d) and on the node blocks (m+1, N, d) that
-    # ``forward_summary`` passes through ``sample_nodes``
+    # ``forward_summary`` passes through ``sample_nodes``; ``div_kept`` gives
+    # the divergence's calls per evaluation when they differ
     d = spec.dimension
     smooth = mollify(spec, make_mollifier(eps, d))
     offsets, weights = _full_tensor_rule(d)
     assert offsets.shape[0] == 16 ** d
     rng = np.random.default_rng(3)
-    for shape in ((40, d), (5, 40, d)):
+    for shape, div_calls in zip(((40, d), (5, 40, d)), div_kept or (kept, kept)):
         pts = rng.uniform(-1.0, 1.0, size=shape)
         calls.update(b=0, div=0)
         b, div = smooth.eval_b(0.5, pts), smooth.eval_div_b(0.5, pts)
-        assert calls == {"b": kept, "div": kept}
+        assert calls == {"b": kept, "div": div_calls}
         for fn, got in ((spec.eval_b, b), (spec.eval_div_b, div)):
             acc = weights[0] * fn(0.5, pts - eps * offsets[0])
             for q in range(1, offsets.shape[0]):
@@ -222,12 +223,14 @@ def test_mollifier_skips_zero_weight_nodes(d, kept):
 
 
 def test_mollified_shear_matches_per_node_sum():
-    # the catalog shear, as the shear_bv scenario mollifies it
+    # the catalog shear, as the shear_bv scenario mollifies it; its
+    # divergence reads no coordinate, so one convolution at one point
+    # serves both evaluations
     calls = {"b": 0, "div": 0}
     base = field("shear", d=2)
     spec = dataclasses.replace(base, eval_b=_counting(base.eval_b, calls, "b"),
                                eval_div_b=_counting(base.eval_div_b, calls, "div"))
-    _assert_full_rule_sums(spec, 0.1, calls, 144)
+    _assert_full_rule_sums(spec, 0.1, calls, 144, div_kept=(144, 0))
 
 
 @pytest.mark.parametrize("kind", ["returns_input", "returns_cached"])
@@ -356,35 +359,65 @@ def test_space_conv_shifts_only_the_declared_coordinates(lead):
 
 @pytest.mark.parametrize("reads", [(2,), (1, 0), (-1,), (1, 1), [1], (1.0,), (True,)])
 def test_field_refuses_a_malformed_reads_declaration(reads):
-    with pytest.raises(ValueError, match="reads"):
-        _plane_field(lambda t, x: x, _zero_div, reads=reads)
+    # div_reads is validated as reads is
+    for name in ("reads", "div_reads"):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            _plane_field(lambda t, x: x, _zero_div, **{name: reads})
 
 
 @pytest.mark.parametrize("reads", [None, (), (0,), (1,), (0, 1)])
 def test_field_accepts_a_well_formed_reads_declaration(reads):
-    assert _plane_field(lambda t, x: x, _zero_div, reads=reads).reads == reads
+    for name in ("reads", "div_reads"):
+        assert getattr(_plane_field(lambda t, x: x, _zero_div, **{name: reads}), name) == reads
+
+
+@pytest.mark.parametrize("reads,div_reads,within", [
+    ((1,), (), True), ((1,), (1,), True), ((0, 1), (0,), True), (None, (0,), True),
+    ((1,), (0,), False), ((), (1,), False), ((0,), (0, 1), False)])
+def test_div_reads_must_lie_within_reads(reads, div_reads, within):
+    # the divergence of b reads no coordinate that b itself does not
+    def build():
+        return _plane_field(lambda t, x: x, _zero_div, reads=reads, div_reads=div_reads)
+    if within:
+        assert build().divergence_reads == div_reads
+    else:
+        with pytest.raises(ValueError, match="must lie within reads"):
+            build()
+
+
+def test_divergence_reads_falls_back_to_reads():
+    assert _plane_field(lambda t, x: x, _zero_div, reads=(1,)).divergence_reads == (1,)
+    assert _plane_field(lambda t, x: x, _zero_div).divergence_reads is None
 
 
 # the unread coordinates are shifted by, and also set to, each of these
 UNREAD_MOVES = (0.0, -0.0, 1e3, -1e3, 0.375, -2.5)
 
 
-def _declaration_holds(spec, points, times=(0.0, 0.5, 1.0)):
-    """True when b and div b keep their bits as the unread coordinates move."""
-    unread = [j for j in range(spec.dimension) if j not in spec.reads]
+def _declaration_holds(fns, reads, points, times=(0.0, 0.5, 1.0)):
+    """True when each of ``fns`` keeps its bits as the coordinates outside ``reads`` move."""
+    unread = [j for j in range(points.shape[-1]) if j not in reads]
     for t in times:
-        want = [np.asarray(fn(t, points), dtype=float).tobytes()
-                for fn in (spec.eval_b, spec.eval_div_b)]
+        want = [np.asarray(fn(t, points), dtype=float).tobytes() for fn in fns]
         for s in UNREAD_MOVES:
             shifted, pinned = points.copy(), points.copy()
             shifted[..., unread] += s
             pinned[..., unread] = s
             for x in (shifted, pinned):
-                got = [np.asarray(fn(t, x), dtype=float).tobytes()
-                       for fn in (spec.eval_b, spec.eval_div_b)]
+                got = [np.asarray(fn(t, x), dtype=float).tobytes() for fn in fns]
                 if got != want:
                     return False
     return True
+
+
+def _reads_hold(spec):
+    return _declaration_holds((spec.eval_b, spec.eval_div_b), spec.reads,
+                              _declaration_points(spec.dimension))
+
+
+def _div_reads_hold(spec):
+    return _declaration_holds((spec.eval_div_b,), spec.divergence_reads,
+                              _declaration_points(spec.dimension))
 
 
 def _declaration_points(d):
@@ -396,28 +429,47 @@ def _declaration_points(d):
     return np.concatenate([pts, np.resize(edges, (edges.shape[0], d))])
 
 
-def _declaring_catalog_fields():
+def _declaring_catalog_fields(declared):
     found = {}
     for field_id, build in sorted(FIELD_CATALOG.items()):
         for d in (1, 2):
             spec = build(d, 1.0)
-            if spec.reads is not None:
+            if getattr(spec, declared) is not None:
                 found[(field_id, spec.dimension)] = spec
     return found
 
 
-DECLARING_FIELDS = _declaring_catalog_fields()
+DECLARING_FIELDS = _declaring_catalog_fields("reads")
+DIV_DECLARING_FIELDS = _declaring_catalog_fields("divergence_reads")
 
 
 def test_the_shear_declares_that_it_reads_only_y():
     assert DECLARING_FIELDS[("shear", 2)].reads == (1,)
 
 
+def test_the_fields_with_a_divergence_constant_in_x_declare_it():
+    # JX of these fields is the same for every seed; compact_bump's and
+    # log_drift's divergences read x
+    assert {key: spec.div_reads for key, spec in DIV_DECLARING_FIELDS.items()} == {
+        (fid, d): () for fid in ("zero", "linear_expand", "linear_contract")
+        for d in (1, 2)} | {("rotation", 2): (), ("shear", 2): ()}
+    assert FIELD_CATALOG["compact_bump"](1, 1.0).div_reads is None
+    assert FIELD_CATALOG["log_drift"](1, 1.0).div_reads is None
+
+
 @pytest.mark.parametrize("field_id,d", sorted(DECLARING_FIELDS))
 def test_every_catalog_reads_declaration_is_true(field_id, d):
     # a field that reads a coordinate it does not declare would hand the
     # mollifier's memo a stale convolution
-    assert _declaration_holds(DECLARING_FIELDS[(field_id, d)], _declaration_points(d))
+    assert _reads_hold(DECLARING_FIELDS[(field_id, d)])
+
+
+@pytest.mark.parametrize("field_id,d", sorted(DIV_DECLARING_FIELDS))
+def test_every_catalog_div_reads_declaration_is_true(field_id, d):
+    # a divergence that reads a coordinate it does not declare would give
+    # every seed the first seed's Jacobian, and the mollifier's one-point
+    # convolution a value that holds at one point only
+    assert _div_reads_hold(DIV_DECLARING_FIELDS[(field_id, d)])
 
 
 @pytest.mark.parametrize("liar", ["b", "div_b"])
@@ -431,7 +483,16 @@ def test_a_false_reads_declaration_fails_the_check(liar):
     def eval_div_b(t, x):
         return 1e-3 * x[..., 0] if liar == "div_b" else _zero_div(t, x)
     spec = _plane_field(eval_b, eval_div_b, reads=(1,))
-    assert not _declaration_holds(spec, _declaration_points(2))
+    assert not _reads_hold(spec)
+
+
+@pytest.mark.parametrize("reads", [(0, 1), (1,)])
+def test_a_false_div_reads_declaration_fails_the_check(reads):
+    # declares a divergence constant in x, yet it reads x
+    spec = _plane_field(lambda t, x: np.zeros(np.shape(x)),
+                        lambda t, x: 1e-3 * x[..., 1], reads=reads, div_reads=())
+    assert not _div_reads_hold(spec)
+    assert _div_reads_hold(dataclasses.replace(spec, div_reads=None))
 
 
 def _counted(spec, calls):
@@ -439,11 +500,15 @@ def _counted(spec, calls):
                                eval_div_b=_counting(spec.eval_div_b, calls, "div"))
 
 
-def _convolve(smooth, base, moll, calls, t, x, misses):
-    """Both mollified callables at (t, x): the reference loop's bits, 144 calls a miss."""
+def _convolve(smooth, base, moll, calls, t, x, misses, div_misses=None):
+    """Both mollified callables at (t, x): the reference loop's bits, 144 calls a miss.
+
+    ``div_misses`` counts the divergence's misses when they differ from b's.
+    """
     calls.update(b=0, div=0)
     b, div = smooth.eval_b(t, x), smooth.eval_div_b(t, x)
-    assert calls == {"b": 144 * misses, "div": 144 * misses}
+    assert calls == {"b": 144 * misses,
+                     "div": 144 * (misses if div_misses is None else div_misses)}
     assert b.tobytes() == space_conv(base.eval_b, moll, t, x).tobytes()
     assert div.tobytes() == space_conv(base.eval_div_b, moll, t, x).tobytes()
     return b, div
@@ -461,14 +526,20 @@ def test_mollified_shear_convolves_once_per_distinct_y():
     assert _convolve(smooth, base, moll, calls, 0.5, x_moved, misses=0)[0] is b
     # the shear is autonomous: another time reads the same convolution
     _convolve(smooth, base, moll, calls, 0.9, pts, misses=0)
+    # the divergence reads no coordinate: its one convolution, at one point,
+    # serves every y and every shape
     y_moved = pts.copy()
     y_moved[:, 1] += 0.25
-    _convolve(smooth, base, moll, calls, 0.5, y_moved, misses=1)
-    _convolve(smooth, base, moll, calls, 0.5, y_moved.reshape(5, 14, 2), misses=1)
-    # what a hit hands back is the stored array, so no caller may write to it
-    for out in (b, div):
-        with pytest.raises(ValueError):
-            out[0] = 1.0
+    _convolve(smooth, base, moll, calls, 0.5, y_moved, misses=1, div_misses=0)
+    _convolve(smooth, base, moll, calls, 0.5, y_moved.reshape(5, 14, 2), misses=1,
+              div_misses=0)
+    # what a hit hands back is the stored array, so no caller may write to
+    # it; the divergence is filled anew on every call, so a write to one
+    # fill leaves the next one alone
+    with pytest.raises(ValueError):
+        b[0] = 1.0
+    div[0] = 1.0
+    assert np.all(smooth.eval_div_b(0.5, pts) == 0.0)
 
 
 def test_memo_of_a_time_dependent_field_keys_on_t():
@@ -490,9 +561,35 @@ def test_memo_of_a_time_dependent_field_keys_on_t():
     _convolve(smooth, base, moll, calls, 0.75, pts, misses=0)
 
 
+def test_a_callable_that_reads_no_coordinate_convolves_once_per_time():
+    # b = (t, -t) and div b = t read no coordinate: each is convolved at one
+    # point per distinct t, and the value filled to x's shape keeps the bits
+    # of the per-point sums at every point
+    calls = {"b": 0, "div": 0}
+
+    def eval_b(t, x):
+        out = np.empty(np.shape(x))
+        out[..., 0], out[..., 1] = t, -t
+        return out
+    base = _plane_field(eval_b, lambda t, x: np.full(np.shape(x)[:-1], t),
+                        reads=(), autonomous=False)
+    moll = make_mollifier(0.1, 2)
+    smooth = mollify(_counted(base, calls), moll)
+    pts = _declaration_points(2)
+    b, div = _convolve(smooth, base, moll, calls, 0.3, pts, misses=1)
+    assert b.shape == pts.shape and div.shape == pts.shape[:-1] and np.all(div != 0.0)
+    _convolve(smooth, base, moll, calls, 0.3, pts[:7] + 5.0, misses=0)
+    _convolve(smooth, base, moll, calls, 0.3, pts.reshape(5, 14, 2), misses=0)
+    _convolve(smooth, base, moll, calls, 0.7, pts, misses=1)
+    # a (d,) point gives a 0-d divergence
+    point = smooth.eval_div_b(0.7, np.array([0.25, -0.5]))
+    assert point.shape == ()
+    assert point == space_conv(base.eval_div_b, moll, 0.7, np.zeros((1, 2)))[0]
+
+
 def test_mollified_field_without_reads_convolves_on_every_call():
     calls = {"b": 0, "div": 0}
-    base = dataclasses.replace(field("shear", d=2), reads=None)
+    base = dataclasses.replace(field("shear", d=2), reads=None, div_reads=None)
     moll = make_mollifier(0.1, 2)
     smooth = mollify(_counted(base, calls), moll)
     pts = _declaration_points(2)

@@ -354,8 +354,10 @@ def test_jacobian_rejects_inconsistent_metadata(linear_field):
 
 def test_jacobian_rejects_nan_divergence(zero_field):
     # a NaN path integral never compares greater than L; it must still raise
+    # (the zero field declares a divergence constant in x; this one reads x)
     spec = dataclasses.replace(
-        zero_field, eval_div_b=lambda t, x: np.where(x[..., 0] > 0.5, np.nan, 0.0))
+        zero_field, eval_div_b=lambda t, x: np.where(x[..., 0] > 0.5, np.nan, 0.0),
+        div_reads=None)
     seeds = seeds_from_points([[0.2], [0.7]])
     with pytest.raises(DivergenceUnboundedError):
         jacobian(spec, integrate_flow(spec, seeds, 8, "forward"))
@@ -779,7 +781,8 @@ def test_forward_summary_bitwise_equals_full_table_reductions(case, monkeypatch)
     assert np.any(ref["ladder"] > 0.0)
     for budget in _BUDGETS:
         monkeypatch.setattr(flow, "_CHUNK_BYTES", budget)
-        fwd = forward_summary(spec, grid, steps, escape=(r, radii), residuals=True)
+        fwd = forward_summary(spec, grid, steps, escape=(r, radii), residuals=True,
+                              displacement=True)
         for key in ("endpoints", "jx_end", "jx_min", "jx_max"):
             assert np.array_equal(getattr(fwd, key), ref[key]), (budget, key)
         assert fwd.L == ref["L"] and fwd.max_displacement == ref["max_displacement"]
@@ -788,6 +791,41 @@ def test_forward_summary_bitwise_equals_full_table_reductions(case, monkeypatch)
         # the per-node extremes give max |JX - e_k| exactly
         assert fwd.jx_deviation(np.exp(fwd.time_grid)) == ref["deviation"]
         assert np.array_equal(fwd.escaped, ref["ladder"])
+
+
+@pytest.mark.parametrize("case", sorted(_FORWARD_CASES))
+def test_a_divergence_constant_in_x_folds_one_column_bit_for_bit(case, monkeypatch):
+    # the same field with div_reads=() and with div_reads=None, whose
+    # divergence is sampled and integrated per seed: every ForwardSummary
+    # field and every backward_summary item keep their bytes, over several
+    # blocks and at the default budget, with a damping beside them
+    spec, _, _ = _FORWARD_CASES[case]()
+    grid = make_seed_grid(1.0, 16, spec.dimension)
+    dmp = damping("box_indicator", spec.dimension)
+    anchors, counts = [spec.horizon, 0.5 * spec.horizon, 0.25 * spec.horizon], [40, 20, 7]
+    r, radii = 0.9, np.linspace(0.5, 1.5, 5)
+
+    def run(div_reads):
+        one = dataclasses.replace(spec, div_reads=div_reads)
+        fwd = forward_summary(one, grid, 40, dmp, escape=(r, radii), residuals=True,
+                              displacement=True)
+        back = {k: tuple(view.copy() for view in item)
+                for k, *item in backward_summary(one, dmp, grid, anchors, counts)}
+        return fwd, back
+
+    for budget in (flow._CHUNK_BYTES, 1 << 12):
+        monkeypatch.setattr(flow, "_CHUNK_BYTES", budget)
+        (fwd, back), (want_fwd, want_back) = run(()), run(None)
+        for f in dataclasses.fields(fwd):
+            got, want = getattr(fwd, f.name), getattr(want_fwd, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), f.name
+            else:
+                assert got == want, f.name
+        assert np.any(fwd.damping_end != 0.0)
+        assert sorted(back) == sorted(want_back) == [0, 1, 2]
+        for k, items in back.items():
+            assert [v.tobytes() for v in items] == [v.tobytes() for v in want_back[k]], k
 
 
 def test_forward_summary_escape_in_later_block_matches_integrate_flow(monkeypatch):

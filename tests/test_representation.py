@@ -442,8 +442,10 @@ def test_pointwise_solution_nan_divergence_on_one_row_raises():
     # b = 0 keeps the seeds in place; div b is NaN at the seed 0.375 only,
     # so that row is live and its NaN integral fails the bound L = 0
     zero = field("zero")
+    # (the zero field declares a divergence constant in x; this one reads x)
     spec = dataclasses.replace(
-        zero, eval_div_b=lambda t, x: np.where(np.asarray(x)[..., 0] == 0.375, np.nan, 0.0))
+        zero, eval_div_b=lambda t, x: np.where(np.asarray(x)[..., 0] == 0.375, np.nan, 0.0),
+        div_reads=None)
     grid = make_seed_grid(1.0, 8, 1)
     assert np.any(grid.points[:, 0] == 0.375)
     with pytest.raises(DivergenceUnboundedError):

@@ -27,7 +27,7 @@ from rk4_row_steps import (TRACED_DIAGNOSTICS, counting_field_evals, counting_ro
                            traced_peak)
 
 SRC_DIR = Path(scenarios.__file__).resolve().parents[1]
-BENCH_5 = Path(__file__).resolve().parents[1] / "BENCH_5.json"
+BENCH_6 = Path(__file__).resolve().parents[1] / "BENCH_6.json"
 
 
 @pytest.mark.parametrize("scenario_id", list(REGISTRY))
@@ -39,7 +39,9 @@ def test_default_run_matches_golden_artifacts(scenario_id, tmp_path):
     # the same run pins the scenario's RK4 and field work (turning off
     # pointwise_solution's step sharing multiplies identity's row-steps by
     # 77 and keeps every verdict; shear_bv's field work is its mollified
-    # convolutions, one per distinct y column of the sweep's points)
+    # convolutions: the velocity's one per distinct y column of the sweep's
+    # points, the divergence's, constant in x, one at one point per
+    # mollified field; a divergence constant in x is sampled on one seed)
     cfg = resolve({"scenario_id": scenario_id,
                    "output_dir": f".bench_out/{scenario_id}"})
     with counting_row_steps() as row_steps, counting_field_evals(cfg.field_id) as evals:
@@ -52,7 +54,7 @@ def test_default_run_matches_golden_artifacts(scenario_id, tmp_path):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), \
             f"{scenario_id}/{name} differs from the golden copy:\n" \
             + listing(diff_scenario(tmp_path, scenario_id))
-    pins = json.loads(BENCH_5.read_text())
+    pins = json.loads(BENCH_6.read_text())
     assert row_steps[0] == pins["rk4_row_steps"][scenario_id]
     assert evals == pins["base_field_evals"][scenario_id]
 
@@ -179,8 +181,8 @@ def test_damping_l1_with_zero_mass_fails_and_says_why(tmp_path):
 
 
 # the optional forward_summary reductions that each runner reads from ctx.forward()
-RUNNER_READS = {"jacobian_unit": {"residuals"}, "jacobian_ode": {"residuals"},
-                "superlevel": {"escape"}}
+RUNNER_READS = {"flow_identity": {"displacement"}, "jacobian_unit": {"residuals"},
+                "jacobian_ode": {"residuals"}, "superlevel": {"escape"}}
 
 
 def test_every_scenario_declares_exactly_the_forward_reads_of_its_runners():
@@ -192,7 +194,8 @@ def test_every_scenario_declares_exactly_the_forward_reads_of_its_runners():
                             if name in RUNNER_READS}, sid
 
 
-@pytest.mark.parametrize("scenario_id,name", [("identity", "jacobian_unit"),
+@pytest.mark.parametrize("scenario_id,name", [("identity", "flow_identity"),
+                                              ("identity", "jacobian_unit"),
                                               ("linear_expand", "jacobian_ode"),
                                               ("identity", "superlevel")])
 def test_an_undeclared_forward_read_raises(scenario_id, name, tmp_path, monkeypatch):
@@ -200,7 +203,7 @@ def test_an_undeclared_forward_read_raises(scenario_id, name, tmp_path, monkeypa
     # would pass a check, and a runner whose read the scenario does not
     # declare raises rather than judging a reduction the sweep never took
     fwd = forward_summary(field("linear_expand"), make_seed_grid(1.0, 8, 1), 4)
-    assert fwd.residuals is None and fwd.escaped is None
+    assert fwd.residuals is None and fwd.escaped is None and fwd.max_displacement is None
     cfg = resolve({"scenario_id": scenario_id, "diagnostics": [name],
                    "output_dir": str(tmp_path)})
     assert run_scenario(cfg).results[0].passed
@@ -290,7 +293,7 @@ def test_traced_peak_of_the_backward_builds_stays_recorded(scenario_id, diagnost
     # builds' sweep buffer and tables, and the mollified sweeps' convolution
     # memos. The recorded peaks are the largest over ten processes, which
     # spread by at most 8.5 KB; the slack is twice that
-    pins = json.loads(BENCH_5.read_text())["traced_peak_bytes"]
+    pins = json.loads(BENCH_6.read_text())["traced_peak_bytes"]
     peak, passed = traced_peak(scenario_id, diagnostic)
     assert passed
     assert peak <= pins["recorded"][f"{scenario_id}/{diagnostic}"] + pins["slack"], peak

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from rough_transport.config import resolve
-from rough_transport.errors import (NonFiniteDampingError, SupportOverflowError,
-                                    UnboundedDampingError)
+from rough_transport.errors import (DivergenceUnboundedError, NonFiniteDampingError,
+                                    SupportOverflowError, UnboundedDampingError)
 from rough_transport.fields import DampingFieldSpec, VelocityFieldSpec, growth_split
 from rough_transport.flow import seeds_from_points
 from rough_transport.numerics import holds_below, order_estimate, profile
@@ -362,6 +362,20 @@ def test_gronwall_constants_hand_computed():
         assert data.A == pytest.approx(3.0, rel=1e-14)
         assert data.B_R == pytest.approx(2.0 + 1.5 * R, rel=1e-14)
         assert data.C_R == 0.0 and data.C_R_limit == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_gronwall_constants_refuse_a_rate_that_is_not_integrable(bad):
+    # log_drift's div_sup is inf: A and B_R would be inf, and a bound of inf
+    # holds for every Gamma; one bad node is enough
+    spec, dmp = field("log_drift"), damping("zero")
+    growth = growth_split(spec, rng=np.random.default_rng(0))
+    times = np.linspace(0.0, 1.0, 33)
+    rate = np.ones(times.size)
+    rate[7] = bad
+    for r in (profile(spec.div_sup, times), rate):
+        with pytest.raises(DivergenceUnboundedError, match="'log_drift'"):
+            gronwall_constants(r, dmp, growth, make_phi_R(2.0, 1), times)
 
 
 def test_gronwall_constants_of_compact_support_b_match_closed_forms():
